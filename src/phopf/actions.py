@@ -15,7 +15,7 @@ from fractions import Fraction
 from .algebras import (AlgebraData, HopfData, Report, algebra_check, dict_acc,
                        dict_of_vec, dual_hopf, group_algebra, mul_dicts,
                        vec_of_dict)
-from .linalg import Subspace, Tensor3, unit_vec
+from .linalg import Subspace, Tensor3, restrict_product, transport, unit_vec
 from ._groups import check_group_table, group_identity, group_inverses
 
 
@@ -65,13 +65,7 @@ class PartialActionData:
 
     def matrix(self, i):
         """Dense operator matrix of basis element h_i (columns = images)."""
-        f = self.hopf.field
-        m = self.alg.dim
-        out = [[f.zero] * m for _ in range(m)]
-        for (j, k), c in ((key[1:], c) for key, c in self.map.entries.items()
-                          if key[0] == i):
-            out[k][j] = c
-        return out
+        return self.map.slice_matrix(i, self.hopf.field.zero)
 
     def to_json(self, hopf_ref=None, algebra_ref=None):
         show = self.hopf.field.show
@@ -390,6 +384,93 @@ def dual_regular_action(h):
     return p
 
 
+def _dict_coords(span):
+    """Subspace.coords for vectors given as sparse dicts."""
+    return lambda d: span.coords(vec_of_dict(d, span.ambient_dim, span.field))
+
+
+def _left_ideal(B, e):
+    """Set-up shared by the structures induced on e·B: check that e is an
+    idempotent and a left identity on e·B, and build e·B as an algebra with
+    unit e.  Returns (span of e·B, e as a sparse dict, the algebra)."""
+    f = B.field
+    e_d = dict_of_vec(e)
+    if B.mul_dict(e_d, e_d) != e_d:
+        raise ValueError("e is not idempotent")
+    n_b = B.dim
+    span = Subspace(n_b, f,
+                    [vec_of_dict(B.mul_dict(e_d, {j: f.one}), n_b, f) for j in range(n_b)])
+    rows = [dict_of_vec(r) for r in span.rows]
+    for r in rows:
+        if B.mul_dict(e_d, r) != r:
+            raise ValueError("e is not a left identity on e·B")
+    unit_a = span.coords(e)
+    if unit_a is None:
+        raise ValueError("e does not lie in e·B")
+    A = AlgebraData(f, ["a%d" % i for i in range(span.dim)],
+                    restrict_product(_dict_coords(span), rows, B.mul_dict), unit_a,
+                    name="e·%s" % B.name)
+    return span, e_d, A
+
+
+def _unital_subalgebra(B, span, unit_a):
+    """Set-up shared by the structures induced on a unital subalgebra A of
+    B: check that unit_a lies in the subspace span, is an idempotent and an
+    identity on it, and that span is closed under the product; then build A
+    with the restricted product and certify it.  Returns the basis rows of
+    span and unit_a, both as sparse dicts, and A."""
+    rows = [dict_of_vec(r) for r in span.rows]
+    u_d = dict_of_vec(unit_a)
+    if not span.contains(list(unit_a)):
+        raise ValueError("unit_A must lie in A")
+    if B.mul_dict(u_d, u_d) != u_d:
+        raise ValueError("unit_A is not idempotent")
+    for i, r in enumerate(rows):
+        if B.mul_dict(u_d, r) != r or B.mul_dict(r, u_d) != r:
+            raise ValueError("unit_A is not an identity on A (basis %d)" % i)
+        for j, r2 in enumerate(rows):
+            if not span.contains(vec_of_dict(B.mul_dict(r, r2), B.dim, B.field)):
+                raise ValueError("A is not closed under multiplication at (%d, %d)" % (i, j))
+    A = AlgebraData(B.field, ["a%d" % i for i in range(len(rows))],
+                    restrict_product(_dict_coords(span), rows, B.mul_dict),
+                    span.coords(list(unit_a)), name="corner of %s" % B.name)
+    rep = algebra_check(A)
+    if not rep.passed:
+        raise AssertionError("induced corner is not a unital algebra: %s" % rep.failures[0][0])
+    return rows, u_d, A
+
+
+def _restrict_action(p, span, cut):
+    """The action p restricted to a subspace of its algebra: entry (g, j, k)
+    is coordinate k of cut(h_g acting on basis row j), cut a map of sparse
+    dicts."""
+    one = p.alg.field.one
+    d = span.dim
+    return transport(_dict_coords(span), (p.hopf.dim, d, d),
+                     ((g, j, cut(p.apply({g: one}, dict_of_vec(r))))
+                      for g in range(p.hopf.dim) for j, r in enumerate(span.rows)),
+                     "%s action" % p.side)
+
+
+def _corner_witness(left, right, rows, u_d, span):
+    """First witness (a, h, k, b) — subalgebra basis, Hopf, Hopf, subalgebra
+    basis indices — where (a◁h)(k▷b) ≠ (a◁h)·1_A·(k▷b) or the common value
+    leaves A; None when this corner condition holds."""
+    B = left.alg
+    one = B.field.one
+    for ia, a in enumerate(rows):
+        for h in range(left.hopf.dim):
+            a_h = right.apply({h: one}, a)
+            for k in range(left.hopf.dim):
+                for ib, b in enumerate(rows):
+                    k_b = left.apply({k: one}, b)
+                    lhs = B.mul_dict(a_h, k_b)
+                    rhs = B.mul_dict(a_h, B.mul_dict(u_d, k_b))
+                    if lhs != rhs or not span.contains(vec_of_dict(lhs, B.dim, B.field)):
+                        return (ia, h, k, ib)
+    return None
+
+
 def induce_left(glob, e):
     """Restrict a global left action on B to A = e·B (e idempotent) by
     h⇀a = e·(h▷a).  Returns the induced partial action on A's row-reduced
@@ -399,43 +480,8 @@ def induce_left(glob, e):
     if not is_global(glob):
         raise ValueError("induce_left needs a global action")
     B = glob.alg
-    f = B.field
-    e_d = dict_of_vec(e)
-    if B.mul_dict(e_d, e_d) != e_d:
-        raise ValueError("e is not idempotent")
-    n_b = B.dim
-    span = Subspace(n_b, f,
-                    [vec_of_dict(B.mul_dict(e_d, {j: f.one}), n_b, f) for j in range(n_b)])
-    m = span.dim
-    rows = [dict_of_vec(r) for r in span.rows]
-    for r in rows:
-        if B.mul_dict(e_d, r) != r:
-            raise ValueError("e is not a left identity on e·B")
-    unit_a = span.coords(e)
-    if unit_a is None:
-        raise ValueError("e does not lie in e·B")
-
-    def coords(d):
-        c = span.coords(vec_of_dict(d, n_b, f))
-        if c is None:
-            raise ValueError("induced value escapes the subalgebra")
-        return c
-
-    mul_a = Tensor3((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            for k, c in enumerate(coords(B.mul_dict(rows[i], rows[j]))):
-                mul_a.add(i, j, k, c)
-    A = AlgebraData(f, ["a%d" % i for i in range(m)], mul_a, unit_a,
-                    name="e·%s" % B.name)
-
-    act = Tensor3((glob.hopf.dim, m, m))
-    one = f.one
-    for g in range(glob.hopf.dim):
-        for j in range(m):
-            moved = B.mul_dict(e_d, glob.apply({g: one}, rows[j]))
-            for k, c in enumerate(coords(moved)):
-                act.add(g, j, k, c)
+    span, e_d, A = _left_ideal(B, e)
+    act = _restrict_action(glob, span, lambda a: B.mul_dict(e_d, a))
     p = PartialActionData(glob.hopf, A, "left", act,
                           name="%s induced on e·%s" % (glob.hopf.name, B.name))
     return _certify_action(p)
@@ -449,63 +495,15 @@ def induce_bimodule(bim, a_span, unit_a):
     witness (a, h, k, b) otherwise."""
     B = bim.alg
     H = bim.hopf
-    f = B.field
     if not (is_global(bim.left) and is_global(bim.right)):
         raise ValueError("induce_bimodule needs global actions on both sides")
-    one = f.one
-    rows = [dict_of_vec(r) for r in a_span.rows]
-    m = len(rows)
-    u_d = dict_of_vec(unit_a)
-    if not a_span.contains(list(unit_a)):
-        raise ValueError("unit_A must lie in A")
-    for i, r in enumerate(rows):
-        if B.mul_dict(u_d, r) != r or B.mul_dict(r, u_d) != r:
-            raise ValueError("unit_A is not an identity on A (basis %d)" % i)
-        for j, r2 in enumerate(rows):
-            if not a_span.contains(vec_of_dict(B.mul_dict(r, r2), B.dim, f)):
-                raise ValueError("A is not closed under multiplication at (%d, %d)" % (i, j))
-
-    # corner condition: (a◁h)(k▷b) = (a◁h)·1_A·(k▷b), both sides in A
-    for ia, a in enumerate(rows):
-        for h in range(H.dim):
-            a_h = bim.right.apply({h: one}, a)
-            for k in range(H.dim):
-                for ib, b in enumerate(rows):
-                    k_b = bim.left.apply({k: one}, b)
-                    lhs = B.mul_dict(a_h, k_b)
-                    rhs = B.mul_dict(a_h, B.mul_dict(u_d, k_b))
-                    if lhs != rhs or not a_span.contains(vec_of_dict(lhs, B.dim, f)):
-                        raise ValueError("corner condition fails at witness "
-                                         "(a=%d, h=%s, k=%s, b=%d)"
-                                         % (ia, H.basis[h], H.basis[k], ib))
-
-    def coords(d, what):
-        c = a_span.coords(vec_of_dict(d, B.dim, f))
-        if c is None:
-            raise ValueError("induced %s value escapes A" % what)
-        return c
-
-    mul_a = Tensor3((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            for k, c in enumerate(coords(B.mul_dict(rows[i], rows[j]), "product")):
-                mul_a.add(i, j, k, c)
-    A = AlgebraData(f, ["a%d" % i for i in range(m)], mul_a,
-                    a_span.coords(list(unit_a)), name="corner of %s" % B.name)
-    rep = algebra_check(A)
-    if not rep.passed:
-        raise AssertionError("induced corner is not a unital algebra: %s" % rep.failures[0][0])
-
-    lt = Tensor3((H.dim, m, m))
-    rt = Tensor3((H.dim, m, m))
-    for g in range(H.dim):
-        for j in range(m):
-            lv = B.mul_dict(u_d, bim.left.apply({g: one}, rows[j]))
-            for k, c in enumerate(coords(lv, "left-action")):
-                lt.add(g, j, k, c)
-            rv = B.mul_dict(bim.right.apply({g: one}, rows[j]), u_d)
-            for k, c in enumerate(coords(rv, "right-action")):
-                rt.add(g, j, k, c)
+    rows, u_d, A = _unital_subalgebra(B, a_span, unit_a)
+    w = _corner_witness(bim.left, bim.right, rows, u_d, a_span)
+    if w is not None:
+        raise ValueError("corner condition fails at witness (a=%d, h=%s, k=%s, b=%d)"
+                         % (w[0], H.basis[w[1]], H.basis[w[2]], w[3]))
+    lt = _restrict_action(bim.left, a_span, lambda a: B.mul_dict(u_d, a))
+    rt = _restrict_action(bim.right, a_span, lambda a: B.mul_dict(a, u_d))
     left = PartialActionData(H, A, "left", lt, name="induced left on corner")
     right = PartialActionData(H, A, "right", rt, name="induced right on corner")
     _certify_action(left)

@@ -254,10 +254,6 @@ class HopfData(AlgebraData):
         if len(self.counit) != self.dim or len(self.antipode) != self.dim:
             raise ValueError("counit/antipode sized wrong")
 
-    def comul_dict(self, i):
-        """Δ(basis[i]) as {(j, k): c}."""
-        return dict(self.comul.in1_view().get(i, {}))
-
     def comul_apply(self, x):
         """Δ on a sparse element."""
         iv = self.comul.in1_view()
@@ -538,7 +534,7 @@ class HomHHA:
     f(k⊗hk'), one matrix per basis element of H on each side.
 
     Basis functional E[i,j,m] sends e_i⊗e_j to a_m and every other basis pair
-    to 0.  Unpacks as (algebra, left_ops, right_ops).
+    to 0.
     """
 
     def __init__(self, algebra, left_ops, right_ops, n, dima):
@@ -550,9 +546,6 @@ class HomHHA:
 
     def index(self, i, j, m):
         return (i * self.n + j) * self.dima + m
-
-    def __iter__(self):
-        return iter((self.algebra, self.left_ops, self.right_ops))
 
 
 def hom_hh_a(h, a):
@@ -611,8 +604,6 @@ class TensorHAH:
     comultiplications as coactions: ρ = I⊗I⊗Δ on the right leg and
     λ = Δ⊗I⊗I on the left leg, plus the dual-basis translation operators
     f▷(h⊗a⊗k) = h⊗a⊗k₁ f(k₂) and (h⊗a⊗k)◁f = f(h₁) h₂⊗a⊗k.
-
-    Unpacks as (algebra, rho, lam).
     """
 
     def __init__(self, algebra, rho, lam, dual_left_ops, dual_right_ops, n, dima):
@@ -626,9 +617,6 @@ class TensorHAH:
 
     def index(self, i, m, j):
         return (i * self.dima + m) * self.n + j
-
-    def __iter__(self):
-        return iter((self.algebra, self.rho, self.lam))
 
 
 def tensor_hah(h, a):

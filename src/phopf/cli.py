@@ -12,9 +12,8 @@ Commands
     phopf smash BIMODULE_FILE BICOMODULE_FILE [-o PATH]
         Build the smash product of the two stored factors.
 
-Every subcommand takes --format {text|json} and --jobs N (reserved; the
-exhaustive checkers already run fast enough serially).  All numeric
-parameters use the exact scalar grammar "n" or "n/d" — no floats.
+Every subcommand takes --format {text|json}.  All numeric parameters use
+the exact scalar grammar "n" or "n/d" — no floats.
 
 Exit codes: 0 success / checks passed, 1 semantic failure (an axiom or a
 construction failed), 2 unreadable or malformed input."""
@@ -115,6 +114,12 @@ def cmd_check(args, fmt):
 # phopf example
 
 
+def _require_certified(rep, what):
+    """Gate every example on its full axiom suite before anything is written."""
+    if not rep.passed:
+        raise AssertionError("refusing to write an uncertified %s" % what)
+
+
 def _write_pair(outdir, hopf, structure, kind):
     hopf_path = os.path.join(outdir, "hopf.json")
     struct_path = os.path.join(outdir, "%s.json" % kind)
@@ -125,16 +130,14 @@ def _write_pair(outdir, hopf, structure, kind):
 
 def _ex_sweedler_bimodule(args, field, outdir):
     b = sweedler_k_bimodule(field, _scalar(field, args.r), _scalar(field, args.s))
-    rep = check_bimodule(b)
-    assert rep.passed, "refusing to write an uncertified bimodule"
+    _require_certified(check_bimodule(b), "bimodule")
     files = _write_pair(outdir, b.hopf, b, "bimodule")
     return files, ["r=%s s=%s over %s" % (args.r, args.s, field)]
 
 
 def _ex_sweedler_bicomodule(args, field, outdir):
     b = sweedler_k_bicomodule(field, _scalar(field, args.t), _scalar(field, args.u))
-    rep = check_bicomodule(b)
-    assert rep.passed, "refusing to write an uncertified bicomodule"
+    _require_certified(check_bicomodule(b), "bicomodule")
     files = _write_pair(outdir, b.hopf, b, "bicomodule")
     return files, ["t=%s u=%s over %s" % (args.t, args.u, field)]
 
@@ -142,8 +145,7 @@ def _ex_sweedler_bicomodule(args, field, outdir):
 def _ex_en_kg(args, field, outdir):
     labels, table = _group(args.group or "z4")
     act = en_kg_example(table, _indices(args.N), field, labels)[1]
-    rep = check_lpma(act)
-    assert rep.passed, "refusing to write an uncertified action"
+    _require_certified(check_lpma(act), "action")
     files = _write_pair(outdir, act.hopf, act, "action")
     return files, ["|G|=%d, |N|=%d, is_global=%s"
                    % (len(table), len(set(_indices(args.N))), is_global(act))]
@@ -153,8 +155,7 @@ def _ex_dual_group_action(args, field, outdir):
     labels, table = _group(args.group or "z4")
     h = group_algebra(table, field, labels)
     act = dual_regular_action(h)
-    rep = check_lpma(act)
-    assert rep.passed, "refusing to write an uncertified action"
+    _require_certified(check_lpma(act), "action")
     files = _write_pair(outdir, act.hopf, act, "action")
     return files, ["dual of k[%s] acting on it, is_global=%s"
                    % (args.group or "z4", is_global(act))]
@@ -167,8 +168,7 @@ def _ex_regular_bicomodule(args, field, outdir):
     else:
         h = sweedler_h4(field)
     b = regular_bicomodule(h)
-    rep = check_bicomodule(b)
-    assert rep.passed, "refusing to write an uncertified bicomodule"
+    _require_certified(check_bicomodule(b), "bicomodule")
     files = _write_pair(outdir, b.hopf, b, "bicomodule")
     return files, ["comultiplication coacting on %s from both sides" % h.name]
 
@@ -191,11 +191,9 @@ def z2_partial_group_example(field):
 
 def _ex_z2_partial_group(args, field, outdir):
     gpa = z2_partial_group_example(field)
-    rep = check_group_partial_action(gpa)
-    assert rep.passed, "refusing to write an uncertified group action"
+    _require_certified(check_group_partial_action(gpa), "group action")
     act = group_to_kg(gpa)
-    rep = check_lpma(act, symmetric=True)
-    assert rep.passed, "refusing to write an uncertified action"
+    _require_certified(check_lpma(act, symmetric=True), "action")
     group_path = os.path.join(outdir, "group-action.json")
     write_document(gpa.to_json(), group_path)
     files = [group_path] + _write_pair(outdir, act.hopf, act, "action")
@@ -356,16 +354,12 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default=None,
                         help="report style (default text)")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="reserved; the exhaustive checkers run serially")
     ap = argparse.ArgumentParser(
         prog="phopf",
         description="Exact toolkit for partial (co)module algebra structures "
                     "over finite-dimensional Hopf algebras.")
     ap.add_argument("--format", dest="root_format", choices=("text", "json"),
                     default=None, help=argparse.SUPPRESS)
-    ap.add_argument("--jobs", dest="root_jobs", type=int, default=None,
-                    help=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common],

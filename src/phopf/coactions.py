@@ -16,12 +16,13 @@ unital subalgebra.
 
 from fractions import Fraction
 
-from .algebras import (AlgebraData, Report, algebra_check, dict_acc,
-                       dict_of_vec, dual_hopf, scalar_algebra, sweedler_h4,
-                       t2_mul, t2_of_dicts, t3_mul, vec_of_dict)
+from .algebras import (Report, dict_acc, dict_of_vec, dual_hopf, scalar_algebra,
+                       sweedler_h4, t2_mul, t2_of_dicts, t3_mul, vec_of_dict)
 from .actions import (PartialActionData, PartialBimoduleData, _certify_action,
-                      check_bimodule, same_algebra, same_hopf)
-from .linalg import Subspace, Tensor3, subspace_span
+                      _corner_witness, _dict_coords, _left_ideal,
+                      _unital_subalgebra, check_bimodule, same_algebra,
+                      same_hopf)
+from .linalg import Subspace, Tensor3, subspace_span, transport
 
 
 class PartialCoactionData:
@@ -293,8 +294,8 @@ def check_global_unit(p):
             if _double_coact(p, i) != _comul_spread(p, i):
                 strict = False
                 break
-    if strict:
-        assert flag, "strictly coassociative coaction must send the unit to 1⊗1"
+    if strict and not flag:
+        raise AssertionError("strictly coassociative coaction must send the unit to 1⊗1")
     return flag
 
 
@@ -442,6 +443,30 @@ def bimodule_to_bicomodule(b):
 # ---------------------------------------------------------------------------
 # induced partial coactions
 
+def _restrict_coaction(t, side, span, cut):
+    """A coaction tensor t (laid out as PartialCoactionData.map on `side`)
+    restricted to a subspace of its algebra: one slice per Hopf leg of the
+    image of each basis row, passed through cut (a map of sparse dicts) and
+    written in subspace coordinates."""
+    iv = t.in1_view()
+    n = t.dims[2] if side == "right" else t.dims[1]
+
+    def slices():
+        for i, row in enumerate(span.rows):
+            per_h = {}
+            for x, cx in enumerate(row):
+                if cx:
+                    for (j, k), c in iv.get(x, {}).items():
+                        h, a = (k, j) if side == "right" else (j, k)
+                        dict_acc(per_h.setdefault(h, {}), a, cx * c)
+            for h, a in per_h.items():
+                yield i, h, cut(a)
+
+    out = transport(_dict_coords(span), (span.dim, n, span.dim), slices(),
+                    "%s coaction" % side)
+    return out.transpose((0, 2, 1)) if side == "right" else out
+
+
 def induce_right_coaction(glob, e):
     """Restrict a global right coaction on B to the right ideal e·B generated
     by an idempotent e: the induced map a ↦ (e⊗1_H)ρ(a) is a partial right
@@ -451,50 +476,8 @@ def induce_right_coaction(glob, e):
     if not check_global_unit(glob):
         raise ValueError("induce_right_coaction needs a global coaction")
     B = glob.alg
-    f = B.field
-    e_d = dict_of_vec(e)
-    if B.mul_dict(e_d, e_d) != e_d:
-        raise ValueError("e is not idempotent")
-    n_b = B.dim
-    span = Subspace(n_b, f,
-                    [vec_of_dict(B.mul_dict(e_d, {j: f.one}), n_b, f) for j in range(n_b)])
-    m = span.dim
-    rows = [dict_of_vec(r) for r in span.rows]
-    for r in rows:
-        if B.mul_dict(e_d, r) != r:
-            raise ValueError("e is not a left identity on e·B")
-    unit_a = span.coords(e)
-    if unit_a is None:
-        raise ValueError("e does not lie in e·B")
-
-    def coords(d):
-        c = span.coords(vec_of_dict(d, n_b, f))
-        if c is None:
-            raise ValueError("induced value escapes the ideal")
-        return c
-
-    mul_a = Tensor3((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            for k, c in enumerate(coords(B.mul_dict(rows[i], rows[j]))):
-                mul_a.add(i, j, k, c)
-    A = AlgebraData(f, ["a%d" % i for i in range(m)], mul_a, unit_a,
-                    name="e·%s" % B.name)
-
-    iv = glob.map.in1_view()
-    ent = {}
-    for i, r in enumerate(rows):
-        img = {}
-        for j, cj in r.items():
-            for key, c in iv.get(j, {}).items():
-                dict_acc(img, key, cj * c)
-        per_h = {}
-        for (jb, kh), c in img.items():
-            per_h.setdefault(kh, {})[jb] = c
-        for kh, dv in per_h.items():
-            for k2, c2 in enumerate(coords(B.mul_dict(e_d, dv))):
-                if c2:
-                    ent[(i, k2, kh)] = c2
+    span, e_d, A = _left_ideal(B, e)
+    ent = _restrict_coaction(glob.map, "right", span, lambda a: B.mul_dict(e_d, a))
     p = PartialCoactionData(glob.hopf, A, "right", ent,
                             name="%s induced on e·%s" % (glob.hopf.name, B.name))
     return _certify_coaction(p)
@@ -509,29 +492,19 @@ def _exchange_witness(bicom, rows, u_d, span):
     pv_b = B.mul.pair_view()
     pv_h = H.mul.pair_view()
     u_h = H.unit_dict()
-    iv_l = bicom.left.map.in1_view()
-    iv_r = bicom.right.map.in1_view()
     mid = {}
     for r1, c1 in u_h.items():
         for q, cq in u_d.items():
             for r2, c2 in u_h.items():
                 mid[(r1, q, r2)] = c1 * cq * c2
     for i, a in enumerate(rows):
-        lam = {}
-        for j, cj in a.items():
-            for key, c in iv_l.get(j, {}).items():
-                dict_acc(lam, key, cj * c)
         lam_ext = {}
-        for (pq, q), c in lam.items():
+        for (pq, q), c in bicom.left.coact_dict(a).items():
             for r, d in u_h.items():
                 lam_ext[(pq, q, r)] = c * d
         for jb, b in enumerate(rows):
-            rho = {}
-            for j, cj in b.items():
-                for key, c in iv_r.get(j, {}).items():
-                    dict_acc(rho, key, cj * c)
             rho_ext = {}
-            for (q, s), c in rho.items():
+            for (q, s), c in bicom.right.coact_dict(b).items():
                 for r, d in u_h.items():
                     rho_ext[(r, q, s)] = d * c
             lhs = t3_mul(pv_h, pv_b, pv_h, lam_ext, rho_ext)
@@ -561,71 +534,19 @@ def induce_bicomodule(bicom, a_basis, unit_a):
         raise ValueError("induce_bicomodule needs a global bicomodule")
     span = a_basis if isinstance(a_basis, Subspace) \
         else subspace_span(list(a_basis), B.dim, f)
-    rows = [dict_of_vec(r) for r in span.rows]
-    m = len(rows)
-    u_d = dict_of_vec(unit_a)
-    if not span.contains(list(unit_a)):
-        raise ValueError("unit_A must lie in A")
-    if B.mul_dict(u_d, u_d) != u_d:
-        raise ValueError("unit_A is not idempotent")
-    for i, r in enumerate(rows):
-        if B.mul_dict(u_d, r) != r or B.mul_dict(r, u_d) != r:
-            raise ValueError("unit_A is not an identity on A (basis %d)" % i)
-        for j, r2 in enumerate(rows):
-            if not span.contains(vec_of_dict(B.mul_dict(r, r2), B.dim, f)):
-                raise ValueError("A is not closed under multiplication at (%d, %d)" % (i, j))
+    rows, u_d, A = _unital_subalgebra(B, span, unit_a)
 
     w = _exchange_witness(bicom, rows, u_d, span)
     if w is not None:
         raise ValueError("exchange condition fails at witness pair (a=%d, b=%d)" % w)
 
-    def coords(d, what):
-        c = span.coords(vec_of_dict(d, B.dim, f))
-        if c is None:
-            raise ValueError("induced %s value escapes A" % what)
-        return c
-
-    mul_a = Tensor3((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            for k, c in enumerate(coords(B.mul_dict(rows[i], rows[j]), "product")):
-                mul_a.add(i, j, k, c)
-    A = AlgebraData(f, ["a%d" % i for i in range(m)], mul_a,
-                    span.coords(list(unit_a)), name="corner of %s" % B.name)
-    rep = algebra_check(A)
-    if not rep.passed:
-        raise AssertionError("induced corner is not a unital algebra: %s" % rep.failures[0][0])
-
-    iv_l = bicom.left.map.in1_view()
-    iv_r = bicom.right.map.in1_view()
-    rho_ent = {}
-    lam_ent = {}
-    for i, r in enumerate(rows):
-        img = {}
-        for j, cj in r.items():
-            for key, c in iv_r.get(j, {}).items():
-                dict_acc(img, key, cj * c)
-        per_h = {}
-        for (jb, kh), c in img.items():
-            per_h.setdefault(kh, {})[jb] = c
-        for kh, dv in per_h.items():
-            for k2, c2 in enumerate(coords(B.mul_dict(u_d, dv), "right-coaction")):
-                if c2:
-                    rho_ent[(i, k2, kh)] = c2
-        img = {}
-        for j, cj in r.items():
-            for key, c in iv_l.get(j, {}).items():
-                dict_acc(img, key, cj * c)
-        per_h = {}
-        for (jh, kb), c in img.items():
-            per_h.setdefault(jh, {})[kb] = c
-        for jh, dv in per_h.items():
-            for k2, c2 in enumerate(coords(B.mul_dict(dv, u_d), "left-coaction")):
-                if c2:
-                    lam_ent[(i, jh, k2)] = c2
-    left = PartialCoactionData(H, A, "left", lam_ent,
+    rho = _restrict_coaction(bicom.right.map, "right", span,
+                             lambda a: B.mul_dict(u_d, a))
+    lam = _restrict_coaction(bicom.left.map, "left", span,
+                             lambda a: B.mul_dict(a, u_d))
+    left = PartialCoactionData(H, A, "left", lam,
                                name="induced left coaction on corner of %s" % B.name)
-    right = PartialCoactionData(H, A, "right", rho_ent,
+    right = PartialCoactionData(H, A, "right", rho,
                                 name="induced right coaction on corner of %s" % B.name)
     out = PartialBicomoduleData(left, right)
     return _certify_bicomodule(out, "induced bicomodule")
@@ -639,33 +560,18 @@ def check_vesgo_equivalence(bicom, a_basis, unit_a):
     (λ(a)⊗1)(1⊗ρ(b)) = (λ(a)⊗1)(1⊗1_A⊗1)(1⊗ρ(b)) inside H⊗A⊗H.  Both are
     evaluated independently and the pair of truth values is returned; their
     agreement is a theorem, asserted on every call."""
-    B, H = bicom.alg, bicom.hopf
-    f = B.field
+    B = bicom.alg
     if not (check_global_unit(bicom.left) and check_global_unit(bicom.right)):
         raise ValueError("check_vesgo_equivalence needs a global bicomodule")
     span = a_basis if isinstance(a_basis, Subspace) \
-        else subspace_span(list(a_basis), B.dim, f)
+        else subspace_span(list(a_basis), B.dim, B.field)
     rows = [dict_of_vec(r) for r in span.rows]
     u_d = dict_of_vec(unit_a)
-    one = f.one
 
     tri = coaction_to_dual_action(bicom.right)    # f ▷ b
     trr = coaction_to_dual_action(bicom.left)     # a ◁ f
-
-    def corner_form():
-        for a in rows:
-            for fi in range(H.dim):
-                a_f = trr.apply({fi: one}, a)
-                for gi in range(H.dim):
-                    for b in rows:
-                        g_b = tri.apply({gi: one}, b)
-                        lhs = B.mul_dict(a_f, g_b)
-                        rhs = B.mul_dict(a_f, B.mul_dict(u_d, g_b))
-                        if lhs != rhs or not span.contains(vec_of_dict(lhs, B.dim, f)):
-                            return False
-        return True
-
-    cond_i = corner_form()
+    cond_i = _corner_witness(tri, trr, rows, u_d, span) is None
     cond_ii = _exchange_witness(bicom, rows, u_d, span) is None
-    assert cond_i == cond_ii, "the two exchange-condition forms must agree"
+    if cond_i != cond_ii:
+        raise AssertionError("the two exchange-condition forms must agree")
     return (cond_i, cond_ii)

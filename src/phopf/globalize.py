@@ -21,9 +21,10 @@ from .algebras import (AlgebraData, algebra_check, dict_acc, dict_of_vec,
                        dual_hopf, hom_hh_a, mul_dicts, t3_mul, tensor_hah,
                        vec_of_dict)
 from .actions import check_bimodule, same_algebra, same_hopf
-from .coactions import check_bicomodule
+from .coactions import _restrict_coaction, check_bicomodule
 from .linalg import (Subspace, Tensor3, closure_fixpoint, mat_apply,
-                     nullspace, rref, solve, subspace_span, unit_vec, zeros)
+                     mat_transpose, nullspace, restrict_product, rref, solve,
+                     subspace_span, transport, unit_vec, zeros)
 
 
 def _col_dicts(op):
@@ -45,15 +46,21 @@ def _apply_cols(cols, d):
     return out
 
 
-def _combine_dict(cols, d, n, field):
-    """Dense linear combination sum_j d[j] * cols[j] of dense columns."""
-    out = zeros(field, n)
-    for j, c in d.items():
-        col = cols[j]
-        for i in range(n):
-            if col[i]:
-                out[i] = out[i] + c * col[i]
-    return out
+def _restrict_ops(ops, sections, coords, zero, what):
+    """An operator family (dense matrices) restricted to a subspace or a
+    quotient with basis `sections`: one dense matrix per operator."""
+    d = len(sections)
+    t = transport(coords, (len(ops), d, d),
+                  ((g, j, mat_apply(op, s)) for g, op in enumerate(ops)
+                   for j, s in enumerate(sections)), what)
+    return [t.slice_matrix(g, zero) for g in range(len(ops))]
+
+
+def _embed(cols, coords, d, zero):
+    """An embedding given by ambient columns, written in target coordinates."""
+    return transport(coords, (1, len(cols), d),
+                     ((0, m, col) for m, col in enumerate(cols)),
+                     "embedding").slice_matrix(0, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +173,6 @@ class BimoduleGlobalization:
     def dim(self):
         return self.algebra.dim
 
-    @property
-    def induced_mul(self):
-        return self.algebra.mul
-
     def to_json(self):
         show = self.hopf.field.show
         return {
@@ -235,37 +238,6 @@ class BicomoduleGlobalization:
 # ---------------------------------------------------------------------------
 # the standard bimodule globalization
 
-def _restrict_operator(op, span, field, what):
-    """Matrix of a span-invariant operator in span coordinates."""
-    d = span.dim
-    out = [[field.zero] * d for _ in range(d)]
-    for j, row in enumerate(span.rows):
-        w = mat_apply(op, row, field)
-        cs = span.coords(w)
-        if cs is None:
-            raise AssertionError("%s leaves the span at basis %d" % (what, j))
-        for i, c in enumerate(cs):
-            out[i][j] = c
-    return out
-
-
-def _restrict_product(algebra, span):
-    """Structure tensor of the ambient product restricted to a span."""
-    d = span.dim
-    mul = Tensor3((d, d, d))
-    for i, ri in enumerate(span.rows):
-        for j, rj in enumerate(span.rows):
-            w = algebra.mulvec(ri, rj)
-            cs = span.coords(w)
-            if cs is None:
-                raise AssertionError("span is not closed under the product "
-                                     "at basis pair (%d, %d)" % (i, j))
-            for k, c in enumerate(cs):
-                if c:
-                    mul.add(i, j, k, c)
-    return mul
-
-
 def standard_globalize_bimodule(b):
     """Globalize a certified partial bimodule structure on A inside the
     convolution algebra Hom(H⊗H, A).
@@ -308,23 +280,13 @@ def standard_globalize_bimodule(b):
     span = Subspace(big, f, cols)
     dB = span.dim
 
-    mul = _restrict_product(amb.algebra, span)
-    left_ops = [_restrict_operator(amb.left_ops[g], span, f,
-                                   "left operator %s" % H.basis[g])
-                for g in range(n)]
-    right_ops = [_restrict_operator(amb.right_ops[g], span, f,
-                                    "right operator %s" % H.basis[g])
-                 for g in range(n)]
-
-    theta = [[f.zero] * da for _ in range(dB)]
-    for m in range(da):
-        cs = span.coords(phi_cols[m])
-        if cs is None:
-            raise AssertionError("embedded element %s escapes the span" % A.basis[m])
-        for i, c in enumerate(cs):
-            theta[i][m] = c
-
-    unit_b = span.coords(amb.algebra.unit) if span.contains(amb.algebra.unit) else None
+    mul = restrict_product(span.coords, span.rows, amb.algebra.mulvec)
+    left_ops = _restrict_ops(amb.left_ops, span.rows, span.coords, f.zero,
+                             "left operator family")
+    right_ops = _restrict_ops(amb.right_ops, span.rows, span.coords, f.zero,
+                              "right operator family")
+    theta = _embed(phi_cols, span.coords, dB, f.zero)
+    unit_b = span.coords(amb.algebra.unit)
     alg_b = AlgebraData(f, ["b%d" % i for i in range(dB)], mul, unit_b,
                         name="globalization of %s" % A.name)
 
@@ -665,7 +627,8 @@ def comparison_map(candidate, std):
 
     rank, _, _ = rref([list(row) for row in phi_map], f)
     surjective = rank == dS
-    assert surjective, "comparison map failed to reach the standard globalization"
+    if not surjective:
+        raise AssertionError("comparison map failed to reach the standard globalization")
     col_rank, _, _ = rref([[phi_map[r][i] for r in range(dS)]
                            for i in range(dC)], f)
     injective = col_rank == dC
@@ -680,19 +643,21 @@ def comparison_map(candidate, std):
         for j in range(dC):
             lhs = _apply_cols(pmap, pvC.get((i, j), empty))
             rhs = mul_dicts(pvS, pmap[i], pmap[j])
-            assert lhs == rhs, ("comparison map is not multiplicative at "
-                                "basis pair (%d, %d)" % (i, j))
+            if lhs != rhs:
+                raise AssertionError("comparison map is not multiplicative at "
+                                     "basis pair (%d, %d)" % (i, j))
     for g in range(n):
         for i in range(dC):
-            assert _apply_cols(pmap, left_c[g][i]) == \
-                _apply_cols(left_s[g], pmap[i]), \
-                "comparison map does not commute with left operator %s" % H.basis[g]
-            assert _apply_cols(pmap, right_c[g][i]) == \
-                _apply_cols(right_s[g], pmap[i]), \
-                "comparison map does not commute with right operator %s" % H.basis[g]
+            if _apply_cols(pmap, left_c[g][i]) != _apply_cols(left_s[g], pmap[i]):
+                raise AssertionError("comparison map does not commute with left "
+                                     "operator %s" % H.basis[g])
+            if _apply_cols(pmap, right_c[g][i]) != _apply_cols(right_s[g], pmap[i]):
+                raise AssertionError("comparison map does not commute with right "
+                                     "operator %s" % H.basis[g])
     for m in range(da):
-        assert _apply_cols(pmap, theta_c[m]) == theta_s[m], \
-            "comparison map does not match the embeddings at basis %s" % A.basis[m]
+        if _apply_cols(pmap, theta_c[m]) != theta_s[m]:
+            raise AssertionError("comparison map does not match the embeddings "
+                                 "at basis %s" % A.basis[m])
 
     return phi_map, surjective, injective
 
@@ -778,35 +743,14 @@ def minimalize(candidate, bimodule=None):
         res = M.reduce(v)
         return [res[c] for c in keep]
 
-    def project_dict(d):
-        return dict_of_vec(project(vec_of_dict(d, dB, f)))
-
     sections = [unit_vec(f, dB, c) for c in keep]
-    mul_q = Tensor3((dQ, dQ, dQ))
-    for i in range(dQ):
-        for j in range(dQ):
-            w = project(Bp.mulvec(sections[i], sections[j]))
-            for k, c in enumerate(w):
-                if c:
-                    mul_q.add(i, j, k, c)
-
-    def conjugate(op):
-        out = [[f.zero] * dQ for _ in range(dQ)]
-        for j in range(dQ):
-            w = project(mat_apply(op, sections[j], f))
-            for i, c in enumerate(w):
-                out[i][j] = c
-        return out
-
-    left_q = [conjugate(op) for op in candidate.left_ops]
-    right_q = [conjugate(op) for op in candidate.right_ops]
-    da = candidate.coeff.dim
-    theta_q = [[f.zero] * da for _ in range(dQ)]
-    for m in range(da):
-        w = project([candidate.theta[r][m] for r in range(dB)])
-        for i, c in enumerate(w):
-            theta_q[i][m] = c
-
+    mul_q = restrict_product(project, sections, Bp.mulvec)
+    left_q = _restrict_ops(candidate.left_ops, sections, project, f.zero,
+                           "left operator family")
+    right_q = _restrict_ops(candidate.right_ops, sections, project, f.zero,
+                            "right operator family")
+    theta_q = _embed([[candidate.theta[r][m] for r in range(dB)]
+                      for m in range(candidate.coeff.dim)], project, dQ, f.zero)
     unit_q = None
     if Bp.unit is not None:
         unit_q = project(Bp.unit)
@@ -818,9 +762,11 @@ def minimalize(candidate, bimodule=None):
                                      candidate, "name", Bp.name))
     if bimodule is not None:
         cert = verify_globalization(out, bimodule)
-        assert cert.ok, "quotient candidate failed verification: %r" % (cert.witnesses,)
-        assert maximal_degenerate_subbimodule(out).dim == 0, \
-            "quotient candidate is still not minimal"
+        if not cert.ok:
+            raise AssertionError("quotient candidate failed verification: %r"
+                                 % (cert.witnesses,))
+        if maximal_degenerate_subbimodule(out).dim != 0:
+            raise AssertionError("quotient candidate is still not minimal")
     return out
 
 
@@ -1030,7 +976,7 @@ def two_stage_closure(ambient, seed):
     return closure_fixpoint(stage1, [], [ambient.algebra.mul])
 
 
-def standard_globalize_bicomodule(b, two_stage_check=False):
+def standard_globalize_bicomodule(b):
     """Globalize a certified partial bicomodule structure on A inside the
     three-fold tensor H⊗A⊗H with componentwise product and outer-leg
     comultiplications as coactions.
@@ -1038,8 +984,7 @@ def standard_globalize_bicomodule(b, two_stage_check=False):
     The embedding composes the two partial coactions (both orders are
     computed and must agree); the carrier is generated from the image by the
     two dual-basis operator families together with the product, computed as
-    one combined fixpoint.  With two_stage_check the staged computation
-    (operators first, then products) is run as well and must agree.
+    one combined fixpoint (two_stage_closure is its staged oracle).
     The coactions are restricted to the carrier, the restricted structure is
     certified as a global two-sided comodule algebra, and the exchange
     condition
@@ -1051,7 +996,7 @@ def standard_globalize_bicomodule(b, two_stage_check=False):
         law, idx, _, _ = rep.failures[0]
         raise ValueError("input bicomodule fails %s at %s" % (law, idx))
     H, A = b.hopf, b.alg
-    n, da = H.dim, A.dim
+    da = A.dim
     f = H.field
     amb = tensor_hah(H, A)
     N = amb.algebra.dim
@@ -1075,74 +1020,25 @@ def standard_globalize_bicomodule(b, two_stage_check=False):
                                  "at basis %s" % A.basis[i])
         theta_d.append(col)
 
-    theta = [[f.zero] * da for _ in range(N)]
-    for m, col in enumerate(theta_d):
-        for r, c in col.items():
-            theta[r][m] = c
-    rank, _, _ = rref([vec_of_dict(col, N, f) for col in theta_d], f)
+    theta_cols = [vec_of_dict(col, N, f) for col in theta_d]
+    theta = mat_transpose(theta_cols)
+    rank, _, _ = rref(theta_cols, f)
     if rank != da:
         raise ValueError("composite embedding is not injective (rank %d of %d)"
                          % (rank, da))
 
-    seed = subspace_span([vec_of_dict(col, N, f) for col in theta_d], N, f)
+    seed = subspace_span(theta_cols, N, f)
     span = closure_fixpoint(seed, amb.dual_left_ops + amb.dual_right_ops,
                             [amb.algebra.mul])
     certificate = {"theta_injective": True, "formulas_agree": True}
-    if two_stage_check:
-        staged = two_stage_closure(amb, seed)
-        if staged != span:
-            raise AssertionError("staged closure differs from the combined "
-                                 "fixpoint (%d vs %d dimensions)"
-                                 % (staged.dim, span.dim))
-        certificate["two_stage_agrees"] = True
     dB = span.dim
 
-    mul = _restrict_product(amb.algebra, span)
-
-    induced_rho = Tensor3((dB, dB, n))
-    induced_lam = Tensor3((dB, n, dB))
-    rho_iv = amb.rho.in1_view()
-    lam_iv = amb.lam.in1_view()
-    for r_idx, r in enumerate(span.rows):
-        slices = {}
-        for x, cx in enumerate(r):
-            if not cx:
-                continue
-            for (xp, k), c in rho_iv.get(x, empty).items():
-                sl = slices.get(k)
-                if sl is None:
-                    sl = slices[k] = zeros(f, N)
-                sl[xp] = sl[xp] + cx * c
-        for k, sl in slices.items():
-            cs = span.coords(sl)
-            if cs is None:
-                raise ValueError("the right coaction does not restrict to the "
-                                 "generated carrier (basis %d, output leg %s)"
-                                 % (r_idx, H.basis[k]))
-            for j, c in enumerate(cs):
-                if c:
-                    induced_rho.add(r_idx, j, k, c)
-        slices = {}
-        for x, cx in enumerate(r):
-            if not cx:
-                continue
-            for (p, xp), c in lam_iv.get(x, empty).items():
-                sl = slices.get(p)
-                if sl is None:
-                    sl = slices[p] = zeros(f, N)
-                sl[xp] = sl[xp] + cx * c
-        for p, sl in slices.items():
-            cs = span.coords(sl)
-            if cs is None:
-                raise ValueError("the left coaction does not restrict to the "
-                                 "generated carrier (basis %d, output leg %s)"
-                                 % (r_idx, H.basis[p]))
-            for j, c in enumerate(cs):
-                if c:
-                    induced_lam.add(r_idx, p, j, c)
+    mul = restrict_product(span.coords, span.rows, amb.algebra.mulvec)
+    induced_rho = _restrict_coaction(amb.rho, "right", span, lambda a: a)
+    induced_lam = _restrict_coaction(amb.lam, "left", span, lambda a: a)
     certificate["coactions_restrict"] = True
 
-    unit_b = span.coords(amb.algebra.unit) if span.contains(amb.algebra.unit) else None
+    unit_b = span.coords(amb.algebra.unit)
     alg_b = AlgebraData(f, ["b%d" % i for i in range(dB)], mul, unit_b,
                         name="globalization of %s" % A.name)
     _assert_global_bicomodule(alg_b, H, induced_rho, induced_lam)
@@ -1155,6 +1051,8 @@ def standard_globalize_bicomodule(b, two_stage_check=False):
     pv_x = amb.algebra.mul.pair_view()
     pv_a = A.mul.pair_view()
     u_h = dict_of_vec(H.unit)
+    rho_iv = amb.rho.in1_view()
+    lam_iv = amb.lam.in1_view()
     for i in range(da):
         lam_theta = {}
         for x, cx in theta_d[i].items():
@@ -1183,14 +1081,7 @@ def standard_globalize_bicomodule(b, two_stage_check=False):
                                      "(%s, %s)" % (A.basis[i], A.basis[j]))
     certificate["exchange_ok"] = True
 
-    theta_b = [[f.zero] * da for _ in range(dB)]
-    for m, col in enumerate(theta_d):
-        cs = span.coords(vec_of_dict(col, N, f))
-        if cs is None:
-            raise AssertionError("embedded element %s escapes the carrier"
-                                 % A.basis[m])
-        for r, c in enumerate(cs):
-            theta_b[r][m] = c
+    theta_b = _embed(theta_cols, span.coords, dB, f.zero)
 
     return BicomoduleGlobalization(H, A, amb, theta, span, alg_b,
                                    induced_rho, induced_lam, theta_b, certificate)
@@ -1236,7 +1127,8 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     for x, t in enumerate(perm):
         psi[t][x] = f.one
     mono = len(set(perm)) == N
-    assert mono, "index permutation is not a bijection"
+    if not mono:
+        raise AssertionError("index permutation is not a bijection")
 
     def push(d):
         return {perm[x]: c for x, c in d.items()}
@@ -1248,10 +1140,11 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
         for y in range(N):
             lhs = push(pv_x.get((x, y), empty))
             rhs = pv_k.get((perm[x], perm[y]), empty)
-            assert lhs == rhs, ("the permutation is not an algebra map at "
-                                "basis pair (%d, %d)" % (x, y))
-    assert push(dict_of_vec(amb_x.algebra.unit)) == \
-        dict_of_vec(amb_k.algebra.unit), "the permutation does not match the units"
+            if lhs != rhs:
+                raise AssertionError("the permutation is not an algebra map at "
+                                     "basis pair (%d, %d)" % (x, y))
+    if push(dict_of_vec(amb_x.algebra.unit)) != dict_of_vec(amb_k.algebra.unit):
+        raise AssertionError("the permutation does not match the units")
 
     intertwines = True
     x_left = [_col_dicts(op) for op in amb_x.dual_left_ops]
@@ -1270,8 +1163,9 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     for m in range(da):
         lhs = push(dict_of_vec([bg.theta[r][m] for r in range(N)]))
         rhs = dict_of_vec([std.phi[r][m] for r in range(N)])
-        assert lhs == rhs, ("the permutation does not match the embeddings "
-                            "at basis %s" % A.basis[m])
+        if lhs != rhs:
+            raise AssertionError("the permutation does not match the embeddings "
+                                 "at basis %s" % A.basis[m])
 
     image = Subspace(N, f, [vec_of_dict(push(dict_of_vec(r)), N, f)
                             for r in bg.b_basis.rows])

@@ -19,28 +19,12 @@ def unit_vec(field, n, i):
     return v
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, u):
-    return [c * a for a in u]
-
-
 def vec_is_zero(u):
     return not any(u)
 
 
 def vec_eq(u, v):
     return len(u) == len(v) and all(a == b for a, b in zip(u, v))
-
-
-def mat_identity(field, n):
-    return [unit_vec(field, n, i) for i in range(n)]
 
 
 def mat_apply(m, v, field=None):
@@ -52,10 +36,6 @@ def mat_apply(m, v, field=None):
                 s = s + r[j] * v[j]
         out.append(s)
     return out
-
-
-def mat_eq(a, b):
-    return len(a) == len(b) and all(vec_eq(r, s) for r, s in zip(a, b))
 
 
 def mat_mul(a, b):
@@ -125,6 +105,14 @@ class Tensor3:
             self._in1 = iv
         return self._in1
 
+    def slice_matrix(self, i, zero):
+        """Dense matrix of slice i of the first slot: column j holds the
+        entries (i, j, k) at rows k."""
+        out = [[zero] * self.dims[1] for _ in range(self.dims[2])]
+        for (j, k), c in self.in1_view().get(i, {}).items():
+            out[k][j] = c
+        return out
+
     def transpose(self, perm):
         """New tensor with new_key[t] = old_key[perm[t]]."""
         dims = tuple(self.dims[perm[t]] for t in range(3))
@@ -154,6 +142,36 @@ class Tensor3:
 
     def __repr__(self):
         return "Tensor3(dims=%r, nnz=%d)" % (self.dims, len(self.entries))
+
+
+def transport(coords, dims, images, what):
+    """Restrict a structure map to a subspace or a quotient.
+
+    `images` yields (i, j, v): v is the ambient image of a structure map at
+    the basis key (i, j), and entry (i, j, k) of the returned Tensor3 of
+    shape `dims` is coordinate k of v.  `coords` is the coordinate map of the
+    target — Subspace.coords for a subspace, a residual projection for a
+    quotient — and returns None for a vector that leaves the target, which
+    raises ValueError naming `what` and the basis key."""
+    out = Tensor3(dims)
+    for i, j, v in images:
+        cs = coords(v)
+        if cs is None:
+            raise ValueError("the %s does not restrict: its image at basis key "
+                             "(%d, %d) leaves the target" % (what, i, j))
+        for k, c in enumerate(cs):
+            if c:
+                out.add(i, j, k, c)
+    return out
+
+
+def restrict_product(coords, sections, mul):
+    """Structure tensor of a product restricted to the span of `sections`
+    (ambient vectors in whatever form mul(u, v) and coords accept)."""
+    d = len(sections)
+    return transport(coords, (d, d, d),
+                     ((i, j, mul(u, v)) for i, u in enumerate(sections)
+                      for j, v in enumerate(sections)), "product")
 
 
 def rref(rows, field):

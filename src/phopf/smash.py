@@ -14,9 +14,9 @@ Ker(ε)-invariance equivalence behind one of those criteria, and cuts out
 the unital corner algebra e·S·e at any idempotent e."""
 
 from .algebras import AlgebraData, algebra_check, dict_acc, dict_of_vec, mul_dicts, vec_of_dict
-from .actions import check_bimodule, same_hopf
+from .actions import _dict_coords, check_bimodule, same_hopf
 from .coactions import check_bicomodule
-from .linalg import Tensor3, subspace_span
+from .linalg import Tensor3, restrict_product, subspace_span
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +183,9 @@ def check_ker_eps_invariance(bimodule, a_vec):
             if mul_dicts(pv, ki, a):
                 kernel = False
                 break
-        assert pointwise == kernel, \
-            "ε-invariance verdicts disagree on the %s action" % act.side
+        if pointwise != kernel:
+            raise AssertionError("ε-invariance verdicts disagree on the %s action"
+                                 % act.side)
         out.append(pointwise)
     return tuple(out)
 
@@ -277,21 +278,14 @@ def unital_corner(s, e_vec):
                   for t in range(dim_s)]
     span = subspace_span([vec_of_dict(v, dim_s, f) for v in sandwiches],
                          dim_s, f)
-    dc = span.dim
-    mul = Tensor3((dc, dc, dc))
-    row_dicts = [dict_of_vec(r) for r in span.rows]
-    for i in range(dc):
-        for j in range(dc):
-            prod = vec_of_dict(mul_dicts(pv, row_dicts[i], row_dicts[j]), dim_s, f)
-            cs = span.coords(prod)
-            assert cs is not None, "corner product escaped the sandwich span"
-            for k, c in enumerate(cs):
-                if c:
-                    mul.add(i, j, k, c)
+    mul = restrict_product(_dict_coords(span), [dict_of_vec(r) for r in span.rows],
+                           s.alg.mul_dict)
     ue = span.coords(list(e_vec))
-    assert ue is not None, "the idempotent fell outside its own corner"
-    alg = AlgebraData(f, ["c%d" % t for t in range(dc)], mul, ue,
+    if ue is None:
+        raise AssertionError("the idempotent fell outside its own corner")
+    alg = AlgebraData(f, ["c%d" % t for t in range(span.dim)], mul, ue,
                       name="corner of %s" % s.alg.name)
     rep = algebra_check(alg)
-    assert rep.passed, "corner algebra fails %s" % rep.failures[0][0]
+    if not rep.passed:
+        raise AssertionError("corner algebra fails %s" % rep.failures[0][0])
     return CornerAlgebra(s, e_vec, span, alg)

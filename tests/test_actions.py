@@ -10,10 +10,12 @@ from phopf.algebras import group_algebra, scalar_algebra, sweedler_h4
 from phopf.actions import (GroupPartialActionData, PartialActionData,
                            check_bimodule, check_group_partial_action,
                            check_lpma, check_rpma, dual_regular_action,
-                           en_kg_example, group_to_kg, induce_left, is_global,
-                           kg_to_group, sweedler_k_bimodule, trivial_action,
+                           en_kg_example, group_to_kg, induce_bimodule,
+                           induce_left, is_global, kg_to_group,
+                           sweedler_k_bimodule, trivial_action,
                            trivialize_right)
 from phopf.cli import z2_partial_group_example
+from phopf.linalg import subspace_span
 from tests.conftest import rand_fraction
 
 
@@ -161,6 +163,23 @@ def test_induce_left_rejects_non_idempotents():
     glob = dual_regular_action(group_algebra(table, QQ))
     with pytest.raises(ValueError):
         induce_left(glob, [QQ.one, QQ.one, QQ.zero, QQ.zero])
+
+
+def test_induce_bimodule_on_the_index_two_subgroup_of_z4():
+    # A = span{u0, u2} with unit u0 = 1_B: the corner condition holds, the
+    # dual-regular action keeps p_0 and p_2, and the ε-action stays trivial
+    _, table = named_group("Z4")
+    bim = trivialize_right(dual_regular_action(group_algebra(table, QQ)))
+    o, z = QQ.one, QQ.zero
+    u0, u2 = [o, z, z, z], [z, z, o, z]
+    ind = induce_bimodule(bim, subspace_span([u0, u2], 4, QQ), u0)
+    assert ind.alg.dim == 2 and ind.alg.unit == [o, z]
+    assert ind.alg.mul.entries == {(0, 0, 0): 1, (0, 1, 1): 1,
+                                   (1, 0, 1): 1, (1, 1, 0): 1}
+    assert ind.left.map.entries == {(0, 0, 0): 1, (2, 1, 1): 1}
+    assert ind.right.map.entries == {(0, 0, 0): 1, (0, 1, 1): 1}
+    assert check_bimodule(ind).passed
+    assert is_global(ind.left) and is_global(ind.right)
 
 
 # ---------------------------------------------------------------------------

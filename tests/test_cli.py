@@ -2,8 +2,8 @@
 
 import json
 import os
-import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -227,13 +227,16 @@ def test_smash_rejects_mismatched_factors(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the installed entry point
+# the module entry point
 
 
-@pytest.mark.skipif(shutil.which("phopf") is None,
-                    reason="console script not on PATH")
 def test_console_script_help():
-    proc = subprocess.run(["phopf", "--help"], capture_output=True, text=True)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "phopf", "--help"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for word in ("check", "example", "globalize", "smash"):
         assert word in proc.stdout

@@ -13,10 +13,12 @@ from phopf.actions import (check_bimodule, check_lpma, check_rpma, is_global,
 from phopf.coactions import (PartialBicomoduleData, PartialCoactionData,
                              bicomodule_to_bimodule, bimodule_to_bicomodule,
                              check_bicomodule, check_global_unit, check_lpca,
-                             check_rpca, coaction_to_dual_action,
-                             dual_action_to_coaction, regular_bicomodule,
-                             regular_coaction, sweedler_k_bicomodule,
-                             trivial_coaction)
+                             check_rpca, check_vesgo_equivalence,
+                             coaction_to_dual_action, dual_action_to_coaction,
+                             induce_bicomodule, induce_right_coaction,
+                             regular_bicomodule, regular_coaction,
+                             sweedler_k_bicomodule, trivial_coaction)
+from phopf.linalg import subspace_span
 from tests.conftest import rand_fraction
 
 
@@ -145,3 +147,56 @@ def test_bridge_on_group_coset_coaction():
     back = bimodule_to_bicomodule(bm)
     assert back.left.map.entries == bc.left.map.entries
     assert back.right.map.entries == bc.right.map.entries
+
+
+# ---------------------------------------------------------------------------
+# induced partial coactions on kZ4
+
+
+def _z4_setup():
+    _, table = named_group("Z4")
+    bic = regular_bicomodule(group_algebra(table, QQ))
+    o, z, half = QQ.one, QQ.zero, QQ.of(Fraction(1, 2))
+    u0, u2 = [o, z, z, z], [z, z, o, z]
+    e = [half, z, half, z]
+    return bic, u0, u2, e
+
+
+def test_induce_right_coaction_on_the_averaged_idempotent():
+    bic, _, _, e = _z4_setup()
+    half = Fraction(1, 2)
+    ind = induce_right_coaction(bic.right, e)
+    assert ind.alg.dim == 2 and ind.alg.unit == [half, 0]
+    assert ind.alg.mul.entries == {(0, 0, 0): 2, (0, 1, 1): 2,
+                                   (1, 0, 1): 2, (1, 1, 0): 2}
+    assert ind.map.entries == {(0, 0, 0): half, (0, 0, 2): half,
+                               (1, 1, 1): half, (1, 1, 3): half}
+    assert check_rpca(ind).passed
+    assert not check_global_unit(ind)
+
+
+def test_induce_bicomodule_on_the_index_two_subgroup_of_z4():
+    bic, u0, u2, _ = _z4_setup()
+    ind = induce_bicomodule(bic, subspace_span([u0, u2], 4, QQ), u0)
+    assert ind.alg.dim == 2 and ind.alg.unit == [1, 0]
+    assert ind.alg.mul.entries == {(0, 0, 0): 1, (0, 1, 1): 1,
+                                   (1, 0, 1): 1, (1, 1, 0): 1}
+    assert ind.left.map.entries == {(0, 0, 0): 1, (1, 2, 1): 1}
+    assert ind.right.map.entries == {(0, 0, 0): 1, (1, 1, 2): 1}
+    assert check_bicomodule(ind).passed
+
+
+def test_induce_bicomodule_rejects_the_averaged_idempotent_corner():
+    bic, _, _, e = _z4_setup()
+    with pytest.raises(ValueError, match=r"exchange condition fails at "
+                                         r"witness pair \(a=0, b=0\)"):
+        induce_bicomodule(bic, subspace_span([e], 4, QQ), e)
+
+
+def test_vesgo_equivalence_forms_agree_on_both_subalgebras():
+    bic, u0, u2, e = _z4_setup()
+    assert check_vesgo_equivalence(bic, subspace_span([u0, u2], 4, QQ), u0) \
+        == (True, True)
+    assert check_vesgo_equivalence(bic, [u0, u2], u0) == (True, True)
+    assert check_vesgo_equivalence(bic, subspace_span([e], 4, QQ), e) \
+        == (False, False)

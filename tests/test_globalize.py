@@ -17,8 +17,15 @@ from phopf.globalize import (GlobalizationCandidate, comparison_map,
                              free_candidate_bimodule,
                              maximal_degenerate_subbimodule, minimalize,
                              psi_map, standard_globalize_bicomodule,
-                             standard_globalize_bimodule,
+                             standard_globalize_bimodule, two_stage_closure,
                              verify_globalization)
+
+
+def _staged_carrier(g):
+    """The staged closure oracle, seeded with the span of θ's columns."""
+    N = g.ambient.algebra.dim
+    cols = [[g.theta[r][m] for r in range(N)] for m in range(g.coeff.dim)]
+    return two_stage_closure(g.ambient, Subspace(N, g.hopf.field, cols))
 
 
 def _identity(field, n):
@@ -145,7 +152,8 @@ def test_minimalize_is_the_identity_on_minimal_candidates():
 
 def test_bicomodule_globalization_carrier_and_embedding():
     b = sweedler_k_bicomodule(QQ, 7, 3)
-    g = standard_globalize_bicomodule(b, two_stage_check=True)
+    g = standard_globalize_bicomodule(b)
+    assert _staged_carrier(g) == g.b_basis
     assert g.dim == 4
     assert all(g.certificate.values()), g.certificate
     for key in ("formulas_agree", "theta_injective", "coactions_restrict",
@@ -162,7 +170,8 @@ def test_bicomodule_globalization_carrier_and_embedding():
 
 
 def test_regular_bicomodule_globalizes_to_itself_in_dimension(h4):
-    g = standard_globalize_bicomodule(regular_bicomodule(h4), two_stage_check=True)
+    g = standard_globalize_bicomodule(regular_bicomodule(h4))
+    assert _staged_carrier(g) == g.b_basis
     assert g.dim == 4 and all(g.certificate.values())
 
 
@@ -197,7 +206,8 @@ def test_psi_bridge_on_the_one_dimensional_hopf_algebra():
     b = PartialBicomoduleData(
         PartialCoactionData(kt, a, "left", {(0, 0, 0): QQ.one}),
         PartialCoactionData(kt, a, "right", {(0, 0, 0): QQ.one}))
-    bg = standard_globalize_bicomodule(b, two_stage_check=True)
+    bg = standard_globalize_bicomodule(b)
+    assert _staged_carrier(bg) == bg.b_basis
     std = standard_globalize_bimodule(bicomodule_to_bimodule(b))
     _, mono, intertwines, restricted_iso = psi_map(kt, a, bg, std)
     assert mono and intertwines and restricted_iso

@@ -3,11 +3,13 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from phopf.fields import GF, QQ
 from phopf.linalg import (Subspace, Tensor3, closure_fixpoint, mat_apply, mat_mul,
-                          nullspace, rref, solve, subspace_span, unit_vec, zeros)
+                          nullspace, restrict_product, rref, solve, subspace_span,
+                          transport, unit_vec, zeros)
 
 
 def _rand_matrix(rng, rows, cols, field):
@@ -209,3 +211,42 @@ def test_mat_mul_matches_apply():
     b = _rand_matrix(rng, 3, 3, GF(7))
     v = [GF(7).of(rng.randrange(7)) for _ in range(3)]
     assert mat_apply(mat_mul(a, b), v) == mat_apply(a, mat_apply(b, v))
+
+
+def test_transport_writes_images_in_target_coordinates():
+    # target: span{e0 + e2, e1} in QQ^3; coords read the pivot entries
+    span = Subspace(3, QQ, [[1, 0, 1], [0, 1, 0]])
+    t = transport(span.coords, (1, 2, 2),
+                  [(0, 0, [0, 3, 0]), (0, 1, [2, 1, 2])], "operator")
+    assert t.entries == {(0, 0, 1): 3, (0, 1, 0): 2, (0, 1, 1): 1}
+    assert t.slice_matrix(0, QQ.zero) == [[0, 2], [3, 1]]
+
+
+def test_transport_names_the_map_and_key_that_escape():
+    span = Subspace(3, QQ, [[1, 0, 1], [0, 1, 0]])
+    with pytest.raises(ValueError, match=r"operator .* basis key \(0, 1\)"):
+        transport(span.coords, (1, 2, 2),
+                  [(0, 0, [0, 3, 0]), (0, 1, [1, 0, 0])], "operator")
+
+
+def test_restrict_product_on_a_subalgebra_and_a_quotient():
+    # k[x]/(x^3) on 1, x, x^2: span{x, x^2} is closed, span{x} is not,
+    # and the quotient by span{x^2} is k[x]/(x^2)
+    mul = Tensor3((3, 3, 3), {(i, j, i + j): QQ.one for i in range(3)
+                              for j in range(3) if i + j < 3})
+
+    def prod(u, v):
+        return mul.apply_bilinear(u, v, QQ)
+
+    ideal = Subspace(3, QQ, [unit_vec(QQ, 3, 1), unit_vec(QQ, 3, 2)])
+    assert restrict_product(ideal.coords, ideal.rows, prod).entries == {(0, 0, 1): 1}
+    line = Subspace(3, QQ, [unit_vec(QQ, 3, 1)])
+    with pytest.raises(ValueError, match=r"product .* basis key \(0, 0\)"):
+        restrict_product(line.coords, line.rows, prod)
+    top = Subspace(3, QQ, [unit_vec(QQ, 3, 2)])
+
+    def project(v):
+        return top.reduce(v)[:2]
+
+    quotient = restrict_product(project, [unit_vec(QQ, 3, 0), unit_vec(QQ, 3, 1)], prod)
+    assert quotient.entries == {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1}
