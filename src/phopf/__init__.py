@@ -4,9 +4,9 @@ products."""
 
 from .fields import Field, GF, QQ
 from .linalg import Subspace, Tensor3, closure_fixpoint, rref, subspace_span
-from .algebras import (AlgebraData, HopfData, Report, algebra_check, dual_hopf,
-                       group_algebra, hom_hh_a, hopf_check, scalar_algebra,
-                       sweedler_h4, tensor_hah)
+from .algebras import (AlgebraData, HopfData, Report, algebra_check,
+                       coalgebra_check, dual_hopf, group_algebra, hom_hh_a,
+                       hopf_check, scalar_algebra, sweedler_h4, tensor_hah)
 from ._groups import GROUP_NAMES, named_group
 from .actions import (GroupPartialActionData, PartialActionData,
                       PartialBimoduleData, check_bimodule,

@@ -44,9 +44,10 @@ class PartialActionData:
         self.hopf = hopf
         self.alg = alg
         self.side = side
+        dims = self.shape(hopf, alg, side)
         if isinstance(map_entries, dict):
-            map_entries = Tensor3((hopf.dim, alg.dim, alg.dim), map_entries)
-        if map_entries.dims != (hopf.dim, alg.dim, alg.dim):
+            map_entries = Tensor3(dims, map_entries)
+        if map_entries.dims != dims:
             raise ValueError("action tensor shaped %r" % (map_entries.dims,))
         self.map = map_entries
         self.symmetric = symmetric
@@ -58,6 +59,11 @@ class PartialActionData:
             if mul_dicts(pv, u_h, {j: one}) != {j: one}:
                 raise ValueError("1_H must act as the identity (violated at basis %s)"
                                  % alg.basis[j])
+
+    @staticmethod
+    def shape(hopf, alg, side):
+        """Dimensions of the map tensor of an action on either side."""
+        return (hopf.dim, alg.dim, alg.dim)
 
     def apply(self, h, a):
         """h ⇀ a (left) or a ↼ h (right); h, a sparse dicts."""
@@ -273,6 +279,12 @@ def check_bimodule(b):
     rep = Report("%s bimodule on %s" % (b.hopf.name, b.alg.name))
     rep.merge(check_lpma(b.left), prefix="left/")
     rep.merge(check_rpma(b.right), prefix="right/")
+    return _compatibility(b, rep)
+
+
+def _compatibility(b, rep):
+    """Check the bimodule-compatibility law h⇀(a↼g) = (h⇀a)↼g on all basis
+    triples into `rep`, and return it."""
     n, m = b.hopf.dim, b.alg.dim
     f = b.hopf.field
     one = f.one

@@ -11,7 +11,7 @@ a tensor square live in dicts keyed by index pairs.
 """
 
 from .fields import Field
-from .linalg import Tensor3, mat_transpose, unit_vec, zeros
+from .linalg import Tensor3, dict_acc, mat_transpose, unit_vec, zeros
 from ._groups import check_group_table, group_identity, group_inverses
 
 
@@ -27,18 +27,6 @@ def vec_of_dict(d, n, field):
     for i, c in d.items():
         v[i] = c
     return v
-
-
-def dict_acc(out, key, c):
-    """out[key] += c, dropping the key when the sum cancels."""
-    if not c:
-        return
-    cur = out.get(key)
-    new = c if cur is None else cur + c
-    if new:
-        out[key] = new
-    elif cur is not None:
-        del out[key]
 
 
 def mul_dicts(pv, x, y):
@@ -107,6 +95,23 @@ def t3_mul(pv0, pv1, pv2, x, y):
                     for t2, a2 in row2.items():
                         dict_acc(out, (t0, t1, t2), cb * a2)
     return out
+
+
+def json_rows(rows, dims, field, what):
+    """Yield (index tuple, scalar) from JSON rows [i, ..., "c"] with one index
+    per entry of `dims`.  A row of the wrong length, or an index that is not
+    an int (bools and floats included) in range of its slot, raises
+    ValueError: the axiom suites only visit in-range indices, so such an
+    entry would otherwise pass unchecked."""
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != len(dims) + 1:
+            raise ValueError("%s row %r does not have %d entries"
+                             % (what, row, len(dims) + 1))
+        for x, d in zip(row, dims):
+            if type(x) is not int or not 0 <= x < d:
+                raise ValueError("%s row %r: index %r is not an integer in "
+                                 "range(%d)" % (what, row, x, d))
+        yield tuple(row[:-1]), field.parse(row[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +231,8 @@ class AlgebraData:
         basis = list(doc["basis"])
         n = len(basis)
         mul = Tensor3((n, n, n))
-        for i, j, k, c in doc["mul"]:
-            mul.add(i, j, k, field.parse(c))
+        for (i, j, k), c in json_rows(doc["mul"], (n, n, n), field, "mul"):
+            mul.add(i, j, k, c)
         unit = [field.parse(c) for c in doc["unit"]] if "unit" in doc else None
         return cls(field, basis, mul, unit, name=name)
 
@@ -294,16 +299,16 @@ class HopfData(AlgebraData):
         basis = list(doc["basis"])
         n = len(basis)
         mul = Tensor3((n, n, n))
-        for i, j, k, c in doc["mul"]:
-            mul.add(i, j, k, field.parse(c))
+        for (i, j, k), c in json_rows(doc["mul"], (n, n, n), field, "mul"):
+            mul.add(i, j, k, c)
         comul = Tensor3((n, n, n))
-        for i, j, k, c in doc["comul"]:
-            comul.add(i, j, k, field.parse(c))
+        for (i, j, k), c in json_rows(doc["comul"], (n, n, n), field, "comul"):
+            comul.add(i, j, k, c)
         unit = [field.parse(c) for c in doc["unit"]]
         counit = [field.parse(c) for c in doc["counit"]]
         antipode = [[field.zero] * n for _ in range(n)]
-        for i, j, c in doc["antipode"]:
-            antipode[i][j] = field.parse(c)
+        for (i, j), c in json_rows(doc["antipode"], (n, n), field, "antipode"):
+            antipode[i][j] = c
         return cls(field, basis, mul, unit, comul, counit, antipode, name=name)
 
 
@@ -353,17 +358,13 @@ def algebra_check(a):
     return rep
 
 
-def hopf_check(h):
-    """Full Hopf-algebra suite: algebra laws, coassociativity, counit law,
-    Δ and ε are unital algebra maps, antipode convolution-inverts the
-    identity.  Exhaustive over basis tuples."""
-    rep = algebra_check(h)
+def coalgebra_check(h):
+    """Coassociativity and the counit law of Δ, on every basis element."""
+    rep = Report(h.name)
     n = h.dim
     f = h.field
-    pv = h.mul.pair_view()
     iv = h.comul.in1_view()
     empty = {}
-    u = h.unit_dict()
 
     rep.law("coassociativity")
     rep.law("counit-law")
@@ -390,6 +391,21 @@ def hopf_check(h):
             rep.fail("counit-law", (i,), vec_of_dict(vl, n, f), h.basis_vec(i))
         if vr != e:
             rep.fail("counit-law", (i,), vec_of_dict(vr, n, f), h.basis_vec(i))
+    return rep
+
+
+def hopf_check(h):
+    """Full Hopf-algebra suite: algebra laws, coassociativity, counit law,
+    Δ and ε are unital algebra maps, antipode convolution-inverts the
+    identity.  Exhaustive over basis tuples."""
+    rep = algebra_check(h)
+    rep.merge(coalgebra_check(h))
+    n = h.dim
+    f = h.field
+    pv = h.mul.pair_view()
+    iv = h.comul.in1_view()
+    empty = {}
+    u = h.unit_dict()
 
     rep.law("comultiplication-multiplicative")
     rep.law("counit-multiplicative")
@@ -527,11 +543,37 @@ def scalar_algebra(field):
 
 # ---------------------------------------------------------------------------
 # ambient algebras for globalization
+#
+# An ambient is certified through its factors, not by sweeping its own
+# (dim)³ basis triples: convolution into an associative algebra along a
+# coassociative coalgebra is associative, with unit (k⊗k') ↦ ε(k)ε(k')1_A
+# when Δ is counital and A unital; a tensor product of associative unital
+# algebras is associative and unital.  The tests keep the ambient sweep as an
+# oracle on the built-in ambients.
+
+def _certify_factors(what, *reports):
+    """Raise ValueError at the first failed law of a factor an ambient rests on."""
+    for rep in reports:
+        if not rep.passed:
+            law, idx, _, _ = rep.failures[0]
+            raise ValueError("%s needs certified factors: %s fails %s at %s"
+                             % (what, rep.subject, law, idx))
+
+
+def _translations(n, cols, entries):
+    """n operators as column maps from (operator, column, row, coefficient)
+    terms, summing repeated positions."""
+    ops = [[{} for _ in range(cols)] for _ in range(n)]
+    for g, j, i, c in entries:
+        dict_acc(ops[g][j], i, c)
+    return ops
+
 
 class HomHHA:
     """The convolution algebra Hom(H⊗H, A) together with the two families of
     translation operators (h ▷ f)(k⊗k') = f(kh⊗k') and (f ◁ h)(k⊗k') =
-    f(k⊗hk'), one matrix per basis element of H on each side.
+    f(k⊗hk'), one operator per basis element of H on each side, each stored
+    as column maps (column j = {row: coefficient}, see linalg.apply_cols).
 
     Basis functional E[i,j,m] sends e_i⊗e_j to a_m and every other basis pair
     to 0.
@@ -550,9 +592,13 @@ class HomHHA:
 
 def hom_hh_a(h, a):
     """Build Hom(H⊗H, A) with convolution product
-    (F*G)(k⊗k') = Σ F(k₁⊗k'₁) G(k₂⊗k'₂) and unit (k⊗k') ↦ ε(k)ε(k')1_A."""
+    (F*G)(k⊗k') = Σ F(k₁⊗k'₁) G(k₂⊗k'₂) and unit (k⊗k') ↦ ε(k)ε(k')1_A.
+
+    Certified through its factors: A must pass algebra_check and Δ
+    coalgebra_check, else ValueError."""
     if a.unit is None:
         raise ValueError("hom_hh_a needs a unital coefficient algebra")
+    _certify_factors("hom_hh_a", algebra_check(a), coalgebra_check(h))
     n, da = h.dim, a.dim
     f = h.field
     big = n * n * da
@@ -579,23 +625,18 @@ def hom_hh_a(h, a):
                 if a.unit[m]:
                     unit[idx(i, j, m)] = unit[idx(i, j, m)] + c * a.unit[m]
 
-    left_ops = [[[f.zero] * big for _ in range(big)] for _ in range(n)]
-    right_ops = [[[f.zero] * big for _ in range(big)] for _ in range(n)]
-    for (k, g, i), c in h.mul.entries.items():
-        mat = left_ops[g]
-        for j in range(n):
-            for m in range(da):
-                mat[idx(k, j, m)][idx(i, j, m)] = mat[idx(k, j, m)][idx(i, j, m)] + c
-    for (g, q, j), c in h.mul.entries.items():
-        mat = right_ops[g]
-        for i in range(n):
-            for m in range(da):
-                mat[idx(i, q, m)][idx(i, j, m)] = mat[idx(i, q, m)][idx(i, j, m)] + c
+    left_ops = _translations(n, big, (
+        (g, idx(i, j, m), idx(k, j, m), c)
+        for (k, g, i), c in h.mul.entries.items()
+        for j in range(n) for m in range(da)))
+    right_ops = _translations(n, big, (
+        (g, idx(i, j, m), idx(i, q, m), c)
+        for (g, q, j), c in h.mul.entries.items()
+        for i in range(n) for m in range(da)))
 
     names = ["E[%s,%s,%s]" % (h.basis[i], h.basis[j], a.basis[m])
              for i in range(n) for j in range(n) for m in range(da)]
     alg = AlgebraData(f, names, mul, unit, name="Hom(%s⊗%s,%s)" % (h.name, h.name, a.name))
-    _certify(algebra_check(alg))
     return HomHHA(alg, left_ops, right_ops, n, da)
 
 
@@ -603,7 +644,9 @@ class TensorHAH:
     """The componentwise-product algebra on H⊗A⊗H with the outer-leg
     comultiplications as coactions: ρ = I⊗I⊗Δ on the right leg and
     λ = Δ⊗I⊗I on the left leg, plus the dual-basis translation operators
-    f▷(h⊗a⊗k) = h⊗a⊗k₁ f(k₂) and (h⊗a⊗k)◁f = f(h₁) h₂⊗a⊗k.
+    f▷(h⊗a⊗k) = h⊗a⊗k₁ f(k₂) and (h⊗a⊗k)◁f = f(h₁) h₂⊗a⊗k, one operator
+    per dual basis element on each side, each stored as column maps
+    (column j = {row: coefficient}, see linalg.apply_cols).
     """
 
     def __init__(self, algebra, rho, lam, dual_left_ops, dual_right_ops, n, dima):
@@ -621,9 +664,13 @@ class TensorHAH:
 
 def tensor_hah(h, a):
     """Build X = H⊗A⊗H with (h⊗a⊗k)(h'⊗a'⊗k') = hh'⊗aa'⊗kk' and the
-    coactions given by comultiplying an outer leg."""
+    coactions given by comultiplying an outer leg.
+
+    Certified through its factors: H and A must pass algebra_check, else
+    ValueError."""
     if a.unit is None:
         raise ValueError("tensor_hah needs a unital coefficient algebra")
+    _certify_factors("tensor_hah", algebra_check(h), algebra_check(a))
     n, da = h.dim, a.dim
     f = h.field
     big = n * da * n
@@ -661,21 +708,16 @@ def tensor_hah(h, a):
             for j in range(n):
                 lam.add(idx(i, m, j), i1, idx(i2, m, j), c)
 
-    dual_left = [[[f.zero] * big for _ in range(big)] for _ in range(n)]
-    dual_right = [[[f.zero] * big for _ in range(big)] for _ in range(n)]
-    for (k, j1, g), c in h.comul.entries.items():
-        mat = dual_left[g]
-        for i in range(n):
-            for m in range(da):
-                mat[idx(i, m, j1)][idx(i, m, k)] = mat[idx(i, m, j1)][idx(i, m, k)] + c
-    for (i, g, j2), c in h.comul.entries.items():
-        mat = dual_right[g]
-        for m in range(da):
-            for k in range(n):
-                mat[idx(j2, m, k)][idx(i, m, k)] = mat[idx(j2, m, k)][idx(i, m, k)] + c
+    dual_left = _translations(n, big, (
+        (g, idx(i, m, k), idx(i, m, j1), c)
+        for (k, j1, g), c in h.comul.entries.items()
+        for i in range(n) for m in range(da)))
+    dual_right = _translations(n, big, (
+        (g, idx(i, m, k), idx(j2, m, k), c)
+        for (i, g, j2), c in h.comul.entries.items()
+        for m in range(da) for k in range(n)))
 
     names = ["%s⊗%s⊗%s" % (h.basis[i], a.basis[m], h.basis[j])
              for i in range(n) for m in range(da) for j in range(n)]
     alg = AlgebraData(f, names, mul, unit, name="%s⊗%s⊗%s" % (h.name, a.name, h.name))
-    _certify(algebra_check(alg))
     return TensorHAH(alg, rho, lam, dual_left, dual_right, n, da)

@@ -6,9 +6,12 @@ take the span of its translates under both operator families.  That span is
 an algebra on which both families act globally, and the embedding turns the
 partial products into honest ones.  The dual picture embeds a partial
 bicomodule structure into the three-fold tensor H⊗A⊗H.  This module builds
-both constructions, certifies the defining conditions exhaustively, compares
-arbitrary candidates against the standard one, and measures how far a
-candidate is from minimal.
+both constructions, certifies the defining conditions on every basis tuple
+of the carrier, compares arbitrary candidates against the standard one, and
+measures how far a candidate is from minimal.  The ambients themselves are
+certified through their factors when they are built (see
+algebras.hom_hh_a and algebras.tensor_hah); their operator families are
+sparse column maps, while candidates carry dense matrices.
 
 A candidate globalization is any object carrying `algebra` (an AlgebraData,
 possibly without unit), `theta` (matrix of the embedding of A into it),
@@ -22,38 +25,20 @@ from .algebras import (AlgebraData, algebra_check, dict_acc, dict_of_vec,
                        vec_of_dict)
 from .actions import check_bimodule, same_algebra, same_hopf
 from .coactions import _restrict_coaction, check_bicomodule
-from .linalg import (Subspace, Tensor3, closure_fixpoint, mat_apply,
-                     mat_transpose, nullspace, restrict_product, rref, solve,
-                     subspace_span, transport, unit_vec, zeros)
+from .linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
+                     col_dicts, mat_transpose, nullspace, restrict_product,
+                     rref, solve, subspace_span, transport, unit_vec, zeros)
 
 
-def _col_dicts(op):
-    """Columns of a dense matrix as sparse dicts (column j = image of e_j)."""
-    cols = [dict() for _ in op[0]] if op else []
-    for i, row in enumerate(op):
-        for j, c in enumerate(row):
-            if c:
-                cols[j][i] = c
-    return cols
-
-
-def _apply_cols(cols, d):
-    """Apply a matrix given by column dicts to a sparse vector dict."""
-    out = {}
-    for j, c in d.items():
-        for i, e in cols[j].items():
-            dict_acc(out, i, c * e)
-    return out
-
-
-def _restrict_ops(ops, sections, coords, zero, what):
-    """An operator family (dense matrices) restricted to a subspace or a
+def _restrict_ops(ops, sections, coords, field, what):
+    """An operator family (column maps) restricted to a subspace or a
     quotient with basis `sections`: one dense matrix per operator."""
     d = len(sections)
     t = transport(coords, (len(ops), d, d),
-                  ((g, j, mat_apply(op, s)) for g, op in enumerate(ops)
-                   for j, s in enumerate(sections)), what)
-    return [t.slice_matrix(g, zero) for g in range(len(ops))]
+                  ((g, j, vec_of_dict(apply_cols(op, dict_of_vec(s)), len(op), field))
+                   for g, op in enumerate(ops) for j, s in enumerate(sections)),
+                  what)
+    return [t.slice_matrix(g, field.zero) for g in range(len(ops))]
 
 
 def _embed(cols, coords, d, zero):
@@ -268,6 +253,7 @@ def standard_globalize_bimodule(b):
                 for t, c in val.items():
                     phi[amb.index(i, j, t)][m] = c
     phi_cols = [[phi[r][m] for r in range(big)] for m in range(da)]
+    phi_d = [dict_of_vec(col) for col in phi_cols]
 
     # spanning translates in lexicographic (left, coefficient, right) order
     cols = []
@@ -275,15 +261,15 @@ def standard_globalize_bimodule(b):
         lop = amb.left_ops[h]
         for m in range(da):
             for k in range(n):
-                w = mat_apply(amb.right_ops[k], phi_cols[m], f)
-                cols.append(mat_apply(lop, w, f))
+                w = apply_cols(lop, apply_cols(amb.right_ops[k], phi_d[m]))
+                cols.append(vec_of_dict(w, big, f))
     span = Subspace(big, f, cols)
     dB = span.dim
 
     mul = restrict_product(span.coords, span.rows, amb.algebra.mulvec)
-    left_ops = _restrict_ops(amb.left_ops, span.rows, span.coords, f.zero,
+    left_ops = _restrict_ops(amb.left_ops, span.rows, span.coords, f,
                              "left operator family")
-    right_ops = _restrict_ops(amb.right_ops, span.rows, span.coords, f.zero,
+    right_ops = _restrict_ops(amb.right_ops, span.rows, span.coords, f,
                               "right operator family")
     theta = _embed(phi_cols, span.coords, dB, f.zero)
     unit_b = span.coords(amb.algebra.unit)
@@ -332,7 +318,7 @@ def _require_global_bimodule(algebra, hopf, left_cols, right_cols):
         for h in range(n):
             prod = pvH.get((g, h), empty)
             for x in range(dB):
-                lhs = _apply_cols(left_cols[g], left_cols[h][x])
+                lhs = apply_cols(left_cols[g], left_cols[h][x])
                 rhs = {}
                 for p, c in prod.items():
                     for t, d in left_cols[p][x].items():
@@ -341,7 +327,7 @@ def _require_global_bimodule(algebra, hopf, left_cols, right_cols):
                     raise ValueError("candidate fails left operator-composition "
                                      "at (%s, %s, basis %d)"
                                      % (hopf.basis[g], hopf.basis[h], x))
-                lhs = _apply_cols(right_cols[h], right_cols[g][x])
+                lhs = apply_cols(right_cols[h], right_cols[g][x])
                 rhs = {}
                 for p, c in prod.items():
                     for t, d in right_cols[p][x].items():
@@ -354,8 +340,8 @@ def _require_global_bimodule(algebra, hopf, left_cols, right_cols):
     for g in range(n):
         for k in range(n):
             for x in range(dB):
-                if _apply_cols(left_cols[g], right_cols[k][x]) != \
-                        _apply_cols(right_cols[k], left_cols[g][x]):
+                if apply_cols(left_cols[g], right_cols[k][x]) != \
+                        apply_cols(right_cols[k], left_cols[g][x]):
                     raise ValueError("candidate operator families do not commute "
                                      "at (%s, %s, basis %d)"
                                      % (hopf.basis[g], hopf.basis[k], x))
@@ -365,7 +351,7 @@ def _require_global_bimodule(algebra, hopf, left_cols, right_cols):
         for x in range(dB):
             for y in range(dB):
                 mxy = pvB.get((x, y), empty)
-                lhs = _apply_cols(left_cols[i], mxy)
+                lhs = apply_cols(left_cols[i], mxy)
                 rhs = {}
                 for (i1, i2), c in di.items():
                     term = mul_dicts(pvB, left_cols[i1][x], left_cols[i2][y])
@@ -374,7 +360,7 @@ def _require_global_bimodule(algebra, hopf, left_cols, right_cols):
                 if lhs != rhs:
                     raise ValueError("candidate fails the left operator product "
                                      "rule at (%s, %d, %d)" % (hopf.basis[i], x, y))
-                lhs = _apply_cols(right_cols[i], mxy)
+                lhs = apply_cols(right_cols[i], mxy)
                 rhs = {}
                 for (i1, i2), c in di.items():
                     term = mul_dicts(pvB, right_cols[i1][x], right_cols[i2][y])
@@ -411,8 +397,8 @@ def verify_globalization(candidate, b):
         law, idx, _, _ = rep.failures[0]
         raise ValueError("candidate algebra fails %s at %s" % (law, idx))
 
-    left_cols = [_col_dicts(op) for op in candidate.left_ops]
-    right_cols = [_col_dicts(op) for op in candidate.right_ops]
+    left_cols = [col_dicts(op) for op in candidate.left_ops]
+    right_cols = [col_dicts(op) for op in candidate.right_ops]
     if len(left_cols) != n or len(right_cols) != n:
         raise ValueError("need one operator per Hopf basis element on each side")
     _require_global_bimodule(Bp, H, left_cols, right_cols)
@@ -441,13 +427,13 @@ def verify_globalization(candidate, b):
     cond1 = True
     for h in range(n):
         for m in range(da):
-            lhs_left = _apply_cols(right_cols[h], theta_d[m])
+            lhs_left = apply_cols(right_cols[h], theta_d[m])
             a_part = b.right.apply({h: one}, {m: one})
             for g in range(n):
                 if not cond1:
                     break
                 for mb in range(da):
-                    lhs = mul_dicts(pvB, lhs_left, _apply_cols(left_cols[g], theta_d[mb]))
+                    lhs = mul_dicts(pvB, lhs_left, apply_cols(left_cols[g], theta_d[mb]))
                     rhs = theta_of(mul_dicts(pvA, a_part,
                                              b.left.apply({g: one}, {mb: one})))
                     if lhs != rhs:
@@ -465,7 +451,7 @@ def verify_globalization(candidate, b):
     for h in range(n):
         for m in range(da):
             for k in range(n):
-                w = _apply_cols(left_cols[h], _apply_cols(right_cols[k], theta_d[m]))
+                w = apply_cols(left_cols[h], apply_cols(right_cols[k], theta_d[m]))
                 translates.append(vec_of_dict(w, dB, f))
     span = Subspace(dB, f, translates)
     cond2 = span.dim == dB
@@ -494,14 +480,14 @@ def verify_globalization(candidate, b):
             for k in range(n):
                 if not lem1:
                     break
-                x = _apply_cols(left_cols[h], _apply_cols(right_cols[k], theta_d[m]))
+                x = apply_cols(left_cols[h], apply_cols(right_cols[k], theta_d[m]))
                 for hp in range(n):
                     if not lem1:
                         break
                     for mb in range(da):
                         for kp in range(n):
-                            y = _apply_cols(left_cols[hp],
-                                            _apply_cols(right_cols[kp], theta_d[mb]))
+                            y = apply_cols(left_cols[hp],
+                                            apply_cols(right_cols[kp], theta_d[mb]))
                             lhs = mul_dicts(pvB, x, y)
                             rhs = {}
                             for (h1, h2), c1 in dh.items():
@@ -510,9 +496,9 @@ def verify_globalization(candidate, b):
                                                      left_fac[(h2, hp, mb)])
                                     if not prod:
                                         continue
-                                    term = _apply_cols(
+                                    term = apply_cols(
                                         left_cols[h1],
-                                        _apply_cols(right_cols[w2], theta_of(prod)))
+                                        apply_cols(right_cols[w2], theta_of(prod)))
                                     cc = c1 * c2
                                     for t, d in term.items():
                                         dict_acc(rhs, t, cc * d)
@@ -535,20 +521,20 @@ def verify_globalization(candidate, b):
         for m in range(da):
             th = theta_d[m]
             if lem2:
-                lhs = mul_dicts(pvB, theta1, _apply_cols(left_cols[h], th))
+                lhs = mul_dicts(pvB, theta1, apply_cols(left_cols[h], th))
                 rhs = theta_of(b.left.apply({h: one}, {m: one}))
                 if lhs != rhs:
                     lem2 = False
                     witnesses["lemaco2"] = (H.basis[h], A.basis[m])
             if lem3:
-                lhs = mul_dicts(pvB, _apply_cols(right_cols[h], th), theta1)
+                lhs = mul_dicts(pvB, apply_cols(right_cols[h], th), theta1)
                 rhs = theta_of(b.right.apply({h: one}, {m: one}))
                 if lhs != rhs:
                     lem3 = False
                     witnesses["lemaco3"] = (H.basis[h], A.basis[m])
             if lem4:
                 for k in range(n):
-                    mid = _apply_cols(left_cols[h], _apply_cols(right_cols[k], th))
+                    mid = apply_cols(left_cols[h], apply_cols(right_cols[k], th))
                     lhs = mul_dicts(pvB, theta1, mul_dicts(pvB, mid, theta1))
                     rhs = theta_of(b.right.apply({k: one},
                                                  b.left.apply({h: one}, {m: one})))
@@ -579,10 +565,10 @@ def comparison_map(candidate, std):
     dC = candidate.algebra.dim
     dS = std.algebra.dim
 
-    left_c = [_col_dicts(op) for op in candidate.left_ops]
-    right_c = [_col_dicts(op) for op in candidate.right_ops]
-    left_s = [_col_dicts(op) for op in std.left_ops]
-    right_s = [_col_dicts(op) for op in std.right_ops]
+    left_c = [col_dicts(op) for op in candidate.left_ops]
+    right_c = [col_dicts(op) for op in candidate.right_ops]
+    left_s = [col_dicts(op) for op in std.left_ops]
+    right_s = [col_dicts(op) for op in std.right_ops]
     theta_c = [dict_of_vec([candidate.theta[r][m] for r in range(dC)])
                for m in range(da)]
     theta_s = [dict_of_vec([std.theta[r][m] for r in range(dS)])
@@ -592,8 +578,8 @@ def comparison_map(candidate, std):
     for h in range(n):
         for m in range(da):
             for k in range(n):
-                v = _apply_cols(left_c[h], _apply_cols(right_c[k], theta_c[m]))
-                w = _apply_cols(left_s[h], _apply_cols(right_s[k], theta_s[m]))
+                v = apply_cols(left_c[h], apply_cols(right_c[k], theta_c[m]))
+                w = apply_cols(left_s[h], apply_cols(right_s[k], theta_s[m]))
                 v_cols.append(vec_of_dict(v, dC, f))
                 w_cols.append(vec_of_dict(w, dS, f))
 
@@ -635,27 +621,27 @@ def comparison_map(candidate, std):
 
     # the map must be multiplicative, operator-equivariant, and match the
     # embeddings; failures here would contradict well-definedness
-    pmap = _col_dicts(phi_map)
+    pmap = col_dicts(phi_map)
     pvC = candidate.algebra.mul.pair_view()
     pvS = std.algebra.mul.pair_view()
     empty = {}
     for i in range(dC):
         for j in range(dC):
-            lhs = _apply_cols(pmap, pvC.get((i, j), empty))
+            lhs = apply_cols(pmap, pvC.get((i, j), empty))
             rhs = mul_dicts(pvS, pmap[i], pmap[j])
             if lhs != rhs:
                 raise AssertionError("comparison map is not multiplicative at "
                                      "basis pair (%d, %d)" % (i, j))
     for g in range(n):
         for i in range(dC):
-            if _apply_cols(pmap, left_c[g][i]) != _apply_cols(left_s[g], pmap[i]):
+            if apply_cols(pmap, left_c[g][i]) != apply_cols(left_s[g], pmap[i]):
                 raise AssertionError("comparison map does not commute with left "
                                      "operator %s" % H.basis[g])
-            if _apply_cols(pmap, right_c[g][i]) != _apply_cols(right_s[g], pmap[i]):
+            if apply_cols(pmap, right_c[g][i]) != apply_cols(right_s[g], pmap[i]):
                 raise AssertionError("comparison map does not commute with right "
                                      "operator %s" % H.basis[g])
     for m in range(da):
-        if _apply_cols(pmap, theta_c[m]) != theta_s[m]:
+        if apply_cols(pmap, theta_c[m]) != theta_s[m]:
             raise AssertionError("comparison map does not match the embeddings "
                                  "at basis %s" % A.basis[m])
 
@@ -745,10 +731,10 @@ def minimalize(candidate, bimodule=None):
 
     sections = [unit_vec(f, dB, c) for c in keep]
     mul_q = restrict_product(project, sections, Bp.mulvec)
-    left_q = _restrict_ops(candidate.left_ops, sections, project, f.zero,
-                           "left operator family")
-    right_q = _restrict_ops(candidate.right_ops, sections, project, f.zero,
-                            "right operator family")
+    left_q = _restrict_ops([col_dicts(op) for op in candidate.left_ops],
+                           sections, project, f, "left operator family")
+    right_q = _restrict_ops([col_dicts(op) for op in candidate.right_ops],
+                            sections, project, f, "right operator family")
     theta_q = _embed([[candidate.theta[r][m] for r in range(dB)]
                       for m in range(candidate.coeff.dim)], project, dQ, f.zero)
     unit_q = None
@@ -1147,10 +1133,8 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
         raise AssertionError("the permutation does not match the units")
 
     intertwines = True
-    x_left = [_col_dicts(op) for op in amb_x.dual_left_ops]
-    x_right = [_col_dicts(op) for op in amb_x.dual_right_ops]
-    k_left = [_col_dicts(op) for op in amb_k.left_ops]
-    k_right = [_col_dicts(op) for op in amb_k.right_ops]
+    x_left, x_right = amb_x.dual_left_ops, amb_x.dual_right_ops
+    k_left, k_right = amb_k.left_ops, amb_k.right_ops
     for g in range(n):
         for x in range(N):
             if push(x_left[g][x]) != k_left[g][perm[x]] or \

@@ -2,10 +2,13 @@
 structure constants.
 
 Vectors are plain lists of scalars, matrices are lists of rows acting on
-column vectors (image of j-th basis vector = j-th column).  Tensor3 keeps
-only nonzero entries, keyed (i, j, k); the meaning of the three slots is
-fixed by whoever owns the tensor (multiplication: inputs (i, j), output k;
-comultiplication: input i, outputs (j, k); actions: Hopf index first).
+column vectors (image of j-th basis vector = j-th column).  A sparse
+operator is a list of column maps, column j = {row: coefficient} holding the
+image of the j-th basis vector; it acts on sparse vectors {index: scalar}
+through apply_cols.  Tensor3 keeps only nonzero entries, keyed (i, j, k);
+the meaning of the three slots is fixed by whoever owns the tensor
+(multiplication: inputs (i, j), output k; comultiplication: input i,
+outputs (j, k); actions: Hopf index first).
 """
 
 
@@ -56,6 +59,37 @@ def mat_mul(a, b):
 
 def mat_transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+def dict_acc(out, key, c):
+    """out[key] += c, dropping the key when the sum cancels."""
+    if not c:
+        return
+    cur = out.get(key)
+    new = c if cur is None else cur + c
+    if new:
+        out[key] = new
+    elif cur is not None:
+        del out[key]
+
+
+def col_dicts(op):
+    """Column maps of a dense matrix (column j = image of e_j)."""
+    cols = [dict() for _ in op[0]] if op else []
+    for i, row in enumerate(op):
+        for j, c in enumerate(row):
+            if c:
+                cols[j][i] = c
+    return cols
+
+
+def apply_cols(cols, d):
+    """Apply an operator given by column maps to a sparse vector dict."""
+    out = {}
+    for j, c in d.items():
+        for i, e in cols[j].items():
+            dict_acc(out, i, c * e)
+    return out
 
 
 class Tensor3:
@@ -122,18 +156,21 @@ class Tensor3:
         return out
 
     def apply_bilinear(self, u, v, field):
-        """Treat the tensor as a bilinear map: (u, v) -> w, w[k] = sum u_i v_j t_ijk."""
+        """Treat the tensor as a bilinear map: (u, v) -> w, w[k] = sum u_i v_j t_ijk.
+        Visits the pairs of nonzero entries of u and v, or the stored input
+        pairs of the tensor when there are fewer of those."""
         out = zeros(field, self.dims[2])
-        for (i, j), row in self.pair_view().items():
-            ui = u[i]
-            if not ui:
-                continue
-            vj = v[j]
-            if not vj:
-                continue
-            c = ui * vj
-            for k, t in row.items():
-                out[k] = out[k] + c * t
+        pv = self.pair_view()
+        nz_u = [(i, c) for i, c in enumerate(u) if c]
+        nz_v = [(j, c) for j, c in enumerate(v) if c]
+        if len(nz_u) * len(nz_v) < len(pv):
+            terms = ((ui * vj, pv.get((i, j))) for i, ui in nz_u for j, vj in nz_v)
+        else:
+            terms = ((u[i] * v[j], row) for (i, j), row in pv.items() if u[i] and v[j])
+        for c, row in terms:
+            if row:
+                for k, t in row.items():
+                    out[k] = out[k] + c * t
         return out
 
     def __eq__(self, other):
@@ -343,30 +380,38 @@ def subspace_span(vectors, ambient_dim=None, field=None):
 
 
 def closure_fixpoint(seed, linear_ops, bilinear_ops):
-    """Smallest subspace containing `seed`, invariant under every matrix in
-    linear_ops and closed under every Tensor3 in bilinear_ops applied to pairs
-    of members.  Grows by image adjunction; the dimension strictly increases
-    every productive round, so ambient_dim + 1 rounds is a hard bound."""
+    """Smallest subspace containing `seed`, invariant under every operator in
+    linear_ops (column maps, see apply_cols) and closed under every Tensor3
+    in bilinear_ops applied to pairs of members.
+
+    Grows by image adjunction over a spanning set: the seed rows, then the
+    vectors each round adds.  A round pushes only the vectors the previous
+    round added through the operators, and only the pairs with at least one
+    such vector through the products; images of older vectors already lie in
+    the current span.  The dimension strictly increases every productive
+    round, so ambient_dim + 1 rounds is a hard bound."""
     cur = seed
     field = seed.field
-    for _ in range(seed.ambient_dim + 1):
-        new = []
-        for b in cur.rows:
-            for op in linear_ops:
-                w = [sum((op[i][j] * b[j] for j in range(len(b)) if b[j]),
-                         start=field.zero) for i in range(len(op))]
-                if not cur.contains(w):
-                    new.append(w)
+    n = seed.ambient_dim
+    done, fresh = [], list(seed.rows)
+    for _ in range(n + 1):
+        images = []
+        for b in fresh:
+            bd = {j: c for j, c in enumerate(b) if c}
+            for cols in linear_ops:
+                w = zeros(field, n)
+                for i, c in apply_cols(cols, bd).items():
+                    w[i] = c
+                images.append(w)
         for t in bilinear_ops:
-            for b1 in cur.rows:
-                for b2 in cur.rows:
-                    w = t.apply_bilinear(b1, b2, field)
-                    if not cur.contains(w):
-                        new.append(w)
+            images.extend(t.apply_bilinear(b1, b2, field)
+                          for b1 in done + fresh for b2 in fresh)
+            images.extend(t.apply_bilinear(b1, b2, field)
+                          for b1 in fresh for b2 in done)
+        new = [r for r in map(cur.reduce, images) if any(r)]
         if not new:
             return cur
-        nxt = cur.join(new)
-        if nxt.dim == cur.dim:
-            return cur
-        cur = nxt
+        cur = cur.join(new)
+        done += fresh
+        fresh = rref(new, field)[1]
     raise RuntimeError("closure did not stabilize within ambient_dim + 1 rounds")

@@ -14,7 +14,7 @@ semantic one."""
 import json
 import os
 
-from .algebras import AlgebraData, HopfData
+from .algebras import AlgebraData, HopfData, json_rows
 from .actions import GroupPartialActionData, PartialActionData, PartialBimoduleData
 from .coactions import PartialCoactionData, PartialBicomoduleData
 
@@ -68,30 +68,32 @@ def load_hopf(node, base_dir="."):
     return _guard(lambda: HopfData.from_json(doc), "hopf")
 
 
-def _action_parts(doc, base, key_side=None):
+def _action_parts(doc, base, cls, key_side=None):
+    """Hopf algebra, algebra, side, map entries and symmetry flag of a
+    one-sided `cls` (PartialActionData or PartialCoactionData) document."""
     hopf = load_hopf(doc["hopf"], base)
     alg = load_algebra(doc["algebra"], base)
     if hopf.field != alg.field:
         raise ValueError("the hopf and algebra parts live over different fields")
-    f = hopf.field
     sub = doc if key_side is None else doc[key_side]
-    entries = {}
-    for i, j, k, c in sub["map"]:
-        entries[(int(i), int(j), int(k))] = f.parse(c)
     side = sub["side"] if key_side is None else key_side
+    entries = dict(json_rows(sub["map"], cls.shape(hopf, alg, side), hopf.field, "map"))
     return hopf, alg, side, entries, bool(sub.get("symmetric", False))
 
 
 def load_action(node, base_dir="."):
     doc, base = _resolve(node, base_dir)
-    hopf, alg, side, entries, sym = _guard(lambda: _action_parts(doc, base), "action")
+    hopf, alg, side, entries, sym = _guard(
+        lambda: _action_parts(doc, base, PartialActionData), "action")
     return PartialActionData(hopf, alg, side, entries, symmetric=sym)
 
 
 def load_bimodule(node, base_dir="."):
     doc, base = _resolve(node, base_dir)
-    lp = _guard(lambda: _action_parts(doc, base, "left"), "bimodule")
-    rp = _guard(lambda: _action_parts(doc, base, "right"), "bimodule")
+    lp = _guard(lambda: _action_parts(doc, base, PartialActionData, "left"),
+                "bimodule")
+    rp = _guard(lambda: _action_parts(doc, base, PartialActionData, "right"),
+                "bimodule")
     left = PartialActionData(*lp[:4], symmetric=lp[4])
     right = PartialActionData(*rp[:4], symmetric=rp[4])
     return PartialBimoduleData(left, right)
@@ -99,14 +101,17 @@ def load_bimodule(node, base_dir="."):
 
 def load_coaction(node, base_dir="."):
     doc, base = _resolve(node, base_dir)
-    hopf, alg, side, entries, _ = _guard(lambda: _action_parts(doc, base), "coaction")
+    hopf, alg, side, entries, _ = _guard(
+        lambda: _action_parts(doc, base, PartialCoactionData), "coaction")
     return PartialCoactionData(hopf, alg, side, entries)
 
 
 def load_bicomodule(node, base_dir="."):
     doc, base = _resolve(node, base_dir)
-    lp = _guard(lambda: _action_parts(doc, base, "left"), "bicomodule")
-    rp = _guard(lambda: _action_parts(doc, base, "right"), "bicomodule")
+    lp = _guard(lambda: _action_parts(doc, base, PartialCoactionData, "left"),
+                "bicomodule")
+    rp = _guard(lambda: _action_parts(doc, base, PartialCoactionData, "right"),
+                "bicomodule")
     left = PartialCoactionData(*lp[:4])
     right = PartialCoactionData(*rp[:4])
     return PartialBicomoduleData(left, right)

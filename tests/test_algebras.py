@@ -3,11 +3,12 @@
 import pytest
 
 from phopf.fields import GF, QQ
-from phopf.linalg import Tensor3
+from phopf.linalg import Tensor3, apply_cols, col_dicts, dict_acc
 from phopf._groups import GROUP_NAMES, named_group
 from phopf.algebras import (AlgebraData, HopfData, Report, algebra_check,
-                            dual_hopf, group_algebra, hom_hh_a, hopf_check,
-                            scalar_algebra, sweedler_h4, tensor_hah)
+                            coalgebra_check, dual_hopf, group_algebra,
+                            hom_hh_a, hopf_check, scalar_algebra, sweedler_h4,
+                            tensor_hah)
 
 HOPF_LAWS = {"associativity", "unit-law", "coassociativity", "counit-law",
              "comultiplication-multiplicative", "counit-multiplicative",
@@ -149,23 +150,24 @@ def test_hom_convolution_algebra_shape(h4):
     assert hom.algebra.dim == 16
     assert algebra_check(hom.algebra).passed
     n = h4.dim
-    # translation operators compose along the Hopf multiplication
-    from phopf.linalg import mat_mul
+    # translation operators compose along the Hopf multiplication, checked
+    # column by column on the column maps
     pv = h4.mul.pair_view()
     for g in range(n):
         for h in range(n):
-            comp = mat_mul(hom.left_ops[g], hom.left_ops[h])
-            want = [[QQ.zero] * 16 for _ in range(16)]
-            for p, c in pv.get((g, h), {}).items():
-                for i in range(16):
-                    for j in range(16):
-                        want[i][j] += c * hom.left_ops[p][i][j]
-            assert comp == want
+            for x in range(16):
+                comp = apply_cols(hom.left_ops[g], hom.left_ops[h][x])
+                want = {}
+                for p, c in pv.get((g, h), {}).items():
+                    for i, d in hom.left_ops[p][x].items():
+                        dict_acc(want, i, c * d)
+                assert comp == want
     # left and right translations commute
     for g in range(n):
         for h in range(n):
-            assert (mat_mul(hom.left_ops[g], hom.right_ops[h])
-                    == mat_mul(hom.right_ops[h], hom.left_ops[g]))
+            for x in range(16):
+                assert (apply_cols(hom.left_ops[g], hom.right_ops[h][x])
+                        == apply_cols(hom.right_ops[h], hom.left_ops[g][x]))
 
 
 def test_tensor_ambient_shape(h4):
@@ -182,6 +184,145 @@ def test_unitless_algebra_check_skips_unit_law():
     mul = Tensor3((1, 1, 1))
     rep = algebra_check(AlgebraData(QQ, ["z"], mul, None, name="null"))
     assert rep.passed and "unit-law" not in rep.laws
+
+
+# ---------------------------------------------------------------------------
+# ambient certificates: the ambients are certified through their factors at
+# build time; the exhaustive sweep of the ambient itself is kept here as the
+# oracle for every built-in ambient of dimension at most 64
+
+
+def _kg(name, field=QQ):
+    labels, table = named_group(name)
+    return group_algebra(table, field, labels)
+
+
+def _ambient_cases():
+    h4 = sweedler_h4(QQ)
+    cases = [("H4/k", h4, scalar_algebra(QQ)), ("H4/H4", h4, h4)]
+    for name in ("Z2", "Z3", "Z4"):
+        h = _kg(name)
+        cases.append(("k%s/k%s" % (name, name), h, h))
+    return cases
+
+
+@pytest.mark.parametrize("ctor", [hom_hh_a, tensor_hah], ids=["hom", "tensor"])
+@pytest.mark.parametrize("case", _ambient_cases(), ids=lambda c: c[0])
+def test_ambient_sweep_oracle(case, ctor):
+    _, h, a = case
+    amb = ctor(h, a)
+    assert amb.algebra.dim == h.dim * h.dim * a.dim <= 64
+    rep = algebra_check(amb.algebra)
+    assert rep.passed, rep.lines()
+    assert rep.laws == ["associativity", "unit-law"]
+
+
+def _nonassociative_algebra():
+    """Unital 3-dim algebra with (e1 e1) e1 = 0 but e1 (e1 e1) = e0."""
+    one = QQ.one
+    mul = {(0, i, i): one for i in range(3)}
+    mul.update({(i, 0, i): one for i in range(1, 3)})
+    mul[(1, 1, 2)] = one
+    mul[(1, 2, 0)] = one
+    return AlgebraData(QQ, ["e0", "e1", "e2"], mul, [one, QQ.zero, QQ.zero],
+                       name="nonassoc")
+
+
+def test_coalgebra_check_is_the_coalgebra_part_of_hopf_check(h4):
+    rep = coalgebra_check(h4)
+    assert rep.passed and rep.laws == ["coassociativity", "counit-law"]
+    assert hopf_check(h4).laws == [
+        "associativity", "unit-law", "coassociativity", "counit-law",
+        "comultiplication-multiplicative", "counit-multiplicative",
+        "comultiplication-unit", "counit-unit", "antipode-law"]
+
+
+def test_hom_ambient_rejects_a_noncoassociative_comultiplication(h4):
+    comul = Tensor3((4, 4, 4), dict(h4.comul.entries))
+    comul.add(2, 2, 1, QQ.one)        # Δ(x) = 2 x⊗g + 1⊗x
+    bad = _hopf_with(h4, comul=comul)
+    assert coalgebra_check(bad).failures[0][0] == "coassociativity"
+    with pytest.raises(ValueError, match="coassociativity"):
+        hom_hh_a(bad, scalar_algebra(QQ))
+
+
+def test_hom_ambient_rejects_a_broken_counit():
+    h = _kg("Z2")
+    bad = _hopf_with(h, counit=[QQ.one, QQ.of(2)])
+    with pytest.raises(ValueError, match="counit-law"):
+        hom_hh_a(bad, scalar_algebra(QQ))
+
+
+@pytest.mark.parametrize("ctor", [hom_hh_a, tensor_hah], ids=["hom", "tensor"])
+def test_ambients_reject_a_nonassociative_coefficient_algebra(ctor):
+    a = _nonassociative_algebra()
+    assert algebra_check(a).failures[0][0] == "associativity"
+    with pytest.raises(ValueError, match="associativity"):
+        ctor(_kg("Z2"), a)
+
+
+def test_tensor_ambient_rejects_a_nonassociative_hopf_multiplication():
+    h = _kg("Z3")
+    mul = Tensor3((3, 3, 3), dict(h.mul.entries))
+    mul.add(1, 1, 2, -QQ.one)
+    mul.add(1, 1, 0, QQ.one)          # now g·g = 1 in a group of order 3
+    with pytest.raises(ValueError, match="associativity"):
+        tensor_hah(_hopf_with(h, mul=mul), scalar_algebra(QQ))
+
+
+def _dense_hom_ops(h, a):
+    """Dense translation matrices of Hom(H⊗H, A), read off by evaluating each
+    translated basis functional on every basis pair."""
+    n, da = h.dim, a.dim
+    big = n * n * da
+    zero = h.field.zero
+    left = [[[zero] * big for _ in range(big)] for _ in range(n)]
+    right = [[[zero] * big for _ in range(big)] for _ in range(n)]
+    for g in range(n):
+        for i0 in range(n):
+            for j0 in range(n):
+                for m in range(da):
+                    col = (i0 * n + j0) * da + m
+                    for k in range(n):
+                        # (g ▷ E)(e_k⊗e_j0) = E(e_k e_g ⊗ e_j0)
+                        left[g][(k * n + j0) * da + m][col] += h.mul.get(k, g, i0, zero)
+                        # (E ◁ g)(e_i0⊗e_k) = E(e_i0 ⊗ e_g e_k)
+                        right[g][(i0 * n + k) * da + m][col] += h.mul.get(g, k, j0, zero)
+    return left, right
+
+
+def _dense_tensor_ops(h, a):
+    """Dense dual translation matrices of H⊗A⊗H: p_g ▷ (h⊗a⊗k) = h⊗a⊗k₁ p_g(k₂)
+    and (h⊗a⊗k) ◁ p_g = p_g(h₁) h₂⊗a⊗k."""
+    n, da = h.dim, a.dim
+    big = n * da * n
+    zero = h.field.zero
+    left = [[[zero] * big for _ in range(big)] for _ in range(n)]
+    right = [[[zero] * big for _ in range(big)] for _ in range(n)]
+    for g in range(n):
+        for i in range(n):
+            for m in range(da):
+                for k in range(n):
+                    col = (i * da + m) * n + k
+                    for t in range(n):
+                        left[g][(i * da + m) * n + t][col] += h.comul.get(k, t, g, zero)
+                        right[g][(t * da + m) * n + k][col] += h.comul.get(i, g, t, zero)
+    return left, right
+
+
+@pytest.mark.parametrize("case", _ambient_cases()[:3] + [("kS3/k", _kg("S3"), None)],
+                         ids=lambda c: c[0])
+def test_sparse_ambient_operators_match_a_dense_reference(case):
+    _, h, a = case
+    a = a or scalar_algebra(QQ)
+    hom = hom_hh_a(h, a)
+    left, right = _dense_hom_ops(h, a)
+    assert hom.left_ops == [col_dicts(op) for op in left]
+    assert hom.right_ops == [col_dicts(op) for op in right]
+    amb = tensor_hah(h, a)
+    left, right = _dense_tensor_ops(h, a)
+    assert amb.dual_left_ops == [col_dicts(op) for op in left]
+    assert amb.dual_right_ops == [col_dicts(op) for op in right]
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,45 @@ def test_check_io_failures(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("row", [[9, 0, 0, "1"], [-1, 0, 0, "1"], [0.0, 0, 0, "1"]],
+                         ids=repr)
+def test_check_rejects_out_of_range_and_non_integer_indices(tmp_path, capsys, row):
+    files = emit(capsys, "regular-bicomodule", tmp_path)
+    hopf = next(p for p in files if p.endswith("hopf.json"))
+    doc = read_document(hopf)
+    doc["mul"].append(row)
+    write_document(doc, hopf)
+    assert main(["check", "hopf", hopf]) == 2
+    assert "mul row" in _one_line_error(capsys)
+
+
+def test_globalize_rejects_an_out_of_range_comultiplication_row(tmp_path, capsys):
+    files = emit(capsys, "regular-bicomodule", tmp_path)
+    hopf = next(p for p in files if p.endswith("hopf.json"))
+    doc = read_document(hopf)
+    doc["comul"].append([9, 0, 0, "1"])
+    write_document(doc, hopf)
+    path = next(p for p in files if p.endswith("bicomodule.json"))
+    assert main(["globalize", "bicomodule", path, "-o", str(tmp_path / "out")]) == 2
+    assert "comul row" in _one_line_error(capsys)
+
+
+def test_check_rejects_an_out_of_range_bimodule_map_row(tmp_path, capsys):
+    files = emit(capsys, "sweedler-bimodule-k", tmp_path, "--r", "2", "--s", "3")
+    path = next(p for p in files if p.endswith("bimodule.json"))
+    doc = read_document(path)
+    doc["left"]["map"].append([0, 5, 0, "1"])
+    write_document(doc, path)
+    assert main(["check", "bimodule", path]) == 2
+    assert "map row" in _one_line_error(capsys)
+
+
 def test_check_json_format_and_root_level_flag(tmp_path, capsys):
     files = emit(capsys, "regular-bicomodule", tmp_path)
     hopf = next(p for p in files if p.endswith("hopf.json"))

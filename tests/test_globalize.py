@@ -181,6 +181,32 @@ def test_bicomodule_globalization_over_prime_field():
 
 
 # ---------------------------------------------------------------------------
+# S3: ambients of dimension 216, reachable because the ambient is certified
+# through its factors instead of by a sweep of its 216³ basis triples
+
+
+def _ks3():
+    from phopf._groups import named_group
+    from phopf.algebras import group_algebra
+    labels, table = named_group("S3")
+    return group_algebra(table, QQ, labels)
+
+
+def test_s3_dual_bimodule_globalizes_with_certificate():
+    from phopf.actions import dual_regular_action, trivialize_right
+    g = standard_globalize_bimodule(trivialize_right(dual_regular_action(_ks3())))
+    assert g.ambient.algebra.dim == 216 and g.dim == 6
+    assert g.certificate.ok
+
+
+def test_s3_regular_bicomodule_globalizes():
+    g = standard_globalize_bicomodule(regular_bicomodule(_ks3()))
+    assert g.ambient.algebra.dim == 216 and g.dim == 6
+    assert all(g.certificate.values()), g.certificate
+    assert _staged_carrier(g) == g.b_basis
+
+
+# ---------------------------------------------------------------------------
 # the two-sided bridge between the constructions
 
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phopf.fields import GF, QQ
-from phopf.linalg import (Subspace, Tensor3, closure_fixpoint, mat_apply, mat_mul,
-                          nullspace, restrict_product, rref, solve, subspace_span,
+from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
+                          col_dicts, mat_apply, mat_mul, nullspace,
+                          restrict_product, rref, solve, subspace_span,
                           transport, unit_vec, zeros)
 
 
@@ -184,10 +185,10 @@ def test_closure_fixpoint_is_closed_and_minimal():
     for i in range(n):
         shift[(i + 1) % n][i] = f.one
     seed = subspace_span([unit_vec(f, n, 0)], n, f)
-    span = closure_fixpoint(seed, [shift], [])
+    span = closure_fixpoint(seed, [col_dicts(shift)], [])
     assert span.dim == n
     proj = [[f.zero] * n for _ in range(n)]        # kills everything
-    span2 = closure_fixpoint(seed, [proj], [])
+    span2 = closure_fixpoint(seed, [col_dicts(proj)], [])
     assert span2.dim == 1 and span2.contains(unit_vec(f, n, 0))
     # closure under a bilinear product: coordinatewise multiplication
     prod = Tensor3((n, n, n))
@@ -203,6 +204,86 @@ def test_closure_fixpoint_is_closed_and_minimal():
         for v in span4.rows:
             w = prod.apply_bilinear(u, v, f)
             assert span4.contains(w)
+
+
+def _closure_all_rows(seed, linear_ops, bilinear_ops):
+    """Reference closure: every round pushes every row of the current span
+    through every dense matrix and every pair of rows through every product."""
+    cur = seed
+    field = seed.field
+    for _ in range(seed.ambient_dim + 1):
+        new = []
+        for b in cur.rows:
+            for op in linear_ops:
+                w = [sum((op[i][j] * b[j] for j in range(len(b)) if b[j]),
+                         start=field.zero) for i in range(len(op))]
+                if not cur.contains(w):
+                    new.append(w)
+        for t in bilinear_ops:
+            for b1 in cur.rows:
+                for b2 in cur.rows:
+                    w = t.apply_bilinear(b1, b2, field)
+                    if not cur.contains(w):
+                        new.append(w)
+        if not new:
+            return cur
+        nxt = cur.join(new)
+        if nxt.dim == cur.dim:
+            return cur
+        cur = nxt
+    raise RuntimeError("closure did not stabilize within ambient_dim + 1 rounds")
+
+
+def _sparse_matrix(rng, n, field, density):
+    return [[field.of(rng.randrange(-2, 3)) if rng.random() < density else field.zero
+             for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([QQ, GF(5)]))
+def test_closure_fixpoint_matches_the_all_rows_loop(seed, field):
+    rng = random.Random(seed)
+    n = rng.randrange(3, 8)
+    start = Subspace(n, field, [unit_vec(field, n, 0)]
+                     + [[field.of(rng.randrange(-2, 3)) if rng.random() < 0.3 else field.zero
+                         for _ in range(n)] for _ in range(rng.randrange(0, 2))])
+    ops = [_sparse_matrix(rng, n, field, 1.0 / n) for _ in range(rng.randrange(0, 3))]
+    prods = []
+    for _ in range(rng.randrange(0, 2) if ops else 1):
+        # products of e_i and e_j (j <= i) land on higher indices: the span
+        # grows over several rounds, and new-times-old pairs are the
+        # productive ones
+        t = Tensor3((n, n, n))
+        for _ in range(rng.randrange(2, 2 * n)):
+            i, j = rng.randrange(n - 1), rng.randrange(n - 1)
+            if j <= i:
+                t.add(i, j, rng.randrange(i + 1, n), field.of(rng.randrange(1, 4)))
+        prods.append(t)
+    got = closure_fixpoint(start, [col_dicts(op) for op in ops], prods)
+    assert got == _closure_all_rows(start, ops, prods)
+
+
+def test_closure_fixpoint_pushes_new_vectors_against_old_ones():
+    f = QQ
+    seed = subspace_span([unit_vec(f, 4, 0)], 4, f)
+    prod = Tensor3((4, 4, 4), {(0, 0, 1): f.one, (1, 0, 2): f.one})
+    # round 1 adds e1 = e0·e0; e2 = e1·e0 needs the new vector on the left
+    assert closure_fixpoint(seed, [], [prod]).dim == 3
+    shift = [[f.zero] * 4 for _ in range(4)]
+    shift[3][1] = f.one                               # e1 -> e3 only
+    # e3 is the image of e1, which only the product adds
+    full = Subspace(4, f, [unit_vec(f, 4, i) for i in range(4)])
+    assert closure_fixpoint(seed, [col_dicts(shift)], [prod]) == full
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_apply_cols_matches_mat_apply(seed):
+    rng = random.Random(seed)
+    m = _sparse_matrix(rng, 5, GF(7), 0.4)
+    v = [GF(7).of(rng.randrange(7)) for _ in range(5)]
+    got = apply_cols(col_dicts(m), {j: c for j, c in enumerate(v) if c})
+    assert got == {i: c for i, c in enumerate(mat_apply(m, v)) if c}
 
 
 def test_mat_mul_matches_apply():

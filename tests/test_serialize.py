@@ -138,6 +138,55 @@ def test_bad_scalars_raise_document_error():
         load_action(doc)
 
 
+BAD_INDEX_ROWS = [[9, 0, 0, "1"], [-1, 0, 0, "1"], [0.0, 0, 0, "1"],
+                  [True, 0, 0, "1"], ["0", 0, 0, "1"], [0, 0, "1"],
+                  [0, 0, 0, 0, "1"]]
+
+
+@pytest.mark.parametrize("row", BAD_INDEX_ROWS, ids=repr)
+@pytest.mark.parametrize("key", ["mul", "comul"])
+def test_bad_structure_constant_rows_raise_document_error(key, row):
+    doc = sweedler_h4(QQ).to_json()
+    doc[key].append(row)
+    with pytest.raises(DocumentError, match=key):
+        load_hopf(doc)
+    if key == "mul":
+        del doc["comul"], doc["counit"], doc["antipode"]
+        with pytest.raises(DocumentError, match=key):
+            load_algebra(doc)
+
+
+@pytest.mark.parametrize("row", [[4, 0, "1"], [0, -1, "1"], [0, 1.0, "1"],
+                                 [0, "1"], [0, 0, 0, "1"]], ids=repr)
+def test_bad_antipode_rows_raise_document_error(row):
+    doc = sweedler_h4(QQ).to_json()
+    doc["antipode"].append(row)
+    with pytest.raises(DocumentError, match="antipode"):
+        load_hopf(doc)
+
+
+@pytest.mark.parametrize("row", [[0, 5, 0, "1"], [4, 0, 0, "1"], [0, 0, 0.0, "1"],
+                                 [0, 0, "1"]], ids=repr)
+def test_bad_action_map_rows_raise_document_error(row):
+    doc = sweedler_k_bimodule(QQ, 2, 3).to_json()
+    doc["left"]["map"].append(row)
+    with pytest.raises(DocumentError, match="map"):
+        load_bimodule(doc)
+
+
+@pytest.mark.parametrize("side,row", [("right", [0, 0, 4, "1"]),
+                                      ("right", [0, 1, 0, "1"]),
+                                      ("left", [0, 0, 1, "1"]),
+                                      ("left", [0, 4, 0, "1"])], ids=repr)
+def test_coaction_map_rows_are_bounded_by_their_own_shape(side, row):
+    # coefficient algebra k (dim 1) and H4 (dim 4): the Hopf slot is the
+    # last one of a right coaction and the middle one of a left coaction
+    doc = sweedler_k_bicomodule(QQ, 7, 3).to_json()
+    doc[side]["map"].append(row)
+    with pytest.raises(DocumentError, match="map"):
+        load_bicomodule(doc)
+
+
 def test_field_mismatch_between_parts_raises_document_error():
     h = sweedler_h4(QQ).to_json()
     a = {"field": {"kind": "PrimeField", "p": 5}, "basis": ["1"],
