@@ -21,11 +21,11 @@ from .coactions import (PartialBicomoduleData, PartialCoactionData,
                         dual_action_to_coaction, regular_bicomodule,
                         regular_coaction, sweedler_k_bicomodule, trivial_coaction)
 from .globalize import (BicomoduleGlobalization, BimoduleGlobalization,
-                        GlobalizationCandidate, GlobalizationCertificate,
-                        comparison_map, free_candidate_bimodule,
-                        maximal_degenerate_subbimodule, minimalize, psi_map,
-                        standard_globalize_bicomodule, standard_globalize_bimodule,
-                        two_stage_closure, verify_globalization)
+                        GlobalizationCandidate, comparison_map,
+                        free_candidate_bimodule, maximal_degenerate_subbimodule,
+                        minimalize, psi_map, standard_globalize_bicomodule,
+                        standard_globalize_bimodule, two_stage_closure,
+                        verify_globalization)
 from .smash import (CornerAlgebra, SmashAlgebra, check_ker_eps_invariance,
                     check_smash_associativity, find_idempotent, smash_product,
                     unital_corner)

@@ -8,7 +8,9 @@ Commands
         Write a ready-made example to disk; every file is certified before
         it is written.
     phopf globalize {bimodule|bicomodule} FILE -o DIR
-        Construct the standard globalization and report its certificate.
+        Construct the standard globalization and report its certificate, a
+        Report in the shape `phopf check` prints (laws condition1,
+        condition2, lemaco1-4 for a bimodule; exchange for a bicomodule).
     phopf smash BIMODULE_FILE BICOMODULE_FILE [-o PATH]
         Build the smash product of the two stored factors.
 
@@ -34,8 +36,8 @@ from .actions import (GroupPartialActionData, check_bimodule,
                       sweedler_k_bimodule)
 from .coactions import (bicomodule_to_bimodule, check_bicomodule, check_lpca,
                         check_rpca, regular_bicomodule, sweedler_k_bicomodule)
-from .globalize import (GlobalizationCandidate, maximal_degenerate_subbimodule,
-                        psi_map, standard_globalize_bicomodule,
+from .globalize import (maximal_degenerate_subbimodule, psi_map,
+                        standard_globalize_bicomodule,
                         standard_globalize_bimodule)
 from .smash import check_smash_associativity, find_idempotent, smash_product
 from .serialize import (DocumentError, load_action, load_algebra, load_bicomodule,
@@ -234,26 +236,16 @@ def cmd_globalize(args, fmt):
     psi_flags = None
     if args.kind == "bimodule":
         b = load_bimodule(args.file)
-        g = standard_globalize_bimodule(b)
-        cert_doc = g.certificate.to_json()
-        cert_lines = g.certificate.lines()
+        g = g_for_mstar = standard_globalize_bimodule(b)
     else:
         b = load_bicomodule(args.file)
         g = standard_globalize_bicomodule(b)
-        cert_doc = dict(g.certificate)
-        cert_lines = ["%s = %s" % (k, v) for k, v in sorted(g.certificate.items())]
-        dual = standard_globalize_bimodule(bicomodule_to_bimodule(b))
-        _, mono, intertwines, restricted = psi_map(b.hopf, b.alg, g, dual)
+        g_for_mstar = standard_globalize_bimodule(bicomodule_to_bimodule(b))
+        _, mono, intertwines, restricted = psi_map(b.hopf, b.alg, g, g_for_mstar)
         psi_flags = {"monomorphism": mono,
                      "intertwines_dual_actions": intertwines,
                      "restricts_to_isomorphism": restricted}
-        g_for_mstar = dual
-    if args.kind == "bimodule":
-        g_for_mstar = g
-    cand = GlobalizationCandidate(g_for_mstar.algebra, g_for_mstar.theta,
-                                  g_for_mstar.left_ops, g_for_mstar.right_ops,
-                                  b.alg, name="standard")
-    mstar_dim = maximal_degenerate_subbimodule(cand).dim
+    mstar_dim = maximal_degenerate_subbimodule(g_for_mstar).dim
     doc = g.to_json()
     doc["degenerate_dim"] = mstar_dim
     if psi_flags is not None:
@@ -263,12 +255,13 @@ def cmd_globalize(args, fmt):
     if fmt == "json":
         print(json.dumps({"output": path, "dim_input": b.alg.dim, "dim_b": g.dim,
                           "ambient_dim": g.ambient.algebra.dim,
-                          "certificate": cert_doc, "degenerate_dim": mstar_dim,
+                          "certificate": g.certificate.to_json(),
+                          "degenerate_dim": mstar_dim,
                           "psi": psi_flags}, ensure_ascii=False))
     else:
         print("input algebra dim %d -> globalized carrier dim %d (ambient %d)"
               % (b.alg.dim, g.dim, g.ambient.algebra.dim))
-        for line in cert_lines:
+        for line in g.certificate.lines():
             print(line)
         print("maximal degenerate submodule dim %d" % mstar_dim)
         if psi_flags is not None:

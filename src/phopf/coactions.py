@@ -383,24 +383,29 @@ def sweedler_k_bicomodule(field, t, u):
 # ---------------------------------------------------------------------------
 # the finite-dimensional duality bridges
 
-def coaction_to_dual_action(p):
-    """Reread a partial coaction of H as a partial action of the dual Hopf
-    algebra: a right coaction gives the left action f▷a = Σ a_j·f(h_k), a
-    left coaction gives the right action a◁f = Σ f(h_j)·a_k.  A pure
-    coordinate transpose; partiality, globality and symmetry carry over."""
+def _dual_action(p):
+    """The partial action of the dual Hopf algebra that reads the coaction p,
+    by a pure coordinate transpose and without certification."""
     hs = dual_hopf(p.hopf)
     ent = {}
     if p.side == "right":
         for (i, j, k), c in p.map.entries.items():
             ent[(k, i, j)] = c
-        act = PartialActionData(hs, p.alg, "left", ent,
-                                name="dual action of %s" % p.name)
-    else:
-        for (i, j, k), c in p.map.entries.items():
-            ent[(j, i, k)] = c
-        act = PartialActionData(hs, p.alg, "right", ent,
-                                name="dual action of %s" % p.name)
-    return _certify_action(act)
+        return PartialActionData(hs, p.alg, "left", ent,
+                                 name="dual action of %s" % p.name)
+    for (i, j, k), c in p.map.entries.items():
+        ent[(j, i, k)] = c
+    return PartialActionData(hs, p.alg, "right", ent,
+                             name="dual action of %s" % p.name)
+
+
+def coaction_to_dual_action(p):
+    """Reread a partial coaction of H as a partial action of the dual Hopf
+    algebra: a right coaction gives the left action f▷a = Σ a_j·f(h_k), a
+    left coaction gives the right action a◁f = Σ f(h_j)·a_k.  A pure
+    coordinate transpose; partiality, globality and symmetry carry over.
+    The result is certified by its full action suite."""
+    return _certify_action(_dual_action(p))
 
 
 def dual_action_to_coaction(p):
@@ -564,8 +569,14 @@ def check_vesgo_equivalence(bicom, a_basis, unit_a):
     dual basis functionals, and (ii) the tensor identity
     (λ(a)⊗1)(1⊗ρ(b)) = (λ(a)⊗1)(1⊗1_A⊗1)(1⊗ρ(b)) inside H⊗A⊗H.  Both are
     evaluated independently and the pair of truth values is returned; their
-    agreement is a theorem, asserted on every call."""
+    agreement is a theorem, asserted on every call.  The bicomodule is
+    certified once on entry (ValueError at its first failed law); the dual
+    actions are its coordinate transposes and are not certified again."""
     B = bicom.alg
+    rep = check_bicomodule(bicom)
+    if not rep.passed:
+        law, idx, _, _ = rep.failures[0]
+        raise ValueError("input bicomodule fails %s at %s" % (law, idx))
     if not (check_global_unit(bicom.left) and check_global_unit(bicom.right)):
         raise ValueError("check_vesgo_equivalence needs a global bicomodule")
     span = a_basis if isinstance(a_basis, Subspace) \
@@ -573,8 +584,8 @@ def check_vesgo_equivalence(bicom, a_basis, unit_a):
     rows = [dict_of_vec(r) for r in span.rows]
     u_d = dict_of_vec(unit_a)
 
-    tri = coaction_to_dual_action(bicom.right)    # f ▷ b
-    trr = coaction_to_dual_action(bicom.left)     # a ◁ f
+    tri = _dual_action(bicom.right)    # f ▷ b
+    trr = _dual_action(bicom.left)     # a ◁ f
     cond_i = _corner_witness(tri, trr, rows, u_d, span) is None
     cond_ii = _exchange_witness(bicom, rows, u_d, span) is None
     if cond_i != cond_ii:

@@ -121,7 +121,9 @@ def load_group_action(node, base_dir="."):
     doc, base = _resolve(node, base_dir)
 
     def parts():
-        table = [[int(x) for x in row] for row in doc["group"]]
+        table = doc["group"]
+        if any(type(x) is not int for row in table for x in row):
+            raise ValueError("group table entries must be integers")
         alg = load_algebra(doc["algebra"], base)
         f = alg.field
         m = alg.dim
@@ -129,8 +131,8 @@ def load_group_action(node, base_dir="."):
         alphas = []
         for rows in doc["alphas"]:
             mat = [[f.zero] * m for _ in range(m)]
-            for i, j, c in rows:
-                mat[int(i)][int(j)] = f.parse(c)
+            for (i, j), c in json_rows(rows, (m, m), f, "alphas"):
+                mat[i][j] = c
             alphas.append(mat)
         return table, alg, idem, alphas, doc.get("labels")
 

@@ -172,10 +172,16 @@ def test_globalize_bimodule_summary_and_document(tmp_path, capsys):
     assert code == 0
     assert doc["dim_input"] == 1 and doc["dim_b"] == 4
     assert doc["ambient_dim"] == 16 and doc["degenerate_dim"] == 0
-    assert doc["certificate"]["ok"] is True
+    cert = doc["certificate"]
+    assert cert["passed"] is True and cert["failures"] == []
+    assert cert["laws"] == ["condition1", "condition2", "lemaco1", "lemaco2",
+                            "lemaco3", "lemaco4"]
+    # the Report shape that `phopf check` prints
+    assert sorted(cert) == ["failures", "laws", "passed", "subject"]
     written = read_document(outdir / "globalization.json")
     for key in ("ambient_dim", "phi", "b_basis", "mul", "certificate"):
         assert key in written
+    assert written["certificate"] == cert
     assert written["degenerate_dim"] == 0
 
 
@@ -187,6 +193,10 @@ def test_globalize_bicomodule_reports_the_bridge(tmp_path, capsys):
     code, doc = run_json(capsys, ["globalize", "bicomodule", path,
                                   "-o", str(outdir), "--format", "json"])
     assert code == 0 and doc["dim_b"] == 4
+    cert = doc["certificate"]
+    assert cert["passed"] is True and cert["laws"] == ["exchange"]
+    assert cert["failures"] == []
+    assert read_document(outdir / "globalization.json")["certificate"] == cert
     psi = doc["psi"]
     assert psi["monomorphism"] and psi["intertwines_dual_actions"]
     assert psi["restricts_to_isomorphism"]
@@ -199,7 +209,9 @@ def test_globalize_text_summary(tmp_path, capsys):
     path = next(p for p in files if p.endswith("bimodule.json"))
     code = main(["globalize", "bimodule", path, "-o", str(tmp_path / "out")])
     out = capsys.readouterr().out
-    assert code == 0 and "ok" in out and "globalization.json" in out
+    assert code == 0 and "globalization.json" in out
+    assert "PASS  condition1" in out and "PASS  lemaco4" in out
+    assert "FAIL" not in out
 
 
 # ---------------------------------------------------------------------------

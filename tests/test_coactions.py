@@ -200,3 +200,17 @@ def test_vesgo_equivalence_forms_agree_on_both_subalgebras():
     assert check_vesgo_equivalence(bic, [u0, u2], u0) == (True, True)
     assert check_vesgo_equivalence(bic, subspace_span([e], 4, QQ), e) \
         == (False, False)
+
+
+def test_vesgo_equivalence_certifies_its_input_once():
+    # two extra terms in ρ(u1) break coassociativity but keep the counit
+    # law (ε(u_g) = 1, so u1 ↦ u1⊗u1 + u1⊗u2 − u1⊗u3 still contracts to u1)
+    bic, u0, _, _ = _z4_setup()
+    ent = dict(bic.right.map.entries)
+    ent[(1, 1, 2)] = QQ.one
+    ent[(1, 1, 3)] = -QQ.one
+    bad = PartialBicomoduleData(bic.left, PartialCoactionData(
+        bic.hopf, bic.alg, "right", ent))
+    with pytest.raises(ValueError, match="input bicomodule fails right/"):
+        check_vesgo_equivalence(bad, [u0], u0)
+

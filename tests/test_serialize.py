@@ -187,6 +187,26 @@ def test_coaction_map_rows_are_bounded_by_their_own_shape(side, row):
         load_bicomodule(doc)
 
 
+@pytest.mark.parametrize("row", [[-1, 0, "5"], [-2, 0.0, "0"], [2, 0, "1"],
+                                 [0, True, "1"], [0, "1"], [0, 0, 0, "1"]],
+                         ids=repr)
+def test_bad_alpha_rows_raise_document_error(row):
+    # each alpha is a (dim A)² matrix: a negative index used to wrap around
+    # to the last row and a float index used to be truncated by int()
+    doc = z2_partial_group_example(QQ).to_json()
+    doc["alphas"][1].append(row)
+    with pytest.raises(DocumentError, match="alphas"):
+        load_group_action(doc)
+
+
+@pytest.mark.parametrize("entry", [1.0, "1", True], ids=repr)
+def test_group_table_entries_must_be_json_ints(entry):
+    doc = z2_partial_group_example(QQ).to_json()
+    doc["group"][0][1] = entry
+    with pytest.raises(DocumentError, match="group table"):
+        load_group_action(doc)
+
+
 def test_field_mismatch_between_parts_raises_document_error():
     h = sweedler_h4(QQ).to_json()
     a = {"field": {"kind": "PrimeField", "p": 5}, "basis": ["1"],
