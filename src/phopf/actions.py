@@ -15,7 +15,8 @@ from fractions import Fraction
 from .algebras import (AlgebraData, HopfData, Report, algebra_check, dict_acc,
                        dict_of_vec, dual_hopf, group_algebra, mul_dicts,
                        vec_of_dict)
-from .linalg import Subspace, Tensor3, restrict_product, transport, unit_vec
+from .linalg import (Subspace, Tensor3, apply_cols, restrict_product, transport,
+                     unit_vec)
 from ._groups import check_group_table, group_identity, group_inverses
 
 
@@ -119,104 +120,104 @@ class PartialBimoduleData:
 # axiom suites
 
 def _action_suite(p, symmetric, left):
+    """Every law of a partial module algebra, evaluated from tables built
+    once per call: col[i][j] = h_i acting on a_j (on_a is its transpose),
+    h_i acting on 1_A, and (h·g) acting on each a_j, built the first time
+    the pair (h, g) is read.  A zero factor is skipped before any product
+    in A is formed.
+
+    The right suite is the left one read through A^op, H^op and Δ^cop: the
+    mirror is a choice of product order, not a second copy of the loops."""
     rep = Report(p.name)
     H, A = p.hopf, p.alg
     n, m = H.dim, A.dim
     f = H.field
-    pv_a = A.mul.pair_view()
-    pv_h = H.mul.pair_view()
-    iv = H.comul.in1_view()
-    pv_act = p.map.pair_view()
-    empty = {}
     one = f.one
-    u_a = A.unit_dict()
+    empty = {}
+    pv_act = p.map.pair_view()
+    col = [[pv_act.get((i, j), empty) for j in range(m)] for i in range(n)]
+    on_a = [[col[i][j] for i in range(n)] for j in range(m)]
+    on_unit = [apply_cols(col[i], A.unit_dict()) for i in range(n)]
+    pv_a = A.mul.pair_view()
+    pv_a_op = {(j, i): row for (i, j), row in pv_a.items()}
+    pv_h = H.mul.pair_view()
+    hop = pv_h if left else {(j, i): row for (i, j), row in pv_h.items()}
+    iv = H.comul.in1_view()
+    legs = [[(h1, h2, w) for (h1, h2), w in iv.get(i, empty).items()] for i in range(n)]
+    units = [{j: one} for j in range(m)]
 
-    def act(h, a):
-        return mul_dicts(pv_act, h, a)
+    def fail(law, idx, lhs, rhs):
+        rep.fail(law, idx, vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
 
     rep.law("unit-action")
     u_h = H.unit_dict()
     for j in range(m):
-        got = act(u_h, {j: one})
-        if got != {j: one}:
+        got = mul_dicts(pv_act, u_h, units[j])
+        if got != units[j]:
             rep.fail("unit-action", (j,), vec_of_dict(got, m, f), A.basis_vec(j))
 
     # multiplicativity: h⇀(ab) = (h₁⇀a)(h₂⇀b)   [right: (ab)↼h = (a↼h₁)(b↼h₂)]
     rep.law("action-multiplicativity")
     for i in range(n):
-        di = iv.get(i, empty)
         for ja in range(m):
             for jb in range(m):
-                lhs = act({i: one}, pv_a.get((ja, jb), empty))
+                lhs = apply_cols(col[i], pv_a.get((ja, jb), empty))
                 rhs = {}
-                for (h1, h2), w in di.items():
-                    t1 = act({h1: one}, {ja: one})
-                    t2 = act({h2: one}, {jb: one})
-                    for k, c in mul_dicts(pv_a, t1, t2).items():
-                        dict_acc(rhs, k, w * c)
+                for h1, h2, w in legs[i]:
+                    if col[h1][ja] and col[h2][jb]:
+                        for k, c in mul_dicts(pv_a, col[h1][ja], col[h2][jb]).items():
+                            dict_acc(rhs, k, w * c)
                 if lhs != rhs:
-                    rep.fail("action-multiplicativity", (i, ja, jb),
-                             vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+                    fail("action-multiplicativity", (i, ja, jb), lhs, rhs)
+
+    hg_cols = {}
+
+    def hg(key):
+        """(q·g) acting on every a_j, for the pair key = (q, g) of hop."""
+        got = hg_cols.get(key)
+        if got is None:
+            got = hg_cols[key] = [apply_cols(on_a[j], hop[key]) for j in range(m)]
+        return got
+
+    def composition(law, flip, unital):
+        """h⇀[a(g⇀b)] = (h₁⇀a)(h₂g⇀b), read through A^op and Δ^cop when
+        flip; unital puts h⇀(g⇀b) = (h₁⇀1_A)(h₂g⇀b) in its place."""
+        pva = pv_a_op if flip else pv_a
+        ok = True
+        for i in range(n):
+            terms = [(h2, w, h1) if flip else (h1, w, h2) for h1, h2, w in legs[i]]
+            for g in range(n):
+                tg = [(q, w, hg((r, g))) for q, w, r in terms if hop.get((r, g))]
+                for jb in range(m):
+                    inner = col[g][jb]
+                    for ja in ([None] if unital else range(m)):
+                        if unital:
+                            lhs = apply_cols(col[i], inner)
+                        else:
+                            lhs = apply_cols(col[i], mul_dicts(pva, units[ja], inner)) \
+                                if inner else {}
+                        rhs = {}
+                        for q, w, gcols in tg:
+                            t1 = on_unit[q] if unital else col[q][ja]
+                            if t1 and gcols[jb]:
+                                for k, c in mul_dicts(pva, t1, gcols[jb]).items():
+                                    dict_acc(rhs, k, w * c)
+                        if lhs != rhs:
+                            ok = False
+                            fail(law, (i, g, jb) if unital else (i, g, ja, jb), lhs, rhs)
+        return ok
 
     # composition against the unit:
     #   left:  h⇀(g⇀b)   = (h₁⇀1_A)(h₂g⇀b)
     #   right: (b↼g)↼h   = (b↼gh₁)(1_A↼h₂)
     rep.law("action-composition")
-    comp_ok = True
-    for i in range(n):
-        di = iv.get(i, empty)
-        for g in range(n):
-            for jb in range(m):
-                inner = act({g: one}, {jb: one})
-                lhs = act({i: one}, inner)
-                rhs = {}
-                for (h1, h2), w in di.items():
-                    if left:
-                        t1 = act({h1: one}, u_a)
-                        t2 = act(mul_dicts(pv_h, {h2: one}, {g: one}), {jb: one})
-                        prod = mul_dicts(pv_a, t1, t2)
-                    else:
-                        t1 = act(mul_dicts(pv_h, {g: one}, {h1: one}), {jb: one})
-                        t2 = act({h2: one}, u_a)
-                        prod = mul_dicts(pv_a, t1, t2)
-                    for k, c in prod.items():
-                        dict_acc(rhs, k, w * c)
-                if lhs != rhs:
-                    comp_ok = False
-                    rep.fail("action-composition", (i, g, jb),
-                             vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+    comp_ok = composition("action-composition", not left, True)
 
     # the same composition law with an extra algebra factor in place of 1_A:
     #   left:  h⇀[a(g⇀b)] = (h₁⇀a)(h₂g⇀b)
     #   right: [(b↼g)a]↼h = (b↼gh₁)(a↼h₂)
     rep.law("action-composition-nonunital")
-    nonunital_ok = True
-    for i in range(n):
-        di = iv.get(i, empty)
-        for g in range(n):
-            for jb in range(m):
-                inner = act({g: one}, {jb: one})
-                for ja in range(m):
-                    if left:
-                        lhs = act({i: one}, mul_dicts(pv_a, {ja: one}, inner))
-                    else:
-                        lhs = act({i: one}, mul_dicts(pv_a, inner, {ja: one}))
-                    rhs = {}
-                    for (h1, h2), w in di.items():
-                        if left:
-                            t1 = act({h1: one}, {ja: one})
-                            t2 = act(mul_dicts(pv_h, {h2: one}, {g: one}), {jb: one})
-                            prod = mul_dicts(pv_a, t1, t2)
-                        else:
-                            t1 = act(mul_dicts(pv_h, {g: one}, {h1: one}), {jb: one})
-                            t2 = act({h2: one}, {ja: one})
-                            prod = mul_dicts(pv_a, t1, t2)
-                        for k, c in prod.items():
-                            dict_acc(rhs, k, w * c)
-                    if lhs != rhs:
-                        nonunital_ok = False
-                        rep.fail("action-composition-nonunital", (i, g, ja, jb),
-                                 vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+    nonunital_ok = composition("action-composition-nonunital", not left, False)
 
     # for unital algebras the two composition forms must agree as predicates
     rep.law("composition-forms-equivalence")
@@ -230,31 +231,7 @@ def _action_suite(p, symmetric, left):
         # left:  h⇀[(g⇀b)a] = (h₁g⇀b)(h₂⇀a)
         # right: [a(b↼g)]↼h = (a↼h₁)(b↼gh₂)
         rep.law("action-symmetry")
-        for i in range(n):
-            di = iv.get(i, empty)
-            for g in range(n):
-                for jb in range(m):
-                    inner = act({g: one}, {jb: one})
-                    for ja in range(m):
-                        if left:
-                            lhs = act({i: one}, mul_dicts(pv_a, inner, {ja: one}))
-                        else:
-                            lhs = act({i: one}, mul_dicts(pv_a, {ja: one}, inner))
-                        rhs = {}
-                        for (h1, h2), w in di.items():
-                            if left:
-                                t1 = act(mul_dicts(pv_h, {h1: one}, {g: one}), {jb: one})
-                                t2 = act({h2: one}, {ja: one})
-                                prod = mul_dicts(pv_a, t1, t2)
-                            else:
-                                t1 = act({h1: one}, {ja: one})
-                                t2 = act(mul_dicts(pv_h, {g: one}, {h2: one}), {jb: one})
-                                prod = mul_dicts(pv_a, t1, t2)
-                            for k, c in prod.items():
-                                dict_acc(rhs, k, w * c)
-                        if lhs != rhs:
-                            rep.fail("action-symmetry", (i, g, ja, jb),
-                                     vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+        composition("action-symmetry", left, False)
     return rep
 
 

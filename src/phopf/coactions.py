@@ -383,10 +383,10 @@ def sweedler_k_bicomodule(field, t, u):
 # ---------------------------------------------------------------------------
 # the finite-dimensional duality bridges
 
-def _dual_action(p):
-    """The partial action of the dual Hopf algebra that reads the coaction p,
-    by a pure coordinate transpose and without certification."""
-    hs = dual_hopf(p.hopf)
+def _dual_action(p, hs):
+    """The partial action of hs, the certified dual of p's Hopf algebra,
+    that reads the coaction p, by a pure coordinate transpose and without
+    certification."""
     ent = {}
     if p.side == "right":
         for (i, j, k), c in p.map.entries.items():
@@ -405,7 +405,7 @@ def coaction_to_dual_action(p):
     left coaction gives the right action a◁f = Σ f(h_j)·a_k.  A pure
     coordinate transpose; partiality, globality and symmetry carry over.
     The result is certified by its full action suite."""
-    return _certify_action(_dual_action(p))
+    return _certify_action(_dual_action(p, dual_hopf(p.hopf)))
 
 
 def dual_action_to_coaction(p):
@@ -430,10 +430,12 @@ def dual_action_to_coaction(p):
 def bicomodule_to_bimodule(b):
     """Partial bicomodule of H ⇒ partial bimodule of the dual Hopf algebra:
     the left action comes from ρ, the right action from λ; compatibility
-    carries over.  Each dual action is certified by its full suite as it is
-    built, so only the compatibility law is checked on the pair."""
-    left = coaction_to_dual_action(b.right)
-    right = coaction_to_dual_action(b.left)
+    carries over.  The dual Hopf algebra is certified once for both sides,
+    and each dual action by its full suite as it is built, so only the
+    compatibility law is checked on the pair."""
+    hs = dual_hopf(b.hopf)
+    left = _certify_action(_dual_action(b.right, hs))
+    right = _certify_action(_dual_action(b.left, hs))
     out = PartialBimoduleData(left, right)
     rep = _compatibility(out, Report())
     if not rep.passed:
@@ -584,8 +586,9 @@ def check_vesgo_equivalence(bicom, a_basis, unit_a):
     rows = [dict_of_vec(r) for r in span.rows]
     u_d = dict_of_vec(unit_a)
 
-    tri = _dual_action(bicom.right)    # f ▷ b
-    trr = _dual_action(bicom.left)     # a ◁ f
+    hs = dual_hopf(bicom.hopf)
+    tri = _dual_action(bicom.right, hs)    # f ▷ b
+    trr = _dual_action(bicom.left, hs)     # a ◁ f
     cond_i = _corner_witness(tri, trr, rows, u_d, span) is None
     cond_ii = _exchange_witness(bicom, rows, u_d, span) is None
     if cond_i != cond_ii:

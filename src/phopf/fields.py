@@ -10,14 +10,36 @@ code upstream is field-agnostic.
 from fractions import Fraction
 
 
+# Miller–Rabin to the first 13 prime bases decides primality exactly below
+# MR_LIMIT (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017); larger moduli are refused rather than guessed at.
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic primality test for 0 <= p < MR_LIMIT."""
+    if p >= MR_LIMIT:
+        raise ValueError("modulus %d is too large (the primality test is exact "
+                         "only below %d)" % (p, MR_LIMIT))
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -109,6 +131,8 @@ class Field:
     """The ground field: rationals (p is None) or GF(p)."""
 
     def __init__(self, p=None):
+        if p is not None and type(p) is not int:
+            raise ValueError("the characteristic must be an integer, got %r" % (p,))
         if p is not None and not _is_prime(p):
             raise ValueError("%r is not prime" % (p,))
         self.p = p

@@ -424,14 +424,25 @@ def verify_globalization(candidate, b):
             for m in range(da):
                 left_fac[(h2, hp, m)] = b.left.apply(ht, {m: one})
 
+    # (a↼k·S(w₁))(S(h₂)h'⇀b), formed once per (k, w₁, a, h₂, h', b)
+    fac_prods = {}
+
     def lemaco1():
         for h, m, k, hp, mb, kp in product(range(n), range(da), range(n),
                                            range(n), range(da), range(n)):
             rhs = {}
             for (h1, h2), c1 in iv.get(h, {}).items():
+                lf = left_fac[(h2, hp, mb)]
+                if not lf:
+                    continue
                 for (w1, w2), c2 in iv.get(kp, {}).items():
-                    prod = mul_dicts(pvA, right_fac[(k, w1, m)],
-                                     left_fac[(h2, hp, mb)])
+                    rf = right_fac[(k, w1, m)]
+                    if not rf:
+                        continue
+                    key = (k, w1, m, h2, hp, mb)
+                    prod = fac_prods.get(key)
+                    if prod is None:
+                        prod = fac_prods[key] = mul_dicts(pvA, rf, lf)
                     if prod:
                         cc = c1 * c2
                         for t, d in tr_of(h1, prod, w2).items():

@@ -1,12 +1,16 @@
 """Partial module algebra layer: action families, checkers, group actions."""
 
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from phopf import fields
 from phopf.fields import GF, QQ
 from phopf._groups import named_group
-from phopf.algebras import group_algebra, scalar_algebra, sweedler_h4
+from phopf.algebras import (Report, dict_acc, group_algebra, mul_dicts,
+                            scalar_algebra, sweedler_h4, vec_of_dict)
 from phopf.actions import (GroupPartialActionData, PartialActionData,
                            check_bimodule, check_group_partial_action,
                            check_lpma, check_rpma, dual_regular_action,
@@ -15,7 +19,7 @@ from phopf.actions import (GroupPartialActionData, PartialActionData,
                            sweedler_k_bimodule, trivial_action,
                            trivialize_right)
 from phopf.cli import z2_partial_group_example
-from phopf.linalg import subspace_span
+from phopf.linalg import Tensor3, subspace_span
 from tests.conftest import rand_fraction
 
 
@@ -224,3 +228,233 @@ def test_group_table_is_validated():
     with pytest.raises(ValueError):
         GroupPartialActionData([[0, 1], [1, 1]], scalar_algebra(QQ),
                                [[QQ.one]] * 2, [[[QQ.one]]] * 2)
+
+
+# ---------------------------------------------------------------------------
+# the table-driven suite against the suite it replaced
+
+
+def reference_suite(p, symmetric, left):
+    """The action suite as it was before the operator tables: every law
+    recomputes each action and H-product inside its loops.  Kept here only
+    as the differential reference for actions._action_suite."""
+    rep = Report(p.name)
+    H, A = p.hopf, p.alg
+    n, m = H.dim, A.dim
+    f = H.field
+    pv_a = A.mul.pair_view()
+    pv_h = H.mul.pair_view()
+    iv = H.comul.in1_view()
+    pv_act = p.map.pair_view()
+    empty = {}
+    one = f.one
+    u_a = A.unit_dict()
+
+    def act(h, a):
+        return mul_dicts(pv_act, h, a)
+
+    rep.law("unit-action")
+    u_h = H.unit_dict()
+    for j in range(m):
+        got = act(u_h, {j: one})
+        if got != {j: one}:
+            rep.fail("unit-action", (j,), vec_of_dict(got, m, f), A.basis_vec(j))
+
+    rep.law("action-multiplicativity")
+    for i in range(n):
+        di = iv.get(i, empty)
+        for ja in range(m):
+            for jb in range(m):
+                lhs = act({i: one}, pv_a.get((ja, jb), empty))
+                rhs = {}
+                for (h1, h2), w in di.items():
+                    t1 = act({h1: one}, {ja: one})
+                    t2 = act({h2: one}, {jb: one})
+                    for k, c in mul_dicts(pv_a, t1, t2).items():
+                        dict_acc(rhs, k, w * c)
+                if lhs != rhs:
+                    rep.fail("action-multiplicativity", (i, ja, jb),
+                             vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+
+    rep.law("action-composition")
+    comp_ok = True
+    for i in range(n):
+        di = iv.get(i, empty)
+        for g in range(n):
+            for jb in range(m):
+                inner = act({g: one}, {jb: one})
+                lhs = act({i: one}, inner)
+                rhs = {}
+                for (h1, h2), w in di.items():
+                    if left:
+                        t1 = act({h1: one}, u_a)
+                        t2 = act(mul_dicts(pv_h, {h2: one}, {g: one}), {jb: one})
+                    else:
+                        t1 = act(mul_dicts(pv_h, {g: one}, {h1: one}), {jb: one})
+                        t2 = act({h2: one}, u_a)
+                    for k, c in mul_dicts(pv_a, t1, t2).items():
+                        dict_acc(rhs, k, w * c)
+                if lhs != rhs:
+                    comp_ok = False
+                    rep.fail("action-composition", (i, g, jb),
+                             vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+
+    rep.law("action-composition-nonunital")
+    nonunital_ok = True
+    for i in range(n):
+        di = iv.get(i, empty)
+        for g in range(n):
+            for jb in range(m):
+                inner = act({g: one}, {jb: one})
+                for ja in range(m):
+                    if left:
+                        lhs = act({i: one}, mul_dicts(pv_a, {ja: one}, inner))
+                    else:
+                        lhs = act({i: one}, mul_dicts(pv_a, inner, {ja: one}))
+                    rhs = {}
+                    for (h1, h2), w in di.items():
+                        if left:
+                            t1 = act({h1: one}, {ja: one})
+                            t2 = act(mul_dicts(pv_h, {h2: one}, {g: one}), {jb: one})
+                        else:
+                            t1 = act(mul_dicts(pv_h, {g: one}, {h1: one}), {jb: one})
+                            t2 = act({h2: one}, {ja: one})
+                        for k, c in mul_dicts(pv_a, t1, t2).items():
+                            dict_acc(rhs, k, w * c)
+                    if lhs != rhs:
+                        nonunital_ok = False
+                        rep.fail("action-composition-nonunital", (i, g, ja, jb),
+                                 vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+
+    rep.law("composition-forms-equivalence")
+    unital_ok = comp_ok and not rep.failures_for("action-multiplicativity")
+    if unital_ok != nonunital_ok:
+        rep.fail("composition-forms-equivalence", (),
+                 "unital form %s" % ("holds" if unital_ok else "fails"),
+                 "general form %s" % ("holds" if nonunital_ok else "fails"))
+
+    if symmetric:
+        rep.law("action-symmetry")
+        for i in range(n):
+            di = iv.get(i, empty)
+            for g in range(n):
+                for jb in range(m):
+                    inner = act({g: one}, {jb: one})
+                    for ja in range(m):
+                        if left:
+                            lhs = act({i: one}, mul_dicts(pv_a, inner, {ja: one}))
+                        else:
+                            lhs = act({i: one}, mul_dicts(pv_a, {ja: one}, inner))
+                        rhs = {}
+                        for (h1, h2), w in di.items():
+                            if left:
+                                t1 = act(mul_dicts(pv_h, {h1: one}, {g: one}), {jb: one})
+                                t2 = act({h2: one}, {ja: one})
+                            else:
+                                t1 = act({h1: one}, {ja: one})
+                                t2 = act(mul_dicts(pv_h, {g: one}, {h2: one}), {jb: one})
+                            for k, c in mul_dicts(pv_a, t1, t2).items():
+                                dict_acc(rhs, k, w * c)
+                        if lhs != rhs:
+                            rep.fail("action-symmetry", (i, g, ja, jb),
+                                     vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+    return rep
+
+
+@functools.lru_cache(maxsize=None)
+def _family(name, field):
+    """A certified built-in action, by name."""
+    if name.startswith("dual-regular "):
+        return dual_regular_action(group_algebra(named_group(name.split()[1])[1], field))
+    group, normal = {"en Z4": ("Z4", {0, 2}), "en Z6": ("Z6", {0, 2, 4}),
+                     "en S3": ("S3", {0, 4, 5})}[name]
+    return en_kg_example(named_group(group)[1], normal, field)[1]
+
+
+FAMILIES = ["sweedler", "en Z4", "en Z6", "en S3"] + [
+    "dual-regular %s" % g for g in ("Z2", "Z3", "Z4", "Z5", "Z6", "S3")]
+
+
+@st.composite
+def actions(draw):
+    """A built-in action over ℚ or GF(5), possibly read as an action of the
+    other side, possibly with one entry of its table changed."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    name = draw(st.sampled_from(FAMILIES))
+    if name == "sweedler":
+        b = sweedler_k_bimodule(field, draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        p = draw(st.sampled_from([b.left, b.right]))
+    else:
+        p = _family(name, field)
+    side = draw(st.sampled_from(["left", "right"]))
+    entries = dict(p.map.entries)
+    if draw(st.booleans()):
+        n, m = p.hopf.dim, p.alg.dim
+        key = (draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)),
+               draw(st.integers(0, m - 1)))
+        entries[key] = field.of(Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3))))
+    # the table is set after construction so that a mutation may also break
+    # the unit law, which the constructor would refuse
+    out = PartialActionData(p.hopf, p.alg, side, dict(p.map.entries), name=p.name)
+    out.map = Tensor3(out.map.dims, entries)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(actions(), st.booleans())
+def test_table_suite_matches_the_reference_suite(p, symmetric):
+    suite = check_lpma if p.side == "left" else check_rpma
+    got = suite(p, symmetric=symmetric)
+    want = reference_suite(p, symmetric, p.side == "left")
+    assert got.laws == want.laws
+    assert got.failures == want.failures
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_table_suite_matches_the_reference_where_laws_fail(field, side):
+    # one changed entry of the kS3 dual regular table breaks every law but
+    # the equivalence of the two composition forms, on either side
+    glob = dual_regular_action(group_algebra(named_group("S3")[1], field))
+    entries = dict(glob.map.entries)
+    entries[(2, 3, 3)] = field.of(2)
+    p = PartialActionData(glob.hopf, glob.alg, side, dict(glob.map.entries))
+    p.map = Tensor3(p.map.dims, entries)
+    got = (check_lpma if side == "left" else check_rpma)(p, symmetric=True)
+    want = reference_suite(p, True, side == "left")
+    assert {law for law, _, _, _ in got.failures} == set(got.laws) - {
+        "composition-forms-equivalence"}
+    assert got.failures == want.failures and got.laws == want.laws
+    b = sweedler_k_bimodule(field, 2, 3)
+    flipped = PartialActionData(b.hopf, b.alg, side, dict(b.right.map.entries
+                                                          if side == "left" else
+                                                          b.left.map.entries))
+    got = (check_lpma if side == "left" else check_rpma)(flipped, symmetric=True)
+    assert not got.passed
+    assert got.failures == reference_suite(flipped, True, side == "left").failures
+
+
+def test_modp_work_of_the_action_suite_stays_a_tenth_of_the_reference():
+    # a deterministic guard for the table-driven suite: the reference suite
+    # spends 42,488 ModP operations on this input
+    p = dual_regular_action(group_algebra(named_group("Z8")[1], GF(7)))
+    ops = [0]
+    names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__truediv__", "__rtruediv__", "__neg__")
+    saved = {name: vars(fields.ModP)[name] for name in names}
+
+    def counted(fn):
+        def wrapper(*args):
+            ops[0] += 1
+            return fn(*args)
+        return wrapper
+
+    try:
+        for name, fn in saved.items():
+            setattr(fields.ModP, name, counted(fn))
+        rep = check_lpma(p, symmetric=True)
+    finally:
+        for name, fn in saved.items():
+            setattr(fields.ModP, name, fn)
+    assert rep.passed
+    assert ops[0] <= 4249

@@ -128,6 +128,24 @@ def test_check_rejects_out_of_range_and_non_integer_indices(tmp_path, capsys, ro
     assert "mul row" in _one_line_error(capsys)
 
 
+def _prime_field_algebra(tmp_path, p):
+    path = str(tmp_path / "algebra.json")
+    write_document({"field": {"kind": "PrimeField", "p": p}, "basis": ["1"],
+                    "mul": [[0, 0, 0, "1"]], "unit": ["1"]}, path)
+    return path
+
+
+def test_check_accepts_a_large_prime_field(tmp_path, capsys):
+    assert main(["check", "algebra", _prime_field_algebra(tmp_path, 2 ** 61 - 1)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", [7.0, 2 ** 89 - 1], ids=["float", "2^89-1"])
+def test_check_rejects_a_bad_characteristic(tmp_path, capsys, p):
+    assert main(["check", "algebra", _prime_field_algebra(tmp_path, p)]) == 2
+    _one_line_error(capsys)
+
+
 def test_globalize_rejects_an_out_of_range_comultiplication_row(tmp_path, capsys):
     files = emit(capsys, "regular-bicomodule", tmp_path)
     hopf = next(p for p in files if p.endswith("hopf.json"))

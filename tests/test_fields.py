@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phopf.fields import Field, GF, ModP, QQ
+from phopf.fields import MR_LIMIT, Field, GF, ModP, QQ, _is_prime
 
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -60,6 +62,33 @@ def test_gf_rejects_nonprime():
     for bad in (0, 1, 4, 6, 9, 12):
         with pytest.raises(ValueError):
             GF(bad)
+
+
+def test_primality_agrees_with_trial_division_below_ten_thousand():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+    assert [p for p in range(10 ** 4) if _is_prime(p)] == \
+        [p for p in range(10 ** 4) if trial(p)]
+
+
+def test_primality_rejects_carmichael_numbers():
+    for bad in (561, 41041):
+        assert not _is_prime(bad)
+        with pytest.raises(ValueError):
+            GF(bad)
+
+
+def test_large_prime_modulus_is_accepted_quickly():
+    start = time.perf_counter()
+    f = GF(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert f.of(2 ** 61) == f.one
+
+
+def test_field_rejects_non_integer_and_unprovable_moduli():
+    for bad in (7.0, True, "7", MR_LIMIT, 2 ** 89 - 1):
+        with pytest.raises(ValueError):
+            Field(bad)
 
 
 def test_of_coerces_fractions_mod_p():
