@@ -39,7 +39,7 @@ from .coactions import (bicomodule_to_bimodule, check_bicomodule, check_lpca,
 from .globalize import (maximal_degenerate_subbimodule, psi_map,
                         standard_globalize_bicomodule,
                         standard_globalize_bimodule)
-from .smash import check_smash_associativity, find_idempotent, smash_product
+from .smash import find_idempotent, smash_product
 from .serialize import (DocumentError, load_action, load_algebra, load_bicomodule,
                         load_bimodule, load_coaction, load_hopf, write_document)
 
@@ -278,8 +278,7 @@ def cmd_globalize(args, fmt):
 def cmd_smash(args, fmt):
     bim = load_bimodule(args.bimodule)
     bic = load_bicomodule(args.bicomodule)
-    s = smash_product(bim, bic)
-    rep = check_smash_associativity(s)
+    s = smash_product(bim, bic)  # raises unless its sweep proves A ♮ Ā associative
     A, U = s.left_factor.alg, s.right_factor.alg
     f = A.field
     pvA, pvU = A.mul.pair_view(), U.mul.pair_view()
@@ -306,7 +305,7 @@ def cmd_smash(args, fmt):
     else:
         unit_note = "neither idempotent nor nilpotent"
     doc = s.alg.to_json()
-    doc["certificate"] = {"associative": bool(rep.passed),
+    doc["certificate"] = {"associative": True,
                           "idempotents_found": found,
                           "unit_pair": unit_note}
     path = None
@@ -326,7 +325,7 @@ def cmd_smash(args, fmt):
             out["output"] = path
         print(json.dumps(out, ensure_ascii=False))
     else:
-        print("smash product dim %d, associative: %s" % (s.alg.dim, rep.passed))
+        print("smash product dim %d, associative: True" % s.alg.dim)
         print("1_A # 1_Abar is %s" % unit_note)
         if found:
             for entry in found:
@@ -336,7 +335,7 @@ def cmd_smash(args, fmt):
             print("no idempotent basis pairs found")
         if path:
             print("wrote %s" % path)
-    return 0 if rep.passed else 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

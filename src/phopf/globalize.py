@@ -22,8 +22,8 @@ constructions return richer objects that also qualify as candidates.
 
 from itertools import product
 
-from .algebras import (AlgebraData, Report, algebra_check, dict_acc,
-                       dict_of_vec, dual_hopf, hom_hh_a, mul_dicts, t3_mul,
+from .algebras import (AlgebraData, Report, _dual_structure, algebra_check,
+                       dict_acc, dict_of_vec, hom_hh_a, mul_dicts, t3_mul,
                        tensor_hah, vec_of_dict)
 from .actions import check_bimodule, same_algebra, same_hopf
 from .coactions import _restrict_coaction, check_bicomodule
@@ -796,9 +796,11 @@ def _require_global_bicomodule(algebra, hopf, rho, lam):
     the dual Hopf algebra, and λ, as its right one, make it a global
     bimodule algebra: the counit laws, coassociativity, compatibility and
     multiplicativity are the unit, composition, commutation and product
-    laws of _require_global_bimodule."""
+    laws of _require_global_bimodule.  Those laws are checked outright, so
+    they read the dual structure constants without certifying the dual
+    Hopf algebra (coactions.bicomodule_to_bimodule does that)."""
     n, d = hopf.dim, algebra.dim
-    _require_global_bimodule(algebra, dual_hopf(hopf),
+    _require_global_bimodule(algebra, _dual_structure(hopf),
                              _dual_cols(rho, "right", n, d),
                              _dual_cols(lam, "left", n, d))
 
@@ -924,13 +926,14 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     Hopf algebra.  Verifies that it is injective, an algebra map, that it
     intertwines both dual operator families, that it matches the two
     embeddings exactly, and that it restricts to an isomorphism between the
-    two generated carriers.  Returns (matrix, injective, intertwines,
-    restricted_iso)."""
+    two generated carriers.  The module side must be taken over exactly the
+    dual structure constants of `hopf`, an equality that needs no Hopf
+    certificate.  Returns (matrix, injective, intertwines, restricted_iso)."""
     H, A = hopf, coeff
     n, da = H.dim, A.dim
     f = H.field
     bg, std = bicomodule_glob, bimodule_glob
-    if not same_hopf(std.hopf, dual_hopf(H)):
+    if not same_hopf(std.hopf, _dual_structure(H)):
         raise ValueError("the module-side globalization must be taken over "
                          "the dual Hopf algebra")
     if not same_algebra(std.coeff, A) or not same_algebra(bg.coeff, A):

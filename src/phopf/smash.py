@@ -7,11 +7,12 @@ coactions λ, ρ of the same H), the smash product lives on A ⊗ Ā with
     (a ♮ u)(b ♮ v) = (a ↼ v⁺¹)(u⁻¹ ⇀ b) ♮ u⁻⁰ v⁺⁰,
 
 writing ρ(v) = v⁺⁰ ⊗ v⁺¹ for the right coaction and λ(u) = u⁻¹ ⊗ u⁻⁰ for
-the left one.  Associativity is a theorem for certified inputs, but every
-instance re-proves it here over all basis triples.  The module also decides
-when a pair of idempotents makes a ♮ u idempotent, checks the
-Ker(ε)-invariance equivalence behind one of those criteria, and cuts out
-the unital corner algebra e·S·e at any idempotent e."""
+the left one.  Associativity is a theorem for certified inputs, but
+smash_product re-proves it for every instance with algebra_check, which
+decides all basis triples while reading only the nonzero products.  The
+module also decides when a pair of idempotents makes a ♮ u idempotent,
+checks the Ker(ε)-invariance equivalence behind one of those criteria, and
+cuts out the unital corner algebra e·S·e at any idempotent e."""
 
 from .algebras import AlgebraData, algebra_check, dict_acc, dict_of_vec, mul_dicts, vec_of_dict
 from .actions import _dict_coords, check_bimodule, same_hopf
@@ -62,10 +63,11 @@ def _two_sided_unit(alg, e):
 
 def smash_product(bimodule, bicomodule, unchecked=False):
     """Build A ♮ Ā.  Both factors must certify (their full axiom suites) and
-    share one Hopf algebra; the constructed product is then re-proven
-    associative, and construction fails loudly if it is not.  `unchecked`
-    skips both gates so tests can watch a bad input fail the associativity
-    sweep."""
+    share one Hopf algebra; the constructed product is then proven
+    associative by one check_smash_associativity sweep, and construction
+    raises ValueError if it is not, so a returned product needs no second
+    sweep.  `unchecked` skips both gates so tests can watch a bad input fail
+    the associativity sweep."""
     if not same_hopf(bimodule.hopf, bicomodule.hopf):
         raise ValueError("mismatched Hopf references between the factors")
     A = bimodule.alg
@@ -139,10 +141,10 @@ def smash_product(bimodule, bicomodule, unchecked=False):
 
 
 def check_smash_associativity(s):
-    """Exhaustive basis-triple associativity sweep of the smash product
-    (plus the unit law whenever a unit was detected).  Certified factors
-    always pass; a failure carries the witness triple and indicates an
-    input that silently violated an axiom."""
+    """Associativity of the smash product on every basis triple, by
+    algebra_check (plus the unit law whenever a unit was detected).
+    Certified factors always pass; a failure carries the witness triple and
+    indicates an input that silently violated an axiom."""
     return algebra_check(s.alg)
 
 

@@ -1,14 +1,20 @@
 """Algebra and Hopf layer: structure constants, axiom suites, duality."""
 
+import random
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phopf.fields import GF, QQ
-from phopf.linalg import Tensor3, apply_cols, col_dicts, dict_acc
+from phopf.linalg import (Tensor3, apply_cols, col_dicts, dict_acc,
+                          mat_transpose, restrict_product, solve)
 from phopf._groups import GROUP_NAMES, named_group
 from phopf.algebras import (AlgebraData, HopfData, Report, algebra_check,
-                            coalgebra_check, dual_hopf, group_algebra,
-                            hom_hh_a, hopf_check, scalar_algebra, sweedler_h4,
-                            tensor_hah)
+                            coalgebra_check, dict_of_vec, dual_hopf,
+                            group_algebra, hom_hh_a, hopf_check, mul_dicts,
+                            scalar_algebra, sweedler_h4, tensor_hah,
+                            vec_of_dict)
 
 HOPF_LAWS = {"associativity", "unit-law", "coassociativity", "counit-law",
              "comultiplication-multiplicative", "counit-multiplicative",
@@ -343,3 +349,205 @@ def test_report_bookkeeping():
     outer = Report()
     outer.merge(r, prefix="inner/")
     assert "inner/beta" in outer.laws and not outer.passed
+
+
+# ---------------------------------------------------------------------------
+# the associativity sweep against the triple-by-triple reference
+
+
+def reference_algebra_check(a):
+    """The sweep algebra_check replaced: it forms both sides of every one of
+    the dim³ basis triples in turn.  Kept as the differential reference."""
+    rep = Report(a.name)
+    n = a.dim
+    f = a.field
+    pv = a.mul.pair_view()
+    empty = {}
+
+    rep.law("associativity")
+    for i in range(n):
+        for j in range(n):
+            pij = pv.get((i, j), empty)
+            for k in range(n):
+                lhs = {}
+                for m, c in pij.items():
+                    row = pv.get((m, k))
+                    if row:
+                        for t, d in row.items():
+                            dict_acc(lhs, t, c * d)
+                rhs = {}
+                for m, c in pv.get((j, k), empty).items():
+                    row = pv.get((i, m))
+                    if row:
+                        for t, d in row.items():
+                            dict_acc(rhs, t, c * d)
+                if lhs != rhs:
+                    rep.fail("associativity", (i, j, k),
+                             vec_of_dict(lhs, n, f), vec_of_dict(rhs, n, f))
+
+    if a.unit is not None:
+        rep.law("unit-law")
+        u = dict_of_vec(a.unit)
+        for i in range(n):
+            e = {i: f.one}
+            left = mul_dicts(pv, u, e)
+            right = mul_dicts(pv, e, u)
+            if left != e:
+                rep.fail("unit-law", (i,), vec_of_dict(left, n, f), a.basis_vec(i))
+            if right != e:
+                rep.fail("unit-law", (i,), vec_of_dict(right, n, f), a.basis_vec(i))
+    return rep
+
+
+def _sweeps_agree(a):
+    got, want = algebra_check(a), reference_algebra_check(a)
+    assert got.laws == want.laws
+    assert got.failures == want.failures
+    assert got.to_json() == want.to_json()
+    return got
+
+
+def _in_basis(a, rows):
+    """The algebra a rewritten in the basis whose vectors are `rows`."""
+    cols = mat_transpose(rows)
+    mul = restrict_product(lambda v: solve(cols, v, a.field), rows, a.mulvec)
+    unit = solve(cols, a.unit, a.field) if a.unit is not None else None
+    return AlgebraData(a.field, ["b%d" % i for i in range(a.dim)], mul, unit)
+
+
+@st.composite
+def structure_tensors(draw):
+    """An algebra of dimension 1 to 8 over ℚ or GF(5).  Either its entries
+    are drawn with a drawn density, from no entry to every triple, and its
+    unit is absent, a true unit or an arbitrary vector; or it is kZ2, kZ3,
+    kZ4 or H4 in a random unitriangular basis, associative with both sides of
+    every triple dense."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = [field.of(c) for c in (-2, -1, 1, 2)]
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(["Z2", "Z3", "Z4", "H4"]))
+        a = sweedler_h4(field) if name == "H4" else _kg(name, field)
+        rows = [[field.one if j == i else rng.choice(coeffs) if j > i else field.zero
+                 for j in range(a.dim)] for i in range(a.dim)]
+        return _in_basis(a, rows)
+    n = draw(st.sampled_from(range(1, 9)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    mul = {key: rng.choice(coeffs) for key in product(range(n), repeat=3)
+           if rng.random() < density}
+    unit = draw(st.sampled_from(["none", "identity", "arbitrary"]))
+    if unit == "identity":
+        for x, y in product(range(n), repeat=2):
+            for key in ((0, x, y), (x, 0, y)):
+                mul[key] = field.one if x == y else field.zero
+        return AlgebraData(field, [str(i) for i in range(n)], mul,
+                           [field.one] + [field.zero] * (n - 1))
+    vec = [rng.choice(coeffs + [field.zero]) for _ in range(n)] \
+        if unit == "arbitrary" else None
+    return AlgebraData(field, [str(i) for i in range(n)], mul, vec)
+
+
+@settings(max_examples=120, deadline=None)
+@given(structure_tensors())
+def test_sweep_matches_the_reference_on_generated_tensors(a):
+    _sweeps_agree(a)
+
+
+def _dual_smash_gf7(group):
+    """The smash product over GF(7) of the kG* bimodule on kG (dual regular
+    action from the left, trivial from the right) with the regular kG*
+    bicomodule."""
+    from phopf.actions import dual_regular_action, trivialize_right
+    from phopf.coactions import regular_bicomodule
+    from phopf.smash import smash_product
+    bim = trivialize_right(dual_regular_action(_kg(group, GF(7))))
+    return smash_product(bim, regular_bicomodule(bim.hopf)).alg
+
+
+def _mutants(a, count):
+    """Copies of a with one entry of its multiplication changed: at every
+    position when count is None, else at `count` seeded positions, half of
+    them stored entries."""
+    f = a.field
+    if count is None:
+        keys = list(product(range(a.dim), repeat=3))
+    else:
+        rng = random.Random(20261018)
+        keys = [rng.choice(sorted(a.mul.entries)) if t % 2 else
+                tuple(rng.randrange(a.dim) for _ in range(3)) for t in range(count)]
+    for t, key in enumerate(keys):
+        mul = Tensor3(a.mul.dims, dict(a.mul.entries))
+        mul.add(*key, f.of((-1, 1, 2)[t % 3]))
+        yield AlgebraData(f, a.basis, mul, a.unit, name=a.name)
+
+
+# name -> (builder, number of mutants; None mutates every position)
+MUTATION_CASES = {
+    "H4": (lambda: sweedler_h4(QQ), None),
+    "kZ4": (lambda: _kg("Z4"), None),
+    "kS3 smash over GF(7)": (lambda: _dual_smash_gf7("S3"), 8),
+    "Hom(kZ4xkZ4,kZ4)": (lambda: hom_hh_a(_kg("Z4"), _kg("Z4")).algebra, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(MUTATION_CASES))
+def test_sweep_matches_the_reference_on_single_entry_mutations(case):
+    build, count = MUTATION_CASES[case]
+    a = build()
+    assert _sweeps_agree(a).passed
+    failing = 0
+    for mutant in _mutants(a, count):
+        failing += not _sweeps_agree(mutant).passed
+    assert failing >= (len(a.mul.entries) if count is None else count // 2)
+
+
+class _CountingView(dict):
+    """A pair view that counts its reads into tally[0]: one per get or [],
+    and one per entry that items(), keys(), values() or iteration hands out,
+    on the view and on each of its rows."""
+
+    def __init__(self, view, tally, rows=True):
+        dict.__init__(self, ((key, _CountingView(row, tally, False) if rows else row)
+                             for key, row in view.items()))
+        self.tally = tally
+
+    def get(self, key, default=None):
+        self.tally[0] += 1
+        return dict.get(self, key, default)
+
+    def __getitem__(self, key):
+        self.tally[0] += 1
+        return dict.__getitem__(self, key)
+
+    def items(self):
+        self.tally[0] += len(self)
+        return dict.items(self)
+
+    def keys(self):
+        self.tally[0] += len(self)
+        return dict.keys(self)
+
+    def values(self):
+        self.tally[0] += len(self)
+        return dict.values(self)
+
+    def __iter__(self):
+        self.tally[0] += len(self)
+        return dict.__iter__(self)
+
+
+def test_sweep_reads_a_tenth_of_the_products_the_reference_reads(monkeypatch):
+    # a deterministic guard for the sparse sweep on the dim-64 kQ8* smash
+    # product over GF(7), which has 512 nonzero basis products of 4,096
+    a = _dual_smash_gf7("Q8")
+    assert a.dim == 64 and len(a.mul.pair_view()) == 512
+    original = Tensor3.pair_view
+    reads = {}
+    for check in (algebra_check, reference_algebra_check):
+        tally = [0]
+        view = _CountingView(original(a.mul), tally)
+        monkeypatch.setattr(Tensor3, "pair_view",
+                            lambda t: view if t is a.mul else original(t))
+        assert check(a).passed
+        reads[check.__name__] = tally[0]
+    assert reads["algebra_check"] * 10 <= reads["reference_algebra_check"], reads

@@ -295,6 +295,70 @@ def test_smash_rejects_mismatched_factors(tmp_path, capsys):
     assert code == 1
 
 
+def _ks3_pair_gf7(outdir):
+    """The kS3* bimodule on kS3 (dual regular action from the left, trivial
+    from the right) and the regular kS3* bicomodule, over GF(7)."""
+    from phopf import (GF, dual_regular_action, group_algebra, named_group,
+                       regular_bicomodule, trivialize_right)
+    labels, table = named_group("S3")
+    bim = trivialize_right(dual_regular_action(group_algebra(table, GF(7), labels)))
+    bic = regular_bicomodule(bim.hopf)
+    outdir.mkdir()
+    write_document(bim.hopf.to_json(), str(outdir / "hopf.json"))
+    for kind, s in (("bimodule", bim), ("bicomodule", bic)):
+        write_document(s.to_json(hopf_ref="hopf.json"), str(outdir / ("%s.json" % kind)))
+    return str(outdir / "bimodule.json"), str(outdir / "bicomodule.json")
+
+
+KS3_SMASH_TEXT = """smash product dim 36, associative: True
+1_A # 1_Abar is identity of the smash product
+idempotent e # e* via route (1)+(2)
+idempotent e # (12)* via route (1)+(2)
+idempotent e # (13)* via route (1)+(2)
+idempotent e # (23)* via route (1)+(2)
+idempotent e # (123)* via route (1)+(2)
+idempotent e # (132)* via route (1)+(2)
+"""
+
+# sha256 of the --format json output, as the command printed it when it
+# still ran a second associativity sweep after construction
+KS3_SMASH_JSON_SHA256 = "8557e0075dee74a1c821b7f2fc35bf1a2f7b5a0a651e81f12282e232947623dd"
+
+
+def test_smash_sweeps_its_product_once(tmp_path, capsys, monkeypatch):
+    import hashlib
+    from phopf import smash
+    bim, bic = _ks3_pair_gf7(tmp_path / "ks3")
+    swept = []
+    sweep = smash.algebra_check
+
+    def counted(a):
+        swept.append(a.dim)
+        return sweep(a)
+
+    monkeypatch.setattr(smash, "algebra_check", counted)
+    assert main(["smash", bim, bic]) == 0
+    assert capsys.readouterr().out == KS3_SMASH_TEXT
+    assert swept == [36]
+    assert main(["smash", bim, bic, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == KS3_SMASH_JSON_SHA256
+    assert json.loads(out)["certificate"]["associative"] is True
+    assert swept == [36, 36]
+
+
+def test_smash_exit_codes(tmp_path, capsys):
+    bim, bic = _ks3_pair_gf7(tmp_path / "ks3")
+    doc = read_document(bim)
+    row = doc["left"]["map"][0]
+    row[-1] = "2" if row[-1] != "2" else "3"
+    write_document(doc, bim)
+    assert main(["smash", bim, bic]) == 1
+    assert main(["smash", str(tmp_path / "missing.json"), bic]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # the module entry point
 
