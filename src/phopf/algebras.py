@@ -43,23 +43,54 @@ def mul_dicts(pv, x, y):
     return out
 
 
-def t2_mul(pv_left, pv_right, x, y):
-    """Componentwise product in a tensor square: (a⊗b)(c⊗d) = ac⊗bd.
-    x, y are dicts {(i, j): c}."""
+def _leg_index(d):
+    """A dict keyed by index tuples as nested dicts, one level per leg."""
+    root = {}
+    for key, c in d.items():
+        node = root
+        for j in key[:-1]:
+            node = node.setdefault(j, {})
+        node[key[-1]] = c
+    return root
+
+
+def tensor_mul(muls, x, y):
+    """Componentwise product in a tensor product of algebras, one mul tensor
+    per leg: (a⊗b⊗…)(a'⊗b'⊗…) = aa'⊗bb'⊗….  x, y are dicts keyed by index
+    tuples with one index per leg.
+
+    A keyed join: x and y are indexed leg by leg, and the join walks the
+    legs in order, so each term of x meets only the terms of y whose every
+    leg product is nonzero.  At each leg it walks the shorter of the partner
+    list of an index of x (see Tensor3.partner_view) and the indices of y
+    left at that leg."""
+    level = [((), _leg_index(x), _leg_index(y))]
+    for t in muls:
+        part = t.partner_view()
+        joined = []
+        for rows, xn, yn in level:
+            for i, xs in xn.items():
+                mates = part.get(i)
+                if not mates:
+                    continue
+                if len(mates) < len(yn):
+                    for j, row in mates.items():
+                        ys = yn.get(j)
+                        if ys is not None:
+                            joined.append((rows + (row,), xs, ys))
+                else:
+                    for j, ys in yn.items():
+                        row = mates.get(j)
+                        if row is not None:
+                            joined.append((rows + (row,), xs, ys))
+        level = joined
     out = {}
-    for (i1, j1), c1 in x.items():
-        for (i2, j2), c2 in y.items():
-            row_l = pv_left.get((i1, i2))
-            if not row_l:
-                continue
-            row_r = pv_right.get((j1, j2))
-            if not row_r:
-                continue
-            c = c1 * c2
-            for k1, t1 in row_l.items():
-                ct = c * t1
-                for k2, t2 in row_r.items():
-                    dict_acc(out, (k1, k2), ct * t2)
+    for rows, c1, c2 in level:
+        terms = [((), c1 * c2)]
+        for row in rows:
+            terms = [(k + (t,), c * a) for k, c in terms for t, a in row.items()]
+        for k, c in terms:
+            dict_acc(out, k, c)
     return out
 
 
@@ -69,31 +100,6 @@ def t2_of_dicts(x, y):
     for i, c in x.items():
         for j, d in y.items():
             out[(i, j)] = c * d
-    return out
-
-
-def t3_mul(pv0, pv1, pv2, x, y):
-    """Componentwise product in a triple tensor:
-    (a⊗b⊗c)(a'⊗b'⊗c') = aa'⊗bb'⊗cc'.  x, y are dicts {(i, j, k): c}."""
-    out = {}
-    for (i1, j1, k1), c1 in x.items():
-        for (i2, j2, k2), c2 in y.items():
-            row0 = pv0.get((i1, i2))
-            if not row0:
-                continue
-            row1 = pv1.get((j1, j2))
-            if not row1:
-                continue
-            row2 = pv2.get((k1, k2))
-            if not row2:
-                continue
-            c = c1 * c2
-            for t0, a0 in row0.items():
-                ca = c * a0
-                for t1, a1 in row1.items():
-                    cb = ca * a1
-                    for t2, a2 in row2.items():
-                        dict_acc(out, (t0, t1, t2), cb * a2)
     return out
 
 
@@ -261,12 +267,7 @@ class HopfData(AlgebraData):
 
     def comul_apply(self, x):
         """Δ on a sparse element."""
-        iv = self.comul.in1_view()
-        out = {}
-        for i, c in x.items():
-            for key, t in iv.get(i, {}).items():
-                dict_acc(out, key, c * t)
-        return out
+        return self.comul.apply_in1(x)
 
     def counit_of(self, x):
         s = self.field.zero
@@ -437,7 +438,7 @@ def hopf_check(h):
         for j in range(n):
             prod = pv.get((i, j), empty)
             lhs = h.comul_apply(prod)
-            rhs = t2_mul(pv, pv, iv.get(i, empty), iv.get(j, empty))
+            rhs = tensor_mul((h.mul, h.mul), iv.get(i, empty), iv.get(j, empty))
             if lhs != rhs:
                 rep.fail("comultiplication-multiplicative", (i, j),
                          sorted(lhs.items()), sorted(rhs.items()))

@@ -23,10 +23,10 @@ constructions return richer objects that also qualify as candidates.
 from itertools import product
 
 from .algebras import (AlgebraData, Report, _dual_structure, algebra_check,
-                       dict_acc, dict_of_vec, hom_hh_a, mul_dicts, t3_mul,
-                       tensor_hah, vec_of_dict)
+                       dict_acc, dict_of_vec, hom_hh_a, mul_dicts, tensor_hah,
+                       vec_of_dict)
 from .actions import check_bimodule, same_algebra, same_hopf
-from .coactions import _restrict_coaction, check_bicomodule
+from .coactions import _exchange_products, _restrict_coaction, check_bicomodule
 from .linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
                      col_dicts, mat_transpose, nullspace, restrict_product,
                      rref, solve, subspace_span, transport, unit_vec, zeros)
@@ -247,7 +247,10 @@ def _require_global_bimodule(algebra, hopf, left_cols, right_cols):
     """Raise unless the operator families make the (possibly non-unital)
     algebra a two-sided global module algebra: the Hopf unit acts as the
     identity, composition follows the Hopf product, the families commute,
-    and products distribute through the comultiplication."""
+    and products distribute through the comultiplication.
+
+    The right family is a left one over H^op: its laws are the left laws
+    with the two operators of a composition applied in the other order."""
     n = hopf.dim
     dB = algebra.dim
     f = hopf.field
@@ -257,14 +260,20 @@ def _require_global_bimodule(algebra, hopf, left_cols, right_cols):
     iv = hopf.comul.in1_view()
     u_h = dict_of_vec(hopf.unit)
     empty = {}
+    # (side label, column maps, composition in H^op)
+    families = (("left", left_cols, False), ("right", right_cols, True))
+
+    def combine(terms, cols, x):
+        """Σ c·cols[p] over the terms (p, c), applied to basis vector x."""
+        out = {}
+        for p, c in terms:
+            for t, d in cols[p][x].items():
+                dict_acc(out, t, c * d)
+        return out
 
     for x in range(dB):
-        for cols, side in ((left_cols, "left"), (right_cols, "right")):
-            acc = {}
-            for i, c in u_h.items():
-                for t, d in cols[i][x].items():
-                    dict_acc(acc, t, c * d)
-            if acc != {x: one}:
+        for side, cols, _ in families:
+            if combine(u_h.items(), cols, x) != {x: one}:
                 raise ValueError("candidate fails the %s unit-operator law at basis %d"
                                  % (side, x))
 
@@ -272,24 +281,13 @@ def _require_global_bimodule(algebra, hopf, left_cols, right_cols):
         for h in range(n):
             prod = pvH.get((g, h), empty)
             for x in range(dB):
-                lhs = apply_cols(left_cols[g], left_cols[h][x])
-                rhs = {}
-                for p, c in prod.items():
-                    for t, d in left_cols[p][x].items():
-                        dict_acc(rhs, t, c * d)
-                if lhs != rhs:
-                    raise ValueError("candidate fails left operator-composition "
-                                     "at (%s, %s, basis %d)"
-                                     % (hopf.basis[g], hopf.basis[h], x))
-                lhs = apply_cols(right_cols[h], right_cols[g][x])
-                rhs = {}
-                for p, c in prod.items():
-                    for t, d in right_cols[p][x].items():
-                        dict_acc(rhs, t, c * d)
-                if lhs != rhs:
-                    raise ValueError("candidate fails right operator-composition "
-                                     "at (%s, %s, basis %d)"
-                                     % (hopf.basis[g], hopf.basis[h], x))
+                for side, cols, op in families:
+                    outer, inner = (h, g) if op else (g, h)
+                    lhs = apply_cols(cols[outer], cols[inner][x])
+                    if lhs != combine(prod.items(), cols, x):
+                        raise ValueError("candidate fails %s operator-composition "
+                                         "at (%s, %s, basis %d)"
+                                         % (side, hopf.basis[g], hopf.basis[h], x))
 
     for g in range(n):
         for k in range(n):
@@ -305,24 +303,16 @@ def _require_global_bimodule(algebra, hopf, left_cols, right_cols):
         for x in range(dB):
             for y in range(dB):
                 mxy = pvB.get((x, y), empty)
-                lhs = apply_cols(left_cols[i], mxy)
-                rhs = {}
-                for (i1, i2), c in di.items():
-                    term = mul_dicts(pvB, left_cols[i1][x], left_cols[i2][y])
-                    for t, d in term.items():
-                        dict_acc(rhs, t, c * d)
-                if lhs != rhs:
-                    raise ValueError("candidate fails the left operator product "
-                                     "rule at (%s, %d, %d)" % (hopf.basis[i], x, y))
-                lhs = apply_cols(right_cols[i], mxy)
-                rhs = {}
-                for (i1, i2), c in di.items():
-                    term = mul_dicts(pvB, right_cols[i1][x], right_cols[i2][y])
-                    for t, d in term.items():
-                        dict_acc(rhs, t, c * d)
-                if lhs != rhs:
-                    raise ValueError("candidate fails the right operator product "
-                                     "rule at (%s, %d, %d)" % (hopf.basis[i], x, y))
+                for side, cols, _ in families:
+                    lhs = apply_cols(cols[i], mxy)
+                    rhs = {}
+                    for (i1, i2), c in di.items():
+                        for t, d in mul_dicts(pvB, cols[i1][x], cols[i2][y]).items():
+                            dict_acc(rhs, t, c * d)
+                    if lhs != rhs:
+                        raise ValueError("candidate fails the %s operator product "
+                                         "rule at (%s, %d, %d)"
+                                         % (side, hopf.basis[i], x, y))
 
 
 def verify_globalization(candidate, b):
@@ -875,35 +865,20 @@ def standard_globalize_bicomodule(b):
     # the exchange condition, in ambient coordinates: compare the five-leg
     # products of the ambient coactions of embedded elements with the image
     # of the partial-coaction product
-    pv_h = H.mul.pair_view()
-    pv_x = amb.algebra.mul.pair_view()
     pv_a = A.mul.pair_view()
-    u_h = dict_of_vec(H.unit)
-    rho_iv = amb.rho.in1_view()
-    lam_iv = amb.lam.in1_view()
 
     def exchange():
-        for i in range(da):
-            lam_theta = {}
-            for x, cx in theta_d[i].items():
-                for (p, xp), c in lam_iv.get(x, empty).items():
-                    for u0, cu in u_h.items():
-                        dict_acc(lam_theta, (p, xp, u0), cx * c * cu)
-            for j in range(da):
-                rho_theta = {}
-                for x, cx in theta_d[j].items():
-                    for (xp, k), c in rho_iv.get(x, empty).items():
-                        for u0, cu in u_h.items():
-                            dict_acc(rho_theta, (u0, xp, k), cx * c * cu)
-                rhs = {}
-                for (p, q), c1 in lam_of.get(i, empty).items():
-                    for (u, v), c2 in rho_of.get(j, empty).items():
-                        cc = c1 * c2
-                        for t, ct in pv_a.get((q, u), empty).items():
-                            for x, cx in theta_d[t].items():
-                                dict_acc(rhs, (p, x, v), cc * ct * cx)
-                yield ((A.basis[i], A.basis[j]),
-                       t3_mul(pv_h, pv_x, pv_h, lam_theta, rho_theta), rhs)
+        lams = [amb.lam.apply_in1(col) for col in theta_d]
+        rhos = [amb.rho.apply_in1(col) for col in theta_d]
+        for (i, j), lhs in _exchange_products(H, amb.algebra, lams, rhos):
+            rhs = {}
+            for (p, q), c1 in lam_of.get(i, empty).items():
+                for (u, v), c2 in rho_of.get(j, empty).items():
+                    cc = c1 * c2
+                    for t, ct in pv_a.get((q, u), empty).items():
+                        for x, cx in theta_d[t].items():
+                            dict_acc(rhs, (p, x, v), cc * ct * cx)
+            yield (A.basis[i], A.basis[j]), lhs, rhs
 
     cert = Report(alg_b.name)
     _first_failure(cert, "exchange", exchange())

@@ -103,6 +103,7 @@ class Tensor3:
                 if c:
                     self.entries[key] = c
         self._pair = None
+        self._partners = None
         self._in1 = None
 
     def add(self, i, j, k, c):
@@ -116,6 +117,7 @@ class Tensor3:
         elif cur is not None:
             del self.entries[key]
         self._pair = None
+        self._partners = None
         self._in1 = None
 
     def get(self, i, j, k, zero):
@@ -130,6 +132,16 @@ class Tensor3:
             self._pair = pv
         return self._pair
 
+    def partner_view(self):
+        """{i: {j: {k: c}}} — the pair view grouped by its first input: the
+        partners j of each i with a nonzero product, and that product's row."""
+        if self._partners is None:
+            pt = {}
+            for (i, j), row in self.pair_view().items():
+                pt.setdefault(i, {})[j] = row
+            self._partners = pt
+        return self._partners
+
     def in1_view(self):
         """{i: {(j, k): c}} — contract with the first slot as input."""
         if self._in1 is None:
@@ -138,6 +150,16 @@ class Tensor3:
                 iv.setdefault(i, {})[(j, k)] = c
             self._in1 = iv
         return self._in1
+
+    def apply_in1(self, x):
+        """The tensor applied through its first slot to a sparse vector x:
+        {(j, k): Σ_i x_i·t_ijk}."""
+        iv = self.in1_view()
+        out = {}
+        for i, c in x.items():
+            for key, d in iv.get(i, {}).items():
+                dict_acc(out, key, c * d)
+        return out
 
     def slice_matrix(self, i, zero):
         """Dense matrix of slice i of the first slot: column j holds the

@@ -14,7 +14,7 @@ from phopf.algebras import (AlgebraData, HopfData, Report, algebra_check,
                             coalgebra_check, dict_of_vec, dual_hopf,
                             group_algebra, hom_hh_a, hopf_check, mul_dicts,
                             scalar_algebra, sweedler_h4, tensor_hah,
-                            vec_of_dict)
+                            tensor_mul, vec_of_dict)
 
 HOPF_LAWS = {"associativity", "unit-law", "coassociativity", "counit-law",
              "comultiplication-multiplicative", "counit-multiplicative",
@@ -416,13 +416,14 @@ def _in_basis(a, rows):
 
 
 @st.composite
-def structure_tensors(draw):
-    """An algebra of dimension 1 to 8 over ℚ or GF(5).  Either its entries
+def structure_tensors(draw, field=None):
+    """An algebra of dimension 1 to 8 over `field`, else over ℚ or GF(5)
+    as drawn.  Either its entries
     are drawn with a drawn density, from no entry to every triple, and its
     unit is absent, a true unit or an arbitrary vector; or it is kZ2, kZ3,
     kZ4 or H4 in a random unitriangular basis, associative with both sides of
     every triple dense."""
-    field = draw(st.sampled_from([QQ, GF(5)]))
+    field = field or draw(st.sampled_from([QQ, GF(5)]))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     coeffs = [field.of(c) for c in (-2, -1, 1, 2)]
     if draw(st.booleans()):
@@ -551,3 +552,104 @@ def test_sweep_reads_a_tenth_of_the_products_the_reference_reads(monkeypatch):
         assert check(a).passed
         reads[check.__name__] = tally[0]
     assert reads["algebra_check"] * 10 <= reads["reference_algebra_check"], reads
+
+
+# ---------------------------------------------------------------------------
+# the keyed tensor-product kernel against the pairwise products it replaced
+
+
+def t2_mul(pv_left, pv_right, x, y):
+    """Componentwise product in a tensor square, visiting every pair of
+    terms: (a⊗b)(c⊗d) = ac⊗bd.  Kept here only as the differential
+    reference for algebras.tensor_mul."""
+    out = {}
+    for (i1, j1), c1 in x.items():
+        for (i2, j2), c2 in y.items():
+            row_l = pv_left.get((i1, i2))
+            if not row_l:
+                continue
+            row_r = pv_right.get((j1, j2))
+            if not row_r:
+                continue
+            c = c1 * c2
+            for k1, t1 in row_l.items():
+                ct = c * t1
+                for k2, t2 in row_r.items():
+                    dict_acc(out, (k1, k2), ct * t2)
+    return out
+
+
+def t3_mul(pv0, pv1, pv2, x, y):
+    """Componentwise product in a triple tensor, visiting every pair of
+    terms: (a⊗b⊗c)(a'⊗b'⊗c') = aa'⊗bb'⊗cc'.  Kept here only as the
+    differential reference for algebras.tensor_mul."""
+    out = {}
+    for (i1, j1, k1), c1 in x.items():
+        for (i2, j2, k2), c2 in y.items():
+            row0 = pv0.get((i1, i2))
+            if not row0:
+                continue
+            row1 = pv1.get((j1, j2))
+            if not row1:
+                continue
+            row2 = pv2.get((k1, k2))
+            if not row2:
+                continue
+            c = c1 * c2
+            for t0, a0 in row0.items():
+                ca = c * a0
+                for t1, a1 in row1.items():
+                    cb = ca * a1
+                    for t2, a2 in row2.items():
+                        dict_acc(out, (t0, t1, t2), cb * a2)
+    return out
+
+
+def reference_tensor_mul(algebras, x, y):
+    pvs = [a.mul.pair_view() for a in algebras]
+    return (t2_mul if len(pvs) == 2 else t3_mul)(*pvs, x, y)
+
+
+@st.composite
+def tensor_factors(draw):
+    """Two or three drawn algebras over one field (dense rows among them,
+    from the random bases of structure_tensors) and two elements of their
+    tensor product with up to 20 terms each."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    algebras = [draw(structure_tensors(field)) for _ in range(draw(st.sampled_from([2, 3])))]
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    keys = list(product(*(range(a.dim) for a in algebras)))
+    coeffs = [field.of(c) for c in (-2, -1, 1, 2, 3)]
+
+    def element():
+        return {key: rng.choice(coeffs)
+                for key in rng.sample(keys, rng.randint(0, min(len(keys), 20)))}
+    return algebras, element(), element()
+
+
+@settings(max_examples=100, deadline=None)
+@given(tensor_factors())
+def test_tensor_mul_matches_the_pairwise_reference(case):
+    algebras, x, y = case
+    muls = tuple(a.mul for a in algebras)
+    assert tensor_mul(muls, x, y) == reference_tensor_mul(algebras, x, y)
+    assert tensor_mul(muls, y, x) == reference_tensor_mul(algebras, y, x)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_tensor_mul_on_comultiplied_basis_pairs(field):
+    # Δ(h_i)Δ(h_j) over two legs and (Δ(h_i)⊗1)(1⊗Δ(h_j)) over three, for
+    # H4 (several terms per coproduct), kS3 and kS3* (every product of kS3
+    # nonzero, most products of kS3* zero)
+    for h in (sweedler_h4(field), _kg("S3", field), dual_hopf(_kg("S3", field))):
+        iv = h.comul.in1_view()
+        u = h.unit_dict()
+        for i in range(h.dim):
+            for j in range(h.dim):
+                x, y = iv.get(i, {}), iv.get(j, {})
+                assert tensor_mul((h.mul, h.mul), x, y) == \
+                    reference_tensor_mul((h, h), x, y)
+                x3 = {(a, b, r): c * d for (a, b), c in x.items() for r, d in u.items()}
+                y3 = {(r, a, b): d * c for (a, b), c in y.items() for r, d in u.items()}
+                assert tensor_mul((h.mul,) * 3, x3, y3) == \
+                    reference_tensor_mul((h, h, h), x3, y3)

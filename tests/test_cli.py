@@ -2,6 +2,7 @@
 
 import json
 import os
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -100,6 +101,30 @@ def test_check_flags_a_mutated_structure_constant(tmp_path, capsys):
     code = main(["check", "bimodule", path])
     out = capsys.readouterr().out
     assert code == 1 and "FAIL" in out
+
+
+@pytest.mark.parametrize("side,row,rhs", [
+    # ρ(g) gains g⊗x: ρ(g)ρ(x) = -g⊗xg - xg⊗1 - xg⊗xg
+    ("right", [1, 1, 2, "1"], [((1, 3), -1), ((3, 0), -1), ((3, 3), -1)]),
+    # λ(g) gains x⊗g: λ(g)λ(x) = -g⊗xg - x⊗xg - xg⊗1, Hopf leg first
+    ("left", [1, 2, 1, "1"], [((1, 3), -1), ((2, 3), -1), ((3, 0), -1)]),
+])
+def test_check_reports_a_failing_coaction_with_sorted_witnesses(tmp_path, capsys,
+                                                                side, row, rhs):
+    # one coaction of the regular H4 bicomodule as its own document, with
+    # one entry added on a Hopf leg that the counit kills; the first failure
+    # is multiplicativity at (g, x), where both sides should be -Δ(xg)
+    files = emit(capsys, "regular-bicomodule", tmp_path)
+    bic = read_document(next(p for p in files if p.endswith("bicomodule.json")))
+    path = str(tmp_path / "coaction.json")
+    write_document({"hopf": "hopf.json", "algebra": bic["algebra"], "side": side,
+                    "map": bic[side]["map"] + [row]}, path)
+    code, doc = run_json(capsys, ["check", "coaction", path, "--format", "json"])
+    assert code == 1 and doc["passed"] is False
+    first = doc["failures"][0]
+    assert first["law"] == "coaction-multiplicativity" and first["at"] == [1, 2]
+    assert first["lhs"] == repr([((1, 3), Fraction(-1)), ((3, 0), Fraction(-1))])
+    assert first["rhs"] == repr([(key, Fraction(c)) for key, c in rhs])
 
 
 def test_check_io_failures(tmp_path, capsys):

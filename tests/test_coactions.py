@@ -1,15 +1,21 @@
 """Partial comodule algebra layer: coaction families, checkers, duality."""
 
+import functools
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phopf.fields import GF, QQ
 from phopf._groups import named_group
-from phopf.algebras import group_algebra, scalar_algebra, sweedler_h4
-from phopf.actions import (check_bimodule, check_lpma, check_rpma, is_global,
-                           sweedler_k_bimodule, trivial_action,
-                           trivialize_right)
+from phopf import coactions
+from phopf.algebras import (AlgebraData, Report, dict_acc, dual_hopf,
+                            group_algebra, scalar_algebra, sweedler_h4,
+                            vec_of_dict)
+from phopf.actions import (check_bimodule, check_lpma, check_rpma,
+                           en_kg_example, is_global, sweedler_k_bimodule,
+                           trivial_action, trivialize_right)
 from phopf.coactions import (PartialBicomoduleData, PartialCoactionData,
                              bicomodule_to_bimodule, bimodule_to_bicomodule,
                              check_bicomodule, check_global_unit, check_lpca,
@@ -18,8 +24,9 @@ from phopf.coactions import (PartialBicomoduleData, PartialCoactionData,
                              induce_bicomodule, induce_right_coaction,
                              regular_bicomodule, regular_coaction,
                              sweedler_k_bicomodule, trivial_coaction)
-from phopf.linalg import subspace_span
+from phopf.linalg import Tensor3, subspace_span
 from tests.conftest import rand_fraction
+from tests.test_algebras import _CountingView, t2_mul, t3_mul
 
 
 # ---------------------------------------------------------------------------
@@ -214,3 +221,278 @@ def test_vesgo_equivalence_certifies_its_input_once():
     with pytest.raises(ValueError, match="input bicomodule fails right/"):
         check_vesgo_equivalence(bad, [u0], u0)
 
+
+
+# ---------------------------------------------------------------------------
+# the suite read as a right coaction against the suite it replaced
+
+
+def _ref_double_coact(p, i):
+    iv = p.map.in1_view()
+    out = {}
+    if p.side == "right":
+        for (j, k), c in iv.get(i, {}).items():
+            for (q, r), d in iv.get(j, {}).items():
+                dict_acc(out, (q, r, k), c * d)
+    else:
+        for (j, k), c in iv.get(i, {}).items():
+            for (q, r), d in iv.get(k, {}).items():
+                dict_acc(out, (j, q, r), c * d)
+    return out
+
+
+def _ref_comul_spread(p, i):
+    iv = p.map.in1_view()
+    ivc = p.hopf.comul.in1_view()
+    out = {}
+    if p.side == "right":
+        for (j, k), c in iv.get(i, {}).items():
+            for (q, r), d in ivc.get(k, {}).items():
+                dict_acc(out, (j, q, r), c * d)
+    else:
+        for (j, k), c in iv.get(i, {}).items():
+            for (q, r), d in ivc.get(j, {}).items():
+                dict_acc(out, (q, r, k), c * d)
+    return out
+
+
+def _ref_unit_factor(p):
+    img = p.unit_image()
+    u_h = p.hopf.unit_dict()
+    out = {}
+    if p.side == "right":
+        for (j, k), c in img.items():
+            for r, d in u_h.items():
+                out[(j, k, r)] = c * d
+    else:
+        for r, d in u_h.items():
+            for (j, k), c in img.items():
+                out[(r, j, k)] = d * c
+    return out
+
+
+def _ref_t3_views(p):
+    pv_a = p.alg.mul.pair_view()
+    pv_h = p.hopf.mul.pair_view()
+    return (pv_a, pv_h, pv_h) if p.side == "right" else (pv_h, pv_h, pv_a)
+
+
+def reference_suite(p, symmetric):
+    """The coaction suite as it was before the right reading: every helper
+    branches on the side, the tensor products visit every pair of terms,
+    and the witnesses of tensor-valued laws are the raw dicts.  Kept here
+    only as the differential reference for coactions._coaction_suite."""
+    rep = Report(p.name)
+    H, A = p.hopf, p.alg
+    m = A.dim
+    f = H.field
+    right = p.side == "right"
+
+    def coact(i):
+        return dict(p.map.in1_view().get(i, {}))
+
+    rep.law("counit-coaction")
+    for i in range(m):
+        got = {}
+        for (j, k), c in p.map.in1_view().get(i, {}).items():
+            a_idx, h_idx = (j, k) if right else (k, j)
+            if H.counit[h_idx]:
+                dict_acc(got, a_idx, c * H.counit[h_idx])
+        if got != {i: f.one}:
+            rep.fail("counit-coaction", (i,),
+                     vec_of_dict(got, m, f), A.basis_vec(i))
+
+    rep.law("coaction-multiplicativity")
+    pv_a = A.mul.pair_view()
+    pv_h = H.mul.pair_view()
+    legs = (pv_a, pv_h) if right else (pv_h, pv_a)
+    for i in range(m):
+        ci = coact(i)
+        for j in range(m):
+            lhs = p.coact_dict(pv_a.get((i, j), {}))
+            rhs = t2_mul(legs[0], legs[1], ci, coact(j))
+            if lhs != rhs:
+                rep.fail("coaction-multiplicativity", (i, j), lhs, rhs)
+
+    rep.law("coaction-coassociativity")
+    v0, v1, v2 = _ref_t3_views(p)
+    uf = _ref_unit_factor(p)
+    for i in range(m):
+        lhs = _ref_double_coact(p, i)
+        spread = _ref_comul_spread(p, i)
+        rhs = (t3_mul(v0, v1, v2, uf, spread) if right
+               else t3_mul(v0, v1, v2, spread, uf))
+        if lhs != rhs:
+            rep.fail("coaction-coassociativity", (i,), lhs, rhs)
+
+    if symmetric:
+        rep.law("coaction-symmetry")
+        for i in range(m):
+            lhs = _ref_double_coact(p, i)
+            spread = _ref_comul_spread(p, i)
+            rhs = (t3_mul(v0, v1, v2, spread, uf) if right
+                   else t3_mul(v0, v1, v2, uf, spread))
+            if lhs != rhs:
+                rep.fail("coaction-symmetry", (i,), lhs, rhs)
+    return rep
+
+
+def _sorted_witnesses(rep):
+    """The reference's failures with dict witnesses written as sorted items,
+    the format of the suite it is compared with."""
+    return [(law, idx) + tuple(sorted(w.items()) if isinstance(w, dict) else w
+                               for w in (lhs, rhs))
+            for law, idx, lhs, rhs in rep.failures]
+
+
+def _kg(name, field=QQ):
+    labels, table = named_group(name)
+    return group_algebra(table, field, labels)
+
+
+@functools.lru_cache(maxsize=None)
+def _coaction_family(name, field):
+    """The two coactions of a certified built-in bicomodule, by name."""
+    if name == "sweedler":
+        b = sweedler_k_bicomodule(field, 2, -3)
+    elif name == "regular H4":
+        b = regular_bicomodule(sweedler_h4(field))
+    elif name == "corner of kZ4":
+        # the index-two corner of the regular kZ4 bicomodule
+        o, z = field.one, field.zero
+        b = induce_bicomodule(regular_bicomodule(_kg("Z4", field)),
+                              subspace_span([[o, z, z, z], [z, z, o, z]], 4, field),
+                              [o, z, z, z])
+    elif name == "dual of the en Z4 action":
+        act = en_kg_example(named_group("Z4")[1], {0, 2}, field)[1]
+        rho = dual_action_to_coaction(act)
+        return rho, dual_action_to_coaction(trivial_action(act.hopf, act.alg, "right"))
+    else:
+        h = _kg(name.split()[1].strip("k*"), field)
+        b = regular_bicomodule(dual_hopf(h) if name.endswith("*") else h)
+    return b.left, b.right
+
+
+COACTION_FAMILIES = ["sweedler", "regular H4", "corner of kZ4",
+                     "dual of the en Z4 action", "regular kS3", "regular kS3*",
+                     "regular kZ4*"]
+
+
+@st.composite
+def coactions_(draw):
+    """A built-in coaction over ℚ or GF(5), possibly with one entry of its
+    map changed (after construction, so that the counit law may break)."""
+    field = draw(st.sampled_from([QQ, GF(5)]))
+    p = draw(st.sampled_from(_coaction_family(draw(st.sampled_from(COACTION_FAMILIES)),
+                                              field)))
+    entries = dict(p.map.entries)
+    if draw(st.booleans()):
+        key = tuple(draw(st.integers(0, d - 1)) for d in p.map.dims)
+        entries[key] = field.of(Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3))))
+    out = PartialCoactionData(p.hopf, p.alg, p.side, dict(p.map.entries), name=p.name)
+    out.map = Tensor3(out.map.dims, entries)
+    return out
+
+
+def _suites_agree(p, symmetric):
+    got = (check_lpca if p.side == "left" else check_rpca)(p, symmetric=symmetric)
+    want = reference_suite(p, symmetric)
+    assert got.laws == want.laws
+    assert got.failures == _sorted_witnesses(want)
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(coactions_(), st.booleans())
+def test_right_reading_suite_matches_the_reference_suite(p, symmetric):
+    _suites_agree(p, symmetric)
+
+
+def _spread_out(keys, count):
+    """At most `count` of keys, evenly spaced."""
+    return keys[::max(1, -(-len(keys) // count))]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("name", COACTION_FAMILIES)
+def test_right_reading_matches_the_reference_on_single_entry_mutations(field, name):
+    # up to eight stored entries of either coaction and as many positions
+    # outside them, each raised by one, on the left and on the right
+    for p in _coaction_family(name, field):
+        stored = sorted(p.map.entries)
+        free = [key for key in product(*(range(d) for d in p.map.dims))
+                if key not in p.map.entries]
+        positions = _spread_out(stored, 8) + _spread_out(free, 8)
+        failing = 0
+        for key in positions:
+            mutant = PartialCoactionData(p.hopf, p.alg, p.side, dict(p.map.entries),
+                                         name=p.name)
+            mutant.map = Tensor3(p.map.dims, dict(p.map.entries))
+            mutant.map.add(*key, field.one)
+            failing += not _suites_agree(mutant, True).passed
+        # most single-entry changes break a law (not all: the Sweedler
+        # family stays valid when its parameter moves)
+        assert failing * 2 >= len(positions), (p.side, failing, len(positions))
+
+
+def test_regular_bicomodule_runs_each_side_suite_once(monkeypatch):
+    runs = []
+    suite = coactions._coaction_suite
+
+    def counted(p, symmetric):
+        runs.append(p.side)
+        return suite(p, symmetric)
+
+    monkeypatch.setattr(coactions, "_coaction_suite", counted)
+    for h in (sweedler_h4(QQ), _kg("S3"), dual_hopf(_kg("Z4"))):
+        runs.clear()
+        b = regular_bicomodule(h)
+        assert runs == ["left", "right"]
+        runs.clear()
+        assert check_global_unit(b.left) and check_global_unit(b.right)
+        assert runs == []
+
+
+def test_global_unit_cross_check_raises_on_a_strict_coaction_off_the_unit():
+    # the regular right coaction of kZ2 with ρ(u0) doubled: ρ(1) ≠ 1⊗1, yet
+    # the counit law fails, so the theorem does not apply and no error rises
+    h = _kg("Z2")
+    p = PartialCoactionData(h, h, "right", dict(h.comul.entries), unchecked=True)
+    p.map = Tensor3(p.map.dims, {(0, 0, 0): QQ.of(2), (1, 1, 1): QQ.one})
+    assert check_global_unit(p) is False
+    # a strictly coassociative, counital, multiplicative coaction that
+    # missed 1⊗1 would contradict the theorem; forge one by hand through a
+    # unit vector that is not the algebra's unit
+    bent = AlgebraData(QQ, h.basis, dict(h.mul.entries), [QQ.zero, QQ.one])
+    q = PartialCoactionData(h, bent, "right", dict(h.comul.entries))
+    with pytest.raises(AssertionError, match="strictly coassociative"):
+        check_global_unit(q)
+
+
+def test_coaction_suite_reads_a_tenth_of_the_pair_views_the_reference_reads(monkeypatch):
+    # a deterministic guard for the keyed kernel on the regular kQ8*
+    # bicomodule over GF(7): the suites it replaced read 610,704 entries of
+    # the pair views on this input
+    b = regular_bicomodule(dual_hopf(_kg("Q8", GF(7))))
+    pair_view, tally = Tensor3.pair_view, [0]
+    views, partners = {}, {}
+
+    def counted_pairs(t):
+        if id(t) not in views:
+            views[id(t)] = (t, _CountingView(pair_view(t), tally))
+        return views[id(t)][1]
+
+    def counted_partners(t):
+        # the partner lists hold the rows of the counting view, so every
+        # row the kernel reads through them is counted too
+        if id(t) not in partners:
+            grouped = {}
+            for (i, j), row in t.pair_view().items():
+                grouped.setdefault(i, {})[j] = row
+            partners[id(t)] = (t, grouped)
+        return partners[id(t)][1]
+
+    monkeypatch.setattr(Tensor3, "pair_view", counted_pairs)
+    monkeypatch.setattr(Tensor3, "partner_view", counted_partners)
+    assert check_bicomodule(b).passed
+    assert tally[0] * 10 <= 610704, tally[0]

@@ -8,10 +8,11 @@ import pytest
 import random
 
 from phopf.fields import GF, QQ
-from phopf.linalg import Subspace, Tensor3, dict_acc, nullspace
+from phopf.linalg import (Subspace, Tensor3, apply_cols, col_dicts, dict_acc,
+                          nullspace)
 from phopf._groups import named_group
 from phopf.algebras import (AlgebraData, algebra_check, dict_of_vec,
-                            dual_hopf, group_algebra, scalar_algebra,
+                            dual_hopf, group_algebra, mul_dicts, scalar_algebra,
                             sweedler_h4)
 from phopf.actions import (PartialBimoduleData, dual_regular_action,
                            en_kg_example, sweedler_k_bimodule, trivial_action,
@@ -21,7 +22,8 @@ from phopf.coactions import (PartialBicomoduleData, bicomodule_to_bimodule,
                              regular_bicomodule, sweedler_k_bicomodule,
                              trivial_coaction)
 from phopf.globalize import (GlobalizationCandidate,
-                             _require_global_bicomodule, comparison_map,
+                             _require_global_bicomodule,
+                             _require_global_bimodule, comparison_map,
                              free_candidate_bimodule,
                              maximal_degenerate_subbimodule, minimalize,
                              psi_map, standard_globalize_bicomodule,
@@ -496,6 +498,131 @@ def test_carrier_global_laws_agree_with_the_coaction_reference():
 
 
 # ---------------------------------------------------------------------------
+# the global laws of the operator families: one pass over both sides against
+# the two copies it replaced
+
+
+def reference_require_global_bimodule(algebra, hopf, left_cols, right_cols):
+    """_require_global_bimodule as it was with the left and right halves of
+    operator composition and the product rule written out twice.  Kept here
+    only as the differential reference for the mirrored check."""
+    n = hopf.dim
+    dB = algebra.dim
+    one = hopf.field.one
+    pvB = algebra.mul.pair_view()
+    pvH = hopf.mul.pair_view()
+    iv = hopf.comul.in1_view()
+    u_h = dict_of_vec(hopf.unit)
+    empty = {}
+
+    for x in range(dB):
+        for cols, side in ((left_cols, "left"), (right_cols, "right")):
+            acc = {}
+            for i, c in u_h.items():
+                for t, d in cols[i][x].items():
+                    dict_acc(acc, t, c * d)
+            if acc != {x: one}:
+                raise ValueError("candidate fails the %s unit-operator law at basis %d"
+                                 % (side, x))
+
+    for g in range(n):
+        for h in range(n):
+            prod = pvH.get((g, h), empty)
+            for x in range(dB):
+                lhs = apply_cols(left_cols[g], left_cols[h][x])
+                rhs = {}
+                for p, c in prod.items():
+                    for t, d in left_cols[p][x].items():
+                        dict_acc(rhs, t, c * d)
+                if lhs != rhs:
+                    raise ValueError("candidate fails left operator-composition "
+                                     "at (%s, %s, basis %d)"
+                                     % (hopf.basis[g], hopf.basis[h], x))
+                lhs = apply_cols(right_cols[h], right_cols[g][x])
+                rhs = {}
+                for p, c in prod.items():
+                    for t, d in right_cols[p][x].items():
+                        dict_acc(rhs, t, c * d)
+                if lhs != rhs:
+                    raise ValueError("candidate fails right operator-composition "
+                                     "at (%s, %s, basis %d)"
+                                     % (hopf.basis[g], hopf.basis[h], x))
+
+    for g in range(n):
+        for k in range(n):
+            for x in range(dB):
+                if apply_cols(left_cols[g], right_cols[k][x]) != \
+                        apply_cols(right_cols[k], left_cols[g][x]):
+                    raise ValueError("candidate operator families do not commute "
+                                     "at (%s, %s, basis %d)"
+                                     % (hopf.basis[g], hopf.basis[k], x))
+
+    for i in range(n):
+        di = iv.get(i, empty)
+        for x in range(dB):
+            for y in range(dB):
+                mxy = pvB.get((x, y), empty)
+                lhs = apply_cols(left_cols[i], mxy)
+                rhs = {}
+                for (i1, i2), c in di.items():
+                    term = mul_dicts(pvB, left_cols[i1][x], left_cols[i2][y])
+                    for t, d in term.items():
+                        dict_acc(rhs, t, c * d)
+                if lhs != rhs:
+                    raise ValueError("candidate fails the left operator product "
+                                     "rule at (%s, %d, %d)" % (hopf.basis[i], x, y))
+                lhs = apply_cols(right_cols[i], mxy)
+                rhs = {}
+                for (i1, i2), c in di.items():
+                    term = mul_dicts(pvB, right_cols[i1][x], right_cols[i2][y])
+                    for t, d in term.items():
+                        dict_acc(rhs, t, c * d)
+                if lhs != rhs:
+                    raise ValueError("candidate fails the right operator product "
+                                     "rule at (%s, %d, %d)" % (hopf.basis[i], x, y))
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_mirrored_operator_laws_raise_as_the_reference_does():
+    # one entry of one operator changed, on either family, the two families
+    # swapped, and one product of the carrier changed (which only the
+    # product rule reads): the same message, hence the same first failure
+    rng = random.Random(20261018)
+    carriers = [standard_globalize_bimodule(b) for b in (
+        sweedler_k_bimodule(QQ, 2, 3), sweedler_k_bimodule(GF(5), 1, 4),
+        trivialize_right(dual_regular_action(_kg("S3"))),
+        trivialize_right(en_kg_example(named_group("Z4")[1], {0, 2}, QQ)[1]))]
+    raised = set()
+    for g in carriers:
+        f = g.hopf.field
+        left = [col_dicts(op) for op in g.left_ops]
+        right = [col_dicts(op) for op in g.right_ops]
+        cases = [(left, right), (right, left)]
+        for trial in range(30):
+            fam = [[dict(col) for col in op] for op in (left, right)[trial % 2]]
+            op, x = rng.randrange(len(fam)), rng.randrange(g.dim)
+            dict_acc(fam[op][x], rng.randrange(g.dim), f.of(rng.choice([1, -1, 2])))
+            cases.append((fam, right) if trial % 2 == 0 else (left, fam))
+        cases = [(g.algebra, lc, rc) for lc, rc in cases]
+        for trial in range(10):
+            mul = Tensor3(g.algebra.mul.dims, dict(g.algebra.mul.entries))
+            mul.add(*(rng.randrange(g.dim) for _ in range(3)), f.one)
+            cases.append((AlgebraData(f, g.algebra.basis, mul, None), left, right))
+        for alg, lc, rc in cases:
+            want = _raised(reference_require_global_bimodule, alg, g.hopf, lc, rc)
+            assert _raised(_require_global_bimodule, alg, g.hopf, lc, rc) == want
+            raised.add(want and want.split(" at ")[0])
+    assert None in raised and len(raised) == 7, raised
+
+
+# ---------------------------------------------------------------------------
 # S3: ambients of dimension 216, reachable because the ambient is certified
 # through its factors instead of by a sweep of its 216³ basis triples
 
@@ -554,3 +681,22 @@ def test_psi_bridge_on_the_one_dimensional_hopf_algebra():
     std = standard_globalize_bimodule(bicomodule_to_bimodule(b))
     _, mono, intertwines, restricted_iso = psi_map(kt, a, bg, std)
     assert mono and intertwines and restricted_iso
+
+
+# ---------------------------------------------------------------------------
+# Q8 and D4: ambients of dimension 512.  The bicomodule side is reachable
+# because the exchange products join their terms on nonzero leg products.
+
+
+@pytest.mark.parametrize("group", ["Q8", "D4"])
+def test_order_eight_dual_bimodules_globalize_with_certificate(group):
+    g = standard_globalize_bimodule(trivialize_right(dual_regular_action(_kg(group))))
+    assert g.ambient.algebra.dim == 512 and g.dim == 8
+    assert g.certificate.passed and list(g.certificate.laws) == list(GLOBALIZATION_LAWS)
+
+
+@pytest.mark.parametrize("group", ["Q8", "D4"])
+def test_order_eight_regular_dual_bicomodules_globalize_with_certificate(group):
+    g = standard_globalize_bicomodule(regular_bicomodule(dual_hopf(_kg(group))))
+    assert g.ambient.algebra.dim == 512 and g.dim == 8
+    assert g.certificate.passed and g.certificate.laws == ["exchange"]

@@ -114,6 +114,11 @@ def test_tensor3_views_and_transpose():
     s = t.transpose((2, 0, 1))
     assert s.dims == (2, 2, 3)
     assert s.entries == {(0, 1, 2): QQ.of(-1)}
+    assert t.partner_view() == {1: {2: {0: QQ.of(-1)}}}
+    assert t.apply_in1({0: QQ.one, 1: QQ.of(3)}) == {(2, 0): QQ.of(-3)}
+    t.add(0, 2, 1, QQ.one)      # the cached views follow the new entry
+    assert t.partner_view() == {1: {2: {0: QQ.of(-1)}}, 0: {2: {1: QQ.one}}}
+    assert t.apply_in1({0: QQ.one}) == {(2, 1): QQ.one}
 
 
 def test_tensor3_apply_bilinear_matches_naive():
