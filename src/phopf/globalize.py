@@ -795,14 +795,6 @@ def _require_global_bicomodule(algebra, hopf, rho, lam):
                              _dual_cols(lam, "left", n, d))
 
 
-def two_stage_closure(ambient, seed):
-    """The staged computation of the generated subalgebra: first close the
-    seed under the two dual operator families alone, then close the result
-    under the product alone.  Used as an oracle for the combined fixpoint."""
-    stage1 = closure_fixpoint(seed, ambient.dual_left_ops + ambient.dual_right_ops, [])
-    return closure_fixpoint(stage1, [], [ambient.algebra.mul])
-
-
 def standard_globalize_bicomodule(b):
     """Globalize a certified partial bicomodule structure on A inside the
     three-fold tensor H⊗A⊗H with componentwise product and outer-leg
@@ -811,8 +803,8 @@ def standard_globalize_bicomodule(b):
     The embedding is the composite coaction (λ⊗I)ρ, which equals (I⊗ρ)λ by
     the compatibility law certified on entry; the carrier is generated from
     the image by the two dual-basis operator families together with the
-    product, computed as one combined fixpoint (two_stage_closure is its
-    staged oracle).  The coactions are restricted to the carrier, the
+    product, computed as one combined fixpoint (the tests compare it with
+    a staged closure).  The coactions are restricted to the carrier, the
     restricted structure must be a global two-sided comodule algebra
     (_require_global_bicomodule raises otherwise), and the certificate is a
     Report of one law, `exchange`: the condition

@@ -9,14 +9,15 @@ directory of the referring file, so a bundle of files moves as a unit.
 Malformed documents (missing keys, bad scalar syntax, wrong shapes) raise
 DocumentError; mathematically invalid but well-formed content raises the
 data classes' own ValueError, so callers can tell a parse failure from a
-semantic one."""
+semantic one.
+
+The action and coaction data classes are imported by the loaders that
+build them, so reading an algebra or a Hopf algebra loads only `algebras`."""
 
 import json
 import os
 
 from .algebras import AlgebraData, HopfData, json_rows
-from .actions import GroupPartialActionData, PartialActionData, PartialBimoduleData
-from .coactions import PartialCoactionData, PartialBicomoduleData
 
 
 class DocumentError(ValueError):
@@ -82,6 +83,7 @@ def _action_parts(doc, base, cls, key_side=None):
 
 
 def load_action(node, base_dir="."):
+    from .actions import PartialActionData
     doc, base = _resolve(node, base_dir)
     hopf, alg, side, entries, sym = _guard(
         lambda: _action_parts(doc, base, PartialActionData), "action")
@@ -89,6 +91,7 @@ def load_action(node, base_dir="."):
 
 
 def load_bimodule(node, base_dir="."):
+    from .actions import PartialActionData, PartialBimoduleData
     doc, base = _resolve(node, base_dir)
     lp = _guard(lambda: _action_parts(doc, base, PartialActionData, "left"),
                 "bimodule")
@@ -100,6 +103,7 @@ def load_bimodule(node, base_dir="."):
 
 
 def load_coaction(node, base_dir="."):
+    from .coactions import PartialCoactionData
     doc, base = _resolve(node, base_dir)
     hopf, alg, side, entries, _ = _guard(
         lambda: _action_parts(doc, base, PartialCoactionData), "coaction")
@@ -107,6 +111,7 @@ def load_coaction(node, base_dir="."):
 
 
 def load_bicomodule(node, base_dir="."):
+    from .coactions import PartialBicomoduleData, PartialCoactionData
     doc, base = _resolve(node, base_dir)
     lp = _guard(lambda: _action_parts(doc, base, PartialCoactionData, "left"),
                 "bicomodule")
@@ -118,6 +123,7 @@ def load_bicomodule(node, base_dir="."):
 
 
 def load_group_action(node, base_dir="."):
+    from .actions import GroupPartialActionData
     doc, base = _resolve(node, base_dir)
 
     def parts():

@@ -19,11 +19,12 @@ from phopf.coactions import (bicomodule_to_bimodule, bimodule_to_bicomodule,
 from phopf.globalize import (comparison_map, free_candidate_bimodule,
                              maximal_degenerate_subbimodule, psi_map,
                              standard_globalize_bicomodule,
-                             standard_globalize_bimodule, two_stage_closure,
+                             standard_globalize_bimodule,
                              verify_globalization)
 from phopf.smash import (check_ker_eps_invariance, check_smash_associativity,
                          find_idempotent, smash_product, unital_corner)
 from phopf._groups import GROUP_NAMES, named_group
+from tests.test_globalize import two_stage_closure
 
 HALF = Fraction(1, 2)
 

@@ -87,6 +87,22 @@ def test_example_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_example_certifies_through_its_constructor_only(tmp_path, capsys, monkeypatch):
+    # regular_bicomodule runs each side's coaction suite once; the command
+    # writes what the constructor certified without a second check
+    from phopf import coactions
+    runs = []
+    suite = coactions._coaction_suite
+
+    def counted(p, symmetric):
+        runs.append(p.side)
+        return suite(p, symmetric)
+
+    monkeypatch.setattr(coactions, "_coaction_suite", counted)
+    emit(capsys, "regular-bicomodule", tmp_path, "--group", "Q8", "--field", "gf7")
+    assert runs == ["left", "right"]
+
+
 # ---------------------------------------------------------------------------
 # check: the three exit codes
 

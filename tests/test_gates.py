@@ -15,3 +15,41 @@ def test_no_bare_assert_in_the_package():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def _top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def test_the_package_namespace_is_lazy_and_its_table_is_true():
+    # `import phopf` must load no submodule, and every public name must be
+    # bound where the table says, so a rename fails here and not at the
+    # first attribute access
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    eager = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("phopf")):
+            eager.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(a.name.startswith("phopf")
+                                                  for a in node.names):
+            eager.append(node.lineno)
+    assert not eager, eager
+    table = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"])
+    missing = []
+    for module, names in table.items():
+        path = SRC / ("%s.py" % module)
+        bound = _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+        missing += ["%s.%s" % (module, name) for name in names if name not in bound]
+    assert not missing, missing

@@ -8,8 +8,8 @@ import pytest
 import random
 
 from phopf.fields import GF, QQ
-from phopf.linalg import (Subspace, Tensor3, apply_cols, col_dicts, dict_acc,
-                          nullspace)
+from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
+                          col_dicts, dict_acc, nullspace)
 from phopf._groups import named_group
 from phopf.algebras import (AlgebraData, algebra_check, dict_of_vec,
                             dual_hopf, group_algebra, mul_dicts, scalar_algebra,
@@ -27,12 +27,21 @@ from phopf.globalize import (GlobalizationCandidate,
                              free_candidate_bimodule,
                              maximal_degenerate_subbimodule, minimalize,
                              psi_map, standard_globalize_bicomodule,
-                             standard_globalize_bimodule, two_stage_closure,
+                             standard_globalize_bimodule,
                              verify_globalization)
 
 
 GLOBALIZATION_LAWS = ("condition1", "condition2", "lemaco1", "lemaco2",
                       "lemaco3", "lemaco4")
+
+
+def two_stage_closure(ambient, seed):
+    """The staged computation of the generated subalgebra: first close the
+    seed under the two dual operator families alone, then close the result
+    under the product alone.  The oracle for the combined fixpoint of
+    standard_globalize_bicomodule."""
+    stage1 = closure_fixpoint(seed, ambient.dual_left_ops + ambient.dual_right_ops, [])
+    return closure_fixpoint(stage1, [], [ambient.algebra.mul])
 
 
 def _staged_carrier(g):

@@ -1,0 +1,159 @@
+"""Start-up: the lazy `phopf` namespace, and which phopf modules each
+command of the CLI loads when it runs in a fresh interpreter."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
+
+import pytest
+
+import phopf
+from phopf.cli import main
+from phopf.serialize import read_document, write_document
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# the public names of the package, one line per defining module
+PUBLIC = {
+    "Field", "GF", "QQ",
+    "Subspace", "Tensor3", "closure_fixpoint", "rref", "subspace_span",
+    "AlgebraData", "HopfData", "Report", "algebra_check", "coalgebra_check",
+    "dual_hopf", "group_algebra", "hom_hh_a", "hopf_check", "scalar_algebra",
+    "sweedler_h4", "tensor_hah",
+    "GROUP_NAMES", "named_group",
+    "GroupPartialActionData", "PartialActionData", "PartialBimoduleData",
+    "check_bimodule", "check_group_partial_action", "check_lpma", "check_rpma",
+    "dual_regular_action", "en_kg_example", "group_to_kg", "induce_bimodule",
+    "induce_left", "is_global", "kg_to_group", "sweedler_k_bimodule",
+    "trivial_action", "trivialize_right",
+    "PartialBicomoduleData", "PartialCoactionData", "bicomodule_to_bimodule",
+    "bimodule_to_bicomodule", "check_bicomodule", "check_global_unit",
+    "check_lpca", "check_rpca", "coaction_to_dual_action",
+    "dual_action_to_coaction", "regular_bicomodule", "regular_coaction",
+    "sweedler_k_bicomodule", "trivial_coaction",
+    "BicomoduleGlobalization", "BimoduleGlobalization", "GlobalizationCandidate",
+    "comparison_map", "free_candidate_bimodule", "maximal_degenerate_subbimodule",
+    "minimalize", "psi_map", "standard_globalize_bicomodule",
+    "standard_globalize_bimodule", "verify_globalization",
+    "CornerAlgebra", "SmashAlgebra", "check_ker_eps_invariance",
+    "check_smash_associativity", "find_idempotent", "smash_product",
+    "unital_corner",
+    "DocumentError", "load_action", "load_algebra", "load_bicomodule",
+    "load_bimodule", "load_coaction", "load_group_action", "load_hopf",
+    "read_document", "write_document",
+}
+
+
+# ---------------------------------------------------------------------------
+# the lazy namespace
+
+
+def test_all_lists_the_public_names_once():
+    assert len(phopf.__all__) == len(PUBLIC) == 81
+    assert set(phopf.__all__) == PUBLIC
+
+
+def test_each_public_name_is_its_submodules_object():
+    for name in phopf.__all__:
+        module = importlib.import_module("phopf." + phopf._MODULE_OF[name])
+        assert getattr(phopf, name) is vars(module)[name], name
+
+
+def test_dir_lists_the_public_names():
+    assert PUBLIC <= set(dir(phopf))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from phopf import *", namespace)
+    assert PUBLIC <= set(namespace)
+    assert namespace["check_lpma"] is phopf.actions.check_lpma
+
+
+def test_unknown_names_raise():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        phopf.no_such_name
+    with pytest.raises(AttributeError):
+        phopf.two_stage_closure           # moved into the tests
+    with pytest.raises(ImportError):
+        exec("from phopf import no_such_name", {})
+
+
+def test_submodules_still_import_by_name():
+    from phopf import actions, smash
+    assert isinstance(actions, types.ModuleType)
+    assert actions is sys.modules["phopf.actions"]
+    assert smash.smash_product is phopf.smash_product
+
+
+# ---------------------------------------------------------------------------
+# what each command loads
+
+
+def _loaded(argv, cwd):
+    """Exit code and the phopf submodules loaded when `argv` runs in a fresh
+    interpreter; an empty argv only imports the package."""
+    probe = ("import json, sys\n"
+             "import phopf\n"
+             "code = 0\n"
+             "if sys.argv[1:]:\n"
+             "    from phopf.cli import main\n"
+             "    code = main(sys.argv[1:])\n"
+             "print(json.dumps([code, sorted(m for m in sys.modules"
+             " if m.startswith('phopf.'))]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe] + list(argv), cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, {m[len("phopf."):] for m in modules}
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """Small H4 documents: a Sweedler bimodule, the regular bicomodule, its
+    right coaction alone, and the dual regular action of kZ4."""
+    root = tmp_path_factory.mktemp("startup")
+    for argv in (["example", "sweedler-bimodule-k", "--r", "2", "--s", "3"],
+                 ["example", "regular-bicomodule"],
+                 ["example", "dual-group-action"]):
+        assert main(argv + ["-o", str(root / argv[1]), "--format", "json"]) == 0
+    bic = read_document(str(root / "regular-bicomodule" / "bicomodule.json"))
+    write_document({"hopf": "hopf.json", "algebra": bic["algebra"], "side": "right",
+                    "map": bic["right"]["map"]},
+                   str(root / "regular-bicomodule" / "coaction.json"))
+    return root
+
+
+CHECKS = ["actions", "coactions", "globalize", "smash"]
+
+COMMANDS = [
+    (["check", "algebra", "regular-bicomodule/hopf.json"], CHECKS),
+    (["check", "hopf", "regular-bicomodule/hopf.json"], CHECKS),
+    (["check", "action", "dual-group-action/action.json"], CHECKS[1:]),
+    (["check", "bimodule", "sweedler-bimodule-k/bimodule.json"], CHECKS[1:]),
+    (["check", "bicomodule", "regular-bicomodule/bicomodule.json"], CHECKS[2:]),
+    (["check", "coaction", "regular-bicomodule/coaction.json"], CHECKS[2:]),
+    (["example", "regular-bicomodule", "--group", "Q8", "--field", "gf7",
+      "-o", "q8"], CHECKS[2:]),
+    (["smash", "sweedler-bimodule-k/bimodule.json",
+      "regular-bicomodule/bicomodule.json"], ["globalize"]),
+    (["globalize", "bimodule", "sweedler-bimodule-k/bimodule.json", "-o", "glob"],
+     ["smash"]),
+]
+
+
+def test_importing_the_package_loads_no_submodule(tmp_path):
+    assert _loaded([], str(tmp_path)) == (0, set())
+
+
+@pytest.mark.parametrize("argv,absent", COMMANDS, ids=[" ".join(c[0][:2]) for c in COMMANDS])
+def test_each_command_loads_only_the_modules_it_runs(documents, argv, absent):
+    code, modules = _loaded(argv, str(documents))
+    assert code == 0
+    assert {"fields", "linalg", "algebras", "serialize", "cli"} <= modules
+    assert not modules & set(absent), sorted(modules & set(absent))
