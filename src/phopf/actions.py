@@ -15,8 +15,8 @@ from fractions import Fraction
 from .algebras import (AlgebraData, HopfData, Report, algebra_check, dict_acc,
                        dict_of_vec, dual_hopf, group_algebra, mul_dicts,
                        vec_of_dict)
-from .linalg import (Subspace, Tensor3, apply_cols, restrict_product, transport,
-                     unit_vec)
+from .linalg import (Subspace, Tensor3, apply_cols, col_dicts, restrict_product,
+                     transport, unit_vec)
 from ._groups import check_group_table, group_identity, group_inverses
 
 
@@ -135,7 +135,7 @@ def _action_suite(p, symmetric, left):
     one = f.one
     empty = {}
     pv_act = p.map.pair_view()
-    col = [[pv_act.get((i, j), empty) for j in range(m)] for i in range(n)]
+    col = p.map.columns()
     on_a = [[col[i][j] for i in range(n)] for j in range(m)]
     on_unit = [apply_cols(col[i], A.unit_dict()) for i in range(n)]
     pv_a = A.mul.pair_view()
@@ -324,10 +324,7 @@ def trivialize_right(left):
     """Pair a certified left action with the trivial right ε-action."""
     right = trivial_action(left.hopf, left.alg, side="right")
     b = PartialBimoduleData(left, right)
-    rep = check_bimodule(b)
-    if not rep.passed:
-        raise AssertionError("trivial right action failed compatibility: %s"
-                             % rep.failures[0][0])
+    check_bimodule(b).require("trivialized bimodule", AssertionError)
     return b
 
 
@@ -352,9 +349,7 @@ def sweedler_k_bimodule(field, r, s):
     _certify_action(left)
     _certify_action(right)
     b = PartialBimoduleData(left, right)
-    rep = check_bimodule(b)
-    if not rep.passed:
-        raise AssertionError("Sweedler (r,s) pair failed %s" % rep.failures[0][0])
+    check_bimodule(b).require("Sweedler (r,s) pair", AssertionError)
     return b
 
 
@@ -423,9 +418,7 @@ def _unital_subalgebra(B, span, unit_a):
     A = AlgebraData(B.field, ["a%d" % i for i in range(len(rows))],
                     restrict_product(_dict_coords(span), rows, B.mul_dict),
                     span.coords(list(unit_a)), name="corner of %s" % B.name)
-    rep = algebra_check(A)
-    if not rep.passed:
-        raise AssertionError("induced corner is not a unital algebra: %s" % rep.failures[0][0])
+    algebra_check(A).require("induced corner", AssertionError)
     return rows, u_d, A
 
 
@@ -498,9 +491,7 @@ def induce_bimodule(bim, a_span, unit_a):
     _certify_action(left)
     _certify_action(right)
     out = PartialBimoduleData(left, right)
-    rep = check_bimodule(out)
-    if not rep.passed:
-        raise AssertionError("induced bimodule failed %s" % rep.failures[0][0])
+    check_bimodule(out).require("induced bimodule", AssertionError)
     return out
 
 
@@ -563,14 +554,7 @@ def check_group_partial_action(gpa):
     rep = Report("partial %d-group action on %s" % (n, A.name))
     ids = [dict_of_vec(v) for v in gpa.idempotents]
     inv = gpa.inverses
-
-    def mat_vec(mat, d):
-        out = {}
-        for j, c in d.items():
-            for i in range(m):
-                if mat[i][j]:
-                    dict_acc(out, i, c * mat[i][j])
-        return out
+    alphas = [col_dicts(a) for a in gpa.alphas]
 
     rep.law("idempotent-central")
     for g in range(n):
@@ -597,8 +581,8 @@ def check_group_partial_action(gpa):
     for g in range(n):
         for j in range(m):
             dom = A.mul_dict({j: one}, ids[inv[g]])
-            lhs = mat_vec(gpa.alphas[g], dom)
-            rhs = mat_vec(gpa.alphas[g], {j: one})
+            lhs = apply_cols(alphas[g], dom)
+            rhs = apply_cols(alphas[g], {j: one})
             if lhs != rhs:
                 rep.fail("canonical-normalization", (g, j),
                          vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
@@ -606,7 +590,7 @@ def check_group_partial_action(gpa):
     rep.law("image-in-range")
     for g in range(n):
         for j in range(m):
-            img = mat_vec(gpa.alphas[g], {j: one})
+            img = apply_cols(alphas[g], {j: one})
             cut = A.mul_dict(img, ids[g])
             if img != cut:
                 rep.fail("image-in-range", (g, j),
@@ -614,7 +598,7 @@ def check_group_partial_action(gpa):
 
     rep.law("unit-translation")
     for g in range(n):
-        got = mat_vec(gpa.alphas[g], ids[inv[g]])
+        got = apply_cols(alphas[g], ids[inv[g]])
         if got != ids[g]:
             rep.fail("unit-translation", (g,),
                      vec_of_dict(got, m, f), gpa.idempotents[g])
@@ -625,8 +609,8 @@ def check_group_partial_action(gpa):
             di = A.mul_dict({i: one}, ids[inv[g]])
             for j in range(m):
                 dj = A.mul_dict({j: one}, ids[inv[g]])
-                lhs = mat_vec(gpa.alphas[g], A.mul_dict(di, dj))
-                rhs = A.mul_dict(mat_vec(gpa.alphas[g], di), mat_vec(gpa.alphas[g], dj))
+                lhs = apply_cols(alphas[g], A.mul_dict(di, dj))
+                rhs = A.mul_dict(apply_cols(alphas[g], di), apply_cols(alphas[g], dj))
                 if lhs != rhs:
                     rep.fail("iso-multiplicative", (g, i, j),
                              vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
@@ -634,7 +618,7 @@ def check_group_partial_action(gpa):
     rep.law("domain-translation")
     for g in range(n):
         for h in range(n):
-            got = mat_vec(gpa.alphas[g], A.mul_dict(ids[inv[g]], ids[h]))
+            got = apply_cols(alphas[g], A.mul_dict(ids[inv[g]], ids[h]))
             want = A.mul_dict(ids[g], ids[gpa.table[g][h]])
             if got != want:
                 rep.fail("domain-translation", (g, h),
@@ -646,8 +630,8 @@ def check_group_partial_action(gpa):
             gh = gpa.table[g][h]
             for j in range(m):
                 r = A.mul_dict(A.mul_dict({j: one}, ids[inv[h]]), ids[inv[gh]])
-                lhs = mat_vec(gpa.alphas[g], mat_vec(gpa.alphas[h], r))
-                rhs = mat_vec(gpa.alphas[gh], r)
+                lhs = apply_cols(alphas[g], apply_cols(alphas[h], r))
+                rhs = apply_cols(alphas[gh], r)
                 if lhs != rhs:
                     rep.fail("composition", (g, h, j),
                              vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
@@ -657,10 +641,7 @@ def check_group_partial_action(gpa):
 def group_to_kg(gpa):
     """Partial kG-action g⇀a = α_g(a·1_{g⁻¹}) from a certified partial group
     action; always symmetric."""
-    rep = check_group_partial_action(gpa)
-    if not rep.passed:
-        law, idx, lhs, rhs = rep.failures[0]
-        raise ValueError("partial group action fails %s at %s" % (law, idx))
+    check_group_partial_action(gpa).require("partial group action")
     f = gpa.alg.field
     hopf = group_algebra(gpa.table, f, ["u_%s" % s for s in gpa.labels],
                          name="k[%d-group]" % len(gpa.table))
@@ -697,10 +678,7 @@ def kg_to_group(p):
                 raise ValueError("the acting Hopf algebra is not a group algebra")
             row.append(next(iter(prod)))
         table.append(row)
-    rep = check_lpma(p, symmetric=True)
-    if not rep.passed:
-        raise ValueError("kg_to_group needs a certified symmetric action; fails %s"
-                         % rep.failures[0][0])
+    check_lpma(p, symmetric=True).require("kg_to_group input")
     A = p.alg
     m = A.dim
     f = A.field
@@ -708,11 +686,7 @@ def kg_to_group(p):
     alphas = [p.matrix(g) for g in range(n)]
     gpa = GroupPartialActionData(table, A, idempotents, alphas,
                                  labels=[b[2:] if b.startswith("u_") else b for b in H.basis])
-    out = check_group_partial_action(gpa)
-    if not out.passed:
-        law, idx, lhs, rhs = out.failures[0]
-        raise ValueError("derived group data fails %s at %s "
-                         "(input was not a symmetric partial kG-action)" % (law, idx))
+    check_group_partial_action(gpa).require("derived group data of the input")
     return gpa
 
 
@@ -771,9 +745,7 @@ def en_kg_example(table, normal_subgroup, field, labels=None):
             mul.add(idx[r1], idx[r2], idx[rep_of[table[r1][r2]]], one)
     A = AlgebraData(field, ["eN·u_%s" % labels[r] for r in reps], mul,
                     unit_vec(field, m, idx[rep_of[e]]), name="eN·kG")
-    rep = algebra_check(A)
-    if not rep.passed:
-        raise AssertionError("coset algebra failed %s" % rep.failures[0][0])
+    algebra_check(A).require("coset algebra", AssertionError)
 
     hopf = dual_hopf(group_algebra(table, field, ["u_%s" % s for s in labels], name="kG"))
     act = Tensor3((n, m, m))

@@ -148,6 +148,14 @@ class Report:
     def __bool__(self):
         return self.passed
 
+    def require(self, what, error=ValueError):
+        """Return the report if it passed; otherwise raise `error`, naming
+        `what` and the law and index of the first failure."""
+        if self.failures:
+            law, idx, _, _ = self.failures[0]
+            raise error("%s fails %s at %s" % (what, law, idx))
+        return self
+
     def merge(self, other, prefix=""):
         for law in other.laws:
             self.law(prefix + law)
@@ -473,13 +481,6 @@ def hopf_check(h):
     return rep
 
 
-def _certify(rep):
-    if not rep.passed:
-        law, idx, lhs, rhs = rep.failures[0]
-        raise AssertionError("constructor output failed %s at %s: %r != %r"
-                             % (law, idx, lhs, rhs))
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -504,7 +505,7 @@ def group_algebra(table, field, labels=None, name=None):
         antipode[inv[j]][j] = one
     h = HopfData(field, labels, mul, unit_vec(field, n, e), comul, counit, antipode,
                  name=name or "kG")
-    _certify(hopf_check(h))
+    hopf_check(h).require("group algebra", AssertionError)
     return h
 
 
@@ -539,7 +540,7 @@ def sweedler_h4(field):
     antipode[2][3] = one          # S(xg) = x
     h = HopfData(field, ["1", "g", "x", "xg"], mul, unit_vec(field, 4, 0),
                  comul, counit, antipode, name="H4")
-    _certify(hopf_check(h))
+    hopf_check(h).require("Sweedler algebra", AssertionError)
     return h
 
 
@@ -564,7 +565,7 @@ def dual_hopf(h):
     counit vector, counit evaluation at 1, antipode the transposed matrix.
     Certified by hopf_check."""
     dual = _dual_structure(h)
-    _certify(hopf_check(dual))
+    hopf_check(dual).require("dual Hopf algebra", AssertionError)
     return dual
 
 
@@ -582,15 +583,6 @@ def scalar_algebra(field):
 # when Δ is counital and A unital; a tensor product of associative unital
 # algebras is associative and unital.  The tests keep the ambient sweep as an
 # oracle on the built-in ambients.
-
-def _certify_factors(what, *reports):
-    """Raise ValueError at the first failed law of a factor an ambient rests on."""
-    for rep in reports:
-        if not rep.passed:
-            law, idx, _, _ = rep.failures[0]
-            raise ValueError("%s needs certified factors: %s fails %s at %s"
-                             % (what, rep.subject, law, idx))
-
 
 def _translations(n, cols, entries):
     """n operators as column maps from (operator, column, row, coefficient)
@@ -630,7 +622,8 @@ def hom_hh_a(h, a):
     coalgebra_check, else ValueError."""
     if a.unit is None:
         raise ValueError("hom_hh_a needs a unital coefficient algebra")
-    _certify_factors("hom_hh_a", algebra_check(a), coalgebra_check(h))
+    for rep in (algebra_check(a), coalgebra_check(h)):
+        rep.require("hom_hh_a needs certified factors: " + rep.subject)
     n, da = h.dim, a.dim
     f = h.field
     big = n * n * da
@@ -702,7 +695,8 @@ def tensor_hah(h, a):
     ValueError."""
     if a.unit is None:
         raise ValueError("tensor_hah needs a unital coefficient algebra")
-    _certify_factors("tensor_hah", algebra_check(h), algebra_check(a))
+    for rep in (algebra_check(h), algebra_check(a)):
+        rep.require("tensor_hah needs certified factors: " + rep.subject)
     n, da = h.dim, a.dim
     f = h.field
     big = n * da * n

@@ -161,13 +161,12 @@ def _ex_en_kg(args, field, outdir):
 
 def _ex_dual_group_action(args, field, outdir):
     from .algebras import group_algebra
-    from .actions import dual_regular_action, is_global
+    from .actions import dual_regular_action
     labels, table = _group(args.group or "z4")
     h = group_algebra(table, field, labels)
-    act = dual_regular_action(h)
+    act = dual_regular_action(h)  # raises unless the action is global
     files = _write_pair(outdir, act.hopf, act, "action")
-    return files, ["dual of k[%s] acting on it, is_global=%s"
-                   % (args.group or "z4", is_global(act))]
+    return files, ["dual of k[%s] acting on it, is_global=True" % (args.group or "z4")]
 
 
 def _ex_regular_bicomodule(args, field, outdir):

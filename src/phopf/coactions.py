@@ -284,18 +284,13 @@ def check_global_unit(p):
 
 
 def _certify_coaction(p):
-    suite = check_rpca if p.side == "right" else check_lpca
-    rep = suite(p)
-    if not rep.passed:
-        law, idx, lhs, rhs = rep.failures[0]
-        raise AssertionError("constructed coaction failed %s at %s" % (law, idx))
+    (check_rpca if p.side == "right" else check_lpca)(p).require(
+        "constructed coaction", AssertionError)
     return p
 
 
 def _certify_bicomodule(b, what):
-    rep = check_bicomodule(b)
-    if not rep.passed:
-        raise AssertionError("%s failed %s" % (what, rep.failures[0][0]))
+    check_bicomodule(b).require(what, AssertionError)
     return b
 
 
@@ -424,9 +419,7 @@ def bicomodule_to_bimodule(b):
     left = _certify_action(_dual_action(b.right, hs))
     right = _certify_action(_dual_action(b.left, hs))
     out = PartialBimoduleData(left, right)
-    rep = _compatibility(out, Report())
-    if not rep.passed:
-        raise AssertionError("dual bimodule failed %s" % rep.failures[0][0])
+    _compatibility(out, Report()).require("dual bimodule", AssertionError)
     return out
 
 
@@ -563,10 +556,7 @@ def check_vesgo_equivalence(bicom, a_basis, unit_a):
     certified once on entry (ValueError at its first failed law); the dual
     actions are its coordinate transposes and are not certified again."""
     B = bicom.alg
-    rep = check_bicomodule(bicom)
-    if not rep.passed:
-        law, idx, _, _ = rep.failures[0]
-        raise ValueError("input bicomodule fails %s at %s" % (law, idx))
+    check_bicomodule(bicom).require("input bicomodule")
     if not (check_global_unit(bicom.left) and check_global_unit(bicom.right)):
         raise ValueError("check_vesgo_equivalence needs a global bicomodule")
     span = a_basis if isinstance(a_basis, Subspace) \

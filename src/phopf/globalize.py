@@ -180,10 +180,7 @@ def standard_globalize_bimodule(b):
     induced product, both restricted operator families, and a certificate
     from verify_globalization (construction fails if any check does).
     """
-    rep = check_bimodule(b)
-    if not rep.passed:
-        law, idx, _, _ = rep.failures[0]
-        raise ValueError("input bimodule fails %s at %s" % (law, idx))
+    check_bimodule(b).require("input bimodule")
     H, A = b.hopf, b.alg
     n, da = H.dim, A.dim
     f = H.field
@@ -201,17 +198,9 @@ def standard_globalize_bimodule(b):
                 for t, c in val.items():
                     phi[amb.index(i, j, t)][m] = c
     phi_cols = [[phi[r][m] for r in range(big)] for m in range(da)]
-    phi_d = [dict_of_vec(col) for col in phi_cols]
 
-    # spanning translates in lexicographic (left, coefficient, right) order
-    cols = []
-    for h in range(n):
-        lop = amb.left_ops[h]
-        for m in range(da):
-            for k in range(n):
-                w = apply_cols(lop, apply_cols(amb.right_ops[k], phi_d[m]))
-                cols.append(vec_of_dict(w, big, f))
-    span = Subspace(big, f, cols)
+    span = Subspace(big, f, [vec_of_dict(w, big, f) for w in _translates(
+        n, amb.left_ops, amb.right_ops, [dict_of_vec(col) for col in phi_cols])])
     dB = span.dim
 
     mul = restrict_product(span.coords, span.rows, amb.algebra.mulvec)
@@ -226,21 +215,76 @@ def standard_globalize_bimodule(b):
 
     glob = BimoduleGlobalization(H, A, amb, phi, span, alg_b,
                                  left_ops, right_ops, theta)
-    glob.certificate = _require_passed(verify_globalization(glob, b),
-                                       "standard globalization")
+    glob.certificate = verify_globalization(glob, b).require(
+        "standard globalization", AssertionError)
     return glob
 
 
 # ---------------------------------------------------------------------------
 # verification
 
-def _require_passed(cert, what):
-    """Return a passing certificate; raise at the first failure otherwise."""
-    if not cert.passed:
-        law, idx, _, _ = cert.failures[0]
-        raise AssertionError("%s fails its certificate: %s at %s"
-                             % (what, law, idx))
-    return cert
+def _columns(candidate):
+    """θ and the left and right operator families of a candidate, each as
+    column maps."""
+    d = candidate.algebra.dim
+    theta = [dict_of_vec([candidate.theta[r][m] for r in range(d)])
+             for m in range(candidate.coeff.dim)]
+    return (theta, [col_dicts(op) for op in candidate.left_ops],
+            [col_dicts(op) for op in candidate.right_ops])
+
+
+def _translates(n, left_cols, right_cols, theta_cols):
+    """The operator translates h▷θ(a)◁k in (h, a, k) order."""
+    return [apply_cols(left_cols[h], apply_cols(right_cols[k], theta_cols[m]))
+            for h in range(n) for m in range(len(theta_cols)) for k in range(n)]
+
+
+def _product_rule(b):
+    """The product rule of the globalization of the partial bimodule b,
+
+        (h▷θ(a)◁k)(h'▷θ(b)◁k') = Σ h₁▷θ[(a↼k·S(k'₁))(S(h₂)h'⇀b)]◁k'₂,
+
+    as a function of the basis triples (h, a, k), (h', b, k') returning the
+    right-hand side as {(h₁, t, k'₂): c}, the coefficient of h₁▷θ(a_t)◁k'₂.
+    The twisted factors a↼k·S(w₁) and S(h₂)h'⇀b are tabulated once, and
+    each of their products in A is formed the first time it is read."""
+    H, A = b.hopf, b.alg
+    n, da = H.dim, A.dim
+    one = H.field.one
+    pvH = H.mul.pair_view()
+    pvA = A.mul.pair_view()
+    iv = H.comul.in1_view()
+    empty = {}
+    s_cols = [dict_of_vec([H.antipode[r][j] for r in range(n)]) for j in range(n)]
+    right_fac, left_fac, fac_prods = {}, {}, {}
+    for x in range(n):
+        for y in range(n):
+            kt = mul_dicts(pvH, {x: one}, s_cols[y])   # k·S(w₁) at (k, w₁) = (x, y)
+            ht = mul_dicts(pvH, s_cols[x], {y: one})   # S(h₂)h' at (h₂, h') = (x, y)
+            for m in range(da):
+                right_fac[(x, y, m)] = b.right.apply(kt, {m: one})
+                left_fac[(x, y, m)] = b.left.apply(ht, {m: one})
+
+    def rule(h, m, k, hp, mb, kp):
+        out = {}
+        for (h1, h2), c1 in iv.get(h, empty).items():
+            lf = left_fac[(h2, hp, mb)]
+            if not lf:
+                continue
+            for (w1, w2), c2 in iv.get(kp, empty).items():
+                rf = right_fac[(k, w1, m)]
+                if not rf:
+                    continue
+                key = (k, w1, m, h2, hp, mb)
+                prod = fac_prods.get(key)
+                if prod is None:
+                    prod = fac_prods[key] = mul_dicts(pvA, rf, lf)
+                cc = c1 * c2
+                for t, ct in prod.items():
+                    dict_acc(out, (h1, t, w2), cc * ct)
+        return out
+
+    return rule
 
 
 def _require_global_bimodule(algebra, hopf, left_cols, right_cols):
@@ -338,19 +382,13 @@ def verify_globalization(candidate, b):
     Bp = candidate.algebra
     dB = Bp.dim
 
-    rep = algebra_check(Bp)
-    if not rep.passed:
-        law, idx, _, _ = rep.failures[0]
-        raise ValueError("candidate algebra fails %s at %s" % (law, idx))
+    algebra_check(Bp).require("candidate algebra")
 
-    left_cols = [col_dicts(op) for op in candidate.left_ops]
-    right_cols = [col_dicts(op) for op in candidate.right_ops]
+    theta_d, left_cols, right_cols = _columns(candidate)
     if len(left_cols) != n or len(right_cols) != n:
         raise ValueError("need one operator per Hopf basis element on each side")
     _require_global_bimodule(Bp, H, left_cols, right_cols)
 
-    theta_d = [dict_of_vec([candidate.theta[r][m] for r in range(dB)])
-               for m in range(da)]
     rank, _, _ = rref([vec_of_dict(d, dB, f) for d in theta_d], f)
     if rank != da:
         raise ValueError("embedding is not injective (rank %d of %d)" % (rank, da))
@@ -364,25 +402,11 @@ def verify_globalization(candidate, b):
 
     pvB = Bp.mul.pair_view()
     pvA = A.mul.pair_view()
-    pvH = H.mul.pair_view()
-    iv = H.comul.in1_view()
-    s_cols = [dict_of_vec([H.antipode[r][j] for r in range(n)]) for j in range(n)]
     cert = Report(Bp.name)
-
-    # the operator translates h▷θ(a)◁k, built once in (h, a, k) order
-    translates = [apply_cols(left_cols[h], apply_cols(right_cols[k], theta_d[m]))
-                  for h in range(n) for m in range(da) for k in range(n)]
+    translates = _translates(n, left_cols, right_cols, theta_d)
 
     def tr(h, m, k):
         return translates[(h * da + m) * n + k]
-
-    def tr_of(h, dct, k):
-        """h▷θ(x)◁k for x given by its coordinates dct."""
-        out = {}
-        for m, c in dct.items():
-            for i, d in tr(h, m, k).items():
-                dict_acc(out, i, c * d)
-        return out
 
     def condition1():
         for h in range(n):
@@ -401,42 +425,15 @@ def verify_globalization(candidate, b):
     span = Subspace(dB, f, [vec_of_dict(w, dB, f) for w in translates])
     _first_failure(cert, "condition2", [((span.dim, dB), span.dim, dB)])
 
-    right_fac = {}
-    for k in range(n):
-        for w1 in range(n):
-            kt = mul_dicts(pvH, {k: one}, s_cols[w1])
-            for m in range(da):
-                right_fac[(k, w1, m)] = b.right.apply(kt, {m: one})
-    left_fac = {}
-    for h2 in range(n):
-        for hp in range(n):
-            ht = mul_dicts(pvH, s_cols[h2], {hp: one})
-            for m in range(da):
-                left_fac[(h2, hp, m)] = b.left.apply(ht, {m: one})
-
-    # (a↼k·S(w₁))(S(h₂)h'⇀b), formed once per (k, w₁, a, h₂, h', b)
-    fac_prods = {}
+    rule = _product_rule(b)
 
     def lemaco1():
         for h, m, k, hp, mb, kp in product(range(n), range(da), range(n),
                                            range(n), range(da), range(n)):
             rhs = {}
-            for (h1, h2), c1 in iv.get(h, {}).items():
-                lf = left_fac[(h2, hp, mb)]
-                if not lf:
-                    continue
-                for (w1, w2), c2 in iv.get(kp, {}).items():
-                    rf = right_fac[(k, w1, m)]
-                    if not rf:
-                        continue
-                    key = (k, w1, m, h2, hp, mb)
-                    prod = fac_prods.get(key)
-                    if prod is None:
-                        prod = fac_prods[key] = mul_dicts(pvA, rf, lf)
-                    if prod:
-                        cc = c1 * c2
-                        for t, d in tr_of(h1, prod, w2).items():
-                            dict_acc(rhs, t, cc * d)
+            for key, c in rule(h, m, k, hp, mb, kp).items():
+                for i, d in tr(*key).items():
+                    dict_acc(rhs, i, c * d)
             yield ((H.basis[h], A.basis[m], H.basis[k],
                     H.basis[hp], A.basis[mb], H.basis[kp]),
                    mul_dicts(pvB, tr(h, m, k), tr(hp, mb, kp)), rhs)
@@ -480,23 +477,10 @@ def comparison_map(candidate, std):
     dC = candidate.algebra.dim
     dS = std.algebra.dim
 
-    left_c = [col_dicts(op) for op in candidate.left_ops]
-    right_c = [col_dicts(op) for op in candidate.right_ops]
-    left_s = [col_dicts(op) for op in std.left_ops]
-    right_s = [col_dicts(op) for op in std.right_ops]
-    theta_c = [dict_of_vec([candidate.theta[r][m] for r in range(dC)])
-               for m in range(da)]
-    theta_s = [dict_of_vec([std.theta[r][m] for r in range(dS)])
-               for m in range(da)]
-
-    v_cols, w_cols = [], []
-    for h in range(n):
-        for m in range(da):
-            for k in range(n):
-                v = apply_cols(left_c[h], apply_cols(right_c[k], theta_c[m]))
-                w = apply_cols(left_s[h], apply_cols(right_s[k], theta_s[m]))
-                v_cols.append(vec_of_dict(v, dC, f))
-                w_cols.append(vec_of_dict(w, dS, f))
+    theta_c, left_c, right_c = _columns(candidate)
+    theta_s, left_s, right_s = _columns(std)
+    v_cols = [vec_of_dict(v, dC, f) for v in _translates(n, left_c, right_c, theta_c)]
+    w_cols = [vec_of_dict(w, dS, f) for w in _translates(n, left_s, right_s, theta_s)]
 
     ncols = len(v_cols)
     v_rows = [[v_cols[j][i] for j in range(ncols)] for i in range(dC)]
@@ -646,12 +630,10 @@ def minimalize(candidate, bimodule=None):
 
     sections = [unit_vec(f, dB, c) for c in keep]
     mul_q = restrict_product(project, sections, Bp.mulvec)
-    left_q = _restrict_ops([col_dicts(op) for op in candidate.left_ops],
-                           sections, project, f, "left operator family")
-    right_q = _restrict_ops([col_dicts(op) for op in candidate.right_ops],
-                            sections, project, f, "right operator family")
-    theta_q = _embed([[candidate.theta[r][m] for r in range(dB)]
-                      for m in range(candidate.coeff.dim)], project, dQ, f.zero)
+    theta, left, right = _columns(candidate)
+    left_q = _restrict_ops(left, sections, project, f, "left operator family")
+    right_q = _restrict_ops(right, sections, project, f, "right operator family")
+    theta_q = _embed([vec_of_dict(d, dB, f) for d in theta], project, dQ, f.zero)
     unit_q = None
     if Bp.unit is not None:
         unit_q = project(Bp.unit)
@@ -662,7 +644,7 @@ def minimalize(candidate, bimodule=None):
                                  name="minimal quotient of %s" % getattr(
                                      candidate, "name", Bp.name))
     if bimodule is not None:
-        _require_passed(verify_globalization(out, bimodule), "quotient candidate")
+        verify_globalization(out, bimodule).require("quotient candidate", AssertionError)
         if maximal_degenerate_subbimodule(out).dim != 0:
             raise AssertionError("quotient candidate is still not minimal")
     return out
@@ -684,50 +666,17 @@ def free_candidate_bimodule(b):
     H, A = b.hopf, b.alg
     n, da = H.dim, A.dim
     f = H.field
-    one = f.one
     N = n * da * n
 
     def idx(u, m, v):
         return (u * da + m) * n + v
 
-    pvH = H.mul.pair_view()
-    pvA = A.mul.pair_view()
-    iv = H.comul.in1_view()
-    s_cols = [dict_of_vec([H.antipode[r][j] for r in range(n)]) for j in range(n)]
-
-    right_fac = {}
-    for v in range(n):
-        for w1 in range(n):
-            kt = mul_dicts(pvH, {v: one}, s_cols[w1])
-            for m in range(da):
-                right_fac[(v, w1, m)] = b.right.apply(kt, {m: one})
-    left_fac = {}
-    for u2 in range(n):
-        for up in range(n):
-            ht = mul_dicts(pvH, s_cols[u2], {up: one})
-            for m in range(da):
-                left_fac[(u2, up, m)] = b.left.apply(ht, {m: one})
-
+    triples = list(product(range(n), range(da), range(n)))
+    rule = _product_rule(b)
     mul = Tensor3((N, N, N))
-    for u in range(n):
-        for (u1, u2), c1 in iv.get(u, {}).items():
-            for vp in range(n):
-                for (w1, w2), c2 in iv.get(vp, {}).items():
-                    cc = c1 * c2
-                    for v in range(n):
-                        for up in range(n):
-                            for m in range(da):
-                                a1 = right_fac[(v, w1, m)]
-                                if not a1:
-                                    continue
-                                for mp in range(da):
-                                    a2 = left_fac[(u2, up, mp)]
-                                    if not a2:
-                                        continue
-                                    prod = mul_dicts(pvA, a1, a2)
-                                    for t, ct in prod.items():
-                                        mul.add(idx(u, m, v), idx(up, mp, vp),
-                                                idx(u1, t, w2), cc * ct)
+    for x, y in product(triples, repeat=2):
+        for z, c in rule(*x, *y).items():
+            mul.add(idx(*x), idx(*y), idx(*z), c)
 
     theta = [[f.zero] * da for _ in range(N)]
     for i in range(n):
@@ -764,19 +713,13 @@ def free_candidate_bimodule(b):
 # ---------------------------------------------------------------------------
 # the standard bicomodule globalization
 
-def _dual_cols(t, side, n, d):
-    """A coaction tensor on a d-dimensional algebra (laid out as
-    PartialCoactionData.map) read as the column maps of n operators of the
-    dual Hopf algebra; the coordinate transpose of
+def _dual_cols(t, side):
+    """A coaction tensor (laid out as PartialCoactionData.map) read as the
+    column maps of operators of the dual Hopf algebra, one per basis
+    element of H; the coordinate transpose of
     coactions.coaction_to_dual_action.  A right coaction gives the left
     family, a left coaction the right one."""
-    cols = [[{} for _ in range(d)] for _ in range(n)]
-    for (i, j, k), c in t.entries.items():
-        if side == "right":
-            cols[k][i][j] = c
-        else:
-            cols[j][i][k] = c
-    return cols
+    return t.transpose((2, 0, 1) if side == "right" else (1, 0, 2)).columns()
 
 
 def _require_global_bicomodule(algebra, hopf, rho, lam):
@@ -789,10 +732,8 @@ def _require_global_bicomodule(algebra, hopf, rho, lam):
     laws of _require_global_bimodule.  Those laws are checked outright, so
     they read the dual structure constants without certifying the dual
     Hopf algebra (coactions.bicomodule_to_bimodule does that)."""
-    n, d = hopf.dim, algebra.dim
     _require_global_bimodule(algebra, _dual_structure(hopf),
-                             _dual_cols(rho, "right", n, d),
-                             _dual_cols(lam, "left", n, d))
+                             _dual_cols(rho, "right"), _dual_cols(lam, "left"))
 
 
 def standard_globalize_bicomodule(b):
@@ -812,10 +753,7 @@ def standard_globalize_bicomodule(b):
     on all basis pairs, whose first failure is indexed by the pair of basis
     labels.  The construction raises if the certificate fails.
     """
-    rep = check_bicomodule(b)
-    if not rep.passed:
-        law, idx, _, _ = rep.failures[0]
-        raise ValueError("input bicomodule fails %s at %s" % (law, idx))
+    check_bicomodule(b).require("input bicomodule")
     H, A = b.hopf, b.alg
     da = A.dim
     f = H.field
@@ -877,7 +815,7 @@ def standard_globalize_bicomodule(b):
     theta_b = _embed(theta_cols, span.coords, dB, f.zero)
     return BicomoduleGlobalization(H, A, amb, theta, span, alg_b, induced_rho,
                                    induced_lam, theta_b,
-                                   _require_passed(cert, "standard globalization"))
+                                   cert.require("standard globalization", AssertionError))
 
 
 # ---------------------------------------------------------------------------

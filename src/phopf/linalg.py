@@ -99,12 +99,17 @@ class Tensor3:
         self.dims = tuple(dims)
         self.entries = {}
         if entries:
+            d0, d1, d2 = self.dims
             for key, c in entries.items():
+                i, j, k = key
+                if not (0 <= i < d0 and 0 <= j < d1 and 0 <= k < d2):
+                    raise ValueError("tensor key %r outside dims %r" % (key, self.dims))
                 if c:
                     self.entries[key] = c
         self._pair = None
         self._partners = None
         self._in1 = None
+        self._cols = None
 
     def add(self, i, j, k, c):
         if not c:
@@ -119,6 +124,7 @@ class Tensor3:
         self._pair = None
         self._partners = None
         self._in1 = None
+        self._cols = None
 
     def get(self, i, j, k, zero):
         return self.entries.get((i, j, k), zero)
@@ -150,6 +156,16 @@ class Tensor3:
                 iv.setdefault(i, {})[(j, k)] = c
             self._in1 = iv
         return self._in1
+
+    def columns(self):
+        """[i][j] = {k: c} — slice i of the first slot as an operator on
+        column maps: column j is the image of e_j.  Read-only."""
+        if self._cols is None:
+            cols = [[{} for _ in range(self.dims[1])] for _ in range(self.dims[0])]
+            for (i, j, k), c in self.entries.items():
+                cols[i][j][k] = c
+            self._cols = cols
+        return self._cols
 
     def apply_in1(self, x):
         """The tensor applied through its first slot to a sparse vector x:

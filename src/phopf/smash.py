@@ -75,28 +75,17 @@ def smash_product(bimodule, bicomodule, unchecked=False):
     if A.field != U.field:
         raise ValueError("factors live over different fields")
     if not unchecked:
-        rep = check_bimodule(bimodule)
-        if not rep.passed:
-            law, idx = rep.failures[0][:2]
-            raise ValueError("uncertified bimodule factor: fails %s at %s" % (law, idx))
-        rep = check_bicomodule(bicomodule)
-        if not rep.passed:
-            law, idx = rep.failures[0][:2]
-            raise ValueError("uncertified bicomodule factor: fails %s at %s" % (law, idx))
+        check_bimodule(bimodule).require("uncertified bimodule factor")
+        check_bicomodule(bicomodule).require("uncertified bicomodule factor")
 
     f = A.field
-    n = bimodule.hopf.dim
     dA, dU = A.dim, U.dim
     pvA = A.mul.pair_view()
     pvU = U.mul.pair_view()
     lam = bicomodule.left.map.in1_view()    # u_j ↦ {(h, u⁻⁰): c}
     rho = bicomodule.right.map.in1_view()   # u_l ↦ {(u⁺⁰, h): c}
-    right_cols = [[{} for _ in range(dA)] for _ in range(n)]
-    for (h, j, k), c in bimodule.right.map.entries.items():
-        right_cols[h][j][k] = c
-    left_cols = [[{} for _ in range(dA)] for _ in range(n)]
-    for (h, j, k), c in bimodule.left.map.entries.items():
-        left_cols[h][j][k] = c
+    right_cols = bimodule.right.map.columns()
+    left_cols = bimodule.left.map.columns()
 
     N = dA * dU
     mul = Tensor3((N, N, N))
@@ -132,11 +121,7 @@ def smash_product(bimodule, bicomodule, unchecked=False):
                                     one_s) else None
     s = SmashAlgebra(bimodule, bicomodule, AlgebraData(f, labels, mul, unit, name=name))
     if not unchecked:
-        rep = check_smash_associativity(s)
-        if not rep.passed:
-            raise ValueError("smash product not associative at basis triple %s — "
-                             "an input axiom must have been violated"
-                             % (rep.failures[0][1],))
+        check_smash_associativity(s).require("smash product")
     return s
 
 
@@ -287,7 +272,5 @@ def unital_corner(s, e_vec):
         raise AssertionError("the idempotent fell outside its own corner")
     alg = AlgebraData(f, ["c%d" % t for t in range(span.dim)], mul, ue,
                       name="corner of %s" % s.alg.name)
-    rep = algebra_check(alg)
-    if not rep.passed:
-        raise AssertionError("corner algebra fails %s" % rep.failures[0][0])
+    algebra_check(alg).require("corner algebra", AssertionError)
     return CornerAlgebra(s, e_vec, span, alg)

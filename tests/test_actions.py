@@ -152,6 +152,16 @@ def test_unit_of_hopf_must_act_as_identity(h4):
         PartialActionData(h4, A, "left", {(2, 0, 0): QQ.one})
 
 
+def test_action_map_keys_must_lie_in_its_shape(h4):
+    # an entry outside the (H, A, A) shape would otherwise be invisible to
+    # the suites, which read the map one basis pair at a time
+    A = scalar_algebra(QQ)
+    ent = dict(trivial_action(h4, A, "left").map.entries)
+    ent[(2, 3, 0)] = QQ.one
+    with pytest.raises(ValueError, match=r"tensor key \(2, 3, 0\) outside dims"):
+        PartialActionData(h4, A, "left", ent)
+
+
 def test_action_matrices_have_images_in_columns():
     _, table = named_group("Z4")
     _, act = en_kg_example(table, {0, 2}, QQ)

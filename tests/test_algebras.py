@@ -351,6 +351,19 @@ def test_report_bookkeeping():
     assert "inner/beta" in outer.laws and not outer.passed
 
 
+def test_report_require_returns_a_passing_report_and_raises_at_the_first_failure():
+    r = Report("subject")
+    r.law("alpha")
+    assert r.require("thing") is r
+    r.fail("beta", (2, 0), "L", "R")
+    r.fail("alpha", (1,), "L", "R")
+    with pytest.raises(ValueError) as err:
+        r.require("thing")
+    assert str(err.value) == "thing fails beta at (2, 0)"
+    with pytest.raises(AssertionError, match=r"^thing fails beta at \(2, 0\)$"):
+        r.require("thing", AssertionError)
+
+
 # ---------------------------------------------------------------------------
 # the associativity sweep against the triple-by-triple reference
 

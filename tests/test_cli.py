@@ -103,6 +103,28 @@ def test_example_certifies_through_its_constructor_only(tmp_path, capsys, monkey
     assert runs == ["left", "right"]
 
 
+def test_dual_group_action_notes_the_globality_its_constructor_required(
+        tmp_path, capsys, monkeypatch):
+    # dual_regular_action raises unless its action is global, so the note
+    # states is_global=True without a second globality test
+    from phopf import actions
+    calls = []
+    is_global = actions.is_global
+
+    def counted(p):
+        calls.append(p.name)
+        return is_global(p)
+
+    monkeypatch.setattr(actions, "is_global", counted)
+    assert main(["example", "dual-group-action", "--group", "s3", "-o", str(tmp_path),
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == ('{"example": "dual-group-action", "files": ["%s", "%s"], '
+                   '"notes": ["dual of k[s3] acting on it, is_global=True"]}\n'
+                   % (tmp_path / "hopf.json", tmp_path / "action.json"))
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # check: the three exit codes
 

@@ -53,3 +53,34 @@ def test_the_package_namespace_is_lazy_and_its_table_is_true():
         bound = _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
         missing += ["%s.%s" % (module, name) for name in names if name not in bound]
     assert not missing, missing
+
+
+def _failure_index_reads(tree):
+    """(function, line) of every `<expr>.failures[0]` in a module, with the
+    enclosing class and function joined as `Class.function`."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "failures"
+                and isinstance(node.slice, ast.Constant) and node.slice.value == 0):
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_report_require_reads_the_first_failure():
+    # raising at a report's first failure is Report.require's job, so every
+    # certificate gate names its failing law and index the same way
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += ["%s:%d in %s" % (path.name, line, scope)
+                  for scope, line in _failure_index_reads(tree)
+                  if (path.name, scope) != ("algebras.py", "Report.require")]
+    assert not found, found

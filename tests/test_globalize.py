@@ -2,6 +2,7 @@
 minimalization, and the bicomodule-side bridge."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,7 @@ from phopf.fields import GF, QQ
 from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
                           col_dicts, dict_acc, nullspace)
 from phopf._groups import named_group
-from phopf.algebras import (AlgebraData, algebra_check, dict_of_vec,
+from phopf.algebras import (AlgebraData, Report, algebra_check, dict_of_vec,
                             dual_hopf, group_algebra, mul_dicts, scalar_algebra,
                             sweedler_h4)
 from phopf.actions import (PartialBimoduleData, dual_regular_action,
@@ -21,7 +22,7 @@ from phopf.coactions import (PartialBicomoduleData, bicomodule_to_bimodule,
                              bimodule_to_bicomodule, induce_bicomodule,
                              regular_bicomodule, sweedler_k_bicomodule,
                              trivial_coaction)
-from phopf.globalize import (GlobalizationCandidate,
+from phopf.globalize import (GlobalizationCandidate, _first_failure,
                              _require_global_bicomodule,
                              _require_global_bimodule, comparison_map,
                              free_candidate_bimodule,
@@ -709,3 +710,182 @@ def test_order_eight_regular_dual_bicomodules_globalize_with_certificate(group):
     g = standard_globalize_bicomodule(regular_bicomodule(dual_hopf(_kg(group))))
     assert g.ambient.algebra.dim == 512 and g.dim == 8
     assert g.certificate.passed and g.certificate.laws == ["exchange"]
+
+
+# ---------------------------------------------------------------------------
+# the product rule against the two loops it replaced
+
+
+def _twisted_factors(b):
+    """a↼k·S(w₁) at (k, w₁, a) and S(h₂)h'⇀b at (h₂, h', b), as tabulated
+    by the two reference loops below."""
+    H, A = b.hopf, b.alg
+    n, da = H.dim, A.dim
+    one = H.field.one
+    pvH = H.mul.pair_view()
+    s_cols = [dict_of_vec([H.antipode[r][j] for r in range(n)]) for j in range(n)]
+    right_fac, left_fac = {}, {}
+    for v in range(n):
+        for w1 in range(n):
+            kt = mul_dicts(pvH, {v: one}, s_cols[w1])
+            for m in range(da):
+                right_fac[(v, w1, m)] = b.right.apply(kt, {m: one})
+    for u2 in range(n):
+        for up in range(n):
+            ht = mul_dicts(pvH, s_cols[u2], {up: one})
+            for m in range(da):
+                left_fac[(u2, up, m)] = b.left.apply(ht, {m: one})
+    return right_fac, left_fac
+
+
+def reference_free_candidate_mul(b):
+    """The multiplication table free_candidate_bimodule built with its own
+    loop before the product rule was shared with verify_globalization."""
+    H, A = b.hopf, b.alg
+    n, da = H.dim, A.dim
+    N = n * da * n
+
+    def idx(u, m, v):
+        return (u * da + m) * n + v
+
+    pvA = A.mul.pair_view()
+    iv = H.comul.in1_view()
+    right_fac, left_fac = _twisted_factors(b)
+    mul = Tensor3((N, N, N))
+    for u in range(n):
+        for (u1, u2), c1 in iv.get(u, {}).items():
+            for vp in range(n):
+                for (w1, w2), c2 in iv.get(vp, {}).items():
+                    cc = c1 * c2
+                    for v in range(n):
+                        for up in range(n):
+                            for m in range(da):
+                                a1 = right_fac[(v, w1, m)]
+                                if not a1:
+                                    continue
+                                for mp in range(da):
+                                    a2 = left_fac[(u2, up, mp)]
+                                    if not a2:
+                                        continue
+                                    prod = mul_dicts(pvA, a1, a2)
+                                    for t, ct in prod.items():
+                                        mul.add(idx(u, m, v), idx(up, mp, vp),
+                                                idx(u1, t, w2), cc * ct)
+    return mul
+
+
+def reference_lemaco1(candidate, b):
+    """The lemaco1 cases verify_globalization generated with its own loop
+    before the product rule was shared with free_candidate_bimodule."""
+    H, A = b.hopf, b.alg
+    n, da = H.dim, A.dim
+    dB = candidate.algebra.dim
+    pvB = candidate.algebra.mul.pair_view()
+    pvA = A.mul.pair_view()
+    iv = H.comul.in1_view()
+    left_cols = [col_dicts(op) for op in candidate.left_ops]
+    right_cols = [col_dicts(op) for op in candidate.right_ops]
+    theta_d = [dict_of_vec([candidate.theta[r][m] for r in range(dB)])
+               for m in range(da)]
+    translates = [apply_cols(left_cols[h], apply_cols(right_cols[k], theta_d[m]))
+                  for h in range(n) for m in range(da) for k in range(n)]
+
+    def tr(h, m, k):
+        return translates[(h * da + m) * n + k]
+
+    def tr_of(h, dct, k):
+        out = {}
+        for m, c in dct.items():
+            for i, d in tr(h, m, k).items():
+                dict_acc(out, i, c * d)
+        return out
+
+    right_fac, left_fac = _twisted_factors(b)
+    fac_prods = {}
+    for h, m, k, hp, mb, kp in product(range(n), range(da), range(n),
+                                       range(n), range(da), range(n)):
+        rhs = {}
+        for (h1, h2), c1 in iv.get(h, {}).items():
+            lf = left_fac[(h2, hp, mb)]
+            if not lf:
+                continue
+            for (w1, w2), c2 in iv.get(kp, {}).items():
+                rf = right_fac[(k, w1, m)]
+                if not rf:
+                    continue
+                key = (k, w1, m, h2, hp, mb)
+                prod = fac_prods.get(key)
+                if prod is None:
+                    prod = fac_prods[key] = mul_dicts(pvA, rf, lf)
+                if prod:
+                    cc = c1 * c2
+                    for t, d in tr_of(h1, prod, w2).items():
+                        dict_acc(rhs, t, cc * d)
+        yield ((H.basis[h], A.basis[m], H.basis[k],
+                H.basis[hp], A.basis[mb], H.basis[kp]),
+               mul_dicts(pvB, tr(h, m, k), tr(hp, mb, kp)), rhs)
+
+
+def _random_sweedler_bimodule(field, seed):
+    rng = random.Random(seed)
+    pick = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))) \
+        if field is QQ else (lambda: rng.randrange(field.char))
+    return sweedler_k_bimodule(field, pick(), pick())
+
+
+PRODUCT_RULE_INPUTS = {
+    "Sweedler (r,s)/QQ seed 1": lambda: _random_sweedler_bimodule(QQ, 1),
+    "Sweedler (r,s)/QQ seed 2": lambda: _random_sweedler_bimodule(QQ, 2),
+    "Sweedler (r,s)/GF5 seed 3": lambda: _random_sweedler_bimodule(GF(5), 3),
+    "Sweedler (r,s)/GF5 seed 4": lambda: _random_sweedler_bimodule(GF(5), 4),
+    "kZ4* on kZ4": lambda: trivialize_right(dual_regular_action(_kg("Z4"))),
+    "H4* on H4": lambda: trivialize_right(dual_regular_action(sweedler_h4(QQ))),
+}
+
+
+@pytest.mark.parametrize("make", PRODUCT_RULE_INPUTS.values(),
+                         ids=list(PRODUCT_RULE_INPUTS))
+def test_free_candidate_product_matches_the_reference_loop(make):
+    b = make()
+    assert free_candidate_bimodule(b).algebra.mul.entries == \
+        reference_free_candidate_mul(b).entries
+
+
+def _theta_mutants(std):
+    """Copies of the standard globalization with one entry of θ moved."""
+    f = std.hopf.field
+    for r in range(std.dim):
+        for m in range(std.coeff.dim):
+            for delta in (f.one, -std.theta[r][m]):
+                if not delta:
+                    continue
+                theta = [list(row) for row in std.theta]
+                theta[r][m] = theta[r][m] + delta
+                yield GlobalizationCandidate(std.algebra, theta, std.left_ops,
+                                             std.right_ops, std.coeff,
+                                             name="θ moved at (%d, %d)" % (r, m))
+
+
+@pytest.mark.parametrize("field,r,s", [(QQ, Fraction(2, 3), -5), (GF(5), 2, 4)],
+                         ids=["QQ", "GF5"])
+def test_verify_globalization_reports_match_the_reference_lemaco1(field, r, s):
+    b = sweedler_k_bimodule(field, r, s)
+    seen = 0
+    for cand in _theta_mutants(standard_globalize_bimodule(b)):
+        try:
+            rep = verify_globalization(cand, b)
+        except ValueError as exc:
+            assert "not injective" in str(exc)
+            continue
+        ref = Report(rep.subject)
+        for law in rep.laws:
+            if law == "lemaco1":
+                _first_failure(ref, law, reference_lemaco1(cand, b))
+            else:
+                ref.law(law)
+                ref.failures += rep.failures_for(law)
+        assert rep.laws == ref.laws == list(GLOBALIZATION_LAWS)
+        assert rep.failures == ref.failures
+        assert rep.to_json() == ref.to_json()
+        seen += bool(rep.failures_for("lemaco1"))
+    assert seen

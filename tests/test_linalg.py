@@ -121,6 +121,23 @@ def test_tensor3_views_and_transpose():
     assert t.apply_in1({0: QQ.one}) == {(2, 1): QQ.one}
 
 
+def test_tensor3_columns_read_each_first_slot_as_column_maps():
+    t = Tensor3((2, 3, 2), {(0, 1, 1): QQ.of(2), (1, 2, 0): QQ.of(-1),
+                            (1, 2, 1): QQ.one})
+    assert t.columns() == [[{}, {1: QQ.of(2)}, {}], [{}, {}, {0: QQ.of(-1), 1: QQ.one}]]
+    for i in range(2):
+        assert apply_cols(t.columns()[i], {2: QQ.of(3)}) == \
+            {k: 3 * c for (j, k), c in t.in1_view().get(i, {}).items() if j == 2}
+    t.add(0, 0, 1, QQ.one)      # the cached view follows the new entry
+    assert t.columns()[0][0] == {1: QQ.one}
+
+
+@pytest.mark.parametrize("key", [(2, 0, 0), (0, 3, 0), (0, 0, -1)])
+def test_tensor3_rejects_keys_outside_its_dims(key):
+    with pytest.raises(ValueError, match="outside dims"):
+        Tensor3((2, 3, 2), {key: QQ.one})
+
+
 def test_tensor3_apply_bilinear_matches_naive():
     rng = random.Random(7)
     t = Tensor3((3, 3, 3))
