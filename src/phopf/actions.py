@@ -128,7 +128,7 @@ def _action_suite(p, symmetric, left):
 
     The right suite is the left one read through A^op, H^op and Δ^cop: the
     mirror is a choice of product order, not a second copy of the loops."""
-    rep = Report(p.name)
+    rep = Report(p.name, p.alg.field)
     H, A = p.hopf, p.alg
     n, m = H.dim, A.dim
     f = H.field
@@ -253,7 +253,7 @@ def check_rpma(p, symmetric=None):
 def check_bimodule(b):
     """Both one-sided suites plus the compatibility law h⇀(a↼g) = (h⇀a)↼g
     on all basis triples."""
-    rep = Report("%s bimodule on %s" % (b.hopf.name, b.alg.name))
+    rep = Report("%s bimodule on %s" % (b.hopf.name, b.alg.name), b.alg.field)
     rep.merge(check_lpma(b.left), prefix="left/")
     rep.merge(check_rpma(b.right), prefix="right/")
     return _compatibility(b, rep)
@@ -551,7 +551,7 @@ def check_group_partial_action(gpa):
     n = len(gpa.table)
     m = A.dim
     one = f.one
-    rep = Report("partial %d-group action on %s" % (n, A.name))
+    rep = Report("partial %d-group action on %s" % (n, A.name), f)
     ids = [dict_of_vec(v) for v in gpa.idempotents]
     inv = gpa.inverses
     alphas = [col_dicts(a) for a in gpa.alphas]
@@ -605,12 +605,13 @@ def check_group_partial_action(gpa):
 
     rep.law("iso-multiplicative")
     for g in range(n):
+        # a_j·1_{g⁻¹} and its image under α_g, once per basis element
+        dom = [A.mul_dict({j: one}, ids[inv[g]]) for j in range(m)]
+        img = [apply_cols(alphas[g], d) for d in dom]
         for i in range(m):
-            di = A.mul_dict({i: one}, ids[inv[g]])
             for j in range(m):
-                dj = A.mul_dict({j: one}, ids[inv[g]])
-                lhs = apply_cols(alphas[g], A.mul_dict(di, dj))
-                rhs = A.mul_dict(apply_cols(alphas[g], di), apply_cols(alphas[g], dj))
+                lhs = apply_cols(alphas[g], A.mul_dict(dom[i], dom[j]))
+                rhs = A.mul_dict(img[i], img[j])
                 if lhs != rhs:
                     rep.fail("iso-multiplicative", (g, i, j),
                              vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))

@@ -10,6 +10,8 @@ Elements are passed around as sparse dicts {basis_index: scalar}; elements of
 a tensor square live in dicts keyed by index pairs.
 """
 
+from fractions import Fraction
+
 from .fields import Field
 from .linalg import Tensor3, dict_acc, mat_transpose, unit_vec, zeros
 from ._groups import check_group_table, group_identity, group_inverses
@@ -123,13 +125,41 @@ def json_rows(rows, dims, field, what):
 # ---------------------------------------------------------------------------
 # report plumbing
 
+class Count(int):
+    """An integer witness that counts (a dimension or a rank) rather than
+    being a scalar, so `Report.to_json` prints it as the integer it is."""
+
+    __slots__ = ()
+
+
+def _fraction_form(w):
+    """A rational witness with every scalar as a Fraction.  An integral
+    rational scalar may be an int (see fields), and a report prints the
+    same `Fraction(n, 1)` whichever form it was stored in.  Dict keys and the
+    key of each (key, scalar) item are basis indices and stay as they are."""
+    t = type(w)
+    if t is int:
+        return Fraction(w)
+    if t is list:
+        return [_fraction_form(v) for v in w]
+    if t is tuple:
+        key, c = w
+        return key, _fraction_form(c)
+    if t is dict:
+        return {k: _fraction_form(v) for k, v in w.items()}
+    return w
+
+
 class Report:
     """Outcome of an axiom suite.  Failures carry the violating basis indices
     and both evaluated sides, so a violation is reproducible from the report
-    alone."""
+    alone.  `field` is the field of the witnesses: over a prime field they
+    are printed as they are, otherwise (over ℚ, or when no field is given)
+    as rational witnesses, every scalar a Fraction."""
 
-    def __init__(self, subject=""):
+    def __init__(self, subject="", field=None):
         self.subject = subject
+        self.field = field
         self.laws = []
         self.failures = []  # (law_id, index_tuple, lhs, rhs)
 
@@ -178,11 +208,16 @@ class Report:
         return out
 
     def to_json(self):
+        rational = self.field is None or self.field.p is None
+
+        def show(w):
+            return repr(_fraction_form(w) if rational else w)
+
         return {
             "subject": self.subject,
             "passed": self.passed,
             "laws": list(self.laws),
-            "failures": [{"law": law, "at": list(idx), "lhs": repr(lhs), "rhs": repr(rhs)}
+            "failures": [{"law": law, "at": list(idx), "lhs": show(lhs), "rhs": show(rhs)}
                          for law, idx, lhs, rhs in self.failures],
         }
 
@@ -333,7 +368,7 @@ def algebra_check(a):
     each k where either is nonzero, in ascending order.  At every other k
     both sides vanish, so the sweep still decides all dim³ triples, and its
     failures come in (i, j, k) order."""
-    rep = Report(a.name)
+    rep = Report(a.name, a.field)
     n = a.dim
     f = a.field
     pv = a.mul.pair_view()
@@ -393,7 +428,7 @@ def algebra_check(a):
 
 def coalgebra_check(h):
     """Coassociativity and the counit law of Δ, on every basis element."""
-    rep = Report(h.name)
+    rep = Report(h.name, h.field)
     n = h.dim
     f = h.field
     iv = h.comul.in1_view()

@@ -207,7 +207,7 @@ def _coaction_suite(p, symmetric):
     the factor from the other side."""
     r = _RightReading(p)
     A, H = p.alg, p.hopf
-    rep = _counit_and_multiplicativity(r, Report(p.name))
+    rep = _counit_and_multiplicativity(r, Report(p.name, p.alg.field))
     u_h = H.unit_dict()
     unit_factor = {(j, k, t): c * d
                    for (j, k), c in r.co_map.apply_in1(A.unit_dict()).items()
@@ -246,7 +246,7 @@ def check_lpca(p, symmetric=False):
 def check_bicomodule(b):
     """Both one-sided suites plus the compatibility law
     (I_H⊗ρ)λ = (λ⊗I_H)ρ on all basis elements."""
-    rep = Report("%s bicomodule on %s" % (b.hopf.name, b.alg.name))
+    rep = Report("%s bicomodule on %s" % (b.hopf.name, b.alg.name), b.alg.field)
     rep.merge(check_lpca(b.left), prefix="left/")
     rep.merge(check_rpca(b.right), prefix="right/")
     iv_l = b.left.map.in1_view()

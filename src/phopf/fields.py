@@ -1,10 +1,17 @@
 """Exact scalars: arbitrary-precision rationals and prime-field residues.
 
-A Field object knows how to build, parse and print scalars.  Rational
-scalars are stdlib Fractions (always reduced, positive denominator);
-prime-field scalars are ModP residues stored in [0, p).  Both kinds
-support +, -, *, / and truthiness (nonzero test), so all linear-algebra
-code upstream is field-agnostic.
+A Field object knows how to build, parse, invert and print scalars.  A
+rational scalar is a Python int when it is integral and a stdlib Fraction
+(reduced, positive denominator) otherwise: `QQ.zero`, `QQ.one`, `QQ.of` and
+`QQ.parse` return ints for integral values, so integral structure constants
+(kG, kG*, H4, ...) are multiplied as ints.  Arithmetic is not renormalised:
+int and Fraction mix exactly, and they agree on equality, hashing and
+`Field.show`, so a product of Fractions that happens to be integral is as
+good a scalar as the int.  Prime-field scalars are ModP residues stored in
+[0, p).  Both kinds support +, -, * and truthiness (nonzero test), so all
+linear-algebra code upstream is field-agnostic.  The one division on
+scalars is `Field.inv`, and this module is the only one that divides: an
+int divided by an int would be a float.
 """
 
 from fractions import Fraction
@@ -41,6 +48,15 @@ def _is_prime(p):
         else:
             return False
     return True
+
+
+def _rational(x):
+    """An int or Fraction as a rational scalar: the int when it is integral."""
+    if type(x) is int:
+        return x
+    if x.denominator == 1:
+        return int(x.numerator)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class ModP:
@@ -136,8 +152,8 @@ class Field:
         if p is not None and not _is_prime(p):
             raise ValueError("%r is not prime" % (p,))
         self.p = p
-        self.zero = ModP(0, p) if p else Fraction(0)
-        self.one = ModP(1, p) if p else Fraction(1)
+        self.zero = ModP(0, p) if p else 0
+        self.one = ModP(1, p) if p else 1
 
     @property
     def kind(self):
@@ -153,7 +169,7 @@ class Field:
             return self.parse(x)
         if self.p is None:
             if isinstance(x, (int, Fraction)):
-                return Fraction(x)
+                return _rational(x)
             raise TypeError("cannot coerce %r into the rationals" % (x,))
         if isinstance(x, ModP):
             if x.p != self.p:
@@ -171,18 +187,26 @@ class Field:
         """Scalar grammar: "n" or "n/d" over the rationals, "r" over GF(p)."""
         s = s.strip()
         if self.p is None:
-            if "/" in s:
-                num, den = s.split("/", 1)
-                f = Fraction(int(num), int(den))
-            else:
-                f = Fraction(int(s))
-            return f
+            if "/" not in s:
+                return int(s)
+            num, den = s.split("/", 1)
+            n, d = int(num), int(den)
+            if d and n % d == 0:
+                return n // d
+            return Fraction(n, d)
         if "/" in s:
             raise ValueError("no fraction syntax in GF(%d): %r" % (self.p, s))
         v = int(s)
         if not 0 <= v < self.p:
             raise ValueError("residue %r outside [0,%d)" % (s, self.p))
         return ModP(v, self.p)
+
+    def inv(self, x):
+        """The inverse of a nonzero scalar; over the rationals an int when
+        it is integral (x = ±1), a Fraction otherwise, never a float."""
+        if self.p is not None:
+            return self.one / x
+        return _rational(Fraction(1, x))
 
     def show(self, x):
         if self.p is None:

@@ -22,7 +22,7 @@ constructions return richer objects that also qualify as candidates.
 
 from itertools import product
 
-from .algebras import (AlgebraData, Report, _dual_structure, algebra_check,
+from .algebras import (AlgebraData, Count, Report, _dual_structure, algebra_check,
                        dict_acc, dict_of_vec, hom_hh_a, mul_dicts, tensor_hah,
                        vec_of_dict)
 from .actions import check_bimodule, same_algebra, same_hopf
@@ -402,7 +402,7 @@ def verify_globalization(candidate, b):
 
     pvB = Bp.mul.pair_view()
     pvA = A.mul.pair_view()
-    cert = Report(Bp.name)
+    cert = Report(Bp.name, f)
     translates = _translates(n, left_cols, right_cols, theta_d)
 
     def tr(h, m, k):
@@ -423,7 +423,7 @@ def verify_globalization(candidate, b):
 
     _first_failure(cert, "condition1", condition1())
     span = Subspace(dB, f, [vec_of_dict(w, dB, f) for w in translates])
-    _first_failure(cert, "condition2", [((span.dim, dB), span.dim, dB)])
+    _first_failure(cert, "condition2", [((span.dim, dB), Count(span.dim), Count(dB))])
 
     rule = _product_rule(b)
 
@@ -810,7 +810,7 @@ def standard_globalize_bicomodule(b):
                             dict_acc(rhs, (p, x, v), cc * ct * cx)
             yield (A.basis[i], A.basis[j]), lhs, rhs
 
-    cert = Report(alg_b.name)
+    cert = Report(alg_b.name, f)
     _first_failure(cert, "exchange", exchange())
     theta_b = _embed(theta_cols, span.coords, dB, f.zero)
     return BicomoduleGlobalization(H, A, amb, theta, span, alg_b, induced_rho,

@@ -270,7 +270,7 @@ def rref(rows, field):
         if pr is None:
             continue
         m[piv_r], m[pr] = m[pr], m[piv_r]
-        inv = field.one / m[piv_r][c]
+        inv = field.inv(m[piv_r][c])
         m[piv_r] = [inv * x for x in m[piv_r]]
         for r in range(len(m)):
             if r != piv_r and m[r][c]:

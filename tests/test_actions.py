@@ -2,6 +2,7 @@
 
 import functools
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +213,54 @@ def test_z2_partial_group_round_trip(field):
     assert back.idempotents == gpa.idempotents
     assert back.alphas == gpa.alphas
     assert back.labels == gpa.labels
+
+
+def _reference_iso_multiplicative(gpa):
+    """Failures of the law iso-multiplicative as check_group_partial_action
+    found them when it formed a_j·1_{g⁻¹} and α_g of it for every i."""
+    from phopf.algebras import dict_of_vec
+    from phopf.linalg import apply_cols, col_dicts
+    A, f, m = gpa.alg, gpa.alg.field, gpa.alg.dim
+    ids = [dict_of_vec(v) for v in gpa.idempotents]
+    alphas = [col_dicts(a) for a in gpa.alphas]
+    out = []
+    for g in range(len(gpa.table)):
+        for i in range(m):
+            di = A.mul_dict({i: f.one}, ids[gpa.inverses[g]])
+            for j in range(m):
+                dj = A.mul_dict({j: f.one}, ids[gpa.inverses[g]])
+                lhs = apply_cols(alphas[g], A.mul_dict(di, dj))
+                rhs = A.mul_dict(apply_cols(alphas[g], di), apply_cols(alphas[g], dj))
+                if lhs != rhs:
+                    out.append(("iso-multiplicative", (g, i, j),
+                                vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f)))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_group_action_check_forms_each_domain_element_once(field, monkeypatch):
+    from phopf.algebras import AlgebraData
+    gpa = z2_partial_group_example(field)
+    calls = []
+    mul_dict = AlgebraData.mul_dict
+    monkeypatch.setattr(AlgebraData, "mul_dict",
+                        lambda self, x, y: calls.append(1) or mul_dict(self, x, y))
+    rep = check_group_partial_action(gpa)
+    monkeypatch.undo()
+    # 70 when a_j·1_{g⁻¹} was formed again for every i
+    assert rep.passed and len(calls) == 62
+    # every α with one entry moved by ±1 or ±2 fails where the old loop did
+    failing = 0
+    for g in range(2):
+        for (i, j), d in product(product(range(2), range(2)), (1, -1, 2, -2)):
+            alphas = [[list(row) for row in a] for a in gpa.alphas]
+            alphas[g][i][j] = alphas[g][i][j] + field.of(d)
+            moved = GroupPartialActionData(gpa.table, gpa.alg, gpa.idempotents,
+                                           alphas, labels=gpa.labels)
+            got = check_group_partial_action(moved).failures_for("iso-multiplicative")
+            assert got == _reference_iso_multiplicative(moved)
+            failing += bool(got)
+    assert failing == 20
 
 
 def test_group_action_checker_catches_bad_alpha():

@@ -1,6 +1,7 @@
 """Algebra and Hopf layer: structure constants, axiom suites, duality."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -10,7 +11,7 @@ from phopf.fields import GF, QQ
 from phopf.linalg import (Tensor3, apply_cols, col_dicts, dict_acc,
                           mat_transpose, restrict_product, solve)
 from phopf._groups import GROUP_NAMES, named_group
-from phopf.algebras import (AlgebraData, HopfData, Report, algebra_check,
+from phopf.algebras import (AlgebraData, Count, HopfData, Report, algebra_check,
                             coalgebra_check, dict_of_vec, dual_hopf,
                             group_algebra, hom_hh_a, hopf_check, mul_dicts,
                             scalar_algebra, sweedler_h4, tensor_hah,
@@ -362,6 +363,31 @@ def test_report_require_returns_a_passing_report_and_raises_at_the_first_failure
     assert str(err.value) == "thing fails beta at (2, 0)"
     with pytest.raises(AssertionError, match=r"^thing fails beta at \(2, 0\)$"):
         r.require("thing", AssertionError)
+
+
+def test_report_prints_every_rational_witness_scalar_as_a_fraction():
+    # an integral rational scalar may be an int or a Fraction; the JSON
+    # report prints both as Fraction(n, 1), and leaves basis indices, counts
+    # and prime-field residues as they are
+    r = Report()
+    r.fail("vector", (0,), [1, Fraction(1, 2)], [Fraction(1), 0])
+    r.fail("items", (1,), [((0, 1), -1)], {2: 3})
+    r.fail("scalar", (), 1, Fraction(2, 4))
+    r.fail("count", (3, 4), Count(3), Count(4))
+    got = [(x["lhs"], x["rhs"]) for x in r.to_json()["failures"]]
+    assert got == [
+        ("[Fraction(1, 1), Fraction(1, 2)]", "[Fraction(1, 1), Fraction(0, 1)]"),
+        ("[((0, 1), Fraction(-1, 1))]", "{2: Fraction(3, 1)}"),
+        ("Fraction(1, 1)", "Fraction(1, 2)"),
+        ("3", "4"),
+    ]
+    assert r.failures[0][2] == [1, Fraction(1, 2)]    # stored as given
+    assert Report(field=QQ).to_json() == Report().to_json()
+    # over GF(p) an int (library input not coerced into the field) stays one
+    f = GF(7)
+    r = Report(field=f)
+    r.fail("residues", (), [f.one, f.of(3)], [1, 0])
+    assert [(x["lhs"], x["rhs"]) for x in r.to_json()["failures"]] == [("[1, 3]", "[1, 0]")]
 
 
 # ---------------------------------------------------------------------------

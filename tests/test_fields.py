@@ -149,3 +149,40 @@ def test_field_identity_and_char():
     assert QQ.char == 0 and GF(5).char == 5
     assert QQ == Field() and GF(5) == Field(5) and QQ != GF(5)
     assert QQ.kind == "Rationals" and GF(3).kind == "PrimeField"
+
+
+# ---------------------------------------------------------------------------
+# the representation: an integral rational is an int
+
+
+def test_integral_rationals_are_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    for text, want in (("7", 7), (" -3 ", -3), ("4/2", 2), ("-6/3", -2), ("0/5", 0)):
+        got = QQ.parse(text)
+        assert type(got) is int and got == want, text
+    assert type(QQ.parse("6/8")) is Fraction and QQ.parse("6/8") == Fraction(3, 4)
+    for x, want in ((Fraction(6, 3), 2), (True, 1), (5, 5)):
+        assert type(QQ.of(x)) is int and QQ.of(x) == want
+    assert type(QQ.of(Fraction(1, 2))) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        QQ.parse("1/0")
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals)
+def test_parsed_scalar_is_an_int_exactly_when_integral(a):
+    x = QQ.parse(QQ.show(a))
+    assert x == a and (type(x) is int) == (a.denominator == 1)
+
+
+def test_inv_is_exact_and_never_a_float():
+    for x, want in ((3, Fraction(1, 3)), (-4, Fraction(-1, 4)),
+                    (Fraction(2, 3), Fraction(3, 2)), (Fraction(-1, 5), -5),
+                    (1, 1), (-1, -1)):
+        got = QQ.inv(x)
+        assert got == want and type(got) is type(want)
+    f = GF(7)
+    assert f.inv(f.of(3)) * f.of(3) == f.one
+    for field, zero in ((QQ, 0), (f, f.zero)):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(zero)

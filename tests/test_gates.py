@@ -84,3 +84,18 @@ def test_only_report_require_reads_the_first_failure():
                   for scope, line in _failure_index_reads(tree)
                   if (path.name, scope) != ("algebras.py", "Report.require")]
     assert not found, found
+
+
+def test_only_fields_divides():
+    # over the rationals an integral scalar is an int, and int / int is a
+    # float; Field.inv is the one division on scalars, so no `/` may appear
+    # anywhere else in the package
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div)]
+    assert not found, found

@@ -8,12 +8,13 @@ import pytest
 from phopf.fields import GF, QQ
 from phopf.algebras import AlgebraData, HopfData, sweedler_h4
 from phopf.actions import sweedler_k_bimodule
-from phopf.coactions import sweedler_k_bicomodule
+from phopf.coactions import regular_bicomodule, sweedler_k_bicomodule
 from phopf.cli import z2_partial_group_example
 from phopf.serialize import (DocumentError, load_action, load_algebra,
                              load_bicomodule, load_bimodule, load_coaction,
                              load_group_action, load_hopf, read_document,
                              write_document)
+from tests.test_scalars import KINDS, families, map_scalars, reduce_mod
 
 
 @pytest.fixture(params=[QQ, GF(5)], ids=["QQ", "GF5"])
@@ -87,6 +88,85 @@ def test_group_action_round_trip(field, tmp_path):
     assert back.idempotents == gpa.idempotents
     assert back.alphas == gpa.alphas
     assert back.labels == gpa.labels
+
+
+# ---------------------------------------------------------------------------
+# byte-identical round trips of every document kind: to_json, load, to_json
+
+
+def _text(doc):
+    return json.dumps(doc, indent=2, ensure_ascii=False)
+
+
+def _as_halves(s):
+    """An integral scalar n written as "2n/2" (so 2 is written "4/2")."""
+    return s if "/" in s else "%d/2" % (2 * int(s))
+
+
+def _over(name, field):
+    kind, doc = families()[name]
+    return kind, doc if field == "QQ" else reduce_mod(doc, 7)
+
+
+def _as_loaded(doc):
+    """A document as its loader reads it back: an inline coefficient algebra
+    that is a Hopf algebra (kG in the regular bicomodule, say) is written
+    with its coalgebra keys, and the algebra loader keeps only the algebra."""
+    if not isinstance(doc.get("algebra"), dict):
+        return doc
+    return dict(doc, algebra={key: value for key, value in doc["algebra"].items()
+                              if key in ("field", "basis", "mul", "unit")})
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF7"])
+@pytest.mark.parametrize("name", sorted(families()))
+def test_every_document_kind_round_trips_byte_for_byte(name, field):
+    kind, doc = _over(name, field)
+    once = KINDS[kind][0](doc).to_json()
+    assert _text(once) == _text(_as_loaded(doc))
+    assert _text(KINDS[kind][0](once).to_json()) == _text(once)
+
+
+@pytest.mark.parametrize("name", sorted(families()))
+def test_documents_written_with_unreduced_fractions_load_to_the_same_document(name):
+    kind, doc = families()[name]
+    halves = map_scalars(doc, _as_halves)
+    assert "4/2" in _text(halves) or "2/2" in _text(halves)
+    assert _text(KINDS[kind][0](halves).to_json()) == _text(_as_loaded(doc))
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF7"])
+@pytest.mark.parametrize("name,kind", [("H4 bicomodule", "bicomodule"),
+                                       ("Sweedler (2,3) bimodule", "bimodule"),
+                                       ("Sweedler (t,u) bicomodule", "bicomodule")])
+def test_globalization_and_smash_documents_round_trip(name, kind, field, tmp_path):
+    # the globalization of a structure and of its document, written once
+    # as written and once with every integral scalar as "2n/2", are the
+    # same document; the smash document loads back as the same algebra
+    from phopf.cli import main
+    kind, doc = _over(name, field)
+    texts = []
+    for n, variant in enumerate([doc] + ([map_scalars(doc, _as_halves)]
+                                         if field == "QQ" else [])):
+        path = str(tmp_path / ("in%d.json" % n))
+        write_document(variant, path)
+        out = tmp_path / ("out%d" % n)
+        assert main(["globalize", kind, path, "-o", str(out)]) == 0
+        texts.append((out / "globalization.json").read_text(encoding="utf-8"))
+    assert len(set(texts)) == 1
+
+    f = QQ if field == "QQ" else GF(7)
+    bim = load_bimodule(doc) if kind == "bimodule" else sweedler_k_bimodule(f, 2, 3)
+    bic = (load_bicomodule(doc) if kind == "bicomodule"
+           else regular_bicomodule(sweedler_h4(f)))
+    write_document(bim.to_json(), tmp_path / "bim.json")
+    write_document(bic.to_json(), tmp_path / "bic.json")
+    smash = str(tmp_path / "smash.json")
+    assert main(["smash", str(tmp_path / "bim.json"), str(tmp_path / "bic.json"),
+                 "-o", smash]) == 0
+    written = read_document(smash)
+    del written["certificate"]
+    assert _text(load_algebra(written).to_json()) == _text(written)
 
 
 # ---------------------------------------------------------------------------
