@@ -456,13 +456,22 @@ def _corner_witness(left, right, rows, u_d, span):
 def induce_left(glob, e):
     """Restrict a global left action on B to A = e·B (e idempotent) by
     h⇀a = e·(h▷a).  Returns the induced partial action on A's row-reduced
-    basis."""
+    basis.
+
+    A must be a unital ideal, e·B·(1−e) = 0: the product rule of the
+    induced action reads e·x·e·y = e·x·y for x, y in B.  Otherwise
+    ValueError names a basis element b of B with e·b·(1−e) ≠ 0."""
     if glob.side != "left":
         raise ValueError("induce_left needs a left action")
     if not is_global(glob):
         raise ValueError("induce_left needs a global action")
     B = glob.alg
     span, e_d, A = _left_ideal(B, e)
+    for j in range(B.dim):
+        eb = B.mul_dict(e_d, {j: B.field.one})
+        if B.mul_dict(eb, e_d) != eb:
+            raise ValueError("e·B is not a unital ideal: e·b·(1−e) ≠ 0 at b = %s"
+                             % B.basis[j])
     act = _restrict_action(glob, span, lambda a: B.mul_dict(e_d, a))
     p = PartialActionData(glob.hopf, A, "left", act,
                           name="%s induced on e·%s" % (glob.hopf.name, B.name))

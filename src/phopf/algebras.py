@@ -10,6 +10,7 @@ Elements are passed around as sparse dicts {basis_index: scalar}; elements of
 a tensor square live in dicts keyed by index pairs.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .fields import Field
@@ -616,8 +617,109 @@ def scalar_algebra(field):
 # (dim)³ basis triples: convolution into an associative algebra along a
 # coassociative coalgebra is associative, with unit (k⊗k') ↦ ε(k)ε(k')1_A
 # when Δ is counital and A unital; a tensor product of associative unital
-# algebras is associative and unital.  The tests keep the ambient sweep as an
-# oracle on the built-in ambients.
+# algebras is associative and unital.  Both ambients are three-leg tensor
+# products of their factors, so their multiplication is held leg by leg
+# (TensorProductMul) and their N³ structure constants are never written
+# out.  The tests keep the ambient sweep, and the loops that wrote the
+# table, as oracles on the built-in ambients.
+
+class _LegEntries(Mapping):
+    """The structure constants of a TensorProductMul as a read-only mapping
+    {(x, y, z): c}.  Its length and single entries are read off the legs;
+    iterating it writes out the table (see TensorProductMul.table)."""
+
+    def __init__(self, mul):
+        self._mul = mul
+
+    def __len__(self):
+        n = 1
+        for t in self._mul.legs:
+            n *= len(t.entries)
+        return n
+
+    def __getitem__(self, key):
+        split = self._mul.split
+        c = None
+        for t, leg_key in zip(self._mul.legs, zip(*map(split, key))):
+            d = t.entries.get(leg_key)
+            if d is None:
+                raise KeyError(key)
+            c = d if c is None else c * d
+        return c
+
+    def __iter__(self):
+        return iter(self._mul.table().entries)
+
+
+class TensorProductMul:
+    """The multiplication of a tensor product of algebras A₁⊗…⊗A_r, held as
+    one square mul tensor per leg (`legs`).  A basis index of the product is
+    the mixed-radix number of its leg tuple, first leg most significant
+    (`flat` and `split` convert), and the product of two basis elements is
+    the tensor of the leg products: (a⊗b⊗…)(a'⊗b'⊗…) = aa'⊗bb'⊗….
+
+    Products run through tensor_mul over the legs, so the N³ table of the
+    product (N the product of the leg dimensions) is never stored.  `entries`
+    gives its length and single entries from the legs; `table`, `pair_view`
+    and iterating `entries` write the table out, for oracles only, and each
+    such write adds one to `materializations`."""
+
+    materializations = 0
+
+    def __init__(self, legs):
+        self.legs = tuple(legs)
+        self.radix = tuple(t.dims[2] for t in self.legs)
+        n = 1
+        for t, d in zip(self.legs, self.radix):
+            if t.dims != (d, d, d):
+                raise ValueError("leg tensor shaped %r" % (t.dims,))
+            n *= d
+        self.dims = (n, n, n)
+        self.entries = _LegEntries(self)
+
+    def flat(self, key):
+        x = 0
+        for d, i in zip(self.radix, key):
+            x = x * d + i
+        return x
+
+    def split(self, x):
+        key = []
+        for d in reversed(self.radix):
+            x, i = divmod(x, d)
+            key.append(i)
+        return tuple(reversed(key))
+
+    def mul_dict(self, x, y):
+        """Product of two sparse elements {flat index: scalar}."""
+        split = self.split
+        prod = tensor_mul(self.legs, {split(i): c for i, c in x.items()},
+                          {split(j): c for j, c in y.items()})
+        return {self.flat(k): c for k, c in prod.items()}
+
+    def apply_bilinear(self, u, v, field):
+        """The product of two dense vectors, as Tensor3.apply_bilinear."""
+        out = zeros(field, self.dims[2])
+        for k, c in self.mul_dict(dict_of_vec(u), dict_of_vec(v)).items():
+            out[k] = c
+        return out
+
+    def table(self):
+        """The structure constants written out as a Tensor3, built afresh
+        and counted in `materializations`."""
+        TensorProductMul.materializations += 1
+        terms = [((0, 0, 0), None)]
+        for t, d in zip(self.legs, self.radix):
+            terms = [((x * d + i, y * d + j, z * d + k), e if c is None else c * e)
+                     for (x, y, z), c in terms for (i, j, k), e in t.entries.items()]
+        return Tensor3(self.dims, dict(terms))
+
+    def pair_view(self):
+        return self.table().pair_view()
+
+    def __repr__(self):
+        return "TensorProductMul(radix=%r, nnz=%d)" % (self.radix, len(self.entries))
+
 
 def _translations(n, cols, entries):
     """n operators as column maps from (operator, column, row, coefficient)
@@ -635,7 +737,9 @@ class HomHHA:
     as column maps (column j = {row: coefficient}, see linalg.apply_cols).
 
     Basis functional E[i,j,m] sends e_i⊗e_j to a_m and every other basis pair
-    to 0.
+    to 0.  Under convolution Hom(H⊗H, A) is the tensor product H*⊗H*⊗A, so
+    the algebra's multiplication is the TensorProductMul with legs
+    (Δᵀ, Δᵀ, μ_A) in index order (i, j, m).
     """
 
     def __init__(self, algebra, left_ops, right_ops, n, dima):
@@ -652,6 +756,9 @@ class HomHHA:
 def hom_hh_a(h, a):
     """Build Hom(H⊗H, A) with convolution product
     (F*G)(k⊗k') = Σ F(k₁⊗k'₁) G(k₂⊗k'₂) and unit (k⊗k') ↦ ε(k)ε(k')1_A.
+    The product is held leg by leg: E[i,j,m]·E[i',j',m'] is the tensor of
+    the products e_i*e_i' and e_j*e_j' in H* (the transpose of Δ) with
+    a_m a_m', and its n⁶(dim A)³ structure constants are never stored.
 
     Certified through its factors: A must pass algebra_check and Δ
     coalgebra_check, else ValueError."""
@@ -666,12 +773,8 @@ def hom_hh_a(h, a):
     def idx(i, j, m):
         return (i * n + j) * da + m
 
-    mul = Tensor3((big, big, big))
-    for (p, i, i2), c1 in h.comul.entries.items():
-        for (q, j, j2), c2 in h.comul.entries.items():
-            c12 = c1 * c2
-            for (m, m2, t), c3 in a.mul.entries.items():
-                mul.add(idx(i, j, m), idx(i2, j2, m2), idx(p, q, t), c12 * c3)
+    conv = h.comul.transpose((1, 2, 0))
+    mul = TensorProductMul((conv, conv, a.mul))
 
     unit = zeros(f, big)
     for i in range(n):
@@ -706,7 +809,9 @@ class TensorHAH:
     λ = Δ⊗I⊗I on the left leg, plus the dual-basis translation operators
     f▷(h⊗a⊗k) = h⊗a⊗k₁ f(k₂) and (h⊗a⊗k)◁f = f(h₁) h₂⊗a⊗k, one operator
     per dual basis element on each side, each stored as column maps
-    (column j = {row: coefficient}, see linalg.apply_cols).
+    (column j = {row: coefficient}, see linalg.apply_cols).  The algebra's
+    multiplication is the TensorProductMul with legs (μ_H, μ_A, μ_H) in
+    index order (i, m, j).
     """
 
     def __init__(self, algebra, rho, lam, dual_left_ops, dual_right_ops, n, dima):
@@ -724,7 +829,8 @@ class TensorHAH:
 
 def tensor_hah(h, a):
     """Build X = H⊗A⊗H with (h⊗a⊗k)(h'⊗a'⊗k') = hh'⊗aa'⊗kk' and the
-    coactions given by comultiplying an outer leg.
+    coactions given by comultiplying an outer leg.  The product is held leg
+    by leg, and its n⁶(dim A)³ structure constants are never stored.
 
     Certified through its factors: H and A must pass algebra_check, else
     ValueError."""
@@ -739,12 +845,7 @@ def tensor_hah(h, a):
     def idx(i, m, j):
         return (i * da + m) * n + j
 
-    mul = Tensor3((big, big, big))
-    for (i, i2, p), c1 in h.mul.entries.items():
-        for (m, m2, t), c2 in a.mul.entries.items():
-            c12 = c1 * c2
-            for (j, j2, q), c3 in h.mul.entries.items():
-                mul.add(idx(i, m, j), idx(i2, m2, j2), idx(p, t, q), c12 * c3)
+    mul = TensorProductMul((h.mul, a.mul, h.mul))
 
     unit = zeros(f, big)
     for i in range(n):

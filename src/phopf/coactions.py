@@ -475,17 +475,19 @@ def induce_right_coaction(glob, e):
     return _certify_coaction(p)
 
 
-def _exchange_products(hopf, alg, lams, rhos):
+def _exchange_products(hopf, b_legs, lams, rhos):
     """(λ(x)⊗1_H)(1_H⊗ρ(y)) in H⊗B⊗H for each λ(x) in lams and ρ(y) in rhos,
     yielded as ((index in lams, index in rhos), product) in row-major order.
-    λ(x) is over legs (H, B), ρ(y) over legs (B, H), and B = alg is the
-    algebra both coactions act on."""
+    B, the algebra both coactions act on, is the tensor product of the
+    algebras whose mul tensors are `b_legs` (one leg for a plain algebra),
+    and a basis element of B is a tuple with one index per leg: λ(x) is
+    keyed (p, *b) and ρ(y) keyed (*b, s)."""
     u_h = hopf.unit_dict()
-    muls = (hopf.mul, alg.mul, hopf.mul)
-    rho_ext = [{(r, q, s): d * c for (q, s), c in rho.items() for r, d in u_h.items()}
+    muls = (hopf.mul,) + tuple(b_legs) + (hopf.mul,)
+    rho_ext = [{(r,) + key: d * c for key, c in rho.items() for r, d in u_h.items()}
                for rho in rhos]
     for i, lam in enumerate(lams):
-        lam_ext = {(p, q, r): c * d for (p, q), c in lam.items() for r, d in u_h.items()}
+        lam_ext = {key + (r,): c * d for key, c in lam.items() for r, d in u_h.items()}
         for j, y in enumerate(rho_ext):
             yield (i, j), tensor_mul(muls, lam_ext, y)
 
@@ -501,8 +503,8 @@ def _exchange_witness(bicom, rows, u_d, span):
     rhos = [bicom.right.coact_dict(b) for b in rows]
     # (1⊗1_A⊗1)(1⊗ρ(b)) = 1⊗[(1_A⊗1_H)ρ(b)], since 1_H·1_H = 1_H
     cut = [tensor_mul((B.mul, H.mul), one_a, rho) for rho in rhos]
-    for (pair, lhs), (_, rhs) in zip(_exchange_products(H, B, lams, rhos),
-                                     _exchange_products(H, B, lams, cut)):
+    for (pair, lhs), (_, rhs) in zip(_exchange_products(H, (B.mul,), lams, rhos),
+                                     _exchange_products(H, (B.mul,), lams, cut)):
         if lhs != rhs:
             return pair
         per_slice = {}

@@ -10,8 +10,11 @@ both constructions, certifies the defining conditions on every basis tuple
 of the carrier, compares arbitrary candidates against the standard one, and
 measures how far a candidate is from minimal.  The ambients themselves are
 certified through their factors when they are built (see
-algebras.hom_hh_a and algebras.tensor_hah); their operator families are
-sparse column maps, while candidates carry dense matrices.
+algebras.hom_hh_a and algebras.tensor_hah).  Each is a three-leg tensor
+product of its factors and multiplies through those legs
+(algebras.TensorProductMul), so nothing here reads a stored table of its
+n⁶(dim A)³ structure constants.  Their operator families are sparse column
+maps, while candidates carry dense matrices.
 
 A candidate globalization is any object carrying `algebra` (an AlgebraData,
 possibly without unit), `theta` (matrix of the embedding of A into it),
@@ -794,13 +797,19 @@ def standard_globalize_bicomodule(b):
 
     # the exchange condition, in ambient coordinates: compare the five-leg
     # products of the ambient coactions of embedded elements with the image
-    # of the partial-coaction product
+    # of the partial-coaction product.  The products run over the factor
+    # legs (H, H, A, H, H), the ambient's three legs between the outer H's.
     pv_a = A.mul.pair_view()
+    amb_mul = amb.algebra.mul
+    split = amb_mul.split
 
     def exchange():
-        lams = [amb.lam.apply_in1(col) for col in theta_d]
-        rhos = [amb.rho.apply_in1(col) for col in theta_d]
-        for (i, j), lhs in _exchange_products(H, amb.algebra, lams, rhos):
+        lams = [{(p,) + split(x): c for (p, x), c in amb.lam.apply_in1(col).items()}
+                for col in theta_d]
+        rhos = [{split(x) + (q,): c for (x, q), c in amb.rho.apply_in1(col).items()}
+                for col in theta_d]
+        for (i, j), prod in _exchange_products(H, amb_mul.legs, lams, rhos):
+            lhs = {(p, amb_mul.flat(key), q): c for (p, *key, q), c in prod.items()}
             rhs = {}
             for (p, q), c1 in lam_of.get(i, empty).items():
                 for (u, v), c2 in rho_of.get(j, empty).items():
@@ -831,9 +840,12 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     Hopf algebra.  Verifies that it is injective, an algebra map, that it
     intertwines both dual operator families, that it matches the two
     embeddings exactly, and that it restricts to an isomorphism between the
-    two generated carriers.  The module side must be taken over exactly the
-    dual structure constants of `hopf`, an equality that needs no Hopf
-    certificate.  Returns (matrix, injective, intertwines, restricted_iso)."""
+    two generated carriers.  The algebra-map property is read off the legs
+    of the two ambient products (see algebras.TensorProductMul); basis pairs
+    are visited only when the legs differ.  The module side must be taken
+    over exactly the dual structure constants of `hopf`, an equality that
+    needs no Hopf certificate.  Returns (matrix, injective, intertwines,
+    restricted_iso)."""
     H, A = hopf, coeff
     n, da = H.dim, A.dim
     f = H.field
@@ -865,16 +877,20 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     def push(d):
         return {perm[x]: c for x, c in d.items()}
 
-    pv_x = amb_x.algebra.mul.pair_view()
-    pv_k = amb_k.algebra.mul.pair_view()
-    empty = {}
-    for x in range(N):
-        for y in range(N):
-            lhs = push(pv_x.get((x, y), empty))
-            rhs = pv_k.get((perm[x], perm[y]), empty)
-            if lhs != rhs:
-                raise AssertionError("the permutation is not an algebra map at "
-                                     "basis pair (%d, %d)" % (x, y))
+    # Both products are leg products: (μ_H, μ_A, μ_H) over (u, m, v) and
+    # (Δᵀ, Δᵀ, μ_A) over (v, u, m), with Δᵀ the product of H*.  Equal legs
+    # under the permutation make it an algebra map.  Legs that differ leave
+    # the question to the basis pairs, and the first pair whose products the
+    # permutation does not carry over is the witness.
+    mul_x, mul_k = amb_x.algebra.mul, amb_k.algebra.mul
+    if mul_k.legs != (mul_x.legs[2], mul_x.legs[0], mul_x.legs[1]):
+        one = f.one
+        for x in range(N):
+            for y in range(N):
+                if push(mul_x.mul_dict({x: one}, {y: one})) != \
+                        mul_k.mul_dict({perm[x]: one}, {perm[y]: one}):
+                    raise AssertionError("the permutation is not an algebra map at "
+                                         "basis pair (%d, %d)" % (x, y))
     if push(dict_of_vec(amb_x.algebra.unit)) != dict_of_vec(amb_k.algebra.unit):
         raise AssertionError("the permutation does not match the units")
 

@@ -180,6 +180,20 @@ def test_induce_left_rejects_non_idempotents():
         induce_left(glob, [QQ.one, QQ.one, QQ.zero, QQ.zero])
 
 
+def test_induce_left_needs_a_unital_ideal():
+    # e_K for K = {e, (12)} in kS3: the averaging idempotent of a subgroup
+    # that is not normal, so e·kS3 is not an ideal; e_N for the normal
+    # subgroup N = A3 is central and induces
+    labels, table = named_group("S3")
+    glob = dual_regular_action(group_algebra(table, QQ, labels))
+    half, third, z = QQ.of(Fraction(1, 2)), QQ.of(Fraction(1, 3)), QQ.zero
+    with pytest.raises(ValueError, match=r"^e·B is not a unital ideal: "
+                                         r"e·b·\(1−e\) ≠ 0 at b = \(13\)$"):
+        induce_left(glob, [half, half, z, z, z, z])
+    ind = induce_left(glob, [third, z, z, z, third, third])
+    assert ind.alg.dim == 2 and check_lpma(ind).passed
+
+
 def test_induce_bimodule_on_the_index_two_subgroup_of_z4():
     # A = span{u0, u2} with unit u0 = 1_B: the corner condition holds, the
     # dual-regular action keeps p_0 and p_2, and the ε-action stays trivial

@@ -15,7 +15,7 @@ from phopf.algebras import (AlgebraData, Count, HopfData, Report, algebra_check,
                             coalgebra_check, dict_of_vec, dual_hopf,
                             group_algebra, hom_hh_a, hopf_check, mul_dicts,
                             scalar_algebra, sweedler_h4, tensor_hah,
-                            tensor_mul, vec_of_dict)
+                            tensor_mul, vec_of_dict, TensorProductMul)
 
 HOPF_LAWS = {"associativity", "unit-law", "coassociativity", "counit-law",
              "comultiplication-multiplicative", "counit-multiplicative",
@@ -330,6 +330,94 @@ def test_sparse_ambient_operators_match_a_dense_reference(case):
     left, right = _dense_tensor_ops(h, a)
     assert amb.dual_left_ops == [col_dicts(op) for op in left]
     assert amb.dual_right_ops == [col_dicts(op) for op in right]
+
+
+# ---------------------------------------------------------------------------
+# the ambients' leg products against the tables they replaced
+
+
+def reference_hom_table(h, a):
+    """The structure constants of Hom(H⊗H, A) under convolution, written out
+    by the n⁶(dim A)³ loop hom_hh_a once ran.  Kept here only as the
+    reference for its leg product."""
+    n, da = h.dim, a.dim
+    big = n * n * da
+
+    def idx(i, j, m):
+        return (i * n + j) * da + m
+
+    mul = Tensor3((big, big, big))
+    for (p, i, i2), c1 in h.comul.entries.items():
+        for (q, j, j2), c2 in h.comul.entries.items():
+            c12 = c1 * c2
+            for (m, m2, t), c3 in a.mul.entries.items():
+                mul.add(idx(i, j, m), idx(i2, j2, m2), idx(p, q, t), c12 * c3)
+    return mul
+
+
+def reference_tensor_table(h, a):
+    """The structure constants of H⊗A⊗H, written out by the loop tensor_hah
+    once ran.  Kept here only as the reference for its leg product."""
+    n, da = h.dim, a.dim
+    big = n * da * n
+
+    def idx(i, m, j):
+        return (i * da + m) * n + j
+
+    mul = Tensor3((big, big, big))
+    for (i, i2, p), c1 in h.mul.entries.items():
+        for (m, m2, t), c2 in a.mul.entries.items():
+            c12 = c1 * c2
+            for (j, j2, q), c3 in h.mul.entries.items():
+                mul.add(idx(i, m, j), idx(i2, m2, j2), idx(p, t, q), c12 * c3)
+    return mul
+
+
+REFERENCE_TABLES = {hom_hh_a: reference_hom_table, tensor_hah: reference_tensor_table}
+
+
+def _random_vector(rng, field, n):
+    """A vector with a drawn number of nonzero entries, from one to all."""
+    v = [field.zero] * n
+    for i in rng.sample(range(n), rng.choice([1, 2, 5, n])):
+        v[i] = field.of(rng.choice([-2, -1, 1, 3]))
+    return v
+
+
+@pytest.mark.parametrize("ctor", [hom_hh_a, tensor_hah], ids=["hom", "tensor"])
+@pytest.mark.parametrize("case", _ambient_cases() + [
+    ("H4/H4 over GF5", sweedler_h4(GF(5)), sweedler_h4(GF(5))),
+    ("kS3/k", _kg("S3"), scalar_algebra(QQ))], ids=lambda c: c[0])
+def test_leg_product_matches_the_reference_table(case, ctor):
+    _, h, a = case
+    mul = ctor(h, a).algebra.mul
+    ref = REFERENCE_TABLES[ctor](h, a)
+    count = TensorProductMul.materializations
+    # the length and single entries come from the legs
+    assert len(mul.entries) == len(ref.entries)
+    rng = random.Random(len(ref.entries))
+    big = mul.dims[0]
+    for key in rng.sample(sorted(ref.entries), min(20, len(ref.entries))):
+        assert mul.entries[key] == ref.entries[key]
+    for _ in range(20):
+        key = tuple(rng.randrange(big) for _ in range(3))
+        assert mul.entries.get(key) == ref.entries.get(key)
+    # products, on vectors from one term to dense
+    for _ in range(30):
+        u, v = (_random_vector(rng, h.field, big) for _ in range(2))
+        assert mul.apply_bilinear(u, v, h.field) == ref.apply_bilinear(u, v, h.field)
+        du, dv = dict_of_vec(u), dict_of_vec(v)
+        assert mul.mul_dict(du, dv) == mul_dicts(ref.pair_view(), du, dv)
+    assert TensorProductMul.materializations == count
+    # writing the table out is counted, once per request
+    assert mul.table() == ref
+    assert mul.pair_view() == ref.pair_view()
+    assert TensorProductMul.materializations == count + 2
+
+
+def test_leg_product_rejects_a_leg_that_is_not_square():
+    with pytest.raises(ValueError, match="leg tensor shaped"):
+        TensorProductMul((Tensor3((2, 2, 2)), Tensor3((2, 2, 3))))
 
 
 # ---------------------------------------------------------------------------

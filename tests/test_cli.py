@@ -284,6 +284,32 @@ def test_globalize_bicomodule_reports_the_bridge(tmp_path, capsys):
     assert (outdir / "globalization.json").exists()
 
 
+# the inputs of the benchmark's globalize workload: the regular bicomodules
+# of kZ4 and H4, a Sweedler (r,s) bimodule and a Sweedler (t,u) bicomodule
+GLOBALIZE_INPUTS = [
+    ("regular-bicomodule", ("--group", "z4"), "bicomodule"),
+    ("regular-bicomodule", (), "bicomodule"),
+    ("sweedler-bimodule-k", ("--r", "2", "--s", "3"), "bimodule"),
+    ("sweedler-bicomodule-k", ("--t", "7", "--u", "3"), "bicomodule"),
+]
+
+
+@pytest.mark.parametrize("name,extra,kind", GLOBALIZE_INPUTS,
+                         ids=["kZ4", "H4", "Sweedler (r,s)", "Sweedler (t,u)"])
+def test_globalize_never_writes_out_an_ambient_table(tmp_path, capsys, name, extra, kind):
+    # the ambients multiply through their legs; reading a pair view or
+    # walking the entries of one would write out its n⁶ table, and count
+    from phopf.algebras import TensorProductMul
+    files = emit(capsys, name, tmp_path / "in", *extra)
+    path = next(p for p in files if p.endswith(kind + ".json"))
+    count = TensorProductMul.materializations
+    code, doc = run_json(capsys, ["globalize", kind, path, "-o", str(tmp_path / "out"),
+                                  "--format", "json"])
+    assert code == 0 and doc["certificate"]["passed"] and doc["degenerate_dim"] == 0
+    assert doc["psi"] is None or all(doc["psi"].values())
+    assert TensorProductMul.materializations == count
+
+
 def test_globalize_text_summary(tmp_path, capsys):
     files = emit(capsys, "sweedler-bimodule-k", tmp_path / "in",
                  "--r", "0", "--s", "0")

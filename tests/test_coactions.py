@@ -14,8 +14,9 @@ from phopf.algebras import (AlgebraData, Report, dict_acc, dual_hopf,
                             group_algebra, scalar_algebra, sweedler_h4,
                             vec_of_dict)
 from phopf.actions import (check_bimodule, check_lpma, check_rpma,
-                           en_kg_example, is_global, sweedler_k_bimodule,
-                           trivial_action, trivialize_right)
+                           dual_regular_action, en_kg_example, is_global,
+                           sweedler_k_bimodule, trivial_action,
+                           trivialize_right)
 from phopf.coactions import (PartialBicomoduleData, PartialCoactionData,
                              bicomodule_to_bimodule, bimodule_to_bicomodule,
                              check_bicomodule, check_global_unit, check_lpca,
@@ -348,6 +349,43 @@ def _sorted_witnesses(rep):
 def _kg(name, field=QQ):
     labels, table = named_group(name)
     return group_algebra(table, field, labels)
+
+
+def _structure_constants(s):
+    """The structure constants of a bimodule or bicomodule: both maps, the
+    coefficient algebra, and every table of the Hopf algebra."""
+    h, a = s.hopf, s.alg
+    return (s.left.map.dims, s.left.map.entries, s.right.map.dims, s.right.map.entries,
+            a.mul.entries, a.unit, h.mul.entries, h.unit, h.comul.entries, h.counit,
+            h.antipode)
+
+
+def _bridge_cases():
+    """name -> (kind, structure): the bimodule and bicomodule families of
+    the scalar oracles, as loaded, and a few over kS3 and GF(5)."""
+    from tests.test_scalars import KINDS, families
+    out = {name: (kind, KINDS[kind][0](doc)) for name, (kind, doc) in families().items()
+           if kind in ("bimodule", "bicomodule")}
+    ks3 = _kg("S3")
+    out["kS3* bimodule"] = ("bimodule", trivialize_right(dual_regular_action(ks3)))
+    out["kS3 bicomodule"] = ("bicomodule", regular_bicomodule(ks3))
+    out["Sweedler (2,4) bimodule over GF5"] = ("bimodule", sweedler_k_bimodule(GF(5), 2, 4))
+    out["Sweedler (2,4) bicomodule over GF5"] = ("bicomodule",
+                                                 sweedler_k_bicomodule(GF(5), 2, 4))
+    return out
+
+
+BRIDGE_CASES = _bridge_cases()
+
+
+@pytest.mark.parametrize("name", list(BRIDGE_CASES))
+def test_bridge_round_trip_gives_the_structure_constants_back(name):
+    # the double dual of H has the structure constants of H, so going to the
+    # dual side and back must return every table unchanged
+    kind, s = BRIDGE_CASES[name]
+    back = (bimodule_to_bicomodule(bicomodule_to_bimodule(s)) if kind == "bicomodule"
+            else bicomodule_to_bimodule(bimodule_to_bicomodule(s)))
+    assert _structure_constants(back) == _structure_constants(s)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,8 @@
 """Globalization layer: standard constructions, certificates, comparison,
 minimalization, and the bicomodule-side bridge."""
 
+import copy
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -12,8 +14,9 @@ from phopf.fields import GF, QQ
 from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
                           col_dicts, dict_acc, nullspace)
 from phopf._groups import named_group
-from phopf.algebras import (AlgebraData, Report, algebra_check, dict_of_vec,
-                            dual_hopf, group_algebra, mul_dicts, scalar_algebra,
+from phopf.algebras import (AlgebraData, Report, TensorProductMul,
+                            algebra_check, dict_of_vec, dual_hopf,
+                            group_algebra, mul_dicts, scalar_algebra,
                             sweedler_h4)
 from phopf.actions import (PartialBimoduleData, dual_regular_action,
                            en_kg_example, sweedler_k_bimodule, trivial_action,
@@ -710,6 +713,137 @@ def test_order_eight_regular_dual_bicomodules_globalize_with_certificate(group):
     g = standard_globalize_bicomodule(regular_bicomodule(dual_hopf(_kg(group))))
     assert g.ambient.algebra.dim == 512 and g.dim == 8
     assert g.certificate.passed and g.certificate.laws == ["exchange"]
+
+
+# ---------------------------------------------------------------------------
+# the ambients multiply through their legs: kZ8 at ambient dimension 512,
+# and psi_map's algebra-map property against the pair loop it replaced
+
+
+@functools.lru_cache(maxsize=None)
+def _bridged(name):
+    """(bicomodule, its standard globalization, the standard globalization
+    of its dual bimodule) for a built-in bicomodule family."""
+    b = BRIDGED_FAMILIES[name]()
+    return b, standard_globalize_bicomodule(b), \
+        standard_globalize_bimodule(bicomodule_to_bimodule(b))
+
+
+def _trivial_group_bicomodule():
+    from phopf.coactions import PartialCoactionData
+    kt = _kg("trivial")
+    a = scalar_algebra(QQ)
+    return PartialBicomoduleData(
+        PartialCoactionData(kt, a, "left", {(0, 0, 0): QQ.one}),
+        PartialCoactionData(kt, a, "right", {(0, 0, 0): QQ.one}))
+
+
+# name -> bicomodule; every ambient has dimension at most 512
+BRIDGED_FAMILIES = {
+    "trivial group": _trivial_group_bicomodule,
+    "Sweedler (7,3)": lambda: sweedler_k_bicomodule(QQ, 7, 3),
+    "Sweedler (2,4) over GF5": lambda: sweedler_k_bicomodule(GF(5), 2, 4),
+    "regular H4": lambda: regular_bicomodule(sweedler_h4(QQ)),
+    "regular kZ4": lambda: regular_bicomodule(_kg("Z4")),
+    "regular kS3": lambda: regular_bicomodule(_kg("S3")),
+    "regular kZ8": lambda: regular_bicomodule(_kg("Z8")),
+    "regular kQ8*": lambda: regular_bicomodule(dual_hopf(_kg("Q8"))),
+}
+
+
+def test_kz8_bimodule_globalizes_without_writing_out_its_ambient():
+    count = TensorProductMul.materializations
+    g = standard_globalize_bimodule(trivialize_right(dual_regular_action(_kg("Z8"))))
+    assert g.ambient.algebra.dim == 512 and g.dim == 8
+    assert g.certificate.passed and list(g.certificate.laws) == list(GLOBALIZATION_LAWS)
+    assert maximal_degenerate_subbimodule(g).dim == 0
+    assert TensorProductMul.materializations == count
+
+
+def test_kz8_bicomodule_globalizes_and_bridges_without_writing_out_its_ambients():
+    count = TensorProductMul.materializations
+    b = regular_bicomodule(_kg("Z8"))
+    bg = standard_globalize_bicomodule(b)
+    std = standard_globalize_bimodule(bicomodule_to_bimodule(b))
+    assert bg.ambient.algebra.dim == std.ambient.algebra.dim == 512
+    assert bg.dim == std.dim == 8
+    assert bg.certificate.passed and bg.certificate.laws == ["exchange"]
+    assert std.certificate.passed
+    _, mono, intertwines, restricted_iso = psi_map(b.hopf, b.alg, bg, std)
+    assert mono and intertwines and restricted_iso
+    assert maximal_degenerate_subbimodule(std).dim == 0
+    assert TensorProductMul.materializations == count
+
+
+def reference_psi_algebra_map(table_x, table_k, psi):
+    """The loop psi_map once ran over every pair of ambient basis elements:
+    the first pair (x, y) whose product in table_x the index permutation psi
+    does not carry to the product in table_k, or None."""
+    N = len(psi)
+    perm = [0] * N
+    for t, row in enumerate(psi):
+        for x, c in enumerate(row):
+            if c:
+                perm[x] = t
+    pv_x, pv_k = table_x.pair_view(), table_k.pair_view()
+    empty = {}
+    for x in range(N):
+        for y in range(N):
+            lhs = {perm[z]: c for z, c in pv_x.get((x, y), empty).items()}
+            if lhs != pv_k.get((perm[x], perm[y]), empty):
+                return x, y
+    return None
+
+
+@pytest.mark.parametrize("name", list(BRIDGED_FAMILIES))
+def test_psi_leg_check_matches_the_pair_loop(name):
+    from tests.test_algebras import reference_hom_table, reference_tensor_table
+    b, bg, std = _bridged(name)
+    psi, mono, intertwines, restricted_iso = psi_map(b.hopf, b.alg, bg, std)
+    assert mono and intertwines and restricted_iso
+    assert len(psi) <= 512
+    assert reference_psi_algebra_map(reference_tensor_table(bg.hopf, bg.coeff),
+                                     reference_hom_table(std.hopf, std.coeff),
+                                     psi) is None
+
+
+def _with_mutated_leg(std, leg, key, delta):
+    """A copy of the module-side globalization whose ambient product has one
+    leg changed at one key."""
+    amb, f = std.ambient, std.hopf.field
+    legs = list(amb.algebra.mul.legs)
+    moved = Tensor3(legs[leg].dims, dict(legs[leg].entries))
+    moved.add(*key, f.of(delta))
+    legs[leg] = moved
+    out = copy.copy(std)
+    out.ambient = copy.copy(amb)
+    out.ambient.algebra = AlgebraData(f, amb.algebra.basis, TensorProductMul(legs),
+                                      amb.algebra.unit)
+    return out
+
+
+@pytest.mark.parametrize("name", ["Sweedler (7,3)", "regular H4"])
+def test_psi_with_unequal_legs_falls_back_to_the_pair_loop(name):
+    b, bg, std = _bridged(name)
+    psi = psi_map(b.hopf, b.alg, bg, std)[0]
+    table_x = bg.ambient.algebra.mul.table()
+    rng = random.Random(1207)
+    raised = 0
+    for trial in range(9):
+        leg = trial % 3
+        d = std.ambient.algebra.mul.radix[leg]
+        bad = _with_mutated_leg(std, leg, tuple(rng.randrange(d) for _ in range(3)),
+                                rng.choice([-1, 1, 2]))
+        want = reference_psi_algebra_map(table_x, bad.ambient.algebra.mul.table(), psi)
+        try:
+            psi_map(b.hopf, b.alg, bg, bad)
+        except AssertionError as exc:
+            assert want is not None and str(exc) == (
+                "the permutation is not an algebra map at basis pair (%d, %d)" % want)
+            raised += 1
+        else:
+            assert want is None
+    assert raised
 
 
 # ---------------------------------------------------------------------------
