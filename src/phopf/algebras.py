@@ -750,7 +750,7 @@ class HomHHA:
         self.dima = dima
 
     def index(self, i, j, m):
-        return (i * self.n + j) * self.dima + m
+        return self.algebra.mul.flat((i, j, m))
 
 
 def hom_hh_a(h, a):
@@ -768,13 +768,9 @@ def hom_hh_a(h, a):
         rep.require("hom_hh_a needs certified factors: " + rep.subject)
     n, da = h.dim, a.dim
     f = h.field
-    big = n * n * da
-
-    def idx(i, j, m):
-        return (i * n + j) * da + m
-
     conv = h.comul.transpose((1, 2, 0))
     mul = TensorProductMul((conv, conv, a.mul))
+    big, flat = mul.dims[2], mul.flat
 
     unit = zeros(f, big)
     for i in range(n):
@@ -786,14 +782,14 @@ def hom_hh_a(h, a):
             c = h.counit[i] * h.counit[j]
             for m in range(da):
                 if a.unit[m]:
-                    unit[idx(i, j, m)] = unit[idx(i, j, m)] + c * a.unit[m]
+                    unit[flat((i, j, m))] = unit[flat((i, j, m))] + c * a.unit[m]
 
     left_ops = _translations(n, big, (
-        (g, idx(i, j, m), idx(k, j, m), c)
+        (g, flat((i, j, m)), flat((k, j, m)), c)
         for (k, g, i), c in h.mul.entries.items()
         for j in range(n) for m in range(da)))
     right_ops = _translations(n, big, (
-        (g, idx(i, j, m), idx(i, q, m), c)
+        (g, flat((i, j, m)), flat((i, q, m)), c)
         for (g, q, j), c in h.mul.entries.items()
         for i in range(n) for m in range(da)))
 
@@ -824,7 +820,7 @@ class TensorHAH:
         self.dima = dima
 
     def index(self, i, m, j):
-        return (i * self.dima + m) * self.n + j
+        return self.algebra.mul.flat((i, m, j))
 
 
 def tensor_hah(h, a):
@@ -840,12 +836,8 @@ def tensor_hah(h, a):
         rep.require("tensor_hah needs certified factors: " + rep.subject)
     n, da = h.dim, a.dim
     f = h.field
-    big = n * da * n
-
-    def idx(i, m, j):
-        return (i * da + m) * n + j
-
     mul = TensorProductMul((h.mul, a.mul, h.mul))
+    big, flat = mul.dims[2], mul.flat
 
     unit = zeros(f, big)
     for i in range(n):
@@ -857,25 +849,25 @@ def tensor_hah(h, a):
             c = h.unit[i] * a.unit[m]
             for j in range(n):
                 if h.unit[j]:
-                    unit[idx(i, m, j)] = c * h.unit[j]
+                    unit[flat((i, m, j))] = c * h.unit[j]
 
     rho = Tensor3((big, big, n))
     lam = Tensor3((big, n, big))
     for (j, j1, j2), c in h.comul.entries.items():
         for i in range(n):
             for m in range(da):
-                rho.add(idx(i, m, j), idx(i, m, j1), j2, c)
+                rho.add(flat((i, m, j)), flat((i, m, j1)), j2, c)
     for (i, i1, i2), c in h.comul.entries.items():
         for m in range(da):
             for j in range(n):
-                lam.add(idx(i, m, j), i1, idx(i2, m, j), c)
+                lam.add(flat((i, m, j)), i1, flat((i2, m, j)), c)
 
     dual_left = _translations(n, big, (
-        (g, idx(i, m, k), idx(i, m, j1), c)
+        (g, flat((i, m, k)), flat((i, m, j1)), c)
         for (k, j1, g), c in h.comul.entries.items()
         for i in range(n) for m in range(da)))
     dual_right = _translations(n, big, (
-        (g, idx(i, m, k), idx(j2, m, k), c)
+        (g, flat((i, m, k)), flat((j2, m, k)), c)
         for (i, g, j2), c in h.comul.entries.items()
         for m in range(da) for k in range(n)))
 

@@ -823,27 +823,30 @@ def _with_mutated_leg(std, leg, key, delta):
 
 
 @pytest.mark.parametrize("name", ["Sweedler (7,3)", "regular H4"])
-def test_psi_with_unequal_legs_falls_back_to_the_pair_loop(name):
+def test_psi_rejects_ambient_legs_that_differ(name):
     b, bg, std = _bridged(name)
     psi = psi_map(b.hopf, b.alg, bg, std)[0]
     table_x = bg.ambient.algebra.mul.table()
     rng = random.Random(1207)
-    raised = 0
     for trial in range(9):
         leg = trial % 3
         d = std.ambient.algebra.mul.radix[leg]
         bad = _with_mutated_leg(std, leg, tuple(rng.randrange(d) for _ in range(3)),
                                 rng.choice([-1, 1, 2]))
-        want = reference_psi_algebra_map(table_x, bad.ambient.algebra.mul.table(), psi)
-        try:
+        assert reference_psi_algebra_map(table_x, bad.ambient.algebra.mul.table(),
+                                         psi) is not None
+        with pytest.raises(AssertionError, match="^the permutation is not an "
+                           "algebra map: the ambient legs differ$"):
             psi_map(b.hopf, b.alg, bg, bad)
-        except AssertionError as exc:
-            assert want is not None and str(exc) == (
-                "the permutation is not an algebra map at basis pair (%d, %d)" % want)
-            raised += 1
-        else:
-            assert want is None
-    assert raised
+
+
+def test_psi_needs_both_sides_over_the_given_hopf_algebra():
+    b, bg, std = _bridged("regular H4")
+    other_bg = _bridged("regular kZ4")[1]
+    with pytest.raises(ValueError, match="comodule-side globalization"):
+        psi_map(b.hopf, b.alg, other_bg, std)
+    with pytest.raises(ValueError, match="module-side globalization"):
+        psi_map(b.hopf, b.alg, bg, _bridged("regular kZ4")[2])
 
 
 # ---------------------------------------------------------------------------
