@@ -78,7 +78,7 @@ class PartialActionData:
         show = self.hopf.field.show
         return {
             "hopf": hopf_ref if hopf_ref is not None else self.hopf.to_json(),
-            "algebra": algebra_ref if algebra_ref is not None else self.alg.to_json(),
+            "algebra": algebra_ref if algebra_ref is not None else AlgebraData.to_json(self.alg),
             "side": self.side,
             "map": [[i, j, k, show(c)] for (i, j, k), c in sorted(self.map.entries.items())],
             "symmetric": bool(self.symmetric),
@@ -107,7 +107,7 @@ class PartialBimoduleData:
     def to_json(self, hopf_ref=None, algebra_ref=None):
         return {
             "hopf": hopf_ref if hopf_ref is not None else self.hopf.to_json(),
-            "algebra": algebra_ref if algebra_ref is not None else self.alg.to_json(),
+            "algebra": algebra_ref if algebra_ref is not None else AlgebraData.to_json(self.alg),
             "left": {"map": self.left.to_json()["map"], "symmetric": self.left.symmetric},
             "right": {"map": self.right.to_json()["map"], "symmetric": self.right.symmetric},
         }
@@ -538,7 +538,7 @@ class GroupPartialActionData:
         return {
             "group": [list(r) for r in self.table],
             "labels": list(self.labels),
-            "algebra": algebra_ref if algebra_ref is not None else self.alg.to_json(),
+            "algebra": algebra_ref if algebra_ref is not None else AlgebraData.to_json(self.alg),
             "idempotents": [[show(c) for c in v] for v in self.idempotents],
             "alphas": [[[i, j, show(row[j])]
                         for i, row in enumerate(mat) for j in range(len(row)) if row[j]]

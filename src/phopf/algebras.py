@@ -10,8 +10,9 @@ Elements are passed around as sparse dicts {basis_index: scalar}; elements of
 a tensor square live in dicts keyed by index pairs.
 """
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
+from math import prod
 
 from .fields import Field
 from .linalg import Tensor3, dict_acc, mat_transpose, unit_vec, zeros
@@ -121,6 +122,24 @@ def json_rows(rows, dims, field, what):
                 raise ValueError("%s row %r: index %r is not an integer in "
                                  "range(%d)" % (what, row, x, d))
         yield tuple(row[:-1]), field.parse(row[-1])
+
+
+def _json_tensor(rows, n, field, what):
+    """The n×n×n Tensor3 of JSON rows (see json_rows); repeated keys add."""
+    t = Tensor3((n, n, n))
+    for (i, j, k), c in json_rows(rows, (n, n, n), field, what):
+        t.add(i, j, k, c)
+    return t
+
+
+def _json_algebra(doc):
+    """Field, basis labels and mul tensor of an algebra document.  A basis
+    that is not a list of strings raises ValueError."""
+    field = Field.from_json(doc["field"])
+    basis = doc["basis"]
+    if type(basis) is not list or any(type(b) is not str for b in basis):
+        raise ValueError("basis %r is not a list of string labels" % (basis,))
+    return field, basis, _json_tensor(doc["mul"], len(basis), field, "mul")
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +296,7 @@ class AlgebraData:
 
     @classmethod
     def from_json(cls, doc, name="A"):
-        field = Field.from_json(doc["field"])
-        basis = list(doc["basis"])
-        n = len(basis)
-        mul = Tensor3((n, n, n))
-        for (i, j, k), c in json_rows(doc["mul"], (n, n, n), field, "mul"):
-            mul.add(i, j, k, c)
+        field, basis, mul = _json_algebra(doc)
         unit = [field.parse(c) for c in doc["unit"]] if "unit" in doc else None
         return cls(field, basis, mul, unit, name=name)
 
@@ -340,15 +354,9 @@ class HopfData(AlgebraData):
 
     @classmethod
     def from_json(cls, doc, name="H"):
-        field = Field.from_json(doc["field"])
-        basis = list(doc["basis"])
+        field, basis, mul = _json_algebra(doc)
         n = len(basis)
-        mul = Tensor3((n, n, n))
-        for (i, j, k), c in json_rows(doc["mul"], (n, n, n), field, "mul"):
-            mul.add(i, j, k, c)
-        comul = Tensor3((n, n, n))
-        for (i, j, k), c in json_rows(doc["comul"], (n, n, n), field, "comul"):
-            comul.add(i, j, k, c)
+        comul = _json_tensor(doc["comul"], n, field, "comul")
         unit = [field.parse(c) for c in doc["unit"]]
         counit = [field.parse(c) for c in doc["counit"]]
         antipode = [[field.zero] * n for _ in range(n)]
@@ -697,12 +705,17 @@ class TensorProductMul:
                           {split(j): c for j, c in y.items()})
         return {self.flat(k): c for k, c in prod.items()}
 
+    def pure(self, vecs, field):
+        """The pure tensor v₁⊗v₂⊗… of one dense vector per leg, as a dense
+        vector of the product."""
+        terms = [(0, field.one)]
+        for d, v in zip(self.radix, vecs):
+            terms = [(x * d + i, c * e) for x, c in terms for i, e in enumerate(v) if e]
+        return vec_of_dict(dict(terms), self.dims[2], field)
+
     def apply_bilinear(self, u, v, field):
         """The product of two dense vectors, as Tensor3.apply_bilinear."""
-        out = zeros(field, self.dims[2])
-        for k, c in self.mul_dict(dict_of_vec(u), dict_of_vec(v)).items():
-            out[k] = c
-        return out
+        return vec_of_dict(self.mul_dict(dict_of_vec(u), dict_of_vec(v)), self.dims[2], field)
 
     def table(self):
         """The structure constants written out as a Tensor3, built afresh
@@ -721,33 +734,57 @@ class TensorProductMul:
         return "TensorProductMul(radix=%r, nnz=%d)" % (self.radix, len(self.entries))
 
 
-def _translations(n, cols, entries):
-    """n operators as column maps from (operator, column, row, coefficient)
-    terms, summing repeated positions."""
-    ops = [[{} for _ in range(cols)] for _ in range(n)]
-    for g, j, i, c in entries:
-        dict_acc(ops[g][j], i, c)
-    return ops
+class LegOperator(Sequence):
+    """An operator on the basis of a TensorProductMul that acts on one leg by
+    a square leg matrix and as the identity on the other legs.  `cols` holds
+    the leg matrix as column maps (column j = {row: c}, one slice of a
+    Tensor3, see Tensor3.columns).  The operator is the sequence of its
+    column maps on the whole product, as linalg.apply_cols reads them: op[x]
+    is the image of basis element x, written out when it is read, and
+    len(op) is the dimension of the product."""
+
+    def __init__(self, mul, leg, cols):
+        d = mul.radix[leg]
+        if len(cols) != d or any(k >= d for col in cols for k in col):
+            raise ValueError("leg matrix is not square of size %d" % d)
+        self.leg = leg
+        self.cols = cols
+        self._d, self._stride, self._n = d, prod(mul.radix[leg + 1:]), mul.dims[2]
+
+    @classmethod
+    def family(cls, mul, leg, t):
+        """One operator per slice of the Tensor3 t: slice g is the leg
+        matrix of operator g."""
+        return [cls(mul, leg, cols) for cols in t.columns()]
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, x):
+        if not 0 <= x < self._n:
+            raise IndexError(x)
+        s = self._stride
+        i = x // s % self._d
+        return {x + (k - i) * s: c for k, c in self.cols[i].items()}
 
 
 class HomHHA:
     """The convolution algebra Hom(H⊗H, A) together with the two families of
     translation operators (h ▷ f)(k⊗k') = f(kh⊗k') and (f ◁ h)(k⊗k') =
-    f(k⊗hk'), one operator per basis element of H on each side, each stored
-    as column maps (column j = {row: coefficient}, see linalg.apply_cols).
+    f(k⊗hk'), one operator per basis element of H on each side.
 
     Basis functional E[i,j,m] sends e_i⊗e_j to a_m and every other basis pair
     to 0.  Under convolution Hom(H⊗H, A) is the tensor product H*⊗H*⊗A, so
     the algebra's multiplication is the TensorProductMul with legs
-    (Δᵀ, Δᵀ, μ_A) in index order (i, j, m).
+    (Δᵀ, Δᵀ, μ_A) in index order (i, j, m).  A translation moves one leg
+    only, h ▷ the first and ◁ h the second, so each is a LegOperator whose
+    leg matrix is read off μ_H.
     """
 
-    def __init__(self, algebra, left_ops, right_ops, n, dima):
+    def __init__(self, algebra, left_ops, right_ops):
         self.algebra = algebra
         self.left_ops = left_ops
         self.right_ops = right_ops
-        self.n = n
-        self.dima = dima
 
     def index(self, i, j, m):
         return self.algebra.mul.flat((i, j, m))
@@ -755,7 +792,7 @@ class HomHHA:
 
 def hom_hh_a(h, a):
     """Build Hom(H⊗H, A) with convolution product
-    (F*G)(k⊗k') = Σ F(k₁⊗k'₁) G(k₂⊗k'₂) and unit (k⊗k') ↦ ε(k)ε(k')1_A.
+    (F*G)(k⊗k') = Σ F(k₁⊗k'₁) G(k₂⊗k'₂) and unit ε⊗ε⊗1_A.
     The product is held leg by leg: E[i,j,m]·E[i',j',m'] is the tensor of
     the products e_i*e_i' and e_j*e_j' in H* (the transpose of Δ) with
     a_m a_m', and its n⁶(dim A)³ structure constants are never stored.
@@ -766,37 +803,15 @@ def hom_hh_a(h, a):
         raise ValueError("hom_hh_a needs a unital coefficient algebra")
     for rep in (algebra_check(a), coalgebra_check(h)):
         rep.require("hom_hh_a needs certified factors: " + rep.subject)
-    n, da = h.dim, a.dim
     f = h.field
     conv = h.comul.transpose((1, 2, 0))
     mul = TensorProductMul((conv, conv, a.mul))
-    big, flat = mul.dims[2], mul.flat
-
-    unit = zeros(f, big)
-    for i in range(n):
-        if not h.counit[i]:
-            continue
-        for j in range(n):
-            if not h.counit[j]:
-                continue
-            c = h.counit[i] * h.counit[j]
-            for m in range(da):
-                if a.unit[m]:
-                    unit[flat((i, j, m))] = unit[flat((i, j, m))] + c * a.unit[m]
-
-    left_ops = _translations(n, big, (
-        (g, flat((i, j, m)), flat((k, j, m)), c)
-        for (k, g, i), c in h.mul.entries.items()
-        for j in range(n) for m in range(da)))
-    right_ops = _translations(n, big, (
-        (g, flat((i, j, m)), flat((i, q, m)), c)
-        for (g, q, j), c in h.mul.entries.items()
-        for i in range(n) for m in range(da)))
-
     names = ["E[%s,%s,%s]" % (h.basis[i], h.basis[j], a.basis[m])
-             for i in range(n) for j in range(n) for m in range(da)]
-    alg = AlgebraData(f, names, mul, unit, name="Hom(%s⊗%s,%s)" % (h.name, h.name, a.name))
-    return HomHHA(alg, left_ops, right_ops, n, da)
+             for i, j, m in map(mul.split, range(mul.dims[2]))]
+    alg = AlgebraData(f, names, mul, mul.pure((h.counit, h.counit, a.unit), f),
+                      name="Hom(%s⊗%s,%s)" % (h.name, h.name, a.name))
+    return HomHHA(alg, LegOperator.family(mul, 0, h.mul.transpose((1, 2, 0))),
+                  LegOperator.family(mul, 1, h.mul.transpose((0, 2, 1))))
 
 
 class TensorHAH:
@@ -804,29 +819,28 @@ class TensorHAH:
     comultiplications as coactions: ρ = I⊗I⊗Δ on the right leg and
     λ = Δ⊗I⊗I on the left leg, plus the dual-basis translation operators
     f▷(h⊗a⊗k) = h⊗a⊗k₁ f(k₂) and (h⊗a⊗k)◁f = f(h₁) h₂⊗a⊗k, one operator
-    per dual basis element on each side, each stored as column maps
-    (column j = {row: coefficient}, see linalg.apply_cols).  The algebra's
-    multiplication is the TensorProductMul with legs (μ_H, μ_A, μ_H) in
-    index order (i, m, j).
+    per dual basis element on each side.  The algebra's multiplication is
+    the TensorProductMul with legs (μ_H, μ_A, μ_H) in index order (i, m, j);
+    f▷ moves the last leg and ◁f the first, so each is a LegOperator whose
+    leg matrix is read off Δ.
     """
 
-    def __init__(self, algebra, rho, lam, dual_left_ops, dual_right_ops, n, dima):
+    def __init__(self, algebra, rho, lam, dual_left_ops, dual_right_ops):
         self.algebra = algebra
         self.rho = rho
         self.lam = lam
         self.dual_left_ops = dual_left_ops
         self.dual_right_ops = dual_right_ops
-        self.n = n
-        self.dima = dima
 
     def index(self, i, m, j):
         return self.algebra.mul.flat((i, m, j))
 
 
 def tensor_hah(h, a):
-    """Build X = H⊗A⊗H with (h⊗a⊗k)(h'⊗a'⊗k') = hh'⊗aa'⊗kk' and the
-    coactions given by comultiplying an outer leg.  The product is held leg
-    by leg, and its n⁶(dim A)³ structure constants are never stored.
+    """Build X = H⊗A⊗H with (h⊗a⊗k)(h'⊗a'⊗k') = hh'⊗aa'⊗kk', unit
+    1_H⊗1_A⊗1_H, and the coactions given by comultiplying an outer leg.  The
+    product is held leg by leg, and its n⁶(dim A)³ structure constants are
+    never stored.
 
     Certified through its factors: H and A must pass algebra_check, else
     ValueError."""
@@ -834,44 +848,20 @@ def tensor_hah(h, a):
         raise ValueError("tensor_hah needs a unital coefficient algebra")
     for rep in (algebra_check(h), algebra_check(a)):
         rep.require("tensor_hah needs certified factors: " + rep.subject)
-    n, da = h.dim, a.dim
+    n = h.dim
     f = h.field
     mul = TensorProductMul((h.mul, a.mul, h.mul))
-    big, flat = mul.dims[2], mul.flat
-
-    unit = zeros(f, big)
-    for i in range(n):
-        if not h.unit[i]:
-            continue
-        for m in range(da):
-            if not a.unit[m]:
-                continue
-            c = h.unit[i] * a.unit[m]
-            for j in range(n):
-                if h.unit[j]:
-                    unit[flat((i, m, j))] = c * h.unit[j]
-
-    rho = Tensor3((big, big, n))
-    lam = Tensor3((big, n, big))
-    for (j, j1, j2), c in h.comul.entries.items():
-        for i in range(n):
-            for m in range(da):
-                rho.add(flat((i, m, j)), flat((i, m, j1)), j2, c)
-    for (i, i1, i2), c in h.comul.entries.items():
-        for m in range(da):
-            for j in range(n):
-                lam.add(flat((i, m, j)), i1, flat((i2, m, j)), c)
-
-    dual_left = _translations(n, big, (
-        (g, flat((i, m, k)), flat((i, m, j1)), c)
-        for (k, j1, g), c in h.comul.entries.items()
-        for i in range(n) for m in range(da)))
-    dual_right = _translations(n, big, (
-        (g, flat((i, m, k)), flat((j2, m, k)), c)
-        for (i, g, j2), c in h.comul.entries.items()
-        for m in range(da) for k in range(n)))
-
+    big = mul.dims[2]
+    dual_left = LegOperator.family(mul, 2, h.comul.transpose((2, 0, 1)))
+    dual_right = LegOperator.family(mul, 0, h.comul.transpose((1, 0, 2)))
+    # ρ(x) = Σ_g (p_g▷x)⊗h_g and λ(x) = Σ_g h_g⊗(x◁p_g): the dual families
+    # with the Hopf index read as a slot
+    rho = Tensor3((big, big, n), {(x, y, g): c for g, op in enumerate(dual_left)
+                                  for x, col in enumerate(op) for y, c in col.items()})
+    lam = Tensor3((big, n, big), {(x, g, y): c for g, op in enumerate(dual_right)
+                                  for x, col in enumerate(op) for y, c in col.items()})
     names = ["%s⊗%s⊗%s" % (h.basis[i], a.basis[m], h.basis[j])
-             for i in range(n) for m in range(da) for j in range(n)]
-    alg = AlgebraData(f, names, mul, unit, name="%s⊗%s⊗%s" % (h.name, a.name, h.name))
-    return TensorHAH(alg, rho, lam, dual_left, dual_right, n, da)
+             for i, m, j in map(mul.split, range(big))]
+    alg = AlgebraData(f, names, mul, mul.pure((h.unit, a.unit, h.unit), f),
+                      name="%s⊗%s⊗%s" % (h.name, a.name, h.name))
+    return TensorHAH(alg, rho, lam, dual_left, dual_right)

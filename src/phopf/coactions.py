@@ -20,8 +20,9 @@ unital subalgebra.
 
 from fractions import Fraction
 
-from .algebras import (Report, dict_acc, dict_of_vec, dual_hopf, scalar_algebra,
-                       sweedler_h4, t2_of_dicts, tensor_mul, vec_of_dict)
+from .algebras import (AlgebraData, Report, dict_acc, dict_of_vec, dual_hopf,
+                       scalar_algebra, sweedler_h4, t2_of_dicts, tensor_mul,
+                       vec_of_dict)
 from .actions import (PartialActionData, PartialBimoduleData, _certify_action,
                       _compatibility, _corner_witness, _dict_coords, _left_ideal,
                       _unital_subalgebra, same_algebra, same_hopf)
@@ -75,7 +76,7 @@ class PartialCoactionData:
         show = self.hopf.field.show
         return {
             "hopf": hopf_ref if hopf_ref is not None else self.hopf.to_json(),
-            "algebra": algebra_ref if algebra_ref is not None else self.alg.to_json(),
+            "algebra": algebra_ref if algebra_ref is not None else AlgebraData.to_json(self.alg),
             "side": self.side,
             "map": [[i, j, k, show(c)] for (i, j, k), c in sorted(self.map.entries.items())],
         }
@@ -104,7 +105,7 @@ class PartialBicomoduleData:
     def to_json(self, hopf_ref=None, algebra_ref=None):
         return {
             "hopf": hopf_ref if hopf_ref is not None else self.hopf.to_json(),
-            "algebra": algebra_ref if algebra_ref is not None else self.alg.to_json(),
+            "algebra": algebra_ref if algebra_ref is not None else AlgebraData.to_json(self.alg),
             "left": {"map": self.left.to_json()["map"]},
             "right": {"map": self.right.to_json()["map"]},
         }

@@ -184,7 +184,10 @@ class Field:
         raise TypeError("cannot coerce %r into GF(%d)" % (x, self.p))
 
     def parse(self, s):
-        """Scalar grammar: "n" or "n/d" over the rationals, "r" over GF(p)."""
+        """Scalar grammar: "n" or "n/d" over the rationals, "r" over GF(p).
+        Anything but a string (a JSON number, say) raises ValueError."""
+        if type(s) is not str:
+            raise ValueError("scalar %r is not a string" % (s,))
         s = s.strip()
         if self.p is None:
             if "/" not in s:

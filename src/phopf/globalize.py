@@ -13,8 +13,9 @@ certified through their factors when they are built (see
 algebras.hom_hh_a and algebras.tensor_hah).  Each is a three-leg tensor
 product of its factors and multiplies through those legs
 (algebras.TensorProductMul), so nothing here reads a stored table of its
-n⁶(dim A)³ structure constants.  Their operator families are sparse column
-maps, while candidates carry dense matrices.
+n⁶(dim A)³ structure constants.  Each of their operators moves one leg
+(algebras.LegOperator) and is read as column maps, while candidates carry
+dense matrices.
 
 A candidate globalization is any object carrying `algebra` (an AlgebraData,
 possibly without unit), `theta` (matrix of the embedding of A into it),
@@ -25,9 +26,9 @@ constructions return richer objects that also qualify as candidates.
 
 from itertools import product
 
-from .algebras import (AlgebraData, Count, Report, _dual_structure, algebra_check,
-                       dict_acc, dict_of_vec, hom_hh_a, mul_dicts, tensor_hah,
-                       vec_of_dict)
+from .algebras import (AlgebraData, Count, LegOperator, Report, TensorProductMul,
+                       _dual_structure, algebra_check, dict_acc, dict_of_vec,
+                       hom_hh_a, mul_dicts, tensor_hah, vec_of_dict)
 from .actions import check_bimodule, same_algebra, same_hopf
 from .coactions import _exchange_products, _restrict_coaction, check_bicomodule
 from .linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
@@ -667,46 +668,28 @@ def free_candidate_bimodule(b):
     by construction; associativity depends on the instance, so the result is
     returned unverified — run verify_globalization to test it."""
     H, A = b.hopf, b.alg
-    n, da = H.dim, A.dim
     f = H.field
-    N = n * da * n
-
-    def idx(u, m, v):
-        return (u * da + m) * n + v
-
-    triples = list(product(range(n), range(da), range(n)))
+    layout = TensorProductMul((H.mul, A.mul, H.mul))  # tensor_hah's indices
+    N, flat = layout.dims[2], layout.flat
+    triples = list(map(layout.split, range(N)))
     rule = _product_rule(b)
     mul = Tensor3((N, N, N))
     for x, y in product(triples, repeat=2):
         for z, c in rule(*x, *y).items():
-            mul.add(idx(*x), idx(*y), idx(*z), c)
+            mul.add(flat(x), flat(y), flat(z), c)
 
-    theta = [[f.zero] * da for _ in range(N)]
-    for i in range(n):
-        if not H.unit[i]:
-            continue
-        for j in range(n):
-            if not H.unit[j]:
-                continue
-            c = H.unit[i] * H.unit[j]
-            for m in range(da):
-                theta[idx(i, m, j)][m] = theta[idx(i, m, j)][m] + c
+    theta = mat_transpose([layout.pure((H.unit, unit_vec(f, A.dim, m), H.unit), f)
+                           for m in range(A.dim)])
 
-    left_ops = [[[f.zero] * N for _ in range(N)] for _ in range(n)]
-    right_ops = [[[f.zero] * N for _ in range(N)] for _ in range(n)]
-    for (g, u, p), c in H.mul.entries.items():
-        mat = left_ops[g]
-        for m in range(da):
-            for v in range(n):
-                mat[idx(p, m, v)][idx(u, m, v)] = mat[idx(p, m, v)][idx(u, m, v)] + c
-    for (v, g, q), c in H.mul.entries.items():
-        mat = right_ops[g]
-        for u in range(n):
-            for m in range(da):
-                mat[idx(u, m, q)][idx(u, m, v)] = mat[idx(u, m, q)][idx(u, m, v)] + c
+    def dense_family(leg, t):
+        return [mat_transpose([vec_of_dict(col, N, f) for col in op])
+                for op in LegOperator.family(layout, leg, t)]
 
-    names = ["%s⊗%s⊗%s" % (H.basis[u], A.basis[m], H.basis[v])
-             for u in range(n) for m in range(da) for v in range(n)]
+    # left multiplication on the first leg, right multiplication on the last
+    left_ops = dense_family(0, H.mul)
+    right_ops = dense_family(2, H.mul.transpose((1, 0, 2)))
+
+    names = ["%s⊗%s⊗%s" % (H.basis[u], A.basis[m], H.basis[v]) for u, m, v in triples]
     alg = AlgebraData(f, names, mul, None,
                       name="twisted tensor candidate over %s" % A.name)
     return GlobalizationCandidate(alg, theta, left_ops, right_ops, A,
@@ -846,7 +829,6 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     its dual structure constants, equalities that need no Hopf certificate.
     Returns (matrix, injective, intertwines, restricted_iso)."""
     H, A = hopf, coeff
-    n, da = H.dim, A.dim
     f = H.field
     bg, std = bicomodule_glob, bimodule_glob
     if not same_hopf(bg.hopf, H):
@@ -864,11 +846,8 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
         raise ValueError("ambient dimensions disagree (%d vs %d)"
                          % (N, amb_k.algebra.dim))
 
-    perm = [0] * N
-    for u in range(n):
-        for m in range(da):
-            for v in range(n):
-                perm[amb_x.index(u, m, v)] = amb_k.index(v, u, m)
+    mul_x, mul_k = amb_x.algebra.mul, amb_k.algebra.mul
+    perm = [mul_k.flat((v, u, m)) for u, m, v in map(mul_x.split, range(N))]
     psi = [[f.zero] * N for _ in range(N)]
     for x, t in enumerate(perm):
         psi[t][x] = f.one
@@ -883,26 +862,24 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     # (Δᵀ, Δᵀ, μ_A) over (v, u, m), with Δᵀ the product of H*.  Equal legs
     # under the permutation make it an algebra map; the checks above make
     # them equal for ambients built by tensor_hah and hom_hh_a.
-    mul_x, mul_k = amb_x.algebra.mul, amb_k.algebra.mul
     if mul_k.legs != (mul_x.legs[2], mul_x.legs[0], mul_x.legs[1]):
         raise AssertionError("the permutation is not an algebra map: the "
                              "ambient legs differ")
     if push(dict_of_vec(amb_x.algebra.unit)) != dict_of_vec(amb_k.algebra.unit):
         raise AssertionError("the permutation does not match the units")
 
-    intertwines = True
-    x_left, x_right = amb_x.dual_left_ops, amb_x.dual_right_ops
-    k_left, k_right = amb_k.left_ops, amb_k.right_ops
-    for g in range(n):
-        for x in range(N):
-            if push(x_left[g][x]) != k_left[g][perm[x]] or \
-                    push(x_right[g][x]) != k_right[g][perm[x]]:
-                intertwines = False
-                break
-        if not intertwines:
-            break
+    # Every operator of both families moves one leg.  The permutation
+    # carries leg 2 of X onto leg 0 of K and leg 0 of X onto leg 1 of K, so
+    # it intertwines two operators exactly when their leg matrices agree.
+    def same_legs(xs, x_leg, ks, k_leg):
+        return len(xs) == len(ks) and all(
+            x.leg == x_leg and k.leg == k_leg and x.cols == k.cols
+            for x, k in zip(xs, ks))
 
-    for m in range(da):
+    intertwines = (same_legs(amb_x.dual_left_ops, 2, amb_k.left_ops, 0)
+                   and same_legs(amb_x.dual_right_ops, 0, amb_k.right_ops, 1))
+
+    for m in range(A.dim):
         lhs = push(dict_of_vec([bg.theta[r][m] for r in range(N)]))
         rhs = dict_of_vec([std.phi[r][m] for r in range(N)])
         if lhs != rhs:

@@ -41,22 +41,6 @@ def mat_apply(m, v, field=None):
     return out
 
 
-def mat_mul(a, b):
-    n = len(b)
-    cols = len(b[0])
-    out = []
-    for r in a:
-        row = []
-        for j in range(cols):
-            s = r[0] * b[0][j]
-            for k in range(1, n):
-                if r[k] and b[k][j]:
-                    s = s + r[k] * b[k][j]
-            row.append(s)
-        out.append(row)
-    return out
-
-
 def mat_transpose(a):
     return [list(col) for col in zip(*a)]
 

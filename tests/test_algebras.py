@@ -324,12 +324,12 @@ def test_sparse_ambient_operators_match_a_dense_reference(case):
     a = a or scalar_algebra(QQ)
     hom = hom_hh_a(h, a)
     left, right = _dense_hom_ops(h, a)
-    assert hom.left_ops == [col_dicts(op) for op in left]
-    assert hom.right_ops == [col_dicts(op) for op in right]
+    assert [list(op) for op in hom.left_ops] == [col_dicts(op) for op in left]
+    assert [list(op) for op in hom.right_ops] == [col_dicts(op) for op in right]
     amb = tensor_hah(h, a)
     left, right = _dense_tensor_ops(h, a)
-    assert amb.dual_left_ops == [col_dicts(op) for op in left]
-    assert amb.dual_right_ops == [col_dicts(op) for op in right]
+    assert [list(op) for op in amb.dual_left_ops] == [col_dicts(op) for op in left]
+    assert [list(op) for op in amb.dual_right_ops] == [col_dicts(op) for op in right]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Command-line interface: exit codes, emitted documents, summaries."""
 
+import copy
+import functools
 import json
+import operator
 import os
+import random
+import signal
 from fractions import Fraction
 import subprocess
 import sys
@@ -462,3 +467,128 @@ def test_console_script_help():
     assert proc.returncode == 0
     for word in ("check", "example", "globalize", "smash"):
         assert word in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# hostile input: seeded single-node corruptions of a document of every kind
+
+
+def test_a_json_number_where_a_scalar_string_belongs_exits_two(tmp_path, capsys):
+    files = emit(capsys, "regular-bicomodule", tmp_path)
+    hopf = next(p for p in files if p.endswith("hopf.json"))
+    doc = read_document(hopf)
+    doc["unit"][0] = 1
+    write_document(doc, hopf)
+    assert main(["check", "hopf", hopf]) == 2
+    assert "scalar 1 is not a string" in _one_line_error(capsys)
+
+
+def test_a_basis_label_that_is_not_a_string_exits_two(tmp_path, capsys):
+    files = emit(capsys, "regular-bicomodule", tmp_path)
+    hopf = next(p for p in files if p.endswith("hopf.json"))
+    doc = read_document(hopf)
+    doc["basis"][1] = True
+    write_document(doc, hopf)
+    path = next(p for p in files if p.endswith("bicomodule.json"))
+    assert main(["check", "bicomodule", path]) == 2
+    assert "not a list of string labels" in _one_line_error(capsys)
+    assert main(["globalize", "bicomodule", path, "-o", str(tmp_path / "out")]) == 2
+    assert "not a list of string labels" in _one_line_error(capsys)
+
+
+JUNK = (None, 7, 2.5, True, [], {}, "", "1/0", 10 ** 30)
+
+
+class _Hang(BaseException):
+    """Raised by the alarm inside a call that overran its time bound; a
+    BaseException, so no handler in the CLI can swallow it."""
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON document below its root."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+def _corrupt(doc, rng):
+    """A copy of doc with one node deleted or replaced by a junk value."""
+    out = copy.deepcopy(doc)
+    *head, key = rng.choice(list(_nodes(out)))
+    parent = functools.reduce(operator.getitem, head, out)
+    if rng.random() < 0.1:
+        del parent[key]
+    else:
+        parent[key] = rng.choice(JUNK)
+    return out
+
+
+def _run_hostile(capsys, argv, bound_s=5):
+    """main(argv) under an alarm: nothing may escape it, the exit code is 0,
+    1 or 2, exit 2 prints exactly one `error:` line, and the call ends
+    within bound_s seconds."""
+    def overran(signum, frame):
+        raise _Hang("%r ran longer than %d s" % (argv, bound_s))
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.alarm(bound_s)
+    try:
+        code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err.splitlines()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+    else:
+        assert len(err) <= 1, (argv, err)
+    return code
+
+
+# kind -> (document family of tests.test_scalars, commands run on the
+# corrupted file; SMASH_BIM/SMASH_BIC stand for the clean smash partner)
+FUZZ_TARGETS = {
+    "hopf": ("H4", [["check", "hopf"]]),
+    "algebra": ("H4 algebra", [["check", "algebra"]]),
+    "action": ("kZ4 en-kG action", [["check", "action"]]),
+    "coaction": ("H4 right coaction", [["check", "coaction"]]),
+    "bimodule": ("Sweedler (2,3) bimodule",
+                 [["check", "bimodule"], ["globalize", "bimodule"],
+                  ["smash", None, "SMASH_BIC"]]),
+    "bicomodule": ("Sweedler (t,u) bicomodule",
+                   [["check", "bicomodule"], ["globalize", "bicomodule"],
+                    ["smash", "SMASH_BIM", None]]),
+}
+
+
+@pytest.mark.parametrize("kind", list(FUZZ_TARGETS))
+def test_cli_survives_single_node_corruptions(kind, tmp_path, capsys):
+    from tests.test_scalars import families
+    docs = families()
+    name, commands = FUZZ_TARGETS[kind]
+    partners = {"SMASH_BIM": docs["Sweedler (2,3) bimodule"][1],
+                "SMASH_BIC": docs["Sweedler (t,u) bicomodule"][1]}
+    for key, doc in partners.items():
+        partners[key] = str(tmp_path / (key + ".json"))
+        write_document(doc, partners[key])
+    path, out = str(tmp_path / "doc.json"), str(tmp_path / "out")
+
+    def argvs():
+        for cmd in commands:
+            if cmd[0] == "smash":
+                yield [partners.get(a, path) if a != "smash" else a for a in cmd]
+            else:
+                yield cmd + [path] + (["-o", out] if cmd[0] == "globalize" else [])
+
+    write_document(docs[name][1], path)
+    for argv in argvs():
+        assert _run_hostile(capsys, argv) == 0, argv
+    rng = random.Random("fuzz " + kind)
+    codes = set()
+    for _ in range(150):
+        write_document(_corrupt(docs[name][1], rng), path)
+        codes.update(_run_hostile(capsys, argv) for argv in argvs())
+    assert 2 in codes

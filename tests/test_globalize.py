@@ -14,7 +14,7 @@ from phopf.fields import GF, QQ
 from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
                           col_dicts, dict_acc, nullspace)
 from phopf._groups import named_group
-from phopf.algebras import (AlgebraData, Report, TensorProductMul,
+from phopf.algebras import (AlgebraData, LegOperator, Report, TensorProductMul,
                             algebra_check, dict_of_vec, dual_hopf,
                             group_algebra, mul_dicts, scalar_algebra,
                             sweedler_h4)
@@ -775,16 +775,22 @@ def test_kz8_bicomodule_globalizes_and_bridges_without_writing_out_its_ambients(
     assert TensorProductMul.materializations == count
 
 
+def _perm_of(psi):
+    """The index permutation a permutation matrix psi encodes."""
+    perm = [0] * len(psi)
+    for t, row in enumerate(psi):
+        for x, c in enumerate(row):
+            if c:
+                perm[x] = t
+    return perm
+
+
 def reference_psi_algebra_map(table_x, table_k, psi):
     """The loop psi_map once ran over every pair of ambient basis elements:
     the first pair (x, y) whose product in table_x the index permutation psi
     does not carry to the product in table_k, or None."""
     N = len(psi)
-    perm = [0] * N
-    for t, row in enumerate(psi):
-        for x, c in enumerate(row):
-            if c:
-                perm[x] = t
+    perm = _perm_of(psi)
     pv_x, pv_k = table_x.pair_view(), table_k.pair_view()
     empty = {}
     for x in range(N):
@@ -838,6 +844,59 @@ def test_psi_rejects_ambient_legs_that_differ(name):
         with pytest.raises(AssertionError, match="^the permutation is not an "
                            "algebra map: the ambient legs differ$"):
             psi_map(b.hopf, b.alg, bg, bad)
+
+
+def reference_psi_intertwines(bg, std, psi):
+    """The loop psi_map once ran over every operator and every ambient basis
+    column: whether the index permutation psi carries each dual operator of
+    H⊗A⊗H, column by column, onto the matching translation of Hom(H⊗H, A)."""
+    perm = _perm_of(psi)
+    amb_x, amb_k = bg.ambient, std.ambient
+    for xs, ks in ((amb_x.dual_left_ops, amb_k.left_ops),
+                   (amb_x.dual_right_ops, amb_k.right_ops)):
+        if len(xs) != len(ks):
+            return False
+        for x_op, k_op in zip(xs, ks):
+            for x, t in enumerate(perm):
+                if {perm[y]: c for y, c in x_op[x].items()} != k_op[t]:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("name", list(BRIDGED_FAMILIES))
+def test_psi_leg_intertwining_matches_the_column_loop(name):
+    b, bg, std = _bridged(name)
+    psi, _, intertwines, _ = psi_map(b.hopf, b.alg, bg, std)
+    assert intertwines and reference_psi_intertwines(bg, std, psi)
+
+
+def _with_mutated_operator(std, family, g, j, k, delta):
+    """A copy of the module-side globalization whose ambient operator g of
+    `family` has its leg matrix changed at column j, row k."""
+    amb = std.ambient
+    ops = list(getattr(amb, family))
+    cols = [dict(col) for col in ops[g].cols]
+    dict_acc(cols[j], k, std.hopf.field.of(delta))
+    ops[g] = LegOperator(amb.algebra.mul, ops[g].leg, cols)
+    out = copy.copy(std)
+    out.ambient = copy.copy(amb)
+    setattr(out.ambient, family, ops)
+    return out
+
+
+@pytest.mark.parametrize("name", ["Sweedler (7,3)", "regular H4", "regular kZ4"])
+def test_psi_does_not_intertwine_a_mutated_leg_matrix(name):
+    b, bg, std = _bridged(name)
+    psi = psi_map(b.hopf, b.alg, bg, std)[0]
+    n = b.hopf.dim
+    rng = random.Random(1307)
+    for trial in range(9):
+        family = ("left_ops", "right_ops")[trial % 2]
+        bad = _with_mutated_operator(std, family, rng.randrange(n), rng.randrange(n),
+                                     rng.randrange(n), rng.choice([-1, 1, 2]))
+        assert not reference_psi_intertwines(bg, bad, psi)
+        _, mono, intertwines, restricted_iso = psi_map(b.hopf, b.alg, bg, bad)
+        assert mono and restricted_iso and not intertwines
 
 
 def test_psi_needs_both_sides_over_the_given_hopf_algebra():
@@ -986,6 +1045,52 @@ def test_free_candidate_product_matches_the_reference_loop(make):
     b = make()
     assert free_candidate_bimodule(b).algebra.mul.entries == \
         reference_free_candidate_mul(b).entries
+
+
+def reference_free_candidate_maps(b):
+    """θ and the two operator families free_candidate_bimodule wrote with
+    its own loops over the basis of H⊗A⊗H before they were built from the
+    legs."""
+    H, A = b.hopf, b.alg
+    n, da = H.dim, A.dim
+    f = H.field
+    N = n * da * n
+
+    def idx(u, m, v):
+        return (u * da + m) * n + v
+
+    theta = [[f.zero] * da for _ in range(N)]
+    for i in range(n):
+        if not H.unit[i]:
+            continue
+        for j in range(n):
+            if not H.unit[j]:
+                continue
+            c = H.unit[i] * H.unit[j]
+            for m in range(da):
+                theta[idx(i, m, j)][m] = theta[idx(i, m, j)][m] + c
+
+    left_ops = [[[f.zero] * N for _ in range(N)] for _ in range(n)]
+    right_ops = [[[f.zero] * N for _ in range(N)] for _ in range(n)]
+    for (g, u, p), c in H.mul.entries.items():
+        mat = left_ops[g]
+        for m in range(da):
+            for v in range(n):
+                mat[idx(p, m, v)][idx(u, m, v)] = mat[idx(p, m, v)][idx(u, m, v)] + c
+    for (v, g, q), c in H.mul.entries.items():
+        mat = right_ops[g]
+        for u in range(n):
+            for m in range(da):
+                mat[idx(u, m, q)][idx(u, m, v)] = mat[idx(u, m, q)][idx(u, m, v)] + c
+    return theta, left_ops, right_ops
+
+
+@pytest.mark.parametrize("make", PRODUCT_RULE_INPUTS.values(),
+                         ids=list(PRODUCT_RULE_INPUTS))
+def test_free_candidate_maps_match_the_reference_loops(make):
+    b = make()
+    cand = free_candidate_bimodule(b)
+    assert (cand.theta, cand.left_ops, cand.right_ops) == reference_free_candidate_maps(b)
 
 
 def _theta_mutants(std):

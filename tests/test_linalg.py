@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from phopf.fields import GF, QQ
 from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
-                          col_dicts, mat_apply, mat_mul, nullspace,
+                          col_dicts, mat_apply, nullspace,
                           restrict_product, rref, solve, subspace_span,
                           transport, unit_vec, zeros)
 
@@ -306,14 +306,6 @@ def test_apply_cols_matches_mat_apply(seed):
     v = [GF(7).of(rng.randrange(7)) for _ in range(5)]
     got = apply_cols(col_dicts(m), {j: c for j, c in enumerate(v) if c})
     assert got == {i: c for i, c in enumerate(mat_apply(m, v)) if c}
-
-
-def test_mat_mul_matches_apply():
-    rng = random.Random(3)
-    a = _rand_matrix(rng, 3, 3, GF(7))
-    b = _rand_matrix(rng, 3, 3, GF(7))
-    v = [GF(7).of(rng.randrange(7)) for _ in range(3)]
-    assert mat_apply(mat_mul(a, b), v) == mat_apply(a, mat_apply(b, v))
 
 
 def test_transport_writes_images_in_target_coordinates():
