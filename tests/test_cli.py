@@ -548,19 +548,22 @@ def _run_hostile(capsys, argv, bound_s=5):
     return code
 
 
-# kind -> (document family of tests.test_scalars, commands run on the
-# corrupted file; SMASH_BIM/SMASH_BIC stand for the clean smash partner)
+# kind -> (document family of tests.test_scalars, commands run on it); DOC
+# is the corrupted file, OUT an output directory, and SMASH_BIM/SMASH_BIC
+# the clean smash partner
 FUZZ_TARGETS = {
-    "hopf": ("H4", [["check", "hopf"]]),
-    "algebra": ("H4 algebra", [["check", "algebra"]]),
-    "action": ("kZ4 en-kG action", [["check", "action"]]),
-    "coaction": ("H4 right coaction", [["check", "coaction"]]),
+    "hopf": ("H4", [["check", "hopf", "DOC"]]),
+    "algebra": ("H4 algebra", [["check", "algebra", "DOC"]]),
+    "action": ("kZ4 en-kG action", [["check", "action", "DOC"]]),
+    "coaction": ("H4 right coaction", [["check", "coaction", "DOC"]]),
     "bimodule": ("Sweedler (2,3) bimodule",
-                 [["check", "bimodule"], ["globalize", "bimodule"],
-                  ["smash", None, "SMASH_BIC"]]),
+                 [["check", "bimodule", "DOC"],
+                  ["globalize", "bimodule", "DOC", "-o", "OUT"],
+                  ["smash", "DOC", "SMASH_BIC"]]),
     "bicomodule": ("Sweedler (t,u) bicomodule",
-                   [["check", "bicomodule"], ["globalize", "bicomodule"],
-                    ["smash", "SMASH_BIM", None]]),
+                   [["check", "bicomodule", "DOC"],
+                    ["globalize", "bicomodule", "DOC", "-o", "OUT"],
+                    ["smash", "SMASH_BIM", "DOC"]]),
 }
 
 
@@ -569,26 +572,19 @@ def test_cli_survives_single_node_corruptions(kind, tmp_path, capsys):
     from tests.test_scalars import families
     docs = families()
     name, commands = FUZZ_TARGETS[kind]
-    partners = {"SMASH_BIM": docs["Sweedler (2,3) bimodule"][1],
-                "SMASH_BIC": docs["Sweedler (t,u) bicomodule"][1]}
-    for key, doc in partners.items():
-        partners[key] = str(tmp_path / (key + ".json"))
-        write_document(doc, partners[key])
-    path, out = str(tmp_path / "doc.json"), str(tmp_path / "out")
+    files = {"DOC": str(tmp_path / "doc.json"), "OUT": str(tmp_path / "out")}
+    for key, partner in (("SMASH_BIM", "Sweedler (2,3) bimodule"),
+                         ("SMASH_BIC", "Sweedler (t,u) bicomodule")):
+        files[key] = str(tmp_path / (key + ".json"))
+        write_document(docs[partner][1], files[key])
+    argvs = [[files.get(a, a) for a in cmd] for cmd in commands]
 
-    def argvs():
-        for cmd in commands:
-            if cmd[0] == "smash":
-                yield [partners.get(a, path) if a != "smash" else a for a in cmd]
-            else:
-                yield cmd + [path] + (["-o", out] if cmd[0] == "globalize" else [])
-
-    write_document(docs[name][1], path)
-    for argv in argvs():
+    write_document(docs[name][1], files["DOC"])
+    for argv in argvs:
         assert _run_hostile(capsys, argv) == 0, argv
     rng = random.Random("fuzz " + kind)
     codes = set()
     for _ in range(150):
-        write_document(_corrupt(docs[name][1], rng), path)
-        codes.update(_run_hostile(capsys, argv) for argv in argvs())
+        write_document(_corrupt(docs[name][1], rng), files["DOC"])
+        codes.update(_run_hostile(capsys, argv) for argv in argvs)
     assert 2 in codes
