@@ -12,11 +12,11 @@ D_g = A·1_g (central idempotents 1_g) and isomorphisms α_g: D_{g⁻¹} → D_g
 
 from fractions import Fraction
 
-from .algebras import (AlgebraData, HopfData, Report, algebra_check, dict_acc,
-                       dict_of_vec, dual_hopf, group_algebra, mul_dicts,
-                       vec_of_dict)
-from .linalg import (Subspace, Tensor3, apply_cols, col_dicts, restrict_product,
-                     transport, unit_vec)
+from .algebras import (DUAL, AlgebraData, HopfData, Report, algebra_check,
+                       dict_acc, dict_of_vec, dual_hopf, group_algebra,
+                       mul_dicts, vec_of_dict)
+from .linalg import (Subspace, Tensor3, acts_by_scalars, apply_cols, col_dicts,
+                     restrict_ops, restrict_product, unit_vec)
 from ._groups import check_group_table, group_identity, group_inverses
 
 
@@ -108,8 +108,10 @@ class PartialBimoduleData:
         return {
             "hopf": hopf_ref if hopf_ref is not None else self.hopf.to_json(),
             "algebra": algebra_ref if algebra_ref is not None else AlgebraData.to_json(self.alg),
-            "left": {"map": self.left.to_json()["map"], "symmetric": self.left.symmetric},
-            "right": {"map": self.right.to_json()["map"], "symmetric": self.right.symmetric},
+            "left": {"map": self.left.to_json()["map"],
+                     "symmetric": bool(self.left.symmetric)},
+            "right": {"map": self.right.to_json()["map"],
+                      "symmetric": bool(self.right.symmetric)},
         }
 
     def __repr__(self):
@@ -279,14 +281,7 @@ def _compatibility(b, rep):
 
 def is_global(p):
     """True iff the action of every h on 1_A is ε(h)·1_A."""
-    H, A = p.hopf, p.alg
-    u_a = A.unit_dict()
-    for i in range(H.dim):
-        got = p.apply({i: H.field.one}, u_a)
-        want = {k: H.counit[i] * c for k, c in u_a.items()} if H.counit[i] else {}
-        if got != want:
-            return False
-    return True
+    return acts_by_scalars(p.map.columns(), p.hopf.counit, p.alg.unit_dict())
 
 
 def _certify_action(p, expect_symmetric=None):
@@ -357,10 +352,8 @@ def dual_regular_action(h):
     """The global left action of H* on H dual to comultiplication:
     f ▷ a = a₁ f(a₂).  For a group algebra this is p_g ▷ u_h = δ_{g,h} u_h."""
     dual = dual_hopf(h)
-    ent = {}
-    for (i, j, k), c in h.comul.entries.items():
-        dict_acc(ent, (k, i, j), c)
-    p = PartialActionData(dual, h, "left", ent,
+    # the dual family of the regular right coaction
+    p = PartialActionData(dual, h, "left", h.comul.transpose(DUAL["right"][0]),
                           name="%s regular-dual action on %s" % (dual.name, h.name))
     _certify_action(p)
     if not is_global(p):
@@ -422,30 +415,17 @@ def _unital_subalgebra(B, span, unit_a):
     return rows, u_d, A
 
 
-def _restrict_action(p, span, cut):
-    """The action p restricted to a subspace of its algebra: entry (g, j, k)
-    is coordinate k of cut(h_g acting on basis row j), cut a map of sparse
-    dicts."""
-    one = p.alg.field.one
-    d = span.dim
-    return transport(_dict_coords(span), (p.hopf.dim, d, d),
-                     ((g, j, cut(p.apply({g: one}, dict_of_vec(r))))
-                      for g in range(p.hopf.dim) for j, r in enumerate(span.rows)),
-                     "%s action" % p.side)
-
-
-def _corner_witness(left, right, rows, u_d, span):
+def _corner_witness(B, left, right, rows, u_d, span):
     """First witness (a, h, k, b) — subalgebra basis, Hopf, Hopf, subalgebra
     basis indices — where (a◁h)(k▷b) ≠ (a◁h)·1_A·(k▷b) or the common value
-    leaves A; None when this corner condition holds."""
-    B = left.alg
-    one = B.field.one
+    leaves A; None when this corner condition holds.  The two operator
+    families on B are column maps, one operator per Hopf basis element."""
     for ia, a in enumerate(rows):
-        for h in range(left.hopf.dim):
-            a_h = right.apply({h: one}, a)
-            for k in range(left.hopf.dim):
+        for h, right_h in enumerate(right):
+            a_h = apply_cols(right_h, a)
+            for k, left_k in enumerate(left):
                 for ib, b in enumerate(rows):
-                    k_b = left.apply({k: one}, b)
+                    k_b = apply_cols(left_k, b)
                     lhs = B.mul_dict(a_h, k_b)
                     rhs = B.mul_dict(a_h, B.mul_dict(u_d, k_b))
                     if lhs != rhs or not span.contains(vec_of_dict(lhs, B.dim, B.field)):
@@ -472,7 +452,9 @@ def induce_left(glob, e):
         if B.mul_dict(eb, e_d) != eb:
             raise ValueError("e·B is not a unital ideal: e·b·(1−e) ≠ 0 at b = %s"
                              % B.basis[j])
-    act = _restrict_action(glob, span, lambda a: B.mul_dict(e_d, a))
+    coords = _dict_coords(span)
+    act = restrict_ops(lambda a: coords(B.mul_dict(e_d, a)),
+                       [dict_of_vec(r) for r in span.rows], glob.map.columns(), "left action")
     p = PartialActionData(glob.hopf, A, "left", act,
                           name="%s induced on e·%s" % (glob.hopf.name, B.name))
     return _certify_action(p)
@@ -489,12 +471,14 @@ def induce_bimodule(bim, a_span, unit_a):
     if not (is_global(bim.left) and is_global(bim.right)):
         raise ValueError("induce_bimodule needs global actions on both sides")
     rows, u_d, A = _unital_subalgebra(B, a_span, unit_a)
-    w = _corner_witness(bim.left, bim.right, rows, u_d, a_span)
+    left_cols, right_cols = bim.left.map.columns(), bim.right.map.columns()
+    w = _corner_witness(B, left_cols, right_cols, rows, u_d, a_span)
     if w is not None:
         raise ValueError("corner condition fails at witness (a=%d, h=%s, k=%s, b=%d)"
                          % (w[0], H.basis[w[1]], H.basis[w[2]], w[3]))
-    lt = _restrict_action(bim.left, a_span, lambda a: B.mul_dict(u_d, a))
-    rt = _restrict_action(bim.right, a_span, lambda a: B.mul_dict(a, u_d))
+    coords = _dict_coords(a_span)
+    lt = restrict_ops(lambda a: coords(B.mul_dict(u_d, a)), rows, left_cols, "left action")
+    rt = restrict_ops(lambda a: coords(B.mul_dict(a, u_d)), rows, right_cols, "right action")
     left = PartialActionData(H, A, "left", lt, name="induced left on corner")
     right = PartialActionData(H, A, "right", rt, name="induced right on corner")
     _certify_action(left)
@@ -524,8 +508,9 @@ class GroupPartialActionData:
             raise ValueError("not a group table: fails %s" % bad)
         self.table = [list(r) for r in table]
         self.alg = alg
-        self.idempotents = [list(v) for v in idempotents]
-        self.alphas = [[list(r) for r in mat] for mat in alphas]
+        of = alg.field.of
+        self.idempotents = [[of(c) for c in v] for v in idempotents]
+        self.alphas = [[[of(c) for c in r] for r in mat] for mat in alphas]
         self.labels = list(labels) if labels else ["g%d" % i for i in range(len(table))]
         n = len(self.table)
         if len(self.idempotents) != n or len(self.alphas) != n:

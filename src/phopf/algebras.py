@@ -588,6 +588,15 @@ def sweedler_h4(field):
     return h
 
 
+# The coaction ⇄ dual-action layout.  Under the dual basis (p_g) of H*, a
+# coaction on `side` is an operator family of H* on the other side: its map
+# tensor transposed by DUAL[side][0] is the map tensor of that action
+# (entry (g, i, k): coefficient of a_k in p_g acting on a_i), DUAL[side][1]
+# transposes back, and DUAL[side][2] is the side of the action.
+DUAL = {"right": ((2, 0, 1), (1, 2, 0), "left"),
+        "left": ((1, 0, 2), (1, 0, 2), "right")}
+
+
 def _dual_structure(h):
     """The structure constants of the dual of h, as the coordinate transpose
     dual_hopf describes, without certifying them."""
@@ -852,8 +861,9 @@ def tensor_hah(h, a):
     f = h.field
     mul = TensorProductMul((h.mul, a.mul, h.mul))
     big = mul.dims[2]
-    dual_left = LegOperator.family(mul, 2, h.comul.transpose((2, 0, 1)))
-    dual_right = LegOperator.family(mul, 0, h.comul.transpose((1, 0, 2)))
+    # the leg matrices are the dual families of the regular coactions
+    dual_left = LegOperator.family(mul, 2, h.comul.transpose(DUAL["right"][0]))
+    dual_right = LegOperator.family(mul, 0, h.comul.transpose(DUAL["left"][0]))
     # ρ(x) = Σ_g (p_g▷x)⊗h_g and λ(x) = Σ_g h_g⊗(x◁p_g): the dual families
     # with the Hopf index read as a slot
     rho = Tensor3((big, big, n), {(x, y, g): c for g, op in enumerate(dual_left)

@@ -12,21 +12,25 @@ algebras.tensor_mul.  The witnesses of its tensor-valued laws are sorted
 items keyed in the coaction's own layout.
 
 In finite dimension a coaction of H and an action of the dual Hopf algebra
-on the other side carry the same data; the bridges between the two live
-here as pure coordinate transposes, together with the constructions that
-induce a partial coaction by cutting a global one down to an ideal or to a
-unital subalgebra.
+on the other side carry the same data: transposed by algebras.DUAL, the
+map tensor of a coaction is the map tensor of that action.  The bridges
+between the two are that transpose, and wherever a coaction serves as an
+operator family it is read as its dual family (PartialCoactionData.dual_cols):
+to restrict it to a subalgebra, to test it for ε-triviality, and in the
+exchange condition through the dual actions.  The module also holds the
+constructions that induce a partial coaction by cutting a global one down
+to an ideal or to a unital subalgebra.
 """
 
 from fractions import Fraction
 
-from .algebras import (AlgebraData, Report, dict_acc, dict_of_vec, dual_hopf,
+from .algebras import (DUAL, AlgebraData, Report, dict_acc, dict_of_vec, dual_hopf,
                        scalar_algebra, sweedler_h4, t2_of_dicts, tensor_mul,
                        vec_of_dict)
 from .actions import (PartialActionData, PartialBimoduleData, _certify_action,
                       _compatibility, _corner_witness, _dict_coords, _left_ideal,
                       _unital_subalgebra, same_algebra, same_hopf)
-from .linalg import Subspace, Tensor3, subspace_span, transport
+from .linalg import Subspace, Tensor3, acts_by_scalars, restrict_ops, subspace_span
 
 
 class PartialCoactionData:
@@ -71,6 +75,11 @@ class PartialCoactionData:
     def unit_image(self):
         """Image of 1_A as a sparse dict over leg pairs."""
         return self.coact_dict(self.alg.unit_dict())
+
+    def dual_cols(self):
+        """The coaction as its dual operator family (see algebras.DUAL):
+        [g][j] = {k: c}, the image of a_j under the dual basis element p_g."""
+        return self.map.transpose(DUAL[self.side][0]).columns()
 
     def to_json(self, hopf_ref=None, algebra_ref=None):
         show = self.hopf.field.show
@@ -273,15 +282,20 @@ def check_global_unit(p):
     strict comodule-algebra axioms hold — coassociativity without the unit
     factor — the affirmative answer is a theorem: a negative answer is
     cross-checked against them, and raises AssertionError if they hold."""
-    r = _RightReading(p)
-    H, A = p.hopf, p.alg
-    u_a = A.unit_dict()
-    if r.co_map.apply_in1(u_a) == t2_of_dicts(u_a, H.unit_dict()):
+    if _coacts_trivially(p, p.alg.unit_dict()):
         return True
+    r = _RightReading(p)
     if _counit_and_multiplicativity(r, Report()).passed and \
-            all(r.double(i) == r.spread(i) for i in range(A.dim)):
+            all(r.double(i) == r.spread(i) for i in range(p.alg.dim)):
         raise AssertionError("strictly coassociative coaction must send the unit to 1⊗1")
     return False
+
+
+def _coacts_trivially(p, u):
+    """Whether the coaction p sends u (a sparse dict) to u ⊗ 1_H (right
+    side), resp. 1_H ⊗ u (left side): each p_g of its dual family sends u
+    to p_g(1_H)·u."""
+    return acts_by_scalars(p.dual_cols(), p.hopf.unit, u)
 
 
 def _certify_coaction(p):
@@ -300,13 +314,12 @@ def _certify_bicomodule(b, what):
 
 def trivial_coaction(hopf, alg, side="right"):
     """a ↦ a⊗1_H (right) or a ↦ 1_H⊗a (left) — the global coaction through
-    the unit of H."""
-    u_h = hopf.unit_dict()
-    ent = {}
-    for i in range(alg.dim):
-        for r, c in u_h.items():
-            ent[(i, i, r) if side == "right" else (i, r, i)] = c
-    p = PartialCoactionData(hopf, alg, side, ent,
+    the unit of H, whose dual family sends a to p_g(1_H)·a."""
+    if side not in DUAL:
+        raise ValueError("side must be 'left' or 'right'")
+    dual = Tensor3((hopf.dim, alg.dim, alg.dim),
+                   {(g, i, i): c for g, c in hopf.unit_dict().items() for i in range(alg.dim)})
+    p = PartialCoactionData(hopf, alg, side, dual.transpose(DUAL[side][1]),
                             name="trivial %s coaction of %s on %s"
                             % (side, hopf.name, alg.name))
     return _certify_coaction(p)
@@ -368,17 +381,10 @@ def sweedler_k_bicomodule(field, t, u):
 
 def _dual_action(p, hs):
     """The partial action of hs, the certified dual of p's Hopf algebra,
-    that reads the coaction p, by a pure coordinate transpose and without
+    that reads the coaction p, by the transpose of algebras.DUAL and without
     certification."""
-    ent = {}
-    if p.side == "right":
-        for (i, j, k), c in p.map.entries.items():
-            ent[(k, i, j)] = c
-        return PartialActionData(hs, p.alg, "left", ent,
-                                 name="dual action of %s" % p.name)
-    for (i, j, k), c in p.map.entries.items():
-        ent[(j, i, k)] = c
-    return PartialActionData(hs, p.alg, "right", ent,
+    perm, _, side = DUAL[p.side]
+    return PartialActionData(hs, p.alg, side, p.map.transpose(perm),
                              name="dual action of %s" % p.name)
 
 
@@ -396,17 +402,9 @@ def dual_action_to_coaction(p):
     coaction ρ(a) = Σ_i (h_i ⇀ a) ⊗ p_i of the dual Hopf algebra, and a
     right action gives the left coaction λ(a) = Σ_i p_i ⊗ (a ↼ h_i)."""
     hs = dual_hopf(p.hopf)
-    ent = {}
-    if p.side == "left":
-        for (i, j, k), c in p.map.entries.items():
-            ent[(j, k, i)] = c
-        co = PartialCoactionData(hs, p.alg, "right", ent,
-                                 name="dual coaction of %s" % p.name)
-    else:
-        for (i, j, k), c in p.map.entries.items():
-            ent[(j, i, k)] = c
-        co = PartialCoactionData(hs, p.alg, "left", ent,
-                                 name="dual coaction of %s" % p.name)
+    side = DUAL[p.side][2]
+    co = PartialCoactionData(hs, p.alg, side, p.map.transpose(DUAL[side][1]),
+                             name="dual coaction of %s" % p.name)
     return _certify_coaction(co)
 
 
@@ -436,28 +434,15 @@ def bimodule_to_bicomodule(b):
 # ---------------------------------------------------------------------------
 # induced partial coactions
 
-def _restrict_coaction(t, side, span, cut):
-    """A coaction tensor t (laid out as PartialCoactionData.map on `side`)
-    restricted to a subspace of its algebra: one slice per Hopf leg of the
-    image of each basis row, passed through cut (a map of sparse dicts) and
-    written in subspace coordinates."""
-    iv = t.in1_view()
-    n = t.dims[2] if side == "right" else t.dims[1]
-
-    def slices():
-        for i, row in enumerate(span.rows):
-            per_h = {}
-            for x, cx in enumerate(row):
-                if cx:
-                    for (j, k), c in iv.get(x, {}).items():
-                        h, a = (k, j) if side == "right" else (j, k)
-                        dict_acc(per_h.setdefault(h, {}), a, cx * c)
-            for h, a in per_h.items():
-                yield i, h, cut(a)
-
-    out = transport(_dict_coords(span), (span.dim, n, span.dim), slices(),
-                    "%s coaction" % side)
-    return out.transpose((0, 2, 1)) if side == "right" else out
+def _restrict_coaction(ops, side, span, cut):
+    """A coaction on `side`, given as its dual operator family `ops` (see
+    PartialCoactionData.dual_cols), restricted to a subspace of its
+    algebra: each image of a basis row passes through cut (a map of sparse
+    dicts) and is written in subspace coordinates.  Returns the map tensor
+    of the restricted coaction."""
+    coords = _dict_coords(span)
+    return restrict_ops(lambda a: coords(cut(a)), [dict_of_vec(r) for r in span.rows],
+                        ops, "%s coaction" % side).transpose(DUAL[side][1])
 
 
 def induce_right_coaction(glob, e):
@@ -470,7 +455,7 @@ def induce_right_coaction(glob, e):
         raise ValueError("induce_right_coaction needs a global coaction")
     B = glob.alg
     span, e_d, A = _left_ideal(B, e)
-    ent = _restrict_coaction(glob.map, "right", span, lambda a: B.mul_dict(e_d, a))
+    ent = _restrict_coaction(glob.dual_cols(), "right", span, lambda a: B.mul_dict(e_d, a))
     p = PartialCoactionData(glob.hopf, A, "right", ent,
                             name="%s induced on e·%s" % (glob.hopf.name, B.name))
     return _certify_coaction(p)
@@ -536,9 +521,9 @@ def induce_bicomodule(bicom, a_basis, unit_a):
     if w is not None:
         raise ValueError("exchange condition fails at witness pair (a=%d, b=%d)" % w)
 
-    rho = _restrict_coaction(bicom.right.map, "right", span,
+    rho = _restrict_coaction(bicom.right.dual_cols(), "right", span,
                              lambda a: B.mul_dict(u_d, a))
-    lam = _restrict_coaction(bicom.left.map, "left", span,
+    lam = _restrict_coaction(bicom.left.dual_cols(), "left", span,
                              lambda a: B.mul_dict(a, u_d))
     left = PartialCoactionData(H, A, "left", lam,
                                name="induced left coaction on corner of %s" % B.name)
@@ -567,10 +552,9 @@ def check_vesgo_equivalence(bicom, a_basis, unit_a):
     rows = [dict_of_vec(r) for r in span.rows]
     u_d = dict_of_vec(unit_a)
 
-    hs = dual_hopf(bicom.hopf)
-    tri = _dual_action(bicom.right, hs)    # f ▷ b
-    trr = _dual_action(bicom.left, hs)     # a ◁ f
-    cond_i = _corner_witness(tri, trr, rows, u_d, span) is None
+    # f ▷ b and a ◁ f, the dual families of ρ and λ
+    cond_i = _corner_witness(B, bicom.right.dual_cols(), bicom.left.dual_cols(),
+                             rows, u_d, span) is None
     cond_ii = _exchange_witness(bicom, rows, u_d, span) is None
     if cond_i != cond_ii:
         raise AssertionError("the two exchange-condition forms must agree")

@@ -26,24 +26,24 @@ constructions return richer objects that also qualify as candidates.
 
 from itertools import product
 
-from .algebras import (AlgebraData, Count, LegOperator, Report, TensorProductMul,
-                       _dual_structure, algebra_check, dict_acc, dict_of_vec,
-                       hom_hh_a, mul_dicts, tensor_hah, vec_of_dict)
+from .algebras import (DUAL, AlgebraData, Count, LegOperator, Report,
+                       TensorProductMul, _dual_structure, algebra_check, dict_acc,
+                       dict_of_vec, hom_hh_a, mul_dicts, tensor_hah, vec_of_dict)
 from .actions import check_bimodule, same_algebra, same_hopf
 from .coactions import _exchange_products, _restrict_coaction, check_bicomodule
 from .linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
-                     col_dicts, mat_transpose, nullspace, restrict_product,
-                     rref, solve, subspace_span, transport, unit_vec, zeros)
+                     col_dicts, mat_transpose, nullspace, restrict_ops,
+                     restrict_product, rref, solve, subspace_span, transport,
+                     unit_vec, zeros)
 
 
 def _restrict_ops(ops, sections, coords, field, what):
     """An operator family (column maps) restricted to a subspace or a
-    quotient with basis `sections`: one dense matrix per operator."""
-    d = len(sections)
-    t = transport(coords, (len(ops), d, d),
-                  ((g, j, vec_of_dict(apply_cols(op, dict_of_vec(s)), len(op), field))
-                   for g, op in enumerate(ops) for j, s in enumerate(sections)),
-                  what)
+    quotient with basis `sections` and coordinate map `coords`, both dense:
+    one dense matrix per operator."""
+    n = len(ops[0])
+    t = restrict_ops(lambda d: coords(vec_of_dict(d, n, field)),
+                     [dict_of_vec(s) for s in sections], ops, what)
     return [t.slice_matrix(g, field.zero) for g in range(len(ops))]
 
 
@@ -699,15 +699,6 @@ def free_candidate_bimodule(b):
 # ---------------------------------------------------------------------------
 # the standard bicomodule globalization
 
-def _dual_cols(t, side):
-    """A coaction tensor (laid out as PartialCoactionData.map) read as the
-    column maps of operators of the dual Hopf algebra, one per basis
-    element of H; the coordinate transpose of
-    coactions.coaction_to_dual_action.  A right coaction gives the left
-    family, a left coaction the right one."""
-    return t.transpose((2, 0, 1) if side == "right" else (1, 0, 2)).columns()
-
-
 def _require_global_bicomodule(algebra, hopf, rho, lam):
     """Raise ValueError unless the coactions ρ and λ make the (possibly
     non-unital) algebra a two-sided global comodule algebra.  In finite
@@ -717,9 +708,11 @@ def _require_global_bicomodule(algebra, hopf, rho, lam):
     multiplicativity are the unit, composition, commutation and product
     laws of _require_global_bimodule.  Those laws are checked outright, so
     they read the dual structure constants without certifying the dual
-    Hopf algebra (coactions.bicomodule_to_bimodule does that)."""
+    Hopf algebra (coactions.bicomodule_to_bimodule does that).  The two
+    families are the coaction tensors transposed by algebras.DUAL."""
     _require_global_bimodule(algebra, _dual_structure(hopf),
-                             _dual_cols(rho, "right"), _dual_cols(lam, "left"))
+                             rho.transpose(DUAL["right"][0]).columns(),
+                             lam.transpose(DUAL["left"][0]).columns())
 
 
 def standard_globalize_bicomodule(b):
@@ -771,8 +764,8 @@ def standard_globalize_bicomodule(b):
     dB = span.dim
 
     mul = restrict_product(span.coords, span.rows, amb.algebra.mulvec)
-    induced_rho = _restrict_coaction(amb.rho, "right", span, lambda a: a)
-    induced_lam = _restrict_coaction(amb.lam, "left", span, lambda a: a)
+    induced_rho = _restrict_coaction(amb.dual_left_ops, "right", span, lambda a: a)
+    induced_lam = _restrict_coaction(amb.dual_right_ops, "left", span, lambda a: a)
     unit_b = span.coords(amb.algebra.unit)
     alg_b = AlgebraData(f, ["b%d" % i for i in range(dB)], mul, unit_b,
                         name="globalization of %s" % A.name)

@@ -233,6 +233,26 @@ def restrict_product(coords, sections, mul):
                       for j, v in enumerate(sections)), "product")
 
 
+def restrict_ops(coords, sections, ops, what):
+    """An operator family (column maps, see apply_cols) restricted to the
+    span of `sections` (sparse dicts): entry (g, j, k) of the returned
+    Tensor3 is coordinate k of op_g applied to section j.  Only nonzero
+    images reach `coords`, a map of sparse dicts as in transport; a zero
+    image restricts to zero."""
+    d = len(sections)
+    return transport(coords, (len(ops), d, d),
+                     ((g, j, v) for g, op in enumerate(ops)
+                      for j, v in enumerate(apply_cols(op, s) for s in sections) if v),
+                     what)
+
+
+def acts_by_scalars(ops, scalars, x):
+    """Whether each operator g of a family (column maps) sends the sparse
+    vector x to scalars[g]·x."""
+    return all(apply_cols(op, x) == ({k: s * c for k, c in x.items()} if s else {})
+               for op, s in zip(ops, scalars))
+
+
 def rref(rows, field):
     """Reduced row-echelon form.  Returns (rank, reduced_rows, pivot_cols);
     reduced_rows keeps only the nonzero rows."""
@@ -307,18 +327,12 @@ def solve(mat_cols, target, field):
 class Subspace:
     """A subspace of field^n held as a reduced row-echelon basis."""
 
-    def __init__(self, ambient_dim, field, rows=(), _canonical=False):
+    def __init__(self, ambient_dim, field, rows=()):
         if ambient_dim <= 0:
             raise ValueError("ambient dimension must be positive")
         self.ambient_dim = ambient_dim
         self.field = field
-        if _canonical:
-            self.rows = list(rows)
-            self.pivots = [next(j for j, x in enumerate(r) if x) for r in self.rows]
-        else:
-            rank, red, pivots = rref(list(rows), field) if rows else (0, [], [])
-            self.rows = red
-            self.pivots = pivots
+        _, self.rows, self.pivots = rref(list(rows), field) if rows else (0, [], [])
 
     @property
     def dim(self):

@@ -79,7 +79,10 @@ def _action_parts(doc, base, cls, key_side=None):
     sub = doc if key_side is None else doc[key_side]
     side = sub["side"] if key_side is None else key_side
     entries = dict(json_rows(sub["map"], cls.shape(hopf, alg, side), hopf.field, "map"))
-    return hopf, alg, side, entries, bool(sub.get("symmetric", False))
+    symmetric = sub.get("symmetric", False)
+    if type(symmetric) is not bool:
+        raise ValueError("the symmetric flag must be true or false, got %r" % (symmetric,))
+    return hopf, alg, side, entries, symmetric
 
 
 def load_action(node, base_dir="."):

@@ -16,8 +16,8 @@ cuts out the unital corner algebra e·S·e at any idempotent e."""
 
 from .algebras import AlgebraData, algebra_check, dict_acc, dict_of_vec, mul_dicts, vec_of_dict
 from .actions import _dict_coords, check_bimodule, same_hopf
-from .coactions import check_bicomodule
-from .linalg import Tensor3, restrict_product, subspace_span
+from .coactions import _coacts_trivially, check_bicomodule
+from .linalg import Tensor3, acts_by_scalars, restrict_product, subspace_span
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +153,7 @@ def check_ker_eps_invariance(bimodule, a_vec):
     out = []
     for act in (bimodule.left, bimodule.right):
         pv = act.map.pair_view()
-        pointwise = True
-        for i in range(H.dim):
-            want = {}
-            if H.counit[i]:
-                want = {k: H.counit[i] * c for k, c in a.items()}
-            if mul_dicts(pv, {i: f.one}, a) != want:
-                pointwise = False
-                break
+        pointwise = acts_by_scalars(act.map.columns(), H.counit, a)
         kernel = True
         for i in range(H.dim):
             ki = {i: f.one}
@@ -175,17 +168,6 @@ def check_ker_eps_invariance(bimodule, a_vec):
                                  % act.side)
         out.append(pointwise)
     return tuple(out)
-
-
-def _coacts_trivially(coaction, u):
-    """Whether the coaction sends u (a sparse dict) to u ⊗ 1_H (right side),
-    resp. 1_H ⊗ u (left side)."""
-    want = {}
-    for m, cm in u.items():
-        for h, ch in coaction.hopf.unit_dict().items():
-            key = (m, h) if coaction.side == "right" else (h, m)
-            dict_acc(want, key, cm * ch)
-    return coaction.coact_dict(u) == want
 
 
 def find_idempotent(s, a_vec, u_vec):

@@ -229,6 +229,22 @@ def test_z2_partial_group_round_trip(field):
     assert back.labels == gpa.labels
 
 
+def test_group_partial_action_reduces_the_scalars_it_is_given():
+    # [[8, 1], [1, 7]] are the idempotents of the GF(7) example as raw ints;
+    # unreduced, 8 and 7 failed idempotent-central and unit-translation
+    gf7 = GF(7)
+    gpa = z2_partial_group_example(gf7)
+    raw_alphas = [[[c.v + 7 for c in r] for r in mat] for mat in gpa.alphas]
+    for idempotents in ([[8, 1], [1, 7]], [[gf7.of(c) for c in v] for v in ([8, 1], [1, 7])]):
+        got = GroupPartialActionData(gpa.table, gpa.alg, idempotents, raw_alphas,
+                                     labels=gpa.labels)
+        scalars = [c for v in got.idempotents for c in v] + \
+            [c for mat in got.alphas for r in mat for c in r]
+        assert all(type(c) is fields.ModP and 0 <= c.v < 7 for c in scalars)
+        assert got.idempotents == gpa.idempotents and got.alphas == gpa.alphas
+        assert check_group_partial_action(got).passed
+
+
 def _reference_iso_multiplicative(gpa):
     """Failures of the law iso-multiplicative as check_group_partial_action
     found them when it formed a_j·1_{g⁻¹} and α_g of it for every i."""

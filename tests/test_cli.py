@@ -496,6 +496,34 @@ def test_a_basis_label_that_is_not_a_string_exits_two(tmp_path, capsys):
     assert "not a list of string labels" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("flag", ["false", 0, 1, [], None], ids=repr)
+@pytest.mark.parametrize("kind,name", [("bimodule", "Sweedler (2,3) bimodule"),
+                                       ("action", "kZ4 en-kG action")])
+def test_a_symmetric_flag_that_is_not_a_bool_exits_two(tmp_path, capsys, kind, name, flag):
+    # read as bool(...), "false" and 1 used to run the 13-law symmetric
+    # suite and 0, [] and null the 12-law one, all with exit 0
+    from tests.test_scalars import families
+    doc = copy.deepcopy(families()[name][1])
+    (doc["left"] if kind == "bimodule" else doc)["symmetric"] = flag
+    path = str(tmp_path / "doc.json")
+    write_document(doc, path)
+    assert main(["check", kind, path]) == 2
+    assert "symmetric flag must be true or false" in _one_line_error(capsys)
+
+
+def test_the_bimodule_document_writes_its_symmetric_flags_as_bools(tmp_path, capsys):
+    from phopf.actions import sweedler_k_bimodule
+    from phopf.fields import QQ
+    b = sweedler_k_bimodule(QQ, 2, 3)
+    b.left.symmetric, b.right.symmetric = 1, 0
+    doc = b.to_json()
+    assert doc["left"]["symmetric"] is True and doc["right"]["symmetric"] is False
+    path = str(tmp_path / "bimodule.json")
+    write_document(doc, path)
+    assert main(["check", "bimodule", path]) == 0
+    capsys.readouterr()
+
+
 JUNK = (None, 7, 2.5, True, [], {}, "", "1/0", 10 ** 30)
 
 

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from phopf.fields import GF, QQ
 from phopf._groups import named_group
 from phopf import coactions
-from phopf.algebras import (AlgebraData, Report, dict_acc, dual_hopf,
-                            group_algebra, scalar_algebra, sweedler_h4,
-                            vec_of_dict)
-from phopf.actions import (check_bimodule, check_lpma, check_rpma,
+from phopf.algebras import (AlgebraData, Report, dict_acc, dict_of_vec,
+                            dual_hopf, group_algebra, scalar_algebra,
+                            sweedler_h4, vec_of_dict)
+from phopf.actions import (_left_ideal, check_bimodule, check_lpma, check_rpma,
                            dual_regular_action, en_kg_example, is_global,
                            sweedler_k_bimodule, trivial_action,
                            trivialize_right)
@@ -25,7 +25,8 @@ from phopf.coactions import (PartialBicomoduleData, PartialCoactionData,
                              induce_bicomodule, induce_right_coaction,
                              regular_bicomodule, regular_coaction,
                              sweedler_k_bicomodule, trivial_coaction)
-from phopf.linalg import Tensor3, subspace_span
+from phopf.globalize import standard_globalize_bicomodule
+from phopf.linalg import Tensor3, subspace_span, transport
 from tests.conftest import rand_fraction
 from tests.test_algebras import _CountingView, t2_mul, t3_mul
 
@@ -534,3 +535,110 @@ def test_coaction_suite_reads_a_tenth_of_the_pair_views_the_reference_reads(monk
     monkeypatch.setattr(Tensor3, "partner_view", counted_partners)
     assert check_bicomodule(b).passed
     assert tally[0] * 10 <= 610704, tally[0]
+
+
+# ---------------------------------------------------------------------------
+# the dual-family layout (algebras.DUAL) against the side-by-side loops it
+# replaced
+
+
+def _ref_restrict_coaction(t, side, span, cut):
+    """A coaction tensor t (laid out as PartialCoactionData.map on `side`)
+    restricted to a subspace of its algebra: one slice per Hopf leg of the
+    image of each basis row, passed through cut and written in subspace
+    coordinates."""
+    iv = t.in1_view()
+    n = t.dims[2] if side == "right" else t.dims[1]
+
+    def slices():
+        for i, row in enumerate(span.rows):
+            per_h = {}
+            for x, cx in enumerate(row):
+                if cx:
+                    for (j, k), c in iv.get(x, {}).items():
+                        h, a = (k, j) if side == "right" else (j, k)
+                        dict_acc(per_h.setdefault(h, {}), a, cx * c)
+            for h, a in per_h.items():
+                yield i, h, cut(a)
+
+    def coords(d):
+        return span.coords(vec_of_dict(d, span.ambient_dim, span.field))
+
+    out = transport(coords, (span.dim, n, span.dim), slices(), "%s coaction" % side)
+    return out.transpose((0, 2, 1)) if side == "right" else out
+
+
+def _ref_coacts_trivially(coaction, u):
+    """Whether the coaction sends u to u ⊗ 1_H (right side), resp. 1_H ⊗ u
+    (left side), with the key of the wanted tensor built per side."""
+    want = {}
+    for m, cm in u.items():
+        for h, ch in coaction.hopf.unit_dict().items():
+            key = (m, h) if coaction.side == "right" else (h, m)
+            dict_acc(want, key, cm * ch)
+    return coaction.coact_dict(u) == want
+
+
+def _restrictions_agree(p, span, cut):
+    got = coactions._restrict_coaction(p.dual_cols(), p.side, span, cut)
+    assert got == _ref_restrict_coaction(p.map, p.side, span, cut)
+    return got
+
+
+def test_induced_coactions_match_the_reference_restriction():
+    bic, u0, u2, e = _z4_setup()
+    B = bic.alg
+    span, e_d, _ = _left_ideal(B, e)
+    got = _restrictions_agree(bic.right, span, lambda a: B.mul_dict(e_d, a))
+    assert got == induce_right_coaction(bic.right, e).map
+    span = subspace_span([u0, u2], 4, QQ)
+    u_d = dict_of_vec(u0)
+    ind = induce_bicomodule(bic, span, u0)
+    assert _restrictions_agree(bic.right, span, lambda a: B.mul_dict(u_d, a)) \
+        == ind.right.map
+    assert _restrictions_agree(bic.left, span, lambda a: B.mul_dict(a, u_d)) \
+        == ind.left.map
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("name", ["H4", "kZ4", "Sweedler (t,u)"])
+def test_ambient_coactions_restrict_as_the_reference_restriction(field, name):
+    b = (regular_bicomodule(sweedler_h4(field)) if name == "H4"
+         else regular_bicomodule(_kg("Z4", field)) if name == "kZ4"
+         else sweedler_k_bicomodule(field, 3, -2))
+    g = standard_globalize_bicomodule(b)
+    amb, span = g.ambient, g.b_basis
+
+    def same(a):
+        return a
+
+    for ops, t, side, induced in ((amb.dual_left_ops, amb.rho, "right", g.induced_rho),
+                                  (amb.dual_right_ops, amb.lam, "left", g.induced_lam)):
+        got = coactions._restrict_coaction(ops, side, span, same)
+        assert got == _ref_restrict_coaction(t, side, span, same) == induced
+
+
+def test_coacts_trivially_matches_the_reference_on_families_and_mutations():
+    from tests.test_scalars import KINDS, families
+    verdicts = set()
+    for name, (kind, doc) in families().items():
+        if kind != "bicomodule":
+            continue
+        b = KINDS[kind][0](doc)
+        for p in (b.left, b.right):
+            one = p.hopf.field.one
+            stored = sorted(p.map.entries)
+            free = [key for key in product(*(range(d) for d in p.map.dims))
+                    if key not in p.map.entries]
+            mutants = [p]
+            for key in _spread_out(stored, 8) + _spread_out(free, 8):
+                entries = dict(p.map.entries)
+                entries[key] = entries.get(key, p.hopf.field.zero) + one
+                mutants.append(PartialCoactionData(p.hopf, p.alg, p.side, entries,
+                                                   unchecked=True))
+            for q in mutants:
+                for u in [{i: one} for i in range(p.alg.dim)] + [p.alg.unit_dict()]:
+                    got = coactions._coacts_trivially(q, u)
+                    assert got == _ref_coacts_trivially(q, u), (name, p.side, u)
+                    verdicts.add(got)
+    assert verdicts == {True, False}

@@ -171,6 +171,20 @@ def test_scaled_embedding_fails_the_reproduction_condition():
         "lemaco4": ("1", "1", "1")}
 
 
+@pytest.mark.parametrize("label", ["g", "x", "xg"])
+def test_comparison_map_rejects_a_candidate_whose_translates_relate_differently(label):
+    # one left operator of the standard Sweedler (2,3) globalization set to
+    # zero: the translates through it vanish on the candidate side only, so
+    # a linear relation among them maps to a nonzero element
+    std = standard_globalize_bimodule(sweedler_k_bimodule(QQ, 2, 3))
+    ops = list(std.left_ops)
+    ops[std.hopf.basis.index(label)] = [[QQ.zero] * std.dim for _ in range(std.dim)]
+    cand = GlobalizationCandidate(std.algebra, std.theta, ops, std.right_ops, std.coeff)
+    # the coefficient list prints a mix of Fraction(0, 1) and 0: match the prefix
+    with pytest.raises(ValueError, match=r"^comparison map is ill-defined: "):
+        comparison_map(cand, std)
+
+
 # structural faults of a candidate raise ValueError instead of being reported
 
 
