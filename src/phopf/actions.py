@@ -2,8 +2,10 @@
 algebra, on either side or both.
 
 An action is a coefficient table: entry (i, j, k) of the map tensor is the
-coefficient of a_k in h_i ⇀ a_j (left) or in a_j ↼ h_i (right).  Every law is
-checked on all basis tuples, which proves it outright by multilinearity.
+coefficient of a_k in h_i ⇀ a_j (left) or in a_j ↼ h_i (right).  A law is
+checked on all basis tuples, which proves it outright by multilinearity, or
+recorded by its proof when the laws that prove it have been checked (see
+_action_suite).
 
 The module also houses the dictionary between symmetric unital partial
 actions of a group algebra kG and partial group actions given by ideals
@@ -13,8 +15,8 @@ D_g = A·1_g (central idempotents 1_g) and isomorphisms α_g: D_{g⁻¹} → D_g
 from fractions import Fraction
 
 from .algebras import (DUAL, AlgebraData, HopfData, Report, algebra_check,
-                       dict_acc, dict_of_vec, dual_hopf, group_algebra,
-                       mul_dicts, vec_of_dict)
+                       coalgebra_check, dict_acc, dict_of_vec, dual_hopf,
+                       group_algebra, mul_dicts, vec_of_dict)
 from .linalg import (Subspace, Tensor3, acts_by_scalars, apply_cols, col_dicts,
                      restrict_ops, restrict_product, unit_vec)
 from ._groups import check_group_table, group_identity, group_inverses
@@ -129,7 +131,14 @@ def _action_suite(p, symmetric, left):
     in A is formed.
 
     The right suite is the left one read through A^op, H^op and Δ^cop: the
-    mirror is a choice of product order, not a second copy of the loops."""
+    mirror is a choice of product order, not a second copy of the loops.
+
+    The two laws with four basis indices, action-composition-nonunital and
+    action-symmetry, are recorded by their proofs when multiplicativity
+    holds, A is associative with a two-sided unit and Δ is coassociative
+    (and, respectively, the unital composition law or the unital form of
+    symmetry holds); otherwise they are swept, so a failing law keeps its
+    witnesses.  tests/test_actions.py keeps the full sweep as the reference."""
     rep = Report(p.name, p.alg.field)
     H, A = p.hopf, p.alg
     n, m = H.dim, A.dim
@@ -181,11 +190,11 @@ def _action_suite(p, symmetric, left):
             got = hg_cols[key] = [apply_cols(on_a[j], hop[key]) for j in range(m)]
         return got
 
-    def composition(law, flip, unital):
-        """h⇀[a(g⇀b)] = (h₁⇀a)(h₂g⇀b), read through A^op and Δ^cop when
+    def composition(flip, unital):
+        """Yield (index, lhs, rhs) at every basis tuple where
+        h⇀[a(g⇀b)] = (h₁⇀a)(h₂g⇀b) fails, read through A^op and Δ^cop when
         flip; unital puts h⇀(g⇀b) = (h₁⇀1_A)(h₂g⇀b) in its place."""
         pva = pv_a_op if flip else pv_a
-        ok = True
         for i in range(n):
             terms = [(h2, w, h1) if flip else (h1, w, h2) for h1, h2, w in legs[i]]
             for g in range(n):
@@ -205,21 +214,47 @@ def _action_suite(p, symmetric, left):
                                 for k, c in mul_dicts(pva, t1, gcols[jb]).items():
                                     dict_acc(rhs, k, w * c)
                         if lhs != rhs:
-                            ok = False
-                            fail(law, (i, g, jb) if unital else (i, g, ja, jb), lhs, rhs)
+                            yield (i, g, jb) if unital else (i, g, ja, jb), lhs, rhs
+
+    def sweep(law, flip, unital):
+        """Record every failure of a composition form under law; True when
+        there is none."""
+        ok = True
+        for idx, lhs, rhs in composition(flip, unital):
+            ok = False
+            fail(law, idx, lhs, rhs)
         return ok
+
+    premises = None
+
+    def premises_hold():
+        """P: multiplicativity holds, A is associative with a two-sided
+        unit, and Δ is coassociative.  Decided on first use only."""
+        nonlocal premises
+        if premises is None:
+            premises = (not rep.failures_for("action-multiplicativity")
+                        and algebra_check(A).passed and coalgebra_check(H).passed)
+        return premises
 
     # composition against the unit:
     #   left:  h⇀(g⇀b)   = (h₁⇀1_A)(h₂g⇀b)
     #   right: (b↼g)↼h   = (b↼gh₁)(1_A↼h₂)
     rep.law("action-composition")
-    comp_ok = composition("action-composition", not left, True)
+    comp_ok = sweep("action-composition", not left, True)
 
     # the same composition law with an extra algebra factor in place of 1_A:
     #   left:  h⇀[a(g⇀b)] = (h₁⇀a)(h₂g⇀b)
     #   right: [(b↼g)a]↼h = (b↼gh₁)(a↼h₂)
+    # Under P it follows from the unital form (left side; the right side is
+    # the same proof through A^op, H^op and Δ^cop):
+    #   h⇀[a(g⇀b)] = (h₁⇀a)(h₂⇀(g⇀b))             multiplicativity
+    #              = (h₁⇀a)[(h₂⇀1_A)(h₃g⇀b)]       unital form, coassociativity
+    #              = [(h₁⇀a)(h₂⇀1_A)](h₃g⇀b)       associativity
+    #              = (h₁⇀a)(h₂g⇀b)                  multiplicativity, a·1_A = a
+    # so it is swept only when the unital form or a premise fails.
     rep.law("action-composition-nonunital")
-    nonunital_ok = composition("action-composition-nonunital", not left, False)
+    nonunital_ok = (comp_ok and premises_hold()) or \
+        sweep("action-composition-nonunital", not left, False)
 
     # for unital algebras the two composition forms must agree as predicates
     rep.law("composition-forms-equivalence")
@@ -232,8 +267,13 @@ def _action_suite(p, symmetric, left):
     if symmetric:
         # left:  h⇀[(g⇀b)a] = (h₁g⇀b)(h₂⇀a)
         # right: [a(b↼g)]↼h = (a↼h₁)(b↼gh₂)
+        # Under P it follows, by the mirror of the proof above, from its
+        # unital form h⇀(g⇀b) = (h₁g⇀b)(h₂⇀1_A), which is probed first
+        # without recording; that form is its a = 1_A case, so when the
+        # probe fails the sweep fails too and records the witnesses.
         rep.law("action-symmetry")
-        composition("action-symmetry", left, False)
+        if not (premises_hold() and next(composition(left, True), None) is None):
+            sweep("action-symmetry", left, False)
     return rep
 
 
@@ -316,10 +356,13 @@ def trivial_action(hopf, alg, side="left"):
 
 
 def trivialize_right(left):
-    """Pair a certified left action with the trivial right ε-action."""
+    """Pair a certified left action with the trivial right ε-action.  The
+    right suite has run in trivial_action, so the pair is checked by the
+    left suite and the compatibility law."""
     right = trivial_action(left.hopf, left.alg, side="right")
     b = PartialBimoduleData(left, right)
-    check_bimodule(b).require("trivialized bimodule", AssertionError)
+    rep = Report().merge(check_lpma(left), prefix="left/")
+    _compatibility(b, rep).require("trivialized bimodule", AssertionError)
     return b
 
 
@@ -341,21 +384,23 @@ def sweedler_k_bimodule(field, r, s):
     right = PartialActionData(H, A, "right",
                               {(0, 0, 0): one, (2, 0, 0): s, (3, 0, 0): s},
                               name="H4 right (s=%s) on k" % field.show(s))
-    _certify_action(left)
-    _certify_action(right)
-    b = PartialBimoduleData(left, right)
-    check_bimodule(b).require("Sweedler (r,s) pair", AssertionError)
+    b = PartialBimoduleData(_certify_action(left), _certify_action(right))
+    _compatibility(b, Report()).require("Sweedler (r,s) pair", AssertionError)
     return b
 
 
 def dual_regular_action(h):
     """The global left action of H* on H dual to comultiplication:
-    f ▷ a = a₁ f(a₂).  For a group algebra this is p_g ▷ u_h = δ_{g,h} u_h."""
+    f ▷ a = a₁ f(a₂).  For a group algebra this is p_g ▷ u_h = δ_{g,h} u_h.
+
+    Certified by the hopf_check of dual_hopf: each law of H* is the
+    transpose of a law of h, so h is a Hopf algebra, and then f ▷ a is a
+    global, hence symmetric, module algebra over H*."""
     dual = dual_hopf(h)
     # the dual family of the regular right coaction
     p = PartialActionData(dual, h, "left", h.comul.transpose(DUAL["right"][0]),
+                          symmetric=True,
                           name="%s regular-dual action on %s" % (dual.name, h.name))
-    _certify_action(p)
     if not is_global(p):
         raise AssertionError("regular dual action must be global")
     return p
@@ -481,10 +526,8 @@ def induce_bimodule(bim, a_span, unit_a):
     rt = restrict_ops(lambda a: coords(B.mul_dict(a, u_d)), rows, right_cols, "right action")
     left = PartialActionData(H, A, "left", lt, name="induced left on corner")
     right = PartialActionData(H, A, "right", rt, name="induced right on corner")
-    _certify_action(left)
-    _certify_action(right)
-    out = PartialBimoduleData(left, right)
-    check_bimodule(out).require("induced bimodule", AssertionError)
+    out = PartialBimoduleData(_certify_action(left), _certify_action(right))
+    _compatibility(out, Report()).require("induced bimodule", AssertionError)
     return out
 
 

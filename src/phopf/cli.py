@@ -9,13 +9,13 @@ Commands
         it is written, by the constructor that builds it, which raises on
         any failing law:
             sweedler-bimodule-k    sweedler_k_bimodule (each side's action
-                                   suite, then check_bimodule)
+                                   suite, then the compatibility law)
             sweedler-bicomodule-k  sweedler_k_bicomodule (check_bicomodule)
             en-kg                  en_kg_example (algebra_check of the coset
                                    algebra, then the action suite)
-            dual-group-action      dual_regular_action (the action suite;
-                                   the action must be global)
-            regular-bicomodule     regular_bicomodule (check_bicomodule; both
+            dual-group-action      dual_regular_action (hopf_check of the
+                                   dual; the action must be global)
+            regular-bicomodule     regular_bicomodule (hopf_check; both
                                    coactions must be global)
             z2-partial-group       group_to_kg (check_group_partial_action,
                                    then the symmetric action suite)

@@ -25,8 +25,8 @@ to an ideal or to a unital subalgebra.
 from fractions import Fraction
 
 from .algebras import (DUAL, AlgebraData, Report, dict_acc, dict_of_vec, dual_hopf,
-                       scalar_algebra, sweedler_h4, t2_of_dicts, tensor_mul,
-                       vec_of_dict)
+                       hopf_check, scalar_algebra, sweedler_h4, t2_of_dicts,
+                       tensor_mul, vec_of_dict)
 from .actions import (PartialActionData, PartialBimoduleData, _certify_action,
                       _compatibility, _corner_witness, _dict_coords, _left_ideal,
                       _unital_subalgebra, same_algebra, same_hopf)
@@ -78,8 +78,9 @@ class PartialCoactionData:
 
     def dual_cols(self):
         """The coaction as its dual operator family (see algebras.DUAL):
-        [g][j] = {k: c}, the image of a_j under the dual basis element p_g."""
-        return self.map.transpose(DUAL[self.side][0]).columns()
+        [g][j] = {k: c}, the image of a_j under the dual basis element p_g.
+        Built once per map (see Tensor3.transpose_view).  Read-only."""
+        return self.map.transpose_view(DUAL[self.side][0]).columns()
 
     def to_json(self, hopf_ref=None, algebra_ref=None):
         show = self.hopf.field.show
@@ -330,10 +331,16 @@ def _regular(h, side):
                                name="regular %s coaction of %s" % (side, h.name))
 
 
+# For λ = ρ = Δ on A = H every law of the coaction suites is a Hopf-algebra
+# law: the counit laws, Δ multiplicative, Δ(1) = 1⊗1 with the unit law, and
+# coassociativity, which also gives the bicomodule compatibility.  So the
+# regular constructors are certified by hopf_check(h), not by the suites.
+
 def regular_coaction(h, side="right"):
     """The comultiplication of h read as a (global) coaction of h on its own
-    underlying algebra."""
-    p = _certify_coaction(_regular(h, side))
+    underlying algebra, certified by hopf_check(h)."""
+    p = _regular(h, side)
+    hopf_check(h).require("constructed coaction", AssertionError)
     if not check_global_unit(p):
         raise AssertionError("regular coaction must be global")
     return p
@@ -341,11 +348,10 @@ def regular_coaction(h, side="right"):
 
 def regular_bicomodule(h):
     """λ = ρ = comultiplication on A = H; global on both sides, with the
-    compatibility law given by coassociativity.  Each side is certified
-    once, by the suites of check_bicomodule."""
-    b = _certify_bicomodule(PartialBicomoduleData(_regular(h, "left"),
-                                                  _regular(h, "right")),
-                            "regular bicomodule")
+    compatibility law given by coassociativity.  Certified by one
+    hopf_check(h), whose laws are those of the bicomodule suites here."""
+    b = PartialBicomoduleData(_regular(h, "left"), _regular(h, "right"))
+    hopf_check(h).require("regular bicomodule", AssertionError)
     if not (check_global_unit(b.left) and check_global_unit(b.right)):
         raise AssertionError("regular coaction must be global")
     return b

@@ -90,10 +90,14 @@ class Tensor3:
                     raise ValueError("tensor key %r outside dims %r" % (key, self.dims))
                 if c:
                     self.entries[key] = c
+        self._drop_views()
+
+    def _drop_views(self):
         self._pair = None
         self._partners = None
         self._in1 = None
         self._cols = None
+        self._transposes = {}
 
     def add(self, i, j, k, c):
         if not c:
@@ -105,10 +109,7 @@ class Tensor3:
             self.entries[key] = new
         elif cur is not None:
             del self.entries[key]
-        self._pair = None
-        self._partners = None
-        self._in1 = None
-        self._cols = None
+        self._drop_views()
 
     def get(self, i, j, k, zero):
         return self.entries.get((i, j, k), zero)
@@ -176,6 +177,14 @@ class Tensor3:
         for key, c in self.entries.items():
             out.entries[(key[perm[0]], key[perm[1]], key[perm[2]])] = c
         return out
+
+    def transpose_view(self, perm):
+        """transpose(perm), built on first use and kept, like the other
+        views, until the next `add`.  Read-only."""
+        got = self._transposes.get(perm)
+        if got is None:
+            got = self._transposes[perm] = self.transpose(perm)
+        return got
 
     def apply_bilinear(self, u, v, field):
         """Treat the tensor as a bilinear map: (u, v) -> w, w[k] = sum u_i v_j t_ijk.

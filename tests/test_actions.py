@@ -10,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 from phopf import fields
 from phopf.fields import GF, QQ
 from phopf._groups import named_group
-from phopf.algebras import (Report, dict_acc, group_algebra, mul_dicts,
-                            scalar_algebra, sweedler_h4, vec_of_dict)
+from phopf import actions as actions_module
+from phopf.algebras import (AlgebraData, HopfData, Report, _dual_structure,
+                            algebra_check, coalgebra_check, dict_acc, group_algebra,
+                            mul_dicts, scalar_algebra, sweedler_h4, vec_of_dict)
 from phopf.actions import (GroupPartialActionData, PartialActionData,
+                           PartialBimoduleData, _compatibility,
                            check_bimodule, check_group_partial_action,
                            check_lpma, check_rpma, dual_regular_action,
                            en_kg_example, group_to_kg, induce_bimodule,
@@ -20,7 +23,8 @@ from phopf.actions import (GroupPartialActionData, PartialActionData,
                            sweedler_k_bimodule, trivial_action,
                            trivialize_right)
 from phopf.cli import z2_partial_group_example
-from phopf.linalg import Tensor3, subspace_span
+from phopf.coactions import _dual_action
+from phopf.linalg import Tensor3, apply_cols, subspace_span
 from tests.conftest import rand_fraction
 
 
@@ -547,3 +551,292 @@ def test_modp_work_of_the_action_suite_stays_a_tenth_of_the_reference():
             setattr(fields.ModP, name, fn)
     assert rep.passed
     assert ops[0] <= 4249
+
+
+# ---------------------------------------------------------------------------
+# laws recorded by their proofs, against the sweep they replaced
+
+
+def sweep_suite(p, symmetric, left):
+    """The table-driven action suite as it was before
+    action-composition-nonunital and action-symmetry were recorded by their
+    proofs: every law is swept over all basis tuples.  Kept here only as
+    the reference for actions._action_suite."""
+    rep = Report(p.name, p.alg.field)
+    H, A = p.hopf, p.alg
+    n, m = H.dim, A.dim
+    f = H.field
+    one = f.one
+    empty = {}
+    pv_act = p.map.pair_view()
+    col = p.map.columns()
+    on_a = [[col[i][j] for i in range(n)] for j in range(m)]
+    on_unit = [apply_cols(col[i], A.unit_dict()) for i in range(n)]
+    pv_a = A.mul.pair_view()
+    pv_a_op = {(j, i): row for (i, j), row in pv_a.items()}
+    pv_h = H.mul.pair_view()
+    hop = pv_h if left else {(j, i): row for (i, j), row in pv_h.items()}
+    iv = H.comul.in1_view()
+    legs = [[(h1, h2, w) for (h1, h2), w in iv.get(i, empty).items()] for i in range(n)]
+    units = [{j: one} for j in range(m)]
+
+    def fail(law, idx, lhs, rhs):
+        rep.fail(law, idx, vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+
+    rep.law("unit-action")
+    u_h = H.unit_dict()
+    for j in range(m):
+        got = mul_dicts(pv_act, u_h, units[j])
+        if got != units[j]:
+            rep.fail("unit-action", (j,), vec_of_dict(got, m, f), A.basis_vec(j))
+
+    # multiplicativity: h⇀(ab) = (h₁⇀a)(h₂⇀b)   [right: (ab)↼h = (a↼h₁)(b↼h₂)]
+    rep.law("action-multiplicativity")
+    for i in range(n):
+        for ja in range(m):
+            for jb in range(m):
+                lhs = apply_cols(col[i], pv_a.get((ja, jb), empty))
+                rhs = {}
+                for h1, h2, w in legs[i]:
+                    if col[h1][ja] and col[h2][jb]:
+                        for k, c in mul_dicts(pv_a, col[h1][ja], col[h2][jb]).items():
+                            dict_acc(rhs, k, w * c)
+                if lhs != rhs:
+                    fail("action-multiplicativity", (i, ja, jb), lhs, rhs)
+
+    hg_cols = {}
+
+    def hg(key):
+        """(q·g) acting on every a_j, for the pair key = (q, g) of hop."""
+        got = hg_cols.get(key)
+        if got is None:
+            got = hg_cols[key] = [apply_cols(on_a[j], hop[key]) for j in range(m)]
+        return got
+
+    def composition(law, flip, unital):
+        """h⇀[a(g⇀b)] = (h₁⇀a)(h₂g⇀b), read through A^op and Δ^cop when
+        flip; unital puts h⇀(g⇀b) = (h₁⇀1_A)(h₂g⇀b) in its place."""
+        pva = pv_a_op if flip else pv_a
+        ok = True
+        for i in range(n):
+            terms = [(h2, w, h1) if flip else (h1, w, h2) for h1, h2, w in legs[i]]
+            for g in range(n):
+                tg = [(q, w, hg((r, g))) for q, w, r in terms if hop.get((r, g))]
+                for jb in range(m):
+                    inner = col[g][jb]
+                    for ja in ([None] if unital else range(m)):
+                        if unital:
+                            lhs = apply_cols(col[i], inner)
+                        else:
+                            lhs = apply_cols(col[i], mul_dicts(pva, units[ja], inner)) \
+                                if inner else {}
+                        rhs = {}
+                        for q, w, gcols in tg:
+                            t1 = on_unit[q] if unital else col[q][ja]
+                            if t1 and gcols[jb]:
+                                for k, c in mul_dicts(pva, t1, gcols[jb]).items():
+                                    dict_acc(rhs, k, w * c)
+                        if lhs != rhs:
+                            ok = False
+                            fail(law, (i, g, jb) if unital else (i, g, ja, jb), lhs, rhs)
+        return ok
+
+    # composition against the unit:
+    #   left:  h⇀(g⇀b)   = (h₁⇀1_A)(h₂g⇀b)
+    #   right: (b↼g)↼h   = (b↼gh₁)(1_A↼h₂)
+    rep.law("action-composition")
+    comp_ok = composition("action-composition", not left, True)
+
+    # the same composition law with an extra algebra factor in place of 1_A:
+    #   left:  h⇀[a(g⇀b)] = (h₁⇀a)(h₂g⇀b)
+    #   right: [(b↼g)a]↼h = (b↼gh₁)(a↼h₂)
+    rep.law("action-composition-nonunital")
+    nonunital_ok = composition("action-composition-nonunital", not left, False)
+
+    # for unital algebras the two composition forms must agree as predicates
+    rep.law("composition-forms-equivalence")
+    unital_ok = comp_ok and not rep.failures_for("action-multiplicativity")
+    if unital_ok != nonunital_ok:
+        rep.fail("composition-forms-equivalence", (),
+                 "unital form %s" % ("holds" if unital_ok else "fails"),
+                 "general form %s" % ("holds" if nonunital_ok else "fails"))
+
+    if symmetric:
+        # left:  h⇀[(g⇀b)a] = (h₁g⇀b)(h₂⇀a)
+        # right: [a(b↼g)]↼h = (a↼h₁)(b↼gh₂)
+        rep.law("action-symmetry")
+        composition("action-symmetry", left, False)
+    return rep
+
+
+
+def sweep_bimodule(b):
+    """check_bimodule with both one-sided suites swept."""
+    rep = Report("%s bimodule on %s" % (b.hopf.name, b.alg.name), b.alg.field)
+    rep.merge(sweep_suite(b.left, b.left.symmetric, True), prefix="left/")
+    rep.merge(sweep_suite(b.right, b.right.symmetric, False), prefix="right/")
+    return _compatibility(b, rep)
+
+
+def _suite_matches_the_sweep(p, symmetric):
+    """p's one-sided suite, whose JSON report must equal the sweep's."""
+    got = (check_lpma if p.side == "left" else check_rpma)(p, symmetric=symmetric)
+    assert got.to_json() == sweep_suite(p, symmetric, p.side == "left").to_json()
+    return got
+
+
+def _carried_actions(kind, doc):
+    """The actions a document carries, as (kind, structure) with kind
+    'action' or 'bimodule': a coaction is read as its dual action through
+    the uncertified dual structure, so that a move in the Hopf tables
+    reaches the action suites.  None when a data class refuses it."""
+    from tests.test_scalars import KINDS
+    loader = KINDS[kind][0]
+    try:
+        s = loader(doc)
+        if kind in ("action", "bimodule"):
+            return kind, s
+        hs = _dual_structure(s.hopf)
+        if kind == "coaction":
+            return "action", _dual_action(s, hs)
+        return "bimodule", PartialBimoduleData(_dual_action(s.right, hs),
+                                               _dual_action(s.left, hs))
+    except ValueError:
+        return None
+
+
+# the families of tests/test_scalars.families() that carry an action, named
+# here so that a fault in a constructor fails the tests, not the collection
+ACTION_FAMILIES = ["H4 bicomodule", "H4 right coaction", "Sweedler (1/2,-3/4) bimodule",
+                   "Sweedler (2,3) bimodule", "Sweedler (t,u) bicomodule",
+                   "kQ8* bicomodule", "kQ8* bimodule", "kS3* action", "kZ4 bicomodule",
+                   "kZ4 en-kG action"]
+
+
+def test_the_sweep_oracle_covers_every_family_that_carries_an_action():
+    from tests.test_scalars import families
+    assert ACTION_FAMILIES == sorted(
+        name for name, (kind, _) in families().items()
+        if kind in ("action", "bimodule", "coaction", "bicomodule"))
+
+
+@pytest.mark.parametrize("name", ACTION_FAMILIES)
+def test_reports_equal_the_sweep_on_every_family_and_move(name):
+    # every family that carries an action, over ℚ, mod 5 and mod 7, and
+    # single-entry moves of it: the derived laws change no report
+    from tests.test_scalars import families, mutations, reduce_mod
+    kind, doc = families()[name]
+    docs = [doc] + [moved for _, moved in mutations(doc)]
+    for p in (5, 7):
+        try:
+            docs.append(reduce_mod(doc, p))
+        except ZeroDivisionError:
+            pass
+    checked = failing = 0
+    for d in docs:
+        got = _carried_actions(kind, d)
+        if got is None:
+            continue
+        what, s = got
+        if what == "action":
+            reports = [_suite_matches_the_sweep(s, sym) for sym in (False, True)]
+        else:
+            # each side once more with its symmetric flag flipped
+            reports = [check_bimodule(s)] + [_suite_matches_the_sweep(q, not q.symmetric)
+                                             for q in (s.left, s.right)]
+            assert reports[0].to_json() == sweep_bimodule(s).to_json()
+        failing += not all(reports)
+        checked += 1
+    assert checked >= 5 and failing
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_constructors_run_each_side_suite_once(monkeypatch):
+    _, table = named_group("Z4")
+    left = dual_regular_action(group_algebra(table, QQ))
+    bim = trivialize_right(left)
+    runs = _counting(monkeypatch, actions_module, "_action_suite")
+    sweedler_k_bimodule(QQ, 2, 3)
+    assert len(runs) == 2
+    runs.clear()
+    # the right ε-action's suite runs in trivial_action, the left one once
+    assert trivialize_right(left).left is left and len(runs) == 2
+    runs.clear()
+    o, z = QQ.one, QQ.zero
+    induce_bimodule(bim, subspace_span([[o, z, z, z], [z, z, o, z]], 4, QQ), [o, z, z, z])
+    assert len(runs) == 2
+    runs.clear()
+    # certified by the hopf_check of its dual
+    dual_regular_action(group_algebra(table, QQ))
+    assert runs == []
+
+
+def test_dual_regular_suite_forms_few_products(monkeypatch):
+    # the laws with four basis indices are recorded by their proofs: the
+    # suite formed 3,912 products in A when it swept them on this input
+    n = 12
+    p = dual_regular_action(group_algebra([[(i + j) % n for j in range(n)]
+                                           for i in range(n)], QQ))
+    calls = _counting(monkeypatch, actions_module, "mul_dicts")
+    rep = check_lpma(p, symmetric=True)
+    assert rep.passed and "action-symmetry" in rep.laws
+    assert len(calls) <= 400, len(calls)
+
+
+
+def _premise_case(name):
+    """An action on which a premise of the derived laws fails."""
+    f = GF(5)
+    p = dual_regular_action(sweedler_h4(f))
+    q = PartialActionData(p.hopf, p.alg, "left", dict(p.map.entries))
+    if name == "non-associative A":
+        # g·g = 0 in the algebra acted on; multiplicativity fails with it
+        mul = dict(p.alg.mul.entries)
+        del mul[(1, 1, 0)]
+        q.alg = AlgebraData(f, p.alg.basis, mul, p.alg.unit, name="H4 with g·g = 0")
+    elif name == "non-coassociative Δ":
+        # Δ(p_0) of kZ4* moved by p_1⊗p_3 − p_1⊗p_1: still counital
+        _, a = en_kg_example(named_group("Z4")[1], [0, 2], f)
+        h = a.hopf
+        comul = dict(h.comul.entries)
+        comul[(0, 1, 1)] = comul.get((0, 1, 1), f.zero) - f.one
+        comul[(0, 1, 3)] = comul.get((0, 1, 3), f.zero) + f.one
+        q = PartialActionData(h, a.alg, "left", dict(a.map.entries))
+        q.hopf = HopfData(f, h.basis, dict(h.mul.entries), h.unit,
+                          {k: c for k, c in comul.items() if c}, h.counit, h.antipode)
+    else:
+        # one entry of the H4* action on H4 cleared
+        entries = dict(p.map.entries)
+        del entries[(2, 2, 0)]
+        q.map = Tensor3(p.map.dims, entries)
+    return q
+
+
+@pytest.mark.parametrize("name", ["non-associative A", "non-coassociative Δ",
+                                  "failing multiplicativity"])
+def test_a_failing_premise_sweeps_the_derived_laws(name):
+    # the unital composition law holds in each case but the general one
+    # does not, so a law recorded by its proof here would be a false pass
+    q = _premise_case(name)
+    broken = {x[0] for x in algebra_check(q.alg).failures + coalgebra_check(q.hopf).failures}
+    assert broken == {"non-associative A": {"associativity"},
+                      "non-coassociative Δ": {"coassociativity"},
+                      "failing multiplicativity": set()}[name]
+    for symmetric in (False, True):
+        got = check_lpma(q, symmetric=symmetric)
+        assert got.to_json() == sweep_suite(q, symmetric, True).to_json()
+        assert not got.failures_for("action-composition")
+        assert got.failures_for("action-composition-nonunital")
+    assert bool(got.failures_for("action-multiplicativity")) != (name == "non-coassociative Δ")

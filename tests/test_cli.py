@@ -93,18 +93,28 @@ def test_example_exit_codes(tmp_path, capsys):
 
 
 def test_example_certifies_through_its_constructor_only(tmp_path, capsys, monkeypatch):
-    # regular_bicomodule runs each side's coaction suite once; the command
-    # writes what the constructor certified without a second check
+    # regular_bicomodule is certified by one hopf_check and runs no coaction
+    # suite; the command writes what the constructor certified without a
+    # second check, and the full suite passes on the written document
     from phopf import coactions
-    runs = []
-    suite = coactions._coaction_suite
+    from phopf.serialize import load_bicomodule
+    runs, hopf_runs = [], []
+    suite, hopf = coactions._coaction_suite, coactions.hopf_check
 
     def counted(p, symmetric):
         runs.append(p.side)
         return suite(p, symmetric)
 
+    def counted_hopf(h):
+        hopf_runs.append(h.name)
+        return hopf(h)
+
     monkeypatch.setattr(coactions, "_coaction_suite", counted)
-    emit(capsys, "regular-bicomodule", tmp_path, "--group", "Q8", "--field", "gf7")
+    monkeypatch.setattr(coactions, "hopf_check", counted_hopf)
+    files = emit(capsys, "regular-bicomodule", tmp_path, "--group", "Q8", "--field", "gf7")
+    assert runs == [] and len(hopf_runs) == 1
+    path = next(p for p in files if p.endswith("bicomodule.json"))
+    assert coactions.check_bicomodule(load_bicomodule(path)).passed
     assert runs == ["left", "right"]
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from phopf.fields import GF, QQ
 from phopf._groups import named_group
 from phopf import coactions
-from phopf.algebras import (AlgebraData, Report, dict_acc, dict_of_vec,
+from phopf.algebras import (AlgebraData, HopfData, Report, dict_acc, dict_of_vec,
                             dual_hopf, group_algebra, scalar_algebra,
                             sweedler_h4, vec_of_dict)
 from phopf.actions import (_left_ideal, check_bimodule, check_lpma, check_rpma,
@@ -361,29 +361,45 @@ def _structure_constants(s):
             h.antipode)
 
 
-def _bridge_cases():
-    """name -> (kind, structure): the bimodule and bicomodule families of
-    the scalar oracles, as loaded, and a few over kS3 and GF(5)."""
+# the bimodule and bicomodule families of the scalar oracles, and a few over
+# kS3 and GF(5); each is built when its test runs, so that a fault in a
+# constructor fails that test and not the collection of this module
+BRIDGE_CASES = ("H4 bicomodule", "Sweedler (1/2,-3/4) bimodule", "Sweedler (2,3) bimodule",
+                "Sweedler (t,u) bicomodule", "kQ8* bicomodule", "kQ8* bimodule",
+                "kZ4 bicomodule", "kS3* bimodule", "kS3 bicomodule",
+                "Sweedler (2,4) bimodule over GF5", "Sweedler (2,4) bicomodule over GF5")
+
+
+@functools.lru_cache(maxsize=None)
+def _bridge_case(name):
+    """(kind, structure) of a bridge case: a scalar-oracle family as
+    loaded, or one of the extra cases."""
     from tests.test_scalars import KINDS, families
-    out = {name: (kind, KINDS[kind][0](doc)) for name, (kind, doc) in families().items()
-           if kind in ("bimodule", "bicomodule")}
+    if name in families():
+        kind, doc = families()[name]
+        return kind, KINDS[kind][0](doc)
     ks3 = _kg("S3")
-    out["kS3* bimodule"] = ("bimodule", trivialize_right(dual_regular_action(ks3)))
-    out["kS3 bicomodule"] = ("bicomodule", regular_bicomodule(ks3))
-    out["Sweedler (2,4) bimodule over GF5"] = ("bimodule", sweedler_k_bimodule(GF(5), 2, 4))
-    out["Sweedler (2,4) bicomodule over GF5"] = ("bicomodule",
-                                                 sweedler_k_bicomodule(GF(5), 2, 4))
-    return out
+    return {
+        "kS3* bimodule": lambda: ("bimodule", trivialize_right(dual_regular_action(ks3))),
+        "kS3 bicomodule": lambda: ("bicomodule", regular_bicomodule(ks3)),
+        "Sweedler (2,4) bimodule over GF5":
+            lambda: ("bimodule", sweedler_k_bimodule(GF(5), 2, 4)),
+        "Sweedler (2,4) bicomodule over GF5":
+            lambda: ("bicomodule", sweedler_k_bicomodule(GF(5), 2, 4)),
+    }[name]()
 
 
-BRIDGE_CASES = _bridge_cases()
+def test_bridge_cases_cover_every_scalar_family_with_two_sides():
+    from tests.test_scalars import families
+    assert {name for name, (kind, _) in families().items()
+            if kind in ("bimodule", "bicomodule")} <= set(BRIDGE_CASES)
 
 
-@pytest.mark.parametrize("name", list(BRIDGE_CASES))
+@pytest.mark.parametrize("name", BRIDGE_CASES)
 def test_bridge_round_trip_gives_the_structure_constants_back(name):
     # the double dual of H has the structure constants of H, so going to the
     # dual side and back must return every table unchanged
-    kind, s = BRIDGE_CASES[name]
+    kind, s = _bridge_case(name)
     back = (bimodule_to_bicomodule(bicomodule_to_bimodule(s)) if kind == "bicomodule"
             else bicomodule_to_bimodule(bimodule_to_bicomodule(s)))
     assert _structure_constants(back) == _structure_constants(s)
@@ -475,21 +491,64 @@ def test_right_reading_matches_the_reference_on_single_entry_mutations(field, na
 
 
 def test_regular_bicomodule_runs_each_side_suite_once(monkeypatch):
-    runs = []
-    suite = coactions._coaction_suite
+    # regular_bicomodule is certified by one hopf_check, whose laws are
+    # those of the coaction suites for λ = ρ = Δ, so it runs no suite; the
+    # full check_bicomodule still passes on what it builds
+    runs, hopf_runs = [], []
+    suite, hopf = coactions._coaction_suite, coactions.hopf_check
 
     def counted(p, symmetric):
         runs.append(p.side)
         return suite(p, symmetric)
 
+    def counted_hopf(h):
+        hopf_runs.append(h.name)
+        return hopf(h)
+
     monkeypatch.setattr(coactions, "_coaction_suite", counted)
+    monkeypatch.setattr(coactions, "hopf_check", counted_hopf)
     for h in (sweedler_h4(QQ), _kg("S3"), dual_hopf(_kg("Z4"))):
         runs.clear()
+        hopf_runs.clear()
         b = regular_bicomodule(h)
-        assert runs == ["left", "right"]
-        runs.clear()
+        assert runs == [] and hopf_runs == [h.name]
         assert check_global_unit(b.left) and check_global_unit(b.right)
         assert runs == []
+        assert check_bicomodule(b).passed
+        assert runs == ["left", "right"] and hopf_runs == [h.name]
+
+
+def _regular_inputs(field):
+    """H4, and kG and kG* for every built-in group."""
+    from phopf._groups import GROUP_NAMES
+    out = [sweedler_h4(field)]
+    for name in GROUP_NAMES:
+        kg = _kg(name, field)
+        out += [kg, dual_hopf(kg)]
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_regular_constructors_pass_their_full_suites(field):
+    # certified by hopf_check alone, so the suites they no longer run are
+    # run here on everything they build
+    for h in _regular_inputs(field):
+        act = dual_regular_action(h)
+        assert act.symmetric and check_lpma(act, symmetric=True).passed, h.name
+        assert check_bicomodule(regular_bicomodule(h)).passed, h.name
+        assert check_rpca(regular_coaction(h, "right"), symmetric=True).passed, h.name
+        assert check_lpca(regular_coaction(h, "left"), symmetric=True).passed, h.name
+
+
+def test_regular_constructors_refuse_a_failing_antipode():
+    # the one law of hopf_check that no coaction suite reads
+    h = sweedler_h4(QQ)
+    bad = HopfData(QQ, h.basis, dict(h.mul.entries), h.unit, dict(h.comul.entries),
+                   h.counit, [[QQ.zero] * 4 for _ in range(4)], name="H4 without S")
+    with pytest.raises(AssertionError, match="regular bicomodule fails antipode-law"):
+        regular_bicomodule(bad)
+    with pytest.raises(AssertionError, match="constructed coaction fails antipode-law"):
+        regular_coaction(bad, "left")
 
 
 def test_global_unit_cross_check_raises_on_a_strict_coaction_off_the_unit():

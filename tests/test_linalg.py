@@ -132,6 +132,16 @@ def test_tensor3_columns_read_each_first_slot_as_column_maps():
     assert t.columns()[0][0] == {1: QQ.one}
 
 
+def test_tensor3_transpose_view_is_kept_until_the_next_add():
+    t = Tensor3((2, 3, 2), {(1, 2, 0): QQ.of(-1)})
+    view = t.transpose_view((2, 0, 1))
+    assert view == t.transpose((2, 0, 1)) and t.transpose_view((2, 0, 1)) is view
+    assert t.transpose_view((1, 0, 2)) == t.transpose((1, 0, 2))
+    t.add(0, 1, 1, QQ.one)      # a changed map never serves the old view
+    assert t.transpose_view((2, 0, 1)).entries == {(0, 1, 2): QQ.of(-1),
+                                                   (1, 0, 1): QQ.one}
+
+
 @pytest.mark.parametrize("key", [(2, 0, 0), (0, 3, 0), (0, 0, -1)])
 def test_tensor3_rejects_keys_outside_its_dims(key):
     with pytest.raises(ValueError, match="outside dims"):

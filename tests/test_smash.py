@@ -185,3 +185,40 @@ def test_find_idempotent_validates_its_inputs(h4):
         find_idempotent(s, [QQ.zero], [QQ.one, QQ.zero, QQ.zero, QQ.zero])
     with pytest.raises(ValueError):
         find_idempotent(s, [QQ.one], [QQ.zero, QQ.one, QQ.zero, QQ.zero])  # g not idempotent
+
+
+def test_a_smash_transposes_each_coaction_once(tmp_path, monkeypatch, capsys):
+    # the idempotent search reads both coactions as their dual families for
+    # every idempotent pair; each family is built once per map (16 transposes
+    # on this input when dual_cols rebuilt it on every call)
+    from phopf import serialize
+    from phopf.actions import dual_regular_action, trivialize_right
+    from phopf.algebras import DUAL, group_algebra
+    from phopf.cli import main
+    from phopf.linalg import Tensor3
+    from phopf.serialize import write_document
+    from phopf._groups import named_group
+    labels, table = named_group("Q8")
+    bim = trivialize_right(dual_regular_action(group_algebra(table, GF(7), labels)))
+    bic = regular_bicomodule(bim.hopf)
+    paths = [str(tmp_path / name) for name in ("bimodule.json", "bicomodule.json")]
+    write_document(bim.to_json(), paths[0])
+    write_document(bic.to_json(), paths[1])
+    loaded, transposed = [], []
+    load, transpose = serialize.load_bicomodule, Tensor3.transpose
+
+    def loading(*args):
+        loaded.append(load(*args))
+        return loaded[-1]
+
+    def transposing(t, perm):
+        transposed.append((t, perm))
+        return transpose(t, perm)
+
+    monkeypatch.setattr(serialize, "load_bicomodule", loading)
+    monkeypatch.setattr(Tensor3, "transpose", transposing)
+    assert main(["smash", *paths, "-o", str(tmp_path / "smash.json")]) == 0
+    capsys.readouterr()
+    b, = loaded
+    for p in (b.left, b.right):
+        assert sum(t is p.map and perm == DUAL[p.side][0] for t, perm in transposed) == 1
