@@ -133,12 +133,9 @@ def _action_suite(p, symmetric, left):
     The right suite is the left one read through A^op, H^op and Δ^cop: the
     mirror is a choice of product order, not a second copy of the loops.
 
-    The two laws with four basis indices, action-composition-nonunital and
-    action-symmetry, are recorded by their proofs when multiplicativity
-    holds, A is associative with a two-sided unit and Δ is coassociative
-    (and, respectively, the unital composition law or the unital form of
-    symmetry holds); otherwise they are swept, so a failing law keeps its
-    witnesses.  tests/test_actions.py keeps the full sweep as the reference."""
+    The two laws with four basis indices are recorded by their proofs
+    (below) and swept only when a premise fails, so a failing law keeps its
+    witnesses; tests/test_actions.py keeps the full sweep as the reference."""
     rep = Report(p.name, p.alg.field)
     H, A = p.hopf, p.alg
     n, m = H.dim, A.dim

@@ -338,7 +338,7 @@ def _regular(h, side):
 
 def regular_coaction(h, side="right"):
     """The comultiplication of h read as a (global) coaction of h on its own
-    underlying algebra, certified by hopf_check(h)."""
+    underlying algebra; certified by hopf_check(h)."""
     p = _regular(h, side)
     hopf_check(h).require("constructed coaction", AssertionError)
     if not check_global_unit(p):
@@ -348,8 +348,7 @@ def regular_coaction(h, side="right"):
 
 def regular_bicomodule(h):
     """λ = ρ = comultiplication on A = H; global on both sides, with the
-    compatibility law given by coassociativity.  Certified by one
-    hopf_check(h), whose laws are those of the bicomodule suites here."""
+    compatibility law given by coassociativity; certified by hopf_check(h)."""
     b = PartialBicomoduleData(_regular(h, "left"), _regular(h, "right"))
     hopf_check(h).require("regular bicomodule", AssertionError)
     if not (check_global_unit(b.left) and check_global_unit(b.right)):
