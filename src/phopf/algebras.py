@@ -11,6 +11,7 @@ a tensor square live in dicts keyed by index pairs.
 """
 
 from collections.abc import Mapping, Sequence
+from copy import deepcopy
 from fractions import Fraction
 from math import prod
 
@@ -216,6 +217,13 @@ class Report:
     def failures_for(self, law_id):
         return [f for f in self.failures if f[0] == law_id]
 
+    def copy(self):
+        """An equal Report that shares nothing mutable with this one."""
+        out = Report(self.subject, self.field)
+        out.laws = list(self.laws)
+        out.failures = deepcopy(self.failures)
+        return out
+
     def lines(self):
         out = []
         for law in self.laws:
@@ -251,7 +259,8 @@ class Report:
 
 class AlgebraData:
     """An algebra by structure constants.  Not assumed associative or unital;
-    run algebra_check to certify."""
+    run algebra_check to certify.  The structure carries the Reports of the
+    suites that decided it (see _carried)."""
 
     def __init__(self, field, basis, mul, unit=None, name="A"):
         self.field = field
@@ -268,6 +277,7 @@ class AlgebraData:
                 raise ValueError("unit vector has wrong length")
         self.unit = unit
         self.name = name
+        self._certificates = {}
 
     def basis_vec(self, i):
         return unit_vec(self.field, self.dim, i)
@@ -367,9 +377,56 @@ class HopfData(AlgebraData):
 
 # ---------------------------------------------------------------------------
 # axiom suites
+#
+# Each suite is decided once per structure.  The structure keeps the Report
+# with a stamp of everything the Report depends on: the field, the name (its
+# subject), the state of each tensor the suite reads (Tensor3.state, renewed
+# by every add) and copies of the vectors it reads.  While the stamp still
+# matches, a check hands out a copy of the stored Report; after any change
+# to those parts it decides again.
+
+def _algebra_stamp(a):
+    return (a.field, a.name, a.mul.state, None if a.unit is None else tuple(a.unit))
+
+
+def _coalgebra_stamp(h):
+    return (h.field, h.name, h.comul.state, tuple(h.counit))
+
+
+def _carried(a, suite, stamp, decide):
+    """A copy of the Report of `suite` that `a` carries under `stamp`, after
+    deciding it by decide(a) if `a` carries none under that stamp."""
+    got = a._certificates.get(suite)
+    if got is None or got[0] != stamp:
+        got = a._certificates[suite] = (stamp, decide(a))
+    return got[1].copy()
+
 
 def algebra_check(a):
     """Associativity on all basis triples; unit law when a unit is present.
+    Decided once while a's product, unit, field and name stay as they are
+    (see _carried)."""
+    return _carried(a, "algebra", _algebra_stamp(a), _decide_algebra)
+
+
+def coalgebra_check(h):
+    """Coassociativity and the counit law of Δ, on every basis element.
+    Decided once while h's coproduct, counit, field and name stay as they
+    are (see _carried)."""
+    return _carried(h, "coalgebra", _coalgebra_stamp(h), _decide_coalgebra)
+
+
+def hopf_check(h):
+    """Full Hopf-algebra suite: algebra laws, coassociativity, counit law,
+    Δ and ε are unital algebra maps, antipode convolution-inverts the
+    identity.  Exhaustive over basis tuples, and decided once while h
+    stays as it is (see _carried)."""
+    stamp = (_algebra_stamp(h), _coalgebra_stamp(h), tuple(map(tuple, h.antipode)))
+    return _carried(h, "hopf", stamp, _decide_hopf)
+
+
+def _decide_algebra(a):
+    """The algebra suite.
 
     The associativity sweep reads only nonzero products.  For each basis
     pair (i, j) it forms (e_i e_j)·e_k and e_i·(e_j e_k) for every k at once
@@ -435,8 +492,8 @@ def algebra_check(a):
     return rep
 
 
-def coalgebra_check(h):
-    """Coassociativity and the counit law of Δ, on every basis element."""
+def _decide_coalgebra(h):
+    """The coalgebra suite."""
     rep = Report(h.name, h.field)
     n = h.dim
     f = h.field
@@ -471,10 +528,9 @@ def coalgebra_check(h):
     return rep
 
 
-def hopf_check(h):
-    """Full Hopf-algebra suite: algebra laws, coassociativity, counit law,
-    Δ and ε are unital algebra maps, antipode convolution-inverts the
-    identity.  Exhaustive over basis tuples."""
+def _decide_hopf(h):
+    """The Hopf suite: the algebra and coalgebra certificates of h, then the
+    laws that tie its product, coproduct, unit, counit and antipode."""
     rep = algebra_check(h)
     rep.merge(coalgebra_check(h))
     n = h.dim
@@ -738,6 +794,11 @@ class TensorProductMul:
 
     def pair_view(self):
         return self.table().pair_view()
+
+    @property
+    def state(self):
+        """The states of the legs (see Tensor3.state)."""
+        return tuple(t.state for t in self.legs)
 
     def __repr__(self):
         return "TensorProductMul(radix=%r, nnz=%d)" % (self.radix, len(self.entries))

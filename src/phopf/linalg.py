@@ -11,6 +11,11 @@ the meaning of the three slots is fixed by whoever owns the tensor
 outputs (j, k); actions: Hopf index first).
 """
 
+from itertools import count
+
+# the source of Tensor3.state: no two states of any two tensors share a number
+_STATES = count()
+
 
 def zeros(field, n):
     return [field.zero] * n
@@ -77,7 +82,11 @@ def apply_cols(cols, d):
 
 
 class Tensor3:
-    """Sparse order-3 tensor over one field."""
+    """Sparse order-3 tensor over one field.  Change its entries through
+    `add` only: each change drops the cached views and gives the tensor a
+    fresh `state`, a number no tensor has held before, so a record stamped
+    with a state (see algebras.algebra_check) is stale once the tensor
+    changes."""
 
     def __init__(self, dims, entries=None):
         self.dims = tuple(dims)
@@ -93,6 +102,7 @@ class Tensor3:
         self._drop_views()
 
     def _drop_views(self):
+        self.state = next(_STATES)
         self._pair = None
         self._partners = None
         self._in1 = None

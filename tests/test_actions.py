@@ -771,8 +771,9 @@ def test_constructors_run_each_side_suite_once(monkeypatch):
     sweedler_k_bimodule(QQ, 2, 3)
     assert len(runs) == 2
     runs.clear()
-    # the right ε-action's suite runs in trivial_action, the left one once
-    assert trivialize_right(left).left is left and len(runs) == 2
+    # the right ε-action is certified by its proof, the left action by its
+    # suite once
+    assert trivialize_right(left).left is left and len(runs) == 1
     runs.clear()
     o, z = QQ.one, QQ.zero
     induce_bimodule(bim, subspace_span([[o, z, z, z], [z, z, o, z]], 4, QQ), [o, z, z, z])
@@ -794,6 +795,80 @@ def test_dual_regular_suite_forms_few_products(monkeypatch):
     assert rep.passed and "action-symmetry" in rep.laws
     assert len(calls) <= 400, len(calls)
 
+
+
+def _not_hopf(h, counit=None, antipode=None):
+    """h with its counit or antipode replaced: a structure that fails
+    hopf_check."""
+    return HopfData(h.field, h.basis, dict(h.mul.entries), h.unit,
+                    dict(h.comul.entries), counit or h.counit,
+                    antipode or h.antipode, name="%s, changed" % h.name)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_the_trivial_action_of_a_non_hopf_algebra_runs_its_suite(side, monkeypatch):
+    runs = _counting(monkeypatch, actions_module, "_action_suite")
+    h4 = sweedler_h4(QQ)
+    antipode = [list(row) for row in h4.antipode]
+    antipode[3][2] = QQ.one                     # S(x) = xg
+    t = trivial_action(_not_hopf(h4, antipode=antipode), h4, side)
+    # the ε-action needs no antipode: the suite runs and passes
+    assert len(runs) == 1 and t.symmetric
+    kz3 = group_algebra(named_group("Z3")[1], QQ)
+    counit = list(kz3.counit)
+    counit[1] = QQ.of(2)                        # ε not multiplicative
+    with pytest.raises(AssertionError, match=r"^constructed action failed "
+                       r"action-multiplicativity at \(1, 0, 0\)$"):
+        trivial_action(_not_hopf(kz3, counit=counit), kz3, side)
+    assert len(runs) == 2
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_the_trivial_action_by_proof_passes_its_suite(side):
+    for h in (sweedler_h4(QQ), group_algebra(named_group("S3")[1], GF(5))):
+        for a in (h, scalar_algebra(h.field)):
+            t = trivial_action(h, a, side)
+            assert t.symmetric and (check_lpma if side == "left" else check_rpma)(t).passed
+
+
+def _dual_pair_set_up(group, field):
+    """What a benchmark set-up builds for one group: the kG* bimodule on kG,
+    dual regular from the left and trivial from the right, and the regular
+    kG* bicomodule, both written out as documents."""
+    from phopf.coactions import regular_bicomodule
+    h = group_algebra(named_group(group)[1], field, name="k" + group)
+    bim = trivialize_right(dual_regular_action(h))
+    bic = regular_bicomodule(bim.hopf)
+    bim.to_json(hopf_ref="hopf.json"), bic.to_json(hopf_ref="hopf.json")
+
+
+@pytest.mark.parametrize("groups,field,want", [
+    (("Q8", "S3"), GF(7), (2, 0, 4, 4, 4)),
+    (("Z12", "Q8"), QQ, (1, 0, 4, 4, 4)),
+], ids=["smash set-up", "check set-up"])
+def test_a_set_up_decides_each_structure_once(groups, field, want, monkeypatch):
+    # computations, not calls: (_action_suite, _compatibility, algebra,
+    # coalgebra and Hopf suites); the parent decided 4/2/10/10/6 on the
+    # smash set-up and 2/1/7/7/5 on the check set-up
+    from phopf import algebras, coactions
+    from tests.test_algebras import _decisions
+    runs = _counting(monkeypatch, actions_module, "_action_suite")
+    compat = _counting(monkeypatch, actions_module, "_compatibility")
+    compat_co = _counting(monkeypatch, coactions, "_compatibility")
+    decided = _decisions(monkeypatch)
+    hopfs = _counting(monkeypatch, algebras, "_decide_hopf")
+    for group in groups:
+        if group == "Z12":
+            # a dual regular action alone
+            dual_regular_action(group_algebra([[(i + j) % 12 for j in range(12)]
+                                               for i in range(12)], field))
+        else:
+            _dual_pair_set_up(group, field)
+    got = (len(runs), len(compat) + len(compat_co), decided.get("_decide_algebra", 0),
+           decided.get("_decide_coalgebra", 0), decided.get("_decide_hopf", 0))
+    assert got == want
+    # one Hopf computation per distinct Hopf algebra
+    assert len({id(h) for h, in hopfs}) == len(hopfs) == 4
 
 
 def _premise_case(name):

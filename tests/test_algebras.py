@@ -780,3 +780,87 @@ def test_tensor_mul_on_comultiplied_basis_pairs(field):
                 y3 = {(r, a, b): d * c for (a, b), c in y.items() for r, d in u.items()}
                 assert tensor_mul((h.mul,) * 3, x3, y3) == \
                     reference_tensor_mul((h, h, h), x3, y3)
+
+
+# ---------------------------------------------------------------------------
+# certificates carried by the structure: each suite is decided once, and
+# again after any change to what its Report depends on
+
+
+def _decisions(monkeypatch):
+    """Count the suite computations, as opposed to calls, by suite name."""
+    from phopf import algebras
+    counts = {}
+    for name in ("_decide_algebra", "_decide_coalgebra", "_decide_hopf"):
+        def counted(a, _fn=getattr(algebras, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(a)
+        monkeypatch.setattr(algebras, name, counted)
+    return counts
+
+
+def _fresh_copy(h):
+    """A new HopfData with h's content, which carries no certificate."""
+    return HopfData(h.field, h.basis, dict(h.mul.entries), list(h.unit),
+                    dict(h.comul.entries), list(h.counit),
+                    [list(row) for row in h.antipode], name=h.name)
+
+
+def _reports(h):
+    return [check(h).to_json() for check in (algebra_check, coalgebra_check, hopf_check)]
+
+
+# one change each to what a certificate of H4 depends on
+H4_CHANGES = {
+    "mul add": lambda h: h.mul.add(1, 1, 0, h.field.one),            # g·g = 2
+    "comul add": lambda h: h.comul.add(2, 2, 1, h.field.one),        # Δ(x) = 2x⊗g + 1⊗x
+    "mul replaced": lambda h: setattr(h, "mul", Tensor3(h.mul.dims, {
+        k: (2 * c if k == (1, 1, 0) else c) for k, c in h.mul.entries.items()})),
+    "unit entry": lambda h: h.unit.__setitem__(0, h.field.of(2)),
+    "counit entry": lambda h: h.counit.__setitem__(2, h.field.one),
+    "antipode entry": lambda h: h.antipode[3].__setitem__(2, h.field.one),
+    "name": lambda h: setattr(h, "name", "renamed"),
+}
+
+
+@pytest.mark.parametrize("change", list(H4_CHANGES))
+def test_a_certificate_is_decided_again_after_a_change(change, monkeypatch):
+    h = sweedler_h4(QQ)
+    counts = _decisions(monkeypatch)
+    before = _reports(h)
+    assert counts == {} and all(rep["passed"] for rep in before)
+    H4_CHANGES[change](h)
+    after = _reports(h)
+    # the reports of a structure that never carried a certificate
+    assert after == _reports(_fresh_copy(h)) != before
+    assert counts["_decide_hopf"] == 2
+    if change != "name":
+        assert not after[2]["passed"]
+    # and the new reports are carried in turn
+    assert _reports(h) == after and counts["_decide_hopf"] == 2
+
+
+def test_a_stored_report_is_handed_out_as_a_copy(monkeypatch):
+    h = sweedler_h4(QQ)
+    h.antipode[3][2] = h.field.one
+    counts = _decisions(monkeypatch)
+    first = hopf_check(h)
+    want = first.to_json()
+    assert not first.passed
+    first.fail("extra", (0,), 1, 2)
+    first.laws.append("extra law")
+    first.failures[0][2][0] = h.field.of(7)       # a witness vector, in place
+    again = hopf_check(h)
+    assert again.to_json() == want == hopf_check(_fresh_copy(h)).to_json()
+    assert counts == {"_decide_hopf": 2, "_decide_algebra": 1, "_decide_coalgebra": 1}
+    # hopf_check merges into the Report algebra_check returns
+    assert algebra_check(h).to_json() == algebra_check(_fresh_copy(h)).to_json()
+
+
+def test_an_algebra_without_a_unit_carries_its_certificate(monkeypatch):
+    a = AlgebraData(QQ, ["e"], {(0, 0, 0): QQ.one}, name="k without unit")
+    counts = _decisions(monkeypatch)
+    assert algebra_check(a).laws == ["associativity"]
+    a.unit = [QQ.one]
+    assert algebra_check(a).laws == ["associativity", "unit-law"]
+    assert algebra_check(a).passed and counts == {"_decide_algebra": 2}

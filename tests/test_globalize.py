@@ -789,6 +789,32 @@ def test_kz8_bicomodule_globalizes_and_bridges_without_writing_out_its_ambients(
     assert TensorProductMul.materializations == count
 
 
+def _kz12():
+    return group_algebra([[(i + j) % 12 for j in range(12)] for i in range(12)], QQ,
+                         name="kZ12")
+
+
+def test_kz12_bimodule_globalizes_in_tier_1():
+    # lemaco1 by its proof: its sweep took the run from under a second to
+    # about ten
+    g = standard_globalize_bimodule(trivialize_right(dual_regular_action(_kz12())))
+    assert g.ambient.algebra.dim == 1728 and g.dim == 12
+    assert g.certificate.passed and list(g.certificate.laws) == list(GLOBALIZATION_LAWS)
+    assert maximal_degenerate_subbimodule(g).dim == 0
+
+
+def test_kz12_bicomodule_globalizes_and_bridges_in_tier_1():
+    b = regular_bicomodule(_kz12())
+    bg = standard_globalize_bicomodule(b)
+    std = standard_globalize_bimodule(bicomodule_to_bimodule(b))
+    assert bg.dim == std.dim == 12
+    assert bg.certificate.passed and bg.certificate.laws == ["exchange"]
+    assert std.certificate.passed and list(std.certificate.laws) == list(GLOBALIZATION_LAWS)
+    _, mono, intertwines, restricted_iso = psi_map(b.hopf, b.alg, bg, std)
+    assert mono and intertwines and restricted_iso
+    assert maximal_degenerate_subbimodule(std).dim == 0
+
+
 def _perm_of(psi):
     """The index permutation a permutation matrix psi encodes."""
     perm = [0] * len(psi)
@@ -1122,12 +1148,53 @@ def _theta_mutants(std):
                                              name="θ moved at (%d, %d)" % (r, m))
 
 
-@pytest.mark.parametrize("field,r,s", [(QQ, Fraction(2, 3), -5), (GF(5), 2, 4)],
-                         ids=["QQ", "GF5"])
-def test_verify_globalization_reports_match_the_reference_lemaco1(field, r, s):
+def _sweedler_mutants(field, r, s):
     b = sweedler_k_bimodule(field, r, s)
+    return b, list(_theta_mutants(standard_globalize_bimodule(b)))
+
+
+def _bridge_candidates(name):
+    """The dual bimodule of a built-in regular bicomodule, with its standard
+    globalization (lemaco1 by its proof) and the θ mutants of it."""
+    b, _, std = _bridged(name)
+    return bicomodule_to_bimodule(b), [std] + list(_theta_mutants(std))
+
+
+def _broken_antipode_candidates():
+    """The Sweedler (2,3) bimodule read over H4 with S(x) = xg, which fails
+    hopf_check at the antipode law alone, and the standard globalization
+    over H4 as the candidate: only lemaco1 reads the antipode."""
+    from phopf.actions import PartialActionData
+    from phopf.algebras import HopfData
+    b = sweedler_k_bimodule(QQ, 2, 3)
+    h = b.hopf
+    antipode = [list(row) for row in h.antipode]
+    antipode[3][2] = QQ.one
+    bad = HopfData(QQ, h.basis, dict(h.mul.entries), h.unit, dict(h.comul.entries),
+                   h.counit, antipode, name="H4 with S(x) = xg")
+    side = {p.side: PartialActionData(bad, b.alg, p.side, dict(p.map.entries))
+            for p in (b.left, b.right)}
+    return (PartialBimoduleData(side["left"], side["right"]),
+            [standard_globalize_bimodule(b)])
+
+
+# name -> (partial bimodule, candidates); each case has a candidate that
+# fails lemaco1
+LEMACO1_CASES = {
+    "QQ": lambda: _sweedler_mutants(QQ, Fraction(2, 3), -5),
+    "GF5": lambda: _sweedler_mutants(GF(5), 2, 4),
+    "regular H4": lambda: _bridge_candidates("regular H4"),
+    "regular kZ4": lambda: _bridge_candidates("regular kZ4"),
+    "regular kS3": lambda: _bridge_candidates("regular kS3"),
+    "H4 with S(x) = xg": _broken_antipode_candidates,
+}
+
+
+@pytest.mark.parametrize("case", list(LEMACO1_CASES))
+def test_verify_globalization_reports_match_the_reference_lemaco1(case):
+    b, candidates = LEMACO1_CASES[case]()
     seen = 0
-    for cand in _theta_mutants(standard_globalize_bimodule(b)):
+    for cand in candidates:
         try:
             rep = verify_globalization(cand, b)
         except ValueError as exc:

@@ -107,46 +107,69 @@ KINDS = {
 }
 
 
+Z4_TABLE = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+
+
 def _group_algebra(name):
     labels, table = named_group(name)
     return group_algebra(table, QQ, labels, name="k" + name)
 
 
 @functools.lru_cache(maxsize=None)
-def families():
-    """name -> (kind, ℚ document) of the built-in families; the (t, u)
+def _h4():
+    return sweedler_h4(QQ)
+
+
+@functools.lru_cache(maxsize=None)
+def _z4():
+    return group_algebra(Z4_TABLE, QQ, name="kZ4")
+
+
+@functools.lru_cache(maxsize=None)
+def _kq8_star():
+    return trivialize_right(dual_regular_action(_group_algebra("Q8")))
+
+
+# name -> (kind, builder) of the built-in families, named here so that a
+# fault in a constructor fails the tests that read that family, not the
+# collection of every module that imports this one
+FAMILIES = {
+    "H4": ("hopf", _h4),
+    "kZ4": ("hopf", _z4),
+    "kS3": ("hopf", lambda: _group_algebra("S3")),
+    "kQ8*": ("hopf", lambda: _kq8_star().hopf),
+    "H4 algebra": ("algebra", _h4),
+    "kS3* action": ("action", lambda: dual_regular_action(_group_algebra("S3"))),
+    "kZ4 en-kG action": ("action", lambda: en_kg_example(Z4_TABLE, [0, 2], QQ)[1]),
+    "kQ8* bimodule": ("bimodule", _kq8_star),
+    "Sweedler (2,3) bimodule": ("bimodule", lambda: sweedler_k_bimodule(QQ, 2, 3)),
+    "Sweedler (1/2,-3/4) bimodule":
+        ("bimodule", lambda: sweedler_k_bimodule(QQ, Fraction(1, 2), Fraction(-3, 4))),
+    "H4 bicomodule": ("bicomodule", lambda: regular_bicomodule(_h4())),
+    "H4 right coaction": ("coaction", lambda: regular_bicomodule(_h4()).right),
+    "kZ4 bicomodule": ("bicomodule", lambda: regular_bicomodule(_z4())),
+    "kQ8* bicomodule": ("bicomodule", lambda: regular_bicomodule(_kq8_star().hopf)),
+    "Sweedler (t,u) bicomodule":
+        ("bicomodule", lambda: sweedler_k_bicomodule(QQ, 3, Fraction(-2, 5))),
+    "Z2 group action": ("group action", lambda: z2_partial_group_example(QQ)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def family(name):
+    """(kind, ℚ document) of the built-in family `name`; the (t, u)
     bicomodule, the (1/2, -3/4) bimodule and the en-kG action are not
     integral."""
-    h4 = sweedler_h4(QQ)
-    kq8_star = trivialize_right(dual_regular_action(_group_algebra("Q8")))
-    z4_table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
-    z4 = group_algebra(z4_table, QQ, name="kZ4")
-    out = {
-        "H4": ("hopf", h4),
-        "kZ4": ("hopf", z4),
-        "kS3": ("hopf", _group_algebra("S3")),
-        "kQ8*": ("hopf", kq8_star.hopf),
-        "H4 algebra": ("algebra", h4),
-        "kS3* action": ("action", dual_regular_action(_group_algebra("S3"))),
-        "kZ4 en-kG action": ("action", en_kg_example(z4_table, [0, 2], QQ)[1]),
-        "kQ8* bimodule": ("bimodule", kq8_star),
-        "Sweedler (2,3) bimodule": ("bimodule", sweedler_k_bimodule(QQ, 2, 3)),
-        "Sweedler (1/2,-3/4) bimodule":
-            ("bimodule", sweedler_k_bimodule(QQ, Fraction(1, 2), Fraction(-3, 4))),
-        "H4 bicomodule": ("bicomodule", regular_bicomodule(h4)),
-        "H4 right coaction": ("coaction", regular_bicomodule(h4).right),
-        "kZ4 bicomodule": ("bicomodule", regular_bicomodule(z4)),
-        "kQ8* bicomodule": ("bicomodule", regular_bicomodule(kq8_star.hopf)),
-        "Sweedler (t,u) bicomodule":
-            ("bicomodule", sweedler_k_bicomodule(QQ, 3, Fraction(-2, 5))),
-        "Z2 group action": ("group action", z2_partial_group_example(QQ)),
-    }
-    docs = {}
-    for name, (kind, s) in out.items():
-        doc = (s.to_json() if kind != "algebra"
-               else {key: s.to_json()[key] for key in ("field", "basis", "mul", "unit")})
-        docs[name] = (kind, json.loads(json.dumps(doc)))
-    return docs
+    kind, build = FAMILIES[name]
+    s = build()
+    doc = (s.to_json() if kind != "algebra"
+           else {key: s.to_json()[key] for key in ("field", "basis", "mul", "unit")})
+    return kind, json.loads(json.dumps(doc))
+
+
+def families():
+    """name -> (kind, ℚ document) of every built-in family."""
+    return {name: family(name) for name in FAMILIES}
 
 
 INTEGRAL = ("kZ4", "kS3", "kQ8* bimodule", "kQ8* bicomodule", "H4 bicomodule")
@@ -204,7 +227,7 @@ def _both_representations(kind, doc):
 
 
 def test_fraction_scalars_is_the_old_representation():
-    doc = families()["H4 bicomodule"][1]
+    doc = family("H4 bicomodule")[1]
     with fraction_scalars():
         b = load_bicomodule(doc)
         assert type(b.hopf.field.one) is Fraction
@@ -214,12 +237,12 @@ def test_fraction_scalars_is_the_old_representation():
     assert all(type(c) is int for c in b.left.map.entries.values())
 
 
-@pytest.mark.parametrize("name", sorted(families()))
+@pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_reports_do_not_depend_on_the_scalar_representation(name):
     # every suite's JSON report, on the certified structure and on
     # single-entry moves of it, is the same whether each rational scalar
     # is a Fraction or (when integral) an int
-    kind, doc = families()[name]
+    kind, doc = family(name)
     old, new = _both_representations(kind, doc)
     assert new["passed"] and new == old
     failing = 0
@@ -235,7 +258,7 @@ def test_reports_do_not_depend_on_the_scalar_representation(name):
                                   "Sweedler (1/2,-3/4) bimodule",
                                   "Sweedler (t,u) bicomodule"])
 def test_globalizations_do_not_depend_on_the_scalar_representation(name, tmp_path):
-    kind, doc = families()[name]
+    kind, doc = family(name)
     path = str(tmp_path / "input.json")
     write_document(doc, path)
 
@@ -298,7 +321,7 @@ def test_integral_commands_build_almost_no_fractions(argv, name, tmp_path):
     # 25,803 Fractions for the kZ4 globalization and 6,426 for the kQ8*
     # bimodule check when every rational scalar was a Fraction
     doc = str(tmp_path / "input.json")
-    write_document(families()[name][1], doc)
+    write_document(family(name)[1], doc)
     argv = [a.format(doc=doc, out=str(tmp_path / "out")) for a in argv]
     with counting_fractions() as count:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -313,7 +336,7 @@ def test_integral_commands_build_almost_no_fractions(argv, name, tmp_path):
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("name", INTEGRAL)
 def test_rational_verdicts_agree_with_their_reductions(name, p):
-    kind, doc = families()[name]
+    kind, doc = family(name)
     assert _verdict(kind, doc)["passed"]
     assert _verdict(kind, reduce_mod(doc, p))["passed"]
     caught = 0

@@ -14,7 +14,7 @@ from phopf.serialize import (DocumentError, load_action, load_algebra,
                              load_bicomodule, load_bimodule, load_coaction,
                              load_group_action, load_hopf, read_document,
                              write_document)
-from tests.test_scalars import KINDS, families, map_scalars, reduce_mod
+from tests.test_scalars import FAMILIES, KINDS, family, map_scalars, reduce_mod
 
 
 @pytest.fixture(params=[QQ, GF(5)], ids=["QQ", "GF5"])
@@ -104,12 +104,12 @@ def _as_halves(s):
 
 
 def _over(name, field):
-    kind, doc = families()[name]
+    kind, doc = family(name)
     return kind, doc if field == "QQ" else reduce_mod(doc, 7)
 
 
 @pytest.mark.parametrize("field", ["QQ", "GF7"])
-@pytest.mark.parametrize("name", sorted(families()))
+@pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_every_document_kind_round_trips_byte_for_byte(name, field):
     kind, doc = _over(name, field)
     once = KINDS[kind][0](doc).to_json()
@@ -117,9 +117,9 @@ def test_every_document_kind_round_trips_byte_for_byte(name, field):
     assert _text(KINDS[kind][0](once).to_json()) == _text(once)
 
 
-@pytest.mark.parametrize("name", sorted(families()))
+@pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_documents_written_with_unreduced_fractions_load_to_the_same_document(name):
-    kind, doc = families()[name]
+    kind, doc = family(name)
     halves = map_scalars(doc, _as_halves)
     assert "4/2" in _text(halves) or "2/2" in _text(halves)
     assert _text(KINDS[kind][0](halves).to_json()) == _text(doc)
