@@ -838,8 +838,8 @@ def _dual_pair_set_up(group, field):
     from phopf.coactions import regular_bicomodule
     h = group_algebra(named_group(group)[1], field, name="k" + group)
     bim = trivialize_right(dual_regular_action(h))
-    bic = regular_bicomodule(bim.hopf)
-    bim.to_json(hopf_ref="hopf.json"), bic.to_json(hopf_ref="hopf.json")
+    for s in (bim, regular_bicomodule(bim.hopf)):
+        s.to_json(hopf_ref="hopf.json")
 
 
 @pytest.mark.parametrize("groups,field,want", [

@@ -795,8 +795,7 @@ def _kz12():
 
 
 def test_kz12_bimodule_globalizes_in_tier_1():
-    # lemaco1 by its proof: its sweep took the run from under a second to
-    # about ten
+    # lemaco1 is recorded by its proof; swept, it took about ten seconds
     g = standard_globalize_bimodule(trivialize_right(dual_regular_action(_kz12())))
     assert g.ambient.algebra.dim == 1728 and g.dim == 12
     assert g.certificate.passed and list(g.certificate.laws) == list(GLOBALIZATION_LAWS)
