@@ -414,11 +414,6 @@ def dual_regular_action(h):
     return p
 
 
-def _dict_coords(span):
-    """Subspace.coords for vectors given as sparse dicts."""
-    return lambda d: span.coords(vec_of_dict(d, span.ambient_dim, span.field))
-
-
 def _left_ideal(B, e):
     """Set-up shared by the structures induced on e·B: check that e is an
     idempotent and a left identity on e·B, and build e·B as an algebra with
@@ -427,18 +422,15 @@ def _left_ideal(B, e):
     e_d = dict_of_vec(e)
     if B.mul_dict(e_d, e_d) != e_d:
         raise ValueError("e is not idempotent")
-    n_b = B.dim
-    span = Subspace(n_b, f,
-                    [vec_of_dict(B.mul_dict(e_d, {j: f.one}), n_b, f) for j in range(n_b)])
-    rows = [dict_of_vec(r) for r in span.rows]
-    for r in rows:
+    span = Subspace(B.dim, f, (B.mul_dict(e_d, {j: f.one}) for j in range(B.dim)))
+    for r in span.rows:
         if B.mul_dict(e_d, r) != r:
             raise ValueError("e is not a left identity on e·B")
-    unit_a = span.coords(e)
+    unit_a = span.coords(e_d)
     if unit_a is None:
         raise ValueError("e does not lie in e·B")
     A = AlgebraData(f, ["a%d" % i for i in range(span.dim)],
-                    restrict_product(_dict_coords(span), rows, B.mul_dict), unit_a,
+                    restrict_product(span.coords, span.rows, B.mul_dict), unit_a,
                     name="e·%s" % B.name)
     return span, e_d, A
 
@@ -449,9 +441,9 @@ def _unital_subalgebra(B, span, unit_a):
     identity on it, and that span is closed under the product; then build A
     with the restricted product and certify it.  Returns the basis rows of
     span and unit_a, both as sparse dicts, and A."""
-    rows = [dict_of_vec(r) for r in span.rows]
+    rows = span.rows
     u_d = dict_of_vec(unit_a)
-    if not span.contains(list(unit_a)):
+    if not span.contains(u_d):
         raise ValueError("unit_A must lie in A")
     if B.mul_dict(u_d, u_d) != u_d:
         raise ValueError("unit_A is not idempotent")
@@ -459,11 +451,11 @@ def _unital_subalgebra(B, span, unit_a):
         if B.mul_dict(u_d, r) != r or B.mul_dict(r, u_d) != r:
             raise ValueError("unit_A is not an identity on A (basis %d)" % i)
         for j, r2 in enumerate(rows):
-            if not span.contains(vec_of_dict(B.mul_dict(r, r2), B.dim, B.field)):
+            if not span.contains(B.mul_dict(r, r2)):
                 raise ValueError("A is not closed under multiplication at (%d, %d)" % (i, j))
     A = AlgebraData(B.field, ["a%d" % i for i in range(len(rows))],
-                    restrict_product(_dict_coords(span), rows, B.mul_dict),
-                    span.coords(list(unit_a)), name="corner of %s" % B.name)
+                    restrict_product(span.coords, rows, B.mul_dict),
+                    span.coords(u_d), name="corner of %s" % B.name)
     algebra_check(A).require("induced corner", AssertionError)
     return rows, u_d, A
 
@@ -481,7 +473,7 @@ def _corner_witness(B, left, right, rows, u_d, span):
                     k_b = apply_cols(left_k, b)
                     lhs = B.mul_dict(a_h, k_b)
                     rhs = B.mul_dict(a_h, B.mul_dict(u_d, k_b))
-                    if lhs != rhs or not span.contains(vec_of_dict(lhs, B.dim, B.field)):
+                    if lhs != rhs or not span.contains(lhs):
                         return (ia, h, k, ib)
     return None
 
@@ -505,9 +497,8 @@ def induce_left(glob, e):
         if B.mul_dict(eb, e_d) != eb:
             raise ValueError("e·B is not a unital ideal: e·b·(1−e) ≠ 0 at b = %s"
                              % B.basis[j])
-    coords = _dict_coords(span)
-    act = restrict_ops(lambda a: coords(B.mul_dict(e_d, a)),
-                       [dict_of_vec(r) for r in span.rows], glob.map.columns(), "left action")
+    act = restrict_ops(lambda a: span.coords(B.mul_dict(e_d, a)),
+                       span.rows, glob.map.columns(), "left action")
     p = PartialActionData(glob.hopf, A, "left", act,
                           name="%s induced on e·%s" % (glob.hopf.name, B.name))
     return _certify_action(p)
@@ -529,9 +520,10 @@ def induce_bimodule(bim, a_span, unit_a):
     if w is not None:
         raise ValueError("corner condition fails at witness (a=%d, h=%s, k=%s, b=%d)"
                          % (w[0], H.basis[w[1]], H.basis[w[2]], w[3]))
-    coords = _dict_coords(a_span)
-    lt = restrict_ops(lambda a: coords(B.mul_dict(u_d, a)), rows, left_cols, "left action")
-    rt = restrict_ops(lambda a: coords(B.mul_dict(a, u_d)), rows, right_cols, "right action")
+    lt = restrict_ops(lambda a: a_span.coords(B.mul_dict(u_d, a)), rows, left_cols,
+                      "left action")
+    rt = restrict_ops(lambda a: a_span.coords(B.mul_dict(a, u_d)), rows, right_cols,
+                      "right action")
     left = PartialActionData(H, A, "left", lt, name="induced left on corner")
     right = PartialActionData(H, A, "right", rt, name="induced right on corner")
     out = PartialBimoduleData(_certify_action(left), _certify_action(right))

@@ -16,36 +16,9 @@ from fractions import Fraction
 from math import prod
 
 from .fields import Field
-from .linalg import Tensor3, dict_acc, mat_transpose, unit_vec, zeros
+from .linalg import (Tensor3, dict_acc, dict_of_vec, mat_transpose, mul_dicts, unit_vec,
+                     vec_of_dict)
 from ._groups import check_group_table, group_identity, group_inverses
-
-
-# ---------------------------------------------------------------------------
-# sparse element helpers
-
-def dict_of_vec(v):
-    return {i: c for i, c in enumerate(v) if c}
-
-
-def vec_of_dict(d, n, field):
-    v = zeros(field, n)
-    for i, c in d.items():
-        v[i] = c
-    return v
-
-
-def mul_dicts(pv, x, y):
-    """Product of two sparse elements through a pair_view of a mul tensor."""
-    out = {}
-    for i, ci in x.items():
-        for j, cj in y.items():
-            row = pv.get((i, j))
-            if not row:
-                continue
-            c = ci * cj
-            for k, t in row.items():
-                dict_acc(out, k, c * t)
-    return out
 
 
 def _leg_index(d):
@@ -282,11 +255,8 @@ class AlgebraData:
     def basis_vec(self, i):
         return unit_vec(self.field, self.dim, i)
 
-    def mulvec(self, u, v):
-        return self.mul.apply_bilinear(u, v, self.field)
-
     def mul_dict(self, x, y):
-        return mul_dicts(self.mul.pair_view(), x, y)
+        return self.mul.mul_dict(x, y)
 
     def unit_dict(self):
         if self.unit is None:
@@ -777,10 +747,6 @@ class TensorProductMul:
         for d, v in zip(self.radix, vecs):
             terms = [(x * d + i, c * e) for x, c in terms for i, e in enumerate(v) if e]
         return vec_of_dict(dict(terms), self.dims[2], field)
-
-    def apply_bilinear(self, u, v, field):
-        """The product of two dense vectors, as Tensor3.apply_bilinear."""
-        return vec_of_dict(self.mul_dict(dict_of_vec(u), dict_of_vec(v)), self.dims[2], field)
 
     def table(self):
         """The structure constants written out as a Tensor3, built afresh

@@ -255,8 +255,9 @@ def cmd_globalize(args, fmt):
         b = load_bicomodule(args.file)
         g = standard_globalize_bicomodule(b)
         g_for_mstar = standard_globalize_bimodule(bicomodule_to_bimodule(b))
-        _, mono, intertwines, restricted = psi_map(b.hopf, b.alg, g, g_for_mstar)
-        psi_flags = {"monomorphism": mono,
+        # psi_map raises unless its index permutation is a bijection
+        _, intertwines, restricted = psi_map(b.hopf, b.alg, g, g_for_mstar)
+        psi_flags = {"monomorphism": True,
                      "intertwines_dual_actions": intertwines,
                      "restricts_to_isomorphism": restricted}
     mstar_dim = maximal_degenerate_subbimodule(g_for_mstar).dim

@@ -28,7 +28,7 @@ from .algebras import (DUAL, AlgebraData, Report, dict_acc, dict_of_vec, dual_ho
                        hopf_check, scalar_algebra, sweedler_h4, t2_of_dicts,
                        tensor_mul, vec_of_dict)
 from .actions import (PartialActionData, PartialBimoduleData, _certify_action,
-                      _compatibility, _corner_witness, _dict_coords, _left_ideal,
+                      _compatibility, _corner_witness, _left_ideal,
                       _unital_subalgebra, same_algebra, same_hopf)
 from .linalg import Subspace, Tensor3, acts_by_scalars, restrict_ops, subspace_span
 
@@ -445,8 +445,7 @@ def _restrict_coaction(ops, side, span, cut):
     algebra: each image of a basis row passes through cut (a map of sparse
     dicts) and is written in subspace coordinates.  Returns the map tensor
     of the restricted coaction."""
-    coords = _dict_coords(span)
-    return restrict_ops(lambda a: coords(cut(a)), [dict_of_vec(r) for r in span.rows],
+    return restrict_ops(lambda a: span.coords(cut(a)), span.rows,
                         ops, "%s coaction" % side).transpose(DUAL[side][1])
 
 
@@ -488,7 +487,6 @@ def _exchange_witness(bicom, rows, u_d, span):
     (λ(a_i)⊗1)(1⊗ρ(b_j)) ≠ (λ(a_i)⊗1)(1⊗1_A⊗1)(1⊗ρ(b_j)) or the common
     value leaves H⊗A⊗H; None when the exchange condition holds."""
     B, H = bicom.alg, bicom.hopf
-    f = B.field
     one_a = t2_of_dicts(u_d, H.unit_dict())     # 1_A ⊗ 1_H
     lams = [bicom.left.coact_dict(a) for a in rows]
     rhos = [bicom.right.coact_dict(b) for b in rows]
@@ -502,7 +500,7 @@ def _exchange_witness(bicom, rows, u_d, span):
         for (pq, q, s), c in lhs.items():
             per_slice.setdefault((pq, s), {})[q] = c
         for dv in per_slice.values():
-            if not span.contains(vec_of_dict(dv, B.dim, f)):
+            if not span.contains(dv):
                 return pair
     return None
 
@@ -554,13 +552,12 @@ def check_vesgo_equivalence(bicom, a_basis, unit_a):
         raise ValueError("check_vesgo_equivalence needs a global bicomodule")
     span = a_basis if isinstance(a_basis, Subspace) \
         else subspace_span(list(a_basis), B.dim, B.field)
-    rows = [dict_of_vec(r) for r in span.rows]
     u_d = dict_of_vec(unit_a)
 
     # f ▷ b and a ◁ f, the dual families of ρ and λ
     cond_i = _corner_witness(B, bicom.right.dual_cols(), bicom.left.dual_cols(),
-                             rows, u_d, span) is None
-    cond_ii = _exchange_witness(bicom, rows, u_d, span) is None
+                             span.rows, u_d, span) is None
+    cond_ii = _exchange_witness(bicom, span.rows, u_d, span) is None
     if cond_i != cond_ii:
         raise AssertionError("the two exchange-condition forms must agree")
     return (cond_i, cond_ii)

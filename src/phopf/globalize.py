@@ -9,14 +9,16 @@ bicomodule structure into the three-fold tensor H⊗A⊗H.  This module builds
 both constructions, certifies the defining conditions on every basis tuple
 of the carrier (or by proof, see verify_globalization), compares arbitrary
 candidates against the standard one, and measures how far a candidate is
-from minimal.  The ambients themselves are
-certified through their factors when they are built (see
-algebras.hom_hh_a and algebras.tensor_hah).  Each is a three-leg tensor
-product of its factors and multiplies through those legs
-(algebras.TensorProductMul), so nothing here reads a stored table of its
-n⁶(dim A)³ structure constants.  Each of their operators moves one leg
-(algebras.LegOperator) and is read as column maps, while candidates carry
-dense matrices.
+from minimal.  The ambients themselves are certified through their
+factors when they are built (see algebras.hom_hh_a and
+algebras.tensor_hah).  Each is a three-leg tensor product of its factors
+and multiplies through those legs (algebras.TensorProductMul), so nothing
+here reads a stored table of its n⁶(dim A)³ structure constants.  Each of
+their operators moves one leg (algebras.LegOperator) and is read as column
+maps.  Every vector of ambient length is a sparse dict: the translates and
+the closure go straight into the sparse echelon basis of linalg.Subspace,
+and the bridge psi_map is an index permutation.  Candidates carry dense
+matrices, and the documents write dense rows.
 
 A candidate globalization is any object carrying `algebra` (an AlgebraData,
 possibly without unit), `theta` (matrix of the embedding of A into it),
@@ -33,20 +35,17 @@ from .algebras import (DUAL, AlgebraData, Count, LegOperator, Report,
                        vec_of_dict)
 from .actions import check_bimodule, same_algebra, same_hopf
 from .coactions import _exchange_products, _restrict_coaction, check_bicomodule
-from .linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
-                     col_dicts, mat_transpose, nullspace, restrict_ops,
-                     restrict_product, rref, solve, subspace_span, transport,
-                     unit_vec, zeros)
+from .linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint, col_dicts,
+                     mat_of_cols, mat_transpose, nullspace, restrict_ops,
+                     restrict_product, rows_of_cols, rref, solve, transport)
 
 
-def _restrict_ops(ops, sections, coords, field, what):
+def _restrict_ops(ops, sections, coords, zero, what):
     """An operator family (column maps) restricted to a subspace or a
-    quotient with basis `sections` and coordinate map `coords`, both dense:
-    one dense matrix per operator."""
-    n = len(ops[0])
-    t = restrict_ops(lambda d: coords(vec_of_dict(d, n, field)),
-                     [dict_of_vec(s) for s in sections], ops, what)
-    return [t.slice_matrix(g, field.zero) for g in range(len(ops))]
+    quotient with basis `sections` and coordinate map `coords`: one dense
+    matrix per operator."""
+    t = restrict_ops(coords, sections, ops, what)
+    return [t.slice_matrix(g, zero) for g in range(len(ops))]
 
 
 def _embed(cols, coords, d, zero):
@@ -101,10 +100,13 @@ class _StandardGlobalization:
 
     def to_json(self):
         show = self.hopf.field.show
+        zero = show(self.hopf.field.zero)
+        n = self.ambient.algebra.dim
         return {
-            "ambient_dim": self.ambient.algebra.dim,
+            "ambient_dim": n,
             "phi": [[show(c) for c in row] for row in self.phi],
-            "b_basis": [[show(c) for c in row] for row in self.b_basis.rows],
+            "b_basis": [[show(row[j]) if j in row else zero for j in range(n)]
+                        for row in self.b_basis.rows],
             "mul": [[i, j, k, show(c)]
                     for (i, j, k), c in sorted(self.algebra.mul.entries.items())],
             "certificate": self.certificate.to_json(),
@@ -195,27 +197,27 @@ def standard_globalize_bimodule(b):
     big = amb.algebra.dim
 
     # the embedding, one ambient column per basis element of A
-    phi = [[f.zero] * da for _ in range(big)]
+    phi_cols = []
     for m in range(da):
+        col = {}
         for i in range(n):
             w = b.left.apply({i: one}, {m: one})
             for j in range(n):
-                val = b.right.apply({j: one}, w)
-                for t, c in val.items():
-                    phi[amb.index(i, j, t)][m] = c
-    phi_cols = [[phi[r][m] for r in range(big)] for m in range(da)]
+                for t, c in b.right.apply({j: one}, w).items():
+                    col[amb.index(i, j, t)] = c
+        phi_cols.append(col)
+    phi = mat_of_cols(phi_cols, big, f.zero)
 
-    span = Subspace(big, f, [vec_of_dict(w, big, f) for w in _translates(
-        n, amb.left_ops, amb.right_ops, [dict_of_vec(col) for col in phi_cols])])
+    span = Subspace(big, f, _translates(n, amb.left_ops, amb.right_ops, phi_cols))
     dB = span.dim
 
-    mul = restrict_product(span.coords, span.rows, amb.algebra.mulvec)
-    left_ops = _restrict_ops(amb.left_ops, span.rows, span.coords, f,
+    mul = restrict_product(span.coords, span.rows, amb.algebra.mul_dict)
+    left_ops = _restrict_ops(amb.left_ops, span.rows, span.coords, f.zero,
                              "left operator family")
-    right_ops = _restrict_ops(amb.right_ops, span.rows, span.coords, f,
+    right_ops = _restrict_ops(amb.right_ops, span.rows, span.coords, f.zero,
                               "right operator family")
     theta = _embed(phi_cols, span.coords, dB, f.zero)
-    unit_b = span.coords(amb.algebra.unit)
+    unit_b = span.coords(amb.algebra.unit_dict())
     alg_b = AlgebraData(f, ["b%d" % i for i in range(dB)], mul, unit_b,
                         name="globalization of %s" % A.name)
 
@@ -232,17 +234,14 @@ def standard_globalize_bimodule(b):
 def _columns(candidate):
     """θ and the left and right operator families of a candidate, each as
     column maps."""
-    d = candidate.algebra.dim
-    theta = [dict_of_vec([candidate.theta[r][m] for r in range(d)])
-             for m in range(candidate.coeff.dim)]
-    return (theta, [col_dicts(op) for op in candidate.left_ops],
+    return (col_dicts(candidate.theta), [col_dicts(op) for op in candidate.left_ops],
             [col_dicts(op) for op in candidate.right_ops])
 
 
 def _translates(n, left_cols, right_cols, theta_cols):
-    """The operator translates h▷θ(a)◁k in (h, a, k) order."""
-    return [apply_cols(left_cols[h], apply_cols(right_cols[k], theta_cols[m]))
-            for h in range(n) for m in range(len(theta_cols)) for k in range(n)]
+    """The operator translates h▷θ(a)◁k in (h, a, k) order, one at a time."""
+    return (apply_cols(left_cols[h], apply_cols(right_cols[k], theta_cols[m]))
+            for h in range(n) for m in range(len(theta_cols)) for k in range(n))
 
 
 def _product_rule(b):
@@ -261,7 +260,7 @@ def _product_rule(b):
     pvA = A.mul.pair_view()
     iv = H.comul.in1_view()
     empty = {}
-    s_cols = [dict_of_vec([H.antipode[r][j] for r in range(n)]) for j in range(n)]
+    s_cols = col_dicts(H.antipode)
     right_fac, left_fac, fac_prods = {}, {}, {}
     for x in range(n):
         for y in range(n):
@@ -308,7 +307,7 @@ def _require_global_bimodule(algebra, hopf, left_cols, right_cols):
     pvB = algebra.mul.pair_view()
     pvH = hopf.mul.pair_view()
     iv = hopf.comul.in1_view()
-    u_h = dict_of_vec(hopf.unit)
+    u_h = hopf.unit_dict()
     empty = {}
     # (side label, column maps, composition in H^op)
     families = (("left", left_cols, False), ("right", right_cols, True))
@@ -397,7 +396,7 @@ def verify_globalization(candidate, b):
         raise ValueError("need one operator per Hopf basis element on each side")
     _require_global_bimodule(Bp, H, left_cols, right_cols)
 
-    rank, _, _ = rref([vec_of_dict(d, dB, f) for d in theta_d], f)
+    rank, _, _ = rref(theta_d, f)
     if rank != da:
         raise ValueError("embedding is not injective (rank %d of %d)" % (rank, da))
 
@@ -411,7 +410,7 @@ def verify_globalization(candidate, b):
     pvB = Bp.mul.pair_view()
     pvA = A.mul.pair_view()
     cert = Report(Bp.name, f)
-    translates = _translates(n, left_cols, right_cols, theta_d)
+    translates = list(_translates(n, left_cols, right_cols, theta_d))
 
     def tr(h, m, k):
         return translates[(h * da + m) * n + k]
@@ -430,7 +429,7 @@ def verify_globalization(candidate, b):
                                                   b.left.apply({g: one}, {mb: one}))))
 
     _first_failure(cert, "condition1", condition1())
-    span = Subspace(dB, f, [vec_of_dict(w, dB, f) for w in translates])
+    span = Subspace(dB, f, translates)
     _first_failure(cert, "condition2", [((span.dim, dB), Count(span.dim), Count(dB))])
 
     def lemaco1():
@@ -445,7 +444,7 @@ def verify_globalization(candidate, b):
                     H.basis[hp], A.basis[mb], H.basis[kp]),
                    mul_dicts(pvB, tr(h, m, k), tr(hp, mb, kp)), rhs)
 
-    theta1 = theta_of(dict_of_vec(A.unit))
+    theta1 = theta_of(A.unit_dict())
     # lemaco1 follows from condition1 when H is a Hopf algebra, for the
     # candidate is then a global bimodule algebra over H (checked above).
     # Write X = h▷θ(a)◁k, Y = h'▷θ(b)◁k'.  The right product rule and the
@@ -499,48 +498,33 @@ def comparison_map(candidate, std):
 
     theta_c, left_c, right_c = _columns(candidate)
     theta_s, left_s, right_s = _columns(std)
-    v_cols = [vec_of_dict(v, dC, f) for v in _translates(n, left_c, right_c, theta_c)]
-    w_cols = [vec_of_dict(w, dS, f) for w in _translates(n, left_s, right_s, theta_s)]
+    v_cols = list(_translates(n, left_c, right_c, theta_c))
+    w_cols = list(_translates(n, left_s, right_s, theta_s))
 
     ncols = len(v_cols)
-    v_rows = [[v_cols[j][i] for j in range(ncols)] for i in range(dC)]
-    for z in nullspace(v_rows, f, ncols):
-        image = zeros(f, dS)
-        for j, c in enumerate(z):
-            if c:
-                col = w_cols[j]
-                for i in range(dS):
-                    if col[i]:
-                        image[i] = image[i] + c * col[i]
-        if any(image):
+    for z in nullspace(rows_of_cols(v_cols).values(), f, ncols):
+        if apply_cols(w_cols, z):
             raise ValueError("comparison map is ill-defined: the relation with "
                              "coefficients %r among the candidate translates "
-                             "maps to a nonzero element" % (z,))
+                             "maps to a nonzero element"
+                             % (vec_of_dict(z, ncols, f),))
 
-    phi_map = [[f.zero] * dC for _ in range(dS)]
+    pmap = []
     for i in range(dC):
-        x = solve(v_cols, unit_vec(f, dC, i), f)
+        x = solve(v_cols, {i: f.one}, f)
         if x is None:
             raise ValueError("candidate basis vector %d lies outside the span "
                              "of its operator translates" % i)
-        for j, c in enumerate(x):
-            if c:
-                col = w_cols[j]
-                for r in range(dS):
-                    if col[r]:
-                        phi_map[r][i] = phi_map[r][i] + c * col[r]
+        pmap.append(apply_cols(w_cols, x))
 
-    rank, _, _ = rref([list(row) for row in phi_map], f)
+    rank, _, _ = rref(pmap, f)
     surjective = rank == dS
     if not surjective:
         raise AssertionError("comparison map failed to reach the standard globalization")
-    col_rank, _, _ = rref([[phi_map[r][i] for r in range(dS)]
-                           for i in range(dC)], f)
-    injective = col_rank == dC
+    injective = rank == dC
 
     # the map must be multiplicative, operator-equivariant, and match the
     # embeddings; failures here would contradict well-definedness
-    pmap = col_dicts(phi_map)
     pvC = candidate.algebra.mul.pair_view()
     pvS = std.algebra.mul.pair_view()
     empty = {}
@@ -564,6 +548,7 @@ def comparison_map(candidate, std):
             raise AssertionError("comparison map does not match the embeddings "
                                  "at basis %s" % A.basis[m])
 
+    phi_map = mat_of_cols(pmap, dS, f.zero)
     return phi_map, surjective, injective
 
 
@@ -580,37 +565,23 @@ def maximal_degenerate_subbimodule(candidate):
     images all stay inside, until stable.
     """
     Bp = candidate.algebra
-    A = candidate.coeff
     f = Bp.field
     dB = Bp.dim
-    theta1 = {}
-    for m, c in dict_of_vec(A.unit).items():
-        for r in range(dB):
-            if candidate.theta[r][m]:
-                dict_acc(theta1, r, c * candidate.theta[r][m])
+    theta1 = apply_cols(col_dicts(candidate.theta), candidate.coeff.unit_dict())
     pvB = Bp.mul.pair_view()
 
-    squeeze = []
-    for j in range(dB):
-        w = mul_dicts(pvB, mul_dicts(pvB, theta1, {j: f.one}), theta1)
-        squeeze.append(w)
-    t_rows = [[squeeze[j].get(i, f.zero) for j in range(dB)] for i in range(dB)]
-    if not any(any(row) for row in t_rows):
-        cur = Subspace(dB, f, [unit_vec(f, dB, i) for i in range(dB)])
-    else:
-        cur = Subspace(dB, f, nullspace(t_rows, f, dB))
+    squeeze = [mul_dicts(pvB, mul_dicts(pvB, theta1, {j: f.one}), theta1)
+               for j in range(dB)]
+    cur = Subspace(dB, f, nullspace(rows_of_cols(squeeze).values(), f, dB))
 
-    ops = list(candidate.left_ops) + list(candidate.right_ops)
+    # a constraint row c maps to c·op, the combination of op's rows
+    op_rows = [list(map(dict_of_vec, op))
+               for op in list(candidate.left_ops) + list(candidate.right_ops)]
     for _ in range(dB + 1):
         cons = cur.constraint_matrix()
         if not cons:
             return cur
-        stacked = [list(r) for r in cons]
-        for op in ops:
-            for crow in cons:
-                stacked.append([sum((crow[t] * op[t][j] for t in range(dB)
-                                     if crow[t]), start=f.zero)
-                                for j in range(dB)])
+        stacked = cons + [apply_cols(rows, crow) for rows in op_rows for crow in cons]
         nxt = Subspace(dB, f, nullspace(stacked, f, dB))
         if nxt.dim == cur.dim:
             return nxt
@@ -633,10 +604,9 @@ def minimalize(candidate, bimodule=None):
     pvB = Bp.mul.pair_view()
 
     for r in M.rows:
-        rd = dict_of_vec(r)
         for x in range(dB):
-            if not M.contains(vec_of_dict(mul_dicts(pvB, {x: f.one}, rd), dB, f)) or \
-               not M.contains(vec_of_dict(mul_dicts(pvB, rd, {x: f.one}), dB, f)):
+            if not M.contains(mul_dicts(pvB, {x: f.one}, r)) or \
+               not M.contains(mul_dicts(pvB, r, {x: f.one})):
                 raise ValueError("the degenerate subspace is not a two-sided "
                                  "ideal; the candidate cannot be minimalized")
 
@@ -646,17 +616,17 @@ def minimalize(candidate, bimodule=None):
 
     def project(v):
         res = M.reduce(v)
-        return [res[c] for c in keep]
+        return [res.get(c, f.zero) for c in keep]
 
-    sections = [unit_vec(f, dB, c) for c in keep]
-    mul_q = restrict_product(project, sections, Bp.mulvec)
+    sections = [{c: f.one} for c in keep]
+    mul_q = restrict_product(project, sections, Bp.mul_dict)
     theta, left, right = _columns(candidate)
-    left_q = _restrict_ops(left, sections, project, f, "left operator family")
-    right_q = _restrict_ops(right, sections, project, f, "right operator family")
-    theta_q = _embed([vec_of_dict(d, dB, f) for d in theta], project, dQ, f.zero)
+    left_q = _restrict_ops(left, sections, project, f.zero, "left operator family")
+    right_q = _restrict_ops(right, sections, project, f.zero, "right operator family")
+    theta_q = _embed(theta, project, dQ, f.zero)
     unit_q = None
     if Bp.unit is not None:
-        unit_q = project(Bp.unit)
+        unit_q = project(Bp.unit_dict())
     alg_q = AlgebraData(f, ["q%d" % i for i in range(dQ)], mul_q, unit_q,
                         name="minimal quotient of %s" % Bp.name)
     out = GlobalizationCandidate(alg_q, theta_q, left_q, right_q,
@@ -694,11 +664,11 @@ def free_candidate_bimodule(b):
         for z, c in rule(*x, *y).items():
             mul.add(flat(x), flat(y), flat(z), c)
 
-    theta = mat_transpose([layout.pure((H.unit, unit_vec(f, A.dim, m), H.unit), f)
+    theta = mat_transpose([layout.pure((H.unit, A.basis_vec(m), H.unit), f)
                            for m in range(A.dim)])
 
     def dense_family(leg, t):
-        return [mat_transpose([vec_of_dict(col, N, f) for col in op])
+        return [mat_of_cols(op, N, f.zero)
                 for op in LegOperator.family(layout, leg, t)]
 
     # left multiplication on the first leg, right multiplication on the last
@@ -767,22 +737,20 @@ def standard_globalize_bicomodule(b):
                 dict_acc(col, amb.index(p, q, k), c * c2)
         theta_d.append(col)
 
-    theta_cols = [vec_of_dict(col, N, f) for col in theta_d]
-    theta = mat_transpose(theta_cols)
-    rank, _, _ = rref(theta_cols, f)
-    if rank != da:
+    theta = mat_of_cols(theta_d, N, f.zero)
+    seed = Subspace(N, f, theta_d)
+    if seed.dim != da:
         raise ValueError("composite embedding is not injective (rank %d of %d)"
-                         % (rank, da))
+                         % (seed.dim, da))
 
-    seed = subspace_span(theta_cols, N, f)
     span = closure_fixpoint(seed, amb.dual_left_ops + amb.dual_right_ops,
                             [amb.algebra.mul])
     dB = span.dim
 
-    mul = restrict_product(span.coords, span.rows, amb.algebra.mulvec)
+    mul = restrict_product(span.coords, span.rows, amb.algebra.mul_dict)
     induced_rho = _restrict_coaction(amb.dual_left_ops, "right", span, lambda a: a)
     induced_lam = _restrict_coaction(amb.dual_right_ops, "left", span, lambda a: a)
-    unit_b = span.coords(amb.algebra.unit)
+    unit_b = span.coords(amb.algebra.unit_dict())
     alg_b = AlgebraData(f, ["b%d" % i for i in range(dB)], mul, unit_b,
                         name="globalization of %s" % A.name)
     _require_global_bicomodule(alg_b, H, induced_rho, induced_lam)
@@ -813,7 +781,7 @@ def standard_globalize_bicomodule(b):
 
     cert = Report(alg_b.name, f)
     _first_failure(cert, "exchange", exchange())
-    theta_b = _embed(theta_cols, span.coords, dB, f.zero)
+    theta_b = _embed(theta_d, span.coords, dB, f.zero)
     return BicomoduleGlobalization(H, A, amb, theta, span, alg_b, induced_rho,
                                    induced_lam, theta_b,
                                    cert.require("standard globalization", AssertionError))
@@ -836,7 +804,8 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     of the two ambient products (see algebras.TensorProductMul).  The
     comodule side must be taken over `hopf` and the module side over exactly
     its dual structure constants, equalities that need no Hopf certificate.
-    Returns (matrix, injective, intertwines, restricted_iso)."""
+    Returns (perm, intertwines, restricted_iso): perm[x] is the index that
+    basis element x of the three-fold tensor maps to."""
     H, A = hopf, coeff
     f = H.field
     bg, std = bicomodule_glob, bimodule_glob
@@ -857,11 +826,7 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
 
     mul_x, mul_k = amb_x.algebra.mul, amb_k.algebra.mul
     perm = [mul_k.flat((v, u, m)) for u, m, v in map(mul_x.split, range(N))]
-    psi = [[f.zero] * N for _ in range(N)]
-    for x, t in enumerate(perm):
-        psi[t][x] = f.one
-    mono = len(set(perm)) == N
-    if not mono:
+    if len(set(perm)) != N:
         raise AssertionError("index permutation is not a bijection")
 
     def push(d):
@@ -874,7 +839,7 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     if mul_k.legs != (mul_x.legs[2], mul_x.legs[0], mul_x.legs[1]):
         raise AssertionError("the permutation is not an algebra map: the "
                              "ambient legs differ")
-    if push(dict_of_vec(amb_x.algebra.unit)) != dict_of_vec(amb_k.algebra.unit):
+    if push(amb_x.algebra.unit_dict()) != amb_k.algebra.unit_dict():
         raise AssertionError("the permutation does not match the units")
 
     # Every operator of both families moves one leg.  The permutation
@@ -888,15 +853,12 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     intertwines = (same_legs(amb_x.dual_left_ops, 2, amb_k.left_ops, 0)
                    and same_legs(amb_x.dual_right_ops, 0, amb_k.right_ops, 1))
 
-    for m in range(A.dim):
-        lhs = push(dict_of_vec([bg.theta[r][m] for r in range(N)]))
-        rhs = dict_of_vec([std.phi[r][m] for r in range(N)])
-        if lhs != rhs:
+    for m, (x_col, k_col) in enumerate(zip(col_dicts(bg.theta), col_dicts(std.phi))):
+        if push(x_col) != k_col:
             raise AssertionError("the permutation does not match the embeddings "
                                  "at basis %s" % A.basis[m])
 
-    image = Subspace(N, f, [vec_of_dict(push(dict_of_vec(r)), N, f)
-                            for r in bg.b_basis.rows])
+    image = Subspace(N, f, map(push, bg.b_basis.rows))
     restricted_iso = (image.dim == bg.b_basis.dim and image == std.b_basis)
 
-    return psi, mono, intertwines, restricted_iso
+    return perm, intertwines, restricted_iso

@@ -1,14 +1,19 @@
-"""Dense exact linear algebra plus the sparse order-3 tensors that hold
-structure constants.
+"""Exact linear algebra on sparse vectors, plus the sparse order-3 tensors
+that hold structure constants.
 
-Vectors are plain lists of scalars, matrices are lists of rows acting on
-column vectors (image of j-th basis vector = j-th column).  A sparse
-operator is a list of column maps, column j = {row: coefficient} holding the
-image of the j-th basis vector; it acts on sparse vectors {index: scalar}
-through apply_cols.  Tensor3 keeps only nonzero entries, keyed (i, j, k);
-the meaning of the three slots is fixed by whoever owns the tensor
-(multiplication: inputs (i, j), output k; comultiplication: input i,
-outputs (j, k); actions: Hopf index first).
+A vector is a dict {index: scalar} holding its nonzero coordinates.  A
+sparse operator is a list of column maps, column j = {row: coefficient}
+holding the image of the j-th basis vector; it acts on vectors through
+apply_cols.  A subspace is held as its reduced row-echelon basis of such
+vectors (Subspace), built by one elimination routine that touches only the
+rows with a nonzero in the pivot column.  Dense lists of scalars remain
+only at the edges: the document format, a Report's witnesses, the matrices
+a globalization candidate carries (mat_apply acts on those, column j =
+image of the j-th basis vector), and subspace_span, which accepts dense
+vectors from its callers.  Tensor3 keeps only nonzero entries, keyed
+(i, j, k); the meaning of the three slots is fixed by whoever owns the
+tensor (multiplication: inputs (i, j), output k; comultiplication: input
+i, outputs (j, k); actions: Hopf index first).
 """
 
 from itertools import count
@@ -27,12 +32,15 @@ def unit_vec(field, n, i):
     return v
 
 
-def vec_is_zero(u):
-    return not any(u)
+def dict_of_vec(v):
+    return {i: c for i, c in enumerate(v) if c}
 
 
-def vec_eq(u, v):
-    return len(u) == len(v) and all(a == b for a, b in zip(u, v))
+def vec_of_dict(d, n, field):
+    v = zeros(field, n)
+    for i, c in d.items():
+        v[i] = c
+    return v
 
 
 def mat_apply(m, v, field=None):
@@ -48,6 +56,12 @@ def mat_apply(m, v, field=None):
 
 def mat_transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+def mat_of_cols(cols, n, zero):
+    """The dense matrix with n rows whose column j is the sparse vector
+    cols[j] (the inverse of col_dicts)."""
+    return [[col.get(i, zero) for col in cols] for i in range(n)]
 
 
 def dict_acc(out, key, c):
@@ -78,6 +92,20 @@ def apply_cols(cols, d):
     for j, c in d.items():
         for i, e in cols[j].items():
             dict_acc(out, i, c * e)
+    return out
+
+
+def mul_dicts(pv, x, y):
+    """Product of two sparse vectors through a pair_view of a mul tensor."""
+    out = {}
+    for i, ci in x.items():
+        for j, cj in y.items():
+            row = pv.get((i, j))
+            if not row:
+                continue
+            c = ci * cj
+            for k, t in row.items():
+                dict_acc(out, k, c * t)
     return out
 
 
@@ -196,23 +224,10 @@ class Tensor3:
             got = self._transposes[perm] = self.transpose(perm)
         return got
 
-    def apply_bilinear(self, u, v, field):
-        """Treat the tensor as a bilinear map: (u, v) -> w, w[k] = sum u_i v_j t_ijk.
-        Visits the pairs of nonzero entries of u and v, or the stored input
-        pairs of the tensor when there are fewer of those."""
-        out = zeros(field, self.dims[2])
-        pv = self.pair_view()
-        nz_u = [(i, c) for i, c in enumerate(u) if c]
-        nz_v = [(j, c) for j, c in enumerate(v) if c]
-        if len(nz_u) * len(nz_v) < len(pv):
-            terms = ((ui * vj, pv.get((i, j))) for i, ui in nz_u for j, vj in nz_v)
-        else:
-            terms = ((u[i] * v[j], row) for (i, j), row in pv.items() if u[i] and v[j])
-        for c, row in terms:
-            if row:
-                for k, t in row.items():
-                    out[k] = out[k] + c * t
-        return out
+    def mul_dict(self, x, y):
+        """The tensor as a bilinear map on sparse vectors:
+        (x, y) -> {k: Σ x_i·y_j·t_ijk}."""
+        return mul_dicts(self.pair_view(), x, y)
 
     def __eq__(self, other):
         return (isinstance(other, Tensor3) and self.dims == other.dims
@@ -225,9 +240,10 @@ class Tensor3:
 def transport(coords, dims, images, what):
     """Restrict a structure map to a subspace or a quotient.
 
-    `images` yields (i, j, v): v is the ambient image of a structure map at
-    the basis key (i, j), and entry (i, j, k) of the returned Tensor3 of
-    shape `dims` is coordinate k of v.  `coords` is the coordinate map of the
+    `images` yields (i, j, v): v is the ambient image (a sparse vector) of
+    a structure map at
+    the basis key (i, j), and entry (i, j, k) of the returned Tensor3 of shape
+    `dims` is coordinate k of v.  `coords` is the coordinate map of the
     target — Subspace.coords for a subspace, a residual projection for a
     quotient — and returns None for a vector that leaves the target, which
     raises ValueError naming `what` and the basis key."""
@@ -245,7 +261,7 @@ def transport(coords, dims, images, what):
 
 def restrict_product(coords, sections, mul):
     """Structure tensor of a product restricted to the span of `sections`
-    (ambient vectors in whatever form mul(u, v) and coords accept)."""
+    (sparse vectors; mul(u, v) is the product of two of them)."""
     d = len(sections)
     return transport(coords, (d, d, d),
                      ((i, j, mul(u, v)) for i, u in enumerate(sections)
@@ -272,201 +288,205 @@ def acts_by_scalars(ops, scalars, x):
                for op, s in zip(ops, scalars))
 
 
+def _residual(echelon, v):
+    """v less its entry at each pivot times that pivot's row.  `echelon`
+    maps each pivot column to its row, a sparse vector with 1 at the pivot
+    and 0 at every other pivot and before its own, so one pass clears every
+    pivot; the residual is empty iff v lies in the span."""
+    w = dict(v)
+    for p, c in v.items():
+        r = echelon.get(p)
+        if r is not None:
+            for j, e in r.items():
+                dict_acc(w, j, -c * e)
+    return w
+
+
+def _insert(echelon, v, field):
+    """The one elimination step: v's residual joins `echelon` as a new row,
+    normalized at its first column, which is cleared from the rows that
+    have a nonzero there.  Returns the new row, or None when v lies in the
+    span.  The input vector is not changed."""
+    w = _residual(echelon, v)
+    if not w:
+        return None
+    p = min(w)
+    inv = field.inv(w[p])
+    w = {j: inv * c for j, c in w.items()}
+    for r in echelon.values():
+        c = r.get(p)
+        if c:
+            for j, e in w.items():
+                dict_acc(r, j, -c * e)
+    echelon[p] = w
+    return w
+
+
 def rref(rows, field):
-    """Reduced row-echelon form.  Returns (rank, reduced_rows, pivot_cols);
-    reduced_rows keeps only the nonzero rows."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0, [], []
-    ncols = len(m[0])
-    for r in m:
-        if len(r) != ncols:
-            raise ValueError("ragged matrix")
-    piv_r = 0
-    pivots = []
-    for c in range(ncols):
-        pr = None
-        for r in range(piv_r, len(m)):
-            if m[r][c]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        m[piv_r], m[pr] = m[pr], m[piv_r]
-        inv = field.inv(m[piv_r][c])
-        m[piv_r] = [inv * x for x in m[piv_r]]
-        for r in range(len(m)):
-            if r != piv_r and m[r][c]:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[piv_r])]
-        pivots.append(c)
-        piv_r += 1
-        if piv_r == len(m):
-            break
-    return piv_r, m[:piv_r], pivots
+    """Reduced row-echelon form of sparse rows.  Returns (rank,
+    reduced_rows, pivot_cols): the nonzero reduced rows in pivot order, as
+    new dicts."""
+    echelon = {}
+    for v in rows:
+        _insert(echelon, v, field)
+    pivots = sorted(echelon)
+    return len(pivots), [echelon[p] for p in pivots], pivots
 
 
-def nullspace(mat, field, ncols=None):
-    """Basis of {x : mat . x = 0} (list of column vectors as lists)."""
-    if not mat:
-        if ncols is None:
-            raise ValueError("cannot infer width of an empty matrix")
-        return [unit_vec(field, ncols, i) for i in range(ncols)]
-    ncols = len(mat[0])
-    rank, red, pivots = rref(mat, field)
-    free = [c for c in range(ncols) if c not in pivots]
+def rows_of_cols(cols):
+    """The rows {i: {j: c}} of the matrix with sparse columns cols[j]."""
+    rows = {}
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            rows.setdefault(i, {})[j] = c
+    return rows
+
+
+def nullspace(rows, field, ncols):
+    """Basis of {x : r·x = 0 for every row r}, for sparse rows over ncols
+    columns: one sparse vector per free column, in column order."""
+    _, red, pivots = rref(rows, field)
+    piv = set(pivots)
     basis = []
-    for fc in free:
-        v = zeros(field, ncols)
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+    for fc in range(ncols):
+        if fc in piv:
+            continue
+        v = {fc: field.one}
+        for r, pc in zip(red, pivots):
+            c = r.get(fc)
+            if c:
+                v[pc] = -c
         basis.append(v)
     return basis
 
 
-def solve(mat_cols, target, field):
-    """One solution x of (columns) . x = target, or None.  mat_cols is a list
-    of column vectors."""
-    if not mat_cols:
-        return None if any(target) else []
-    n = len(target)
-    aug = [[mat_cols[j][i] for j in range(len(mat_cols))] + [target[i]]
-           for i in range(n)]
-    rank, red, pivots = rref(aug, field)
-    w = len(mat_cols)
+def solve(cols, target, field):
+    """One solution x of Σ_j x_j·cols[j] = target, as a sparse vector, or
+    None; the columns and the target are sparse vectors."""
+    w = len(cols)
+    aug = rows_of_cols(cols)
+    for i, c in target.items():
+        aug.setdefault(i, {})[w] = c
+    _, red, pivots = rref(aug.values(), field)
     if w in pivots:
         return None  # inconsistent
-    x = zeros(field, w)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][w]
-    return x
+    return {pc: r[w] for r, pc in zip(red, pivots) if w in r}
 
 
 class Subspace:
-    """A subspace of field^n held as a reduced row-echelon basis."""
+    """A subspace of field^n held as its reduced row-echelon basis: `rows`,
+    sparse vectors in the order of their `pivots`."""
 
     def __init__(self, ambient_dim, field, rows=()):
         if ambient_dim <= 0:
             raise ValueError("ambient dimension must be positive")
         self.ambient_dim = ambient_dim
         self.field = field
-        _, self.rows, self.pivots = rref(list(rows), field) if rows else (0, [], [])
+        _, self.rows, self.pivots = rref(rows, field)
+        self._echelon = dict(zip(self.pivots, self.rows))
 
     @property
     def dim(self):
         return len(self.rows)
 
     def reduce(self, v):
-        """Residual of v after elimination against the basis (zero iff member)."""
-        w = list(v)
-        for r, pc in zip(self.rows, self.pivots):
-            c = w[pc]
-            if c:
-                w = [a - c * b for a, b in zip(w, r)]
-        return w
+        """Residual of the sparse vector v after elimination against the
+        basis (empty iff v is a member)."""
+        return _residual(self._echelon, v)
 
     def contains(self, v):
-        if len(v) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        return vec_is_zero(self.reduce(v))
+        return not self.reduce(v)
 
     def coords(self, v):
-        """Coefficients of v in the rref basis; None if v is not a member."""
+        """Coefficients of the sparse vector v in the rref basis, as a list
+        of length dim; None if v is not a member."""
         if not self.contains(v):
             return None
-        return [v[pc] for pc in self.pivots]
+        zero = self.field.zero
+        return [v.get(p, zero) for p in self.pivots]
 
     def from_coords(self, cs):
-        v = zeros(self.field, self.ambient_dim)
+        """The sparse vector with coefficients cs in the rref basis."""
+        out = {}
         for c, r in zip(cs, self.rows):
             if c:
-                v = [a + c * b for a, b in zip(v, r)]
-        return v
+                for j, e in r.items():
+                    dict_acc(out, j, c * e)
+        return out
 
     def join(self, vectors):
-        """Span of this subspace together with extra vectors."""
-        return Subspace(self.ambient_dim, self.field, self.rows + [list(v) for v in vectors])
-
-    def intersect(self, other):
-        """Subspace intersection via the kernel of the stacked constraints."""
-        cons = self.constraint_matrix() + other.constraint_matrix()
-        if not cons:
-            return Subspace(self.ambient_dim, self.field,
-                            [unit_vec(self.field, self.ambient_dim, i)
-                             for i in range(self.ambient_dim)])
-        return Subspace(self.ambient_dim, self.field,
-                        nullspace(cons, self.field, self.ambient_dim))
+        """Span of this subspace together with extra sparse vectors."""
+        return Subspace(self.ambient_dim, self.field, self.rows + list(vectors))
 
     def constraint_matrix(self):
-        """Rows C with: v is a member  iff  C . v = 0.
-        C is the linear residual map of `reduce` restricted to non-pivot rows."""
-        n = self.ambient_dim
-        f = self.field
+        """Sparse rows C with: v is a member  iff  C·v = 0, one per
+        non-pivot column c, the coordinate c of `reduce`."""
+        one = self.field.one
         piv_set = set(self.pivots)
         out = []
-        for c in range(n):
+        for c in range(self.ambient_dim):
             if c in piv_set:
                 continue
             # residual coordinate c of reduce(v): v[c] - sum_r v[piv_r]*row_r[c]
-            row = zeros(f, n)
-            row[c] = f.one
+            row = {c: one}
             for r, pc in zip(self.rows, self.pivots):
-                row[pc] = row[pc] - r[c]
+                e = r.get(c)
+                if e:
+                    row[pc] = -e
             out.append(row)
         return out
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and len(self.rows) == len(other.rows)
-                and all(vec_eq(r, s) for r, s in zip(self.rows, other.rows)))
+                and self.rows == other.rows)
 
     def __repr__(self):
         return "Subspace(dim=%d of %d)" % (self.dim, self.ambient_dim)
 
 
 def subspace_span(vectors, ambient_dim=None, field=None):
+    """Span of dense vectors (lists of scalars of length ambient_dim)."""
     vectors = list(vectors)
     if ambient_dim is None:
         if not vectors:
             raise ValueError("need at least one vector or an explicit ambient dimension")
         ambient_dim = len(vectors[0])
-    return Subspace(ambient_dim, field, vectors)
+    return Subspace(ambient_dim, field, map(dict_of_vec, vectors))
 
 
 def closure_fixpoint(seed, linear_ops, bilinear_ops):
     """Smallest subspace containing `seed`, invariant under every operator in
-    linear_ops (column maps, see apply_cols) and closed under every Tensor3
-    in bilinear_ops applied to pairs of members.
+    linear_ops (column maps, see apply_cols) and closed under every product
+    in bilinear_ops (a Tensor3 or algebras.TensorProductMul, read through
+    its mul_dict) applied to pairs of members.
 
     Grows by image adjunction over a spanning set: the seed rows, then the
-    vectors each round adds.  A round pushes only the vectors the previous
+    residuals each round adds.  A round pushes only the vectors the previous
     round added through the operators, and only the pairs with at least one
     such vector through the products; images of older vectors already lie in
     the current span.  The dimension strictly increases every productive
     round, so ambient_dim + 1 rounds is a hard bound."""
-    cur = seed
     field = seed.field
-    n = seed.ambient_dim
+    echelon = {p: dict(r) for p, r in zip(seed.pivots, seed.rows)}
     done, fresh = [], list(seed.rows)
-    for _ in range(n + 1):
-        images = []
+
+    def images():
         for b in fresh:
-            bd = {j: c for j, c in enumerate(b) if c}
             for cols in linear_ops:
-                w = zeros(field, n)
-                for i, c in apply_cols(cols, bd).items():
-                    w[i] = c
-                images.append(w)
+                yield apply_cols(cols, b)
         for t in bilinear_ops:
-            images.extend(t.apply_bilinear(b1, b2, field)
-                          for b1 in done + fresh for b2 in fresh)
-            images.extend(t.apply_bilinear(b1, b2, field)
-                          for b1 in fresh for b2 in done)
-        new = [r for r in map(cur.reduce, images) if any(r)]
+            for b1 in done + fresh:
+                for b2 in fresh:
+                    yield t.mul_dict(b1, b2)
+            for b1 in fresh:
+                for b2 in done:
+                    yield t.mul_dict(b1, b2)
+
+    for _ in range(seed.ambient_dim + 1):
+        # each added row is copied before the next insertion changes it
+        new = [dict(w) for w in (_insert(echelon, v, field) for v in images()) if w]
         if not new:
-            return cur
-        cur = cur.join(new)
+            return Subspace(seed.ambient_dim, field, echelon.values())
         done += fresh
-        fresh = rref(new, field)[1]
+        fresh = new
     raise RuntimeError("closure did not stabilize within ambient_dim + 1 rounds")

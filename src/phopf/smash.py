@@ -15,9 +15,9 @@ checks the Ker(ε)-invariance equivalence behind one of those criteria, and
 cuts out the unital corner algebra e·S·e at any idempotent e."""
 
 from .algebras import AlgebraData, algebra_check, dict_acc, dict_of_vec, mul_dicts, vec_of_dict
-from .actions import _dict_coords, check_bimodule, same_hopf
+from .actions import check_bimodule, same_hopf
 from .coactions import _coacts_trivially, check_bicomodule
-from .linalg import Tensor3, acts_by_scalars, restrict_product, subspace_span
+from .linalg import Subspace, Tensor3, acts_by_scalars, restrict_product
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +224,9 @@ class CornerAlgebra:
         return self.alg.dim
 
     def include(self, coords):
-        """Corner coordinates → ambient smash vector."""
-        return self.span.from_coords(coords)
+        """Corner coordinates → ambient smash vector (dense)."""
+        span = self.span
+        return vec_of_dict(span.from_coords(coords), span.ambient_dim, span.field)
 
     def __repr__(self):
         return "CornerAlgebra(dim=%d in %s)" % (self.dim, self.parent.alg.name)
@@ -245,11 +246,9 @@ def unital_corner(s, e_vec):
     dim_s = s.alg.dim
     sandwiches = [mul_dicts(pv, mul_dicts(pv, e, {t: f.one}), e)
                   for t in range(dim_s)]
-    span = subspace_span([vec_of_dict(v, dim_s, f) for v in sandwiches],
-                         dim_s, f)
-    mul = restrict_product(_dict_coords(span), [dict_of_vec(r) for r in span.rows],
-                           s.alg.mul_dict)
-    ue = span.coords(list(e_vec))
+    span = Subspace(dim_s, f, sandwiches)
+    mul = restrict_product(span.coords, span.rows, s.alg.mul_dict)
+    ue = span.coords(e)
     if ue is None:
         raise AssertionError("the idempotent fell outside its own corner")
     alg = AlgebraData(f, ["c%d" % t for t in range(span.dim)], mul, ue,

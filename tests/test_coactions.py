@@ -612,18 +612,14 @@ def _ref_restrict_coaction(t, side, span, cut):
     def slices():
         for i, row in enumerate(span.rows):
             per_h = {}
-            for x, cx in enumerate(row):
-                if cx:
-                    for (j, k), c in iv.get(x, {}).items():
-                        h, a = (k, j) if side == "right" else (j, k)
-                        dict_acc(per_h.setdefault(h, {}), a, cx * c)
+            for x, cx in row.items():
+                for (j, k), c in iv.get(x, {}).items():
+                    h, a = (k, j) if side == "right" else (j, k)
+                    dict_acc(per_h.setdefault(h, {}), a, cx * c)
             for h, a in per_h.items():
                 yield i, h, cut(a)
 
-    def coords(d):
-        return span.coords(vec_of_dict(d, span.ambient_dim, span.field))
-
-    out = transport(coords, (span.dim, n, span.dim), slices(), "%s coaction" % side)
+    out = transport(span.coords, (span.dim, n, span.dim), slices(), "%s coaction" % side)
     return out.transpose((0, 2, 1)) if side == "right" else out
 
 

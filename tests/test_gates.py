@@ -99,3 +99,104 @@ def test_only_fields_divides():
                   if isinstance(node, (ast.BinOp, ast.AugAssign))
                   and isinstance(node.op, ast.Div)]
     assert not found, found
+
+
+# the span layer: calls that take ambient vectors into an echelon basis
+SPAN_FUNCTIONS = {"Subspace", "subspace_span", "rref", "closure_fixpoint", "coords"}
+SPAN_METHODS = {"coords", "contains", "reduce"}
+
+
+def _is_vec_of_dict(node):
+    return isinstance(node, ast.Call) and "vec_of_dict" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _carries(expr, tainted):
+    """Whether expr holds a vec_of_dict call or a name bound to one; an
+    attribute of such a name (say `span.dim`) carries nothing."""
+    if _is_vec_of_dict(expr):
+        return True
+    if isinstance(expr, ast.Name):
+        return expr.id in tainted
+    return not isinstance(expr, ast.Attribute) and any(
+        _carries(c, tainted) for c in ast.iter_child_nodes(expr))
+
+
+def _bound_names(target):
+    """The names a binding target rebinds or mutates: `x[i] = v` binds x,
+    not i."""
+    if isinstance(target, ast.Name):
+        return {target.id}
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return set().union(*map(_bound_names, target.elts))
+    if isinstance(target, (ast.Starred, ast.Subscript)):
+        return _bound_names(target.value)
+    return set()
+
+
+def _bindings(fn):
+    """(targets, source) of every binding in a function: assignments, for
+    loops and comprehension clauses."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            yield node.targets, node.value
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)) and node.value:
+            yield [node.target], node.value
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            yield [node.target], node.iter
+
+
+def dense_into_span(tree):
+    """(function, line) of every call into the span layer that receives the
+    result of vec_of_dict: directly, through a comprehension, or through a
+    local name bound to it."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        tainted, grew = set(), True
+        while grew:
+            grew = False
+            for targets, source in _bindings(fn):
+                if _carries(source, tainted):
+                    names = set().union(*map(_bound_names, targets))
+                    grew = grew or not names <= tainted
+                    tainted |= names
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if not (isinstance(f, ast.Name) and f.id in SPAN_FUNCTIONS
+                    or isinstance(f, ast.Attribute) and f.attr in SPAN_METHODS):
+                continue
+            if any(_carries(a, tainted) for a in node.args + [k.value for k in node.keywords]):
+                found.add((fn.name, node.lineno))
+    return sorted(found, key=lambda x: x[1])
+
+
+def test_the_dense_gate_flags_each_way_a_dense_vector_reaches_a_span():
+    flagged = dense_into_span(ast.parse(
+        "def direct(d, span):\n"
+        "    return span.coords(vec_of_dict(d, 4, f))\n"
+        "def comprehension(ws):\n"
+        "    return Subspace(4, f, [vec_of_dict(w, 4, f) for w in ws])\n"
+        "def through_a_name(ds):\n"
+        "    cols = [vec_of_dict(d, 4, f) for d in ds]\n"
+        "    rank = rref(cols, f)\n"
+        "    return [span.contains(c) for c in cols]\n"
+        "def sparse(ds, span):\n"
+        "    return rref(ds, f), span.reduce(ds[0]), vec_of_dict(ds[0], 4, f)\n"))
+    assert flagged == [("direct", 2), ("comprehension", 4), ("through_a_name", 7),
+                       ("through_a_name", 8)]
+
+
+def test_no_dense_vector_reaches_the_span_layer():
+    # every ambient vector is a sparse dict on its way into an echelon
+    # basis; vec_of_dict writes a dense list only for a document, a witness
+    # or a public dense matrix
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += ["%s:%d in %s" % (path.name, line, fn)
+                  for fn, line in dense_into_span(tree)]
+    assert not found, found

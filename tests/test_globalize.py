@@ -3,6 +3,11 @@ minimalization, and the bicomodule-side bridge."""
 
 import copy
 import functools
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import product
 
@@ -51,8 +56,7 @@ def two_stage_closure(ambient, seed):
 def _staged_carrier(g):
     """The staged closure oracle, seeded with the span of θ's columns."""
     N = g.ambient.algebra.dim
-    cols = [[g.theta[r][m] for r in range(N)] for m in range(g.coeff.dim)]
-    return two_stage_closure(g.ambient, Subspace(N, g.hopf.field, cols))
+    return two_stage_closure(g.ambient, Subspace(N, g.hopf.field, col_dicts(g.theta)))
 
 
 def _identity(field, n):
@@ -131,7 +135,7 @@ def test_free_candidate_pipeline_on_the_sweedler_family():
     assert sur and not inj
     mstar = maximal_degenerate_subbimodule(cand)
     assert mstar.dim == 12
-    ker = Subspace(16, QQ, nullspace([list(r) for r in pm], QQ, 16))
+    ker = Subspace(16, QQ, nullspace(map(dict_of_vec, pm), QQ, 16))
     assert ker == mstar
     mini = minimalize(cand, b)
     assert mini.algebra.dim == 4
@@ -687,10 +691,10 @@ def test_psi_bridge_flags(field, t, u):
     b = sweedler_k_bicomodule(field, t, u)
     bg = standard_globalize_bicomodule(b)
     std_dual = standard_globalize_bimodule(bicomodule_to_bimodule(b))
-    psi, mono, intertwines, restricted_iso = psi_map(
+    perm, intertwines, restricted_iso = psi_map(
         sweedler_h4(field), scalar_algebra(field), bg, std_dual)
-    assert mono and intertwines and restricted_iso
-    assert len(psi) == std_dual.ambient.algebra.dim
+    assert intertwines and restricted_iso
+    assert sorted(perm) == list(range(std_dual.ambient.algebra.dim))
 
 
 def test_psi_bridge_on_the_one_dimensional_hopf_algebra():
@@ -706,8 +710,8 @@ def test_psi_bridge_on_the_one_dimensional_hopf_algebra():
     bg = standard_globalize_bicomodule(b)
     assert _staged_carrier(bg) == bg.b_basis
     std = standard_globalize_bimodule(bicomodule_to_bimodule(b))
-    _, mono, intertwines, restricted_iso = psi_map(kt, a, bg, std)
-    assert mono and intertwines and restricted_iso
+    _, intertwines, restricted_iso = psi_map(kt, a, bg, std)
+    assert intertwines and restricted_iso
 
 
 # ---------------------------------------------------------------------------
@@ -783,53 +787,65 @@ def test_kz8_bicomodule_globalizes_and_bridges_without_writing_out_its_ambients(
     assert bg.dim == std.dim == 8
     assert bg.certificate.passed and bg.certificate.laws == ["exchange"]
     assert std.certificate.passed
-    _, mono, intertwines, restricted_iso = psi_map(b.hopf, b.alg, bg, std)
-    assert mono and intertwines and restricted_iso
+    _, intertwines, restricted_iso = psi_map(b.hopf, b.alg, bg, std)
+    assert intertwines and restricted_iso
     assert maximal_degenerate_subbimodule(std).dim == 0
     assert TensorProductMul.materializations == count
 
 
-def _kz12():
-    return group_algebra([[(i + j) % 12 for j in range(12)] for i in range(12)], QQ,
-                         name="kZ12")
+def _kzn(n):
+    return group_algebra([[(i + j) % n for j in range(n)] for i in range(n)], QQ,
+                         name="kZ%d" % n)
 
 
-def test_kz12_bimodule_globalizes_in_tier_1():
-    # lemaco1 is recorded by its proof; swept, it took about ten seconds
-    g = standard_globalize_bimodule(trivialize_right(dual_regular_action(_kz12())))
-    assert g.ambient.algebra.dim == 1728 and g.dim == 12
+@pytest.mark.parametrize("n", [12, 16])
+def test_cyclic_bimodule_globalizes_in_tier_1(n):
+    # lemaco1 is recorded by its proof; swept, kZ12 took about ten seconds
+    g = standard_globalize_bimodule(trivialize_right(dual_regular_action(_kzn(n))))
+    assert g.ambient.algebra.dim == n ** 3 and g.dim == n
     assert g.certificate.passed and list(g.certificate.laws) == list(GLOBALIZATION_LAWS)
     assert maximal_degenerate_subbimodule(g).dim == 0
 
 
-def test_kz12_bicomodule_globalizes_and_bridges_in_tier_1():
-    b = regular_bicomodule(_kz12())
+@pytest.mark.parametrize("n", [12, 16])
+def test_cyclic_bicomodule_globalizes_and_bridges_in_tier_1(n):
+    b = regular_bicomodule(_kzn(n))
     bg = standard_globalize_bicomodule(b)
     std = standard_globalize_bimodule(bicomodule_to_bimodule(b))
-    assert bg.dim == std.dim == 12
+    assert bg.dim == std.dim == n
     assert bg.certificate.passed and bg.certificate.laws == ["exchange"]
     assert std.certificate.passed and list(std.certificate.laws) == list(GLOBALIZATION_LAWS)
-    _, mono, intertwines, restricted_iso = psi_map(b.hopf, b.alg, bg, std)
-    assert mono and intertwines and restricted_iso
+    _, intertwines, restricted_iso = psi_map(b.hopf, b.alg, bg, std)
+    assert intertwines and restricted_iso
     assert maximal_degenerate_subbimodule(std).dim == 0
 
 
-def _perm_of(psi):
-    """The index permutation a permutation matrix psi encodes."""
-    perm = [0] * len(psi)
-    for t, row in enumerate(psi):
-        for x, c in enumerate(row):
-            if c:
-                perm[x] = t
-    return perm
+def test_kz16_bridge_peaks_below_100_mb():
+    # the dense translate span and the dense psi matrix once took this to 282 MB
+    code = textwrap.dedent("""
+        import resource
+        from phopf import (QQ, bicomodule_to_bimodule, group_algebra, psi_map,
+                           regular_bicomodule, standard_globalize_bicomodule,
+                           standard_globalize_bimodule)
+        b = regular_bicomodule(group_algebra(
+            [[(i + j) % 16 for j in range(16)] for i in range(16)], QQ))
+        bg = standard_globalize_bicomodule(b)
+        std = standard_globalize_bimodule(bicomodule_to_bimodule(b))
+        if psi_map(b.hopf, b.alg, bg, std)[1:] != (True, True):
+            raise SystemExit("the bridge failed")
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert int(out) < 100 * 1024      # ru_maxrss counts KiB on Linux
 
 
-def reference_psi_algebra_map(table_x, table_k, psi):
+def reference_psi_algebra_map(table_x, table_k, perm):
     """The loop psi_map once ran over every pair of ambient basis elements:
-    the first pair (x, y) whose product in table_x the index permutation psi
-    does not carry to the product in table_k, or None."""
-    N = len(psi)
-    perm = _perm_of(psi)
+    the first pair (x, y) whose product in table_x the index permutation
+    perm does not carry to the product in table_k, or None."""
+    N = len(perm)
     pv_x, pv_k = table_x.pair_view(), table_k.pair_view()
     empty = {}
     for x in range(N):
@@ -844,12 +860,12 @@ def reference_psi_algebra_map(table_x, table_k, psi):
 def test_psi_leg_check_matches_the_pair_loop(name):
     from tests.test_algebras import reference_hom_table, reference_tensor_table
     b, bg, std = _bridged(name)
-    psi, mono, intertwines, restricted_iso = psi_map(b.hopf, b.alg, bg, std)
-    assert mono and intertwines and restricted_iso
-    assert len(psi) <= 512
+    perm, intertwines, restricted_iso = psi_map(b.hopf, b.alg, bg, std)
+    assert intertwines and restricted_iso
+    assert len(perm) <= 512
     assert reference_psi_algebra_map(reference_tensor_table(bg.hopf, bg.coeff),
                                      reference_hom_table(std.hopf, std.coeff),
-                                     psi) is None
+                                     perm) is None
 
 
 def _with_mutated_leg(std, leg, key, delta):
@@ -870,7 +886,7 @@ def _with_mutated_leg(std, leg, key, delta):
 @pytest.mark.parametrize("name", ["Sweedler (7,3)", "regular H4"])
 def test_psi_rejects_ambient_legs_that_differ(name):
     b, bg, std = _bridged(name)
-    psi = psi_map(b.hopf, b.alg, bg, std)[0]
+    perm = psi_map(b.hopf, b.alg, bg, std)[0]
     table_x = bg.ambient.algebra.mul.table()
     rng = random.Random(1207)
     for trial in range(9):
@@ -879,17 +895,16 @@ def test_psi_rejects_ambient_legs_that_differ(name):
         bad = _with_mutated_leg(std, leg, tuple(rng.randrange(d) for _ in range(3)),
                                 rng.choice([-1, 1, 2]))
         assert reference_psi_algebra_map(table_x, bad.ambient.algebra.mul.table(),
-                                         psi) is not None
+                                         perm) is not None
         with pytest.raises(AssertionError, match="^the permutation is not an "
                            "algebra map: the ambient legs differ$"):
             psi_map(b.hopf, b.alg, bg, bad)
 
 
-def reference_psi_intertwines(bg, std, psi):
+def reference_psi_intertwines(bg, std, perm):
     """The loop psi_map once ran over every operator and every ambient basis
-    column: whether the index permutation psi carries each dual operator of
+    column: whether the index permutation perm carries each dual operator of
     H⊗A⊗H, column by column, onto the matching translation of Hom(H⊗H, A)."""
-    perm = _perm_of(psi)
     amb_x, amb_k = bg.ambient, std.ambient
     for xs, ks in ((amb_x.dual_left_ops, amb_k.left_ops),
                    (amb_x.dual_right_ops, amb_k.right_ops)):
@@ -905,8 +920,8 @@ def reference_psi_intertwines(bg, std, psi):
 @pytest.mark.parametrize("name", list(BRIDGED_FAMILIES))
 def test_psi_leg_intertwining_matches_the_column_loop(name):
     b, bg, std = _bridged(name)
-    psi, _, intertwines, _ = psi_map(b.hopf, b.alg, bg, std)
-    assert intertwines and reference_psi_intertwines(bg, std, psi)
+    perm, intertwines, _ = psi_map(b.hopf, b.alg, bg, std)
+    assert intertwines and reference_psi_intertwines(bg, std, perm)
 
 
 def _with_mutated_operator(std, family, g, j, k, delta):
@@ -926,16 +941,16 @@ def _with_mutated_operator(std, family, g, j, k, delta):
 @pytest.mark.parametrize("name", ["Sweedler (7,3)", "regular H4", "regular kZ4"])
 def test_psi_does_not_intertwine_a_mutated_leg_matrix(name):
     b, bg, std = _bridged(name)
-    psi = psi_map(b.hopf, b.alg, bg, std)[0]
+    perm = psi_map(b.hopf, b.alg, bg, std)[0]
     n = b.hopf.dim
     rng = random.Random(1307)
     for trial in range(9):
         family = ("left_ops", "right_ops")[trial % 2]
         bad = _with_mutated_operator(std, family, rng.randrange(n), rng.randrange(n),
                                      rng.randrange(n), rng.choice([-1, 1, 2]))
-        assert not reference_psi_intertwines(bg, bad, psi)
-        _, mono, intertwines, restricted_iso = psi_map(b.hopf, b.alg, bg, bad)
-        assert mono and restricted_iso and not intertwines
+        assert not reference_psi_intertwines(bg, bad, perm)
+        _, intertwines, restricted_iso = psi_map(b.hopf, b.alg, bg, bad)
+        assert restricted_iso and not intertwines
 
 
 def test_psi_needs_both_sides_over_the_given_hopf_algebra():
