@@ -419,22 +419,9 @@ class Subspace:
         return Subspace(self.ambient_dim, self.field, self.rows + list(vectors))
 
     def constraint_matrix(self):
-        """Sparse rows C with: v is a member  iff  C·v = 0, one per
-        non-pivot column c, the coordinate c of `reduce`."""
-        one = self.field.one
-        piv_set = set(self.pivots)
-        out = []
-        for c in range(self.ambient_dim):
-            if c in piv_set:
-                continue
-            # residual coordinate c of reduce(v): v[c] - sum_r v[piv_r]*row_r[c]
-            row = {c: one}
-            for r, pc in zip(self.rows, self.pivots):
-                e = r.get(c)
-                if e:
-                    row[pc] = -e
-            out.append(row)
-        return out
+        """Sparse rows C with: v is a member  iff  C·v = 0.  They span the
+        annihilator, the kernel of the basis rows."""
+        return nullspace(self.rows, self.field, self.ambient_dim)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
