@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from phopf.fields import GF, QQ
 from phopf.linalg import (Tensor3, apply_cols, col_dicts, dict_acc,
-                          mat_transpose, restrict_product, solve)
+                          restrict_product, solve)
 from phopf._groups import GROUP_NAMES, named_group
 from phopf.algebras import (AlgebraData, Count, HopfData, Report, algebra_check,
                             coalgebra_check, dict_of_vec, dual_hopf,
@@ -534,12 +534,12 @@ def _sweeps_agree(a):
 
 def _in_basis(a, rows):
     """The algebra a rewritten in the basis whose vectors are `rows`."""
-    cols = [dict_of_vec(c) for c in mat_transpose(rows)]
+    basis = [dict_of_vec(r) for r in rows]
 
     def coords(v):
-        return vec_of_dict(solve(cols, v, a.field), a.dim, a.field)
+        return vec_of_dict(solve(basis, v, a.field), a.dim, a.field)
 
-    mul = restrict_product(coords, [dict_of_vec(r) for r in rows], a.mul_dict)
+    mul = restrict_product(coords, basis, a.mul_dict)
     unit = coords(a.unit_dict()) if a.unit is not None else None
     return AlgebraData(a.field, ["b%d" % i for i in range(a.dim)], mul, unit)
 

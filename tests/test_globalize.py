@@ -821,7 +821,7 @@ def test_cyclic_bicomodule_globalizes_and_bridges_in_tier_1(n):
 
 
 def test_kz16_bridge_peaks_below_100_mb():
-    # the dense translate span and the dense psi matrix once took this to 282 MB
+    # dense ambient rows peak at 282 MB here and sparse ones at about 22 MB
     code = textwrap.dedent("""
         import resource
         from phopf import (QQ, bicomodule_to_bimodule, group_algebra, psi_map,
