@@ -182,11 +182,17 @@ def test_comparison_map_rejects_a_candidate_whose_translates_relate_differently(
     # a linear relation among them maps to a nonzero element
     std = standard_globalize_bimodule(sweedler_k_bimodule(QQ, 2, 3))
     ops = list(std.left_ops)
-    ops[std.hopf.basis.index(label)] = [[QQ.zero] * std.dim for _ in range(std.dim)]
+    h = std.hopf.basis.index(label)
+    ops[h] = [[QQ.zero] * std.dim for _ in range(std.dim)]
     cand = GlobalizationCandidate(std.algebra, std.theta, ops, std.right_ops, std.coeff)
-    # the coefficient list prints a mix of Fraction(0, 1) and 0: match the prefix
-    with pytest.raises(ValueError, match=r"^comparison map is ill-defined: "):
+    # the first relation is the translate h▷θ(1)◁1 alone, at index 4·h
+    relation = [QQ.zero] * 16
+    relation[4 * h] = QQ.one
+    with pytest.raises(ValueError) as err:
         comparison_map(cand, std)
+    assert str(err.value) == ("comparison map is ill-defined: the relation with "
+                              "coefficients %r among the candidate translates "
+                              "maps to a nonzero element" % (relation,))
 
 
 # structural faults of a candidate raise ValueError instead of being reported
