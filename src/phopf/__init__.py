@@ -4,8 +4,10 @@ products.
 
 The public names below are loaded on first use: `import phopf` loads no
 submodule, and `phopf.X` (or `from phopf import X`) imports the submodule
-that defines X and returns that module's own object.  A command of the
-`phopf` CLI therefore compiles only the modules it runs."""
+that defines X and returns that module's own object.  The globalization
+ambients (`ambient`), the structures induced from global ones (`induced`)
+and partial group actions (`group_actions`) each have their own module, so
+a command of the `phopf` CLI compiles only the modules it runs."""
 
 import importlib
 
@@ -18,12 +20,11 @@ _EXPORTS = {
                  "coalgebra_check", "dual_hopf", "group_algebra", "hom_hh_a",
                  "hopf_check", "scalar_algebra", "sweedler_h4", "tensor_hah"),
     "_groups": ("GROUP_NAMES", "named_group"),
-    "actions": ("GroupPartialActionData", "PartialActionData",
-                "PartialBimoduleData", "check_bimodule",
-                "check_group_partial_action", "check_lpma", "check_rpma",
-                "dual_regular_action", "en_kg_example", "group_to_kg",
-                "induce_bimodule", "induce_left", "is_global", "kg_to_group",
+    "actions": ("PartialActionData", "PartialBimoduleData", "check_bimodule",
+                "check_lpma", "check_rpma", "dual_regular_action", "is_global",
                 "sweedler_k_bimodule", "trivial_action", "trivialize_right"),
+    "group_actions": ("GroupPartialActionData", "check_group_partial_action",
+                      "en_kg_example", "group_to_kg", "kg_to_group"),
     "coactions": ("PartialBicomoduleData", "PartialCoactionData",
                   "bicomodule_to_bimodule", "bimodule_to_bicomodule",
                   "check_bicomodule", "check_global_unit", "check_lpca",
@@ -31,6 +32,7 @@ _EXPORTS = {
                   "dual_action_to_coaction", "regular_bicomodule",
                   "regular_coaction", "sweedler_k_bicomodule",
                   "trivial_coaction"),
+    "induced": ("induce_bimodule", "induce_left"),
     "globalize": ("BicomoduleGlobalization", "BimoduleGlobalization",
                   "GlobalizationCandidate", "comparison_map",
                   "free_candidate_bimodule", "maximal_degenerate_subbimodule",

@@ -7,30 +7,15 @@ checked on all basis tuples, which proves it outright by multilinearity, or
 recorded by its proof when the laws that prove it have been checked (see
 _action_suite and trivial_action).
 
-The module also houses the dictionary between symmetric unital partial
-actions of a group algebra kG and partial group actions given by ideals
-D_g = A·1_g (central idempotents 1_g) and isomorphisms α_g: D_{g⁻¹} → D_g.
+The actions induced from a global one (induce_left, induce_bimodule) are in
+phopf.induced, and the dictionary between partial actions of a group
+algebra kG and partial group actions is in phopf.group_actions.
 """
 
-from fractions import Fraction
-
-from .algebras import (DUAL, AlgebraData, HopfData, Report, algebra_check,
-                       coalgebra_check, dict_acc, dict_of_vec, dual_hopf,
-                       group_algebra, hopf_check, mul_dicts, vec_of_dict)
-from .linalg import (Subspace, Tensor3, acts_by_scalars, apply_cols, col_dicts,
-                     restrict_ops, restrict_product, unit_vec)
-from ._groups import check_group_table, group_identity, group_inverses
-
-
-def same_algebra(a, b):
-    return (a is b) or (a.field == b.field and a.basis == b.basis
-                        and a.mul.entries == b.mul.entries and a.unit == b.unit)
-
-
-def same_hopf(a, b):
-    return same_algebra(a, b) and isinstance(a, HopfData) and isinstance(b, HopfData) \
-        and a.comul.entries == b.comul.entries and a.counit == b.counit \
-        and a.antipode == b.antipode
+from .algebras import (DUAL, AlgebraData, Report, algebra_check, coalgebra_check,
+                       dict_acc, dual_hopf, hopf_check, mul_dicts, same_algebra,
+                       same_hopf, vec_of_dict)
+from .linalg import Tensor3, acts_by_scalars, apply_cols
 
 
 class PartialActionData:
@@ -412,385 +397,3 @@ def dual_regular_action(h):
     if not is_global(p):
         raise AssertionError("regular dual action must be global")
     return p
-
-
-def _left_ideal(B, e):
-    """Set-up shared by the structures induced on e·B: check that e is an
-    idempotent and a left identity on e·B, and build e·B as an algebra with
-    unit e.  Returns (span of e·B, e as a sparse dict, the algebra)."""
-    f = B.field
-    e_d = dict_of_vec(e)
-    if B.mul_dict(e_d, e_d) != e_d:
-        raise ValueError("e is not idempotent")
-    span = Subspace(B.dim, f, (B.mul_dict(e_d, {j: f.one}) for j in range(B.dim)))
-    for r in span.rows:
-        if B.mul_dict(e_d, r) != r:
-            raise ValueError("e is not a left identity on e·B")
-    unit_a = span.coords(e_d)
-    if unit_a is None:
-        raise ValueError("e does not lie in e·B")
-    A = AlgebraData(f, ["a%d" % i for i in range(span.dim)],
-                    restrict_product(span.coords, span.rows, B.mul_dict), unit_a,
-                    name="e·%s" % B.name)
-    return span, e_d, A
-
-
-def _unital_subalgebra(B, span, unit_a):
-    """Set-up shared by the structures induced on a unital subalgebra A of
-    B: check that unit_a lies in the subspace span, is an idempotent and an
-    identity on it, and that span is closed under the product; then build A
-    with the restricted product and certify it.  Returns the basis rows of
-    span and unit_a, both as sparse dicts, and A."""
-    rows = span.rows
-    u_d = dict_of_vec(unit_a)
-    if not span.contains(u_d):
-        raise ValueError("unit_A must lie in A")
-    if B.mul_dict(u_d, u_d) != u_d:
-        raise ValueError("unit_A is not idempotent")
-    for i, r in enumerate(rows):
-        if B.mul_dict(u_d, r) != r or B.mul_dict(r, u_d) != r:
-            raise ValueError("unit_A is not an identity on A (basis %d)" % i)
-        for j, r2 in enumerate(rows):
-            if not span.contains(B.mul_dict(r, r2)):
-                raise ValueError("A is not closed under multiplication at (%d, %d)" % (i, j))
-    A = AlgebraData(B.field, ["a%d" % i for i in range(len(rows))],
-                    restrict_product(span.coords, rows, B.mul_dict),
-                    span.coords(u_d), name="corner of %s" % B.name)
-    algebra_check(A).require("induced corner", AssertionError)
-    return rows, u_d, A
-
-
-def _corner_witness(B, left, right, rows, u_d, span):
-    """First witness (a, h, k, b) — subalgebra basis, Hopf, Hopf, subalgebra
-    basis indices — where (a◁h)(k▷b) ≠ (a◁h)·1_A·(k▷b) or the common value
-    leaves A; None when this corner condition holds.  The two operator
-    families on B are column maps, one operator per Hopf basis element."""
-    for ia, a in enumerate(rows):
-        for h, right_h in enumerate(right):
-            a_h = apply_cols(right_h, a)
-            for k, left_k in enumerate(left):
-                for ib, b in enumerate(rows):
-                    k_b = apply_cols(left_k, b)
-                    lhs = B.mul_dict(a_h, k_b)
-                    rhs = B.mul_dict(a_h, B.mul_dict(u_d, k_b))
-                    if lhs != rhs or not span.contains(lhs):
-                        return (ia, h, k, ib)
-    return None
-
-
-def induce_left(glob, e):
-    """Restrict a global left action on B to A = e·B (e idempotent) by
-    h⇀a = e·(h▷a).  Returns the induced partial action on A's row-reduced
-    basis.
-
-    A must be a unital ideal, e·B·(1−e) = 0: the product rule of the
-    induced action reads e·x·e·y = e·x·y for x, y in B.  Otherwise
-    ValueError names a basis element b of B with e·b·(1−e) ≠ 0."""
-    if glob.side != "left":
-        raise ValueError("induce_left needs a left action")
-    if not is_global(glob):
-        raise ValueError("induce_left needs a global action")
-    B = glob.alg
-    span, e_d, A = _left_ideal(B, e)
-    for j in range(B.dim):
-        eb = B.mul_dict(e_d, {j: B.field.one})
-        if B.mul_dict(eb, e_d) != eb:
-            raise ValueError("e·B is not a unital ideal: e·b·(1−e) ≠ 0 at b = %s"
-                             % B.basis[j])
-    act = restrict_ops(lambda a: span.coords(B.mul_dict(e_d, a)),
-                       span.rows, glob.map.columns(), "left action")
-    p = PartialActionData(glob.hopf, A, "left", act,
-                          name="%s induced on e·%s" % (glob.hopf.name, B.name))
-    return _certify_action(p)
-
-
-def induce_bimodule(bim, a_span, unit_a):
-    """Restrict a global bimodule structure on B to a unital subalgebra A
-    (given as a subspace with its own unit) by h⇀a = 1_A(h▷a) and
-    a↼h = (a◁h)1_A.  Requires the corner condition
-    (a◁h)(k▷b) = (a◁h)·1_A·(k▷b) with both sides inside A; rejected with a
-    witness (a, h, k, b) otherwise."""
-    B = bim.alg
-    H = bim.hopf
-    if not (is_global(bim.left) and is_global(bim.right)):
-        raise ValueError("induce_bimodule needs global actions on both sides")
-    rows, u_d, A = _unital_subalgebra(B, a_span, unit_a)
-    left_cols, right_cols = bim.left.map.columns(), bim.right.map.columns()
-    w = _corner_witness(B, left_cols, right_cols, rows, u_d, a_span)
-    if w is not None:
-        raise ValueError("corner condition fails at witness (a=%d, h=%s, k=%s, b=%d)"
-                         % (w[0], H.basis[w[1]], H.basis[w[2]], w[3]))
-    lt = restrict_ops(lambda a: a_span.coords(B.mul_dict(u_d, a)), rows, left_cols,
-                      "left action")
-    rt = restrict_ops(lambda a: a_span.coords(B.mul_dict(a, u_d)), rows, right_cols,
-                      "right action")
-    left = PartialActionData(H, A, "left", lt, name="induced left on corner")
-    right = PartialActionData(H, A, "right", rt, name="induced right on corner")
-    out = PartialBimoduleData(_certify_action(left), _certify_action(right))
-    _compatibility(out, Report()).require("induced bimodule", AssertionError)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# partial group actions vs. partial kG-actions
-
-class GroupPartialActionData:
-    """Unital partial action of a finite group on a unital algebra A:
-    for each group element g a central idempotent 1_g (cutting the ideal
-    D_g = A·1_g) and an algebra isomorphism α_g: D_{g⁻¹} → D_g.
-
-    α_g is stored as a full operator matrix on A, normalized so that the
-    matrix already includes the projection onto its domain:
-    M_g = M_g ∘ (right multiplication by 1_{g⁻¹}).  The checker enforces the
-    normalization, which makes the kG round-trip an exact coordinate
-    identity."""
-
-    def __init__(self, table, alg, idempotents, alphas, labels=None):
-        bad = check_group_table(table)
-        if bad is not None:
-            raise ValueError("not a group table: fails %s" % bad)
-        self.table = [list(r) for r in table]
-        self.alg = alg
-        of = alg.field.of
-        self.idempotents = [[of(c) for c in v] for v in idempotents]
-        self.alphas = [[[of(c) for c in r] for r in mat] for mat in alphas]
-        self.labels = list(labels) if labels else ["g%d" % i for i in range(len(table))]
-        n = len(self.table)
-        if len(self.idempotents) != n or len(self.alphas) != n:
-            raise ValueError("need one idempotent and one map per group element")
-        self.identity = group_identity(self.table)
-        self.inverses = group_inverses(self.table)
-
-    def to_json(self, algebra_ref=None):
-        show = self.alg.field.show
-        return {
-            "group": [list(r) for r in self.table],
-            "labels": list(self.labels),
-            "algebra": algebra_ref if algebra_ref is not None else AlgebraData.to_json(self.alg),
-            "idempotents": [[show(c) for c in v] for v in self.idempotents],
-            "alphas": [[[i, j, show(row[j])]
-                        for i, row in enumerate(mat) for j in range(len(row)) if row[j]]
-                       for mat in self.alphas],
-        }
-
-    def __repr__(self):
-        return "GroupPartialActionData(|G|=%d on %s)" % (len(self.table), self.alg.name)
-
-
-def check_group_partial_action(gpa):
-    """Certify a partial group action: central idempotents, identity
-    component trivial, canonical normalization of the α matrices,
-    multiplicative isomorphisms with the right domains and ranges, the
-    domain-translation law α_g(1_{g⁻¹}1_h) = 1_g 1_{gh}, and the composition
-    law α_g∘α_h = α_{gh} on D_{h⁻¹} ∩ D_{(gh)⁻¹}."""
-    A = gpa.alg
-    f = A.field
-    n = len(gpa.table)
-    m = A.dim
-    one = f.one
-    rep = Report("partial %d-group action on %s" % (n, A.name), f)
-    ids = [dict_of_vec(v) for v in gpa.idempotents]
-    inv = gpa.inverses
-    alphas = [col_dicts(a) for a in gpa.alphas]
-
-    rep.law("idempotent-central")
-    for g in range(n):
-        u = ids[g]
-        if A.mul_dict(u, u) != u:
-            rep.fail("idempotent-central", (g,),
-                     vec_of_dict(A.mul_dict(u, u), m, f), vec_of_dict(u, m, f))
-        for j in range(m):
-            lhs = A.mul_dict(u, {j: one})
-            rhs = A.mul_dict({j: one}, u)
-            if lhs != rhs:
-                rep.fail("idempotent-central", (g, j),
-                         vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
-
-    rep.law("identity-component")
-    e = gpa.identity
-    if ids[e] != A.unit_dict():
-        rep.fail("identity-component", (e,), gpa.idempotents[e], A.unit)
-    ident = [[one if i == j else f.zero for j in range(m)] for i in range(m)]
-    if gpa.alphas[e] != ident:
-        rep.fail("identity-component", (e,), gpa.alphas[e], "identity matrix")
-
-    rep.law("canonical-normalization")
-    for g in range(n):
-        for j in range(m):
-            dom = A.mul_dict({j: one}, ids[inv[g]])
-            lhs = apply_cols(alphas[g], dom)
-            rhs = apply_cols(alphas[g], {j: one})
-            if lhs != rhs:
-                rep.fail("canonical-normalization", (g, j),
-                         vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
-
-    rep.law("image-in-range")
-    for g in range(n):
-        for j in range(m):
-            img = apply_cols(alphas[g], {j: one})
-            cut = A.mul_dict(img, ids[g])
-            if img != cut:
-                rep.fail("image-in-range", (g, j),
-                         vec_of_dict(img, m, f), vec_of_dict(cut, m, f))
-
-    rep.law("unit-translation")
-    for g in range(n):
-        got = apply_cols(alphas[g], ids[inv[g]])
-        if got != ids[g]:
-            rep.fail("unit-translation", (g,),
-                     vec_of_dict(got, m, f), gpa.idempotents[g])
-
-    rep.law("iso-multiplicative")
-    for g in range(n):
-        # a_j·1_{g⁻¹} and its image under α_g, once per basis element
-        dom = [A.mul_dict({j: one}, ids[inv[g]]) for j in range(m)]
-        img = [apply_cols(alphas[g], d) for d in dom]
-        for i in range(m):
-            for j in range(m):
-                lhs = apply_cols(alphas[g], A.mul_dict(dom[i], dom[j]))
-                rhs = A.mul_dict(img[i], img[j])
-                if lhs != rhs:
-                    rep.fail("iso-multiplicative", (g, i, j),
-                             vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
-
-    rep.law("domain-translation")
-    for g in range(n):
-        for h in range(n):
-            got = apply_cols(alphas[g], A.mul_dict(ids[inv[g]], ids[h]))
-            want = A.mul_dict(ids[g], ids[gpa.table[g][h]])
-            if got != want:
-                rep.fail("domain-translation", (g, h),
-                         vec_of_dict(got, m, f), vec_of_dict(want, m, f))
-
-    rep.law("composition")
-    for g in range(n):
-        for h in range(n):
-            gh = gpa.table[g][h]
-            for j in range(m):
-                r = A.mul_dict(A.mul_dict({j: one}, ids[inv[h]]), ids[inv[gh]])
-                lhs = apply_cols(alphas[g], apply_cols(alphas[h], r))
-                rhs = apply_cols(alphas[gh], r)
-                if lhs != rhs:
-                    rep.fail("composition", (g, h, j),
-                             vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
-    return rep
-
-
-def group_to_kg(gpa):
-    """Partial kG-action g⇀a = α_g(a·1_{g⁻¹}) from a certified partial group
-    action; always symmetric."""
-    check_group_partial_action(gpa).require("partial group action")
-    f = gpa.alg.field
-    hopf = group_algebra(gpa.table, f, ["u_%s" % s for s in gpa.labels],
-                         name="k[%d-group]" % len(gpa.table))
-    n, m = len(gpa.table), gpa.alg.dim
-    act = Tensor3((n, m, m))
-    # normalized matrices already include ·1_{g⁻¹}, so columns are the action
-    for g in range(n):
-        for j in range(m):
-            for i in range(m):
-                act.add(g, j, i, gpa.alphas[g][i][j])
-    p = PartialActionData(hopf, gpa.alg, "left", act,
-                          name="kG-action from partial group action")
-    return _certify_action(p, expect_symmetric=True)
-
-
-def kg_to_group(p):
-    """Recover the partial group action 1_g = g⇀1_A, α_g(a·1_{g⁻¹}) = g⇀a
-    from a certified symmetric partial action of a group algebra."""
-    if p.side != "left":
-        raise ValueError("kg_to_group expects a left action")
-    H = p.hopf
-    n = H.dim
-    one = H.field.one
-    # the Hopf algebra must be an honest group algebra on its basis
-    if H.comul.entries != {(i, i, i): one for i in range(n)}:
-        raise ValueError("the acting Hopf algebra is not a group algebra "
-                         "(basis not group-like)")
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = H.mul.pair_view().get((i, j), {})
-            if len(prod) != 1 or set(prod.values()) != {one}:
-                raise ValueError("the acting Hopf algebra is not a group algebra")
-            row.append(next(iter(prod)))
-        table.append(row)
-    check_lpma(p, symmetric=True).require("kg_to_group input")
-    A = p.alg
-    m = A.dim
-    f = A.field
-    idempotents = [vec_of_dict(p.apply({g: one}, A.unit_dict()), m, f) for g in range(n)]
-    alphas = [p.matrix(g) for g in range(n)]
-    gpa = GroupPartialActionData(table, A, idempotents, alphas,
-                                 labels=[b[2:] if b.startswith("u_") else b for b in H.basis])
-    check_group_partial_action(gpa).require("derived group data of the input")
-    return gpa
-
-
-# ---------------------------------------------------------------------------
-# the averaged-idempotent example on a group algebra
-
-def en_kg_example(table, normal_subgroup, field, labels=None):
-    """A = e_N·kG for a normal subgroup N with e_N = (1/|N|) Σ_{n∈N} u_n,
-    acted on by the dual group algebra: p_g ⇀ e_N u_h = (1/|N|) e_N u_h when
-    g⁻¹h ∈ N and 0 otherwise.  Returns (A, action); the action is partial
-    (not global) as soon as |N| > 1."""
-    bad = check_group_table(table)
-    if bad is not None:
-        raise ValueError("not a group table: fails %s" % bad)
-    n = len(table)
-    if labels is None:
-        labels = ["g%d" % i for i in range(n)]
-    N = sorted(set(normal_subgroup))
-    e = group_identity(table)
-    inv = group_inverses(table)
-    if not N or any(not (0 <= x < n) for x in N):
-        raise ValueError("subgroup indices out of range")
-    nset = set(N)
-    if e not in nset:
-        raise ValueError("N must contain the identity")
-    for a in N:
-        if inv[a] not in nset:
-            raise ValueError("N is not closed under inverses")
-        for b in N:
-            if table[a][b] not in nset:
-                raise ValueError("N is not closed under multiplication")
-    for g in range(n):
-        for a in N:
-            if table[table[g][a]][inv[g]] not in nset:
-                raise ValueError("N is not normal in G")
-    if field.char and len(N) % field.char == 0:
-        raise ValueError("characteristic divides |N|")
-
-    # coset representatives: minimal index in each coset N·h
-    rep_of = {}
-    reps = []
-    for h in range(n):
-        r = min(table[a][h] for a in N)
-        rep_of[h] = r
-    for h in range(n):
-        if rep_of[h] == h:
-            reps.append(h)
-    idx = {r: t for t, r in enumerate(reps)}
-    m = len(reps)
-    one = field.one
-    scale = field.of(Fraction(1, len(N)))
-
-    mul = Tensor3((m, m, m))
-    for r1 in reps:
-        for r2 in reps:
-            mul.add(idx[r1], idx[r2], idx[rep_of[table[r1][r2]]], one)
-    A = AlgebraData(field, ["eN·u_%s" % labels[r] for r in reps], mul,
-                    unit_vec(field, m, idx[rep_of[e]]), name="eN·kG")
-    algebra_check(A).require("coset algebra", AssertionError)
-
-    hopf = dual_hopf(group_algebra(table, field, ["u_%s" % s for s in labels], name="kG"))
-    act = Tensor3((n, m, m))
-    for g in range(n):
-        for h in reps:
-            if table[inv[g]][h] in nset:
-                act.add(g, idx[h], idx[h], scale)
-    p = PartialActionData(hopf, A, "left", act,
-                          name="dual action on eN·kG")
-    return A, _certify_action(p)

@@ -34,8 +34,9 @@ construction failed), 2 unreadable or malformed input.
 
 Every command is a fresh process, so this module imports at its top only
 what parsing the command line needs; each command imports the modules it
-runs when it runs.  Functions are looked up through their modules at call
-time, so a wrapper put on a module attribute sees every call."""
+runs when it runs, and so compiles only the modules it runs.  Functions are
+looked up through their modules at call time, so a wrapper put on a module
+attribute sees every call."""
 
 import argparse
 import importlib
@@ -151,7 +152,8 @@ def _ex_sweedler_bicomodule(args, field, outdir):
 
 
 def _ex_en_kg(args, field, outdir):
-    from .actions import en_kg_example, is_global
+    from .actions import is_global
+    from .group_actions import en_kg_example
     labels, table = _group(args.group or "z4")
     act = en_kg_example(table, _indices(args.N), field, labels)[1]
     files = _write_pair(outdir, act.hopf, act, "action")
@@ -182,27 +184,8 @@ def _ex_regular_bicomodule(args, field, outdir):
     return files, ["comultiplication coacting on %s from both sides" % h.name]
 
 
-def z2_partial_group_example(field):
-    """Partial action of the order-2 group on k x k: the non-identity
-    element is defined only on the first coordinate ideal, where it acts as
-    the identity map."""
-    from .linalg import Tensor3
-    from .algebras import AlgebraData
-    from .actions import GroupPartialActionData
-    one, zero = field.one, field.zero
-    mul = Tensor3((2, 2, 2))
-    mul.add(0, 0, 0, one)
-    mul.add(1, 1, 1, one)
-    alg = AlgebraData(field, ["e1", "e2"], mul, [one, one], name="k x k")
-    idem = [[one, one], [one, zero]]
-    alphas = [[[one, zero], [zero, one]],
-              [[one, zero], [zero, zero]]]
-    return GroupPartialActionData([[0, 1], [1, 0]], alg, idem, alphas,
-                                  labels=["e", "g"])
-
-
 def _ex_z2_partial_group(args, field, outdir):
-    from .actions import group_to_kg
+    from .group_actions import group_to_kg, z2_partial_group_example
     gpa = z2_partial_group_example(field)
     act = group_to_kg(gpa)
     group_path = os.path.join(outdir, "group-action.json")

@@ -17,20 +17,18 @@ map tensor of a coaction is the map tensor of that action.  The bridges
 between the two are that transpose, and wherever a coaction serves as an
 operator family it is read as its dual family (PartialCoactionData.dual_cols):
 to restrict it to a subalgebra, to test it for ε-triviality, and in the
-exchange condition through the dual actions.  The module also holds the
-constructions that induce a partial coaction by cutting a global one down
-to an ideal or to a unital subalgebra.
+exchange condition through the dual actions.  The coactions induced by
+cutting a global one down to an ideal or to a unital subalgebra are built
+in phopf.induced.  Only the duality bridges read actions, so they import
+phopf.actions when they run, and checking a coaction loads no action code.
 """
 
 from fractions import Fraction
 
-from .algebras import (DUAL, AlgebraData, Report, dict_acc, dict_of_vec, dual_hopf,
-                       hopf_check, scalar_algebra, sweedler_h4, t2_of_dicts,
+from .algebras import (DUAL, AlgebraData, Report, dict_acc, dual_hopf, hopf_check,
+                       same_algebra, same_hopf, scalar_algebra, sweedler_h4,
                        tensor_mul, vec_of_dict)
-from .actions import (PartialActionData, PartialBimoduleData, _certify_action,
-                      _compatibility, _corner_witness, _left_ideal,
-                      _unital_subalgebra, same_algebra, same_hopf)
-from .linalg import Subspace, Tensor3, acts_by_scalars, restrict_ops, subspace_span
+from .linalg import Tensor3, acts_by_scalars, restrict_ops
 
 
 class PartialCoactionData:
@@ -388,6 +386,7 @@ def _dual_action(p, hs):
     """The partial action of hs, the certified dual of p's Hopf algebra,
     that reads the coaction p, by the transpose of algebras.DUAL and without
     certification."""
+    from .actions import PartialActionData
     perm, _, side = DUAL[p.side]
     return PartialActionData(hs, p.alg, side, p.map.transpose(perm),
                              name="dual action of %s" % p.name)
@@ -399,6 +398,7 @@ def coaction_to_dual_action(p):
     left coaction gives the right action a◁f = Σ f(h_j)·a_k.  A pure
     coordinate transpose; partiality, globality and symmetry carry over.
     The result is certified by its full action suite."""
+    from .actions import _certify_action
     return _certify_action(_dual_action(p, dual_hopf(p.hopf)))
 
 
@@ -419,6 +419,7 @@ def bicomodule_to_bimodule(b):
     carries over.  The dual Hopf algebra is certified once for both sides,
     and each dual action by its full suite as it is built, so only the
     compatibility law is checked on the pair."""
+    from .actions import PartialBimoduleData, _certify_action, _compatibility
     hs = dual_hopf(b.hopf)
     left = _certify_action(_dual_action(b.right, hs))
     right = _certify_action(_dual_action(b.left, hs))
@@ -437,7 +438,7 @@ def bimodule_to_bicomodule(b):
 
 
 # ---------------------------------------------------------------------------
-# induced partial coactions
+# restriction to a subalgebra, shared by induced and globalize
 
 def _restrict_coaction(ops, side, span, cut):
     """A coaction on `side`, given as its dual operator family `ops` (see
@@ -447,22 +448,6 @@ def _restrict_coaction(ops, side, span, cut):
     of the restricted coaction."""
     return restrict_ops(lambda a: span.coords(cut(a)), span.rows,
                         ops, "%s coaction" % side).transpose(DUAL[side][1])
-
-
-def induce_right_coaction(glob, e):
-    """Restrict a global right coaction on B to the right ideal e·B generated
-    by an idempotent e: the induced map a ↦ (e⊗1_H)ρ(a) is a partial right
-    coaction on the ideal with unit e."""
-    if glob.side != "right":
-        raise ValueError("induce_right_coaction needs a right coaction")
-    if not check_global_unit(glob):
-        raise ValueError("induce_right_coaction needs a global coaction")
-    B = glob.alg
-    span, e_d, A = _left_ideal(B, e)
-    ent = _restrict_coaction(glob.dual_cols(), "right", span, lambda a: B.mul_dict(e_d, a))
-    p = PartialCoactionData(glob.hopf, A, "right", ent,
-                            name="%s induced on e·%s" % (glob.hopf.name, B.name))
-    return _certify_coaction(p)
 
 
 def _exchange_products(hopf, b_legs, lams, rhos):
@@ -480,84 +465,3 @@ def _exchange_products(hopf, b_legs, lams, rhos):
         lam_ext = {key + (r,): c * d for key, c in lam.items() for r, d in u_h.items()}
         for j, y in enumerate(rho_ext):
             yield (i, j), tensor_mul(muls, lam_ext, y)
-
-
-def _exchange_witness(bicom, rows, u_d, span):
-    """First pair (i, j) of subalgebra basis indices where
-    (λ(a_i)⊗1)(1⊗ρ(b_j)) ≠ (λ(a_i)⊗1)(1⊗1_A⊗1)(1⊗ρ(b_j)) or the common
-    value leaves H⊗A⊗H; None when the exchange condition holds."""
-    B, H = bicom.alg, bicom.hopf
-    one_a = t2_of_dicts(u_d, H.unit_dict())     # 1_A ⊗ 1_H
-    lams = [bicom.left.coact_dict(a) for a in rows]
-    rhos = [bicom.right.coact_dict(b) for b in rows]
-    # (1⊗1_A⊗1)(1⊗ρ(b)) = 1⊗[(1_A⊗1_H)ρ(b)], since 1_H·1_H = 1_H
-    cut = [tensor_mul((B.mul, H.mul), one_a, rho) for rho in rhos]
-    for (pair, lhs), (_, rhs) in zip(_exchange_products(H, (B.mul,), lams, rhos),
-                                     _exchange_products(H, (B.mul,), lams, cut)):
-        if lhs != rhs:
-            return pair
-        per_slice = {}
-        for (pq, q, s), c in lhs.items():
-            per_slice.setdefault((pq, s), {})[q] = c
-        for dv in per_slice.values():
-            if not span.contains(dv):
-                return pair
-    return None
-
-
-def induce_bicomodule(bicom, a_basis, unit_a):
-    """Restrict a global bicomodule on B to a unital subalgebra A (its unit
-    need not be 1_B) by ρ̄(a) = (1_A⊗1_H)ρ(a) and λ̄(a) = λ(a)(1_H⊗1_A).
-    Requires the exchange condition
-    (λ(a)⊗1)(1⊗ρ(b)) = (λ(a)⊗1)(1⊗1_A⊗1)(1⊗ρ(b)) with both sides inside
-    H⊗A⊗H; rejected with a witness pair (a, b) otherwise."""
-    B = bicom.alg
-    H = bicom.hopf
-    f = B.field
-    if not (check_global_unit(bicom.left) and check_global_unit(bicom.right)):
-        raise ValueError("induce_bicomodule needs a global bicomodule")
-    span = a_basis if isinstance(a_basis, Subspace) \
-        else subspace_span(list(a_basis), B.dim, f)
-    rows, u_d, A = _unital_subalgebra(B, span, unit_a)
-
-    w = _exchange_witness(bicom, rows, u_d, span)
-    if w is not None:
-        raise ValueError("exchange condition fails at witness pair (a=%d, b=%d)" % w)
-
-    rho = _restrict_coaction(bicom.right.dual_cols(), "right", span,
-                             lambda a: B.mul_dict(u_d, a))
-    lam = _restrict_coaction(bicom.left.dual_cols(), "left", span,
-                             lambda a: B.mul_dict(a, u_d))
-    left = PartialCoactionData(H, A, "left", lam,
-                               name="induced left coaction on corner of %s" % B.name)
-    right = PartialCoactionData(H, A, "right", rho,
-                                name="induced right coaction on corner of %s" % B.name)
-    out = PartialBicomoduleData(left, right)
-    return _certify_bicomodule(out, "induced bicomodule")
-
-
-def check_vesgo_equivalence(bicom, a_basis, unit_a):
-    """The exchange condition for a unital subalgebra A of a global
-    bicomodule comes in two forms: (i) through the dual-Hopf actions,
-    (a◁f)(g▷b) = (a◁f)·1_A·(g▷b) with all values inside A for every pair of
-    dual basis functionals, and (ii) the tensor identity
-    (λ(a)⊗1)(1⊗ρ(b)) = (λ(a)⊗1)(1⊗1_A⊗1)(1⊗ρ(b)) inside H⊗A⊗H.  Both are
-    evaluated independently and the pair of truth values is returned; their
-    agreement is a theorem, asserted on every call.  The bicomodule is
-    certified once on entry (ValueError at its first failed law); the dual
-    actions are its coordinate transposes and are not certified again."""
-    B = bicom.alg
-    check_bicomodule(bicom).require("input bicomodule")
-    if not (check_global_unit(bicom.left) and check_global_unit(bicom.right)):
-        raise ValueError("check_vesgo_equivalence needs a global bicomodule")
-    span = a_basis if isinstance(a_basis, Subspace) \
-        else subspace_span(list(a_basis), B.dim, B.field)
-    u_d = dict_of_vec(unit_a)
-
-    # f ▷ b and a ◁ f, the dual families of ρ and λ
-    cond_i = _corner_witness(B, bicom.right.dual_cols(), bicom.left.dual_cols(),
-                             span.rows, u_d, span) is None
-    cond_ii = _exchange_witness(bicom, span.rows, u_d, span) is None
-    if cond_i != cond_ii:
-        raise AssertionError("the two exchange-condition forms must agree")
-    return (cond_i, cond_ii)

@@ -12,9 +12,9 @@ candidates against the standard one, and measures how far a candidate is
 from minimal.  The ambients themselves are certified through their
 factors when they are built (see algebras.hom_hh_a and
 algebras.tensor_hah).  Each is a three-leg tensor product of its factors
-and multiplies through those legs (algebras.TensorProductMul), so nothing
+and multiplies through those legs (ambient.TensorProductMul), so nothing
 here reads a stored table of its n⁶(dim A)³ structure constants.  Each of
-their operators moves one leg (algebras.LegOperator) and is read as column
+their operators moves one leg (ambient.LegOperator) and is read as column
 maps.  Every vector of ambient length is a sparse dict: the translates and
 the closure go straight into the sparse echelon basis of linalg.Subspace,
 and the bridge psi_map is an index permutation.  Candidates carry dense
@@ -29,11 +29,11 @@ constructions return richer objects that also qualify as candidates.
 
 from itertools import product
 
-from .algebras import (DUAL, AlgebraData, Count, LegOperator, Report,
-                       TensorProductMul, _dual_structure, algebra_check, dict_acc,
-                       dict_of_vec, hom_hh_a, hopf_check, mul_dicts, tensor_hah,
-                       vec_of_dict)
-from .actions import check_bimodule, same_algebra, same_hopf
+from .algebras import (DUAL, AlgebraData, Count, Report, _dual_structure, algebra_check,
+                       dict_acc, dict_of_vec, hom_hh_a, hopf_check, mul_dicts, same_algebra,
+                       same_hopf, tensor_hah, vec_of_dict)
+from .ambient import LegOperator, TensorProductMul
+from .actions import check_bimodule
 from .coactions import _exchange_products, _restrict_coaction, check_bicomodule
 from .linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint, col_dicts,
                      mat_of_cols, mat_transpose, nullspace, restrict_ops,
@@ -801,7 +801,7 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     intertwines both dual operator families, that it matches the two
     embeddings exactly, and that it restricts to an isomorphism between the
     two generated carriers.  The algebra-map property is read off the legs
-    of the two ambient products (see algebras.TensorProductMul).  The
+    of the two ambient products (see ambient.TensorProductMul).  The
     comodule side must be taken over `hopf` and the module side over exactly
     its dual structure constants, equalities that need no Hopf certificate.
     Returns (perm, intertwines, restricted_iso): perm[x] is the index that

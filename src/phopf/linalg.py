@@ -444,7 +444,7 @@ def subspace_span(vectors, ambient_dim=None, field=None):
 def closure_fixpoint(seed, linear_ops, bilinear_ops):
     """Smallest subspace containing `seed`, invariant under every operator in
     linear_ops (column maps, see apply_cols) and closed under every product
-    in bilinear_ops (a Tensor3 or algebras.TensorProductMul, read through
+    in bilinear_ops (a Tensor3 or ambient.TensorProductMul, read through
     its mul_dict) applied to pairs of members.
 
     Grows by image adjunction over a spanning set: the seed rows, then the

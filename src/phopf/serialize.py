@@ -69,26 +69,32 @@ def load_hopf(node, base_dir="."):
     return _guard(lambda: HopfData.from_json(doc), "hopf")
 
 
-def _action_parts(doc, base, cls, key_side=None):
-    """Hopf algebra, algebra, side, map entries and symmetry flag of a
-    one-sided `cls` (PartialActionData or PartialCoactionData) document."""
+def _action_parts(doc, base, cls, sides=None):
+    """Hopf algebra, algebra and one (side, map entries, symmetry flag) per
+    side of a `cls` (PartialActionData or PartialCoactionData) document: a
+    one-sided document names its side, a two-sided one keeps each side's
+    map under the keys `sides`.  The Hopf algebra and the algebra are loaded
+    once and shared by every side."""
     hopf = load_hopf(doc["hopf"], base)
     alg = load_algebra(doc["algebra"], base)
     if hopf.field != alg.field:
         raise ValueError("the hopf and algebra parts live over different fields")
-    sub = doc if key_side is None else doc[key_side]
-    side = sub["side"] if key_side is None else key_side
-    entries = dict(json_rows(sub["map"], cls.shape(hopf, alg, side), hopf.field, "map"))
-    symmetric = sub.get("symmetric", False)
-    if type(symmetric) is not bool:
-        raise ValueError("the symmetric flag must be true or false, got %r" % (symmetric,))
-    return hopf, alg, side, entries, symmetric
+    parts = []
+    for key_side in sides or (None,):
+        sub = doc if key_side is None else doc[key_side]
+        side = sub["side"] if key_side is None else key_side
+        entries = dict(json_rows(sub["map"], cls.shape(hopf, alg, side), hopf.field, "map"))
+        symmetric = sub.get("symmetric", False)
+        if type(symmetric) is not bool:
+            raise ValueError("the symmetric flag must be true or false, got %r" % (symmetric,))
+        parts.append((side, entries, symmetric))
+    return hopf, alg, parts
 
 
 def load_action(node, base_dir="."):
     from .actions import PartialActionData
     doc, base = _resolve(node, base_dir)
-    hopf, alg, side, entries, sym = _guard(
+    hopf, alg, [(side, entries, sym)] = _guard(
         lambda: _action_parts(doc, base, PartialActionData), "action")
     return PartialActionData(hopf, alg, side, entries, symmetric=sym)
 
@@ -96,19 +102,17 @@ def load_action(node, base_dir="."):
 def load_bimodule(node, base_dir="."):
     from .actions import PartialActionData, PartialBimoduleData
     doc, base = _resolve(node, base_dir)
-    lp = _guard(lambda: _action_parts(doc, base, PartialActionData, "left"),
-                "bimodule")
-    rp = _guard(lambda: _action_parts(doc, base, PartialActionData, "right"),
-                "bimodule")
-    left = PartialActionData(*lp[:4], symmetric=lp[4])
-    right = PartialActionData(*rp[:4], symmetric=rp[4])
+    hopf, alg, parts = _guard(
+        lambda: _action_parts(doc, base, PartialActionData, ("left", "right")), "bimodule")
+    left, right = (PartialActionData(hopf, alg, side, entries, symmetric=sym)
+                   for side, entries, sym in parts)
     return PartialBimoduleData(left, right)
 
 
 def load_coaction(node, base_dir="."):
     from .coactions import PartialCoactionData
     doc, base = _resolve(node, base_dir)
-    hopf, alg, side, entries, _ = _guard(
+    hopf, alg, [(side, entries, _)] = _guard(
         lambda: _action_parts(doc, base, PartialCoactionData), "coaction")
     return PartialCoactionData(hopf, alg, side, entries)
 
@@ -116,17 +120,15 @@ def load_coaction(node, base_dir="."):
 def load_bicomodule(node, base_dir="."):
     from .coactions import PartialBicomoduleData, PartialCoactionData
     doc, base = _resolve(node, base_dir)
-    lp = _guard(lambda: _action_parts(doc, base, PartialCoactionData, "left"),
-                "bicomodule")
-    rp = _guard(lambda: _action_parts(doc, base, PartialCoactionData, "right"),
-                "bicomodule")
-    left = PartialCoactionData(*lp[:4])
-    right = PartialCoactionData(*rp[:4])
+    hopf, alg, parts = _guard(
+        lambda: _action_parts(doc, base, PartialCoactionData, ("left", "right")), "bicomodule")
+    left, right = (PartialCoactionData(hopf, alg, side, entries)
+                   for side, entries, _ in parts)
     return PartialBicomoduleData(left, right)
 
 
 def load_group_action(node, base_dir="."):
-    from .actions import GroupPartialActionData
+    from .group_actions import GroupPartialActionData
     doc, base = _resolve(node, base_dir)
 
     def parts():

@@ -14,8 +14,9 @@ module also decides when a pair of idempotents makes a ♮ u idempotent,
 checks the Ker(ε)-invariance equivalence behind one of those criteria, and
 cuts out the unital corner algebra e·S·e at any idempotent e."""
 
-from .algebras import AlgebraData, algebra_check, dict_acc, dict_of_vec, mul_dicts, vec_of_dict
-from .actions import check_bimodule, same_hopf
+from .algebras import (AlgebraData, algebra_check, dict_acc, dict_of_vec, mul_dicts,
+                       same_hopf, vec_of_dict)
+from .actions import check_bimodule
 from .coactions import _coacts_trivially, check_bicomodule
 from .linalg import Subspace, Tensor3, acts_by_scalars, restrict_product
 

@@ -10,9 +10,10 @@ from phopf.algebras import (algebra_check, dict_of_vec, dual_hopf,
                             group_algebra, hopf_check, mul_dicts,
                             scalar_algebra, sweedler_h4, vec_of_dict)
 from phopf.actions import (PartialBimoduleData, check_bimodule, check_lpma,
-                           check_rpma, dual_regular_action, en_kg_example,
-                           induce_left, is_global, sweedler_k_bimodule,
-                           trivial_action, trivialize_right)
+                           check_rpma, dual_regular_action, is_global,
+                           sweedler_k_bimodule, trivial_action, trivialize_right)
+from phopf.group_actions import en_kg_example
+from phopf.induced import induce_left
 from phopf.coactions import (bicomodule_to_bimodule, bimodule_to_bicomodule,
                              coaction_to_dual_action, dual_action_to_coaction,
                              regular_bicomodule, sweedler_k_bicomodule)

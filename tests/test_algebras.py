@@ -15,7 +15,8 @@ from phopf.algebras import (AlgebraData, Count, HopfData, Report, algebra_check,
                             coalgebra_check, dict_of_vec, dual_hopf,
                             group_algebra, hom_hh_a, hopf_check, mul_dicts,
                             scalar_algebra, sweedler_h4, tensor_hah,
-                            tensor_mul, vec_of_dict, TensorProductMul)
+                            tensor_mul, vec_of_dict)
+from phopf.ambient import TensorProductMul
 
 HOPF_LAWS = {"associativity", "unit-law", "coassociativity", "counit-law",
              "comultiplication-multiplicative", "counit-multiplicative",

@@ -314,7 +314,7 @@ GLOBALIZE_INPUTS = [
 def test_globalize_never_writes_out_an_ambient_table(tmp_path, capsys, name, extra, kind):
     # the ambients multiply through their legs; reading a pair view or
     # walking the entries of one would write out its n⁶ table, and count
-    from phopf.algebras import TensorProductMul
+    from phopf.ambient import TensorProductMul
     files = emit(capsys, name, tmp_path / "in", *extra)
     path = next(p for p in files if p.endswith(kind + ".json"))
     count = TensorProductMul.materializations

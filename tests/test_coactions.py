@@ -13,18 +13,19 @@ from phopf import coactions
 from phopf.algebras import (AlgebraData, HopfData, Report, dict_acc, dict_of_vec,
                             dual_hopf, group_algebra, scalar_algebra,
                             sweedler_h4, vec_of_dict)
-from phopf.actions import (_left_ideal, check_bimodule, check_lpma, check_rpma,
-                           dual_regular_action, en_kg_example, is_global,
-                           sweedler_k_bimodule, trivial_action,
-                           trivialize_right)
+from phopf.actions import (check_bimodule, check_lpma, check_rpma,
+                           dual_regular_action, is_global, sweedler_k_bimodule,
+                           trivial_action, trivialize_right)
 from phopf.coactions import (PartialBicomoduleData, PartialCoactionData,
                              bicomodule_to_bimodule, bimodule_to_bicomodule,
                              check_bicomodule, check_global_unit, check_lpca,
-                             check_rpca, check_vesgo_equivalence,
-                             coaction_to_dual_action, dual_action_to_coaction,
-                             induce_bicomodule, induce_right_coaction,
-                             regular_bicomodule, regular_coaction,
-                             sweedler_k_bicomodule, trivial_coaction)
+                             check_rpca, coaction_to_dual_action,
+                             dual_action_to_coaction, regular_bicomodule,
+                             regular_coaction, sweedler_k_bicomodule,
+                             trivial_coaction)
+from phopf.group_actions import en_kg_example
+from phopf.induced import (_left_ideal, check_vesgo_equivalence, induce_bicomodule,
+                           induce_right_coaction)
 from phopf.globalize import standard_globalize_bicomodule
 from phopf.linalg import Tensor3, subspace_span, transport
 from tests.conftest import rand_fraction

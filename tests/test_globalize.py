@@ -19,17 +19,17 @@ from phopf.fields import GF, QQ
 from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
                           col_dicts, dict_acc, nullspace)
 from phopf._groups import named_group
-from phopf.algebras import (AlgebraData, LegOperator, Report, TensorProductMul,
-                            algebra_check, dict_of_vec, dual_hopf,
-                            group_algebra, mul_dicts, scalar_algebra,
+from phopf.algebras import (AlgebraData, Report, algebra_check, dict_of_vec,
+                            dual_hopf, group_algebra, mul_dicts, scalar_algebra,
                             sweedler_h4)
+from phopf.ambient import LegOperator, TensorProductMul
 from phopf.actions import (PartialBimoduleData, dual_regular_action,
-                           en_kg_example, sweedler_k_bimodule, trivial_action,
-                           trivialize_right)
+                           sweedler_k_bimodule, trivial_action, trivialize_right)
 from phopf.coactions import (PartialBicomoduleData, bicomodule_to_bimodule,
-                             bimodule_to_bicomodule, induce_bicomodule,
-                             regular_bicomodule, sweedler_k_bicomodule,
-                             trivial_coaction)
+                             bimodule_to_bicomodule, regular_bicomodule,
+                             sweedler_k_bicomodule, trivial_coaction)
+from phopf.group_actions import en_kg_example
+from phopf.induced import induce_bicomodule
 from phopf.globalize import (GlobalizationCandidate, _first_failure,
                              _require_global_bicomodule,
                              _require_global_bimodule, comparison_map,

@@ -16,13 +16,14 @@ from phopf.fields import GF, QQ, Field
 from phopf.algebras import (algebra_check, group_algebra, hopf_check,
                             sweedler_h4)
 from phopf._groups import named_group
-from phopf.actions import (check_bimodule, check_group_partial_action,
-                           check_lpma, check_rpma, dual_regular_action,
-                           en_kg_example, sweedler_k_bimodule,
+from phopf.actions import (check_bimodule, check_lpma, check_rpma,
+                           dual_regular_action, sweedler_k_bimodule,
                            trivialize_right)
 from phopf.coactions import (check_bicomodule, check_lpca, check_rpca,
                              regular_bicomodule, sweedler_k_bicomodule)
-from phopf.cli import main, z2_partial_group_example
+from phopf.cli import main
+from phopf.group_actions import (check_group_partial_action, en_kg_example,
+                                 z2_partial_group_example)
 from phopf.serialize import (load_action, load_algebra, load_bicomodule,
                              load_bimodule, load_coaction, load_group_action,
                              load_hopf, write_document)

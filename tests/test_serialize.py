@@ -7,9 +7,9 @@ import pytest
 
 from phopf.fields import GF, QQ
 from phopf.algebras import AlgebraData, HopfData, sweedler_h4
-from phopf.actions import sweedler_k_bimodule
-from phopf.coactions import regular_bicomodule, sweedler_k_bicomodule
-from phopf.cli import z2_partial_group_example
+from phopf.actions import check_bimodule, sweedler_k_bimodule
+from phopf.coactions import check_bicomodule, regular_bicomodule, sweedler_k_bicomodule
+from phopf.group_actions import z2_partial_group_example
 from phopf.serialize import (DocumentError, load_action, load_algebra,
                              load_bicomodule, load_bimodule, load_coaction,
                              load_group_action, load_hopf, read_document,
@@ -175,6 +175,36 @@ def test_file_references_are_relative_to_the_document(tmp_path, monkeypatch):
     back = load_bimodule(str(nested / "bimodule.json"))
     assert back.left.map.entries == b.left.map.entries
     assert back.hopf.basis == h.basis
+
+
+@pytest.mark.parametrize("kind", ["bimodule", "bicomodule"])
+def test_a_two_sided_document_loads_its_shared_parts_once(kind, tmp_path, monkeypatch):
+    # one read of the referenced hopf.json, one Hopf algebra and one algebra
+    # for both sides, so each certificate the check reads is decided once;
+    # loading each side on its own read hopf.json twice and decided twice
+    from phopf import serialize
+    from tests.test_algebras import _decisions
+    s = (sweedler_k_bimodule(QQ, 2, 3) if kind == "bimodule"
+         else regular_bicomodule(sweedler_h4(QQ)))
+    write_document(s.hopf.to_json(), tmp_path / "hopf.json")
+    write_document(s.to_json(hopf_ref="hopf.json"), tmp_path / ("%s.json" % kind))
+    reads = []
+    read = serialize.read_document
+
+    def counted(path):
+        reads.append(os.path.basename(path))
+        return read(path)
+
+    monkeypatch.setattr(serialize, "read_document", counted)
+    decided = _decisions(monkeypatch)
+    loader, check = ((load_bimodule, check_bimodule) if kind == "bimodule"
+                     else (load_bicomodule, check_bicomodule))
+    back = loader(str(tmp_path / ("%s.json" % kind)))
+    assert reads == ["%s.json" % kind, "hopf.json"]
+    assert back.left.hopf is back.right.hopf and back.left.alg is back.right.alg
+    assert check(back).passed
+    assert decided == ({"_decide_algebra": 1, "_decide_coalgebra": 1}
+                       if kind == "bimodule" else {})
 
 
 def test_loaders_accept_paths_and_inline_nodes(tmp_path):

@@ -94,23 +94,28 @@ def test_submodules_still_import_by_name():
 
 
 def _loaded(argv, cwd):
-    """Exit code and the phopf submodules loaded when `argv` runs in a fresh
-    interpreter; an empty argv only imports the package."""
+    """Exit code, the phopf submodules loaded when `argv` runs in a fresh
+    interpreter, and the number of source lines of the phopf files loaded
+    (the package and those submodules), each of which a process without a
+    bytecode cache compiles; an empty argv only imports the package."""
     probe = ("import json, sys\n"
              "import phopf\n"
              "code = 0\n"
              "if sys.argv[1:]:\n"
              "    from phopf.cli import main\n"
              "    code = main(sys.argv[1:])\n"
-             "print(json.dumps([code, sorted(m for m in sys.modules"
-             " if m.startswith('phopf.'))]))\n")
+             "mods = {m: sys.modules[m].__file__ for m in list(sys.modules)\n"
+             "        if m == 'phopf' or m.startswith('phopf.')}\n"
+             "lines = sum(len(open(f, encoding='utf-8').read().splitlines())\n"
+             "            for f in mods.values())\n"
+             "print(json.dumps([code, sorted(mods), lines]))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", probe] + list(argv), cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    return code, {m[len("phopf."):] for m in modules}
+    code, modules, lines = json.loads(proc.stdout.splitlines()[-1])
+    return code, {m[len("phopf."):] for m in modules if m != "phopf"}, lines
 
 
 @pytest.fixture(scope="module")
@@ -129,31 +134,52 @@ def documents(tmp_path_factory):
     return root
 
 
-CHECKS = ["actions", "coactions", "globalize", "smash"]
+# the modules of the ambients, of the induced structures and of partial
+# group actions, which no check and no smash product runs
+CONCEPTS = ["ambient", "induced", "group_actions"]
+CHECKS = ["actions", "coactions", "globalize", "smash"] + CONCEPTS
+NO_ACTIONS = ["actions", "globalize", "smash"] + CONCEPTS
 
+# argv, the modules it must not load, and a budget of compiled source lines:
+# the count the command compiles plus 5%
 COMMANDS = [
-    (["check", "algebra", "regular-bicomodule/hopf.json"], CHECKS),
-    (["check", "hopf", "regular-bicomodule/hopf.json"], CHECKS),
-    (["check", "action", "dual-group-action/action.json"], CHECKS[1:]),
-    (["check", "bimodule", "sweedler-bimodule-k/bimodule.json"], CHECKS[1:]),
-    (["check", "bicomodule", "regular-bicomodule/bicomodule.json"], CHECKS[2:]),
-    (["check", "coaction", "regular-bicomodule/coaction.json"], CHECKS[2:]),
+    (["check", "algebra", "regular-bicomodule/hopf.json"], CHECKS, 2329),
+    (["check", "hopf", "regular-bicomodule/hopf.json"], CHECKS, 2329),
+    (["check", "action", "dual-group-action/action.json"], CHECKS[1:], 2748),
+    (["check", "bimodule", "sweedler-bimodule-k/bimodule.json"], CHECKS[1:], 2748),
+    (["check", "bicomodule", "regular-bicomodule/bicomodule.json"], NO_ACTIONS, 2819),
+    (["check", "coaction", "regular-bicomodule/coaction.json"], NO_ACTIONS, 2819),
     (["example", "regular-bicomodule", "--group", "Q8", "--field", "gf7",
-      "-o", "q8"], CHECKS[2:]),
+      "-o", "q8"], NO_ACTIONS, 2819),
     (["smash", "sweedler-bimodule-k/bimodule.json",
-      "regular-bicomodule/bicomodule.json"], ["globalize"]),
+      "regular-bicomodule/bicomodule.json"], ["globalize"] + CONCEPTS, 3509),
     (["globalize", "bimodule", "sweedler-bimodule-k/bimodule.json", "-o", "glob"],
-     ["smash"]),
+     ["smash", "induced", "group_actions"], 4356),
+    (["globalize", "bicomodule", "regular-bicomodule/bicomodule.json", "-o", "glob2"],
+     ["smash", "induced", "group_actions"], 4356),
 ]
+IDS = [" ".join(c[0][:2]) for c in COMMANDS]
+
+
+@pytest.fixture(scope="module")
+def runs(documents):
+    """What each command of COMMANDS loads, run once per command."""
+    return {tuple(argv): _loaded(argv, str(documents)) for argv, _, _ in COMMANDS}
 
 
 def test_importing_the_package_loads_no_submodule(tmp_path):
-    assert _loaded([], str(tmp_path)) == (0, set())
+    assert _loaded([], str(tmp_path))[:2] == (0, set())
 
 
-@pytest.mark.parametrize("argv,absent", COMMANDS, ids=[" ".join(c[0][:2]) for c in COMMANDS])
-def test_each_command_loads_only_the_modules_it_runs(documents, argv, absent):
-    code, modules = _loaded(argv, str(documents))
+@pytest.mark.parametrize("argv,absent,budget", COMMANDS, ids=IDS)
+def test_each_command_loads_only_the_modules_it_runs(runs, argv, absent, budget):
+    code, modules, _ = runs[tuple(argv)]
     assert code == 0
     assert {"fields", "linalg", "algebras", "serialize", "cli"} <= modules
     assert not modules & set(absent), sorted(modules & set(absent))
+
+
+@pytest.mark.parametrize("argv,absent,budget", COMMANDS, ids=IDS)
+def test_each_command_compiles_at_most_its_budget_of_source_lines(runs, argv, absent,
+                                                                   budget):
+    assert runs[tuple(argv)][2] <= budget
