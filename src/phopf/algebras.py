@@ -363,12 +363,24 @@ def same_hopf(a, b):
 # matches, a check hands out a copy of the stored Report; after any change
 # to those parts it decides again.
 
+# law ids in Report order, shared by the sweeps and _record_proved
+_ASSOCIATIVITY, _UNIT_LAW = _ALGEBRA_LAWS = ("associativity", "unit-law")
+_COASSOCIATIVITY, _COUNIT_LAW = _COALGEBRA_LAWS = ("coassociativity", "counit-law")
+_DELTA_MULT, _EPS_MULT, _DELTA_UNIT, _EPS_UNIT, _ANTIPODE_LAW = _HOPF_TIES = (
+    "comultiplication-multiplicative", "counit-multiplicative",
+    "comultiplication-unit", "counit-unit", "antipode-law")
+
+
 def _algebra_stamp(a):
     return (a.field, a.name, a.mul.state, None if a.unit is None else tuple(a.unit))
 
 
 def _coalgebra_stamp(h):
     return (h.field, h.name, h.comul.state, tuple(h.counit))
+
+
+def _hopf_stamp(h):
+    return (_algebra_stamp(h), _coalgebra_stamp(h), tuple(map(tuple, h.antipode)))
 
 
 def _carried(a, suite, stamp, decide):
@@ -399,8 +411,20 @@ def hopf_check(h):
     Δ and ε are unital algebra maps, antipode convolution-inverts the
     identity.  Exhaustive over basis tuples, and decided once while h
     stays as it is (see _carried)."""
-    stamp = (_algebra_stamp(h), _coalgebra_stamp(h), tuple(map(tuple, h.antipode)))
-    return _carried(h, "hopf", stamp, _decide_hopf)
+    return _carried(h, "hopf", _hopf_stamp(h), _decide_hopf)
+
+
+def _record_proved(h):
+    """Store passing Reports of the three suites on h, whose laws its
+    constructor proved, under the stamps of _carried."""
+    for suite, stamp, laws in (
+            ("algebra", _algebra_stamp(h), _ALGEBRA_LAWS),
+            ("coalgebra", _coalgebra_stamp(h), _COALGEBRA_LAWS),
+            ("hopf", _hopf_stamp(h), _ALGEBRA_LAWS + _COALGEBRA_LAWS + _HOPF_TIES)):
+        rep = Report(h.name, h.field)
+        for law in laws:
+            rep.law(law)
+        h._certificates[suite] = (stamp, rep)
 
 
 def _decide_algebra(a):
@@ -426,7 +450,7 @@ def _decide_algebra(a):
         for m, c in row.items():
             into[x].setdefault(m, []).append((y, c))
 
-    rep.law("associativity")
+    rep.law(_ASSOCIATIVITY)
     for i in range(n):
         rows_i = rows[i]
         if not rows_i:
@@ -453,20 +477,20 @@ def _decide_algebra(a):
                 for k in sorted(lhs.keys() | rhs.keys()):
                     lhs_k, rhs_k = lhs.get(k, empty), rhs.get(k, empty)
                     if lhs_k != rhs_k:
-                        rep.fail("associativity", (i, j, k),
+                        rep.fail(_ASSOCIATIVITY, (i, j, k),
                                  vec_of_dict(lhs_k, n, f), vec_of_dict(rhs_k, n, f))
 
     if a.unit is not None:
-        rep.law("unit-law")
+        rep.law(_UNIT_LAW)
         u = dict_of_vec(a.unit)
         for i in range(n):
             e = {i: f.one}
             left = mul_dicts(pv, u, e)
             right = mul_dicts(pv, e, u)
             if left != e:
-                rep.fail("unit-law", (i,), vec_of_dict(left, n, f), a.basis_vec(i))
+                rep.fail(_UNIT_LAW, (i,), vec_of_dict(left, n, f), a.basis_vec(i))
             if right != e:
-                rep.fail("unit-law", (i,), vec_of_dict(right, n, f), a.basis_vec(i))
+                rep.fail(_UNIT_LAW, (i,), vec_of_dict(right, n, f), a.basis_vec(i))
     return rep
 
 
@@ -478,8 +502,8 @@ def _decide_coalgebra(h):
     iv = h.comul.in1_view()
     empty = {}
 
-    rep.law("coassociativity")
-    rep.law("counit-law")
+    rep.law(_COASSOCIATIVITY)
+    rep.law(_COUNIT_LAW)
     for i in range(n):
         di = iv.get(i, empty)
         lhs = {}
@@ -491,7 +515,7 @@ def _decide_coalgebra(h):
             for (b, c3), w2 in iv.get(k, empty).items():
                 dict_acc(rhs, (a, b, c3), w * w2)
         if lhs != rhs:
-            rep.fail("coassociativity", (i,), sorted(lhs.items()), sorted(rhs.items()))
+            rep.fail(_COASSOCIATIVITY, (i,), sorted(lhs.items()), sorted(rhs.items()))
         vl, vr = {}, {}
         for (j, k), w in di.items():
             if h.counit[j]:
@@ -500,9 +524,9 @@ def _decide_coalgebra(h):
                 dict_acc(vr, j, w * h.counit[k])
         e = {i: f.one}
         if vl != e:
-            rep.fail("counit-law", (i,), vec_of_dict(vl, n, f), h.basis_vec(i))
+            rep.fail(_COUNIT_LAW, (i,), vec_of_dict(vl, n, f), h.basis_vec(i))
         if vr != e:
-            rep.fail("counit-law", (i,), vec_of_dict(vr, n, f), h.basis_vec(i))
+            rep.fail(_COUNIT_LAW, (i,), vec_of_dict(vr, n, f), h.basis_vec(i))
     return rep
 
 
@@ -518,30 +542,30 @@ def _decide_hopf(h):
     empty = {}
     u = h.unit_dict()
 
-    rep.law("comultiplication-multiplicative")
-    rep.law("counit-multiplicative")
+    rep.law(_DELTA_MULT)
+    rep.law(_EPS_MULT)
     for i in range(n):
         for j in range(n):
             prod = pv.get((i, j), empty)
             lhs = h.comul_apply(prod)
             rhs = tensor_mul((h.mul, h.mul), iv.get(i, empty), iv.get(j, empty))
             if lhs != rhs:
-                rep.fail("comultiplication-multiplicative", (i, j),
+                rep.fail(_DELTA_MULT, (i, j),
                          sorted(lhs.items()), sorted(rhs.items()))
             le = h.counit_of(prod)
             re = h.counit[i] * h.counit[j]
             if le != re:
-                rep.fail("counit-multiplicative", (i, j), le, re)
+                rep.fail(_EPS_MULT, (i, j), le, re)
 
-    rep.law("comultiplication-unit")
+    rep.law(_DELTA_UNIT)
     if h.comul_apply(u) != t2_of_dicts(u, u):
-        rep.fail("comultiplication-unit", (), sorted(h.comul_apply(u).items()),
+        rep.fail(_DELTA_UNIT, (), sorted(h.comul_apply(u).items()),
                  sorted(t2_of_dicts(u, u).items()))
-    rep.law("counit-unit")
+    rep.law(_EPS_UNIT)
     if h.counit_of(u) != f.one:
-        rep.fail("counit-unit", (), h.counit_of(u), f.one)
+        rep.fail(_EPS_UNIT, (), h.counit_of(u), f.one)
 
-    rep.law("antipode-law")
+    rep.law(_ANTIPODE_LAW)
     for i in range(n):
         left, right = {}, {}
         for (j, k), w in iv.get(i, empty).items():
@@ -553,9 +577,9 @@ def _decide_hopf(h):
                 dict_acc(right, t, c)
         target = {t: h.counit[i] * c for t, c in u.items()} if h.counit[i] else {}
         if left != target:
-            rep.fail("antipode-law", (i,), vec_of_dict(left, n, f), vec_of_dict(target, n, f))
+            rep.fail(_ANTIPODE_LAW, (i,), vec_of_dict(left, n, f), vec_of_dict(target, n, f))
         if right != target:
-            rep.fail("antipode-law", (i,), vec_of_dict(right, n, f), vec_of_dict(target, n, f))
+            rep.fail(_ANTIPODE_LAW, (i,), vec_of_dict(right, n, f), vec_of_dict(target, n, f))
     return rep
 
 
@@ -565,7 +589,12 @@ def _decide_hopf(h):
 def group_algebra(table, field, labels=None, name=None):
     """Group algebra of a finite group given by its multiplication table:
     basis u_g with u_g u_h = u_{gh}, Δ(u_g) = u_g⊗u_g, ε(u_g) = 1,
-    S(u_g) = u_{g⁻¹}."""
+    S(u_g) = u_{g⁻¹}.
+
+    Certified without a sweep once check_group_table accepts the table:
+    group associativity gives associativity and coassociativity, u_e is the
+    unit, ε(u_g) = 1 gives the counit law, Δ and ε are multiplicative as
+    (u_g⊗u_g)(u_h⊗u_h) = u_gh⊗u_gh, and S(u_g)u_g = u_e = ε(u_g)1."""
     from ._groups import check_group_table, group_identity, group_inverses
     bad = check_group_table(table)
     if bad is not None:
@@ -584,7 +613,7 @@ def group_algebra(table, field, labels=None, name=None):
         antipode[inv[j]][j] = one
     h = HopfData(field, labels, mul, unit_vec(field, n, e), comul, counit, antipode,
                  name=name or "kG")
-    hopf_check(h).require("group algebra", AssertionError)
+    _record_proved(h)
     return h
 
 
@@ -651,9 +680,17 @@ def dual_hopf(h):
     """Dual Hopf algebra on the dual basis: multiplication is the transpose
     of comul (convolution), comultiplication the transpose of mul, unit the
     counit vector, counit evaluation at 1, antipode the transposed matrix.
-    Certified by hopf_check."""
+
+    Certified by duality when h passes hopf_check (carried or decided):
+    each law of H* transposes one of h, associativity ⇄ coassociativity,
+    unit ⇄ counit, ε multiplicative ⇄ Δ(1) = 1⊗1, and Δ multiplicative,
+    ε(1) = 1 and the antipode law are self-dual.  When h fails, the dual is
+    swept, so the error names the dual's own law and index."""
     dual = _dual_structure(h)
-    hopf_check(dual).require("dual Hopf algebra", AssertionError)
+    if hopf_check(h).passed:
+        _record_proved(dual)
+    else:
+        hopf_check(dual).require("dual Hopf algebra", AssertionError)
     return dual
 
 
@@ -692,9 +729,9 @@ def hom_hh_a(h, a):
 
 def tensor_hah(h, a):
     """Build X = H⊗A⊗H with (h⊗a⊗k)(h'⊗a'⊗k') = hh'⊗aa'⊗kk', unit
-    1_H⊗1_A⊗1_H, and the coactions given by comultiplying an outer leg.  The
-    product is held leg by leg, and its n⁶(dim A)³ structure constants are
-    never stored.
+    1_H⊗1_A⊗1_H, and the coactions given by comultiplying an outer leg, held
+    as their dual operator families.  The product is held leg by leg, and
+    its n⁶(dim A)³ structure constants are never stored.
 
     Certified through its factors: H and A must pass algebra_check, else
     ValueError."""
@@ -703,21 +740,13 @@ def tensor_hah(h, a):
         raise ValueError("tensor_hah needs a unital coefficient algebra")
     for rep in (algebra_check(h), algebra_check(a)):
         rep.require("tensor_hah needs certified factors: " + rep.subject)
-    n = h.dim
     f = h.field
     mul = TensorProductMul((h.mul, a.mul, h.mul))
-    big = mul.dims[2]
     # the leg matrices are the dual families of the regular coactions
     dual_left = LegOperator.family(mul, 2, h.comul.transpose(DUAL["right"][0]))
     dual_right = LegOperator.family(mul, 0, h.comul.transpose(DUAL["left"][0]))
-    # ρ(x) = Σ_g (p_g▷x)⊗h_g and λ(x) = Σ_g h_g⊗(x◁p_g): the dual families
-    # with the Hopf index read as a slot
-    rho = Tensor3((big, big, n), {(x, y, g): c for g, op in enumerate(dual_left)
-                                  for x, col in enumerate(op) for y, c in col.items()})
-    lam = Tensor3((big, n, big), {(x, g, y): c for g, op in enumerate(dual_right)
-                                  for x, col in enumerate(op) for y, c in col.items()})
     names = ["%s⊗%s⊗%s" % (h.basis[i], a.basis[m], h.basis[j])
-             for i, m, j in map(mul.split, range(big))]
+             for i, m, j in map(mul.split, range(mul.dims[2]))]
     alg = AlgebraData(f, names, mul, mul.pure((h.unit, a.unit, h.unit), f),
                       name="%s⊗%s⊗%s" % (h.name, a.name, h.name))
-    return TensorHAH(alg, rho, lam, dual_left, dual_right)
+    return TensorHAH(alg, dual_left, dual_right)

@@ -181,19 +181,18 @@ class HomHHA:
 
 class TensorHAH:
     """The componentwise-product algebra on H⊗A⊗H with the outer-leg
-    comultiplications as coactions: ρ = I⊗I⊗Δ on the right leg and
-    λ = Δ⊗I⊗I on the left leg, plus the dual-basis translation operators
-    f▷(h⊗a⊗k) = h⊗a⊗k₁ f(k₂) and (h⊗a⊗k)◁f = f(h₁) h₂⊗a⊗k, one operator
-    per dual basis element on each side.  The algebra's multiplication is
-    the TensorProductMul with legs (μ_H, μ_A, μ_H) in index order (i, m, j);
+    comultiplications as coactions, ρ = I⊗I⊗Δ on the right leg and
+    λ = Δ⊗I⊗I on the left leg, held as their dual-basis translation
+    operators f▷(h⊗a⊗k) = h⊗a⊗k₁ f(k₂) and (h⊗a⊗k)◁f = f(h₁) h₂⊗a⊗k, one
+    operator per dual basis element on each side: ρ(x) = Σ_g (p_g▷x)⊗h_g
+    and λ(x) = Σ_g h_g⊗(x◁p_g).  The algebra's multiplication is the
+    TensorProductMul with legs (μ_H, μ_A, μ_H) in index order (i, m, j);
     f▷ moves the last leg and ◁f the first, so each is a LegOperator whose
     leg matrix is read off Δ.
     """
 
-    def __init__(self, algebra, rho, lam, dual_left_ops, dual_right_ops):
+    def __init__(self, algebra, dual_left_ops, dual_right_ops):
         self.algebra = algebra
-        self.rho = rho
-        self.lam = lam
         self.dual_left_ops = dual_left_ops
         self.dual_right_ops = dual_right_ops
 

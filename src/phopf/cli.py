@@ -45,7 +45,6 @@ import os
 import sys
 
 from .fields import GF, QQ
-from ._groups import GROUP_NAMES, named_group
 from .serialize import DocumentError, write_document
 
 
@@ -80,6 +79,7 @@ def _indices(text):
 
 
 def _group(name):
+    from ._groups import named_group
     try:
         return named_group(name)
     except KeyError as exc:
@@ -369,8 +369,7 @@ def _build_parser():
     p.add_argument("--s", default="0", help="right action parameter")
     p.add_argument("--t", default="0", help="left coaction parameter")
     p.add_argument("--u", default="0", help="right coaction parameter")
-    p.add_argument("--group", default=None,
-                   help="built-in group name (%s)" % ", ".join(GROUP_NAMES))
+    p.add_argument("--group", default=None, help="built-in group name")
     p.add_argument("--N", default="0", help="subgroup element indices, e.g. 0,2")
     p.add_argument("-o", "--out", default=".", help="output directory")
     p.set_defaults(func=cmd_example)

@@ -59,6 +59,14 @@ def _rational(x):
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _integer(text):
+    """An optional sign and ASCII digits as an int (int() takes more)."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("%r is not an integer in ASCII digits" % (text,))
+    return int(text)
+
+
 class ModP:
     __slots__ = ("v", "p")
 
@@ -184,22 +192,24 @@ class Field:
         raise TypeError("cannot coerce %r into GF(%d)" % (x, self.p))
 
     def parse(self, s):
-        """Scalar grammar: "n" or "n/d" over the rationals, "r" over GF(p).
-        Anything but a string (a JSON number, say) raises ValueError."""
+        """Scalar grammar: "n" or "n/d" over the rationals, "r" over GF(p),
+        where n, d and r are an optional sign and ASCII digits, and
+        surrounding ASCII whitespace is ignored.  Anything else (a JSON
+        number, other digits, an underscore) raises ValueError."""
         if type(s) is not str:
             raise ValueError("scalar %r is not a string" % (s,))
-        s = s.strip()
+        s = s.strip(" \t\n\r\f\v")
         if self.p is None:
             if "/" not in s:
-                return int(s)
+                return _integer(s)
             num, den = s.split("/", 1)
-            n, d = int(num), int(den)
+            n, d = _integer(num), _integer(den)
             if d and n % d == 0:
                 return n // d
             return Fraction(n, d)
         if "/" in s:
             raise ValueError("no fraction syntax in GF(%d): %r" % (self.p, s))
-        v = int(s)
+        v = _integer(s)
         if not 0 <= v < self.p:
             raise ValueError("residue %r outside [0,%d)" % (s, self.p))
         return ModP(v, self.p)

@@ -763,10 +763,20 @@ def standard_globalize_bicomodule(b):
     amb_mul = amb.algebra.mul
     split = amb_mul.split
 
+    def coact(ops, col, key):
+        # Σ_g (op_g applied to col) keyed by key(g, y), summed in the order
+        # column index x, then g, then y
+        out = {}
+        for x, c in col.items():
+            for g, op in enumerate(ops):
+                for y, d in op[x].items():
+                    dict_acc(out, key(g, y), c * d)
+        return out
+
     def exchange():
-        lams = [{(p,) + split(x): c for (p, x), c in amb.lam.apply_in1(col).items()}
+        lams = [coact(amb.dual_right_ops, col, lambda g, y: (g,) + split(y))
                 for col in theta_d]
-        rhos = [{split(x) + (q,): c for (x, q), c in amb.rho.apply_in1(col).items()}
+        rhos = [coact(amb.dual_left_ops, col, lambda g, y: split(y) + (g,))
                 for col in theta_d]
         for (i, j), prod in _exchange_products(H, amb_mul.legs, lams, rhos):
             lhs = {(p, amb_mul.flat(key), q): c for (p, *key, q), c in prod.items()}

@@ -25,8 +25,15 @@ class DocumentError(ValueError):
 
 
 def read_document(path):
+    """The JSON document at `path`; DocumentError if it is not UTF-8 or
+    nests too deeply to parse."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise DocumentError("%s is not UTF-8 text: %s" % (path, exc))
+        except RecursionError:
+            raise DocumentError("%s is nested too deeply to read" % path)
 
 
 def write_document(doc, path):

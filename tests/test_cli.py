@@ -194,6 +194,32 @@ def _one_line_error(capsys):
     return err
 
 
+def test_check_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"basis": ["\u00e9"]}'.encode("latin-1"))
+    assert main(["check", "algebra", str(path)]) == 2
+    assert "is not UTF-8 text" in _one_line_error(capsys)
+
+
+def test_check_rejects_a_file_nested_too_deeply(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    assert main(["check", "algebra", str(path)]) == 2
+    assert "is nested too deeply" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("field", [{"kind": "Rationals"}, {"kind": "PrimeField", "p": 7}],
+                         ids=["QQ", "GF7"])
+@pytest.mark.parametrize("scalar", ["\u0661", "0_1", "\u00a01"], ids=["arabic", "_", "nbsp"])
+def test_check_rejects_a_scalar_outside_the_grammar(tmp_path, capsys, field, scalar):
+    # each reads as 1 through int(), which would make k a passing algebra
+    path = str(tmp_path / "algebra.json")
+    write_document({"field": field, "basis": ["1"], "mul": [[0, 0, 0, scalar]],
+                    "unit": ["1"]}, path)
+    assert main(["check", "algebra", path]) == 2
+    assert "not an integer in ASCII digits" in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("row", [[9, 0, 0, "1"], [-1, 0, 0, "1"], [0.0, 0, 0, "1"]],
                          ids=repr)
 def test_check_rejects_out_of_range_and_non_integer_indices(tmp_path, capsys, row):

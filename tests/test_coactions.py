@@ -26,10 +26,12 @@ from phopf.coactions import (PartialBicomoduleData, PartialCoactionData,
 from phopf.group_actions import en_kg_example
 from phopf.induced import (_left_ideal, check_vesgo_equivalence, induce_bicomodule,
                            induce_right_coaction)
+from phopf import globalize, linalg
 from phopf.globalize import standard_globalize_bicomodule
 from phopf.linalg import Tensor3, subspace_span, transport
 from tests.conftest import rand_fraction
-from tests.test_algebras import _CountingView, t2_mul, t3_mul
+from tests.test_algebras import (_CountingView, reference_coaction_tables, t2_mul,
+                                 t3_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -658,20 +660,49 @@ def test_induced_coactions_match_the_reference_restriction():
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
 @pytest.mark.parametrize("name", ["H4", "kZ4", "Sweedler (t,u)"])
-def test_ambient_coactions_restrict_as_the_reference_restriction(field, name):
+def test_ambient_coactions_restrict_as_the_reference_restriction(field, name,
+                                                                   monkeypatch):
     b = (regular_bicomodule(sweedler_h4(field)) if name == "H4"
          else regular_bicomodule(_kg("Z4", field)) if name == "kZ4"
          else sweedler_k_bicomodule(field, 3, -2))
+    # the embedded columns θ(a), and their coactions that the exchange
+    # condition reads
+    embedded, seen = [], []
+
+    def mat_of_cols(cols, *args):
+        embedded.append(cols)
+        return linalg.mat_of_cols(cols, *args)
+
+    def exchange_products(hopf, b_legs, lams, rhos):
+        seen.append((lams, rhos))
+        return coactions._exchange_products(hopf, b_legs, lams, rhos)
+
+    monkeypatch.setattr(globalize, "mat_of_cols", mat_of_cols)
+    monkeypatch.setattr(globalize, "_exchange_products", exchange_products)
     g = standard_globalize_bicomodule(b)
     amb, span = g.ambient, g.b_basis
+    rho, lam = reference_coaction_tables(amb, b.hopf.dim)
 
     def same(a):
         return a
 
-    for ops, t, side, induced in ((amb.dual_left_ops, amb.rho, "right", g.induced_rho),
-                                  (amb.dual_right_ops, amb.lam, "left", g.induced_lam)):
+    for ops, t, side, induced in ((amb.dual_left_ops, rho, "right", g.induced_rho),
+                                  (amb.dual_right_ops, lam, "left", g.induced_lam)):
         got = coactions._restrict_coaction(ops, side, span, same)
         assert got == _ref_restrict_coaction(t, side, span, same) == induced
+    # they equal the reference tables applied to θ's columns, term for term
+    # and in the same order, so a witness prints as it did from the tables
+    split = amb.algebra.mul.split
+    [cols] = embedded
+    assert [vec_of_dict(col, amb.algebra.dim, field) for col in cols] == \
+        [[row[i] for row in g.theta] for i in range(b.alg.dim)]
+    want_lams = [[((p,) + split(x), c) for (p, x), c in lam.apply_in1(col).items()]
+                 for col in cols]
+    want_rhos = [[(split(x) + (q,), c) for (x, q), c in rho.apply_in1(col).items()]
+                 for col in cols]
+    [(lams, rhos)] = seen
+    assert [list(d.items()) for d in lams] == want_lams
+    assert [list(d.items()) for d in rhos] == want_rhos
 
 
 def test_coacts_trivially_matches_the_reference_on_families_and_mutations():

@@ -136,6 +136,18 @@ def test_parse_grammar():
         f.parse("7")
     with pytest.raises(ValueError):
         f.parse("-1")
+    # an optional sign and ASCII digits, surrounded by ASCII whitespace only
+    assert QQ.parse("+2") == 2 and QQ.parse("\t-3/+4\n") == Fraction(-3, 4)
+    assert f.parse("+3") == f.of(3) and f.parse(" 0 ") == f.zero
+    arabic = "\u0661"                                 # an Arabic-Indic one
+    for text in (arabic, arabic + "/2", "1/" + arabic, "1_000", "1/2_0", "1 /2",
+                 "1/ 2", "+-1", "--1", "", "-", "+", "/", "1/", "1e3", "0x1",
+                 "\u00a07", "7\u2003", "\uff17", "\u00b2"):
+        with pytest.raises(ValueError):
+            QQ.parse(text)
+    for text in (arabic, "0_3", "\u00a03", "\uff13", "", "+", "0x1"):
+        with pytest.raises(ValueError):
+            f.parse(text)
 
 
 def test_field_json_round_trip():
