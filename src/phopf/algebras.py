@@ -14,8 +14,8 @@ from copy import deepcopy
 from fractions import Fraction
 
 from .fields import Field
-from .linalg import (Tensor3, dict_acc, dict_of_vec, mat_transpose, mul_dicts, unit_vec,
-                     vec_of_dict)
+from .linalg import (Tensor3, _insert, dict_acc, dict_of_vec, mat_transpose, mul_dicts,
+                     unit_vec, vec_of_dict)
 
 
 def _leg_index(d):
@@ -427,31 +427,16 @@ def _record_proved(h):
         h._certificates[suite] = (stamp, rep)
 
 
-def _decide_algebra(a):
-    """The algebra suite.
+def _associators(rows, into, sweep, n):
+    """Yield ((i, j, k), (e_i e_j) e_k, e_i (e_j e_k)) for every basis triple
+    with i in `sweep` at which the two sides differ, in (i, j, k) order.
 
-    The associativity sweep reads only nonzero products.  For each basis
-    pair (i, j) it forms (e_i e_j)·e_k and e_i·(e_j e_k) for every k at once
-    from the rows of the multiplication table, and compares the two sides at
-    each k where either is nonzero, in ascending order.  At every other k
-    both sides vanish, so the sweep still decides all dim³ triples, and its
-    failures come in (i, j, k) order."""
-    rep = Report(a.name, a.field)
-    n = a.dim
-    f = a.field
-    pv = a.mul.pair_view()
+    Reads only nonzero products.  For each pair (i, j) it forms both sides
+    for every k at once from the rows of the multiplication table, and
+    compares them at each k where either is nonzero, in ascending order; at
+    every other k both sides vanish, so no triple goes unchecked."""
     empty = {}
-    # rows[x][y] is the row of e_x e_y; into[x][m] lists (y, c) with c the
-    # coefficient of e_m in e_x e_y
-    rows = [{} for _ in range(n)]
-    into = [{} for _ in range(n)]
-    for (x, y), row in pv.items():
-        rows[x][y] = row
-        for m, c in row.items():
-            into[x].setdefault(m, []).append((y, c))
-
-    rep.law(_ASSOCIATIVITY)
-    for i in range(n):
+    for i in sweep:
         rows_i = rows[i]
         if not rows_i:
             continue  # e_i kills everything from the left: both sides are 0
@@ -477,8 +462,70 @@ def _decide_algebra(a):
                 for k in sorted(lhs.keys() | rhs.keys()):
                     lhs_k, rhs_k = lhs.get(k, empty), rhs.get(k, empty)
                     if lhs_k != rhs_k:
-                        rep.fail(_ASSOCIATIVITY, (i, j, k),
-                                 vec_of_dict(lhs_k, n, f), vec_of_dict(rhs_k, n, f))
+                        yield (i, j, k), lhs_k, rhs_k
+
+
+def _nucleus_generators(rows, n, field):
+    """Basis indices G, in basis order, whose left-normed words
+    g₁(g₂(⋯g_k)) span the algebra: e_t joins G unless it already lies in the
+    smallest subspace that contains every earlier e_g and is invariant under
+    every earlier left multiplication L_g, which grows by linalg._insert."""
+    echelon, gens, span, work = {}, [], [], []
+    empty = {}
+    for t in range(n):
+        e = {t: field.one}
+        if _insert(echelon, e, field) is None:
+            continue
+        work += [(t, v) for v in span]
+        gens.append(t)
+        work += [(g, e) for g in gens]
+        span.append(e)
+        while work:  # push each spanning vector through each L_g once
+            g, v = work.pop()
+            rows_g = rows[g]
+            img = {}
+            for m, c in v.items():
+                for k, d in rows_g.get(m, empty).items():
+                    dict_acc(img, k, c * d)
+            if _insert(echelon, img, field) is not None:
+                work += [(h, img) for h in gens]
+                span.append(img)
+    return gens
+
+
+def _decide_algebra(a):
+    """The algebra suite.
+
+    Associativity is decided on the rows of a generating set of the left
+    nucleus N = {x : (x, y, z) = 0 for all y, z}, writing (x, y, z) for
+    (xy)z − x(yz).  N is a subalgebra of any algebra, associative or not:
+    by the Teichmüller identity
+        (ab, c, d) − (a, bc, d) + (a, b, cd) = a(b, c, d) + (a, b, c)d,
+    a, b ∈ N give (ab, c, d) = 0.  _nucleus_generators picks basis elements
+    G whose left-normed words g₁(g₂(⋯g_k)) span A, and each such word lies in
+    the subalgebra generated by G.  So when every triple (e_g, e_j, e_k)
+    with g ∈ G associates, G ⊆ N, hence N = A and every triple associates.
+    When a triple of G fails, the rows of every i are swept instead (see
+    _associators), so the failures and their witnesses are those of the
+    sweep over all dim³ triples, in (i, j, k) order."""
+    rep = Report(a.name, a.field)
+    n = a.dim
+    f = a.field
+    pv = a.mul.pair_view()
+    # rows[x][y] is the row of e_x e_y; into[x][m] lists (y, c) with c the
+    # coefficient of e_m in e_x e_y
+    rows = [{} for _ in range(n)]
+    into = [{} for _ in range(n)]
+    for (x, y), row in pv.items():
+        rows[x][y] = row
+        for m, c in row.items():
+            into[x].setdefault(m, []).append((y, c))
+
+    rep.law(_ASSOCIATIVITY)
+    gens = _nucleus_generators(rows, n, f)
+    if next(_associators(rows, into, gens, n), None) is not None:
+        for idx, lhs, rhs in _associators(rows, into, range(n), n):
+            rep.fail(_ASSOCIATIVITY, idx, vec_of_dict(lhs, n, f), vec_of_dict(rhs, n, f))
 
     if a.unit is not None:
         rep.law(_UNIT_LAW)

@@ -279,18 +279,20 @@ def cmd_smash(args, fmt):
     from .smash import find_idempotent, smash_product
     bim = load_bimodule(args.bimodule)
     bic = load_bicomodule(args.bicomodule)
-    s = smash_product(bim, bic)  # raises unless its sweep proves A ♮ Ā associative
+    s = smash_product(bim, bic)  # raises unless algebra_check proves A ♮ Ā associative
     A, U = s.left_factor.alg, s.right_factor.alg
     f = A.field
-    pvA, pvU = A.mul.pair_view(), U.mul.pair_view()
+
+    def idempotents(alg):  # the basis elements e with e² = e
+        pv = alg.mul.pair_view()
+        return [t for t in range(alg.dim)
+                if mul_dicts(pv, {t: f.one}, {t: f.one}) == {t: f.one}]
+
+    idem_u = idempotents(U)
     found = []
-    for i in range(A.dim):
-        if mul_dicts(pvA, {i: f.one}, {i: f.one}) != {i: f.one}:
-            continue
+    for i in idempotents(A):
         a = [f.one if t == i else f.zero for t in range(A.dim)]
-        for j in range(U.dim):
-            if mul_dicts(pvU, {j: f.one}, {j: f.one}) != {j: f.one}:
-                continue
+        for j in idem_u:
             u = [f.one if t == j else f.zero for t in range(U.dim)]
             is_idem, route = find_idempotent(s, a, u)
             if is_idem:

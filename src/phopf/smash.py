@@ -7,9 +7,11 @@ coactions λ, ρ of the same H), the smash product lives on A ⊗ Ā with
     (a ♮ u)(b ♮ v) = (a ↼ v⁺¹)(u⁻¹ ⇀ b) ♮ u⁻⁰ v⁺⁰,
 
 writing ρ(v) = v⁺⁰ ⊗ v⁺¹ for the right coaction and λ(u) = u⁻¹ ⊗ u⁻⁰ for
-the left one.  Associativity is a theorem for certified inputs, but
-smash_product re-proves it for every instance with algebra_check, which
-decides all basis triples while reading only the nonzero products.  The
+the left one.  smash_product forms only the nonzero terms of this formula.
+Associativity is a theorem for certified inputs, but smash_product
+re-proves it for every instance with algebra_check, which sweeps the rows
+of a generating set of the left nucleus and falls back to every row when
+one of them fails (see algebras._decide_algebra).  The
 module also decides when a pair of idempotents makes a ♮ u idempotent,
 checks the Ker(ε)-invariance equivalence behind one of those criteria, and
 cuts out the unital corner algebra e·S·e at any idempotent e."""
@@ -65,10 +67,16 @@ def _two_sided_unit(alg, e):
 def smash_product(bimodule, bicomodule, unchecked=False):
     """Build A ♮ Ā.  Both factors must certify (their full axiom suites) and
     share one Hopf algebra; the constructed product is then proven
-    associative by one check_smash_associativity sweep, and construction
-    raises ValueError if it is not, so a returned product needs no second
-    sweep.  `unchecked` skips both gates so tests can watch a bad input fail
-    the associativity sweep."""
+    associative by check_smash_associativity, and construction raises
+    ValueError if it is not, so a returned product needs no second check.
+    `unchecked` skips both gates so tests can watch a bad input fail the
+    associativity check.
+
+    The product is built by a keyed join.  The terms c₁·u_l0⊗h of ρ(u_l)
+    with a_i ↼ h ≠ 0 and the terms c₂·h'⊗u_j0 of λ(u_j) with h' ⇀ a_k ≠ 0
+    are listed once, and they meet only where u_j0 u_l0 ≠ 0.  Each product
+    (a_i ↼ h)(h' ⇀ a_k) in A is formed once, however many such meetings
+    use it."""
     if not same_hopf(bimodule.hopf, bicomodule.hopf):
         raise ValueError("mismatched Hopf references between the factors")
     A = bimodule.alg
@@ -82,38 +90,46 @@ def smash_product(bimodule, bicomodule, unchecked=False):
     f = A.field
     dA, dU = A.dim, U.dim
     pvA = A.mul.pair_view()
-    pvU = U.mul.pair_view()
-    lam = bicomodule.left.map.in1_view()    # u_j ↦ {(h, u⁻⁰): c}
-    rho = bicomodule.right.map.in1_view()   # u_l ↦ {(u⁺⁰, h): c}
+    # the nonzero terms of each side: c₁·u_l0⊗h in ρ(u_l) with the a_i that
+    # h acts on from the right without vanishing, keyed by l0, and c₂·h⊗u_j0
+    # in λ(u_j) with the a_k that h acts on from the left
+    right_terms = {}
     right_cols = bimodule.right.map.columns()
+    for l, terms in bicomodule.right.map.in1_view().items():
+        for (l0, lh), c1 in terms.items():
+            a_imgs = [(i, img) for i, img in enumerate(right_cols[lh]) if img]
+            if a_imgs:
+                right_terms.setdefault(l0, []).append((l, lh, c1, a_imgs))
+    left_terms = []
     left_cols = bimodule.left.map.columns()
+    for j, terms in bicomodule.left.map.in1_view().items():
+        for (jh, j0), c2 in terms.items():
+            b_imgs = [(k, img) for k, img in enumerate(left_cols[jh]) if img]
+            if b_imgs:
+                left_terms.append((j, j0, jh, c2, b_imgs))
 
+    # join them where u_j0 u_l0 ≠ 0; (a_i ↼ lh)(jh ⇀ a_k) is formed once
+    entries = {}
+    products = {}
+    partnersU = U.mul.partner_view()
+    for j, j0, jh, c2, b_imgs in left_terms:
+        for l0, u_img in partnersU.get(j0, {}).items():
+            for l, lh, c1, a_imgs in right_terms.get(l0, ()):
+                c12 = c1 * c2
+                for i, a_img in a_imgs:
+                    row = i * dU + j
+                    for k, b_img in b_imgs:
+                        key = (lh, i, jh, k)
+                        ab = products.get(key)
+                        if ab is None:
+                            ab = products[key] = mul_dicts(pvA, a_img, b_img)
+                        col = k * dU + l
+                        for m, ca in ab.items():
+                            base = m * dU
+                            for p, cu in u_img.items():
+                                dict_acc(entries, (row, col, base + p), c12 * ca * cu)
     N = dA * dU
-    mul = Tensor3((N, N, N))
-    for j in range(dU):
-        lam_j = lam.get(j, {})
-        for l in range(dU):
-            rho_l = rho.get(l, {})
-            for i in range(dA):
-                for k in range(dA):
-                    acc = {}
-                    for (l0, lh), c1 in rho_l.items():
-                        a_img = right_cols[lh][i]
-                        if not a_img:
-                            continue
-                        for (jh, j0), c2 in lam_j.items():
-                            b_img = left_cols[jh][k]
-                            u_img = pvU.get((j0, l0))
-                            if not b_img or not u_img:
-                                continue
-                            c12 = c1 * c2
-                            for m, ca in mul_dicts(pvA, a_img, b_img).items():
-                                base = m * dU
-                                for p, cu in u_img.items():
-                                    dict_acc(acc, base + p, c12 * ca * cu)
-                    row, col = i * dU + j, k * dU + l
-                    for key, c in acc.items():
-                        mul.add(row, col, key, c)
+    mul = Tensor3((N, N, N), entries)
 
     labels = ["%s ♮ %s" % (a, u) for a in A.basis for u in U.basis]
     name = "%s ♮ %s" % (A.name, U.name)

@@ -11,8 +11,8 @@ from phopf.fields import GF, QQ
 from phopf.linalg import (Tensor3, apply_cols, col_dicts, dict_acc,
                           restrict_product, solve)
 from phopf._groups import GROUP_NAMES, named_group
-from phopf.algebras import (AlgebraData, Count, HopfData, Report, algebra_check,
-                            coalgebra_check, dict_of_vec, dual_hopf,
+from phopf.algebras import (AlgebraData, Count, HopfData, Report, _nucleus_generators,
+                            algebra_check, coalgebra_check, dict_of_vec, dual_hopf,
                             group_algebra, hom_hh_a, hopf_check, mul_dicts,
                             scalar_algebra, sweedler_h4, tensor_hah,
                             tensor_mul, vec_of_dict)
@@ -629,14 +629,23 @@ def test_sweep_matches_the_reference_on_generated_tensors(a):
     _sweeps_agree(a)
 
 
-def _dual_smash_gf7(group):
+def _relabelled_kg(name, labels, field):
+    """kG of a built-in group with its elements listed in the order `labels`."""
+    old, table = named_group(name)
+    pos = [old.index(x) for x in labels]
+    new = {p: t for t, p in enumerate(pos)}
+    return group_algebra([[new[table[p][q]] for q in pos] for p in pos], field, labels)
+
+
+def _dual_smash_gf7(group, labels=None):
     """The smash product over GF(7) of the kG* bimodule on kG (dual regular
     action from the left, trivial from the right) with the regular kG*
-    bicomodule."""
+    bicomodule; kG lists its elements in the order `labels` if given."""
     from phopf.actions import dual_regular_action, trivialize_right
     from phopf.coactions import regular_bicomodule
     from phopf.smash import smash_product
-    bim = trivialize_right(dual_regular_action(_kg(group, GF(7))))
+    kg = _kg(group, GF(7)) if labels is None else _relabelled_kg(group, labels, GF(7))
+    bim = trivialize_right(dual_regular_action(kg))
     return smash_product(bim, regular_bicomodule(bim.hopf)).alg
 
 
@@ -727,6 +736,89 @@ def test_sweep_reads_a_tenth_of_the_products_the_reference_reads(monkeypatch):
         assert check(a).passed
         reads[check.__name__] = tally[0]
     assert reads["algebra_check"] * 10 <= reads["reference_algebra_check"], reads
+
+
+# ---------------------------------------------------------------------------
+# associativity decided on the rows of generators of the left nucleus
+
+
+def _generators(a):
+    """The basis indices whose rows algebra_check sweeps first."""
+    rows = [{} for _ in range(a.dim)]
+    for (x, y), row in a.mul.pair_view().items():
+        rows[x][y] = row
+    return _nucleus_generators(rows, a.dim, a.field)
+
+
+def _strictly_upper_triangular():
+    """The non-unital algebra of strictly upper-triangular 4×4 matrices over
+    ℚ on its matrix units, the superdiagonal listed first."""
+    units = [(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4)]
+    mul = {(x, y, units.index((r, c2))): QQ.one
+           for x, (r, c) in enumerate(units) for y, (r2, c2) in enumerate(units) if c == r2}
+    return AlgebraData(QQ, ["E%d%d" % u for u in units], mul)
+
+
+def test_a_nonunital_algebra_is_swept_on_the_rows_of_its_superdiagonal():
+    a = _strictly_upper_triangular()
+    assert a.unit is None and _generators(a) == [0, 1, 2]
+    assert _sweeps_agree(a).passed
+    failing = sum(not _sweeps_agree(m).passed for m in _mutants(a, None))
+    assert failing >= len(a.mul.entries)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AlgebraData(GF(5), list("abcde"), {}),
+    lambda: AlgebraData(GF(5), list("abcde"), {}, [GF(5).zero] * 5),
+    lambda: _fresh_copy(dual_hopf(_kg("Z4"))),
+    lambda: _fresh_copy(dual_hopf(_kg("Q8", GF(7)))),
+], ids=["zero product", "zero product with a zero unit", "kZ4*", "kQ8* over GF(7)"])
+def test_every_basis_element_generates_where_no_product_reaches_another(build):
+    # in the zero product and in kG*, whose basis is of orthogonal idempotents,
+    # each basis element lies outside the words of the others
+    a = build()
+    assert _generators(a) == list(range(a.dim))
+    _sweeps_agree(a)
+
+
+def test_a_failure_outside_the_generators_is_reported_as_the_sweep_reports_it():
+    # in strictly upper-triangular 3×3 matrices, a = E12 and b = E23 generate
+    # and ab = E13; moving that product to E13·a = E13 leaves the rows of a
+    # and b associative and fails only at (E13, a, a)
+    a = AlgebraData(QQ, ["E12", "E23", "E13"], {(0, 1, 2): QQ.one})
+    assert algebra_check(a).passed and _generators(a) == [0, 1]
+    mutant = AlgebraData(QQ, a.basis, {(2, 0, 2): QQ.one})
+    want = reference_algebra_check(mutant)
+    assert [idx for _, idx, _, _ in want.failures] == [(2, 0, 0)]
+    assert _sweeps_agree(mutant).failures[0] == want.failures[0]
+    assert _generators(mutant) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("labels,swept,reads", [
+    # 1 listed first: the idempotents 1 ♮ p_g, then -1 ♮ p_g, generate one by one
+    (None, 22, 5400),
+    # the order of perfbench's smash workload at seed 1, -j first
+    (["-j", "i", "-k", "1", "k", "-i", "-1", "j"], 10, 3700),
+], ids=["1 first", "-j first"])
+def test_the_kq8_smash_sweeps_only_the_rows_of_its_generators(monkeypatch, labels, swept,
+                                                                reads):
+    from phopf import algebras
+    a = _dual_smash_gf7("Q8", labels)
+    assert a.dim == 64 and len(a.mul.pair_view()) == 512
+    original, associators = Tensor3.pair_view, algebras._associators
+    tally, sweeps = [0], []
+    view = _CountingView(original(a.mul), tally)
+
+    def recording(rows, into, sweep, n):
+        sweeps.append(list(sweep))
+        return associators(rows, into, sweeps[-1], n)
+
+    monkeypatch.setattr(Tensor3, "pair_view", lambda t: view if t is a.mul else original(t))
+    monkeypatch.setattr(algebras, "_associators", recording)
+    # decided afresh: smash_product left its own Report on a
+    assert algebras._decide_algebra(a).passed
+    assert len(sweeps) == 1 and len(sweeps[0]) <= swept, sweeps
+    assert tally[0] <= reads, tally
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,24 @@
 """Smash product layer: the twisted product, idempotents, unital corners."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from phopf.fields import GF, QQ
-from phopf.algebras import dict_of_vec, mul_dicts, scalar_algebra, sweedler_h4
-from phopf.actions import (PartialBimoduleData, is_global,
-                           sweedler_k_bimodule, trivial_action)
+from phopf.algebras import (dict_acc, dict_of_vec, group_algebra, mul_dicts, scalar_algebra,
+                            sweedler_h4)
+from phopf.actions import (PartialActionData, PartialBimoduleData, dual_regular_action,
+                           is_global, sweedler_k_bimodule, trivial_action,
+                           trivialize_right)
 from phopf.coactions import (PartialBicomoduleData, PartialCoactionData,
                              check_bicomodule, regular_bicomodule,
                              sweedler_k_bicomodule, trivial_coaction)
 from phopf.smash import (check_ker_eps_invariance, check_smash_associativity,
                          find_idempotent, smash_product, unital_corner)
+from phopf.linalg import Tensor3
+from phopf._groups import named_group
 from tests.conftest import rand_fraction
 
 HALF = Fraction(1, 2)
@@ -222,3 +228,143 @@ def test_a_smash_transposes_each_coaction_once(tmp_path, monkeypatch, capsys):
     b, = loaded
     for p in (b.left, b.right):
         assert sum(t is p.map and perm == DUAL[p.side][0] for t, perm in transposed) == 1
+
+
+# ---------------------------------------------------------------------------
+# the keyed-join build against the four-loop build it replaced
+
+
+def reference_smash_mul(bimodule, bicomodule):
+    """The structure tensor of A ♮ Ā as smash_product once built it: for
+    every (j, l, i, k), every term of ρ(u_l) against every term of λ(u_j).
+    Kept as the differential reference."""
+    A, U = bimodule.alg, bicomodule.alg
+    dA, dU = A.dim, U.dim
+    pvA, pvU = A.mul.pair_view(), U.mul.pair_view()
+    lam = bicomodule.left.map.in1_view()
+    rho = bicomodule.right.map.in1_view()
+    right_cols = bimodule.right.map.columns()
+    left_cols = bimodule.left.map.columns()
+    N = dA * dU
+    mul = Tensor3((N, N, N))
+    for j in range(dU):
+        lam_j = lam.get(j, {})
+        for l in range(dU):
+            rho_l = rho.get(l, {})
+            for i in range(dA):
+                for k in range(dA):
+                    acc = {}
+                    for (l0, lh), c1 in rho_l.items():
+                        a_img = right_cols[lh][i]
+                        if not a_img:
+                            continue
+                        for (jh, j0), c2 in lam_j.items():
+                            b_img = left_cols[jh][k]
+                            u_img = pvU.get((j0, l0))
+                            if not b_img or not u_img:
+                                continue
+                            c12 = c1 * c2
+                            for m, ca in mul_dicts(pvA, a_img, b_img).items():
+                                for p, cu in u_img.items():
+                                    dict_acc(acc, m * dU + p, c12 * ca * cu)
+                    for key, c in acc.items():
+                        mul.add(i * dU + j, k * dU + l, key, c)
+    return mul
+
+
+def _dual_pair(group, field=GF(7)):
+    """The kG* bimodule on kG (dual regular action from the left, trivial
+    from the right) and the regular kG* bicomodule."""
+    labels, table = named_group(group)
+    bim = trivialize_right(dual_regular_action(group_algebra(table, field, labels)))
+    return bim, regular_bicomodule(bim.hopf)
+
+
+BUILD_CASES = {
+    "Sweedler QQ": lambda: (sweedler_k_bimodule(QQ, 2, 3), sweedler_k_bicomodule(QQ, 5, 7)),
+    "Sweedler GF5": lambda: (sweedler_k_bimodule(GF(5), 2, 3),
+                             sweedler_k_bicomodule(GF(5), 4, 1)),
+    "H4 regular QQ": lambda: (sweedler_k_bimodule(QQ, 2, 3), regular_bicomodule(sweedler_h4(QQ))),
+    "H4 regular GF5": lambda: (sweedler_k_bimodule(GF(5), 2, 3),
+                               regular_bicomodule(sweedler_h4(GF(5)))),
+    "kZ4 GF7": lambda: _dual_pair("Z4"),
+    "kS3 GF7": lambda: _dual_pair("S3"),
+    "kQ8 GF7": lambda: _dual_pair("Q8"),
+}
+
+
+@pytest.mark.parametrize("case", list(BUILD_CASES))
+def test_the_build_matches_the_reference(case):
+    bim, bic = BUILD_CASES[case]()
+    assert smash_product(bim, bic).alg.mul.entries == reference_smash_mul(bim, bic).entries
+
+
+def _mutated_actions(bim):
+    """Copies of bim with one entry of one action changed, at every position
+    of a Hopf index other than that of 1_H (a change there would break the
+    identity law, which every action is built with)."""
+    h, f = bim.hopf, bim.hopf.field
+    unit = set(h.unit_dict())
+    for side in ("left", "right"):
+        act = getattr(bim, side)
+        for key in product(*map(range, act.map.dims)):
+            if key[0] in unit:
+                continue
+            entries = dict(act.map.entries)
+            entries[key] = entries.get(key, f.zero) + f.one
+            mutant = PartialActionData(h, bim.alg, side, entries)
+            yield PartialBimoduleData(mutant, bim.right) if side == "left" \
+                else PartialBimoduleData(bim.left, mutant)
+
+
+def _mutated_coactions(bic, count):
+    """Copies of bic with one entry of one coaction changed, at `count`
+    seeded positions per side, half of them stored entries."""
+    h, f = bic.hopf, bic.hopf.field
+    rng = random.Random(20261019)
+    for side in ("left", "right"):
+        co = getattr(bic, side)
+        for t in range(count):
+            key = rng.choice(sorted(co.map.entries)) if t % 2 else \
+                tuple(rng.randrange(d) for d in co.map.dims)
+            entries = dict(co.map.entries)
+            entries[key] = entries.get(key, f.zero) + f.of((-1, 1, 2)[t % 3])
+            mutant = PartialCoactionData(h, bic.alg, side, entries, unchecked=True)
+            yield PartialBicomoduleData(mutant, bic.right) if side == "left" \
+                else PartialBicomoduleData(bic.left, mutant)
+
+
+@pytest.mark.parametrize("case", ["Sweedler QQ", "H4 regular GF5", "kS3 GF7"])
+def test_the_build_matches_the_reference_on_mutated_factors(case):
+    bim, bic = BUILD_CASES[case]()
+    pairs = [(m, bic) for m in _mutated_actions(bim)] if bim.hopf.dim == 4 else []
+    pairs += [(bim, m) for m in _mutated_coactions(bic, 6)]
+    for b, c in pairs:
+        got = smash_product(b, c, unchecked=True).alg.mul.entries
+        assert got == reference_smash_mul(b, c).entries
+    assert any(not check_bicomodule(c).passed for _, c in pairs)
+
+
+def test_the_kq8_build_forms_each_product_of_a_once(monkeypatch):
+    # 512 products when every (j, l, i, k) formed its own; 8 distinct left
+    # actions of kQ8* reach 8 basis elements of kQ8 each, and one right one
+    from phopf import smash
+    bim, bic = _dual_pair("Q8")
+    calls, in_unit = [0], [False]
+    mul, unit = smash.mul_dicts, smash._two_sided_unit
+
+    def counted(pv, x, y):
+        calls[0] += not in_unit[0]
+        return mul(pv, x, y)
+
+    def unit_test(alg, e):
+        in_unit[0] = True
+        try:
+            return unit(alg, e)
+        finally:
+            in_unit[0] = False
+
+    monkeypatch.setattr(smash, "mul_dicts", counted)
+    monkeypatch.setattr(smash, "_two_sided_unit", unit_test)
+    assert smash_product(bim, bic).alg.dim == 64
+    assert calls[0] <= 64, calls
