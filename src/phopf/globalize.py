@@ -17,14 +17,15 @@ here reads a stored table of its n⁶(dim A)³ structure constants.  Each of
 their operators moves one leg (ambient.LegOperator) and is read as column
 maps.  Every vector of ambient length is a sparse dict: the translates and
 the closure go straight into the sparse echelon basis of linalg.Subspace,
-and the bridge psi_map is an index permutation.  Candidates carry dense
-matrices, and the documents write dense rows.
+and the bridge psi_map is an index permutation.  Candidates hold column
+maps (see linalg.apply_cols); only the documents write dense rows.
 
 A candidate globalization is any object carrying `algebra` (an AlgebraData,
-possibly without unit), `theta` (matrix of the embedding of A into it),
-`left_ops` / `right_ops` (one square matrix per basis element of the acting
-Hopf algebra), and `coeff` (the coefficient algebra A).  The standard
-constructions return richer objects that also qualify as candidates.
+possibly without unit), `theta` (the embedding of A into it, one column per
+basis element of A), `left_ops` / `right_ops` (one operator of dim B columns
+per basis element of the acting Hopf algebra), and `coeff` (the coefficient
+algebra A).  The standard constructions return richer objects that also
+qualify as candidates.
 """
 
 from itertools import product
@@ -36,23 +37,15 @@ from .ambient import LegOperator, TensorProductMul
 from .actions import check_bimodule
 from .coactions import _exchange_products, _restrict_coaction, check_bicomodule
 from .linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint, col_dicts,
-                     mat_of_cols, mat_transpose, nullspace, restrict_ops,
-                     restrict_product, rows_of_cols, rref, solve, transport)
+                     nullspace, restrict_ops, restrict_product, rows_of_cols, rref,
+                     solve, transport)
 
 
-def _restrict_ops(ops, sections, coords, zero, what):
-    """An operator family (column maps) restricted to a subspace or a
-    quotient with basis `sections` and coordinate map `coords`: one dense
-    matrix per operator."""
-    t = restrict_ops(coords, sections, ops, what)
-    return [t.slice_matrix(g, zero) for g in range(len(ops))]
-
-
-def _embed(cols, coords, d, zero):
+def _embed(cols, coords, d):
     """An embedding given by ambient columns, written in target coordinates."""
     return transport(coords, (1, len(cols), d),
                      ((0, m, col) for m, col in enumerate(cols)),
-                     "embedding").slice_matrix(0, zero)
+                     "embedding").columns()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +66,9 @@ def _first_failure(rep, law, cases):
 
 
 class GlobalizationCandidate:
-    """A bare candidate record: algebra, embedding matrix, the two operator
-    families, and the coefficient algebra.  Nothing is checked here; run
-    verify_globalization."""
+    """A bare candidate record: algebra, embedding and the two operator
+    families as column maps, and the coefficient algebra.  Nothing is
+    checked here; run verify_globalization."""
 
     def __init__(self, algebra, theta, left_ops, right_ops, coeff, name=""):
         self.algebra = algebra
@@ -104,7 +97,8 @@ class _StandardGlobalization:
         n = self.ambient.algebra.dim
         return {
             "ambient_dim": n,
-            "phi": [[show(c) for c in row] for row in self.phi],
+            "phi": [[show(col[r]) if r in col else zero for col in self.phi]
+                    for r in range(n)],
             "b_basis": [[show(row[j]) if j in row else zero for j in range(n)]
                         for row in self.b_basis.rows],
             "mul": [[i, j, k, show(c)]
@@ -121,12 +115,12 @@ class BimoduleGlobalization(_StandardGlobalization):
     """Standard globalization of a partial bimodule structure.
 
     ambient    — the Hom(H⊗H, A) bundle (algebra, left_ops, right_ops)
-    phi        — matrix of the embedding of A in ambient coordinates
+    phi        — the embedding of A in ambient coordinates, as column maps
     b_basis    — row-reduced span of the operator translates of the image
     algebra    — induced product on that span in span coordinates; the unit
                  is kept when the ambient unit lies in the span
-    left_ops, right_ops — operator families restricted to the span
-    theta      — the embedding written in span coordinates
+    left_ops, right_ops — restricted operator families, as column maps
+    theta      — the embedding written in span coordinates, as column maps
     certificate — the verify_globalization Report
     """
 
@@ -148,13 +142,13 @@ class BicomoduleGlobalization(_StandardGlobalization):
     """Standard globalization of a partial bicomodule structure.
 
     ambient    — the H⊗A⊗H bundle (algebra, coactions, dual operator families)
-    theta      — matrix of the embedding of A in ambient coordinates (also
-                 readable as `phi`, the name the bimodule side uses)
+    theta      — the embedding of A in ambient coordinates, as column maps
+                 (also readable as `phi`, the name the bimodule side uses)
     b_basis    — the subspace generated from the image by the dual operators
                  and the product
     algebra    — induced product in span coordinates
     induced_rho, induced_lam — restrictions of the outer-leg coactions
-    theta_b    — the embedding written in span coordinates
+    theta_b    — the embedding written in span coordinates, as column maps
     certificate — Report of the exchange condition
     """
 
@@ -197,7 +191,7 @@ def standard_globalize_bimodule(b):
     big = amb.algebra.dim
 
     # the embedding, one ambient column per basis element of A
-    phi_cols = []
+    phi = []
     for m in range(da):
         col = {}
         for i in range(n):
@@ -205,18 +199,17 @@ def standard_globalize_bimodule(b):
             for j in range(n):
                 for t, c in b.right.apply({j: one}, w).items():
                     col[amb.index(i, j, t)] = c
-        phi_cols.append(col)
-    phi = mat_of_cols(phi_cols, big, f.zero)
+        phi.append(col)
 
-    span = Subspace(big, f, _translates(n, amb.left_ops, amb.right_ops, phi_cols))
+    span = Subspace(big, f, _translates(n, amb.left_ops, amb.right_ops, phi))
     dB = span.dim
 
     mul = restrict_product(span.coords, span.rows, amb.algebra.mul_dict)
-    left_ops = _restrict_ops(amb.left_ops, span.rows, span.coords, f.zero,
-                             "left operator family")
-    right_ops = _restrict_ops(amb.right_ops, span.rows, span.coords, f.zero,
-                              "right operator family")
-    theta = _embed(phi_cols, span.coords, dB, f.zero)
+    left_ops = restrict_ops(span.coords, span.rows, amb.left_ops,
+                            "left operator family").columns()
+    right_ops = restrict_ops(span.coords, span.rows, amb.right_ops,
+                             "right operator family").columns()
+    theta = _embed(phi, span.coords, dB)
     unit_b = span.coords(amb.algebra.unit_dict())
     alg_b = AlgebraData(f, ["b%d" % i for i in range(dB)], mul, unit_b,
                         name="globalization of %s" % A.name)
@@ -231,11 +224,27 @@ def standard_globalize_bimodule(b):
 # ---------------------------------------------------------------------------
 # verification
 
-def _columns(candidate):
-    """θ and the left and right operator families of a candidate, each as
-    column maps."""
-    return (col_dicts(candidate.theta), [col_dicts(op) for op in candidate.left_ops],
-            [col_dicts(op) for op in candidate.right_ops])
+def _require_shape(candidate, hopf, coeff):
+    """Raise ValueError naming the first mismatch unless each family has one
+    operator per Hopf basis element, θ one column per basis element of A,
+    each operator one column per candidate basis element, and every column
+    key is a candidate basis index."""
+    dB = candidate.algebra.dim
+    families = (("left", candidate.left_ops), ("right", candidate.right_ops))
+    if any(len(ops) != hopf.dim for _, ops in families):
+        raise ValueError("need one operator per Hopf basis element on each side")
+    named = [("the embedding", candidate.theta, "the coefficient algebra", coeff.dim)] + [
+        ("the %s operator %s" % (side, hopf.basis[g]), op, "the candidate", dB)
+        for side, ops in families for g, op in enumerate(ops)]
+    for what, cols, per, width in named:
+        if len(cols) != width:
+            raise ValueError("%s has %d columns, not one per basis element of %s (%d)"
+                             % (what, len(cols), per, width))
+        for j, col in enumerate(cols):
+            for k in col:
+                if k not in range(dB):
+                    raise ValueError("%s has row %r in column %d, outside a candidate "
+                                     "of dimension %d" % (what, k, j, dB))
 
 
 def _translates(n, left_cols, right_cols, theta_cols):
@@ -368,8 +377,9 @@ def verify_globalization(candidate, b):
     """Certify a candidate globalization of the partial bimodule b.
 
     Structural faults raise ValueError: a non-associative candidate algebra,
-    operator families that are not a two-sided global module-algebra
-    structure, or a non-injective embedding.  Everything else is reported in
+    a candidate of the wrong shape (see _require_shape), operator families
+    that are not a two-sided global module-algebra structure, or a
+    non-injective embedding.  Everything else is reported in
     the returned Report, whose laws are, in order: condition1 compares
     (θ(a)◁h)(g▷θ(b)) with θ[(a↼h)(g⇀b)] on all basis tuples; condition2
     checks that the operator translates h▷θ(a)◁k span the whole candidate
@@ -391,21 +401,13 @@ def verify_globalization(candidate, b):
 
     algebra_check(Bp).require("candidate algebra")
 
-    theta_d, left_cols, right_cols = _columns(candidate)
-    if len(left_cols) != n or len(right_cols) != n:
-        raise ValueError("need one operator per Hopf basis element on each side")
+    _require_shape(candidate, H, A)
+    theta_d, left_cols, right_cols = candidate.theta, candidate.left_ops, candidate.right_ops
     _require_global_bimodule(Bp, H, left_cols, right_cols)
 
     rank, _, _ = rref(theta_d, f)
     if rank != da:
         raise ValueError("embedding is not injective (rank %d of %d)" % (rank, da))
-
-    def theta_of(dct):
-        out = {}
-        for m, c in dct.items():
-            for i, d in theta_d[m].items():
-                dict_acc(out, i, c * d)
-        return out
 
     pvB = Bp.mul.pair_view()
     pvA = A.mul.pair_view()
@@ -425,8 +427,8 @@ def verify_globalization(candidate, b):
                         yield ((H.basis[h], A.basis[m], H.basis[g], A.basis[mb]),
                                mul_dicts(pvB, lhs_left,
                                          apply_cols(left_cols[g], theta_d[mb])),
-                               theta_of(mul_dicts(pvA, a_part,
-                                                  b.left.apply({g: one}, {mb: one}))))
+                               apply_cols(theta_d, mul_dicts(
+                                   pvA, a_part, b.left.apply({g: one}, {mb: one}))))
 
     _first_failure(cert, "condition1", condition1())
     span = Subspace(dB, f, translates)
@@ -444,7 +446,7 @@ def verify_globalization(candidate, b):
                     H.basis[hp], A.basis[mb], H.basis[kp]),
                    mul_dicts(pvB, tr(h, m, k), tr(hp, mb, kp)), rhs)
 
-    theta1 = theta_of(A.unit_dict())
+    theta1 = apply_cols(theta_d, A.unit_dict())
     # lemaco1 follows from condition1 when H is a Hopf algebra, for the
     # candidate is then a global bimodule algebra over H (checked above).
     # Write X = h▷θ(a)◁k, Y = h'▷θ(b)◁k'.  The right product rule and the
@@ -462,17 +464,17 @@ def verify_globalization(candidate, b):
     _first_failure(cert, "lemaco2", (
         ((H.basis[h], A.basis[m]),
          mul_dicts(pvB, theta1, apply_cols(left_cols[h], theta_d[m])),
-         theta_of(b.left.apply({h: one}, {m: one})))
+         apply_cols(theta_d, b.left.apply({h: one}, {m: one})))
         for h in range(n) for m in range(da)))
     _first_failure(cert, "lemaco3", (
         ((H.basis[h], A.basis[m]),
          mul_dicts(pvB, apply_cols(right_cols[h], theta_d[m]), theta1),
-         theta_of(b.right.apply({h: one}, {m: one})))
+         apply_cols(theta_d, b.right.apply({h: one}, {m: one})))
         for h in range(n) for m in range(da)))
     _first_failure(cert, "lemaco4", (
         ((H.basis[h], A.basis[m], H.basis[k]),
          mul_dicts(pvB, theta1, mul_dicts(pvB, tr(h, m, k), theta1)),
-         theta_of(b.right.apply({k: one}, b.left.apply({h: one}, {m: one}))))
+         apply_cols(theta_d, b.right.apply({k: one}, b.left.apply({h: one}, {m: one}))))
         for h in range(n) for m in range(da) for k in range(n)))
     return cert
 
@@ -487,8 +489,10 @@ def comparison_map(candidate, std):
     Well-definedness is verified by mapping every linear relation among the
     candidate translates to the standard side; the map is then checked to be
     an algebra map commuting with both operator families and matching the
-    embeddings.  Returns (matrix, surjective, injective); surjectivity is
-    asserted since the standard side is spanned by its translates.
+    embeddings.  Returns (pmap, surjective, injective): pmap[i] is the image
+    of candidate basis element i, a column map; surjectivity is asserted since
+    the standard side is spanned by its translates.  A candidate of the wrong
+    shape raises ValueError.
     """
     H, A = std.hopf, std.coeff
     n, da = H.dim, A.dim
@@ -496,8 +500,9 @@ def comparison_map(candidate, std):
     dC = candidate.algebra.dim
     dS = std.algebra.dim
 
-    theta_c, left_c, right_c = _columns(candidate)
-    theta_s, left_s, right_s = _columns(std)
+    _require_shape(candidate, H, A)
+    theta_c, left_c, right_c = candidate.theta, candidate.left_ops, candidate.right_ops
+    theta_s, left_s, right_s = std.theta, std.left_ops, std.right_ops
     v_cols = list(_translates(n, left_c, right_c, theta_c))
     w_cols = list(_translates(n, left_s, right_s, theta_s))
 
@@ -548,8 +553,7 @@ def comparison_map(candidate, std):
             raise AssertionError("comparison map does not match the embeddings "
                                  "at basis %s" % A.basis[m])
 
-    phi_map = mat_of_cols(pmap, dS, f.zero)
-    return phi_map, surjective, injective
+    return pmap, surjective, injective
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +571,7 @@ def maximal_degenerate_subbimodule(candidate):
     Bp = candidate.algebra
     f = Bp.field
     dB = Bp.dim
-    theta1 = apply_cols(col_dicts(candidate.theta), candidate.coeff.unit_dict())
+    theta1 = apply_cols(candidate.theta, candidate.coeff.unit_dict())
     pvB = Bp.mul.pair_view()
 
     squeeze = [mul_dicts(pvB, mul_dicts(pvB, theta1, {j: f.one}), theta1)
@@ -575,8 +579,8 @@ def maximal_degenerate_subbimodule(candidate):
     cur = Subspace(dB, f, nullspace(rows_of_cols(squeeze).values(), f, dB))
 
     # a constraint row c maps to c·op, the combination of op's rows
-    op_rows = [list(map(dict_of_vec, op))
-               for op in list(candidate.left_ops) + list(candidate.right_ops)]
+    op_rows = [[rows.get(i, {}) for i in range(dB)] for rows in map(
+        rows_of_cols, list(candidate.left_ops) + list(candidate.right_ops))]
     for _ in range(dB + 1):
         cons = cur.constraint_matrix()
         if not cons:
@@ -620,10 +624,11 @@ def minimalize(candidate, bimodule=None):
 
     sections = [{c: f.one} for c in keep]
     mul_q = restrict_product(project, sections, Bp.mul_dict)
-    theta, left, right = _columns(candidate)
-    left_q = _restrict_ops(left, sections, project, f.zero, "left operator family")
-    right_q = _restrict_ops(right, sections, project, f.zero, "right operator family")
-    theta_q = _embed(theta, project, dQ, f.zero)
+    left_q = restrict_ops(project, sections, candidate.left_ops,
+                          "left operator family").columns()
+    right_q = restrict_ops(project, sections, candidate.right_ops,
+                           "right operator family").columns()
+    theta_q = _embed(candidate.theta, project, dQ)
     unit_q = None
     if Bp.unit is not None:
         unit_q = project(Bp.unit_dict())
@@ -664,16 +669,13 @@ def free_candidate_bimodule(b):
         for z, c in rule(*x, *y).items():
             mul.add(flat(x), flat(y), flat(z), c)
 
-    theta = mat_transpose([layout.pure((H.unit, A.basis_vec(m), H.unit), f)
-                           for m in range(A.dim)])
-
-    def dense_family(leg, t):
-        return [mat_of_cols(op, N, f.zero)
-                for op in LegOperator.family(layout, leg, t)]
+    theta = [dict_of_vec(layout.pure((H.unit, A.basis_vec(m), H.unit), f))
+             for m in range(A.dim)]
 
     # left multiplication on the first leg, right multiplication on the last
-    left_ops = dense_family(0, H.mul)
-    right_ops = dense_family(2, H.mul.transpose((1, 0, 2)))
+    left_ops = [list(op) for op in LegOperator.family(layout, 0, H.mul)]
+    right_ops = [list(op) for op in
+                 LegOperator.family(layout, 2, H.mul.transpose((1, 0, 2)))]
 
     names = ["%s⊗%s⊗%s" % (H.basis[u], A.basis[m], H.basis[v]) for u, m, v in triples]
     alg = AlgebraData(f, names, mul, None,
@@ -737,7 +739,6 @@ def standard_globalize_bicomodule(b):
                 dict_acc(col, amb.index(p, q, k), c * c2)
         theta_d.append(col)
 
-    theta = mat_of_cols(theta_d, N, f.zero)
     seed = Subspace(N, f, theta_d)
     if seed.dim != da:
         raise ValueError("composite embedding is not injective (rank %d of %d)"
@@ -791,8 +792,8 @@ def standard_globalize_bicomodule(b):
 
     cert = Report(alg_b.name, f)
     _first_failure(cert, "exchange", exchange())
-    theta_b = _embed(theta_d, span.coords, dB, f.zero)
-    return BicomoduleGlobalization(H, A, amb, theta, span, alg_b, induced_rho,
+    theta_b = _embed(theta_d, span.coords, dB)
+    return BicomoduleGlobalization(H, A, amb, theta_d, span, alg_b, induced_rho,
                                    induced_lam, theta_b,
                                    cert.require("standard globalization", AssertionError))
 
@@ -863,7 +864,7 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     intertwines = (same_legs(amb_x.dual_left_ops, 2, amb_k.left_ops, 0)
                    and same_legs(amb_x.dual_right_ops, 0, amb_k.right_ops, 1))
 
-    for m, (x_col, k_col) in enumerate(zip(col_dicts(bg.theta), col_dicts(std.phi))):
+    for m, (x_col, k_col) in enumerate(zip(bg.theta, std.phi)):
         if push(x_col) != k_col:
             raise AssertionError("the permutation does not match the embeddings "
                                  "at basis %s" % A.basis[m])

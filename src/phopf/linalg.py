@@ -6,14 +6,17 @@ sparse operator is a list of column maps, column j = {row: coefficient}
 holding the image of the j-th basis vector; it acts on vectors through
 apply_cols.  A subspace is held as its reduced row-echelon basis of such
 vectors (Subspace), built by one elimination routine that touches only the
-rows with a nonzero in the pivot column.  Dense lists of scalars remain
-only at the edges: the document format, a Report's witnesses, the matrices
-a globalization candidate carries (mat_apply acts on those, column j =
-image of the j-th basis vector), and subspace_span, which accepts dense
-vectors from its callers.  Tensor3 keeps only nonzero entries, keyed
-(i, j, k); the meaning of the three slots is fixed by whoever owns the
-tensor (multiplication: inputs (i, j), output k; comultiplication: input
-i, outputs (j, k); actions: Hopf index first).
+rows with a nonzero in the pivot column.  A globalization candidate holds
+its embedding and its operator families as such column maps.  Dense lists
+of scalars remain only at the edges: the document format, a Report's
+witnesses, the unit, counit and antipode of a Hopf algebra and the
+matrices of a group action (col_dicts reads such a matrix as column maps
+and mat_apply applies it to a dense vector; column j is the image of the
+j-th basis vector), and subspace_span, which accepts dense vectors from its
+callers.  Tensor3 keeps only nonzero entries, keyed (i, j, k); the meaning
+of the three slots is fixed by whoever owns the tensor (multiplication:
+inputs (i, j), output k; comultiplication: input i, outputs (j, k);
+actions: Hopf index first).
 """
 
 from itertools import count
@@ -56,12 +59,6 @@ def mat_apply(m, v, field=None):
 
 def mat_transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def mat_of_cols(cols, n, zero):
-    """The dense matrix with n rows whose column j is the sparse vector
-    cols[j] (the inverse of col_dicts)."""
-    return [[col.get(i, zero) for col in cols] for i in range(n)]
 
 
 def dict_acc(out, key, c):

@@ -200,3 +200,39 @@ def test_no_dense_vector_reaches_the_span_layer():
         found += ["%s:%d in %s" % (path.name, line, fn)
                   for fn, line in dense_into_span(tree)]
     assert not found, found
+
+
+def _named(node):
+    """The name a node binds or reads: a name, an attribute, a definition
+    or an imported alias; None for any other node."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.alias):
+        return node.asname or node.name
+    return None
+
+
+def _called(tree):
+    """The function names of every call in a module, with their lines."""
+    return [(_named(node.func), node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)]
+
+
+def test_globalization_candidates_stay_column_maps():
+    # candidates hold θ and the operator families as column maps, so the
+    # globalization layer writes no dense matrix, and the package keeps no
+    # helper that would write one from columns
+    tree = ast.parse((SRC / "globalize.py").read_text(encoding="utf-8"))
+    dense = [line for name, line in _called(tree)
+             if name in ("slice_matrix", "mat_transpose")]
+    assert not dense, dense
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += ["%s:%d" % (path.name, getattr(node, "lineno", 0))
+                  for node in ast.walk(tree) if _named(node) == "mat_of_cols"]
+    assert not found, found

@@ -17,7 +17,7 @@ import random
 
 from phopf.fields import GF, QQ
 from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
-                          col_dicts, dict_acc, nullspace)
+                          col_dicts, dict_acc, nullspace, rows_of_cols)
 from phopf._groups import named_group
 from phopf.algebras import (AlgebraData, Report, algebra_check, dict_of_vec,
                             dual_hopf, group_algebra, mul_dicts, scalar_algebra,
@@ -56,7 +56,7 @@ def two_stage_closure(ambient, seed):
 def _staged_carrier(g):
     """The staged closure oracle, seeded with the span of θ's columns."""
     N = g.ambient.algebra.dim
-    return two_stage_closure(g.ambient, Subspace(N, g.hopf.field, col_dicts(g.theta)))
+    return two_stage_closure(g.ambient, Subspace(N, g.hopf.field, g.theta))
 
 
 def _identity(field, n):
@@ -80,7 +80,7 @@ def test_global_input_globalizes_to_the_coefficient_algebra():
     assert g.certificate.passed and not g.certificate.failures
     assert maximal_degenerate_subbimodule(g).dim == 0
     pm, sur, inj = comparison_map(g, g)
-    assert sur and inj and pm == [[QQ.one]]
+    assert sur and inj and pm == [{0: QQ.one}]
 
 
 @pytest.mark.parametrize("r,s", [(2, 3), (0, 0)])
@@ -94,7 +94,7 @@ def test_sweedler_standard_globalization_is_four_dimensional(r, s):
     # the standard globalization is already minimal
     assert maximal_degenerate_subbimodule(g).dim == 0
     pm, sur, inj = comparison_map(g, g)
-    assert sur and inj and pm == _identity(QQ, g.dim)
+    assert sur and inj and pm == col_dicts(_identity(QQ, g.dim))
 
 
 def test_standard_globalization_over_prime_field():
@@ -135,7 +135,7 @@ def test_free_candidate_pipeline_on_the_sweedler_family():
     assert sur and not inj
     mstar = maximal_degenerate_subbimodule(cand)
     assert mstar.dim == 12
-    ker = Subspace(16, QQ, nullspace(map(dict_of_vec, pm), QQ, 16))
+    ker = Subspace(16, QQ, nullspace(rows_of_cols(pm).values(), QQ, 16))
     assert ker == mstar
     mini = minimalize(cand, b)
     assert mini.algebra.dim == 4
@@ -161,8 +161,7 @@ def test_scaled_embedding_fails_the_reproduction_condition():
     b = sweedler_k_bimodule(QQ, 2, 3)
     std = standard_globalize_bimodule(b)
     two = QQ.of(2)
-    bad_theta = [[two * std.theta[r][m] for m in range(b.alg.dim)]
-                 for r in range(std.dim)]
+    bad_theta = [{r: two * c for r, c in col.items()} for col in std.theta]
     mutant = GlobalizationCandidate(std.algebra, bad_theta, std.left_ops,
                                     std.right_ops, b.alg, name="scaled")
     cert = verify_globalization(mutant, b)
@@ -183,7 +182,7 @@ def test_comparison_map_rejects_a_candidate_whose_translates_relate_differently(
     std = standard_globalize_bimodule(sweedler_k_bimodule(QQ, 2, 3))
     ops = list(std.left_ops)
     h = std.hopf.basis.index(label)
-    ops[h] = [[QQ.zero] * std.dim for _ in range(std.dim)]
+    ops[h] = [{} for _ in range(std.dim)]
     cand = GlobalizationCandidate(std.algebra, std.theta, ops, std.right_ops, std.coeff)
     # the first relation is the translate h▷θ(1)◁1 alone, at index 4·h
     relation = [QQ.zero] * 16
@@ -221,8 +220,8 @@ def test_verify_rejects_a_nonassociative_candidate():
 def test_verify_rejects_a_broken_composition_law():
     def scaled(std):                   # g acts as 2·(g acting); g·g = 1
         two = QQ.of(2)
-        ops = [list(op) for op in std.left_ops]
-        ops[1] = [[two * c for c in row] for row in ops[1]]
+        ops = list(std.left_ops)
+        ops[1] = [{r: two * c for r, c in col.items()} for col in ops[1]]
         return ops
     b, cand = _sweedler_candidate(left_ops=scaled)
     with pytest.raises(ValueError, match="left operator-composition"):
@@ -239,8 +238,8 @@ def test_verify_rejects_operator_families_that_do_not_commute():
     e = H.unit.index(QQ.one)
     inv = [next(h for h in range(H.dim) if H.mul.get(g, h, e, QQ.zero))
            for g in range(H.dim)]
-    left = [act.matrix(g) for g in range(H.dim)]
-    cand = GlobalizationCandidate(A, _identity(QQ, A.dim), left,
+    left = [col_dicts(act.matrix(g)) for g in range(H.dim)]
+    cand = GlobalizationCandidate(A, col_dicts(_identity(QQ, A.dim)), left,
                                   [left[inv[g]] for g in range(H.dim)], A)
     with pytest.raises(ValueError, match="do not commute"):
         verify_globalization(cand, trivialize_right(act))
@@ -254,9 +253,60 @@ def test_verify_rejects_the_wrong_number_of_operators():
 
 def test_verify_rejects_a_rank_deficient_embedding():
     b, cand = _sweedler_candidate(
-        theta=lambda std: [[QQ.zero] * std.coeff.dim for _ in range(std.dim)])
+        theta=lambda std: [{} for _ in range(std.coeff.dim)])
     with pytest.raises(ValueError, match=r"not injective \(rank 0 of 1\)"):
         verify_globalization(cand, b)
+
+
+# a candidate of the wrong shape raises the same ValueError from both
+# functions that read one, before any of its columns is applied
+SHAPE_READERS = {
+    "verify": lambda b, cand: verify_globalization(cand, b),
+    "compare": lambda b, cand: comparison_map(cand, standard_globalize_bimodule(b)),
+}
+
+
+@pytest.mark.parametrize("read", SHAPE_READERS.values(), ids=list(SHAPE_READERS))
+def test_a_theta_with_an_extra_column_is_rejected(read):
+    b, cand = _sweedler_candidate(theta=lambda std: std.theta + [{0: QQ.one}])
+    with pytest.raises(ValueError) as err:
+        read(b, cand)
+    assert str(err.value) == ("the embedding has 2 columns, not one per basis "
+                              "element of the coefficient algebra (1)")
+
+
+@pytest.mark.parametrize("read", SHAPE_READERS.values(), ids=list(SHAPE_READERS))
+def test_an_operator_one_column_short_is_rejected(read):
+    def short(std):
+        ops = list(std.right_ops)
+        ops[2] = ops[2][:-1]
+        return ops
+    b, cand = _sweedler_candidate(right_ops=short)
+    with pytest.raises(ValueError) as err:
+        read(b, cand)
+    assert str(err.value) == ("the right operator x has 3 columns, not one per "
+                              "basis element of the candidate (4)")
+
+
+def _key_four(cols):
+    """A copy of the column maps with a key of 4 added to column 0: on a
+    four-dimensional candidate, the extra row of a dense matrix."""
+    cols = [dict(col) for col in cols]
+    cols[0][4] = QQ.one
+    return cols
+
+
+@pytest.mark.parametrize("part,mutate,what", [
+    ("theta", lambda std: _key_four(std.theta), "the embedding"),
+    ("left_ops", lambda std: [std.left_ops[0], _key_four(std.left_ops[1])]
+     + std.left_ops[2:], "the left operator g")], ids=["theta", "operator"])
+@pytest.mark.parametrize("read", SHAPE_READERS.values(), ids=list(SHAPE_READERS))
+def test_a_column_key_outside_the_candidate_is_rejected(read, part, mutate, what):
+    b, cand = _sweedler_candidate(**{part: mutate})
+    with pytest.raises(ValueError) as err:
+        read(b, cand)
+    assert str(err.value) == ("%s has row 4 in column 0, outside a candidate of "
+                              "dimension 4" % what)
 
 
 def test_minimalize_is_the_identity_on_minimal_candidates():
@@ -277,7 +327,7 @@ def test_bicomodule_globalization_carrier_and_embedding():
     assert g.certificate.passed and g.certificate.laws == ["exchange"]
     # theta(1) = (1/2 + 1/2 g + 7 xg) (x) 1 (x) (1/2 + 1/2 g + 3 x)
     half = QQ.of(Fraction(1, 2))
-    th = dict_of_vec([g.theta[r][0] for r in range(g.ambient.algebra.dim)])
+    th = g.theta[0]
     lam_leg = {0: half, 1: half, 3: QQ.of(7)}
     rho_leg = {0: half, 1: half, 2: QQ.of(3)}
     expect = {g.ambient.index(i, 0, j): ci * cj
@@ -367,10 +417,8 @@ def test_construction_embeds_by_the_composite_coaction(name):
     b = BICOMODULE_FAMILIES[name]()
     g = standard_globalize_bicomodule(b)
     first, _ = _composite_embeddings(b)
-    N = g.ambient.algebra.dim
-    for m, col in enumerate(first):
-        want = {g.ambient.index(*key): c for key, c in col.items()}
-        assert dict_of_vec([g.theta[r][m] for r in range(N)]) == want
+    assert g.theta == [{g.ambient.index(*key): c for key, c in col.items()}
+                       for col in first]
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +687,7 @@ def test_mirrored_operator_laws_raise_as_the_reference_does():
     raised = set()
     for g in carriers:
         f = g.hopf.field
-        left = [col_dicts(op) for op in g.left_ops]
-        right = [col_dicts(op) for op in g.right_ops]
+        left, right = g.left_ops, g.right_ops
         cases = [(left, right), (right, left)]
         for trial in range(30):
             fam = [[dict(col) for col in op] for op in (left, right)[trial % 2]]
@@ -1035,14 +1082,11 @@ def reference_lemaco1(candidate, b):
     before the product rule was shared with free_candidate_bimodule."""
     H, A = b.hopf, b.alg
     n, da = H.dim, A.dim
-    dB = candidate.algebra.dim
     pvB = candidate.algebra.mul.pair_view()
     pvA = A.mul.pair_view()
     iv = H.comul.in1_view()
-    left_cols = [col_dicts(op) for op in candidate.left_ops]
-    right_cols = [col_dicts(op) for op in candidate.right_ops]
-    theta_d = [dict_of_vec([candidate.theta[r][m] for r in range(dB)])
-               for m in range(da)]
+    left_cols, right_cols = candidate.left_ops, candidate.right_ops
+    theta_d = candidate.theta
     translates = [apply_cols(left_cols[h], apply_cols(right_cols[k], theta_d[m]))
                   for h in range(n) for m in range(da) for k in range(n)]
 
@@ -1150,7 +1194,10 @@ def reference_free_candidate_maps(b):
 def test_free_candidate_maps_match_the_reference_loops(make):
     b = make()
     cand = free_candidate_bimodule(b)
-    assert (cand.theta, cand.left_ops, cand.right_ops) == reference_free_candidate_maps(b)
+    theta, left_ops, right_ops = reference_free_candidate_maps(b)
+    assert cand.theta == col_dicts(theta)
+    assert cand.left_ops == [col_dicts(op) for op in left_ops]
+    assert cand.right_ops == [col_dicts(op) for op in right_ops]
 
 
 def _theta_mutants(std):
@@ -1158,11 +1205,11 @@ def _theta_mutants(std):
     f = std.hopf.field
     for r in range(std.dim):
         for m in range(std.coeff.dim):
-            for delta in (f.one, -std.theta[r][m]):
+            for delta in (f.one, -std.theta[m].get(r, f.zero)):
                 if not delta:
                     continue
-                theta = [list(row) for row in std.theta]
-                theta[r][m] = theta[r][m] + delta
+                theta = [dict(col) for col in std.theta]
+                dict_acc(theta[m], r, delta)
                 yield GlobalizationCandidate(std.algebra, theta, std.left_ops,
                                              std.right_ops, std.coeff,
                                              name="θ moved at (%d, %d)" % (r, m))
