@@ -5,16 +5,17 @@ An action is a coefficient table: entry (i, j, k) of the map tensor is the
 coefficient of a_k in h_i ⇀ a_j (left) or in a_j ↼ h_i (right).  A law is
 checked on all basis tuples, which proves it outright by multilinearity, or
 recorded by its proof when the laws that prove it have been checked (see
-_action_suite and trivial_action).
+_action_suite and trivial_action).  Actions and bimodules carry their
+Reports (see algebras._carried).
 
 The actions induced from a global one (induce_left, induce_bimodule) are in
 phopf.induced, and the dictionary between partial actions of a group
 algebra kG and partial group actions is in phopf.group_actions.
 """
 
-from .algebras import (DUAL, AlgebraData, Report, algebra_check, coalgebra_check,
-                       dict_acc, dual_hopf, hopf_check, mul_dicts, same_algebra,
-                       same_hopf, vec_of_dict)
+from .algebras import (DUAL, AlgebraData, Report, _carried, _pair_stamp, _record_side,
+                       _side_stamp, algebra_check, coalgebra_check, dict_acc, dual_hopf,
+                       hopf_check, mul_dicts, same_algebra, same_hopf, vec_of_dict)
 from .linalg import Tensor3, acts_by_scalars, apply_cols
 
 
@@ -40,6 +41,7 @@ class PartialActionData:
         self.map = map_entries
         self.symmetric = symmetric
         self.name = name or ("%s %s-acts on %s" % (hopf.name, side, alg.name))
+        self._certificates = {}
         pv = self.map.pair_view()
         one = hopf.field.one
         u_h = hopf.unit_dict()
@@ -90,6 +92,7 @@ class PartialBimoduleData:
         self.right = right
         self.hopf = left.hopf
         self.alg = left.alg
+        self._certificates = {}
 
     def to_json(self, hopf_ref=None, algebra_ref=None):
         return {
@@ -263,34 +266,40 @@ def _action_suite(p, symmetric, left):
 def check_lpma(p, symmetric=None):
     """Left partial module-algebra suite; `symmetric` adds the symmetry law
     (defaults to the action's own flag)."""
-    if p.side != "left":
-        raise ValueError("check_lpma expects a left action")
-    return _action_suite(p, p.symmetric if symmetric is None else symmetric, left=True)
+    return _side_check(p, symmetric, "left")
 
 
 def check_rpma(p, symmetric=None):
     """Right partial module-algebra suite (mirror of check_lpma)."""
-    if p.side != "right":
-        raise ValueError("check_rpma expects a right action")
-    return _action_suite(p, p.symmetric if symmetric is None else symmetric, left=False)
+    return _side_check(p, symmetric, "right")
+
+
+def _side_check(p, symmetric, side):
+    if p.side != side:
+        raise ValueError("check_%spma expects a %s action" % (side[0], side))
+    sym = bool(p.symmetric if symmetric is None else symmetric)
+    return _carried(p, "suite", _side_stamp(p, sym),
+                    lambda p: _action_suite(p, sym, side == "left"))
 
 
 def check_bimodule(b):
     """Both one-sided suites plus the compatibility law h⇀(a↼g) = (h⇀a)↼g
     on all basis triples."""
+    return _carried(b, "suite", _pair_stamp(b), _decide_bimodule)
+
+
+def _decide_bimodule(b, compatible=False):
+    """The Report of check_bimodule from the Reports both sides carry; the
+    compatibility law is swept unless `compatible` (a constructor's proof)."""
     rep = Report("%s bimodule on %s" % (b.hopf.name, b.alg.name), b.alg.field)
     rep.merge(check_lpma(b.left), prefix="left/")
     rep.merge(check_rpma(b.right), prefix="right/")
-    return _compatibility(b, rep)
-
-
-def _compatibility(b, rep):
-    """Check the bimodule-compatibility law h⇀(a↼g) = (h⇀a)↼g on all basis
-    triples into `rep`, and return it."""
+    rep.law("bimodule-compatibility")
+    if compatible:
+        return rep
     n, m = b.hopf.dim, b.alg.dim
     f = b.hopf.field
     one = f.one
-    rep.law("bimodule-compatibility")
     for i in range(n):
         for j in range(m):
             for g in range(n):
@@ -344,6 +353,7 @@ def trivial_action(hopf, alg, side="left"):
     # ε(h₁)ε(h₂g)ab, by ε multiplicative, the counit law and 1_A·b = b; and
     # 1_H⇀a = a is ε(1_H) = 1.
     if hopf_check(hopf).passed and algebra_check(alg).passed:
+        _record_side(p, True)
         return p
     return _certify_action(p, expect_symmetric=True)
 
@@ -351,11 +361,12 @@ def trivial_action(hopf, alg, side="left"):
 def trivialize_right(left):
     """Pair a certified left action with the trivial right ε-action.  The
     right action is certified in trivial_action and the left one by its
-    suite here.  The compatibility law needs no check: against the
-    ε-action it reads h⇀(ε(g)a) = ε(g)(h⇀a), the linearity of h⇀."""
+    carried or decided suite.  The compatibility law is recorded by its
+    proof: against the ε-action it reads h⇀(ε(g)a) = ε(g)(h⇀a), the
+    linearity of h⇀."""
     b = PartialBimoduleData(left, trivial_action(left.hopf, left.alg, side="right"))
-    Report().merge(check_lpma(left), prefix="left/").require(
-        "trivialized bimodule", AssertionError)
+    rep = _decide_bimodule(b, compatible=True).require("trivialized bimodule", AssertionError)
+    b._certificates["suite"] = (_pair_stamp(b), rep)
     return b
 
 
@@ -378,7 +389,7 @@ def sweedler_k_bimodule(field, r, s):
                               {(0, 0, 0): one, (2, 0, 0): s, (3, 0, 0): s},
                               name="H4 right (s=%s) on k" % field.show(s))
     b = PartialBimoduleData(_certify_action(left), _certify_action(right))
-    _compatibility(b, Report()).require("Sweedler (r,s) pair", AssertionError)
+    check_bimodule(b).require("Sweedler (r,s) pair", AssertionError)
     return b
 
 
@@ -388,7 +399,7 @@ def dual_regular_action(h):
 
     Certified by the hopf_check of dual_hopf: each law of H* is the
     transpose of a law of h, so h is a Hopf algebra, and then f ▷ a is a
-    global, hence symmetric, module algebra over H*."""
+    global, hence symmetric, module algebra over H*: its Report is recorded."""
     dual = dual_hopf(h)
     # the dual family of the regular right coaction
     p = PartialActionData(dual, h, "left", h.comul.transpose(DUAL["right"][0]),
@@ -396,4 +407,5 @@ def dual_regular_action(h):
                           name="%s regular-dual action on %s" % (dual.name, h.name))
     if not is_global(p):
         raise AssertionError("regular dual action must be global")
+    _record_side(p, True)
     return p

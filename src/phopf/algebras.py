@@ -29,17 +29,18 @@ def _leg_index(d):
     return root
 
 
-def tensor_mul(muls, x, y):
+def tensor_mul(muls, x, y, indexed=False):
     """Componentwise product in a tensor product of algebras, one mul tensor
     per leg: (a⊗b⊗…)(a'⊗b'⊗…) = aa'⊗bb'⊗….  x, y are dicts keyed by index
-    tuples with one index per leg.
+    tuples with one index per leg, or, when `indexed`, those dicts as
+    _leg_index writes them, for a caller that reuses its operands.
 
     A keyed join: x and y are indexed leg by leg, and the join walks the
     legs in order, so each term of x meets only the terms of y whose every
     leg product is nonzero.  At each leg it walks the shorter of the partner
     list of an index of x (see Tensor3.partner_view) and the indices of y
     left at that leg."""
-    level = [((), _leg_index(x), _leg_index(y))]
+    level = [((), x, y) if indexed else ((), _leg_index(x), _leg_index(y))]
     for t in muls:
         part = t.partner_view()
         joined = []
@@ -359,9 +360,10 @@ def same_hopf(a, b):
 # Each suite is decided once per structure.  The structure keeps the Report
 # with a stamp of everything the Report depends on: the field, the name (its
 # subject), the state of each tensor the suite reads (Tensor3.state, renewed
-# by every add) and copies of the vectors it reads.  While the stamp still
-# matches, a check hands out a copy of the stored Report; after any change
-# to those parts it decides again.
+# by every add) and copies of the vectors it reads; for an action or
+# coaction also its side, the symmetry flag and the stamps of H and A, and
+# for a pair those of both sides.  While the stamp still matches, a check
+# hands out a copy of the stored Report; after any change it decides again.
 
 # law ids in Report order, shared by the sweeps and _record_proved
 _ASSOCIATIVITY, _UNIT_LAW = _ALGEBRA_LAWS = ("associativity", "unit-law")
@@ -369,6 +371,11 @@ _COASSOCIATIVITY, _COUNIT_LAW = _COALGEBRA_LAWS = ("coassociativity", "counit-la
 _DELTA_MULT, _EPS_MULT, _DELTA_UNIT, _EPS_UNIT, _ANTIPODE_LAW = _HOPF_TIES = (
     "comultiplication-multiplicative", "counit-multiplicative",
     "comultiplication-unit", "counit-unit", "antipode-law")
+# and of the action and coaction suites, the symmetry law last (_record_side)
+_ACTION_LAWS = ("unit-action", "action-multiplicativity", "action-composition",
+                "action-composition-nonunital", "composition-forms-equivalence", "action-symmetry")
+_COACTION_LAWS = ("counit-coaction", "coaction-multiplicativity", "coaction-coassociativity",
+                  "coaction-symmetry")
 
 
 def _algebra_stamp(a):
@@ -425,6 +432,24 @@ def _record_proved(h):
         for law in laws:
             rep.law(law)
         h._certificates[suite] = (stamp, rep)
+
+
+def _side_stamp(p, symmetric):
+    return (p.side, p.map.state, symmetric, p.name, _hopf_stamp(p.hopf), _algebra_stamp(p.alg))
+
+
+def _pair_stamp(b):
+    return (_hopf_stamp(b.hopf), _algebra_stamp(b.alg)) + tuple(
+        _side_stamp(q, getattr(q, "symmetric", False)) for q in (b.left, b.right))
+
+
+def _record_side(p, symmetric):
+    """Store on the action or coaction p a passing Report of its suite, with
+    the symmetry law when `symmetric`, for laws that were proved."""
+    laws = _ACTION_LAWS if hasattr(p, "symmetric") else _COACTION_LAWS
+    rep = Report(p.name, p.alg.field)
+    rep.laws = list(laws[:len(laws) - 1 + symmetric])
+    p._certificates["suite"] = (_side_stamp(p, symmetric), rep)
 
 
 def _associators(rows, into, sweep, n):

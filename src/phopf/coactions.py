@@ -8,8 +8,8 @@ Every law is checked on all basis tuples, which proves it outright by
 multilinearity.  One suite serves both sides: it reads a left coaction λ as
 the right coaction τλ over the opposite coproduct (see the axiom suites
 below), and it forms every product in A⊗H and A⊗H⊗H with
-algebras.tensor_mul.  The witnesses of its tensor-valued laws are sorted
-items keyed in the coaction's own layout.
+algebras.tensor_mul, on operands indexed once.  The witnesses of its
+tensor-valued laws are sorted items keyed in the coaction's own layout.
 
 In finite dimension a coaction of H and an action of the dual Hopf algebra
 on the other side carry the same data: transposed by algebras.DUAL, the
@@ -21,12 +21,14 @@ exchange condition through the dual actions.  The coactions induced by
 cutting a global one down to an ideal or to a unital subalgebra are built
 in phopf.induced.  Only the duality bridges read actions, so they import
 phopf.actions when they run, and checking a coaction loads no action code.
+Coactions and bicomodules carry their Reports (see algebras._carried).
 """
 
 from fractions import Fraction
 
-from .algebras import (DUAL, AlgebraData, Report, dict_acc, dual_hopf, hopf_check,
-                       same_algebra, same_hopf, scalar_algebra, sweedler_h4,
+from .algebras import (DUAL, AlgebraData, Report, _carried, _leg_index, _pair_stamp,
+                       _record_side, _side_stamp, algebra_check, dict_acc, dual_hopf,
+                       hopf_check, same_algebra, same_hopf, scalar_algebra, sweedler_h4,
                        tensor_mul, vec_of_dict)
 from .linalg import Tensor3, acts_by_scalars, restrict_ops
 
@@ -54,6 +56,7 @@ class PartialCoactionData:
             raise ValueError("coaction tensor shaped %r" % (map_entries.dims,))
         self.map = map_entries
         self.name = name or ("%s %s-coacts on %s" % (hopf.name, side, alg.name))
+        self._certificates = {}
         if not unchecked:
             reading = _RightReading(self)
             for i in range(alg.dim):
@@ -109,6 +112,7 @@ class PartialBicomoduleData:
         self.right = right
         self.hopf = left.hopf
         self.alg = left.alg
+        self._certificates = {}
 
     def to_json(self, hopf_ref=None, algebra_ref=None):
         return {
@@ -195,11 +199,11 @@ def _counit_and_multiplicativity(r, rep):
     rep.law("coaction-multiplicativity")
     pv_a = A.mul.pair_view()
     muls = (A.mul, H.mul)
+    co = [_leg_index(r.co.get(i, empty)) for i in range(m)]
     for i in range(m):
-        ci = r.co.get(i, empty)
         for j in range(m):
             lhs = r.co_map.apply_in1(pv_a.get((i, j), empty))
-            rhs = tensor_mul(muls, ci, r.co.get(j, empty))
+            rhs = tensor_mul(muls, co[i], co[j], indexed=True)
             if lhs != rhs:
                 rep.fail("coaction-multiplicativity", (i, j),
                          r.witness(lhs), r.witness(rhs))
@@ -218,20 +222,20 @@ def _coaction_suite(p, symmetric):
     A, H = p.alg, p.hopf
     rep = _counit_and_multiplicativity(r, Report(p.name, p.alg.field))
     u_h = H.unit_dict()
-    unit_factor = {(j, k, t): c * d
-                   for (j, k), c in r.co_map.apply_in1(A.unit_dict()).items()
-                   for t, d in u_h.items()}
+    unit_factor = _leg_index({(j, k, t): c * d
+                              for (j, k), c in r.co_map.apply_in1(A.unit_dict()).items()
+                              for t, d in u_h.items()})
     muls = (A.mul, H.mul, H.mul)
     doubles = [r.double(i) for i in range(A.dim)]
-    spreads = [r.spread(i) for i in range(A.dim)]
+    spreads = [_leg_index(r.spread(i)) for i in range(A.dim)]
     laws = [("coaction-coassociativity", r.unit_first)]
     if symmetric:
         laws.append(("coaction-symmetry", not r.unit_first))
     for law, unit_first in laws:
         rep.law(law)
         for i, (lhs, spread) in enumerate(zip(doubles, spreads)):
-            rhs = (tensor_mul(muls, unit_factor, spread) if unit_first
-                   else tensor_mul(muls, spread, unit_factor))
+            rhs = (tensor_mul(muls, unit_factor, spread, indexed=True) if unit_first
+                   else tensor_mul(muls, spread, unit_factor, indexed=True))
             if lhs != rhs:
                 rep.fail(law, (i,), r.witness(lhs), r.witness(rhs))
     return rep
@@ -240,27 +244,38 @@ def _coaction_suite(p, symmetric):
 def check_rpca(p, symmetric=False):
     """Right partial comodule-algebra suite; `symmetric` adds the variant of
     the coassociativity law with the unit factor on the other side."""
-    if p.side != "right":
-        raise ValueError("check_rpca expects a right coaction")
-    return _coaction_suite(p, symmetric)
+    return _side_check(p, symmetric, "right")
 
 
 def check_lpca(p, symmetric=False):
     """Left partial comodule-algebra suite (mirror of check_rpca)."""
-    if p.side != "left":
-        raise ValueError("check_lpca expects a left coaction")
-    return _coaction_suite(p, symmetric)
+    return _side_check(p, symmetric, "left")
+
+
+def _side_check(p, symmetric, side):
+    if p.side != side:
+        raise ValueError("check_%spca expects a %s coaction" % (side[0], side))
+    sym = bool(symmetric)
+    return _carried(p, "suite", _side_stamp(p, sym), lambda p: _coaction_suite(p, sym))
 
 
 def check_bicomodule(b):
     """Both one-sided suites plus the compatibility law
     (I_H⊗ρ)λ = (λ⊗I_H)ρ on all basis elements."""
+    return _carried(b, "suite", _pair_stamp(b), _decide_bicomodule)
+
+
+def _decide_bicomodule(b, compatible=False):
+    """The Report of check_bicomodule from the Reports both sides carry; the
+    compatibility law is swept unless `compatible` (a constructor's proof)."""
     rep = Report("%s bicomodule on %s" % (b.hopf.name, b.alg.name), b.alg.field)
     rep.merge(check_lpca(b.left), prefix="left/")
     rep.merge(check_rpca(b.right), prefix="right/")
+    rep.law("bicomodule-compatibility")
+    if compatible:
+        return rep
     iv_l = b.left.map.in1_view()
     iv_r = b.right.map.in1_view()
-    rep.law("bicomodule-compatibility")
     for i in range(b.alg.dim):
         lhs = {}
         for (j, k), c in iv_l.get(i, {}).items():
@@ -332,7 +347,8 @@ def _regular(h, side):
 # For λ = ρ = Δ on A = H every law of the coaction suites is a Hopf-algebra
 # law: the counit laws, Δ multiplicative, Δ(1) = 1⊗1 with the unit law, and
 # coassociativity, which also gives the bicomodule compatibility.  So the
-# regular constructors are certified by hopf_check(h), not by the suites.
+# regular constructors are certified by hopf_check(h), and record the
+# Reports of the suites.
 
 def regular_coaction(h, side="right"):
     """The comultiplication of h read as a (global) coaction of h on its own
@@ -341,6 +357,7 @@ def regular_coaction(h, side="right"):
     hopf_check(h).require("constructed coaction", AssertionError)
     if not check_global_unit(p):
         raise AssertionError("regular coaction must be global")
+    _record_side(p, False)
     return p
 
 
@@ -351,6 +368,9 @@ def regular_bicomodule(h):
     hopf_check(h).require("regular bicomodule", AssertionError)
     if not (check_global_unit(b.left) and check_global_unit(b.right)):
         raise AssertionError("regular coaction must be global")
+    for p in (b.left, b.right):
+        _record_side(p, False)
+    b._certificates["suite"] = (_pair_stamp(b), _decide_bicomodule(b, compatible=True))
     return b
 
 
@@ -392,39 +412,56 @@ def _dual_action(p, hs):
                              name="dual action of %s" % p.name)
 
 
+def _by_duality(p, q, symmetric):
+    """q, the dual reading of p, carrying a passing Report (with the symmetry
+    law when `symmetric`) if p carries one that has that law too."""
+    # When H passes hopf_check and A algebra_check, each law of either suite
+    # is the transpose of one of the other: counit ⇄ 1⇀a = a,
+    # multiplicativity ⇄ multiplicativity, coassociativity and its symmetric
+    # variant ⇄ the unital composition and symmetry laws, whose general
+    # forms then follow (see actions._action_suite).
+    stamp, rep = p._certificates.get("suite", (None, None))
+    if rep is not None and rep.passed and stamp[2] >= symmetric \
+            and stamp == _side_stamp(p, stamp[2]) \
+            and hopf_check(p.hopf).passed and algebra_check(p.alg).passed:
+        _record_side(q, symmetric)
+    return q
+
+
 def coaction_to_dual_action(p):
     """Reread a partial coaction of H as a partial action of the dual Hopf
     algebra: a right coaction gives the left action f▷a = Σ a_j·f(h_k), a
     left coaction gives the right action a◁f = Σ f(h_j)·a_k.  A pure
     coordinate transpose; partiality, globality and symmetry carry over.
-    The result is certified by its full action suite."""
+    Certified by its full action suite, or by p's Report (_by_duality)."""
     from .actions import _certify_action
-    return _certify_action(_dual_action(p, dual_hopf(p.hopf)))
+    return _certify_action(_by_duality(p, _dual_action(p, dual_hopf(p.hopf)), True))
 
 
 def dual_action_to_coaction(p):
     """Inverse reread: a left partial action of H gives the right partial
     coaction ρ(a) = Σ_i (h_i ⇀ a) ⊗ p_i of the dual Hopf algebra, and a
-    right action gives the left coaction λ(a) = Σ_i p_i ⊗ (a ↼ h_i)."""
+    right action gives the left coaction λ(a) = Σ_i p_i ⊗ (a ↼ h_i),
+    certified by its suite or by p's Report (see _by_duality)."""
     hs = dual_hopf(p.hopf)
     side = DUAL[p.side][2]
     co = PartialCoactionData(hs, p.alg, side, p.map.transpose(DUAL[side][1]),
                              name="dual coaction of %s" % p.name)
-    return _certify_coaction(co)
+    return _certify_coaction(_by_duality(p, co, False))
 
 
 def bicomodule_to_bimodule(b):
     """Partial bicomodule of H ⇒ partial bimodule of the dual Hopf algebra:
     the left action comes from ρ, the right action from λ; compatibility
     carries over.  The dual Hopf algebra is certified once for both sides,
-    and each dual action by its full suite as it is built, so only the
-    compatibility law is checked on the pair."""
-    from .actions import PartialBimoduleData, _certify_action, _compatibility
+    and each dual action as coaction_to_dual_action certifies it, so only
+    the compatibility law is checked on the pair."""
+    from .actions import PartialBimoduleData, _certify_action, check_bimodule
     hs = dual_hopf(b.hopf)
-    left = _certify_action(_dual_action(b.right, hs))
-    right = _certify_action(_dual_action(b.left, hs))
+    left, right = (_certify_action(_by_duality(p, _dual_action(p, hs), True))
+                   for p in (b.right, b.left))
     out = PartialBimoduleData(left, right)
-    _compatibility(out, Report()).require("dual bimodule", AssertionError)
+    check_bimodule(out).require("dual bimodule", AssertionError)
     return out
 
 

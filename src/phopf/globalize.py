@@ -180,7 +180,8 @@ def standard_globalize_bimodule(b):
     The embedding sends a to the functional k⊗k' ↦ k⇀a↼k'; the returned
     object carries the span of all operator translates of the image with its
     induced product, both restricted operator families, and a certificate
-    from verify_globalization (construction fails if any check does).
+    from verify_globalization (construction fails if any check does), which
+    records the carrier's global laws by their proof (below).
     """
     check_bimodule(b).require("input bimodule")
     H, A = b.hopf, b.alg
@@ -216,7 +217,12 @@ def standard_globalize_bimodule(b):
 
     glob = BimoduleGlobalization(H, A, amb, phi, span, alg_b,
                                  left_ops, right_ops, theta)
-    glob.certificate = verify_globalization(glob, b).require(
+    # When H passes hopf_check, the certified Hom(H⊗H, A) is a global
+    # bimodule algebra over H: (h▷F)(k⊗k') = F(kh⊗k') and (F◁h)(k⊗k') =
+    # F(k⊗hk') compose by the product of H, move different legs and
+    # distribute over convolution as Δ is multiplicative.  The restrictions
+    # succeeded, so the carrier's families obey the same laws.
+    glob.certificate = _verify(glob, b, hopf_check(H).passed).require(
         "standard globalization", AssertionError)
     return glob
 
@@ -378,8 +384,9 @@ def verify_globalization(candidate, b):
 
     Structural faults raise ValueError: a non-associative candidate algebra,
     a candidate of the wrong shape (see _require_shape), operator families
-    that are not a two-sided global module-algebra structure, or a
-    non-injective embedding.  Everything else is reported in
+    that are not a two-sided global module-algebra structure (swept here,
+    on a candidate from outside), or a non-injective embedding.  Everything
+    else is reported in
     the returned Report, whose laws are, in order: condition1 compares
     (θ(a)◁h)(g▷θ(b)) with θ[(a↼h)(g⇀b)] on all basis tuples; condition2
     checks that the operator translates h▷θ(a)◁k span the whole candidate
@@ -392,6 +399,11 @@ def verify_globalization(candidate, b):
     basis tuples otherwise.  Each law records at most one failure, indexed
     by the first offending tuple of basis labels.
     """
+    return _verify(candidate, b, False)
+
+
+def _verify(candidate, b, global_laws_proved):
+    """verify_globalization, sweeping the global laws unless proved."""
     H, A = b.hopf, b.alg
     n, da = H.dim, A.dim
     f = H.field
@@ -403,7 +415,8 @@ def verify_globalization(candidate, b):
 
     _require_shape(candidate, H, A)
     theta_d, left_cols, right_cols = candidate.theta, candidate.left_ops, candidate.right_ops
-    _require_global_bimodule(Bp, H, left_cols, right_cols)
+    if not global_laws_proved:
+        _require_global_bimodule(Bp, H, left_cols, right_cols)
 
     rank, _, _ = rref(theta_d, f)
     if rank != da:
@@ -687,22 +700,6 @@ def free_candidate_bimodule(b):
 # ---------------------------------------------------------------------------
 # the standard bicomodule globalization
 
-def _require_global_bicomodule(algebra, hopf, rho, lam):
-    """Raise ValueError unless the coactions ρ and λ make the (possibly
-    non-unital) algebra a two-sided global comodule algebra.  In finite
-    dimension that is the statement that ρ, as the left operator family of
-    the dual Hopf algebra, and λ, as its right one, make it a global
-    bimodule algebra: the counit laws, coassociativity, compatibility and
-    multiplicativity are the unit, composition, commutation and product
-    laws of _require_global_bimodule.  Those laws are checked outright, so
-    they read the dual structure constants without certifying the dual
-    Hopf algebra (coactions.bicomodule_to_bimodule does that).  The two
-    families are the coaction tensors transposed by algebras.DUAL."""
-    _require_global_bimodule(algebra, _dual_structure(hopf),
-                             rho.transpose(DUAL["right"][0]).columns(),
-                             lam.transpose(DUAL["left"][0]).columns())
-
-
 def standard_globalize_bicomodule(b):
     """Globalize a certified partial bicomodule structure on A inside the
     three-fold tensor H⊗A⊗H with componentwise product and outer-leg
@@ -712,10 +709,11 @@ def standard_globalize_bicomodule(b):
     the compatibility law certified on entry; the carrier is generated from
     the image by the two dual-basis operator families together with the
     product, computed as one combined fixpoint (the tests compare it with
-    a staged closure).  The coactions are restricted to the carrier, the
-    restricted structure must be a global two-sided comodule algebra
-    (_require_global_bicomodule raises otherwise), and the certificate is a
-    Report of one law, `exchange`: the condition
+    a staged closure).  The coactions are restricted to the carrier, where
+    they form a global two-sided comodule algebra: by its proof (below)
+    when H passes hopf_check, and otherwise by a sweep that raises
+    ValueError.  The certificate is a Report of one law, `exchange`: the
+    condition
         (λ(θ(a))⊗1)(1⊗ρ(θ(b))) = (I⊗θ⊗I)[(λ̄(a)⊗1)(1⊗ρ̄(b))]
     on all basis pairs, whose first failure is indexed by the pair of basis
     labels.  The construction raises if the certificate fails.
@@ -754,7 +752,14 @@ def standard_globalize_bicomodule(b):
     unit_b = span.coords(amb.algebra.unit_dict())
     alg_b = AlgebraData(f, ["b%d" % i for i in range(dB)], mul, unit_b,
                         name="globalization of %s" % A.name)
-    _require_global_bicomodule(alg_b, H, induced_rho, induced_lam)
+    # When H passes hopf_check, the certified H⊗A⊗H is a global bicomodule
+    # algebra under Δ on its outer legs (counit, coassociative, different
+    # legs, multiplicative), and the restrictions succeeded.  Otherwise the
+    # laws are swept as those of the dual operator families.
+    if not hopf_check(H).passed:
+        _require_global_bimodule(alg_b, _dual_structure(H),
+                                 induced_rho.transpose(DUAL["right"][0]).columns(),
+                                 induced_lam.transpose(DUAL["left"][0]).columns())
 
     # the exchange condition, in ambient coordinates: compare the five-leg
     # products of the ambient coactions of embedded elements with the image

@@ -5,9 +5,9 @@ to an ideal e·B or to a unital subalgebra A of B (whose unit need not be
 rejected with a witness; check_vesgo_equivalence compares the two forms of
 the exchange condition."""
 
-from .algebras import AlgebraData, Report, algebra_check, dict_of_vec, t2_of_dicts, tensor_mul
+from .algebras import AlgebraData, algebra_check, dict_of_vec, t2_of_dicts, tensor_mul
 from .actions import (PartialActionData, PartialBimoduleData, _certify_action,
-                      _compatibility, is_global)
+                      check_bimodule, is_global)
 from .coactions import (PartialBicomoduleData, PartialCoactionData, _certify_bicomodule,
                         _certify_coaction, _exchange_products, _restrict_coaction,
                         check_bicomodule, check_global_unit)
@@ -133,7 +133,7 @@ def induce_bimodule(bim, a_span, unit_a):
     left = PartialActionData(H, A, "left", lt, name="induced left on corner")
     right = PartialActionData(H, A, "right", rt, name="induced right on corner")
     out = PartialBimoduleData(_certify_action(left), _certify_action(right))
-    _compatibility(out, Report()).require("induced bimodule", AssertionError)
+    check_bimodule(out).require("induced bimodule", AssertionError)
     return out
 
 

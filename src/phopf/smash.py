@@ -65,8 +65,8 @@ def _two_sided_unit(alg, e):
 
 
 def smash_product(bimodule, bicomodule, unchecked=False):
-    """Build A ♮ Ā.  Both factors must certify (their full axiom suites) and
-    share one Hopf algebra; the constructed product is then proven
+    """Build A ♮ Ā.  Both factors must certify (the Reports they carry, or
+    their axiom suites) and share one Hopf algebra; the product is then proven
     associative by check_smash_associativity, and construction raises
     ValueError if it is not, so a returned product needs no second check.
     `unchecked` skips both gates so tests can watch a bad input fail the

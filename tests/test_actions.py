@@ -14,7 +14,7 @@ from phopf import actions as actions_module
 from phopf.algebras import (AlgebraData, HopfData, Report, _dual_structure,
                             algebra_check, coalgebra_check, dict_acc, group_algebra,
                             mul_dicts, scalar_algebra, sweedler_h4, vec_of_dict)
-from phopf.actions import (PartialActionData, PartialBimoduleData, _compatibility,
+from phopf.actions import (PartialActionData, PartialBimoduleData,
                            check_bimodule, check_lpma, check_rpma,
                            dual_regular_action, is_global, sweedler_k_bimodule,
                            trivial_action, trivialize_right)
@@ -24,7 +24,7 @@ from phopf.group_actions import (GroupPartialActionData, check_group_partial_act
                                  z2_partial_group_example)
 from phopf.induced import induce_bimodule, induce_left
 from phopf.linalg import Tensor3, apply_cols, subspace_span
-from tests.conftest import rand_fraction
+from tests.conftest import bare, rand_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +528,9 @@ def test_table_suite_matches_the_reference_where_laws_fail(field, side):
 
 def test_modp_work_of_the_action_suite_stays_a_tenth_of_the_reference():
     # a deterministic guard for the table-driven suite: the reference suite
-    # spends 42,488 ModP operations on this input
-    p = dual_regular_action(group_algebra(named_group("Z8")[1], GF(7)))
+    # spends 42,488 ModP operations on this input; a copy without the
+    # certificate dual_regular_action records, so that the suite runs
+    p = bare(dual_regular_action(group_algebra(named_group("Z8")[1], GF(7))))
     ops = [0]
     names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
              "__truediv__", "__rtruediv__", "__neg__")
@@ -674,7 +675,17 @@ def sweep_bimodule(b):
     rep = Report("%s bimodule on %s" % (b.hopf.name, b.alg.name), b.alg.field)
     rep.merge(sweep_suite(b.left, b.left.symmetric, True), prefix="left/")
     rep.merge(sweep_suite(b.right, b.right.symmetric, False), prefix="right/")
-    return _compatibility(b, rep)
+    n, m = b.hopf.dim, b.alg.dim
+    f = b.hopf.field
+    one = f.one
+    rep.law("bimodule-compatibility")
+    for i, j, g in product(range(n), range(m), range(n)):
+        lhs = b.left.apply({i: one}, b.right.apply({g: one}, {j: one}))
+        rhs = b.right.apply({g: one}, b.left.apply({i: one}, {j: one}))
+        if lhs != rhs:
+            rep.fail("bimodule-compatibility", (i, j, g),
+                     vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+    return rep
 
 
 def _suite_matches_the_sweep(p, symmetric):
@@ -770,9 +781,12 @@ def test_constructors_run_each_side_suite_once(monkeypatch):
     sweedler_k_bimodule(QQ, 2, 3)
     assert len(runs) == 2
     runs.clear()
-    # the right ε-action is certified by its proof, the left action by its
-    # suite once
-    assert trivialize_right(left).left is left and len(runs) == 1
+    # the right ε-action is certified by its proof, the left action by the
+    # certificate dual_regular_action recorded, or by its suite once when
+    # it carries none
+    assert trivialize_right(left).left is left and runs == []
+    copy = bare(left)
+    assert trivialize_right(copy).left is copy and len(runs) == 1
     runs.clear()
     o, z = QQ.one, QQ.zero
     induce_bimodule(bim, subspace_span([[o, z, z, z], [z, z, o, z]], 4, QQ), [o, z, z, z])
@@ -787,8 +801,8 @@ def test_dual_regular_suite_forms_few_products(monkeypatch):
     # the laws with four basis indices are recorded by their proofs: the
     # suite formed 3,912 products in A when it swept them on this input
     n = 12
-    p = dual_regular_action(group_algebra([[(i + j) % n for j in range(n)]
-                                           for i in range(n)], QQ))
+    p = bare(dual_regular_action(group_algebra([[(i + j) % n for j in range(n)]
+                                                for i in range(n)], QQ)))
     calls = _counting(monkeypatch, actions_module, "mul_dicts")
     rep = check_lpma(p, symmetric=True)
     assert rep.passed and "action-symmetry" in rep.laws
@@ -842,18 +856,31 @@ def _dual_pair_set_up(group, field):
 
 
 @pytest.mark.parametrize("groups,field,want", [
-    (("Q8", "S3"), GF(7), (2, 0, 0, 0, 0)),
-    (("Z12", "Q8"), QQ, (1, 0, 0, 0, 0)),
+    (("Q8", "S3"), GF(7), (0, 0, 0, 0, 0, 0)),
+    (("Z12", "Q8"), QQ, (0, 0, 0, 0, 0, 0)),
 ], ids=["smash set-up", "check set-up"])
 def test_a_set_up_decides_each_structure_once(groups, field, want, monkeypatch):
-    # computations, not calls: (_action_suite, _compatibility, algebra,
-    # coalgebra and Hopf suites); kG is certified by its group table and
-    # kG* by duality, so no algebra, coalgebra or Hopf suite runs
+    # computations, not calls: (_action_suite, swept compatibility laws,
+    # algebra, coalgebra and Hopf suites, _coaction_suite); kG is certified by its
+    # group table and kG* by duality, so no algebra, coalgebra or Hopf
+    # suite runs, and dual_regular_action, trivial_action, trivialize_right
+    # and regular_bicomodule record their Reports by proof, so neither does
+    # any action or coaction suite (the smash set-up ran 2 action suites and
+    # the check set-up 1 before they did)
+    from phopf import coactions
     from tests.test_algebras import _decisions
     runs = _counting(monkeypatch, actions_module, "_action_suite")
-    # the duality bridges of coactions import _compatibility when they run,
-    # so this one count sees their calls too
-    compat = _counting(monkeypatch, actions_module, "_compatibility")
+    # the duality bridges of coactions import check_bimodule when they run,
+    # so this one count sees their sweeps too; trivialize_right records the
+    # law by its proof (compatible=True), which sweeps nothing
+    compat, decide = [], actions_module._decide_bimodule
+
+    def sweeping(b, compatible=False):
+        compat.extend([b] * (not compatible))
+        return decide(b, compatible)
+
+    monkeypatch.setattr(actions_module, "_decide_bimodule", sweeping)
+    co_runs = _counting(monkeypatch, coactions, "_coaction_suite")
     decided = _decisions(monkeypatch)
     for group in groups:
         if group == "Z12":
@@ -863,7 +890,8 @@ def test_a_set_up_decides_each_structure_once(groups, field, want, monkeypatch):
         else:
             _dual_pair_set_up(group, field)
     got = (len(runs), len(compat), decided.get("_decide_algebra", 0),
-           decided.get("_decide_coalgebra", 0), decided.get("_decide_hopf", 0))
+           decided.get("_decide_coalgebra", 0), decided.get("_decide_hopf", 0),
+           len(co_runs))
     assert got == want
 
 

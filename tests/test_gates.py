@@ -236,3 +236,15 @@ def test_globalization_candidates_stay_column_maps():
         found += ["%s:%d" % (path.name, getattr(node, "lineno", 0))
                   for node in ast.walk(tree) if _named(node) == "mat_of_cols"]
     assert not found, found
+
+
+def test_the_bicomodule_global_law_sweep_is_a_test_oracle_only():
+    # standard_globalize_bicomodule records its carrier's global laws by
+    # proof, and sweeps them through _require_global_bimodule over a failing
+    # antipode; _require_global_bicomodule is the oracle in the tests
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += ["%s:%d" % (path.name, getattr(node, "lineno", 0))
+                  for node in ast.walk(tree) if _named(node) == "_require_global_bicomodule"]
+    assert not found, found

@@ -19,9 +19,9 @@ from phopf.fields import GF, QQ
 from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
                           col_dicts, dict_acc, nullspace, rows_of_cols)
 from phopf._groups import named_group
-from phopf.algebras import (AlgebraData, Report, algebra_check, dict_of_vec,
-                            dual_hopf, group_algebra, mul_dicts, scalar_algebra,
-                            sweedler_h4)
+from phopf.algebras import (DUAL, AlgebraData, Report, _dual_structure, algebra_check,
+                            dict_of_vec, dual_hopf, group_algebra, mul_dicts,
+                            scalar_algebra, sweedler_h4)
 from phopf.ambient import LegOperator, TensorProductMul
 from phopf.actions import (PartialBimoduleData, dual_regular_action,
                            sweedler_k_bimodule, trivial_action, trivialize_right)
@@ -31,7 +31,6 @@ from phopf.coactions import (PartialBicomoduleData, bicomodule_to_bimodule,
 from phopf.group_actions import en_kg_example
 from phopf.induced import induce_bicomodule
 from phopf.globalize import (GlobalizationCandidate, _first_failure,
-                             _require_global_bicomodule,
                              _require_global_bimodule, comparison_map,
                              free_candidate_bimodule,
                              maximal_degenerate_subbimodule, minimalize,
@@ -530,6 +529,22 @@ def _assert_global_bicomodule(alg_b, hopf, rho, lam):
                 raise AssertionError("restricted left coaction is not "
                                      "multiplicative at basis pair (%d, %d)" % (x, y))
 
+
+
+def _require_global_bicomodule(algebra, hopf, rho, lam):
+    """Raise ValueError unless the coactions ρ and λ make the (possibly
+    non-unital) algebra a two-sided global comodule algebra.  In finite
+    dimension that is the statement that ρ, as the left operator family of
+    the dual Hopf algebra, and λ, as its right one, make it a global
+    bimodule algebra: the counit laws, coassociativity, compatibility and
+    multiplicativity are the unit, composition, commutation and product
+    laws of _require_global_bimodule.  The two families are the coaction
+    tensors transposed by algebras.DUAL.  standard_globalize_bicomodule
+    records these laws by their proof when the Hopf algebra passes
+    hopf_check, so this sweep is the oracle for that record."""
+    _require_global_bimodule(algebra, _dual_structure(hopf),
+                             rho.transpose(DUAL["right"][0]).columns(),
+                             lam.transpose(DUAL["left"][0]).columns())
 
 
 def _carriers():

@@ -144,7 +144,7 @@ NO_ACTIONS = ["actions", "globalize", "smash"] + CONCEPTS
 
 # argv, the modules it must not load, and a budget of compiled source lines:
 # the count the command compiles plus 5%, except the two globalize budgets,
-# which are their count of 4,107 plus 3%
+# which are their count of 4,186 plus 1%
 COMMANDS = [
     (["check", "algebra", "regular-bicomodule/hopf.json"], CHECKS, 2226),
     (["check", "hopf", "regular-bicomodule/hopf.json"], CHECKS, 2226),
@@ -158,9 +158,9 @@ COMMANDS = [
     (["smash", "sweedler-bimodule-k/bimodule.json",
       "regular-bicomodule/bicomodule.json"], ["globalize"] + CONCEPTS + TABLES, 3406),
     (["globalize", "bimodule", "sweedler-bimodule-k/bimodule.json", "-o", "glob"],
-     ["smash", "induced", "group_actions"] + TABLES, 4230),
+     ["smash", "induced", "group_actions"] + TABLES, 4228),
     (["globalize", "bicomodule", "regular-bicomodule/bicomodule.json", "-o", "glob2"],
-     ["smash", "induced", "group_actions"] + TABLES, 4230),
+     ["smash", "induced", "group_actions"] + TABLES, 4228),
 ]
 IDS = [" ".join(c[0][:2]) for c in COMMANDS]
 
