@@ -24,7 +24,7 @@ _EXPORTS = {
                 "check_lpma", "check_rpma", "dual_regular_action", "is_global",
                 "sweedler_k_bimodule", "trivial_action", "trivialize_right"),
     "group_actions": ("GroupPartialActionData", "check_group_partial_action",
-                      "en_kg_example", "group_to_kg", "kg_to_group"),
+                      "en_kg_example", "group_to_kg", "kg_to_group", "load_group_action"),
     "coactions": ("PartialBicomoduleData", "PartialCoactionData",
                   "bicomodule_to_bimodule", "bimodule_to_bicomodule",
                   "check_bicomodule", "check_global_unit", "check_lpca",
@@ -43,8 +43,7 @@ _EXPORTS = {
               "unital_corner"),
     "serialize": ("DocumentError", "load_action", "load_algebra",
                   "load_bicomodule", "load_bimodule", "load_coaction",
-                  "load_group_action", "load_hopf", "read_document",
-                  "write_document"),
+                  "load_hopf", "read_document", "write_document"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -13,9 +13,9 @@ phopf.induced, and the dictionary between partial actions of a group
 algebra kG and partial group actions is in phopf.group_actions.
 """
 
-from .algebras import (DUAL, AlgebraData, Report, _carried, _pair_stamp, _record_side,
-                       _side_stamp, algebra_check, coalgebra_check, dict_acc, dual_hopf,
-                       hopf_check, mul_dicts, same_algebra, same_hopf, vec_of_dict)
+from .algebras import (DUAL, Report, _carried, _pair_stamp, _record_side, _side_stamp,
+                       algebra_check, coalgebra_check, dict_acc, dual_hopf, hopf_check,
+                       mul_dicts, same_algebra, same_hopf, structure_json, vec_of_dict)
 from .linalg import Tensor3, acts_by_scalars, apply_cols
 
 
@@ -63,15 +63,13 @@ class PartialActionData:
         """Dense operator matrix of basis element h_i (columns = images)."""
         return self.map.slice_matrix(i, self.hopf.field.zero)
 
+    def map_json(self):
+        """The map rows and symmetric flag, in this and a bimodule's document."""
+        return {"map": self.map.to_json(self.hopf.field.show),
+                "symmetric": bool(self.symmetric)}
+
     def to_json(self, hopf_ref=None, algebra_ref=None):
-        show = self.hopf.field.show
-        return {
-            "hopf": hopf_ref if hopf_ref is not None else self.hopf.to_json(),
-            "algebra": algebra_ref if algebra_ref is not None else AlgebraData.to_json(self.alg),
-            "side": self.side,
-            "map": [[i, j, k, show(c)] for (i, j, k), c in sorted(self.map.entries.items())],
-            "symmetric": bool(self.symmetric),
-        }
+        return structure_json(self, hopf_ref, algebra_ref, side=self.side, **self.map_json())
 
     def __repr__(self):
         return "PartialActionData(%s)" % self.name
@@ -95,14 +93,8 @@ class PartialBimoduleData:
         self._certificates = {}
 
     def to_json(self, hopf_ref=None, algebra_ref=None):
-        return {
-            "hopf": hopf_ref if hopf_ref is not None else self.hopf.to_json(),
-            "algebra": algebra_ref if algebra_ref is not None else AlgebraData.to_json(self.alg),
-            "left": {"map": self.left.to_json()["map"],
-                     "symmetric": bool(self.left.symmetric)},
-            "right": {"map": self.right.to_json()["map"],
-                      "symmetric": bool(self.right.symmetric)},
-        }
+        return structure_json(self, hopf_ref, algebra_ref,
+                              left=self.left.map_json(), right=self.right.map_json())
 
     def __repr__(self):
         return "PartialBimoduleData(%s on %s)" % (self.hopf.name, self.alg.name)

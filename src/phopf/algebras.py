@@ -192,7 +192,7 @@ class Report:
         """An equal Report that shares nothing mutable with this one."""
         out = Report(self.subject, self.field)
         out.laws = list(self.laws)
-        out.failures = deepcopy(self.failures)
+        out.failures = deepcopy(self.failures) if self.failures else []
         return out
 
     def lines(self):
@@ -266,7 +266,7 @@ class AlgebraData:
         doc = {
             "field": self.field.to_json(),
             "basis": list(self.basis),
-            "mul": [[i, j, k, show(c)] for (i, j, k), c in sorted(self.mul.entries.items())],
+            "mul": self.mul.to_json(show),
         }
         if self.unit is not None:
             doc["unit"] = [show(c) for c in self.unit]
@@ -323,7 +323,7 @@ class HopfData(AlgebraData):
     def to_json(self):
         doc = AlgebraData.to_json(self)
         show = self.field.show
-        doc["comul"] = [[i, j, k, show(c)] for (i, j, k), c in sorted(self.comul.entries.items())]
+        doc["comul"] = self.comul.to_json(show)
         doc["counit"] = [show(c) for c in self.counit]
         doc["antipode"] = [[i, j, show(self.antipode[i][j])]
                            for i in range(self.dim) for j in range(self.dim)
@@ -352,6 +352,14 @@ def same_hopf(a, b):
     return same_algebra(a, b) and isinstance(a, HopfData) and isinstance(b, HopfData) \
         and a.comul.entries == b.comul.entries and a.counit == b.counit \
         and a.antipode == b.antipode
+
+
+def structure_json(s, hopf_ref, algebra_ref, **parts):
+    """The document of s, an action, a coaction or a pair: H and A, each
+    inline or as the file name given for it, then `parts`."""
+    return dict(hopf=s.hopf.to_json() if hopf_ref is None else hopf_ref,
+                algebra=AlgebraData.to_json(s.alg) if algebra_ref is None else algebra_ref,
+                **parts)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +442,18 @@ def _record_proved(h):
         h._certificates[suite] = (stamp, rep)
 
 
-def _side_stamp(p, symmetric):
-    return (p.side, p.map.state, symmetric, p.name, _hopf_stamp(p.hopf), _algebra_stamp(p.alg))
+def _side_stamp(p, symmetric, parts=None):
+    return (p.side, p.map.state, symmetric, p.name) + (
+        parts or (_hopf_stamp(p.hopf), _algebra_stamp(p.alg)))
 
 
 def _pair_stamp(b):
-    return (_hopf_stamp(b.hopf), _algebra_stamp(b.alg)) + tuple(
-        _side_stamp(q, getattr(q, "symmetric", False)) for q in (b.left, b.right))
+    """H and A stamped once, and handed to each side that shares them."""
+    parts = (_hopf_stamp(b.hopf), _algebra_stamp(b.alg))
+    return parts + tuple(
+        _side_stamp(q, getattr(q, "symmetric", False),
+                    parts if q.hopf is b.hopf and q.alg is b.alg else None)
+        for q in (b.left, b.right))
 
 
 def _record_side(p, symmetric):

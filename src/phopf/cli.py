@@ -129,10 +129,11 @@ def cmd_check(args, fmt):
 # phopf example
 
 
-def _write_pair(outdir, hopf, structure, kind):
+def _write_pair(outdir, structure, kind):
+    """Write hopf.json and the structure's document, which refers to it."""
     hopf_path = os.path.join(outdir, "hopf.json")
     struct_path = os.path.join(outdir, "%s.json" % kind)
-    write_document(hopf.to_json(), hopf_path)
+    write_document(structure.hopf.to_json(), hopf_path)
     write_document(structure.to_json(hopf_ref="hopf.json"), struct_path)
     return [hopf_path, struct_path]
 
@@ -140,15 +141,13 @@ def _write_pair(outdir, hopf, structure, kind):
 def _ex_sweedler_bimodule(args, field, outdir):
     from .actions import sweedler_k_bimodule
     b = sweedler_k_bimodule(field, _scalar(field, args.r), _scalar(field, args.s))
-    files = _write_pair(outdir, b.hopf, b, "bimodule")
-    return files, ["r=%s s=%s over %s" % (args.r, args.s, field)]
+    return _write_pair(outdir, b, "bimodule"), ["r=%s s=%s over %s" % (args.r, args.s, field)]
 
 
 def _ex_sweedler_bicomodule(args, field, outdir):
     from .coactions import sweedler_k_bicomodule
     b = sweedler_k_bicomodule(field, _scalar(field, args.t), _scalar(field, args.u))
-    files = _write_pair(outdir, b.hopf, b, "bicomodule")
-    return files, ["t=%s u=%s over %s" % (args.t, args.u, field)]
+    return _write_pair(outdir, b, "bicomodule"), ["t=%s u=%s over %s" % (args.t, args.u, field)]
 
 
 def _ex_en_kg(args, field, outdir):
@@ -156,9 +155,8 @@ def _ex_en_kg(args, field, outdir):
     from .group_actions import en_kg_example
     labels, table = _group(args.group or "z4")
     act = en_kg_example(table, _indices(args.N), field, labels)[1]
-    files = _write_pair(outdir, act.hopf, act, "action")
-    return files, ["|G|=%d, |N|=%d, is_global=%s"
-                   % (len(table), len(set(_indices(args.N))), is_global(act))]
+    return _write_pair(outdir, act, "action"), [
+        "|G|=%d, |N|=%d, is_global=%s" % (len(table), len(set(_indices(args.N))), is_global(act))]
 
 
 def _ex_dual_group_action(args, field, outdir):
@@ -167,8 +165,8 @@ def _ex_dual_group_action(args, field, outdir):
     labels, table = _group(args.group or "z4")
     h = group_algebra(table, field, labels)
     act = dual_regular_action(h)  # raises unless the action is global
-    files = _write_pair(outdir, act.hopf, act, "action")
-    return files, ["dual of k[%s] acting on it, is_global=True" % (args.group or "z4")]
+    return _write_pair(outdir, act, "action"), [
+        "dual of k[%s] acting on it, is_global=True" % (args.group or "z4")]
 
 
 def _ex_regular_bicomodule(args, field, outdir):
@@ -180,8 +178,8 @@ def _ex_regular_bicomodule(args, field, outdir):
     else:
         h = sweedler_h4(field)
     b = regular_bicomodule(h)
-    files = _write_pair(outdir, b.hopf, b, "bicomodule")
-    return files, ["comultiplication coacting on %s from both sides" % h.name]
+    return _write_pair(outdir, b, "bicomodule"), [
+        "comultiplication coacting on %s from both sides" % h.name]
 
 
 def _ex_z2_partial_group(args, field, outdir):
@@ -190,7 +188,7 @@ def _ex_z2_partial_group(args, field, outdir):
     act = group_to_kg(gpa)
     group_path = os.path.join(outdir, "group-action.json")
     write_document(gpa.to_json(), group_path)
-    files = [group_path] + _write_pair(outdir, act.hopf, act, "action")
+    files = [group_path] + _write_pair(outdir, act, "action")
     return files, ["order-2 group on k x k plus its group-algebra counterpart"]
 
 
@@ -275,38 +273,11 @@ def cmd_globalize(args, fmt):
 
 def cmd_smash(args, fmt):
     from .serialize import load_bicomodule, load_bimodule
-    from .algebras import dict_of_vec, mul_dicts
-    from .smash import find_idempotent, smash_product
+    from .smash import _idempotents_and_unit_pair, smash_product
     bim = load_bimodule(args.bimodule)
     bic = load_bicomodule(args.bicomodule)
     s = smash_product(bim, bic)  # raises unless algebra_check proves A ♮ Ā associative
-    A, U = s.left_factor.alg, s.right_factor.alg
-    f = A.field
-
-    def idempotents(alg):  # the basis elements e with e² = e
-        pv = alg.mul.pair_view()
-        return [t for t in range(alg.dim)
-                if mul_dicts(pv, {t: f.one}, {t: f.one}) == {t: f.one}]
-
-    idem_u = idempotents(U)
-    found = []
-    for i in idempotents(A):
-        a = [f.one if t == i else f.zero for t in range(A.dim)]
-        for j in idem_u:
-            u = [f.one if t == j else f.zero for t in range(U.dim)]
-            is_idem, route = find_idempotent(s, a, u)
-            if is_idem:
-                found.append({"a": A.basis[i], "u": U.basis[j], "route": route})
-    one_pair = dict_of_vec(s.pair_vec(A.unit, U.unit))
-    square = mul_dicts(s.alg.mul.pair_view(), one_pair, one_pair)
-    if s.alg.unit is not None:
-        unit_note = "identity of the smash product"
-    elif square == one_pair:
-        unit_note = "idempotent but not the identity"
-    elif not square:
-        unit_note = "nilpotent: (1 # 1)^2 = 0"
-    else:
-        unit_note = "neither idempotent nor nilpotent"
+    found, unit_note = _idempotents_and_unit_pair(s)
     doc = s.alg.to_json()
     doc["certificate"] = {"associative": True,
                           "idempotents_found": found,

@@ -26,10 +26,10 @@ Coactions and bicomodules carry their Reports (see algebras._carried).
 
 from fractions import Fraction
 
-from .algebras import (DUAL, AlgebraData, Report, _carried, _leg_index, _pair_stamp,
-                       _record_side, _side_stamp, algebra_check, dict_acc, dual_hopf,
-                       hopf_check, same_algebra, same_hopf, scalar_algebra, sweedler_h4,
-                       tensor_mul, vec_of_dict)
+from .algebras import (DUAL, Report, _carried, _leg_index, _pair_stamp, _record_side,
+                       _side_stamp, algebra_check, dict_acc, dual_hopf, hopf_check,
+                       same_algebra, same_hopf, scalar_algebra, structure_json,
+                       sweedler_h4, tensor_mul, vec_of_dict)
 from .linalg import Tensor3, acts_by_scalars, restrict_ops
 
 
@@ -83,14 +83,12 @@ class PartialCoactionData:
         Built once per map (see Tensor3.transpose_view).  Read-only."""
         return self.map.transpose_view(DUAL[self.side][0]).columns()
 
+    def map_json(self):
+        """The map rows, in this and a bicomodule's document."""
+        return {"map": self.map.to_json(self.hopf.field.show)}
+
     def to_json(self, hopf_ref=None, algebra_ref=None):
-        show = self.hopf.field.show
-        return {
-            "hopf": hopf_ref if hopf_ref is not None else self.hopf.to_json(),
-            "algebra": algebra_ref if algebra_ref is not None else AlgebraData.to_json(self.alg),
-            "side": self.side,
-            "map": [[i, j, k, show(c)] for (i, j, k), c in sorted(self.map.entries.items())],
-        }
+        return structure_json(self, hopf_ref, algebra_ref, side=self.side, **self.map_json())
 
     def __repr__(self):
         return "PartialCoactionData(%s)" % self.name
@@ -115,12 +113,8 @@ class PartialBicomoduleData:
         self._certificates = {}
 
     def to_json(self, hopf_ref=None, algebra_ref=None):
-        return {
-            "hopf": hopf_ref if hopf_ref is not None else self.hopf.to_json(),
-            "algebra": algebra_ref if algebra_ref is not None else AlgebraData.to_json(self.alg),
-            "left": {"map": self.left.to_json()["map"]},
-            "right": {"map": self.right.to_json()["map"]},
-        }
+        return structure_json(self, hopf_ref, algebra_ref,
+                              left=self.left.map_json(), right=self.right.map_json())
 
     def __repr__(self):
         return "PartialBicomoduleData(%s on %s)" % (self.hopf.name, self.alg.name)
@@ -412,18 +406,26 @@ def _dual_action(p, hs):
                              name="dual action of %s" % p.name)
 
 
+def _transposable(s, stamp):
+    """Whether s carries a passing Report under `stamp`, its stamp now, while
+    H passes hopf_check and A algebra_check: then each law of the dual
+    reading of s is the transpose of a law s passes."""
+    got, rep = s._certificates.get("suite", (None, None))
+    return rep is not None and rep.passed and got == stamp \
+        and hopf_check(s.hopf).passed and algebra_check(s.alg).passed
+
+
 def _by_duality(p, q, symmetric):
     """q, the dual reading of p, carrying a passing Report (with the symmetry
     law when `symmetric`) if p carries one that has that law too."""
-    # When H passes hopf_check and A algebra_check, each law of either suite
-    # is the transpose of one of the other: counit ⇄ 1⇀a = a,
-    # multiplicativity ⇄ multiplicativity, coassociativity and its symmetric
-    # variant ⇄ the unital composition and symmetry laws, whose general
-    # forms then follow (see actions._action_suite).
-    stamp, rep = p._certificates.get("suite", (None, None))
-    if rep is not None and rep.passed and stamp[2] >= symmetric \
-            and stamp == _side_stamp(p, stamp[2]) \
-            and hopf_check(p.hopf).passed and algebra_check(p.alg).passed:
+    # Under the premises of _transposable each law of either suite is the
+    # transpose of one of the other: counit ⇄ 1⇀a = a, multiplicativity ⇄
+    # multiplicativity, coassociativity and its symmetric variant ⇄ the
+    # unital composition and symmetry laws, whose general forms then follow
+    # (see actions._action_suite).
+    stamp = p._certificates.get("suite", (None,))[0]
+    if stamp is not None and stamp[2] >= symmetric \
+            and _transposable(p, _side_stamp(p, stamp[2])):
         _record_side(q, symmetric)
     return q
 
@@ -454,13 +456,17 @@ def bicomodule_to_bimodule(b):
     """Partial bicomodule of H ⇒ partial bimodule of the dual Hopf algebra:
     the left action comes from ρ, the right action from λ; compatibility
     carries over.  The dual Hopf algebra is certified once for both sides,
-    and each dual action as coaction_to_dual_action certifies it, so only
-    the compatibility law is checked on the pair."""
-    from .actions import PartialBimoduleData, _certify_action, check_bimodule
+    and each dual action as coaction_to_dual_action certifies it.  The
+    bimodule compatibility law is the transpose of the bicomodule one: it
+    is recorded by that proof when b is _transposable under its pair stamp,
+    and swept otherwise."""
+    from .actions import PartialBimoduleData, _certify_action, _decide_bimodule, check_bimodule
     hs = dual_hopf(b.hopf)
     left, right = (_certify_action(_by_duality(p, _dual_action(p, hs), True))
                    for p in (b.right, b.left))
     out = PartialBimoduleData(left, right)
+    if _transposable(b, _pair_stamp(b)):
+        out._certificates["suite"] = (_pair_stamp(out), _decide_bimodule(out, compatible=True))
     check_bimodule(out).require("dual bimodule", AssertionError)
     return out
 

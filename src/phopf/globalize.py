@@ -101,8 +101,7 @@ class _StandardGlobalization:
                     for r in range(n)],
             "b_basis": [[show(row[j]) if j in row else zero for j in range(n)]
                         for row in self.b_basis.rows],
-            "mul": [[i, j, k, show(c)]
-                    for (i, j, k), c in sorted(self.algebra.mul.entries.items())],
+            "mul": self.algebra.mul.to_json(show),
             "certificate": self.certificate.to_json(),
         }
 

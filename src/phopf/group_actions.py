@@ -6,9 +6,10 @@ group algebra kG; also the averaged-idempotent example e_N·kG."""
 from fractions import Fraction
 
 from .algebras import (AlgebraData, Report, algebra_check, dict_of_vec, dual_hopf,
-                       group_algebra, vec_of_dict)
+                       group_algebra, json_rows, vec_of_dict)
 from .actions import PartialActionData, _certify_action, check_lpma
 from .linalg import Tensor3, apply_cols, col_dicts, unit_vec
+from .serialize import _guard, _resolve, load_algebra
 from ._groups import check_group_table, group_identity, group_inverses
 
 
@@ -53,6 +54,32 @@ class GroupPartialActionData:
 
     def __repr__(self):
         return "GroupPartialActionData(|G|=%d on %s)" % (len(self.table), self.alg.name)
+
+
+def load_group_action(node, base_dir="."):
+    """The partial group action of a document (see serialize for `node`,
+    `base_dir` and the errors), loaded here beside its class, so a command
+    that reads no group action does not compile its loader."""
+    doc, base = _resolve(node, base_dir)
+
+    def parts():
+        table = doc["group"]
+        if any(type(x) is not int for row in table for x in row):
+            raise ValueError("group table entries must be integers")
+        alg = load_algebra(doc["algebra"], base)
+        f = alg.field
+        m = alg.dim
+        idem = [[f.parse(c) for c in v] for v in doc["idempotents"]]
+        alphas = []
+        for rows in doc["alphas"]:
+            mat = [[f.zero] * m for _ in range(m)]
+            for (i, j), c in json_rows(rows, (m, m), f, "alphas"):
+                mat[i][j] = c
+            alphas.append(mat)
+        return table, alg, idem, alphas, doc.get("labels")
+
+    table, alg, idem, alphas, labels = _guard(parts, "group action")
+    return GroupPartialActionData(table, alg, idem, alphas, labels=labels)
 
 
 def z2_partial_group_example(field):

@@ -221,6 +221,10 @@ class Tensor3:
             got = self._transposes[perm] = self.transpose(perm)
         return got
 
+    def to_json(self, show):
+        """The entries as document rows [i, j, k, show(c)], sorted by key."""
+        return [[i, j, k, show(c)] for (i, j, k), c in sorted(self.entries.items())]
+
     def mul_dict(self, x, y):
         """The tensor as a bilinear map on sparse vectors:
         (x, y) -> {k: Σ x_i·y_j·t_ijk}."""

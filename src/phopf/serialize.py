@@ -1,10 +1,12 @@
 """Reading and writing the toolkit's JSON documents.
 
-Writers live on the data classes (each has to_json); this module supplies
-the inverse loaders plus file plumbing.  The Hopf algebra and coefficient
-algebra inside an action/coaction document may be stored inline as JSON
-objects or referenced by file name; references resolve relative to the
-directory of the referring file, so a bundle of files moves as a unit.
+Each data class builds its document with to_json, serializing each part
+once (a pair holds H and A once, and each side's map_json); every document
+is written by write_document, one flat row per write, and read back by the
+loaders here.  The Hopf algebra and coefficient algebra inside an
+action/coaction document may be stored inline as JSON objects or
+referenced by file name; references resolve relative to the directory of
+the referring file, so a bundle of files moves as a unit.
 
 Malformed documents (missing keys, bad scalar syntax, wrong shapes) raise
 DocumentError; mathematically invalid but well-formed content raises the
@@ -37,8 +39,15 @@ def read_document(path):
 
 
 def write_document(doc, path):
+    """Write `doc` to `path`: the UTF-8 text json.dump writes with indent=2
+    and ensure_ascii=False, then a newline.  Each flat list of scalars (a
+    map row, a dense row of phi) is one join and one write, and no larger
+    text is built.  A document holds dicts with string keys, lists, tuples,
+    strings, ints (a Count too), booleans and None: a float raises
+    TypeError."""
+    from ._json_writer import write_json
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, ensure_ascii=False)
+        write_json(fh, doc)
         fh.write("\n")
 
 
@@ -132,27 +141,3 @@ def load_bicomodule(node, base_dir="."):
     left, right = (PartialCoactionData(hopf, alg, side, entries)
                    for side, entries, _ in parts)
     return PartialBicomoduleData(left, right)
-
-
-def load_group_action(node, base_dir="."):
-    from .group_actions import GroupPartialActionData
-    doc, base = _resolve(node, base_dir)
-
-    def parts():
-        table = doc["group"]
-        if any(type(x) is not int for row in table for x in row):
-            raise ValueError("group table entries must be integers")
-        alg = load_algebra(doc["algebra"], base)
-        f = alg.field
-        m = alg.dim
-        idem = [[f.parse(c) for c in v] for v in doc["idempotents"]]
-        alphas = []
-        for rows in doc["alphas"]:
-            mat = [[f.zero] * m for _ in range(m)]
-            for (i, j), c in json_rows(rows, (m, m), f, "alphas"):
-                mat[i][j] = c
-            alphas.append(mat)
-        return table, alg, idem, alphas, doc.get("labels")
-
-    table, alg, idem, alphas, labels = _guard(parts, "group action")
-    return GroupPartialActionData(table, alg, idem, alphas, labels=labels)

@@ -221,6 +221,37 @@ def find_idempotent(s, a_vec, u_vec):
     return (True, "direct")
 
 
+def _idempotents_and_unit_pair(s):
+    """What `phopf smash` reports of s: each pair a ♮ u of basis idempotents
+    that find_idempotent finds idempotent, as {"a", "u", "route"}, and what
+    1_A ♮ 1_Ā is in s."""
+    A, U = s.left_factor.alg, s.right_factor.alg
+    one = A.field.one
+
+    def idempotents(alg):  # the basis elements e with e² = e
+        pv = alg.mul.pair_view()
+        return [t for t in range(alg.dim) if mul_dicts(pv, {t: one}, {t: one}) == {t: one}]
+
+    idem_u = idempotents(U)
+    found = []
+    for i in idempotents(A):
+        for j in idem_u:
+            is_idem, route = find_idempotent(s, A.basis_vec(i), U.basis_vec(j))
+            if is_idem:
+                found.append({"a": A.basis[i], "u": U.basis[j], "route": route})
+    one_pair = dict_of_vec(s.pair_vec(A.unit, U.unit))
+    square = mul_dicts(s.alg.mul.pair_view(), one_pair, one_pair)
+    if s.alg.unit is not None:
+        unit_note = "identity of the smash product"
+    elif square == one_pair:
+        unit_note = "idempotent but not the identity"
+    elif not square:
+        unit_note = "nilpotent: (1 # 1)^2 = 0"
+    else:
+        unit_note = "neither idempotent nor nilpotent"
+    return found, unit_note
+
+
 # ---------------------------------------------------------------------------
 # the corner algebra e·S·e
 

@@ -330,3 +330,104 @@ def test_the_standard_paths_sweep_the_global_laws_over_a_failing_antipode(monkey
     assert len(sweeps) == 1
     globalize.standard_globalize_bimodule(b)
     assert len(sweeps) == 1
+
+
+# ---------------------------------------------------------------------------
+# a carried pair check stamps H and A once and copies no witness
+
+
+def test_a_carried_pair_check_stamps_h_and_a_once(monkeypatch):
+    # _pair_stamp used to stamp H and A again inside each side's stamp
+    b = regular_bicomodule(dual_hopf(_kg("Q8", QQ)))
+    first = check_bicomodule(b)
+    stamps = _counting(monkeypatch, algebras, "_hopf_stamp")
+    copies = _counting(monkeypatch, algebras, "deepcopy")
+    assert check_bicomodule(b).to_json() == first.to_json()
+    assert len(stamps) == 1 and copies == []
+    # the tuple is the one the sides' own stamps make; a side that no longer
+    # shares H with the pair is stamped on its own, and decided again
+    for changed in (False, True):
+        if changed:
+            b.left.hopf = _changed_hopf(b.hopf)
+        stamps.clear()
+        got = algebras._pair_stamp(b)
+        assert len(stamps) == 1 + changed
+        assert got == (algebras._hopf_stamp(b.hopf), algebras._algebra_stamp(b.alg)) + tuple(
+            algebras._side_stamp(q, False) for q in (b.left, b.right))
+    assert not check_bicomodule(b).passed
+
+
+def test_a_failing_report_copy_shares_no_witness():
+    rep = algebras.Report("s", QQ)
+    rep.fail("law", (0,), [[1, 2]], [[3]])
+    out = rep.copy()
+    assert out.to_json() == rep.to_json()
+    assert out.failures[0][2] is not rep.failures[0][2]
+
+
+# ---------------------------------------------------------------------------
+# bicomodule_to_bimodule records the compatibility law by its transpose
+
+
+def _compatibility_sweeps(monkeypatch):
+    """The pairs whose bimodule compatibility law _decide_bimodule sweeps."""
+    swept_pairs, decide = [], actions._decide_bimodule
+
+    def sweeping(b, compatible=False):
+        swept_pairs.extend([b] * (not compatible))
+        return decide(b, compatible)
+
+    monkeypatch.setattr(actions, "_decide_bimodule", sweeping)
+    return swept_pairs
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_the_dual_bimodule_records_its_compatibility_law(field, monkeypatch):
+    sweeps = _compatibility_sweeps(monkeypatch)
+    for h in _hopf_inputs(field):
+        for b in (regular_bicomodule(h),
+                  bimodule_to_bicomodule(trivialize_right(dual_regular_action(h)))):
+            sweeps.clear()
+            out = bicomodule_to_bimodule(b)
+            assert sweeps == [], h.name
+            assert check_bimodule(out).to_json() == sweep_bimodule(out).to_json(), h.name
+            # without a Report on b the law is swept, to the same Report
+            again = bicomodule_to_bimodule(bare(b))
+            assert len(sweeps) == 1
+            assert check_bimodule(again).to_json() == check_bimodule(out).to_json()
+
+
+def _graded(h, alg, perm, side):
+    """The kZ2-grading of k^4 by the involution `perm` of its idempotents,
+    as a global coaction on `side`: a = a₊ ⊗ e + a₋ ⊗ g, a± = (a ± perm(a))/2."""
+    f = alg.field
+    half = f.inv(f.of(2))
+    entries = {}
+    for i, j in enumerate(perm):
+        for k, g, c in ((i, 0, half), (j, 0, half), (i, 1, half), (j, 1, -half)):
+            key = (i, k, g) if side == "right" else (i, g, k)
+            entries[key] = entries.get(key, f.zero) + c
+    return PartialCoactionData(h, alg, side, {k: c for k, c in entries.items() if c})
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["bare", "carried"])
+def test_an_incompatible_pair_still_fails_the_dual_bimodule(carried, monkeypatch):
+    # two kZ2-gradings of k^4 whose involutions (12) and (23) do not commute:
+    # each coaction passes its suite and the pair fails compatibility, so
+    # the bridge sweeps the law, whether or not b carries its failing Report
+    from phopf.coactions import PartialBicomoduleData
+    h = _kg("Z2", QQ)
+    k4 = AlgebraData(QQ, ["e1", "e2", "e3", "e4"], {(i, i, i): 1 for i in range(4)},
+                     [1] * 4, name="k^4")
+    b = PartialBicomoduleData(_graded(h, k4, [0, 2, 1, 3], "left"),
+                              _graded(h, k4, [1, 0, 2, 3], "right"))
+    assert check_lpca(b.left, True).passed and check_rpca(b.right, True).passed
+    if carried:
+        assert check_bicomodule(b).failures[0][0] == "bicomodule-compatibility"
+    else:
+        b = bare(b)
+    sweeps = _compatibility_sweeps(monkeypatch)
+    with pytest.raises(AssertionError,
+                       match=r"^dual bimodule fails bimodule-compatibility at \(0, 0, 0\)$"):
+        bicomodule_to_bimodule(b)
+    assert len(sweeps) == 1

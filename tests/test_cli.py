@@ -26,6 +26,13 @@ KIND_OF_FILE = {
 }
 
 
+def write_hostile(doc, path):
+    """Write doc as JSON, floats included, which write_document refuses: a
+    hostile document the CLI must reject cleanly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, ensure_ascii=False)
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -227,15 +234,15 @@ def test_check_rejects_out_of_range_and_non_integer_indices(tmp_path, capsys, ro
     hopf = next(p for p in files if p.endswith("hopf.json"))
     doc = read_document(hopf)
     doc["mul"].append(row)
-    write_document(doc, hopf)
+    write_hostile(doc, hopf)
     assert main(["check", "hopf", hopf]) == 2
     assert "mul row" in _one_line_error(capsys)
 
 
 def _prime_field_algebra(tmp_path, p):
     path = str(tmp_path / "algebra.json")
-    write_document({"field": {"kind": "PrimeField", "p": p}, "basis": ["1"],
-                    "mul": [[0, 0, 0, "1"]], "unit": ["1"]}, path)
+    write_hostile({"field": {"kind": "PrimeField", "p": p}, "basis": ["1"],
+                   "mul": [[0, 0, 0, "1"]], "unit": ["1"]}, path)
     return path
 
 
@@ -649,6 +656,6 @@ def test_cli_survives_single_node_corruptions(kind, tmp_path, capsys):
     rng = random.Random("fuzz " + kind)
     codes = set()
     for _ in range(150):
-        write_document(_corrupt(docs[name][1], rng), files["DOC"])
+        write_hostile(_corrupt(docs[name][1], rng), files["DOC"])
         codes.update(_run_hostile(capsys, argv) for argv in argvs)
     assert 2 in codes

@@ -248,3 +248,16 @@ def test_the_bicomodule_global_law_sweep_is_a_test_oracle_only():
         found += ["%s:%d" % (path.name, getattr(node, "lineno", 0))
                   for node in ast.walk(tree) if _named(node) == "_require_global_bicomodule"]
     assert not found, found
+
+
+def test_documents_have_one_writer():
+    # serialize.write_document writes every document through
+    # _json_writer.write_json, the bytes of json.dump one flat row at a time;
+    # a json.dump left in the package would be a second writer, one token
+    # per write
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += ["%s:%d" % (path.name, n) for n, line in
+                  enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                  if "json.dump(" in line]
+    assert not found, found

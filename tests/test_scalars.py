@@ -23,10 +23,10 @@ from phopf.coactions import (check_bicomodule, check_lpca, check_rpca,
                              regular_bicomodule, sweedler_k_bicomodule)
 from phopf.cli import main
 from phopf.group_actions import (check_group_partial_action, en_kg_example,
-                                 z2_partial_group_example)
+                                 load_group_action, z2_partial_group_example)
 from phopf.serialize import (load_action, load_algebra, load_bicomodule,
-                             load_bimodule, load_coaction, load_group_action,
-                             load_hopf, write_document)
+                             load_bimodule, load_coaction, load_hopf,
+                             write_document)
 
 
 # ---------------------------------------------------------------------------

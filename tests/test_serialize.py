@@ -1,19 +1,23 @@
 """Document layer: JSON round trips, file references, error taxonomy."""
 
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from phopf import cli
+from phopf._json_writer import write_json
 from phopf.fields import GF, QQ
-from phopf.algebras import AlgebraData, HopfData, sweedler_h4
+from phopf.algebras import AlgebraData, Count, HopfData, group_algebra, sweedler_h4
 from phopf.actions import check_bimodule, sweedler_k_bimodule
 from phopf.coactions import check_bicomodule, regular_bicomodule, sweedler_k_bicomodule
-from phopf.group_actions import z2_partial_group_example
+from phopf.globalize import standard_globalize_bicomodule
+from phopf.group_actions import load_group_action, z2_partial_group_example
 from phopf.serialize import (DocumentError, load_action, load_algebra,
                              load_bicomodule, load_bimodule, load_coaction,
-                             load_group_action, load_hopf, read_document,
-                             write_document)
+                             load_hopf, read_document, write_document)
 from tests.test_scalars import FAMILIES, KINDS, family, map_scalars, reduce_mod
 
 
@@ -342,3 +346,195 @@ def test_write_document_emits_trailing_newline(tmp_path):
     write_document({"a": 1}, path)
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n") and json.loads(text) == {"a": 1}
+
+
+# ---------------------------------------------------------------------------
+# the writer: the bytes of json.dump, one flat row per write
+
+
+def _dumped(doc):
+    """What json.dump writes for doc with indent=2 and ensure_ascii=False,
+    and the newline write_document adds."""
+    fh = io.StringIO()
+    json.dump(doc, fh, indent=2, ensure_ascii=False)
+    return fh.getvalue() + "\n"
+
+
+def _recording(monkeypatch, module):
+    """Wrap module.write_document so it records each (document, path)."""
+    written = []
+
+    def record(doc, path):
+        written.append((doc, str(path)))
+        return write_document(doc, path)
+
+    monkeypatch.setattr(module, "write_document", record)
+    return written
+
+
+def _assert_written_as_json_dump(written):
+    assert written
+    for doc, path in written:
+        with open(path, "rb") as fh:
+            assert fh.read() == _dumped(doc).encode("utf-8"), path
+
+
+@pytest.mark.parametrize("name", sorted(cli._EXAMPLES))
+def test_every_example_document_is_written_as_json_dump_writes_it(name, field, tmp_path,
+                                                                   monkeypatch):
+    written = _recording(monkeypatch, cli)
+    spec = "qq" if field == QQ else "gf5"
+    assert cli.main(["example", name, "--field", spec, "-o", str(tmp_path)]) == 0
+    _assert_written_as_json_dump(written)
+
+
+def test_globalize_and_smash_documents_are_written_as_json_dump_writes_them(
+        tmp_path, monkeypatch, capsys):
+    inputs = {"bim": ["sweedler-bimodule-k", "--r", "2", "--s", "3"],
+              "tu": ["sweedler-bicomodule-k", "--t", "1/2", "--u", "-3"],
+              "h4": ["regular-bicomodule"],
+              "s3": ["regular-bicomodule", "--group", "S3"]}
+    for out, argv in inputs.items():
+        assert cli.main(["example"] + argv + ["-o", str(tmp_path / out)]) == 0
+    written = _recording(monkeypatch, cli)
+    bim = str(tmp_path / "bim" / "bimodule.json")
+    for kind, src in (("bimodule", "bim"), ("bicomodule", "tu"), ("bicomodule", "h4"),
+                      ("bicomodule", "s3")):
+        path = str(tmp_path / src / ("%s.json" % kind))
+        assert cli.main(["globalize", kind, path, "-o", str(tmp_path / src / "glob")]) == 0
+    bic = str(tmp_path / "h4" / "bicomodule.json")
+    assert cli.main(["smash", bim, bic, "-o", str(tmp_path / "smash.json")]) == 0
+    assert cli.main(["smash", bim, bic, "-o", str(tmp_path / "smash-dir")]) == 0
+    capsys.readouterr()
+    assert len(written) == 6
+    _assert_written_as_json_dump(written)
+
+
+def test_the_kz16_globalization_document_is_written_as_json_dump_writes_it(tmp_path):
+    n = 16
+    h = group_algebra([[(i + j) % n for j in range(n)] for i in range(n)], QQ, name="kZ16")
+    doc = standard_globalize_bicomodule(regular_bicomodule(h)).to_json()
+    write_document(doc, tmp_path / "globalization.json")
+    _assert_written_as_json_dump([(doc, tmp_path / "globalization.json")])
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 60, 10 ** 60)
+            | st.integers(-10 ** 6, 10 ** 6).map(Count)
+            | st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t\r\x7f", "é", "\U0001F600",
+                                          " ", "a\"b\\c"]))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_generated_values_are_written_as_json_dump_writes_them(value):
+    fh = io.StringIO()
+    write_json(fh, value)
+    assert fh.getvalue() + "\n" == _dumped(value)
+
+
+class _Shown(int):
+    """An int that repr shows as something else; JSON writes the int."""
+
+    def __repr__(self):
+        return "_Shown(%d)" % self
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}], (), ((),), ("x", 1),
+    "x", -7, 10 ** 40, Count(3), _Shown(4), True, False, None,
+    [Count(2), _Shown(-1), True, None, "é"],
+    {"k": [1, [2, [3, {}]], {"z": (4, 5)}], "e": "é\U0001F600", "t": True}], ids=repr)
+def test_edge_values_are_written_as_json_dump_writes_them(value, tmp_path):
+    write_document(value, tmp_path / "v.json")
+    _assert_written_as_json_dump([(value, tmp_path / "v.json")])
+
+
+@pytest.mark.parametrize("value", [1.5, [1, 2.0], ["a", 0.5], [[1, 2], 3.0],
+                                   {"a": 1.0}, {1: "a"}, {"a": {None: 1}}, [{2: []}]],
+                         ids=repr)
+def test_a_float_or_a_key_that_is_not_a_string_raises_type_error(value, tmp_path):
+    with pytest.raises(TypeError):
+        write_document(value, tmp_path / "v.json")
+
+
+def _check_set_up():
+    """(hopf, structure) pairs of the five documents the check workload of
+    the benchmark writes: the dual regular action of kZ12, and the kQ8*
+    bimodule on kQ8 and the regular kQ8* bicomodule, two Hopf algebras in
+    all."""
+    from phopf.actions import dual_regular_action, trivialize_right
+    from phopf._groups import named_group
+    z12 = group_algebra([[(i + j) % 12 for j in range(12)] for i in range(12)], QQ)
+    act = dual_regular_action(z12)
+    bim = trivialize_right(dual_regular_action(group_algebra(named_group("Q8")[1], QQ)))
+    return [(act.hopf, [act]), (bim.hopf, [bim, regular_bicomodule(bim.hopf)])]
+
+
+def _old_to_json(s, hopf_ref=None, algebra_ref=None):
+    """The document of an action, a coaction or a pair as their to_json
+    wrote it when each side serialized H and A again for a pair."""
+    show = s.hopf.field.show
+    doc = {"hopf": hopf_ref if hopf_ref is not None else s.hopf.to_json(),
+           "algebra": algebra_ref if algebra_ref is not None else AlgebraData.to_json(s.alg)}
+    if hasattr(s, "side"):
+        doc["side"] = s.side
+        doc["map"] = [[i, j, k, show(c)] for (i, j, k), c in sorted(s.map.entries.items())]
+        if hasattr(s, "symmetric"):
+            doc["symmetric"] = bool(s.symmetric)
+        return doc
+    for side in ("left", "right"):
+        q = getattr(s, side)
+        doc[side] = {"map": _old_to_json(q)["map"]}
+        if hasattr(q, "symmetric"):
+            doc[side]["symmetric"] = bool(q.symmetric)
+    return doc
+
+
+def test_a_set_up_serializes_each_hopf_algebra_once(tmp_path, monkeypatch):
+    # the pair documents used to build each side's whole document, inline H
+    # and A included, and keep its map: 6 Hopf serializations, not 2
+    set_up = _check_set_up()
+    calls = []
+    to_json = HopfData.to_json
+
+    def counted(h):
+        calls.append(h)
+        return to_json(h)
+
+    monkeypatch.setattr(HopfData, "to_json", counted)
+    for t, (hopf, structures) in enumerate(set_up):
+        write_document(hopf.to_json(), tmp_path / ("hopf%d.json" % t))
+        for s in structures:
+            write_document(s.to_json(hopf_ref="hopf.json"), tmp_path / "s.json")
+    assert len(calls) == 2
+    monkeypatch.undo()
+    for _, structures in set_up:
+        for s in structures:
+            for q in [s] + [getattr(s, side) for side in ("left", "right") if hasattr(s, side)]:
+                for refs in ({}, {"hopf_ref": "hopf.json"},
+                             {"hopf_ref": "hopf.json", "algebra_ref": "algebra.json"}):
+                    assert _text(q.to_json(**refs)) == _text(_old_to_json(q, **refs))
+
+
+def test_the_set_up_documents_take_few_writes():
+    # json.dump wrote them in 4,701 writes, one per token
+    class Counting(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    total = 0
+    for hopf, structures in _check_set_up():
+        for doc in [hopf.to_json()] + [s.to_json(hopf_ref="hopf.json") for s in structures]:
+            fh = Counting()
+            write_json(fh, doc)
+            assert fh.getvalue() + "\n" == _dumped(doc)
+            total += fh.writes + 1
+    assert total <= 1400, total
