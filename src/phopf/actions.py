@@ -310,17 +310,25 @@ def is_global(p):
 
 def _certify_action(p, expect_symmetric=None):
     """Run the full suite with the symmetry law included; demote the flag if
-    only symmetry fails, raise if anything else does."""
+    only symmetry fails, raise if anything else does.
+
+    A demoted action carries the decided Report without the symmetry law:
+    that law is swept last and no other law reads the flag, so this is the
+    Report of the suite without it, and the next check decides nothing."""
     suite = check_lpma if p.side == "left" else check_rpma
     rep = suite(p, symmetric=True)
     other = [x for x in rep.failures if x[0] != "action-symmetry"]
     if other:
         law, idx, lhs, rhs = other[0]
         raise AssertionError("constructed action failed %s at %s" % (law, idx))
-    sym = not rep.failures_for("action-symmetry")
+    sym = not rep.failures
     if expect_symmetric and not sym:
         raise AssertionError("constructed action unexpectedly non-symmetric")
     p.symmetric = sym
+    if not sym:
+        rep.laws.remove("action-symmetry")
+        rep.failures = []
+        p._certificates["suite"] = (_side_stamp(p, False), rep)
     return p
 
 

@@ -36,9 +36,11 @@ Every command is a fresh process, so this module imports at its top only
 what parsing the command line needs; each command imports the modules it
 runs when it runs, and so compiles only the modules it runs.  Functions are
 looked up through their modules at call time, so a wrapper put on a module
-attribute sees every call."""
+attribute sees every call.  run(), every process's entry point, is main()
+then gc.freeze(), so the exit-time collections skip the heap it leaves."""
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -284,14 +286,9 @@ def cmd_smash(args, fmt):
                           "unit_pair": unit_note}
     path = None
     if args.out:
-        if args.out.endswith(".json"):
-            path = args.out
-            parent = os.path.dirname(path)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-        else:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, "smash.json")
+        path = (args.out if args.out.endswith(".json")
+                else os.path.join(args.out, "smash.json"))
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         write_document(doc, path)
     if fmt == "json":
         out = dict(doc)
@@ -377,5 +374,12 @@ def main(argv=None):
         return 1
 
 
+def run(argv=None):
+    """main(argv), then gc.freeze() (see the module docstring)."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

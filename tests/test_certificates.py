@@ -165,6 +165,18 @@ def test_a_bridge_records_no_symmetry_law_its_source_lacks(monkeypatch):
     assert not check(back, True).passed
 
 
+def test_a_demoted_action_carries_its_suite_without_the_symmetry_law(monkeypatch):
+    # only action-symmetry fails, so the demoted flag's Report is the decided
+    # one without that law: the checks that follow decide nothing
+    runs, _ = _suite_runs(monkeypatch)
+    p = actions._certify_action(_non_symmetric_action())
+    first, second = check_lpma(p), check_lpma(p)
+    assert len(runs) == 1 and not p.symmetric
+    fresh = actions._action_suite(p, False, True).to_json()
+    assert first.passed and first.to_json() == second.to_json() == fresh
+    assert "action-symmetry" not in first.laws
+
+
 # ---------------------------------------------------------------------------
 # decided again after a change
 

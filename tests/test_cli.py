@@ -2,10 +2,12 @@
 
 import copy
 import functools
+import gc
 import json
 import operator
 import os
 import random
+import shutil
 import signal
 from fractions import Fraction
 import subprocess
@@ -13,7 +15,7 @@ import sys
 
 import pytest
 
-from phopf.cli import main
+from phopf.cli import main, run
 from phopf.serialize import read_document, write_document
 
 KIND_OF_FILE = {
@@ -497,19 +499,159 @@ def test_smash_exit_codes(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the module entry point
+# the process entry points: each goes through cli.run, which is main() and
+# then gc.freeze()
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+LAUNCHERS = {
+    "python -m phopf.cli": ["-m", "phopf.cli"],
+    "python -m phopf": ["-m", "phopf"],
+    "run()": ["-c", "import sys; from phopf.cli import run; sys.exit(run())"],
+}
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def test_console_script_help():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "phopf", "--help"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_env())
     assert proc.returncode == 0
     for word in ("check", "example", "globalize", "smash"):
         assert word in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The documents the commands below read, under in/: a Sweedler
+    bimodule, a mutant of it that fails, the regular H4 bicomodule and its
+    right coaction alone, the dual regular action of kZ4 and a file that is
+    not JSON."""
+    root = tmp_path_factory.mktemp("entry") / "in"
+    for argv in (["example", "sweedler-bimodule-k", "--r", "2", "--s", "3"],
+                 ["example", "regular-bicomodule"], ["example", "dual-group-action"]):
+        assert main(argv + ["-o", str(root / argv[1]), "--format", "json"]) == 0
+    bic = read_document(str(root / "regular-bicomodule" / "bicomodule.json"))
+    write_document({"hopf": "hopf.json", "algebra": bic["algebra"], "side": "right",
+                    "map": bic["right"]["map"]},
+                   str(root / "regular-bicomodule" / "coaction.json"))
+    bim = read_document(str(root / "sweedler-bimodule-k" / "bimodule.json"))
+    bim["left"]["map"][-1][3] = "99"
+    write_document(bim, str(root / "sweedler-bimodule-k" / "failing.json"))
+    (root / "malformed.json").write_text("{not json", encoding="utf-8")
+    return root
+
+
+BIM = "in/sweedler-bimodule-k/bimodule.json"
+BIC = "in/regular-bicomodule/bicomodule.json"
+HOPF = "in/regular-bicomodule/hopf.json"
+# argv (paths relative to the working directory) and its exit code
+ENTRY_CASES = [
+    (["example", name, "--field", field, "-o", "out"], 0)
+    for name in ("sweedler-bimodule-k", "sweedler-bicomodule-k", "en-kg",
+                 "dual-group-action", "regular-bicomodule", "z2-partial-group")
+    for field in ("qq", "gf5")
+] + [
+    (["globalize", "bimodule", BIM, "-o", "out"], 0),
+    (["globalize", "bicomodule", BIC, "-o", "out", "--format", "json"], 0),
+    (["smash", BIM, BIC, "-o", "out/smash.json"], 0),
+    (["check", "hopf", HOPF], 0),
+    (["check", "algebra", HOPF, "--format", "json"], 0),
+    (["check", "action", "in/dual-group-action/action.json"], 0),
+    (["check", "coaction", "in/regular-bicomodule/coaction.json"], 0),
+    (["check", "bimodule", BIM], 0),
+    (["check", "bicomodule", BIC, "--format", "json"], 0),
+    (["check", "bimodule", "in/sweedler-bimodule-k/failing.json"], 1),
+    (["check", "hopf", "in/malformed.json"], 2),
+    (["check", "no-such-kind", BIM], 2),
+    (["--help"], 0),
+]
+
+
+def _written(root):
+    """Every file under root, by relative path, as bytes."""
+    return {path.relative_to(root): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("argv,code", ENTRY_CASES, ids=[" ".join(c[0][:3]) for c in ENTRY_CASES])
+def test_every_entry_point_matches_main_in_process(inputs, tmp_path, capsys, monkeypatch,
+                                                   argv, code):
+    # same stdout, stderr, exit code and written bytes, from a copy of the
+    # inputs in a directory of its own for each launch
+    dirs = {name: tmp_path / str(i) for i, name in enumerate(["main"] + list(LAUNCHERS))}
+    for d in dirs.values():
+        shutil.copytree(inputs, d / "in")
+    monkeypatch.chdir(dirs["main"])
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:  # argparse: --help and usage errors
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code, err
+    procs = {name: subprocess.Popen([sys.executable] + LAUNCHERS[name] + argv,
+                                    cwd=dirs[name], env=_env(), stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE)
+             for name in LAUNCHERS}
+    expected = _written(dirs["main"])
+    for name, proc in procs.items():
+        stdout, stderr = proc.communicate(timeout=120)
+        assert (proc.returncode, stdout.decode("utf-8"), stderr.decode("utf-8")) == \
+            (code, out, err), name
+        assert _written(dirs[name]) == expected, name
+
+
+# fresh interpreter: the exit code, then the objects the collector tracks and
+# the objects it has frozen, after run or main (argv[1]) returns
+GC_PROBE = ("import gc, json, sys\n"
+            "from phopf.cli import main, run\n"
+            "code = (run if sys.argv[1] == 'run' else main)(sys.argv[2:])\n"
+            "print(json.dumps([code, len(gc.get_objects()), gc.get_freeze_count()]))\n")
+
+
+def _gc_probe(entry, argv, cwd):
+    proc = subprocess.run([sys.executable, "-c", GC_PROBE, entry] + argv, cwd=cwd,
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_run_leaves_the_exit_collections_nothing_to_visit(inputs):
+    # main leaves about 12,900 tracked objects, which the collections at
+    # interpreter exit would visit; run freezes every one of them
+    argv = ["check", "hopf", HOPF]
+    code, tracked, frozen = _gc_probe("main", argv, inputs.parent)
+    assert code == 0 and tracked > 1000 and frozen == 0
+    assert _gc_probe("run", argv, inputs.parent) == [0, 0, tracked]
+
+
+def test_main_keeps_a_live_collector_and_run_freezes(inputs, capsys, monkeypatch):
+    monkeypatch.chdir(inputs.parent)
+    frozen = gc.get_freeze_count()
+    assert main(["check", "hopf", HOPF]) == 0
+    assert gc.get_freeze_count() == frozen
+    try:
+        assert run(["check", "bimodule", "in/sweedler-bimodule-k/failing.json"]) == 1
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+
+
+def test_a_profiler_still_reports_on_a_command(inputs):
+    # interpreter finalization still runs: the profiler prints its statistics
+    # after the command's own output (a flush and os._exit would skip them)
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "phopf.cli",
+                           "check", "hopf", HOPF], cwd=inputs.parent, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report, stats = proc.stdout.split("PASS  antipode-law\n")
+    assert report.startswith("PASS  associativity") and "function calls" in stats
+    assert "ncalls" in stats and "cli.py" in stats
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "phopf"
 
@@ -55,23 +56,29 @@ def test_the_package_namespace_is_lazy_and_its_table_is_true():
     assert not missing, missing
 
 
-def _failure_index_reads(tree):
-    """(function, line) of every `<expr>.failures[0]` in a module, with the
-    enclosing class and function joined as `Class.function`."""
+def _scoped(tree, match):
+    """(scope, line) of every node of a module for which match(node) holds,
+    with the enclosing class and function joined as `Class.function`."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "failures"
-                and isinstance(node.slice, ast.Constant) and node.slice.value == 0):
+        if match(node):
             found.append((".".join(scope), node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, ())
     return found
+
+
+def _failure_index_reads(tree):
+    """(function, line) of every `<expr>.failures[0]` in a module."""
+    return _scoped(tree, lambda node: (
+        isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "failures"
+        and isinstance(node.slice, ast.Constant) and node.slice.value == 0))
 
 
 def test_only_report_require_reads_the_first_failure():
@@ -261,3 +268,66 @@ def test_documents_have_one_writer():
                   enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                   if "json.dump(" in line]
     assert not found, found
+
+
+def _main_block_calls(tree):
+    """The names called in a module's `if __name__ == "__main__":` block."""
+    return {name for node in tree.body if isinstance(node, ast.If)
+            and ast.dump(node.test) == ast.dump(ast.parse('__name__ == "__main__"',
+                                                          mode="eval").body)
+            for name, _ in _called(node)}
+
+
+def entry_point_faults(sources, pyproject):
+    """What breaks the one-entry-point rule, given the package's sources
+    (file name -> text) and pyproject.toml: `gc` imported outside cli.py,
+    gc.freeze called outside cli.run, and a launcher (the `__main__` blocks
+    of cli.py and __main__.py, the console script) that does not go
+    through run or calls main itself."""
+    faults = []
+    for name, text in sorted(sources.items()):
+        tree = ast.parse(text, filename=name)
+        imports = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+                   or isinstance(node, ast.ImportFrom) and node.module == "gc"]
+        if name != "cli.py":
+            faults += ["%s:%d imports gc" % (name, line) for line in imports]
+        faults += ["%s:%d freezes in %s" % (name, line, scope or "the module")
+                   for scope, line in _scoped(tree, lambda node: isinstance(node, ast.Call)
+                                              and _named(node.func) == "freeze")
+                   if (name, scope) != ("cli.py", "run")]
+        if name in ("cli.py", "__main__.py"):
+            calls = _main_block_calls(tree)
+            if "run" not in calls or "main" in calls:
+                faults.append("%s: __main__ block calls %s" % (name, sorted(calls)))
+    script = re.search(r'^\[project\.scripts\]\s*^phopf\s*=\s*"([^"]*)"', pyproject,
+                       re.MULTILINE)
+    if not script or script.group(1) != "phopf.cli:run":
+        faults.append("pyproject.toml: phopf = %r" % (script and script.group(1)))
+    return faults
+
+
+def _package_sources():
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+
+def test_the_entry_point_gate_flags_a_freeze_outside_run():
+    sources = _package_sources()
+    sources["cli.py"] = sources["cli.py"].replace(
+        "    args = _build_parser().parse_args(argv)\n",
+        "    args = _build_parser().parse_args(argv)\n    gc.freeze()\n")
+    sources["cli.py"] = sources["cli.py"].replace("sys.exit(run())", "sys.exit(main())")
+    sources["linalg.py"] += "\nimport gc\n"
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    faults = entry_point_faults(sources, pyproject.replace("cli:run", "cli:main"))
+    assert [f.split(":")[0] for f in faults] == ["cli.py", "cli.py", "linalg.py",
+                                                 "pyproject.toml"], faults
+    assert "freezes in main" in faults[0] and "['exit', 'main']" in faults[1]
+
+
+def test_every_process_enters_through_run_and_only_run_freezes():
+    # run() is main() then gc.freeze(), so the collections at interpreter
+    # exit skip the heap; main itself, which the tests and the in-process
+    # benchmark call, must keep a live collector
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert entry_point_faults(_package_sources(), pyproject) == []

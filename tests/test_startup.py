@@ -142,9 +142,11 @@ TABLES = ["_groups"]
 CHECKS = ["actions", "coactions", "globalize", "smash"] + CONCEPTS + TABLES
 NO_ACTIONS = ["actions", "globalize", "smash"] + CONCEPTS
 
-# argv, the modules it must not load, and a budget of compiled source lines:
-# the count the command compiles plus 5%, except the two globalize budgets,
-# which are their count of 4,186 plus 1%
+# argv, the modules it must not load, and a budget of compiled source lines.
+# Each budget was the command's count plus 5% when it was set (the two
+# globalize budgets: their count of 4,186 plus 1%), and the counts have moved
+# since, so the headroom differs by command: `example` has the least, 2
+# lines (its count plus 0.07%), and the others 13 to 67 lines.
 COMMANDS = [
     (["check", "algebra", "regular-bicomodule/hopf.json"], CHECKS, 2226),
     (["check", "hopf", "regular-bicomodule/hopf.json"], CHECKS, 2226),
