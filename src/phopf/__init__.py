@@ -5,9 +5,10 @@ products.
 The public names below are loaded on first use: `import phopf` loads no
 submodule, and `phopf.X` (or `from phopf import X`) imports the submodule
 that defines X and returns that module's own object.  The globalization
-ambients (`ambient`), the structures induced from global ones (`induced`)
-and partial group actions (`group_actions`) each have their own module, so
-a command of the `phopf` CLI compiles only the modules it runs."""
+ambients (`ambient`), the candidates from outside (`candidates`), the
+structures induced from global ones (`induced`), partial group actions
+(`group_actions`) and the built-in examples (`examples`) each have their own
+module, so a command of the `phopf` CLI compiles only the modules it runs."""
 
 import importlib
 
@@ -16,9 +17,10 @@ _EXPORTS = {
     "fields": ("Field", "GF", "QQ"),
     "linalg": ("Subspace", "Tensor3", "closure_fixpoint", "rref",
                "subspace_span"),
-    "algebras": ("AlgebraData", "HopfData", "Report", "algebra_check",
-                 "coalgebra_check", "dual_hopf", "group_algebra", "hom_hh_a",
-                 "hopf_check", "scalar_algebra", "sweedler_h4", "tensor_hah"),
+    "algebras": ("AlgebraData", "HopfData", "Report", "algebra_check", "coalgebra_check",
+                 "dual_hopf", "hom_hh_a", "hopf_check", "tensor_hah"),
+    "examples": ("group_algebra", "regular_bicomodule", "regular_coaction", "scalar_algebra",
+                 "sweedler_h4", "sweedler_k_bicomodule", "trivial_coaction"),
     "_groups": ("GROUP_NAMES", "named_group"),
     "actions": ("PartialActionData", "PartialBimoduleData", "check_bimodule",
                 "check_lpma", "check_rpma", "dual_regular_action", "is_global",
@@ -29,15 +31,13 @@ _EXPORTS = {
                   "bicomodule_to_bimodule", "bimodule_to_bicomodule",
                   "check_bicomodule", "check_global_unit", "check_lpca",
                   "check_rpca", "coaction_to_dual_action",
-                  "dual_action_to_coaction", "regular_bicomodule",
-                  "regular_coaction", "sweedler_k_bicomodule",
-                  "trivial_coaction"),
+                  "dual_action_to_coaction"),
     "induced": ("induce_bimodule", "induce_left"),
     "globalize": ("BicomoduleGlobalization", "BimoduleGlobalization",
-                  "GlobalizationCandidate", "comparison_map",
-                  "free_candidate_bimodule", "maximal_degenerate_subbimodule",
-                  "minimalize", "psi_map", "standard_globalize_bicomodule",
+                  "GlobalizationCandidate", "maximal_degenerate_subbimodule",
+                  "psi_map", "standard_globalize_bicomodule",
                   "standard_globalize_bimodule", "verify_globalization"),
+    "candidates": ("comparison_map", "free_candidate_bimodule", "minimalize"),
     "smash": ("CornerAlgebra", "SmashAlgebra", "check_ker_eps_invariance",
               "check_smash_associativity", "find_idempotent", "smash_product",
               "unital_corner"),

@@ -376,7 +376,7 @@ def sweedler_k_bimodule(field, r, s):
     x⇀1 = r, xg⇀1 = −r from the left and 1↼x = s, 1↼xg = +s from the
     right.  (Flipping either sign of the xg value breaks the composition law
     — the exhaustive checker exhibits the witness.)"""
-    from .algebras import scalar_algebra, sweedler_h4
+    from .examples import scalar_algebra, sweedler_h4
     H = sweedler_h4(field)
     A = scalar_algebra(field)
     r = field.of(r)

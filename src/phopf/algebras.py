@@ -10,7 +10,6 @@ Elements are passed around as sparse dicts {basis_index: scalar}; elements of
 a tensor square live in dicts keyed by index pairs.
 """
 
-from copy import deepcopy
 from fractions import Fraction
 
 from .fields import Field
@@ -192,7 +191,9 @@ class Report:
         """An equal Report that shares nothing mutable with this one."""
         out = Report(self.subject, self.field)
         out.laws = list(self.laws)
-        out.failures = deepcopy(self.failures) if self.failures else []
+        if self.failures:  # only a failing Report loads copy
+            from copy import deepcopy
+            out.failures = deepcopy(self.failures)
         return out
 
     def lines(self):
@@ -669,73 +670,7 @@ def _decide_hopf(h):
 
 
 # ---------------------------------------------------------------------------
-# constructors
-
-def group_algebra(table, field, labels=None, name=None):
-    """Group algebra of a finite group given by its multiplication table:
-    basis u_g with u_g u_h = u_{gh}, Δ(u_g) = u_g⊗u_g, ε(u_g) = 1,
-    S(u_g) = u_{g⁻¹}.
-
-    Certified without a sweep once check_group_table accepts the table:
-    group associativity gives associativity and coassociativity, u_e is the
-    unit, ε(u_g) = 1 gives the counit law, Δ and ε are multiplicative as
-    (u_g⊗u_g)(u_h⊗u_h) = u_gh⊗u_gh, and S(u_g)u_g = u_e = ε(u_g)1."""
-    from ._groups import check_group_table, group_identity, group_inverses
-    bad = check_group_table(table)
-    if bad is not None:
-        raise ValueError("not a group table: fails %s" % bad)
-    n = len(table)
-    if labels is None:
-        labels = ["g%d" % i for i in range(n)]
-    e = group_identity(table)
-    inv = group_inverses(table)
-    one = field.one
-    mul = {(i, j, table[i][j]): one for i in range(n) for j in range(n)}
-    comul = {(i, i, i): one for i in range(n)}
-    counit = [one] * n
-    antipode = [[field.zero] * n for _ in range(n)]
-    for j in range(n):
-        antipode[inv[j]][j] = one
-    h = HopfData(field, labels, mul, unit_vec(field, n, e), comul, counit, antipode,
-                 name=name or "kG")
-    _record_proved(h)
-    return h
-
-
-def sweedler_h4(field):
-    """The 4-dimensional Sweedler Hopf algebra ⟨1, g, x, xg⟩ with g² = 1,
-    x² = 0, gx = −xg, Δ(g) = g⊗g, Δ(x) = x⊗g + 1⊗x, S(g) = g, S(x) = −xg.
-    Needs characteristic ≠ 2."""
-    if field.char == 2:
-        raise ValueError("the Sweedler algebra degenerates in characteristic 2")
-    one = field.one
-    mul = {}
-    for i in range(1, 4):
-        mul[(0, i, i)] = one
-        mul[(i, 0, i)] = one
-    mul[(0, 0, 0)] = one
-    mul[(1, 1, 0)] = one          # g·g = 1
-    mul[(1, 2, 3)] = -one         # g·x = -xg
-    mul[(1, 3, 2)] = -one         # g·xg = -x
-    mul[(2, 1, 3)] = one          # x·g = xg
-    mul[(3, 1, 2)] = one          # xg·g = x
-    comul = {
-        (0, 0, 0): one,
-        (1, 1, 1): one,
-        (2, 2, 1): one, (2, 0, 2): one,   # Δ(x) = x⊗g + 1⊗x
-        (3, 3, 0): one, (3, 1, 3): one,   # Δ(xg) = xg⊗1 + g⊗xg
-    }
-    counit = [one, one, field.zero, field.zero]
-    antipode = [[field.zero] * 4 for _ in range(4)]
-    antipode[0][0] = one
-    antipode[1][1] = one
-    antipode[3][2] = -one         # S(x) = -xg
-    antipode[2][3] = one          # S(xg) = x
-    h = HopfData(field, ["1", "g", "x", "xg"], mul, unit_vec(field, 4, 0),
-                 comul, counit, antipode, name="H4")
-    hopf_check(h).require("Sweedler algebra", AssertionError)
-    return h
-
+# duality (the built-in constructors are in phopf.examples)
 
 # The coaction ⇄ dual-action layout.  Under the dual basis (p_g) of H*, a
 # coaction on `side` is an operator family of H* on the other side: its map
@@ -777,11 +712,6 @@ def dual_hopf(h):
     else:
         hopf_check(dual).require("dual Hopf algebra", AssertionError)
     return dual
-
-
-def scalar_algebra(field):
-    """The base field as a 1-dimensional unital algebra."""
-    return AlgebraData(field, ["1"], {(0, 0, 0): field.one}, [field.one], name="k")
 
 
 # ---------------------------------------------------------------------------

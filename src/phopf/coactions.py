@@ -24,12 +24,9 @@ phopf.actions when they run, and checking a coaction loads no action code.
 Coactions and bicomodules carry their Reports (see algebras._carried).
 """
 
-from fractions import Fraction
-
 from .algebras import (DUAL, Report, _carried, _leg_index, _pair_stamp, _record_side,
                        _side_stamp, algebra_check, dict_acc, dual_hopf, hopf_check,
-                       same_algebra, same_hopf, scalar_algebra, structure_json,
-                       sweedler_h4, tensor_mul, vec_of_dict)
+                       same_algebra, same_hopf, structure_json, tensor_mul, vec_of_dict)
 from .linalg import Tensor3, acts_by_scalars, restrict_ops
 
 
@@ -315,82 +312,6 @@ def _certify_coaction(p):
 def _certify_bicomodule(b, what):
     check_bicomodule(b).require(what, AssertionError)
     return b
-
-
-# ---------------------------------------------------------------------------
-# constructors
-
-def trivial_coaction(hopf, alg, side="right"):
-    """a ↦ a⊗1_H (right) or a ↦ 1_H⊗a (left) — the global coaction through
-    the unit of H, whose dual family sends a to p_g(1_H)·a."""
-    if side not in DUAL:
-        raise ValueError("side must be 'left' or 'right'")
-    dual = Tensor3((hopf.dim, alg.dim, alg.dim),
-                   {(g, i, i): c for g, c in hopf.unit_dict().items() for i in range(alg.dim)})
-    p = PartialCoactionData(hopf, alg, side, dual.transpose(DUAL[side][1]),
-                            name="trivial %s coaction of %s on %s"
-                            % (side, hopf.name, alg.name))
-    return _certify_coaction(p)
-
-
-def _regular(h, side):
-    return PartialCoactionData(h, h, side, dict(h.comul.entries),
-                               name="regular %s coaction of %s" % (side, h.name))
-
-
-# For λ = ρ = Δ on A = H every law of the coaction suites is a Hopf-algebra
-# law: the counit laws, Δ multiplicative, Δ(1) = 1⊗1 with the unit law, and
-# coassociativity, which also gives the bicomodule compatibility.  So the
-# regular constructors are certified by hopf_check(h), and record the
-# Reports of the suites.
-
-def regular_coaction(h, side="right"):
-    """The comultiplication of h read as a (global) coaction of h on its own
-    underlying algebra; certified by hopf_check(h)."""
-    p = _regular(h, side)
-    hopf_check(h).require("constructed coaction", AssertionError)
-    if not check_global_unit(p):
-        raise AssertionError("regular coaction must be global")
-    _record_side(p, False)
-    return p
-
-
-def regular_bicomodule(h):
-    """λ = ρ = comultiplication on A = H; global on both sides, with the
-    compatibility law given by coassociativity; certified by hopf_check(h)."""
-    b = PartialBicomoduleData(_regular(h, "left"), _regular(h, "right"))
-    hopf_check(h).require("regular bicomodule", AssertionError)
-    if not (check_global_unit(b.left) and check_global_unit(b.right)):
-        raise AssertionError("regular coaction must be global")
-    for p in (b.left, b.right):
-        _record_side(p, False)
-    b._certificates["suite"] = (_pair_stamp(b), _decide_bicomodule(b, compatible=True))
-    return b
-
-
-def sweedler_k_bicomodule(field, t, u):
-    """The two-parameter family of partial bicomodule structures of the
-    four-dimensional Hopf algebra on the base field:
-    λ(1) = (1/2 + 1/2·g + t·xg) ⊗ 1 and ρ(1) = 1 ⊗ (1/2 + 1/2·g + u·x).
-    Valid for every pair (t, u); the 1/2-pattern makes both sides genuinely
-    partial."""
-    H = sweedler_h4(field)
-    A = scalar_algebra(field)
-    half = field.of(Fraction(1, 2))
-    t = field.of(t)
-    u = field.of(u)
-    lam = {(0, 0, 0): half, (0, 1, 0): half}
-    if t:
-        lam[(0, 3, 0)] = t
-    rho = {(0, 0, 0): half, (0, 0, 1): half}
-    if u:
-        rho[(0, 0, 2)] = u
-    left = PartialCoactionData(H, A, "left", lam,
-                               name="H4 left coaction (t=%s) on k" % field.show(t))
-    right = PartialCoactionData(H, A, "right", rho,
-                                name="H4 right coaction (u=%s) on k" % field.show(u))
-    b = PartialBicomoduleData(left, right)
-    return _certify_bicomodule(b, "Sweedler (t,u) bicomodule")
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ group algebra kG; also the averaged-idempotent example e_N·kG."""
 
 from fractions import Fraction
 
-from .algebras import (AlgebraData, Report, algebra_check, dict_of_vec, dual_hopf,
-                       group_algebra, json_rows, vec_of_dict)
+from .algebras import (AlgebraData, Report, algebra_check, dict_of_vec, dual_hopf, json_rows,
+                       vec_of_dict)
 from .actions import PartialActionData, _certify_action, check_lpma
+from .examples import group_algebra
 from .linalg import Tensor3, apply_cols, col_dicts, unit_vec
 from .serialize import _guard, _resolve, load_algebra
 from ._groups import check_group_table, group_identity, group_inverses

@@ -44,11 +44,19 @@ def write_document(doc, path):
     map row, a dense row of phi) is one join and one write, and no larger
     text is built.  A document holds dicts with string keys, lists, tuples,
     strings, ints (a Count too), booleans and None: a float raises
-    TypeError."""
+    TypeError.  The text goes to `path`.<pid>.tmp, which then replaces
+    `path`; if anything raises, that file is removed and `path` is as it was."""
     from ._json_writer import write_json
-    with open(path, "w", encoding="utf-8") as fh:
-        write_json(fh, doc)
-        fh.write("\n")
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write_json(fh, doc)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _resolve(node, base_dir):

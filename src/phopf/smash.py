@@ -14,7 +14,11 @@ of a generating set of the left nucleus and falls back to every row when
 one of them fails (see algebras._decide_algebra).  The
 module also decides when a pair of idempotents makes a ♮ u idempotent,
 checks the Ker(ε)-invariance equivalence behind one of those criteria, and
-cuts out the unital corner algebra e·S·e at any idempotent e."""
+cuts out the unital corner algebra e·S·e at any idempotent e.  The body of
+`phopf smash` is `command`."""
+
+import json
+import os
 
 from .algebras import (AlgebraData, algebra_check, dict_acc, dict_of_vec, mul_dicts,
                        same_hopf, vec_of_dict)
@@ -303,3 +307,39 @@ def unital_corner(s, e_vec):
                       name="corner of %s" % s.alg.name)
     algebra_check(alg).require("corner algebra", AssertionError)
     return CornerAlgebra(s, e_vec, span, alg)
+
+
+def command(args, fmt):
+    """The body of `phopf smash` (see phopf.cli)."""
+    from .serialize import load_bicomodule, load_bimodule, write_document
+    bim = load_bimodule(args.bimodule)
+    bic = load_bicomodule(args.bicomodule)
+    s = smash_product(bim, bic)  # raises unless algebra_check proves A ♮ Ā associative
+    found, unit_note = _idempotents_and_unit_pair(s)
+    doc = s.alg.to_json()
+    doc["certificate"] = {"associative": True,
+                          "idempotents_found": found,
+                          "unit_pair": unit_note}
+    path = None
+    if args.out:
+        path = (args.out if args.out.endswith(".json")
+                else os.path.join(args.out, "smash.json"))
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        write_document(doc, path)
+    if fmt == "json":
+        out = dict(doc)
+        if path:
+            out["output"] = path
+        print(json.dumps(out, ensure_ascii=False))
+    else:
+        print("smash product dim %d, associative: True" % s.alg.dim)
+        print("1_A # 1_Abar is %s" % unit_note)
+        if found:
+            for entry in found:
+                print("idempotent %s # %s via route %s"
+                      % (entry["a"], entry["u"], entry["route"]))
+        else:
+            print("no idempotent basis pairs found")
+        if path:
+            print("wrote %s" % path)
+    return 0

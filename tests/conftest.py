@@ -5,7 +5,7 @@ import random
 import pytest
 
 from phopf.fields import GF, QQ
-from phopf.algebras import sweedler_h4
+from phopf.examples import sweedler_h4
 
 
 @pytest.fixture(scope="session")

@@ -6,22 +6,21 @@ from fractions import Fraction
 
 from phopf.fields import GF, QQ
 from phopf.linalg import Subspace, nullspace, rows_of_cols, rref
-from phopf.algebras import (algebra_check, dict_of_vec, dual_hopf,
-                            group_algebra, hopf_check, mul_dicts,
-                            scalar_algebra, sweedler_h4, vec_of_dict)
+from phopf.algebras import (algebra_check, dict_of_vec, dual_hopf, hopf_check, mul_dicts,
+                            vec_of_dict)
+from phopf.examples import (group_algebra, regular_bicomodule, scalar_algebra, sweedler_h4,
+                            sweedler_k_bicomodule)
 from phopf.actions import (PartialBimoduleData, check_bimodule, check_lpma,
                            check_rpma, dual_regular_action, is_global,
                            sweedler_k_bimodule, trivial_action, trivialize_right)
 from phopf.group_actions import en_kg_example
 from phopf.induced import induce_left
 from phopf.coactions import (bicomodule_to_bimodule, bimodule_to_bicomodule,
-                             coaction_to_dual_action, dual_action_to_coaction,
-                             regular_bicomodule, sweedler_k_bicomodule)
-from phopf.globalize import (comparison_map, free_candidate_bimodule,
-                             maximal_degenerate_subbimodule, psi_map,
-                             standard_globalize_bicomodule,
-                             standard_globalize_bimodule,
+                             coaction_to_dual_action, dual_action_to_coaction)
+from phopf.globalize import (maximal_degenerate_subbimodule, psi_map,
+                             standard_globalize_bicomodule, standard_globalize_bimodule,
                              verify_globalization)
+from phopf.candidates import comparison_map, free_candidate_bimodule
 from phopf.smash import (check_ker_eps_invariance, check_smash_associativity,
                          find_idempotent, smash_product, unital_corner)
 from phopf._groups import GROUP_NAMES, named_group

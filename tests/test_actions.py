@@ -11,9 +11,9 @@ from phopf import fields
 from phopf.fields import GF, QQ
 from phopf._groups import named_group
 from phopf import actions as actions_module
-from phopf.algebras import (AlgebraData, HopfData, Report, _dual_structure,
-                            algebra_check, coalgebra_check, dict_acc, group_algebra,
-                            mul_dicts, scalar_algebra, sweedler_h4, vec_of_dict)
+from phopf.algebras import (AlgebraData, HopfData, Report, _dual_structure, algebra_check,
+                            coalgebra_check, dict_acc, mul_dicts, vec_of_dict)
+from phopf.examples import group_algebra, scalar_algebra, sweedler_h4
 from phopf.actions import (PartialActionData, PartialBimoduleData,
                            check_bimodule, check_lpma, check_rpma,
                            dual_regular_action, is_global, sweedler_k_bimodule,
@@ -848,7 +848,7 @@ def _dual_pair_set_up(group, field):
     """What a benchmark set-up builds for one group: the kG* bimodule on kG,
     dual regular from the left and trivial from the right, and the regular
     kG* bicomodule, both written out as documents."""
-    from phopf.coactions import regular_bicomodule
+    from phopf.examples import regular_bicomodule
     h = group_algebra(named_group(group)[1], field, name="k" + group)
     bim = trivialize_right(dual_regular_action(h))
     for s in (bim, regular_bicomodule(bim.hopf)):

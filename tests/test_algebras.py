@@ -13,9 +13,9 @@ from phopf.linalg import (Tensor3, apply_cols, col_dicts, dict_acc,
 from phopf._groups import GROUP_NAMES, named_group
 from phopf.algebras import (AlgebraData, Count, HopfData, Report, _nucleus_generators,
                             algebra_check, coalgebra_check, dict_of_vec, dual_hopf,
-                            group_algebra, hom_hh_a, hopf_check, mul_dicts,
-                            scalar_algebra, sweedler_h4, tensor_hah,
-                            tensor_mul, vec_of_dict)
+                            hom_hh_a, hopf_check, mul_dicts, tensor_hah, tensor_mul,
+                            vec_of_dict)
+from phopf.examples import group_algebra, scalar_algebra, sweedler_h4
 from phopf.ambient import TensorProductMul
 
 HOPF_LAWS = {"associativity", "unit-law", "coassociativity", "counit-law",
@@ -642,7 +642,7 @@ def _dual_smash_gf7(group, labels=None):
     action from the left, trivial from the right) with the regular kG*
     bicomodule; kG lists its elements in the order `labels` if given."""
     from phopf.actions import dual_regular_action, trivialize_right
-    from phopf.coactions import regular_bicomodule
+    from phopf.examples import regular_bicomodule
     from phopf.smash import smash_product
     kg = _kg(group, GF(7)) if labels is None else _relabelled_kg(group, labels, GF(7))
     bim = trivialize_right(dual_regular_action(kg))

@@ -3,20 +3,21 @@ each suite is decided once, again after any change to what its Report
 depends on, and the Reports the constructors record by proof equal the
 sweeps of copies that carry no certificate."""
 
+import copy
+
 import pytest
 
-from phopf import actions, algebras, coactions, globalize
+from phopf import actions, algebras, candidates, coactions, globalize
 from phopf._groups import GROUP_NAMES, named_group
 from phopf.fields import GF, QQ
-from phopf.algebras import (AlgebraData, HopfData, dual_hopf, group_algebra,
+from phopf.algebras import AlgebraData, HopfData, dual_hopf
+from phopf.examples import (group_algebra, regular_bicomodule, regular_coaction,
                             scalar_algebra, sweedler_h4)
 from phopf.actions import (PartialActionData, check_bimodule, check_lpma, check_rpma,
                            dual_regular_action, trivial_action, trivialize_right)
 from phopf.coactions import (PartialCoactionData, bicomodule_to_bimodule,
                              bimodule_to_bicomodule, check_bicomodule, check_lpca,
-                             check_rpca, coaction_to_dual_action,
-                             dual_action_to_coaction, regular_bicomodule,
-                             regular_coaction)
+                             check_rpca, coaction_to_dual_action, dual_action_to_coaction)
 from phopf.linalg import Tensor3
 from phopf.serialize import write_document
 from tests.conftest import bare
@@ -302,7 +303,7 @@ def test_the_globalize_commands_decide_each_structure_once(tmp_path, monkeypatch
                        str(tmp_path / kind / ("%s.json" % kind)))
     counts = {}
     for module, name in ((actions, "_action_suite"), (coactions, "_coaction_suite"),
-                         (globalize, "_require_global_bimodule")):
+                         (candidates, "_require_global_bimodule")):
         counts[name] = _counting(monkeypatch, module, name)
     want = {"bicomodule": (2, 2, 0), "bimodule": (2, 0, 0)}
     for kind in ("bicomodule", "bimodule"):
@@ -319,8 +320,9 @@ def test_the_standard_paths_sweep_the_global_laws_over_a_failing_antipode(monkey
     # law alone: the carriers' global laws are not recorded but swept, and
     # hold; over H4 itself they are recorded
     from phopf.actions import sweedler_k_bimodule
-    from phopf.coactions import PartialBicomoduleData, _regular
-    sweeps = _counting(monkeypatch, globalize, "_require_global_bimodule")
+    from phopf.coactions import PartialBicomoduleData
+    from phopf.examples import _regular
+    sweeps = _counting(monkeypatch, candidates, "_require_global_bimodule")
     h = sweedler_h4(QQ)
     antipode = [list(row) for row in h.antipode]
     antipode[3][2] = QQ.one
@@ -353,7 +355,7 @@ def test_a_carried_pair_check_stamps_h_and_a_once(monkeypatch):
     b = regular_bicomodule(dual_hopf(_kg("Q8", QQ)))
     first = check_bicomodule(b)
     stamps = _counting(monkeypatch, algebras, "_hopf_stamp")
-    copies = _counting(monkeypatch, algebras, "deepcopy")
+    copies = _counting(monkeypatch, copy, "deepcopy")  # Report.copy imports it when it runs
     assert check_bicomodule(b).to_json() == first.to_json()
     assert len(stamps) == 1 and copies == []
     # the tuple is the one the sides' own stamps make; a side that no longer

@@ -101,11 +101,27 @@ def test_example_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["example", "sweedler-bimodule-k", "--r", "1.5"], 2),   # a malformed scalar
+    (["example", "en-kg", "--N", "1"], 1),                    # N without the identity
+    (["globalize", "bimodule", "bad.json"], 2),               # not JSON
+    (["globalize", "bimodule", "bicomodule.json"], 1),        # not a bimodule's actions
+], ids=["example-scalar", "example-subgroup", "globalize-not-json", "globalize-wrong-kind"])
+def test_a_failed_command_makes_no_output_directory(tmp_path, capsys, monkeypatch, argv, code):
+    # the output directory is made just before the first document is written
+    emit(capsys, "regular-bicomodule", tmp_path)
+    (tmp_path / "bad.json").write_text("not json", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["-o", "new"]) == code
+    _one_line_error(capsys)
+    assert not (tmp_path / "new").exists()
+
+
 def test_example_certifies_through_its_constructor_only(tmp_path, capsys, monkeypatch):
     # regular_bicomodule is certified by one hopf_check and runs no coaction
     # suite; the command writes what the constructor certified without a
     # second check, and the full suite passes on the written document
-    from phopf import coactions
+    from phopf import coactions, examples
     from phopf.serialize import load_bicomodule
     runs, hopf_runs = [], []
     suite, hopf = coactions._coaction_suite, coactions.hopf_check
@@ -119,7 +135,8 @@ def test_example_certifies_through_its_constructor_only(tmp_path, capsys, monkey
         return hopf(h)
 
     monkeypatch.setattr(coactions, "_coaction_suite", counted)
-    monkeypatch.setattr(coactions, "hopf_check", counted_hopf)
+    for module in (coactions, examples):
+        monkeypatch.setattr(module, "hopf_check", counted_hopf)
     files = emit(capsys, "regular-bicomodule", tmp_path, "--group", "Q8", "--field", "gf7")
     assert runs == [] and len(hopf_runs) == 1
     path = next(p for p in files if p.endswith("bicomodule.json"))

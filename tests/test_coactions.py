@@ -9,24 +9,22 @@ from hypothesis import given, settings, strategies as st
 
 from phopf.fields import GF, QQ
 from phopf._groups import named_group
-from phopf import coactions
-from phopf.algebras import (AlgebraData, HopfData, Report, dict_acc, dict_of_vec,
-                            dual_hopf, group_algebra, scalar_algebra,
-                            sweedler_h4, vec_of_dict)
+from phopf import coactions, examples
+from phopf.algebras import (AlgebraData, HopfData, Report, dict_acc, dict_of_vec, dual_hopf,
+                            vec_of_dict)
+from phopf.examples import (group_algebra, regular_bicomodule, regular_coaction,
+                            scalar_algebra, sweedler_h4, sweedler_k_bicomodule,
+                            trivial_coaction)
 from phopf.actions import (check_bimodule, check_lpma, check_rpma,
                            dual_regular_action, is_global, sweedler_k_bimodule,
                            trivial_action, trivialize_right)
 from phopf.coactions import (PartialBicomoduleData, PartialCoactionData,
                              bicomodule_to_bimodule, bimodule_to_bicomodule,
-                             check_bicomodule, check_global_unit, check_lpca,
-                             check_rpca, coaction_to_dual_action,
-                             dual_action_to_coaction, regular_bicomodule,
-                             regular_coaction, sweedler_k_bicomodule,
-                             trivial_coaction)
+                             check_bicomodule, check_global_unit, check_lpca, check_rpca,
+                             coaction_to_dual_action, dual_action_to_coaction)
 from phopf.group_actions import en_kg_example
 from phopf.induced import (_left_ideal, check_vesgo_equivalence, induce_bicomodule,
                            induce_right_coaction)
-from phopf import globalize
 from phopf.globalize import standard_globalize_bicomodule
 from phopf.linalg import Tensor3, subspace_span, transport
 from tests.conftest import bare, rand_fraction
@@ -510,7 +508,9 @@ def test_regular_bicomodule_runs_each_side_suite_once(monkeypatch):
         return hopf(h)
 
     monkeypatch.setattr(coactions, "_coaction_suite", counted)
-    monkeypatch.setattr(coactions, "hopf_check", counted_hopf)
+    # regular_bicomodule is in phopf.examples, and the bridges in coactions
+    for module in (coactions, examples):
+        monkeypatch.setattr(module, "hopf_check", counted_hopf)
     for h in (sweedler_h4(QQ), _kg("S3"), dual_hopf(_kg("Z4"))):
         runs.clear()
         hopf_runs.clear()
@@ -670,12 +670,14 @@ def test_ambient_coactions_restrict_as_the_reference_restriction(field, name,
     # the coactions of the embedded columns θ(a) that the exchange
     # condition reads
     seen = []
+    original = coactions._exchange_products
 
     def exchange_products(hopf, b_legs, lams, rhos):
         seen.append((lams, rhos))
-        return coactions._exchange_products(hopf, b_legs, lams, rhos)
+        return original(hopf, b_legs, lams, rhos)
 
-    monkeypatch.setattr(globalize, "_exchange_products", exchange_products)
+    # standard_globalize_bicomodule imports it from coactions when it runs
+    monkeypatch.setattr(coactions, "_exchange_products", exchange_products)
     g = standard_globalize_bicomodule(b)
     amb, span = g.ambient, g.b_basis
     rho, lam = reference_coaction_tables(amb, b.hopf.dim)

@@ -231,11 +231,13 @@ def _called(tree):
 
 def test_globalization_candidates_stay_column_maps():
     # candidates hold θ and the operator families as column maps, so the
-    # globalization layer writes no dense matrix, and the package keeps no
-    # helper that would write one from columns
-    tree = ast.parse((SRC / "globalize.py").read_text(encoding="utf-8"))
-    dense = [line for name, line in _called(tree)
-             if name in ("slice_matrix", "mat_transpose")]
+    # globalization layer (globalize and candidates) writes no dense matrix,
+    # and the package keeps no helper that would write one from columns
+    dense = []
+    for name in ("globalize.py", "candidates.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        dense += ["%s:%d" % (name, line) for called, line in _called(tree)
+                  if called in ("slice_matrix", "mat_transpose")]
     assert not dense, dense
     found = []
     for path in sorted(SRC.glob("*.py")):

@@ -20,23 +20,22 @@ from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
                           col_dicts, dict_acc, nullspace, rows_of_cols)
 from phopf._groups import named_group
 from phopf.algebras import (DUAL, AlgebraData, Report, _dual_structure, algebra_check,
-                            dict_of_vec, dual_hopf, group_algebra, mul_dicts,
-                            scalar_algebra, sweedler_h4)
+                            dict_of_vec, dual_hopf, mul_dicts)
+from phopf.examples import (group_algebra, regular_bicomodule, scalar_algebra, sweedler_h4,
+                            sweedler_k_bicomodule, trivial_coaction)
 from phopf.ambient import LegOperator, TensorProductMul
 from phopf.actions import (PartialBimoduleData, dual_regular_action,
                            sweedler_k_bimodule, trivial_action, trivialize_right)
 from phopf.coactions import (PartialBicomoduleData, bicomodule_to_bimodule,
-                             bimodule_to_bicomodule, regular_bicomodule,
-                             sweedler_k_bicomodule, trivial_coaction)
+                             bimodule_to_bicomodule)
 from phopf.group_actions import en_kg_example
 from phopf.induced import induce_bicomodule
 from phopf.globalize import (GlobalizationCandidate, _first_failure,
-                             _require_global_bimodule, comparison_map,
-                             free_candidate_bimodule,
-                             maximal_degenerate_subbimodule, minimalize,
-                             psi_map, standard_globalize_bicomodule,
-                             standard_globalize_bimodule,
+                             maximal_degenerate_subbimodule, psi_map,
+                             standard_globalize_bicomodule, standard_globalize_bimodule,
                              verify_globalization)
+from phopf.candidates import (_require_global_bimodule, comparison_map,
+                              free_candidate_bimodule, minimalize)
 
 
 GLOBALIZATION_LAWS = ("condition1", "condition2", "lemaco1", "lemaco2",
@@ -767,7 +766,7 @@ def test_psi_bridge_flags(field, t, u):
 
 def test_psi_bridge_on_the_one_dimensional_hopf_algebra():
     from phopf._groups import named_group
-    from phopf.algebras import group_algebra
+    from phopf.examples import group_algebra
     from phopf.coactions import PartialBicomoduleData, PartialCoactionData
     labels, table = named_group("trivial")
     kt = group_algebra(table, QQ, labels)

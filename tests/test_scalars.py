@@ -13,14 +13,14 @@ from fractions import Fraction
 import pytest
 
 from phopf.fields import GF, QQ, Field
-from phopf.algebras import (algebra_check, group_algebra, hopf_check,
-                            sweedler_h4)
+from phopf.algebras import algebra_check, hopf_check
+from phopf.examples import (group_algebra, regular_bicomodule, sweedler_h4,
+                            sweedler_k_bicomodule)
 from phopf._groups import named_group
 from phopf.actions import (check_bimodule, check_lpma, check_rpma,
                            dual_regular_action, sweedler_k_bimodule,
                            trivialize_right)
-from phopf.coactions import (check_bicomodule, check_lpca, check_rpca,
-                             regular_bicomodule, sweedler_k_bicomodule)
+from phopf.coactions import check_bicomodule, check_lpca, check_rpca
 from phopf.cli import main
 from phopf.group_actions import (check_group_partial_action, en_kg_example,
                                  load_group_action, z2_partial_group_example)

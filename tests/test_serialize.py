@@ -7,12 +7,14 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phopf import cli
+from phopf import _json_writer, cli, examples, serialize
 from phopf._json_writer import write_json
 from phopf.fields import GF, QQ
-from phopf.algebras import AlgebraData, Count, HopfData, group_algebra, sweedler_h4
+from phopf.algebras import AlgebraData, Count, HopfData
+from phopf.examples import (group_algebra, regular_bicomodule, sweedler_h4,
+                            sweedler_k_bicomodule)
 from phopf.actions import check_bimodule, sweedler_k_bimodule
-from phopf.coactions import check_bicomodule, regular_bicomodule, sweedler_k_bicomodule
+from phopf.coactions import check_bicomodule
 from phopf.globalize import standard_globalize_bicomodule
 from phopf.group_actions import load_group_action, z2_partial_group_example
 from phopf.serialize import (DocumentError, load_action, load_algebra,
@@ -348,6 +350,28 @@ def test_write_document_emits_trailing_newline(tmp_path):
     assert text.endswith("\n") and json.loads(text) == {"a": 1}
 
 
+def _interrupted(fh, node):
+    fh.write('{\n  "a": 1')
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("doc,patch,error", [
+    ({"a": 1, "b": 1.5}, None, TypeError),
+    ({"a": 1}, _interrupted, KeyboardInterrupt),
+], ids=["float", "interrupt"])
+def test_a_failed_write_leaves_the_target_as_it_was(tmp_path, monkeypatch, doc, patch, error):
+    # the text goes to a file beside the target, which replaces it only once
+    # written; here the writer raises after its first write
+    if patch is not None:
+        monkeypatch.setattr(_json_writer, "write_json", patch)
+    path = tmp_path / "out.json"
+    path.write_bytes(b'{"old": true}\n')
+    with pytest.raises(error):
+        write_document(doc, str(path))
+    assert path.read_bytes() == b'{"old": true}\n'
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
 # ---------------------------------------------------------------------------
 # the writer: the bytes of json.dump, one flat row per write
 
@@ -379,10 +403,10 @@ def _assert_written_as_json_dump(written):
             assert fh.read() == _dumped(doc).encode("utf-8"), path
 
 
-@pytest.mark.parametrize("name", sorted(cli._EXAMPLES))
+@pytest.mark.parametrize("name", sorted(examples._EXAMPLES))
 def test_every_example_document_is_written_as_json_dump_writes_it(name, field, tmp_path,
                                                                    monkeypatch):
-    written = _recording(monkeypatch, cli)
+    written = _recording(monkeypatch, examples)
     spec = "qq" if field == QQ else "gf5"
     assert cli.main(["example", name, "--field", spec, "-o", str(tmp_path)]) == 0
     _assert_written_as_json_dump(written)
@@ -396,7 +420,8 @@ def test_globalize_and_smash_documents_are_written_as_json_dump_writes_them(
               "s3": ["regular-bicomodule", "--group", "S3"]}
     for out, argv in inputs.items():
         assert cli.main(["example"] + argv + ["-o", str(tmp_path / out)]) == 0
-    written = _recording(monkeypatch, cli)
+    # both commands import write_document from serialize when they run
+    written = _recording(monkeypatch, serialize)
     bim = str(tmp_path / "bim" / "bimodule.json")
     for kind, src in (("bimodule", "bim"), ("bicomodule", "tu"), ("bicomodule", "h4"),
                       ("bicomodule", "s3")):

@@ -7,14 +7,13 @@ from itertools import product
 import pytest
 
 from phopf.fields import GF, QQ
-from phopf.algebras import (dict_acc, dict_of_vec, group_algebra, mul_dicts, scalar_algebra,
-                            sweedler_h4)
+from phopf.algebras import dict_acc, dict_of_vec, mul_dicts
+from phopf.examples import (group_algebra, regular_bicomodule, scalar_algebra, sweedler_h4,
+                            sweedler_k_bicomodule, trivial_coaction)
 from phopf.actions import (PartialActionData, PartialBimoduleData, dual_regular_action,
                            is_global, sweedler_k_bimodule, trivial_action,
                            trivialize_right)
-from phopf.coactions import (PartialBicomoduleData, PartialCoactionData,
-                             check_bicomodule, regular_bicomodule,
-                             sweedler_k_bicomodule, trivial_coaction)
+from phopf.coactions import PartialBicomoduleData, PartialCoactionData, check_bicomodule
 from phopf.smash import (check_ker_eps_invariance, check_smash_associativity,
                          find_idempotent, smash_product, unital_corner)
 from phopf.linalg import Tensor3
@@ -199,7 +198,8 @@ def test_a_smash_transposes_each_coaction_once(tmp_path, monkeypatch, capsys):
     # on this input when dual_cols rebuilt it on every call)
     from phopf import serialize
     from phopf.actions import dual_regular_action, trivialize_right
-    from phopf.algebras import DUAL, group_algebra
+    from phopf.algebras import DUAL
+    from phopf.examples import group_algebra
     from phopf.cli import main
     from phopf.linalg import Tensor3
     from phopf.serialize import write_document

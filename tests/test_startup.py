@@ -95,9 +95,10 @@ def test_submodules_still_import_by_name():
 
 def _loaded(argv, cwd):
     """Exit code, the phopf submodules loaded when `argv` runs in a fresh
-    interpreter, and the number of source lines of the phopf files loaded
+    interpreter, the number of source lines of the phopf files loaded
     (the package and those submodules), each of which a process without a
-    bytecode cache compiles; an empty argv only imports the package."""
+    bytecode cache compiles, and whether the stdlib `copy` was loaded; an
+    empty argv only imports the package."""
     probe = ("import json, sys\n"
              "import phopf\n"
              "code = 0\n"
@@ -108,14 +109,14 @@ def _loaded(argv, cwd):
              "        if m == 'phopf' or m.startswith('phopf.')}\n"
              "lines = sum(len(open(f, encoding='utf-8').read().splitlines())\n"
              "            for f in mods.values())\n"
-             "print(json.dumps([code, sorted(mods), lines]))\n")
+             "print(json.dumps([code, sorted(mods), lines, 'copy' in sys.modules]))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", probe] + list(argv), cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, modules, lines = json.loads(proc.stdout.splitlines()[-1])
-    return code, {m[len("phopf."):] for m in modules if m != "phopf"}, lines
+    code, modules, lines, copy = json.loads(proc.stdout.splitlines()[-1])
+    return code, {m[len("phopf."):] for m in modules if m != "phopf"}, lines, copy
 
 
 @pytest.fixture(scope="module")
@@ -139,30 +140,35 @@ def documents(tmp_path_factory):
 CONCEPTS = ["ambient", "induced", "group_actions"]
 # the built-in group tables, which only `example` reads
 TABLES = ["_groups"]
-CHECKS = ["actions", "coactions", "globalize", "smash"] + CONCEPTS + TABLES
+# the example builders and constructors, which only `example` runs, and the
+# candidates from outside with the sweeps that only a failing premise runs
+OFF_PATH = ["examples", "candidates"]
+CHECKS = ["actions", "coactions", "globalize", "smash"] + CONCEPTS + TABLES + OFF_PATH
 NO_ACTIONS = ["actions", "globalize", "smash"] + CONCEPTS
+UNGLOBAL = ["smash", "induced", "group_actions"] + TABLES + OFF_PATH
 
 # argv, the modules it must not load, and a budget of compiled source lines.
-# Each budget was the command's count plus 5% when it was set (the two
-# globalize budgets: their count of 4,186 plus 1%), and the counts have moved
-# since, so the headroom differs by command: `example` has the least, 2
-# lines (its count plus 0.07%), and the others 13 to 67 lines.
+# Each budget is the command's count plus 5% (rounded down) since the
+# example, outside-candidate and constructor code left the command paths,
+# except `example`, whose budget was not raised: its count plus 2%.
 COMMANDS = [
-    (["check", "algebra", "regular-bicomodule/hopf.json"], CHECKS, 2226),
-    (["check", "hopf", "regular-bicomodule/hopf.json"], CHECKS, 2226),
-    (["check", "action", "dual-group-action/action.json"], CHECKS[1:], 2645),
-    (["check", "bimodule", "sweedler-bimodule-k/bimodule.json"], CHECKS[1:], 2645),
-    (["check", "bicomodule", "regular-bicomodule/bicomodule.json"], NO_ACTIONS + TABLES,
-     2716),
-    (["check", "coaction", "regular-bicomodule/coaction.json"], NO_ACTIONS + TABLES, 2716),
+    (["check", "algebra", "regular-bicomodule/hopf.json"], CHECKS, 1999),
+    (["check", "hopf", "regular-bicomodule/hopf.json"], CHECKS, 1999),
+    (["check", "action", "dual-group-action/action.json"], CHECKS[1:], 2430),
+    (["check", "bimodule", "sweedler-bimodule-k/bimodule.json"], CHECKS[1:], 2430),
+    (["check", "bicomodule", "regular-bicomodule/bicomodule.json"],
+     NO_ACTIONS + TABLES + OFF_PATH, 2451),
+    (["check", "coaction", "regular-bicomodule/coaction.json"],
+     NO_ACTIONS + TABLES + OFF_PATH, 2451),
     (["example", "regular-bicomodule", "--group", "Q8", "--field", "gf7",
-      "-o", "q8"], NO_ACTIONS, 2867),
+      "-o", "q8"], NO_ACTIONS + ["candidates"], 2867),
     (["smash", "sweedler-bimodule-k/bimodule.json",
-      "regular-bicomodule/bicomodule.json"], ["globalize"] + CONCEPTS + TABLES, 3406),
+      "regular-bicomodule/bicomodule.json"], ["globalize"] + CONCEPTS + TABLES + OFF_PATH,
+     3248),
     (["globalize", "bimodule", "sweedler-bimodule-k/bimodule.json", "-o", "glob"],
-     ["smash", "induced", "group_actions"] + TABLES, 4228),
+     UNGLOBAL + ["coactions"], 3361),
     (["globalize", "bicomodule", "regular-bicomodule/bicomodule.json", "-o", "glob2"],
-     ["smash", "induced", "group_actions"] + TABLES, 4228),
+     UNGLOBAL, 3813),
 ]
 IDS = [" ".join(c[0][:2]) for c in COMMANDS]
 
@@ -179,13 +185,32 @@ def test_importing_the_package_loads_no_submodule(tmp_path):
 
 @pytest.mark.parametrize("argv,absent,budget", COMMANDS, ids=IDS)
 def test_each_command_loads_only_the_modules_it_runs(runs, argv, absent, budget):
-    code, modules, _ = runs[tuple(argv)]
+    code, modules, _, copy = runs[tuple(argv)]
     assert code == 0
     assert {"fields", "linalg", "algebras", "serialize", "cli"} <= modules
     assert not modules & set(absent), sorted(modules & set(absent))
+    # Report.copy imports copy only to copy the witnesses of a failing Report
+    assert not copy
 
 
 @pytest.mark.parametrize("argv,absent,budget", COMMANDS, ids=IDS)
 def test_each_command_compiles_at_most_its_budget_of_source_lines(runs, argv, absent,
                                                                    budget):
     assert runs[tuple(argv)][2] <= budget
+
+
+# ---------------------------------------------------------------------------
+# the example names the parser lists without loading phopf.examples
+
+
+def test_the_parser_lists_the_names_of_the_example_builders():
+    from phopf import cli, examples
+    assert sorted(cli._EXAMPLE_NAMES) == sorted(examples._EXAMPLES)
+
+
+def test_example_help_lists_the_same_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["example", "--help"])
+    assert exc.value.code == 0
+    assert ("{dual-group-action,en-kg,regular-bicomodule,sweedler-bicomodule-k,"
+            "sweedler-bimodule-k,z2-partial-group}") in capsys.readouterr().out
