@@ -3,10 +3,10 @@ algebra, on either side or both.
 
 An action is a coefficient table: entry (i, j, k) of the map tensor is the
 coefficient of a_k in h_i ⇀ a_j (left) or in a_j ↼ h_i (right).  A law is
-checked on all basis tuples, which proves it outright by multilinearity, or
-recorded by its proof when the laws that prove it have been checked (see
-_action_suite and trivial_action).  Actions and bimodules carry their
-Reports (see algebras._carried).
+swept over all basis tuples by Report.sweep, which proves it outright by
+multilinearity, or recorded by its proof when the laws that prove it have
+been checked (see _action_suite and trivial_action).  Actions and bimodules
+carry their Reports (see algebras._carried).
 
 The actions induced from a global one (induce_left, induce_bimodule) are in
 phopf.induced, and the dictionary between partial actions of a group
@@ -134,29 +134,27 @@ def _action_suite(p, symmetric, left):
     legs = [[(h1, h2, w) for (h1, h2), w in iv.get(i, empty).items()] for i in range(n)]
     units = [{j: one} for j in range(m)]
 
-    def fail(law, idx, lhs, rhs):
-        rep.fail(law, idx, vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+    def vec(d):
+        return vec_of_dict(d, m, f)
 
-    rep.law("unit-action")
     u_h = H.unit_dict()
-    for j in range(m):
-        got = mul_dicts(pv_act, u_h, units[j])
-        if got != units[j]:
-            rep.fail("unit-action", (j,), vec_of_dict(got, m, f), A.basis_vec(j))
+    rep.sweep("unit-action",
+              (((j,), mul_dicts(pv_act, u_h, units[j]), units[j]) for j in range(m)), vec)
 
-    # multiplicativity: h⇀(ab) = (h₁⇀a)(h₂⇀b)   [right: (ab)↼h = (a↼h₁)(b↼h₂)]
-    rep.law("action-multiplicativity")
-    for i in range(n):
-        for ja in range(m):
-            for jb in range(m):
-                lhs = apply_cols(col[i], pv_a.get((ja, jb), empty))
-                rhs = {}
-                for h1, h2, w in legs[i]:
-                    if col[h1][ja] and col[h2][jb]:
-                        for k, c in mul_dicts(pv_a, col[h1][ja], col[h2][jb]).items():
-                            dict_acc(rhs, k, w * c)
-                if lhs != rhs:
-                    fail("action-multiplicativity", (i, ja, jb), lhs, rhs)
+    def multiplicativity():
+        """Yield (index, h⇀(ab), (h₁⇀a)(h₂⇀b)) at every basis tuple
+        [right: (ab)↼h and (a↼h₁)(b↼h₂)]."""
+        for i in range(n):
+            for ja in range(m):
+                for jb in range(m):
+                    rhs = {}
+                    for h1, h2, w in legs[i]:
+                        if col[h1][ja] and col[h2][jb]:
+                            for k, c in mul_dicts(pv_a, col[h1][ja], col[h2][jb]).items():
+                                dict_acc(rhs, k, w * c)
+                    yield (i, ja, jb), apply_cols(col[i], pv_a.get((ja, jb), empty)), rhs
+
+    multiplicative = rep.sweep("action-multiplicativity", multiplicativity(), vec)
 
     hg_cols = {}
 
@@ -193,15 +191,6 @@ def _action_suite(p, symmetric, left):
                         if lhs != rhs:
                             yield (i, g, jb) if unital else (i, g, ja, jb), lhs, rhs
 
-    def sweep(law, flip, unital):
-        """Record every failure of a composition form under law; True when
-        there is none."""
-        ok = True
-        for idx, lhs, rhs in composition(flip, unital):
-            ok = False
-            fail(law, idx, lhs, rhs)
-        return ok
-
     premises = None
 
     def premises_hold():
@@ -210,15 +199,14 @@ def _action_suite(p, symmetric, left):
         certificates A and H carry (see algebras.algebra_check)."""
         nonlocal premises
         if premises is None:
-            premises = (not rep.failures_for("action-multiplicativity")
+            premises = (multiplicative
                         and algebra_check(A).passed and coalgebra_check(H).passed)
         return premises
 
     # composition against the unit:
     #   left:  h⇀(g⇀b)   = (h₁⇀1_A)(h₂g⇀b)
     #   right: (b↼g)↼h   = (b↼gh₁)(1_A↼h₂)
-    rep.law("action-composition")
-    comp_ok = sweep("action-composition", not left, True)
+    comp_ok = rep.sweep("action-composition", composition(not left, True), vec)
 
     # the same composition law with an extra algebra factor in place of 1_A:
     #   left:  h⇀[a(g⇀b)] = (h₁⇀a)(h₂g⇀b)
@@ -230,17 +218,16 @@ def _action_suite(p, symmetric, left):
     #              = [(h₁⇀a)(h₂⇀1_A)](h₃g⇀b)       associativity
     #              = (h₁⇀a)(h₂g⇀b)                  multiplicativity, a·1_A = a
     # so it is swept only when the unital form or a premise fails.
-    rep.law("action-composition-nonunital")
-    nonunital_ok = (comp_ok and premises_hold()) or \
-        sweep("action-composition-nonunital", not left, False)
+    nonunital_ok = rep.sweep("action-composition-nonunital",
+                             () if comp_ok and premises_hold() else composition(not left, False),
+                             vec)
 
     # for unital algebras the two composition forms must agree as predicates
-    rep.law("composition-forms-equivalence")
-    unital_ok = comp_ok and not rep.failures_for("action-multiplicativity")
-    if unital_ok != nonunital_ok:
-        rep.fail("composition-forms-equivalence", (),
-                 "unital form %s" % ("holds" if unital_ok else "fails"),
-                 "general form %s" % ("holds" if nonunital_ok else "fails"))
+    unital_ok = comp_ok and multiplicative
+    verdict = {True: "holds", False: "fails"}
+    rep.sweep("composition-forms-equivalence",
+              [((), "unital form " + verdict[unital_ok], "general form " + verdict[nonunital_ok])]
+              if unital_ok != nonunital_ok else ())
 
     if symmetric:
         # left:  h⇀[(g⇀b)a] = (h₁g⇀b)(h₂⇀a)
@@ -249,9 +236,9 @@ def _action_suite(p, symmetric, left):
         # unital form h⇀(g⇀b) = (h₁g⇀b)(h₂⇀1_A), which is probed first
         # without recording; that form is its a = 1_A case, so when the
         # probe fails the sweep fails too and records the witnesses.
-        rep.law("action-symmetry")
-        if not (premises_hold() and next(composition(left, True), None) is None):
-            sweep("action-symmetry", left, False)
+        rep.sweep("action-symmetry",
+                  () if premises_hold() and next(composition(left, True), None) is None
+                  else composition(left, False), vec)
     return rep
 
 
@@ -286,20 +273,14 @@ def _decide_bimodule(b, compatible=False):
     rep = Report("%s bimodule on %s" % (b.hopf.name, b.alg.name), b.alg.field)
     rep.merge(check_lpma(b.left), prefix="left/")
     rep.merge(check_rpma(b.right), prefix="right/")
-    rep.law("bimodule-compatibility")
-    if compatible:
-        return rep
     n, m = b.hopf.dim, b.alg.dim
     f = b.hopf.field
     one = f.one
-    for i in range(n):
-        for j in range(m):
-            for g in range(n):
-                lhs = b.left.apply({i: one}, b.right.apply({g: one}, {j: one}))
-                rhs = b.right.apply({g: one}, b.left.apply({i: one}, {j: one}))
-                if lhs != rhs:
-                    rep.fail("bimodule-compatibility", (i, j, g),
-                             vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+    L, R = b.left.apply, b.right.apply
+    rep.sweep("bimodule-compatibility", () if compatible else (
+        ((i, j, g), L({i: one}, R({g: one}, {j: one})), R({g: one}, L({i: one}, {j: one})))
+        for i in range(n) for j in range(m) for g in range(n)),
+        lambda d: vec_of_dict(d, m, f))
     return rep
 
 
@@ -328,7 +309,7 @@ def _certify_action(p, expect_symmetric=None):
     if not sym:
         rep.laws.remove("action-symmetry")
         rep.failures = []
-        p._certificates["suite"] = (_side_stamp(p, False), rep)
+        _carried(p, "suite", _side_stamp(p, False), lambda p: rep)
     return p
 
 
@@ -365,8 +346,8 @@ def trivialize_right(left):
     proof: against the ε-action it reads h⇀(ε(g)a) = ε(g)(h⇀a), the
     linearity of h⇀."""
     b = PartialBimoduleData(left, trivial_action(left.hopf, left.alg, side="right"))
-    rep = _decide_bimodule(b, compatible=True).require("trivialized bimodule", AssertionError)
-    b._certificates["suite"] = (_pair_stamp(b), rep)
+    _carried(b, "suite", _pair_stamp(b), lambda b: _decide_bimodule(b, compatible=True)
+             ).require("trivialized bimodule", AssertionError)
     return b
 
 

@@ -4,7 +4,8 @@ All data is coordinates over an exact field: a multiplication or a
 comultiplication is an order-3 tensor, a (co)unit is a vector, an antipode is
 a matrix whose columns are the images of the basis vectors.  A law checked on
 every basis tuple is thereby proved for all elements (multilinearity), so a
-passing Report is a proof, not a sample.
+passing Report is a proof, not a sample.  Every suite records its laws
+through Report.sweep, and a structure keeps its Reports where _carried puts them.
 
 Elements are passed around as sparse dicts {basis_index: scalar}; elements of
 a tensor square live in dicts keyed by index pairs.
@@ -161,6 +162,16 @@ class Report:
     def fail(self, law_id, idx, lhs, rhs):
         self.law(law_id)
         self.failures.append((law_id, tuple(idx), lhs, rhs))
+
+    def sweep(self, law_id, cases, show=None):
+        """Add the law, then record as its failures, in order, every case
+        (index, lhs, rhs) of `cases` whose two sides differ, each side
+        written by show(side) when `show` is given.  True when none does."""
+        self.law(law_id)
+        show = show or (lambda w: w)
+        bad = [(law_id, tuple(idx), show(lhs), show(rhs)) for idx, lhs, rhs in cases if lhs != rhs]
+        self.failures += bad
+        return not bad
 
     @property
     def passed(self):
@@ -373,6 +384,8 @@ def structure_json(s, hopf_ref, algebra_ref, **parts):
 # coaction also its side, the symmetry flag and the stamps of H and A, and
 # for a pair those of both sides.  While the stamp still matches, a check
 # hands out a copy of the stored Report; after any change it decides again.
+# _carried alone writes that store (a Report proved by a constructor is
+# handed to it as the decision), and _carries asks it.
 
 # law ids in Report order, shared by the sweeps and _record_proved
 _ASSOCIATIVITY, _UNIT_LAW = _ALGEBRA_LAWS = ("associativity", "unit-law")
@@ -408,6 +421,12 @@ def _carried(a, suite, stamp, decide):
     return got[1].copy()
 
 
+def _carries(a, suite, stamp):
+    """Whether `a` carries a passing Report of `suite` under `stamp`."""
+    got = a._certificates.get(suite)
+    return got is not None and got[0] == stamp and got[1].passed
+
+
 def algebra_check(a):
     """Associativity on all basis triples; unit law when a unit is present.
     Decided once while a's product, unit, field and name stay as they are
@@ -438,9 +457,8 @@ def _record_proved(h):
             ("coalgebra", _coalgebra_stamp(h), _COALGEBRA_LAWS),
             ("hopf", _hopf_stamp(h), _ALGEBRA_LAWS + _COALGEBRA_LAWS + _HOPF_TIES)):
         rep = Report(h.name, h.field)
-        for law in laws:
-            rep.law(law)
-        h._certificates[suite] = (stamp, rep)
+        rep.laws = list(laws)
+        _carried(h, suite, stamp, lambda h: rep)
 
 
 def _side_stamp(p, symmetric, parts=None):
@@ -463,7 +481,7 @@ def _record_side(p, symmetric):
     laws = _ACTION_LAWS if hasattr(p, "symmetric") else _COACTION_LAWS
     rep = Report(p.name, p.alg.field)
     rep.laws = list(laws[:len(laws) - 1 + symmetric])
-    p._certificates["suite"] = (_side_stamp(p, symmetric), rep)
+    _carried(p, "suite", _side_stamp(p, symmetric), lambda p: rep)
 
 
 def _associators(rows, into, sweep, n):
@@ -560,23 +578,16 @@ def _decide_algebra(a):
         for m, c in row.items():
             into[x].setdefault(m, []).append((y, c))
 
-    rep.law(_ASSOCIATIVITY)
     gens = _nucleus_generators(rows, n, f)
-    if next(_associators(rows, into, gens, n), None) is not None:
-        for idx, lhs, rhs in _associators(rows, into, range(n), n):
-            rep.fail(_ASSOCIATIVITY, idx, vec_of_dict(lhs, n, f), vec_of_dict(rhs, n, f))
-
+    fails = next(_associators(rows, into, gens, n), None) is not None
+    rep.sweep(_ASSOCIATIVITY, _associators(rows, into, range(n), n) if fails else (),
+              lambda d: vec_of_dict(d, n, f))
     if a.unit is not None:
-        rep.law(_UNIT_LAW)
         u = dict_of_vec(a.unit)
-        for i in range(n):
-            e = {i: f.one}
-            left = mul_dicts(pv, u, e)
-            right = mul_dicts(pv, e, u)
-            if left != e:
-                rep.fail(_UNIT_LAW, (i,), vec_of_dict(left, n, f), a.basis_vec(i))
-            if right != e:
-                rep.fail(_UNIT_LAW, (i,), vec_of_dict(right, n, f), a.basis_vec(i))
+        rep.sweep(_UNIT_LAW, (((i,), side, {i: f.one}) for i in range(n)
+                              for side in (mul_dicts(pv, u, {i: f.one}),
+                                           mul_dicts(pv, {i: f.one}, u))),
+                  lambda d: vec_of_dict(d, n, f))
     return rep
 
 
@@ -590,7 +601,7 @@ def _decide_coalgebra(h):
 
     rep.law(_COASSOCIATIVITY)
     rep.law(_COUNIT_LAW)
-    for i in range(n):
+    for i in range(n):  # both laws at each i, so their failures interleave
         di = iv.get(i, empty)
         lhs = {}
         for (j, c3), w in di.items():
@@ -600,19 +611,15 @@ def _decide_coalgebra(h):
         for (a, k), w in di.items():
             for (b, c3), w2 in iv.get(k, empty).items():
                 dict_acc(rhs, (a, b, c3), w * w2)
-        if lhs != rhs:
-            rep.fail(_COASSOCIATIVITY, (i,), sorted(lhs.items()), sorted(rhs.items()))
+        rep.sweep(_COASSOCIATIVITY, [((i,), lhs, rhs)], lambda d: sorted(d.items()))
         vl, vr = {}, {}
         for (j, k), w in di.items():
             if h.counit[j]:
                 dict_acc(vl, k, h.counit[j] * w)
             if h.counit[k]:
                 dict_acc(vr, j, w * h.counit[k])
-        e = {i: f.one}
-        if vl != e:
-            rep.fail(_COUNIT_LAW, (i,), vec_of_dict(vl, n, f), h.basis_vec(i))
-        if vr != e:
-            rep.fail(_COUNIT_LAW, (i,), vec_of_dict(vr, n, f), h.basis_vec(i))
+        rep.sweep(_COUNIT_LAW, [((i,), vl, {i: f.one}), ((i,), vr, {i: f.one})],
+                  lambda d: vec_of_dict(d, n, f))
     return rep
 
 
@@ -630,26 +637,17 @@ def _decide_hopf(h):
 
     rep.law(_DELTA_MULT)
     rep.law(_EPS_MULT)
-    for i in range(n):
+    for i in range(n):  # both laws at each (i, j), so their failures interleave
         for j in range(n):
             prod = pv.get((i, j), empty)
-            lhs = h.comul_apply(prod)
             rhs = tensor_mul((h.mul, h.mul), iv.get(i, empty), iv.get(j, empty))
-            if lhs != rhs:
-                rep.fail(_DELTA_MULT, (i, j),
-                         sorted(lhs.items()), sorted(rhs.items()))
-            le = h.counit_of(prod)
-            re = h.counit[i] * h.counit[j]
-            if le != re:
-                rep.fail(_EPS_MULT, (i, j), le, re)
+            rep.sweep(_DELTA_MULT, [((i, j), h.comul_apply(prod), rhs)],
+                      lambda d: sorted(d.items()))
+            rep.sweep(_EPS_MULT, [((i, j), h.counit_of(prod), h.counit[i] * h.counit[j])])
 
-    rep.law(_DELTA_UNIT)
-    if h.comul_apply(u) != t2_of_dicts(u, u):
-        rep.fail(_DELTA_UNIT, (), sorted(h.comul_apply(u).items()),
-                 sorted(t2_of_dicts(u, u).items()))
-    rep.law(_EPS_UNIT)
-    if h.counit_of(u) != f.one:
-        rep.fail(_EPS_UNIT, (), h.counit_of(u), f.one)
+    rep.sweep(_DELTA_UNIT, [((), h.comul_apply(u), t2_of_dicts(u, u))],
+              lambda d: sorted(d.items()))
+    rep.sweep(_EPS_UNIT, [((), h.counit_of(u), f.one)])
 
     rep.law(_ANTIPODE_LAW)
     for i in range(n):
@@ -662,10 +660,8 @@ def _decide_hopf(h):
             for t, c in mul_dicts(pv, {j: f.one}, sk).items():
                 dict_acc(right, t, c)
         target = {t: h.counit[i] * c for t, c in u.items()} if h.counit[i] else {}
-        if left != target:
-            rep.fail(_ANTIPODE_LAW, (i,), vec_of_dict(left, n, f), vec_of_dict(target, n, f))
-        if right != target:
-            rep.fail(_ANTIPODE_LAW, (i,), vec_of_dict(right, n, f), vec_of_dict(target, n, f))
+        rep.sweep(_ANTIPODE_LAW, [((i,), left, target), ((i,), right, target)],
+                  lambda d: vec_of_dict(d, n, f))
     return rep
 
 

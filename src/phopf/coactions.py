@@ -4,8 +4,8 @@ Hopf algebra from either side or both sides at once.
 A right coaction is a coefficient table: entry (i, j, k) of the map tensor
 is the coefficient of a_j ⊗ h_k in ρ(a_i).  A left coaction stores the Hopf
 leg first: entry (i, j, k) is the coefficient of h_j ⊗ a_k in λ(a_i).
-Every law is checked on all basis tuples, which proves it outright by
-multilinearity.  One suite serves both sides: it reads a left coaction λ as
+Every law is swept over all basis tuples by Report.sweep, which proves it
+outright by multilinearity.  One suite serves both sides: it reads a left coaction λ as
 the right coaction τλ over the opposite coproduct (see the axiom suites
 below), and it forms every product in A⊗H and A⊗H⊗H with
 algebras.tensor_mul, on operands indexed once.  The witnesses of its
@@ -24,8 +24,8 @@ phopf.actions when they run, and checking a coaction loads no action code.
 Coactions and bicomodules carry their Reports (see algebras._carried).
 """
 
-from .algebras import (DUAL, Report, _carried, _leg_index, _pair_stamp, _record_side,
-                       _side_stamp, algebra_check, dict_acc, dual_hopf, hopf_check,
+from .algebras import (DUAL, Report, _carried, _carries, _leg_index, _pair_stamp,
+                       _record_side, _side_stamp, algebra_check, dict_acc, dual_hopf, hopf_check,
                        same_algebra, same_hopf, structure_json, tensor_mul, vec_of_dict)
 from .linalg import Tensor3, acts_by_scalars, restrict_ops
 
@@ -181,23 +181,15 @@ def _counit_and_multiplicativity(r, rep):
     m = A.dim
     f = A.field
     empty = {}
-    rep.law("counit-coaction")
-    for i in range(m):
-        got = r.counit(i)
-        if got != {i: f.one}:
-            rep.fail("counit-coaction", (i,), vec_of_dict(got, m, f), A.basis_vec(i))
-
-    rep.law("coaction-multiplicativity")
+    rep.sweep("counit-coaction", (((i,), r.counit(i), {i: f.one}) for i in range(m)),
+              lambda d: vec_of_dict(d, m, f))
     pv_a = A.mul.pair_view()
     muls = (A.mul, H.mul)
     co = [_leg_index(r.co.get(i, empty)) for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            lhs = r.co_map.apply_in1(pv_a.get((i, j), empty))
-            rhs = tensor_mul(muls, co[i], co[j], indexed=True)
-            if lhs != rhs:
-                rep.fail("coaction-multiplicativity", (i, j),
-                         r.witness(lhs), r.witness(rhs))
+    rep.sweep("coaction-multiplicativity", (
+        ((i, j), r.co_map.apply_in1(pv_a.get((i, j), empty)),
+         tensor_mul(muls, co[i], co[j], indexed=True)) for i in range(m) for j in range(m)),
+        r.witness)
     return rep
 
 
@@ -223,12 +215,9 @@ def _coaction_suite(p, symmetric):
     if symmetric:
         laws.append(("coaction-symmetry", not r.unit_first))
     for law, unit_first in laws:
-        rep.law(law)
-        for i, (lhs, spread) in enumerate(zip(doubles, spreads)):
-            rhs = (tensor_mul(muls, unit_factor, spread, indexed=True) if unit_first
-                   else tensor_mul(muls, spread, unit_factor, indexed=True))
-            if lhs != rhs:
-                rep.fail(law, (i,), r.witness(lhs), r.witness(rhs))
+        rep.sweep(law, (((i,), lhs, tensor_mul(muls, unit_factor, spread, indexed=True)
+                         if unit_first else tensor_mul(muls, spread, unit_factor, indexed=True))
+                        for i, (lhs, spread) in enumerate(zip(doubles, spreads))), r.witness)
     return rep
 
 
@@ -262,23 +251,23 @@ def _decide_bicomodule(b, compatible=False):
     rep = Report("%s bicomodule on %s" % (b.hopf.name, b.alg.name), b.alg.field)
     rep.merge(check_lpca(b.left), prefix="left/")
     rep.merge(check_rpca(b.right), prefix="right/")
-    rep.law("bicomodule-compatibility")
-    if compatible:
-        return rep
     iv_l = b.left.map.in1_view()
     iv_r = b.right.map.in1_view()
-    for i in range(b.alg.dim):
-        lhs = {}
-        for (j, k), c in iv_l.get(i, {}).items():
-            for (q, r), d in iv_r.get(k, {}).items():
-                dict_acc(lhs, (j, q, r), c * d)
-        rhs = {}
-        for (j, k), c in iv_r.get(i, {}).items():
-            for (q, r), d in iv_l.get(j, {}).items():
-                dict_acc(rhs, (q, r, k), c * d)
-        if lhs != rhs:
-            rep.fail("bicomodule-compatibility", (i,),
-                     sorted(lhs.items()), sorted(rhs.items()))
+
+    def sides():
+        for i in range(b.alg.dim):
+            lhs = {}
+            for (j, k), c in iv_l.get(i, {}).items():
+                for (q, r), d in iv_r.get(k, {}).items():
+                    dict_acc(lhs, (j, q, r), c * d)
+            rhs = {}
+            for (j, k), c in iv_r.get(i, {}).items():
+                for (q, r), d in iv_l.get(j, {}).items():
+                    dict_acc(rhs, (q, r, k), c * d)
+            yield (i,), lhs, rhs
+
+    rep.sweep("bicomodule-compatibility", () if compatible else sides(),
+              lambda d: sorted(d.items()))
     return rep
 
 
@@ -331,8 +320,7 @@ def _transposable(s, stamp):
     """Whether s carries a passing Report under `stamp`, its stamp now, while
     H passes hopf_check and A algebra_check: then each law of the dual
     reading of s is the transpose of a law s passes."""
-    got, rep = s._certificates.get("suite", (None, None))
-    return rep is not None and rep.passed and got == stamp \
+    return _carries(s, "suite", stamp) \
         and hopf_check(s.hopf).passed and algebra_check(s.alg).passed
 
 
@@ -343,10 +331,9 @@ def _by_duality(p, q, symmetric):
     # transpose of one of the other: counit ⇄ 1⇀a = a, multiplicativity ⇄
     # multiplicativity, coassociativity and its symmetric variant ⇄ the
     # unital composition and symmetry laws, whose general forms then follow
-    # (see actions._action_suite).
-    stamp = p._certificates.get("suite", (None,))[0]
-    if stamp is not None and stamp[2] >= symmetric \
-            and _transposable(p, _side_stamp(p, stamp[2])):
+    # (see actions._action_suite).  p's Report may hold the symmetry law
+    # when q's need not.
+    if any(_transposable(p, _side_stamp(p, sym)) for sym in {True, symmetric}):
         _record_side(q, symmetric)
     return q
 
@@ -387,7 +374,7 @@ def bicomodule_to_bimodule(b):
                    for p in (b.right, b.left))
     out = PartialBimoduleData(left, right)
     if _transposable(b, _pair_stamp(b)):
-        out._certificates["suite"] = (_pair_stamp(out), _decide_bimodule(out, compatible=True))
+        _carried(out, "suite", _pair_stamp(out), lambda o: _decide_bimodule(o, compatible=True))
     check_bimodule(out).require("dual bimodule", AssertionError)
     return out
 

@@ -6,8 +6,8 @@ import json
 import os
 from fractions import Fraction
 
-from .algebras import (DUAL, AlgebraData, HopfData, _pair_stamp, _record_proved, _record_side,
-                       hopf_check)
+from .algebras import (DUAL, AlgebraData, HopfData, _carried, _pair_stamp, _record_proved,
+                       _record_side, hopf_check)
 from .fields import GF, QQ
 from .linalg import Tensor3, unit_vec
 from .serialize import DocumentError, write_document
@@ -135,7 +135,7 @@ def regular_bicomodule(h):
         raise AssertionError("regular coaction must be global")
     for p in (b.left, b.right):
         _record_side(p, False)
-    b._certificates["suite"] = (_pair_stamp(b), _decide_bicomodule(b, compatible=True))
+    _carried(b, "suite", _pair_stamp(b), lambda b: _decide_bicomodule(b, compatible=True))
     return b
 
 

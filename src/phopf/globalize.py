@@ -31,7 +31,7 @@ qualify as candidates.
 
 import json
 import os
-from itertools import product
+from itertools import islice, product
 
 from .algebras import (DUAL, AlgebraData, Count, Report, _dual_structure, algebra_check,
                        dict_acc, hom_hh_a, hopf_check, mul_dicts, same_algebra, same_hopf,
@@ -56,13 +56,9 @@ def _embed(cols, coords, d):
 # basis labels as the index of its one failure.
 
 def _first_failure(rep, law, cases):
-    """Add `law` to the report and record the first case (index, lhs, rhs)
-    whose two sides differ as its failure; later cases are not evaluated."""
-    rep.law(law)
-    for idx, lhs, rhs in cases:
-        if lhs != rhs:
-            rep.fail(law, idx, lhs, rhs)
-            return
+    """Sweep `law` over the first case (index, lhs, rhs) whose two sides
+    differ, its one failure; later cases are not evaluated."""
+    rep.sweep(law, islice((case for case in cases if case[1] != case[2]), 1))
 
 
 class GlobalizationCandidate:
@@ -351,10 +347,8 @@ def _verify(candidate, b, global_laws_proved):
     # bilinearly in its two Hopf arguments, turns the bracket into
     # θ[(a↼k·S(k'₁))(S(h₂)h'⇀b)], which is _product_rule.  So the n⁴·(dim A)²
     # tuples are swept, with their witness, only when a premise fails.
-    if cert.failures_for("condition1") or not hopf_check(H).passed:
-        _first_failure(cert, "lemaco1", lemaco1())
-    else:
-        cert.law("lemaco1")
+    _first_failure(cert, "lemaco1", lemaco1() if cert.failures_for("condition1")
+                   or not hopf_check(H).passed else ())
     _first_failure(cert, "lemaco2", (
         ((H.basis[h], A.basis[m]),
          mul_dicts(pvB, theta1, apply_cols(left_cols[h], theta_d[m])),

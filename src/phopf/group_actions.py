@@ -1,7 +1,8 @@
 """Partial group actions, given by ideals D_g = A·1_g (central idempotents
 1_g) and isomorphisms α_g: D_{g⁻¹} → D_g, and the dictionary
 (group_to_kg, kg_to_group) with symmetric unital partial actions of the
-group algebra kG; also the averaged-idempotent example e_N·kG."""
+group algebra kG; also the averaged-idempotent example e_N·kG.  Each law
+of a partial group action is swept over its basis tuples by Report.sweep."""
 
 from fractions import Fraction
 
@@ -29,15 +30,15 @@ class GroupPartialActionData:
         bad = check_group_table(table)
         if bad is not None:
             raise ValueError("not a group table: fails %s" % bad)
+        if alg.unit is None:
+            raise ValueError("partial group actions need a unital algebra")
+        _check_shapes(len(table), alg.dim, idempotents, alphas, labels)
         self.table = [list(r) for r in table]
         self.alg = alg
         of = alg.field.of
         self.idempotents = [[of(c) for c in v] for v in idempotents]
         self.alphas = [[[of(c) for c in r] for r in mat] for mat in alphas]
         self.labels = list(labels) if labels else ["g%d" % i for i in range(len(table))]
-        n = len(self.table)
-        if len(self.idempotents) != n or len(self.alphas) != n:
-            raise ValueError("need one idempotent and one map per group element")
         self.identity = group_identity(self.table)
         self.inverses = group_inverses(self.table)
 
@@ -55,6 +56,19 @@ class GroupPartialActionData:
 
     def __repr__(self):
         return "GroupPartialActionData(|G|=%d on %s)" % (len(self.table), self.alg.name)
+
+
+def _check_shapes(n, m, idempotents, alphas, labels):
+    """Raise ValueError unless each of the n group elements has an idempotent
+    of length m = dim A, an m × m matrix and, when labels are given, a label."""
+    if len(idempotents) != n or len(alphas) != n:
+        raise ValueError("need one idempotent and one map per group element")
+    if any(len(v) != m for v in idempotents):
+        raise ValueError("each idempotent needs %d entries, one per basis element" % m)
+    if any(len(mat) != m or any(len(r) != m for r in mat) for mat in alphas):
+        raise ValueError("each map needs a %d x %d matrix" % (m, m))
+    if labels is not None and len(labels) != n:
+        raise ValueError("need one label per group element, got %r" % (labels,))
 
 
 def load_group_action(node, base_dir="."):
@@ -77,6 +91,7 @@ def load_group_action(node, base_dir="."):
             for (i, j), c in json_rows(rows, (m, m), f, "alphas"):
                 mat[i][j] = c
             alphas.append(mat)
+        _check_shapes(len(table), m, idem, alphas, doc.get("labels"))
         return table, alg, idem, alphas, doc.get("labels")
 
     table, alg, idem, alphas, labels = _guard(parts, "group action")
@@ -115,86 +130,59 @@ def check_group_partial_action(gpa):
     inv = gpa.inverses
     alphas = [col_dicts(a) for a in gpa.alphas]
 
-    rep.law("idempotent-central")
-    for g in range(n):
-        u = ids[g]
-        if A.mul_dict(u, u) != u:
-            rep.fail("idempotent-central", (g,),
-                     vec_of_dict(A.mul_dict(u, u), m, f), vec_of_dict(u, m, f))
-        for j in range(m):
-            lhs = A.mul_dict(u, {j: one})
-            rhs = A.mul_dict({j: one}, u)
-            if lhs != rhs:
-                rep.fail("idempotent-central", (g, j),
-                         vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+    def vec(d):
+        return vec_of_dict(d, m, f)
 
-    rep.law("identity-component")
+    rep.sweep("idempotent-central", (
+        case for g in range(n) for case in
+        [((g,), A.mul_dict(ids[g], ids[g]), ids[g])]
+        + [((g, j), A.mul_dict(ids[g], {j: one}), A.mul_dict({j: one}, ids[g]))
+           for j in range(m)]), vec)
+
+    # as the document holds them; a failing α_e is set against "identity matrix"
     e = gpa.identity
-    if ids[e] != A.unit_dict():
-        rep.fail("identity-component", (e,), gpa.idempotents[e], A.unit)
     ident = [[one if i == j else f.zero for j in range(m)] for i in range(m)]
-    if gpa.alphas[e] != ident:
-        rep.fail("identity-component", (e,), gpa.alphas[e], "identity matrix")
+    rep.sweep("identity-component",
+              [((e,), gpa.idempotents[e], A.unit), ((e,), gpa.alphas[e], ident)],
+              lambda w: "identity matrix" if w is ident else w)
 
-    rep.law("canonical-normalization")
-    for g in range(n):
-        for j in range(m):
-            dom = A.mul_dict({j: one}, ids[inv[g]])
-            lhs = apply_cols(alphas[g], dom)
-            rhs = apply_cols(alphas[g], {j: one})
-            if lhs != rhs:
-                rep.fail("canonical-normalization", (g, j),
-                         vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+    rep.sweep("canonical-normalization", (
+        ((g, j), apply_cols(alphas[g], A.mul_dict({j: one}, ids[inv[g]])),
+         apply_cols(alphas[g], {j: one})) for g in range(n) for j in range(m)), vec)
 
-    rep.law("image-in-range")
-    for g in range(n):
-        for j in range(m):
-            img = apply_cols(alphas[g], {j: one})
-            cut = A.mul_dict(img, ids[g])
-            if img != cut:
-                rep.fail("image-in-range", (g, j),
-                         vec_of_dict(img, m, f), vec_of_dict(cut, m, f))
+    rep.sweep("image-in-range", (
+        ((g, j), img, A.mul_dict(img, ids[g])) for g in range(n) for j in range(m)
+        for img in [apply_cols(alphas[g], {j: one})]), vec)
 
-    rep.law("unit-translation")
-    for g in range(n):
-        got = apply_cols(alphas[g], ids[inv[g]])
-        if got != ids[g]:
-            rep.fail("unit-translation", (g,),
-                     vec_of_dict(got, m, f), gpa.idempotents[g])
+    rep.sweep("unit-translation", (
+        ((g,), apply_cols(alphas[g], ids[inv[g]]), ids[g]) for g in range(n)), vec)
 
-    rep.law("iso-multiplicative")
-    for g in range(n):
-        # a_j·1_{g⁻¹} and its image under α_g, once per basis element
-        dom = [A.mul_dict({j: one}, ids[inv[g]]) for j in range(m)]
-        img = [apply_cols(alphas[g], d) for d in dom]
-        for i in range(m):
-            for j in range(m):
-                lhs = apply_cols(alphas[g], A.mul_dict(dom[i], dom[j]))
-                rhs = A.mul_dict(img[i], img[j])
-                if lhs != rhs:
-                    rep.fail("iso-multiplicative", (g, i, j),
-                             vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+    def iso_multiplicative():
+        for g in range(n):
+            # a_j·1_{g⁻¹} and its image under α_g, once per basis element
+            dom = [A.mul_dict({j: one}, ids[inv[g]]) for j in range(m)]
+            img = [apply_cols(alphas[g], d) for d in dom]
+            for i in range(m):
+                for j in range(m):
+                    yield ((g, i, j), apply_cols(alphas[g], A.mul_dict(dom[i], dom[j])),
+                           A.mul_dict(img[i], img[j]))
 
-    rep.law("domain-translation")
-    for g in range(n):
-        for h in range(n):
-            got = apply_cols(alphas[g], A.mul_dict(ids[inv[g]], ids[h]))
-            want = A.mul_dict(ids[g], ids[gpa.table[g][h]])
-            if got != want:
-                rep.fail("domain-translation", (g, h),
-                         vec_of_dict(got, m, f), vec_of_dict(want, m, f))
+    rep.sweep("iso-multiplicative", iso_multiplicative(), vec)
 
-    rep.law("composition")
-    for g in range(n):
-        for h in range(n):
-            gh = gpa.table[g][h]
-            for j in range(m):
-                r = A.mul_dict(A.mul_dict({j: one}, ids[inv[h]]), ids[inv[gh]])
-                lhs = apply_cols(alphas[g], apply_cols(alphas[h], r))
-                rhs = apply_cols(alphas[gh], r)
-                if lhs != rhs:
-                    rep.fail("composition", (g, h, j),
-                             vec_of_dict(lhs, m, f), vec_of_dict(rhs, m, f))
+    rep.sweep("domain-translation", (
+        ((g, h), apply_cols(alphas[g], A.mul_dict(ids[inv[g]], ids[h])),
+         A.mul_dict(ids[g], ids[gpa.table[g][h]])) for g in range(n) for h in range(n)), vec)
+
+    def composition():
+        for g in range(n):
+            for h in range(n):
+                gh = gpa.table[g][h]
+                for j in range(m):
+                    r = A.mul_dict(A.mul_dict({j: one}, ids[inv[h]]), ids[inv[gh]])
+                    yield ((g, h, j), apply_cols(alphas[g], apply_cols(alphas[h], r)),
+                           apply_cols(alphas[gh], r))
+
+    rep.sweep("composition", composition(), vec)
     return rep
 
 

@@ -106,7 +106,9 @@ def _action_parts(doc, base, cls, sides=None):
     parts = []
     for key_side in sides or (None,):
         sub = doc if key_side is None else doc[key_side]
-        side = sub["side"] if key_side is None else key_side
+        side = key_side or sub["side"]
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right', got %r" % (side,))
         entries = dict(json_rows(sub["map"], cls.shape(hopf, alg, side), hopf.field, "map"))
         symmetric = sub.get("symmetric", False)
         if type(symmetric) is not bool:

@@ -310,6 +310,23 @@ def test_group_action_checker_catches_bad_alpha():
     assert check_group_partial_action(bad2).failures_for("canonical-normalization")
 
 
+def test_group_action_data_rejects_wrong_shapes():
+    gpa = z2_partial_group_example(QQ)
+    one, zero = QQ.one, QQ.zero
+    idem, alphas = gpa.idempotents, gpa.alphas
+    for bad_idem, bad_alphas, labels, match in (
+            ([[one], idem[1]], alphas, None, "idempotent needs 2 entries"),
+            ([idem[0], [one, zero, zero]], alphas, None, "idempotent needs 2 entries"),
+            (idem, [alphas[0], [[one, zero]]], None, "2 x 2 matrix"),
+            (idem, [alphas[0], [[one], [zero]]], None, "2 x 2 matrix"),
+            (idem, alphas, ["e"], "one label per group element")):
+        with pytest.raises(ValueError, match=match):
+            GroupPartialActionData(gpa.table, gpa.alg, bad_idem, bad_alphas, labels)
+    no_unit = AlgebraData(QQ, gpa.alg.basis, gpa.alg.mul, name="no unit")
+    with pytest.raises(ValueError, match="unital algebra"):
+        GroupPartialActionData(gpa.table, no_unit, idem, alphas)
+
+
 def test_kg_to_group_rejects_non_group_hopf(h4):
     t = trivial_action(h4, scalar_algebra(QQ), side="left")
     with pytest.raises(ValueError):

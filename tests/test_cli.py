@@ -713,6 +713,26 @@ def test_a_symmetric_flag_that_is_not_a_bool_exits_two(tmp_path, capsys, kind, n
     assert "symmetric flag must be true or false" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("side", ["up", 3, None, ["left"]], ids=repr)
+@pytest.mark.parametrize("kind", ["action", "coaction"])
+def test_a_side_that_is_not_left_or_right_exits_two(tmp_path, capsys, kind, side):
+    # such a side used to reach the data class and exit 1, the code of a
+    # failed axiom
+    if kind == "action":
+        path = next(p for p in emit(capsys, "dual-group-action", tmp_path)
+                    if p.endswith("action.json"))
+        doc = read_document(path)
+    else:
+        files = emit(capsys, "regular-bicomodule", tmp_path)
+        bic = read_document(next(p for p in files if p.endswith("bicomodule.json")))
+        doc = {"hopf": "hopf.json", "algebra": bic["algebra"], "map": bic["right"]["map"]}
+        path = str(tmp_path / "coaction.json")
+    doc["side"] = side
+    write_document(doc, path)
+    assert main(["check", kind, path]) == 2
+    assert "side must be 'left' or 'right'" in _one_line_error(capsys)
+
+
 def test_the_bimodule_document_writes_its_symmetric_flags_as_bools(tmp_path, capsys):
     from phopf.actions import sweedler_k_bimodule
     from phopf.fields import QQ

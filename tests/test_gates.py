@@ -333,3 +333,69 @@ def test_every_process_enters_through_run_and_only_run_freezes():
     # benchmark call, must keep a live collector
     pyproject = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
     assert entry_point_faults(_package_sources(), pyproject) == []
+
+
+def failures_recorded_outside_report(sources):
+    """Where a module calls `.fail(` outside class Report: every suite
+    records its failures through Report.sweep."""
+    faults = []
+    for name, text in sorted(sources.items()):
+        tree = ast.parse(text, filename=name)
+        faults += ["%s:%d in %s" % (name, line, scope or "the module")
+                   for scope, line in _scoped(tree, lambda node: isinstance(node, ast.Call)
+                                              and isinstance(node.func, ast.Attribute)
+                                              and node.func.attr == "fail")
+                   if (name, scope.split(".")[0]) != ("algebras.py", "Report")]
+    return faults
+
+
+def certificate_store_faults(sources):
+    """Where a module other than algebras.py reads or writes the carried
+    certificates (an `_certificates` attribute, or the string that names
+    it), apart from a data class's `self._certificates = {}` in __init__."""
+    empty_store = ast.dump(ast.parse("self._certificates = {}").body[0])
+    faults = []
+    for name, text in sorted(sources.items()):
+        if name == "algebras.py":
+            continue
+        tree = ast.parse(text, filename=name)
+        fresh = {id(node.targets[0]) for node in ast.walk(tree)
+                 if ast.dump(node) == empty_store}
+        faults += ["%s:%d in %s" % (name, line, scope or "the module")
+                   for scope, line in _scoped(tree, lambda node: id(node) not in fresh and (
+                       isinstance(node, ast.Attribute) and node.attr == "_certificates"
+                       or isinstance(node, ast.Constant) and node.value == "_certificates"))]
+        faults += ["%s:%d in %s" % (name, line, scope)
+                   for scope, line in _scoped(tree, lambda node: id(node) in fresh)
+                   if not scope.endswith(".__init__")]
+    return faults
+
+
+def test_the_law_engine_gates_flag_their_mutants():
+    sources = _package_sources()
+    sources["group_actions.py"] = sources["group_actions.py"].replace(
+        '    rep.sweep("unit-translation", (',
+        '    rep.fail("unit-translation", (0,), 1, 2)\n    rep.sweep("unit-translation", (')
+    sources["globalize.py"] += "\nReport().fail('law', (), 1, 2)\n"
+    assert failures_recorded_outside_report(sources) == [
+        "globalize.py:%d in the module" % (sources["globalize.py"].count("\n")),
+        "group_actions.py:%d in check_group_partial_action" % next(
+            n for n, line in enumerate(sources["group_actions.py"].splitlines(), 1)
+            if "rep.fail(" in line)]
+    sources = _package_sources()
+    sources["coactions.py"] += ("\ndef peek(s):\n    return s._certificates.get('suite')\n"
+                                "\ndef wipe(s):\n    self._certificates = {}\n"
+                                "\ndef reach(s):\n    return getattr(s, '_certificates')\n")
+    sources["actions.py"] = sources["actions.py"].replace(
+        "self._certificates = {}", "self._certificates = {'suite': None}", 1)
+    faults = certificate_store_faults(sources)
+    assert [f.split(" in ")[1] for f in faults] == [
+        "PartialActionData.__init__", "peek", "reach", "wipe"], faults
+
+
+def test_only_report_records_a_failure_and_only_algebras_keeps_certificates():
+    # one law engine: Report.sweep records every failure of every suite;
+    # one certificate store: algebras._carried writes it, and algebras
+    # alone reads it (through _carried and _carries)
+    assert failures_recorded_outside_report(_package_sources()) == []
+    assert certificate_store_faults(_package_sources()) == []

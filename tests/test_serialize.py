@@ -305,6 +305,28 @@ def test_bad_alpha_rows_raise_document_error(row):
         load_group_action(doc)
 
 
+@pytest.mark.parametrize("change,match", [
+    ("short idempotent", "idempotent needs 2 entries"),
+    ("long idempotent", "idempotent needs 2 entries"),
+    ("one label", "one label per group element"),
+    ("one alpha", "one map per group element")])
+def test_a_group_action_of_the_wrong_shape_raises_document_error(change, match):
+    # a short idempotent used to load and pass the check as if padded, a
+    # long one to raise IndexError inside it, and one label for two
+    # elements to load
+    doc = z2_partial_group_example(QQ).to_json()
+    if change == "short idempotent":
+        doc["idempotents"][1] = doc["idempotents"][1][:1]
+    elif change == "long idempotent":
+        doc["idempotents"][1].append("0")
+    elif change == "one label":
+        doc["labels"] = ["e"]
+    else:
+        doc["alphas"].pop()
+    with pytest.raises(DocumentError, match=match):
+        load_group_action(doc)
+
+
 @pytest.mark.parametrize("entry", [1.0, "1", True], ids=repr)
 def test_group_table_entries_must_be_json_ints(entry):
     doc = z2_partial_group_example(QQ).to_json()
