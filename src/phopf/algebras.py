@@ -11,8 +11,6 @@ Elements are passed around as sparse dicts {basis_index: scalar}; elements of
 a tensor square live in dicts keyed by index pairs.
 """
 
-from fractions import Fraction
-
 from .fields import Field
 from .linalg import (Tensor3, _insert, dict_acc, dict_of_vec, mat_transpose, mul_dicts,
                      unit_vec, vec_of_dict)
@@ -128,18 +126,23 @@ def _fraction_form(w):
     """A rational witness with every scalar as a Fraction.  An integral
     rational scalar may be an int (see fields), and a report prints the
     same `Fraction(n, 1)` whichever form it was stored in.  Dict keys and the
-    key of each (key, scalar) item are basis indices and stay as they are."""
-    t = type(w)
-    if t is int:
-        return Fraction(w)
-    if t is list:
-        return [_fraction_form(v) for v in w]
-    if t is tuple:
-        key, c = w
-        return key, _fraction_form(c)
-    if t is dict:
-        return {k: _fraction_form(v) for k, v in w.items()}
-    return w
+    key of each (key, scalar) item are basis indices and stay as they are.
+    Only a failing Report gets here, so only it imports fractions."""
+    from fractions import Fraction
+
+    def form(w):
+        t = type(w)
+        if t is int:
+            return Fraction(w)
+        if t is list:
+            return [form(v) for v in w]
+        if t is tuple:
+            key, c = w
+            return key, form(c)
+        if t is dict:
+            return {k: form(v) for k, v in w.items()}
+        return w
+    return form(w)
 
 
 class Report:

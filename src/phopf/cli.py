@@ -26,25 +26,32 @@ Commands
     phopf smash BIMODULE_FILE BICOMODULE_FILE [-o PATH]
         Build the smash product of the two stored factors.
 
-Every subcommand takes --format {text|json}.  All numeric parameters use
-the exact scalar grammar "n" or "n/d" — no floats.
+Every command takes --format {text|json}, before or after its name.  Scalars
+use the exact grammar "n" or "n/d", and indices ASCII digits.  _parse reads
+argv against one table, _GRAMMAR, which also writes --help: `--opt VALUE`,
+`--opt=VALUE`, `-o DIR` anywhere after the command, the last value wins,
+`--` ends the options, a value is the next argument as given (`--r -1/2`),
+and long options are spelled in full.  A usage error prints one `error:`
+line and raises SystemExit(2); -h/--help raises SystemExit(0).
 
 Exit codes: 0 success / checks passed, 1 semantic failure (an axiom or a
 construction failed), 2 unreadable or malformed input.
 
 Every command is a fresh process, so this module imports at its top only
-what parsing the command line needs, and each command the modules it runs
-when it runs: the bodies of example, globalize and smash are `command` in
-phopf.examples, phopf.globalize and phopf.smash.  Functions are looked up
-through their modules at call time, so a wrapper put on a module attribute
-sees every call.  run(), every process's entry point, is main() then
-gc.freeze(), so the exit-time collections skip the heap it leaves."""
+what reading the command line needs (no argparse, whose gettext and locale
+phopf never uses), and each command the modules it runs when it runs: the
+bodies of example, globalize and smash are `command` in phopf.examples,
+phopf.globalize and phopf.smash.  main() looks up cmd_<name> in this
+module, and functions through their modules, at call time, so a wrapper
+put on a module attribute sees every call.  run(), every process's entry
+point, is main() then gc.freeze(), so the exit-time collections skip the
+heap it leaves."""
 
-import argparse
 import gc
 import importlib
 import json
 import sys
+import types
 
 from .serialize import DocumentError
 
@@ -109,62 +116,96 @@ def cmd_smash(args, fmt):
 
 
 # ---------------------------------------------------------------------------
-# wiring
+# the command line: one table, read by _parse and written out by
+# phopf._help, which only -h/--help imports
 
 
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default=None,
-                        help="report style (default text)")
-    ap = argparse.ArgumentParser(
-        prog="phopf",
-        description="Exact toolkit for partial (co)module algebra structures "
-                    "over finite-dimensional Hopf algebras.")
-    ap.add_argument("--format", dest="root_format", choices=("text", "json"),
-                    default=None, help=argparse.SUPPRESS)
-    sub = ap.add_subparsers(dest="command", required=True)
+_FORMAT = (("--format",), "format", None, ("text", "json"), "report style (default text)")
+_OUT = ("-o", "--out")
 
-    p = sub.add_parser("check", parents=[common],
-                       help="re-run the axiom suite of a stored structure")
-    p.add_argument("kind", choices=sorted(_CHECK))
-    p.add_argument("file")
-    p.set_defaults(func=cmd_check)
+# command -> (help, positionals, options).  A positional is (dest, choices or
+# None); an option is (flags, dest, default, choices or None, help), and a
+# default of ... makes it required.  Every command also takes _FORMAT.
+_GRAMMAR = {
+    "check": ("re-run the axiom suite of a stored structure",
+              (("kind", tuple(sorted(_CHECK))), ("file", None)), ()),
+    "example": ("write a certified built-in example to disk", (("name", _EXAMPLE_NAMES),), (
+        (("--field",), "field", "qq", None, "qq or gf<p> (default qq)"),
+        (("--r",), "r", "0", None, "left action parameter"),
+        (("--s",), "s", "0", None, "right action parameter"),
+        (("--t",), "t", "0", None, "left coaction parameter"),
+        (("--u",), "u", "0", None, "right coaction parameter"),
+        (("--group",), "group", None, None, "built-in group name"),
+        (("--N",), "N", "0", None, "subgroup element indices, e.g. 0,2"),
+        (_OUT, "out", ".", None, "output directory"))),
+    "globalize": ("construct and certify the standard globalization",
+                  (("kind", ("bimodule", "bicomodule")), ("file", None)),
+                  ((_OUT, "out", ..., None, "output directory (required)"),)),
+    "smash": ("build the smash product of two stored factors",
+              (("bimodule", None), ("bicomodule", None)),
+              ((_OUT, "out", None, None, "output file (.json) or directory"),)),
+}
 
-    p = sub.add_parser("example", parents=[common],
-                       help="write a certified built-in example to disk")
-    p.add_argument("name", choices=_EXAMPLE_NAMES)
-    p.add_argument("--field", default="qq", help="qq or gf<p> (default qq)")
-    p.add_argument("--r", default="0", help="left action parameter")
-    p.add_argument("--s", default="0", help="right action parameter")
-    p.add_argument("--t", default="0", help="left coaction parameter")
-    p.add_argument("--u", default="0", help="right coaction parameter")
-    p.add_argument("--group", default=None, help="built-in group name")
-    p.add_argument("--N", default="0", help="subgroup element indices, e.g. 0,2")
-    p.add_argument("-o", "--out", default=".", help="output directory")
-    p.set_defaults(func=cmd_example)
 
-    p = sub.add_parser("globalize", parents=[common],
-                       help="construct and certify the standard globalization")
-    p.add_argument("kind", choices=("bimodule", "bicomodule"))
-    p.add_argument("file")
-    p.add_argument("-o", "--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_globalize)
+def _fail(command, message):
+    """A usage error: one line on stderr, then exit 2."""
+    print("error: %s (see phopf %s--help)" % (message, command + " " if command else ""),
+          file=sys.stderr)
+    raise SystemExit(2)
 
-    p = sub.add_parser("smash", parents=[common],
-                       help="build the smash product of two stored factors")
-    p.add_argument("bimodule")
-    p.add_argument("bicomodule")
-    p.add_argument("-o", "--out", default=None,
-                   help="output file (.json) or directory")
-    p.set_defaults(func=cmd_smash)
-    return ap
+
+def _choose(command, name, value, choices):
+    if choices and value not in choices:
+        _fail(command, "argument %s: invalid choice %r (choose from %s)"
+              % (name, value, ", ".join(choices)))
+    return value
+
+
+def _parse(argv):
+    """(command, args): argv read against _GRAMMAR (see the module docstring)."""
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    command, values, found, flags = None, {"format": None}, [], {"--format": _FORMAT}
+    positionals, options, ended = (), (), False
+    for token in tokens:
+        if not ended and token == "--":
+            ended = True
+        elif not ended and token.startswith("-") and token != "-":
+            flag, eq, value = token.partition("=")
+            if flag in ("-h", "--help"):
+                print(_lookup("_help", "help_text")(command))
+                raise SystemExit(0)
+            if flag not in flags:
+                _fail(command, "unrecognized option %s" % flag)
+            spec = flags[flag]
+            value = value if eq else next(tokens, None)
+            if value is None:
+                _fail(command, "argument %s: expected one argument" % "/".join(spec[0]))
+            values[spec[1]] = _choose(command, "/".join(spec[0]), value, spec[3])
+        elif command is None:
+            command = _choose(None, "command", token, tuple(_GRAMMAR))
+            _, positionals, options = _GRAMMAR[command]
+            for spec in options:
+                values[spec[1]] = spec[2]
+                flags.update(dict.fromkeys(spec[0], spec))
+        elif len(found) == len(positionals):
+            _fail(command, "unrecognized argument %r" % token)
+        else:
+            dest, choices = positionals[len(found)]
+            found.append(_choose(command, dest, token, choices))
+    if command is None:
+        _fail(None, "a command is required")
+    missing = [dest for dest, _ in positionals[len(found):]]
+    missing += ["/".join(spec[0]) for spec in options if values[spec[1]] is ...]
+    if missing:
+        _fail(command, "the following arguments are required: %s" % ", ".join(missing))
+    values.update(zip((dest for dest, _ in positionals), found))
+    return command, types.SimpleNamespace(**values)
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    fmt = args.format or args.root_format or "text"
+    command, args = _parse(argv)
     try:
-        return args.func(args, fmt)
+        return globals()["cmd_" + command](args, args.format or "text")
     except (OSError, json.JSONDecodeError, DocumentError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

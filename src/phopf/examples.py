@@ -4,11 +4,10 @@ phopf.coactions when it runs, and a builder the modules of its structure."""
 
 import json
 import os
-from fractions import Fraction
 
 from .algebras import (DUAL, AlgebraData, HopfData, _carried, _pair_stamp, _record_proved,
                        _record_side, hopf_check)
-from .fields import GF, QQ
+from .fields import GF, QQ, _integer
 from .linalg import Tensor3, unit_vec
 from .serialize import DocumentError, write_document
 
@@ -145,6 +144,7 @@ def sweedler_k_bicomodule(field, t, u):
     λ(1) = (1/2 + 1/2·g + t·xg) ⊗ 1 and ρ(1) = 1 ⊗ (1/2 + 1/2·g + u·x).
     Valid for every pair (t, u); the 1/2-pattern makes both sides genuinely
     partial."""
+    from fractions import Fraction
     from .coactions import PartialBicomoduleData, PartialCoactionData, _certify_bicomodule
     H = sweedler_h4(field)
     A = scalar_algebra(field)
@@ -172,9 +172,9 @@ def _field_spec(spec):
     s = spec.strip().lower()
     if s == "qq":
         return QQ
-    if s.startswith("gf") and s[2:].isdigit():
+    if s.startswith("gf"):
         try:
-            return GF(int(s[2:]))
+            return GF(_integer(s[2:]))
         except ValueError as exc:
             raise DocumentError("bad field spec %r: %s" % (spec, exc))
     raise DocumentError("bad field spec %r (use qq or gf<p>)" % spec)
@@ -187,11 +187,17 @@ def _scalar(field, text):
         raise DocumentError("bad scalar %r: %s" % (text, exc))
 
 
-def _indices(text):
+def _indices(text, order):
+    """The element indices of --N, in ASCII digits, each below the group's order."""
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        indices = [_integer(x.strip(" \t")) for x in text.split(",") if x.strip(" \t")]
     except ValueError:
+        indices = []
+    if not indices:
         raise DocumentError("bad index list %r (use e.g. 0,2)" % text)
+    if not all(0 <= x < order for x in indices):
+        raise DocumentError("index list %r outside the group of order %d" % (text, order))
+    return indices
 
 
 def _group(name):
@@ -199,7 +205,7 @@ def _group(name):
     try:
         return named_group(name)
     except KeyError as exc:
-        raise DocumentError(str(exc))
+        raise DocumentError(exc.args[0])
 
 
 def _write_pair(outdir, structure, kind):
@@ -227,9 +233,10 @@ def _ex_en_kg(args, field, outdir):
     from .actions import is_global
     from .group_actions import en_kg_example
     labels, table = _group(args.group or "z4")
-    act = en_kg_example(table, _indices(args.N), field, labels)[1]
+    N = _indices(args.N, len(table))
+    act = en_kg_example(table, N, field, labels)[1]
     return _write_pair(outdir, act, "action"), [
-        "|G|=%d, |N|=%d, is_global=%s" % (len(table), len(set(_indices(args.N))), is_global(act))]
+        "|G|=%d, |N|=%d, is_global=%s" % (len(table), len(set(N)), is_global(act))]
 
 
 def _ex_dual_group_action(args, field, outdir):

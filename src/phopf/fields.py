@@ -12,9 +12,10 @@ good a scalar as the int.  Prime-field scalars are ModP residues stored in
 linear-algebra code upstream is field-agnostic.  The one division on
 scalars is `Field.inv`, and this module is the only one that divides: an
 int divided by an int would be a float.
-"""
 
-from fractions import Fraction
+`fractions` (which loads `decimal`) is imported only where a Fraction is
+built or tested, after the int and ModP cases: most commands build none.
+"""
 
 
 # Miller–Rabin to the first 13 prime bases decides primality exactly below
@@ -56,6 +57,7 @@ def _rational(x):
         return x
     if x.denominator == 1:
         return int(x.numerator)
+    from fractions import Fraction
     return x if type(x) is Fraction else Fraction(x)
 
 
@@ -81,6 +83,7 @@ class ModP:
             return other.v
         if isinstance(other, int):
             return other % self.p
+        from fractions import Fraction
         if isinstance(other, Fraction):
             if other.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
@@ -172,19 +175,20 @@ class Field:
         return self.p if self.p else 0
 
     def of(self, x):
-        """Coerce an int, Fraction, ModP or scalar string into this field."""
-        if isinstance(x, str):
-            return self.parse(x)
-        if self.p is None:
-            if isinstance(x, (int, Fraction)):
-                return _rational(x)
-            raise TypeError("cannot coerce %r into the rationals" % (x,))
-        if isinstance(x, ModP):
+        """Coerce an int, ModP, Fraction or scalar string into this field."""
+        if isinstance(x, int):
+            return ModP(x, self.p) if self.p else int(x)
+        if isinstance(x, ModP) and self.p:
             if x.p != self.p:
                 raise ValueError("wrong modulus")
             return x
-        if isinstance(x, int):
-            return ModP(x, self.p)
+        if isinstance(x, str):
+            return self.parse(x)
+        from fractions import Fraction
+        if self.p is None:
+            if isinstance(x, Fraction):
+                return _rational(x)
+            raise TypeError("cannot coerce %r into the rationals" % (x,))
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
@@ -206,6 +210,7 @@ class Field:
             n, d = _integer(num), _integer(den)
             if d and n % d == 0:
                 return n // d
+            from fractions import Fraction
             return Fraction(n, d)
         if "/" in s:
             raise ValueError("no fraction syntax in GF(%d): %r" % (self.p, s))
@@ -216,9 +221,12 @@ class Field:
 
     def inv(self, x):
         """The inverse of a nonzero scalar; over the rationals an int when
-        it is integral (x = ±1), a Fraction otherwise, never a float."""
+        it is integral (x = ±1, no Fraction built), else a Fraction; never a float."""
         if self.p is not None:
             return self.one / x
+        if x in (1, -1):
+            return int(x)
+        from fractions import Fraction
         return _rational(Fraction(1, x))
 
     def show(self, x):

@@ -4,8 +4,6 @@
 group algebra kG; also the averaged-idempotent example e_N·kG.  Each law
 of a partial group action is swept over its basis tuples by Report.sweep."""
 
-from fractions import Fraction
-
 from .algebras import (AlgebraData, Report, algebra_check, dict_of_vec, dual_hopf, json_rows,
                        vec_of_dict)
 from .actions import PartialActionData, _certify_action, check_lpma
@@ -246,6 +244,7 @@ def en_kg_example(table, normal_subgroup, field, labels=None):
     acted on by the dual group algebra: p_g ⇀ e_N u_h = (1/|N|) e_N u_h when
     g⁻¹h ∈ N and 0 otherwise.  Returns (A, action); the action is partial
     (not global) as soon as |N| > 1."""
+    from fractions import Fraction
     bad = check_group_table(table)
     if bad is not None:
         raise ValueError("not a group table: fails %s" % bad)

@@ -101,6 +101,53 @@ def test_example_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_negative_fraction_follows_its_option(tmp_path, capsys, monkeypatch):
+    # `--r -1/2` is the value -1/2 (argparse took -1/2 for an option and
+    # exited 2), and writes the bytes that `--r=-1/2` writes
+    monkeypatch.chdir(tmp_path)
+    outs = []
+    for params, out in ((["--r", "-1/2", "--s", "-3/4"], "spaced"),
+                        (["--r=-1/2", "--s=-3/4"], "joined")):
+        assert main(["example", "sweedler-bimodule-k", *params, "-o", out]) == 0
+        outs.append(capsys.readouterr().out.replace(out, "OUT"))
+    assert outs[0] == outs[1] and "r=-1/2 s=-3/4 over QQ" in outs[0]
+    assert _written_bytes(tmp_path / "spaced") == _written_bytes(tmp_path / "joined")
+    doc = read_document(str(tmp_path / "spaced" / "bimodule.json"))
+    assert "-1/2" in json.dumps(doc) and "-3/4" in json.dumps(doc)
+
+
+def _written_bytes(root):
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+@pytest.mark.parametrize("params,message", [
+    (["--field", "gf\u0667"],                                  # Arabic-Indic 7
+     "bad field spec 'gf\u0667': '\u0667' is not an integer in ASCII digits"),
+    (["--field", "gf\u00b2"],                                  # superscript 2
+     "bad field spec 'gf\u00b2': '\u00b2' is not an integer in ASCII digits"),
+    (["--N", "0,\u0662"], "bad index list '0,\u0662'"),       # Arabic-Indic 2
+    (["--N", "0,1_0"], "bad index list '0,1_0'"),
+    (["--N", " , "], "bad index list ' , '"),
+    (["--N", "0,4"], "index list '0,4' outside the group of order 4"),
+    (["--N", "-1,0"], "index list '-1,0' outside the group of order 4"),
+], ids=["field-arabic-digit", "field-superscript", "index-arabic-digit", "index-underscore",
+        "index-empty", "index-past-the-order", "index-negative"])
+def test_cli_integers_are_ascii_digits_in_range(tmp_path, capsys, params, message):
+    # int() took other scripts' digits and underscores: gf٧ was GF(7), gf²
+    # leaked int()'s message, 0,٢ was {0, 2} and 1_0 was 10; an index past
+    # the group's order, or none at all, exited 1
+    assert main(["example", "en-kg", *params, "-o", str(tmp_path / "out")]) == 2
+    assert _one_line_error(capsys).startswith("error: " + message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unknown_group_prints_its_message_unquoted(tmp_path, capsys):
+    from phopf._groups import GROUP_NAMES
+    assert main(["example", "en-kg", "--group", "Q9", "-o", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: unknown group 'Q9' (builtin: %s)\n" % ", ".join(GROUP_NAMES)
+
+
 @pytest.mark.parametrize("argv,code", [
     (["example", "sweedler-bimodule-k", "--r", "1.5"], 2),   # a malformed scalar
     (["example", "en-kg", "--N", "1"], 1),                    # N without the identity

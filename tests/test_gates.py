@@ -313,11 +313,34 @@ def _package_sources():
     return {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
 
 
+def argparse_imports(sources):
+    """Where a module of the package imports argparse: phopf.cli reads argv
+    against its own table, and argparse loads gettext and locale, which no
+    command uses."""
+    return ["%s:%d" % (name, node.lineno) for name, text in sorted(sources.items())
+            for node in ast.walk(ast.parse(text, filename=name))
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "argparse"
+                                                    for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0]
+            == "argparse"]
+
+
+def test_no_module_of_the_package_imports_argparse():
+    assert argparse_imports(_package_sources()) == []
+    sources = _package_sources()
+    sources["cli.py"] = sources["cli.py"].replace(
+        "def _parse(argv):\n", "def _parse(argv):\n    import argparse\n")
+    sources["fields.py"] += "\nfrom argparse import Namespace\n"
+    faults = argparse_imports(sources)
+    assert [f.split(":")[0] for f in faults] == ["cli.py", "fields.py"], faults
+    assert faults[1] == "fields.py:%d" % sources["fields.py"].count("\n")
+
+
 def test_the_entry_point_gate_flags_a_freeze_outside_run():
     sources = _package_sources()
     sources["cli.py"] = sources["cli.py"].replace(
-        "    args = _build_parser().parse_args(argv)\n",
-        "    args = _build_parser().parse_args(argv)\n    gc.freeze()\n")
+        "    command, args = _parse(argv)\n",
+        "    command, args = _parse(argv)\n    gc.freeze()\n")
     sources["cli.py"] = sources["cli.py"].replace("sys.exit(run())", "sys.exit(main())")
     sources["linalg.py"] += "\nimport gc\n"
     pyproject = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")

@@ -93,12 +93,19 @@ def test_submodules_still_import_by_name():
 # what each command loads
 
 
+# stdlib modules no benchmark command needs: copy (see Report.copy), the
+# argparse that phopf.cli replaced with its own table and the gettext and
+# locale it loads, and fractions, with the decimal it loads, which only a
+# non-integral rational needs
+STDLIB = ("copy", "argparse", "gettext", "locale", "fractions", "decimal")
+
+
 def _loaded(argv, cwd):
     """Exit code, the phopf submodules loaded when `argv` runs in a fresh
     interpreter, the number of source lines of the phopf files loaded
     (the package and those submodules), each of which a process without a
-    bytecode cache compiles, and whether the stdlib `copy` was loaded; an
-    empty argv only imports the package."""
+    bytecode cache compiles, and which of the stdlib modules of STDLIB were
+    loaded; an empty argv only imports the package."""
     probe = ("import json, sys\n"
              "import phopf\n"
              "code = 0\n"
@@ -109,14 +116,15 @@ def _loaded(argv, cwd):
              "        if m == 'phopf' or m.startswith('phopf.')}\n"
              "lines = sum(len(open(f, encoding='utf-8').read().splitlines())\n"
              "            for f in mods.values())\n"
-             "print(json.dumps([code, sorted(mods), lines, 'copy' in sys.modules]))\n")
+             "stdlib = [m for m in %r if m in sys.modules]\n"
+             "print(json.dumps([code, sorted(mods), lines, stdlib]))\n" % (STDLIB,))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", probe] + list(argv), cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, modules, lines, copy = json.loads(proc.stdout.splitlines()[-1])
-    return code, {m[len("phopf."):] for m in modules if m != "phopf"}, lines, copy
+    code, modules, lines, stdlib = json.loads(proc.stdout.splitlines()[-1])
+    return code, {m[len("phopf."):] for m in modules if m != "phopf"}, lines, set(stdlib)
 
 
 @pytest.fixture(scope="module")
@@ -185,18 +193,36 @@ def test_importing_the_package_loads_no_submodule(tmp_path):
 
 @pytest.mark.parametrize("argv,absent,budget", COMMANDS, ids=IDS)
 def test_each_command_loads_only_the_modules_it_runs(runs, argv, absent, budget):
-    code, modules, _, copy = runs[tuple(argv)]
+    code, modules, _, stdlib = runs[tuple(argv)]
     assert code == 0
     assert {"fields", "linalg", "algebras", "serialize", "cli"} <= modules
     assert not modules & set(absent), sorted(modules & set(absent))
     # Report.copy imports copy only to copy the witnesses of a failing Report
-    assert not copy
+    assert "copy" not in stdlib
 
 
 @pytest.mark.parametrize("argv,absent,budget", COMMANDS, ids=IDS)
 def test_each_command_compiles_at_most_its_budget_of_source_lines(runs, argv, absent,
                                                                    budget):
     assert runs[tuple(argv)][2] <= budget
+
+
+@pytest.mark.parametrize("argv,absent,budget", COMMANDS, ids=IDS)
+def test_no_command_loads_argparse_or_fractions_or_the_help_text(runs, argv, absent,
+                                                                 budget):
+    _, modules, _, stdlib = runs[tuple(argv)]
+    assert not stdlib, sorted(stdlib)
+    assert "_help" not in modules
+
+
+def test_a_non_integral_scalar_loads_fractions(tmp_path):
+    # the positive control of the test above: the document holds r = 1/2,
+    # so loading it builds a Fraction
+    assert main(["example", "sweedler-bimodule-k", "--r", "1/2", "-o", str(tmp_path),
+                 "--format", "json"]) == 0
+    code, modules, _, stdlib = _loaded(["check", "bimodule", "bimodule.json"], str(tmp_path))
+    assert code == 0 and "actions" in modules
+    assert stdlib == {"fractions", "decimal"}
 
 
 # ---------------------------------------------------------------------------
