@@ -34,11 +34,10 @@ class PartialCoactionData:
     """One-sided partial coaction.  Side 'right': `map` entry (i, j, k) is
     the coefficient of a_j ⊗ h_k in ρ(a_i).  Side 'left' keeps the Hopf leg
     first: entry (i, j, k) is the coefficient of h_j ⊗ a_k in λ(a_i).
-    Construction enforces the counit law ((I⊗ε)ρ = id, resp. (ε⊗I)λ = id)
-    unless `unchecked` is set; the remaining laws are certified by
-    check_rpca / check_lpca."""
+    Construction enforces the counit law ((I⊗ε)ρ = id, resp. (ε⊗I)λ = id);
+    the remaining laws are certified by check_rpca / check_lpca."""
 
-    def __init__(self, hopf, alg, side, map_entries, name="", unchecked=False):
+    def __init__(self, hopf, alg, side, map_entries, name=""):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         if alg.unit is None:
@@ -54,11 +53,10 @@ class PartialCoactionData:
         self.map = map_entries
         self.name = name or ("%s %s-coacts on %s" % (hopf.name, side, alg.name))
         self._certificates = {}
-        if not unchecked:
-            reading = _RightReading(self)
-            for i in range(alg.dim):
-                if reading.counit(i) != {i: hopf.field.one}:
-                    raise ValueError("counit law fails at basis %s" % alg.basis[i])
+        reading = _RightReading(self)
+        for i in range(alg.dim):
+            if reading.counit(i) != {i: hopf.field.one}:
+                raise ValueError("counit law fails at basis %s" % alg.basis[i])
 
     @staticmethod
     def shape(hopf, alg, side):
@@ -69,10 +67,6 @@ class PartialCoactionData:
     def coact_dict(self, x):
         """Coaction applied to a sparse dict over the algebra basis."""
         return self.map.apply_in1(x)
-
-    def unit_image(self):
-        """Image of 1_A as a sparse dict over leg pairs."""
-        return self.coact_dict(self.alg.unit_dict())
 
     def dual_cols(self):
         """The coaction as its dual operator family (see algebras.DUAL):

@@ -2,15 +2,14 @@
 to an ideal e·B or to a unital subalgebra A of B (whose unit need not be
 1_B).  A two-sided structure restricts under the corner condition
 (bimodules) or the exchange condition (bicomodules), and a failing input is
-rejected with a witness; check_vesgo_equivalence compares the two forms of
-the exchange condition."""
+rejected with a witness."""
 
 from .algebras import AlgebraData, algebra_check, dict_of_vec, t2_of_dicts, tensor_mul
 from .actions import (PartialActionData, PartialBimoduleData, _certify_action,
                       check_bimodule, is_global)
 from .coactions import (PartialBicomoduleData, PartialCoactionData, _certify_bicomodule,
                         _certify_coaction, _exchange_products, _restrict_coaction,
-                        check_bicomodule, check_global_unit)
+                        check_global_unit)
 from .linalg import Subspace, apply_cols, restrict_ops, restrict_product, subspace_span
 
 
@@ -209,30 +208,3 @@ def induce_bicomodule(bicom, a_basis, unit_a):
                                 name="induced right coaction on corner of %s" % B.name)
     out = PartialBicomoduleData(left, right)
     return _certify_bicomodule(out, "induced bicomodule")
-
-
-def check_vesgo_equivalence(bicom, a_basis, unit_a):
-    """The exchange condition for a unital subalgebra A of a global
-    bicomodule comes in two forms: (i) through the dual-Hopf actions,
-    (a◁f)(g▷b) = (a◁f)·1_A·(g▷b) with all values inside A for every pair of
-    dual basis functionals, and (ii) the tensor identity
-    (λ(a)⊗1)(1⊗ρ(b)) = (λ(a)⊗1)(1⊗1_A⊗1)(1⊗ρ(b)) inside H⊗A⊗H.  Both are
-    evaluated independently and the pair of truth values is returned; their
-    agreement is a theorem, asserted on every call.  The bicomodule is
-    certified once on entry (ValueError at its first failed law); the dual
-    actions are its coordinate transposes and are not certified again."""
-    B = bicom.alg
-    check_bicomodule(bicom).require("input bicomodule")
-    if not (check_global_unit(bicom.left) and check_global_unit(bicom.right)):
-        raise ValueError("check_vesgo_equivalence needs a global bicomodule")
-    span = a_basis if isinstance(a_basis, Subspace) \
-        else subspace_span(list(a_basis), B.dim, B.field)
-    u_d = dict_of_vec(unit_a)
-
-    # f ▷ b and a ◁ f, the dual families of ρ and λ
-    cond_i = _corner_witness(B, bicom.right.dual_cols(), bicom.left.dual_cols(),
-                             span.rows, u_d, span) is None
-    cond_ii = _exchange_witness(bicom, span.rows, u_d, span) is None
-    if cond_i != cond_ii:
-        raise AssertionError("the two exchange-condition forms must agree")
-    return (cond_i, cond_ii)

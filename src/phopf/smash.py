@@ -13,9 +13,10 @@ re-proves it for every instance with algebra_check, which sweeps the rows
 of a generating set of the left nucleus and falls back to every row when
 one of them fails (see algebras._decide_algebra).  The
 module also decides when a pair of idempotents makes a ♮ u idempotent,
-checks the Ker(ε)-invariance equivalence behind one of those criteria, and
-cuts out the unital corner algebra e·S·e at any idempotent e.  The body of
-`phopf smash` is `command`."""
+decides the ε-triviality of the action on a behind criteria (1) and (2),
+and cuts out the unital corner algebra e·S·e at any idempotent e, each
+from dense vectors of the right length.  The body of `phopf smash` is
+`command`."""
 
 import json
 import os
@@ -44,15 +45,23 @@ class SmashAlgebra:
         self.hopf = left_factor.hopf
         self.alg = alg
 
-    def index(self, i, j):
-        return i * self.right_factor.alg.dim + j
-
     def pair_vec(self, a_vec, u_vec):
         """The element a ♮ u as a dense vector of the smash algebra."""
+        _sparse(self.left_factor.alg, a_vec, "a")
+        _sparse(self.right_factor.alg, u_vec, "u")
         return [ca * cu for ca in a_vec for cu in u_vec]
 
     def __repr__(self):
         return "SmashAlgebra(%s, dim=%d)" % (self.alg.name, self.alg.dim)
+
+
+def _sparse(alg, vec, what):
+    """The dense vector `vec` of alg as a sparse dict; ValueError unless it
+    has one entry per basis element."""
+    if len(vec) != alg.dim:
+        raise ValueError("%s has %d entries, but %s has dimension %d"
+                         % (what, len(vec), alg.name, alg.dim))
+    return dict_of_vec(vec)
 
 
 def _two_sided_unit(alg, e):
@@ -68,30 +77,39 @@ def _two_sided_unit(alg, e):
     return True
 
 
-def smash_product(bimodule, bicomodule, unchecked=False):
+def smash_product(bimodule, bicomodule):
     """Build A ♮ Ā.  Both factors must certify (the Reports they carry, or
-    their axiom suites) and share one Hopf algebra; the product is then proven
-    associative by check_smash_associativity, and construction raises
-    ValueError if it is not, so a returned product needs no second check.
-    `unchecked` skips both gates so tests can watch a bad input fail the
-    associativity check.
-
-    The product is built by a keyed join.  The terms c₁·u_l0⊗h of ρ(u_l)
-    with a_i ↼ h ≠ 0 and the terms c₂·h'⊗u_j0 of λ(u_j) with h' ⇀ a_k ≠ 0
-    are listed once, and they meet only where u_j0 u_l0 ≠ 0.  Each product
-    (a_i ↼ h)(h' ⇀ a_k) in A is formed once, however many such meetings
-    use it."""
+    their axiom suites) and share one Hopf algebra; the product (built by
+    _smash_table) is then proven associative by check_smash_associativity,
+    and construction raises ValueError if it is not, so a returned product
+    needs no second check."""
     if not same_hopf(bimodule.hopf, bicomodule.hopf):
         raise ValueError("mismatched Hopf references between the factors")
-    A = bimodule.alg
-    U = bicomodule.alg
+    A, U = bimodule.alg, bicomodule.alg
     if A.field != U.field:
         raise ValueError("factors live over different fields")
-    if not unchecked:
-        check_bimodule(bimodule).require("uncertified bimodule factor")
-        check_bicomodule(bicomodule).require("uncertified bicomodule factor")
-
+    check_bimodule(bimodule).require("uncertified bimodule factor")
+    check_bicomodule(bicomodule).require("uncertified bicomodule factor")
     f = A.field
+    mul = _smash_table(bimodule, bicomodule)
+    labels = ["%s ♮ %s" % (a, u) for a in A.basis for u in U.basis]
+    name = "%s ♮ %s" % (A.name, U.name)
+    one_s = [ca * cu for ca in A.unit for cu in U.unit]
+    unit = one_s if _two_sided_unit(AlgebraData(f, labels, mul, None, name=name),
+                                    one_s) else None
+    s = SmashAlgebra(bimodule, bicomodule, AlgebraData(f, labels, mul, unit, name=name))
+    check_smash_associativity(s).require("smash product")
+    return s
+
+
+def _smash_table(bimodule, bicomodule):
+    """The multiplication tensor of A ♮ Ā on the basis {a_i ♮ u_j}, by a
+    keyed join, for any two factors over one Hopf algebra and one field.
+    The terms c₁·u_l0⊗h of ρ(u_l) with a_i ↼ h ≠ 0 and the terms c₂·h'⊗u_j0
+    of λ(u_j) with h' ⇀ a_k ≠ 0 are listed once, and they meet only where
+    u_j0 u_l0 ≠ 0.  Each product (a_i ↼ h)(h' ⇀ a_k) in A is formed once,
+    however many such meetings use it."""
+    A, U = bimodule.alg, bicomodule.alg
     dA, dU = A.dim, U.dim
     pvA = A.mul.pair_view()
     # the nonzero terms of each side: c₁·u_l0⊗h in ρ(u_l) with the a_i that
@@ -133,17 +151,7 @@ def smash_product(bimodule, bicomodule, unchecked=False):
                             for p, cu in u_img.items():
                                 dict_acc(entries, (row, col, base + p), c12 * ca * cu)
     N = dA * dU
-    mul = Tensor3((N, N, N), entries)
-
-    labels = ["%s ♮ %s" % (a, u) for a in A.basis for u in U.basis]
-    name = "%s ♮ %s" % (A.name, U.name)
-    one_s = [ca * cu for ca in A.unit for cu in U.unit]
-    unit = one_s if _two_sided_unit(AlgebraData(f, labels, mul, None, name=name),
-                                    one_s) else None
-    s = SmashAlgebra(bimodule, bicomodule, AlgebraData(f, labels, mul, unit, name=name))
-    if not unchecked:
-        check_smash_associativity(s).require("smash product")
-    return s
+    return Tensor3((N, N, N), entries)
 
 
 def check_smash_associativity(s):
@@ -160,57 +168,34 @@ def check_smash_associativity(s):
 
 def check_ker_eps_invariance(bimodule, a_vec):
     """For a nonzero a in the bimodule algebra decide, per side, whether the
-    action is ε-trivial on a — computed two independent ways: pointwise
-    (h ⇀ a = ε(h)·a for every basis h) and on a spanning set of Ker ε (the
-    vectors h − ε(h)·1_H all kill a, using H = Ker ε ⊕ k·1_H).  The two
-    verdicts provably agree; this asserts the agreement and returns the
-    common boolean for the left and for the right action."""
-    a = dict_of_vec(a_vec)
+    action is ε-trivial on a: h ⇀ a = ε(h)·a for every basis h (resp.
+    a ↼ h), which says Ker ε kills a, since H = Ker ε ⊕ k·1_H.  Returns the
+    boolean for the left and for the right action."""
+    a = _sparse(bimodule.alg, a_vec, "a")
     if not a:
         raise ValueError("need a ≠ 0: the zero vector is invariant only vacuously")
-    H = bimodule.hopf
-    f = H.field
-    one_h = H.unit_dict()
-    out = []
-    for act in (bimodule.left, bimodule.right):
-        pv = act.map.pair_view()
-        pointwise = acts_by_scalars(act.map.columns(), H.counit, a)
-        kernel = True
-        for i in range(H.dim):
-            ki = {i: f.one}
-            if H.counit[i]:
-                for t, c in one_h.items():
-                    dict_acc(ki, t, -H.counit[i] * c)
-            if mul_dicts(pv, ki, a):
-                kernel = False
-                break
-        if pointwise != kernel:
-            raise AssertionError("ε-invariance verdicts disagree on the %s action"
-                                 % act.side)
-        out.append(pointwise)
-    return tuple(out)
+    return tuple(acts_by_scalars(act.map.columns(), bimodule.hopf.counit, a)
+                 for act in (bimodule.left, bimodule.right))
 
 
 def find_idempotent(s, a_vec, u_vec):
     """Decide whether a ♮ u is idempotent, for idempotents a of the bimodule
     factor and u of the bicomodule factor, and report which sufficient
     hypothesis held, scanning a fixed order for deterministic diagnostics:
-    "(1)+(2)" — the action is ε-trivial on a on both sides (whose Ker ε
-    reformulation is re-verified along the way); then the mixed pairs
-    "(1)+(4)", "(2)+(3)", "(3)+(4)", where (3) is ρ(u) = u ⊗ 1_H and (4) is
-    λ(u) = 1_H ⊗ u; then "direct" when a ♮ u squares to itself with no
-    hypothesis holding.  The verdict always comes from squaring a ♮ u
-    directly — the route is a label, never a substitute — and a
-    non-idempotent a ♮ u returns (False, "none")."""
-    A = s.left_factor.alg
-    U = s.right_factor.alg
+    "(1)+(2)" — the action is ε-trivial on a on both sides (see
+    check_ker_eps_invariance); then the mixed pairs "(1)+(4)", "(2)+(3)",
+    "(3)+(4)", where (3) is ρ(u) = u ⊗ 1_H and (4) is λ(u) = 1_H ⊗ u; then
+    "direct" when a ♮ u squares to itself with no hypothesis holding.  The
+    verdict always comes from squaring a ♮ u — the route is a label, never
+    a substitute — and a non-idempotent a ♮ u returns (False, "none")."""
+    A, U = s.left_factor.alg, s.right_factor.alg
+    x = dict_of_vec(s.pair_vec(a_vec, u_vec))
     a = dict_of_vec(a_vec)
     u = dict_of_vec(u_vec)
     if not a or mul_dicts(A.mul.pair_view(), a, a) != a:
         raise ValueError("a must be a nonzero idempotent of the bimodule factor")
     if not u or mul_dicts(U.mul.pair_view(), u, u) != u:
         raise ValueError("u must be a nonzero idempotent of the bicomodule factor")
-    x = dict_of_vec(s.pair_vec(a_vec, u_vec))
     if mul_dicts(s.alg.mul.pair_view(), x, x) != x:
         return (False, "none")
     cond1, cond2 = check_ker_eps_invariance(s.left_factor, a_vec)
@@ -291,7 +276,7 @@ def unital_corner(s, e_vec):
     algebra check.  Rejects e when e² ≠ e or e = 0."""
     f = s.alg.field
     pv = s.alg.mul.pair_view()
-    e = dict_of_vec(e_vec)
+    e = _sparse(s.alg, e_vec, "e")
     if not e or mul_dicts(pv, e, e) != e:
         raise ValueError("e must be a nonzero idempotent of the smash product "
                          "(e² ≠ e or e = 0)")

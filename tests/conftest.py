@@ -32,9 +32,21 @@ def bare(s):
         return PartialActionData(s.hopf, s.alg, s.side, dict(s.map.entries),
                                  s.symmetric, s.name)
     if isinstance(s, PartialCoactionData):
-        return PartialCoactionData(s.hopf, s.alg, s.side, dict(s.map.entries), s.name,
-                                   unchecked=True)
+        return PartialCoactionData(s.hopf, s.alg, s.side, dict(s.map.entries), s.name)
     return type(s)(bare(s.left), bare(s.right))
+
+
+def forged_coaction(hopf, alg, side, entries, name=""):
+    """A coaction whose map is `entries`, even where they fail the counit
+    law that construction enforces: the trivial coaction a ↦ a ⊗ 1_H
+    (resp. 1_H ⊗ a) is built, and its map is then replaced."""
+    from phopf.coactions import PartialCoactionData
+    from phopf.linalg import Tensor3
+    trivial = {((i, i, k) if side == "right" else (i, k, i)): c
+               for i in range(alg.dim) for k, c in enumerate(hopf.unit) if c}
+    p = PartialCoactionData(hopf, alg, side, trivial, name)
+    p.map = Tensor3(p.map.dims, entries)
+    return p
 
 
 def rand_fraction(rng, lo=-6, hi=7, den=4):

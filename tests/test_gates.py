@@ -422,3 +422,66 @@ def test_only_report_records_a_failure_and_only_algebras_keeps_certificates():
     # alone reads it (through _carried and _carries)
     assert failures_recorded_outside_report(_package_sources()) == []
     assert certificate_store_faults(_package_sources()) == []
+
+
+def unchecked_parameters(sources):
+    """Where a function of the package takes a parameter named `unchecked`:
+    a bypass of a certificate gate that only tests set is not an option of
+    the library (tests build a failing input through tests.conftest)."""
+    return ["%s:%d in %s" % (name, line, scope)
+            for name, text in sorted(sources.items())
+            for scope, line in _scoped(ast.parse(text, filename=name), lambda node: isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                and "unchecked" in [a.arg for a in ast.walk(node.args)
+                                    if isinstance(a, ast.arg)])]
+
+
+def unreferenced_public_names(names, sources):
+    """The names of `names` that no module of `sources` reads as an
+    identifier: a bare name, an attribute or an imported name (a string or
+    a comment does not count)."""
+    seen = set()
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text, filename=name)):
+            if isinstance(node, ast.Name):
+                seen.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                seen.add(node.attr)
+            elif isinstance(node, ast.alias):
+                seen.add(node.name)
+    return sorted(set(names) - seen)
+
+
+def _test_sources():
+    """Every module under tests/ but test_startup.py, whose PUBLIC table
+    lists each public name without testing it."""
+    tests = pathlib.Path(__file__).resolve().parent
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(tests.glob("*.py"))
+            if path.name != "test_startup.py"}
+
+
+def test_the_surface_gates_flag_their_mutants():
+    sources = _package_sources()
+    sources["smash.py"] = sources["smash.py"].replace(
+        "def smash_product(bimodule, bicomodule):",
+        "def smash_product(bimodule, bicomodule, unchecked=False):")
+    sources["linalg.py"] += "\nskip = lambda x, *, unchecked: x\n"
+    assert unchecked_parameters(sources) == [
+        "linalg.py:%d in " % sources["linalg.py"].count("\n"),
+        "smash.py:%d in smash_product" % next(
+            n for n, line in enumerate(sources["smash.py"].splitlines(), 1)
+            if "unchecked=False" in line)]
+    sources = {name: text.replace("unital_corner", "corner_of")
+               for name, text in _test_sources().items()}
+    sources["test_x.py"] = "# smash_product\nNAMES = ['no_such_name', 'smash_product']\n"
+    assert unreferenced_public_names(["smash_product", "no_such_name", "unital_corner"],
+                                     sources) == ["no_such_name", "unital_corner"]
+    assert unreferenced_public_names(["find_idempotent"], {
+        "test_x.py": "'find_idempotent'  # find_idempotent\n"}) == ["find_idempotent"]
+
+
+def test_no_bypass_option_and_every_public_name_is_tested():
+    # aim 2 of the roadmap: no option only tests set, no untested public API
+    import phopf
+    assert unchecked_parameters(_package_sources()) == []
+    assert unreferenced_public_names(phopf.__all__, _test_sources()) == []

@@ -30,7 +30,8 @@ from phopf.coactions import (PartialBicomoduleData, bicomodule_to_bimodule,
                              bimodule_to_bicomodule)
 from phopf.group_actions import en_kg_example
 from phopf.induced import induce_bicomodule
-from phopf.globalize import (GlobalizationCandidate, _first_failure,
+from phopf.globalize import (BicomoduleGlobalization, BimoduleGlobalization,
+                             GlobalizationCandidate, _first_failure,
                              maximal_degenerate_subbimodule, psi_map,
                              standard_globalize_bicomodule, standard_globalize_bimodule,
                              verify_globalization)
@@ -74,7 +75,7 @@ def _trivial_bimodule(field):
 
 def test_global_input_globalizes_to_the_coefficient_algebra():
     g = standard_globalize_bimodule(_trivial_bimodule(QQ))
-    assert g.dim == 1
+    assert isinstance(g, BimoduleGlobalization) and g.dim == 1
     assert g.certificate.passed and not g.certificate.failures
     assert maximal_degenerate_subbimodule(g).dim == 0
     pm, sur, inj = comparison_map(g, g)
@@ -335,6 +336,7 @@ def test_bicomodule_globalization_carrier_and_embedding():
 
 def test_regular_bicomodule_globalizes_to_itself_in_dimension(h4):
     g = standard_globalize_bicomodule(regular_bicomodule(h4))
+    assert isinstance(g, BicomoduleGlobalization)
     assert _staged_carrier(g) == g.b_basis
     assert g.dim == 4 and g.certificate.passed
 

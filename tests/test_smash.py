@@ -7,18 +7,20 @@ from itertools import product
 import pytest
 
 from phopf.fields import GF, QQ
-from phopf.algebras import dict_acc, dict_of_vec, mul_dicts
+from phopf.algebras import (AlgebraData, algebra_check, dict_acc, dict_of_vec, dual_hopf,
+                            mul_dicts)
 from phopf.examples import (group_algebra, regular_bicomodule, scalar_algebra, sweedler_h4,
                             sweedler_k_bicomodule, trivial_coaction)
 from phopf.actions import (PartialActionData, PartialBimoduleData, dual_regular_action,
                            is_global, sweedler_k_bimodule, trivial_action,
                            trivialize_right)
-from phopf.coactions import PartialBicomoduleData, PartialCoactionData, check_bicomodule
-from phopf.smash import (check_ker_eps_invariance, check_smash_associativity,
-                         find_idempotent, smash_product, unital_corner)
+from phopf.coactions import PartialBicomoduleData, check_bicomodule
+from phopf.smash import (CornerAlgebra, SmashAlgebra, _smash_table, check_ker_eps_invariance,
+                         check_smash_associativity, find_idempotent, smash_product,
+                         unital_corner)
 from phopf.linalg import Tensor3
 from phopf._groups import named_group
-from tests.conftest import rand_fraction
+from tests.conftest import forged_coaction, rand_fraction
 
 HALF = Fraction(1, 2)
 
@@ -40,11 +42,12 @@ def _trivial_bicomodule(h, a):
 def test_one_dimensional_trivial_smash(h4):
     a = scalar_algebra(QQ)
     s = smash_product(_trivial_bimodule(h4, a), _trivial_bicomodule(h4, a))
-    assert s.alg.dim == 1
+    assert isinstance(s, SmashAlgebra) and s.alg.dim == 1
     assert s.alg.unit == [QQ.one]
     assert check_smash_associativity(s).passed
     assert find_idempotent(s, [QQ.one], [QQ.one]) == (True, "(1)+(2)")
     corner = unital_corner(s, [QQ.one])
+    assert isinstance(corner, CornerAlgebra)
     assert corner.dim == 1 and corner.alg.unit == [QQ.one]
 
 
@@ -157,6 +160,36 @@ def test_ker_eps_invariance_randomized(h4, rng):
 
 
 # ---------------------------------------------------------------------------
+# vectors of the wrong length
+
+
+def _dual_regular_smash(h):
+    """The dual regular action of h* on h (trivial from the right) smashed
+    with the regular h* bicomodule: a global product of dimension (dim h)²."""
+    bim = trivialize_right(dual_regular_action(h))
+    return smash_product(bim, regular_bicomodule(bim.hopf))
+
+
+def test_a_vector_of_the_wrong_length_is_rejected(h4):
+    kz2 = group_algebra([[0, 1], [1, 0]], QQ, ["e", "g"], name="kZ2")
+    s = _dual_regular_smash(dual_hopf(kz2))
+    # g*♮e** is idempotent; a u of the wrong length was read as another one
+    assert find_idempotent(s, [0, 1], [1, 0]) == (True, "(2)+(3)")
+    for a, u in (([0, 1], [1]), ([0, 1], [1, 0, 0]), ([0, 0, 1], [1, 0]), ([1], [1, 0])):
+        with pytest.raises(ValueError, match="entries"):
+            find_idempotent(s, a, u)
+        with pytest.raises(ValueError, match="entries"):
+            s.pair_vec(a, u)
+    with pytest.raises(ValueError, match="entries"):
+        check_ker_eps_invariance(sweedler_k_bimodule(QQ, 2, 3), [1, 1])
+    big = _dual_regular_smash(h4)
+    assert big.alg.dim == 16 and unital_corner(big, big.alg.unit).dim == 16
+    for e in (big.alg.unit[:15], big.alg.unit + [QQ.zero]):
+        with pytest.raises(ValueError, match="entries"):
+            unital_corner(big, e)
+
+
+# ---------------------------------------------------------------------------
 # gates: certification, mutation, mismatched factors
 
 
@@ -165,13 +198,14 @@ def test_uncertified_factors_are_rejected(h4):
     reg = regular_bicomodule(h4)
     lam_bad = dict(h4.comul.entries)
     lam_bad[(2, 2, 1)] = lam_bad[(2, 2, 1)] + QQ.one   # doubles one coaction term
-    left_bad = PartialCoactionData(h4, h4, "left", lam_bad, unchecked=True)
+    left_bad = forged_coaction(h4, h4, "left", lam_bad)
     bad = PartialBicomoduleData(left_bad, reg.right)
     assert not check_bicomodule(bad).passed
     with pytest.raises(ValueError, match="uncertified"):
         smash_product(bim, bad)
-    s_bad = smash_product(bim, bad, unchecked=True)
-    rep = check_smash_associativity(s_bad)
+    # the keyed join alone, on the uncertified pair
+    rep = algebra_check(AlgebraData(QQ, ["s%d" % t for t in range(4)],
+                                    _smash_table(bim, bad), None))
     assert not rep.passed
     law, idx, lhs, rhs = rep.failures[0]
     assert law == "associativity" and len(idx) == 3 and lhs != rhs
@@ -329,7 +363,7 @@ def _mutated_coactions(bic, count):
                 tuple(rng.randrange(d) for d in co.map.dims)
             entries = dict(co.map.entries)
             entries[key] = entries.get(key, f.zero) + f.of((-1, 1, 2)[t % 3])
-            mutant = PartialCoactionData(h, bic.alg, side, entries, unchecked=True)
+            mutant = forged_coaction(h, bic.alg, side, entries)
             yield PartialBicomoduleData(mutant, bic.right) if side == "left" \
                 else PartialBicomoduleData(bic.left, mutant)
 
@@ -340,7 +374,7 @@ def test_the_build_matches_the_reference_on_mutated_factors(case):
     pairs = [(m, bic) for m in _mutated_actions(bim)] if bim.hopf.dim == 4 else []
     pairs += [(bim, m) for m in _mutated_coactions(bic, 6)]
     for b, c in pairs:
-        got = smash_product(b, c, unchecked=True).alg.mul.entries
+        got = _smash_table(b, c).entries
         assert got == reference_smash_mul(b, c).entries
     assert any(not check_bicomodule(c).passed for _, c in pairs)
 

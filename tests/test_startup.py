@@ -156,27 +156,29 @@ NO_ACTIONS = ["actions", "globalize", "smash"] + CONCEPTS
 UNGLOBAL = ["smash", "induced", "group_actions"] + TABLES + OFF_PATH
 
 # argv, the modules it must not load, and a budget of compiled source lines.
-# Each budget is the command's count plus 5% (rounded down) since the
+# Each budget was the command's count plus 5% (rounded down) when the
 # example, outside-candidate and constructor code left the command paths,
-# except `example`, whose budget was not raised: its count plus 2%.
+# except `example`, whose budget was not raised: its count plus 2%.  No
+# budget was raised since; the comment on each row is its count now.
 COMMANDS = [
-    (["check", "algebra", "regular-bicomodule/hopf.json"], CHECKS, 1999),
-    (["check", "hopf", "regular-bicomodule/hopf.json"], CHECKS, 1999),
-    (["check", "action", "dual-group-action/action.json"], CHECKS[1:], 2430),
-    (["check", "bimodule", "sweedler-bimodule-k/bimodule.json"], CHECKS[1:], 2430),
+    (["check", "algebra", "regular-bicomodule/hopf.json"], CHECKS, 1999),  # 1954
+    (["check", "hopf", "regular-bicomodule/hopf.json"], CHECKS, 1999),  # 1954
+    (["check", "action", "dual-group-action/action.json"], CHECKS[1:], 2430),  # 2346
+    (["check", "bimodule", "sweedler-bimodule-k/bimodule.json"], CHECKS[1:],
+     2430),  # 2346
     (["check", "bicomodule", "regular-bicomodule/bicomodule.json"],
-     NO_ACTIONS + TABLES + OFF_PATH, 2451),
+     NO_ACTIONS + TABLES + OFF_PATH, 2451),  # 2366
     (["check", "coaction", "regular-bicomodule/coaction.json"],
-     NO_ACTIONS + TABLES + OFF_PATH, 2451),
+     NO_ACTIONS + TABLES + OFF_PATH, 2451),  # 2366
     (["example", "regular-bicomodule", "--group", "Q8", "--field", "gf7",
-      "-o", "q8"], NO_ACTIONS + ["candidates"], 2867),
+      "-o", "q8"], NO_ACTIONS + ["candidates"], 2867),  # 2848
     (["smash", "sweedler-bimodule-k/bimodule.json",
       "regular-bicomodule/bicomodule.json"], ["globalize"] + CONCEPTS + TABLES + OFF_PATH,
-     3248),
+     3248),  # 3088
     (["globalize", "bimodule", "sweedler-bimodule-k/bimodule.json", "-o", "glob"],
-     UNGLOBAL + ["coactions"], 3361),
+     UNGLOBAL + ["coactions"], 3361),  # 3224
     (["globalize", "bicomodule", "regular-bicomodule/bicomodule.json", "-o", "glob2"],
-     UNGLOBAL, 3813),
+     UNGLOBAL, 3813),  # 3636
 ]
 IDS = [" ".join(c[0][:2]) for c in COMMANDS]
 
