@@ -717,7 +717,8 @@ def dual_hopf(h):
 # ambient algebras for globalization (the classes are in phopf.ambient)
 
 def hom_hh_a(h, a):
-    """Build Hom(H⊗H, A) with convolution product
+    """Build Hom(H⊗H, A), an ambient.Ambient whose operator families are the
+    translations h ▷ and ◁ h, with convolution product
     (F*G)(k⊗k') = Σ F(k₁⊗k'₁) G(k₂⊗k'₂) and unit ε⊗ε⊗1_A.
     The product is held leg by leg: E[i,j,m]·E[i',j',m'] is the tensor of
     the products e_i*e_i' and e_j*e_j' in H* (the transpose of Δ) with
@@ -725,7 +726,7 @@ def hom_hh_a(h, a):
 
     Certified through its factors: A must pass algebra_check and Δ
     coalgebra_check, else ValueError."""
-    from .ambient import HomHHA, LegOperator, TensorProductMul
+    from .ambient import Ambient, LegOperator, TensorProductMul
     if a.unit is None:
         raise ValueError("hom_hh_a needs a unital coefficient algebra")
     for rep in (algebra_check(a), coalgebra_check(h)):
@@ -737,19 +738,19 @@ def hom_hh_a(h, a):
              for i, j, m in map(mul.split, range(mul.dims[2]))]
     alg = AlgebraData(f, names, mul, mul.pure((h.counit, h.counit, a.unit), f),
                       name="Hom(%s⊗%s,%s)" % (h.name, h.name, a.name))
-    return HomHHA(alg, LegOperator.family(mul, 0, h.mul.transpose((1, 2, 0))),
-                  LegOperator.family(mul, 1, h.mul.transpose((0, 2, 1))))
+    return Ambient(alg, LegOperator.family(mul, 0, h.mul.transpose((1, 2, 0))),
+                   LegOperator.family(mul, 1, h.mul.transpose((0, 2, 1))))
 
 
 def tensor_hah(h, a):
     """Build X = H⊗A⊗H with (h⊗a⊗k)(h'⊗a'⊗k') = hh'⊗aa'⊗kk', unit
     1_H⊗1_A⊗1_H, and the coactions given by comultiplying an outer leg, held
-    as their dual operator families.  The product is held leg by leg, and
-    its n⁶(dim A)³ structure constants are never stored.
+    as the dual operator families of an ambient.Ambient (ρ's as `left_ops`,
+    λ's as `right_ops`); its n⁶(dim A)³ structure constants are never stored.
 
     Certified through its factors: H and A must pass algebra_check, else
     ValueError."""
-    from .ambient import LegOperator, TensorHAH, TensorProductMul
+    from .ambient import Ambient, LegOperator, TensorProductMul
     if a.unit is None:
         raise ValueError("tensor_hah needs a unital coefficient algebra")
     for rep in (algebra_check(h), algebra_check(a)):
@@ -763,4 +764,4 @@ def tensor_hah(h, a):
              for i, m, j in map(mul.split, range(mul.dims[2]))]
     alg = AlgebraData(f, names, mul, mul.pure((h.unit, a.unit, h.unit), f),
                       name="%s⊗%s⊗%s" % (h.name, a.name, h.name))
-    return TensorHAH(alg, dual_left, dual_right)
+    return Ambient(alg, dual_left, dual_right)

@@ -1,5 +1,6 @@
 """The ambients Hom(H⊗H, A) and H⊗A⊗H of the globalizations, as built by
-algebras.hom_hh_a and algebras.tensor_hah.
+algebras.hom_hh_a and algebras.tensor_hah: each is an Ambient, one record
+of the algebra and its two operator families.
 
 An ambient is certified through its factors, not by sweeping its own
 (dim)³ basis triples: convolution into an associative algebra along a
@@ -157,44 +158,29 @@ class LegOperator(Sequence):
         return {x + (k - i) * s: c for k, c in self.cols[i].items()}
 
 
-class HomHHA:
-    """The convolution algebra Hom(H⊗H, A) together with the two families of
-    translation operators (h ▷ f)(k⊗k') = f(kh⊗k') and (f ◁ h)(k⊗k') =
-    f(k⊗hk'), one operator per basis element of H on each side.
+class Ambient:
+    """The ambient algebra of a standard globalization with its two families
+    of one-leg operators (LegOperator), one operator per basis element of
+    the acting Hopf algebra on each side.  There are two instances.
 
-    Basis functional E[i,j,m] sends e_i⊗e_j to a_m and every other basis pair
-    to 0.  Under convolution Hom(H⊗H, A) is the tensor product H*⊗H*⊗A, so
-    the algebra's multiplication is the TensorProductMul with legs
-    (Δᵀ, Δᵀ, μ_A) in index order (i, j, m).  A translation moves one leg
-    only, h ▷ the first and ◁ h the second, so each is a LegOperator whose
-    leg matrix is read off μ_H.
+    Hom(H⊗H, A), built by algebras.hom_hh_a: the convolution algebra with
+    the translations (h ▷ f)(k⊗k') = f(kh⊗k') as `left_ops` and
+    (f ◁ h)(k⊗k') = f(k⊗hk') as `right_ops`.  Basis functional E[i,j,m]
+    sends e_i⊗e_j to a_m and every other basis pair to 0; under convolution
+    this is H*⊗H*⊗A, the TensorProductMul with legs (Δᵀ, Δᵀ, μ_A) in index
+    order (i, j, m).  h ▷ moves the first leg and ◁ h the second, each by a
+    leg matrix read off μ_H.
+
+    H⊗A⊗H, built by algebras.tensor_hah: the componentwise product, legs
+    (μ_H, μ_A, μ_H) in index order (i, m, j), with the outer-leg
+    comultiplications ρ = I⊗I⊗Δ and λ = Δ⊗I⊗I as coactions, held as their
+    dual-basis translations f▷(h⊗a⊗k) = h⊗a⊗k₁ f(k₂) as `left_ops` and
+    (h⊗a⊗k)◁f = f(h₁) h₂⊗a⊗k as `right_ops`: ρ(x) = Σ_g (p_g▷x)⊗h_g and
+    λ(x) = Σ_g h_g⊗(x◁p_g).  f▷ moves the last leg and ◁f the first, each
+    by a leg matrix read off Δ.
     """
 
     def __init__(self, algebra, left_ops, right_ops):
         self.algebra = algebra
         self.left_ops = left_ops
         self.right_ops = right_ops
-
-    def index(self, i, j, m):
-        return self.algebra.mul.flat((i, j, m))
-
-
-class TensorHAH:
-    """The componentwise-product algebra on H⊗A⊗H with the outer-leg
-    comultiplications as coactions, ρ = I⊗I⊗Δ on the right leg and
-    λ = Δ⊗I⊗I on the left leg, held as their dual-basis translation
-    operators f▷(h⊗a⊗k) = h⊗a⊗k₁ f(k₂) and (h⊗a⊗k)◁f = f(h₁) h₂⊗a⊗k, one
-    operator per dual basis element on each side: ρ(x) = Σ_g (p_g▷x)⊗h_g
-    and λ(x) = Σ_g h_g⊗(x◁p_g).  The algebra's multiplication is the
-    TensorProductMul with legs (μ_H, μ_A, μ_H) in index order (i, m, j);
-    f▷ moves the last leg and ◁f the first, so each is a LegOperator whose
-    leg matrix is read off Δ.
-    """
-
-    def __init__(self, algebra, dual_left_ops, dual_right_ops):
-        self.algebra = algebra
-        self.dual_left_ops = dual_left_ops
-        self.dual_right_ops = dual_right_ops
-
-    def index(self, i, m, j):
-        return self.algebra.mul.flat((i, m, j))

@@ -7,10 +7,9 @@ from itertools import product
 
 from .algebras import AlgebraData, dict_acc, dict_of_vec, mul_dicts, vec_of_dict
 from .ambient import LegOperator, TensorProductMul
-from .globalize import (GlobalizationCandidate, _embed, _require_shape, _translates,
+from .globalize import (GlobalizationCandidate, _carrier, _require_shape, _translates,
                         maximal_degenerate_subbimodule, verify_globalization)
-from .linalg import (Tensor3, apply_cols, col_dicts, nullspace, restrict_ops,
-                     restrict_product, rows_of_cols, rref, solve)
+from .linalg import Tensor3, apply_cols, col_dicts, nullspace, rows_of_cols, rref, solve
 
 
 def _product_rule(b):
@@ -236,25 +235,15 @@ def minimalize(candidate, bimodule=None):
 
     piv = set(M.pivots)
     keep = [c for c in range(dB) if c not in piv]
-    dQ = len(keep)
 
     def project(v):
         res = M.reduce(v)
         return [res.get(c, f.zero) for c in keep]
 
-    sections = [{c: f.one} for c in keep]
-    mul_q = restrict_product(project, sections, Bp.mul_dict)
-    left_q = restrict_ops(project, sections, candidate.left_ops,
-                          "left operator family").columns()
-    right_q = restrict_ops(project, sections, candidate.right_ops,
-                           "right operator family").columns()
-    theta_q = _embed(candidate.theta, project, dQ)
-    unit_q = None
-    if Bp.unit is not None:
-        unit_q = project(Bp.unit_dict())
-    alg_q = AlgebraData(f, ["q%d" % i for i in range(dQ)], mul_q, unit_q,
-                        name="minimal quotient of %s" % Bp.name)
-    out = GlobalizationCandidate(alg_q, theta_q, left_q, right_q,
+    alg_q, left_q, right_q, theta_q = _carrier(project, [{c: f.one} for c in keep], candidate,
+                                               candidate.theta, "q",
+                                               "minimal quotient of %s" % Bp.name)
+    out = GlobalizationCandidate(alg_q, theta_q, left_q.columns(), right_q.columns(),
                                  candidate.coeff,
                                  name="minimal quotient of %s" % getattr(
                                      candidate, "name", Bp.name))

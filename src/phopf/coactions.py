@@ -383,7 +383,7 @@ def bimodule_to_bicomodule(b):
 
 
 # ---------------------------------------------------------------------------
-# restriction to a subalgebra, shared by induced and globalize
+# restriction to a subalgebra, for the induced coactions
 
 def _restrict_coaction(ops, side, span, cut):
     """A coaction on `side`, given as its dual operator family `ops` (see

@@ -10,16 +10,17 @@ both constructions, certifies the defining conditions on every basis tuple
 of the carrier (or by proof, see verify_globalization; phopf.candidates
 holds the sweeps and the candidates from outside), and measures how far a
 candidate is from minimal; `command` is the body of `phopf globalize`.
-The ambients themselves are certified through their factors when they are
-built (see algebras.hom_hh_a and algebras.tensor_hah).  Each is a three-leg
-tensor product of its factors and multiplies through those legs
-(ambient.TensorProductMul), so nothing here reads a stored table of its
+The ambients, each an ambient.Ambient, are certified through their factors
+when they are built (see algebras.hom_hh_a and algebras.tensor_hah).  Each
+is a three-leg tensor product of its factors and multiplies through those
+legs (ambient.TensorProductMul), so nothing here reads a stored table of its
 n⁶(dim A)³ structure constants.  Each of their operators moves one leg
-(ambient.LegOperator) and is read as column maps.  Every vector of ambient
-length is a sparse dict: the translates and the closure go straight into
-the sparse echelon basis of linalg.Subspace, and the bridge psi_map is an
-index permutation.  Candidates hold column maps (see linalg.apply_cols);
-only the documents write dense rows.
+(ambient.LegOperator) and is read as column maps.  One builder, _carrier,
+restricts both carriers and phopf.candidates' minimal quotient.  Every
+vector of ambient length is a sparse dict: the translates and the closure
+go straight into the sparse echelon basis of linalg.Subspace, and the bridge
+psi_map is an index permutation.  Candidates hold column maps (see
+linalg.apply_cols); only the documents write dense rows.
 
 A candidate globalization is any object carrying `algebra` (an AlgebraData,
 possibly without unit), `theta` (the embedding of A into it, one column per
@@ -41,11 +42,24 @@ from .linalg import (Subspace, apply_cols, closure_fixpoint, nullspace, restrict
                      restrict_product, rows_of_cols, rref, transport)
 
 
-def _embed(cols, coords, d):
-    """An embedding given by ambient columns, written in target coordinates."""
-    return transport(coords, (1, len(cols), d),
-                     ((0, m, col) for m, col in enumerate(cols)),
-                     "embedding").columns()[0]
+def _carrier(coords, sections, source, theta, prefix, name):
+    """Restrict `source` (anything with `algebra`, `left_ops` and
+    `right_ops`: an ambient.Ambient or a candidate) to the span of the
+    sparse vectors `sections`, read by `coords` as in linalg.transport.
+    Returns the AlgebraData `name` on the span (basis prefix0, prefix1, …)
+    with the restricted product and the source's unit when it lies in the
+    span; both families, as Tensor3 in operator layout (linalg.restrict_ops);
+    and the embedding `theta` in carrier coordinates, as column maps."""
+    alg = source.algebra
+    d = len(sections)
+    mul = restrict_product(coords, sections, alg.mul_dict)
+    left, right = (restrict_ops(coords, sections, ops, "%s operator family" % side)
+                   for side, ops in (("left", source.left_ops), ("right", source.right_ops)))
+    theta_b = transport(coords, (1, len(theta), d), ((0, m, col) for m, col in enumerate(theta)),
+                        "embedding").columns()[0]
+    unit = None if alg.unit is None else coords(alg.unit_dict())
+    return (AlgebraData(alg.field, ["%s%d" % (prefix, i) for i in range(d)], mul, unit,
+                        name=name), left, right, theta_b)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +123,7 @@ class _StandardGlobalization:
 class BimoduleGlobalization(_StandardGlobalization):
     """Standard globalization of a partial bimodule structure.
 
-    ambient    — the Hom(H⊗H, A) bundle (algebra, left_ops, right_ops)
+    ambient    — Hom(H⊗H, A), an ambient.Ambient
     phi        — the embedding of A in ambient coordinates, as column maps
     b_basis    — row-reduced span of the operator translates of the image
     algebra    — induced product on that span in span coordinates; the unit
@@ -136,13 +150,14 @@ class BimoduleGlobalization(_StandardGlobalization):
 class BicomoduleGlobalization(_StandardGlobalization):
     """Standard globalization of a partial bicomodule structure.
 
-    ambient    — the H⊗A⊗H bundle (algebra, coactions, dual operator families)
+    ambient    — H⊗A⊗H, an ambient.Ambient holding the dual operator families
     theta      — the embedding of A in ambient coordinates, as column maps
                  (also readable as `phi`, the name the bimodule side uses)
     b_basis    — the subspace generated from the image by the dual operators
                  and the product
     algebra    — induced product in span coordinates
-    induced_rho, induced_lam — restrictions of the outer-leg coactions
+    induced_rho, induced_lam — restrictions of the outer-leg coactions, the
+                 restricted dual families in coaction layout
     theta_b    — the embedding written in span coordinates, as column maps
     certificate — Report of the exchange condition
     """
@@ -184,7 +199,7 @@ def standard_globalize_bimodule(b):
     f = H.field
     one = f.one
     amb = hom_hh_a(H, A)
-    big = amb.algebra.dim
+    flat = amb.algebra.mul.flat
 
     # the embedding, one ambient column per basis element of A
     phi = []
@@ -194,24 +209,14 @@ def standard_globalize_bimodule(b):
             w = b.left.apply({i: one}, {m: one})
             for j in range(n):
                 for t, c in b.right.apply({j: one}, w).items():
-                    col[amb.index(i, j, t)] = c
+                    col[flat((i, j, t))] = c
         phi.append(col)
 
-    span = Subspace(big, f, _translates(n, amb.left_ops, amb.right_ops, phi))
-    dB = span.dim
-
-    mul = restrict_product(span.coords, span.rows, amb.algebra.mul_dict)
-    left_ops = restrict_ops(span.coords, span.rows, amb.left_ops,
-                            "left operator family").columns()
-    right_ops = restrict_ops(span.coords, span.rows, amb.right_ops,
-                             "right operator family").columns()
-    theta = _embed(phi, span.coords, dB)
-    unit_b = span.coords(amb.algebra.unit_dict())
-    alg_b = AlgebraData(f, ["b%d" % i for i in range(dB)], mul, unit_b,
-                        name="globalization of %s" % A.name)
-
+    span = Subspace(amb.algebra.dim, f, _translates(n, amb.left_ops, amb.right_ops, phi))
+    alg_b, left, right, theta = _carrier(span.coords, span.rows, amb, phi, "b",
+                                         "globalization of %s" % A.name)
     glob = BimoduleGlobalization(H, A, amb, phi, span, alg_b,
-                                 left_ops, right_ops, theta)
+                                 left.columns(), right.columns(), theta)
     # When H passes hopf_check, the certified Hom(H⊗H, A) is a global
     # bimodule algebra over H: (h▷F)(k⊗k') = F(kh⊗k') and (F◁h)(k⊗k') =
     # F(k⊗hk') compose by the product of H, move different legs and
@@ -425,13 +430,13 @@ def standard_globalize_bicomodule(b):
     on all basis pairs, whose first failure is indexed by the pair of basis
     labels.  The construction raises if the certificate fails.
     """
-    from .coactions import _exchange_products, _restrict_coaction, check_bicomodule
+    from .coactions import _exchange_products, check_bicomodule
     check_bicomodule(b).require("input bicomodule")
     H, A = b.hopf, b.alg
     da = A.dim
     f = H.field
     amb = tensor_hah(H, A)
-    N = amb.algebra.dim
+    flat = amb.algebra.mul.flat
 
     rho_of = b.right.map.in1_view()
     lam_of = b.left.map.in1_view()
@@ -442,41 +447,32 @@ def standard_globalize_bicomodule(b):
         col = {}
         for (j, k), c in rho_of.get(i, empty).items():
             for (p, q), c2 in lam_of.get(j, empty).items():
-                dict_acc(col, amb.index(p, q, k), c * c2)
+                dict_acc(col, flat((p, q, k)), c * c2)
         theta_d.append(col)
 
-    seed = Subspace(N, f, theta_d)
+    seed = Subspace(amb.algebra.dim, f, theta_d)
     if seed.dim != da:
         raise ValueError("composite embedding is not injective (rank %d of %d)"
                          % (seed.dim, da))
 
-    span = closure_fixpoint(seed, amb.dual_left_ops + amb.dual_right_ops,
-                            [amb.algebra.mul])
-    dB = span.dim
-
-    mul = restrict_product(span.coords, span.rows, amb.algebra.mul_dict)
-    induced_rho = _restrict_coaction(amb.dual_left_ops, "right", span, lambda a: a)
-    induced_lam = _restrict_coaction(amb.dual_right_ops, "left", span, lambda a: a)
-    unit_b = span.coords(amb.algebra.unit_dict())
-    alg_b = AlgebraData(f, ["b%d" % i for i in range(dB)], mul, unit_b,
-                        name="globalization of %s" % A.name)
+    span = closure_fixpoint(seed, amb.left_ops + amb.right_ops, [amb.algebra.mul])
+    alg_b, dual_rho, dual_lam, theta_b = _carrier(span.coords, span.rows, amb, theta_d, "b",
+                                                  "globalization of %s" % A.name)
     # When H passes hopf_check, the certified H⊗A⊗H is a global bicomodule
     # algebra under Δ on its outer legs (counit, coassociative, different
     # legs, multiplicative), and the restrictions succeeded.  Otherwise the
     # laws are swept as those of the dual operator families.
     if not hopf_check(H).passed:
         from .candidates import _require_global_bimodule
-        _require_global_bimodule(alg_b, _dual_structure(H),
-                                 induced_rho.transpose(DUAL["right"][0]).columns(),
-                                 induced_lam.transpose(DUAL["left"][0]).columns())
+        _require_global_bimodule(alg_b, _dual_structure(H), dual_rho.columns(),
+                                 dual_lam.columns())
 
     # the exchange condition, in ambient coordinates: compare the five-leg
     # products of the ambient coactions of embedded elements with the image
     # of the partial-coaction product.  The products run over the factor
     # legs (H, H, A, H, H), the ambient's three legs between the outer H's.
     pv_a = A.mul.pair_view()
-    amb_mul = amb.algebra.mul
-    split = amb_mul.split
+    split = amb.algebra.mul.split
 
     def coact(ops, col, key):
         # Σ_g (op_g applied to col) keyed by key(g, y), summed in the order
@@ -489,12 +485,12 @@ def standard_globalize_bicomodule(b):
         return out
 
     def exchange():
-        lams = [coact(amb.dual_right_ops, col, lambda g, y: (g,) + split(y))
+        lams = [coact(amb.right_ops, col, lambda g, y: (g,) + split(y))
                 for col in theta_d]
-        rhos = [coact(amb.dual_left_ops, col, lambda g, y: split(y) + (g,))
+        rhos = [coact(amb.left_ops, col, lambda g, y: split(y) + (g,))
                 for col in theta_d]
-        for (i, j), prod in _exchange_products(H, amb_mul.legs, lams, rhos):
-            lhs = {(p, amb_mul.flat(key), q): c for (p, *key, q), c in prod.items()}
+        for (i, j), prod in _exchange_products(H, amb.algebra.mul.legs, lams, rhos):
+            lhs = {(p, flat(key), q): c for (p, *key, q), c in prod.items()}
             rhs = {}
             for (p, q), c1 in lam_of.get(i, empty).items():
                 for (u, v), c2 in rho_of.get(j, empty).items():
@@ -506,9 +502,9 @@ def standard_globalize_bicomodule(b):
 
     cert = Report(alg_b.name, f)
     _first_failure(cert, "exchange", exchange())
-    theta_b = _embed(theta_d, span.coords, dB)
-    return BicomoduleGlobalization(H, A, amb, theta_d, span, alg_b, induced_rho,
-                                   induced_lam, theta_b,
+    return BicomoduleGlobalization(H, A, amb, theta_d, span, alg_b,
+                                   dual_rho.transpose(DUAL["right"][1]),
+                                   dual_lam.transpose(DUAL["left"][1]), theta_b,
                                    cert.require("standard globalization", AssertionError))
 
 
@@ -575,8 +571,8 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
             x.leg == x_leg and k.leg == k_leg and x.cols == k.cols
             for x, k in zip(xs, ks))
 
-    intertwines = (same_legs(amb_x.dual_left_ops, 2, amb_k.left_ops, 0)
-                   and same_legs(amb_x.dual_right_ops, 0, amb_k.right_ops, 1))
+    intertwines = (same_legs(amb_x.left_ops, 2, amb_k.left_ops, 0)
+                   and same_legs(amb_x.right_ops, 0, amb_k.right_ops, 1))
 
     for m, (x_col, k_col) in enumerate(zip(bg.theta, std.phi)):
         if push(x_col) != k_col:

@@ -18,21 +18,24 @@ from .linalg import Subspace, apply_cols, restrict_ops, restrict_product, subspa
 
 def _left_ideal(B, e):
     """Set-up shared by the structures induced on e·B: check that e is an
-    idempotent and a left identity on e·B, and build e·B as an algebra with
-    unit e.  Returns (span of e·B, e as a sparse dict, the algebra)."""
+    idempotent and a left identity on e·B, and that e·B is a unital ideal,
+    e·B·(1−e) = 0, so that e is its unit (ValueError names a basis element b
+    of B with e·b·(1−e) ≠ 0); then build e·B as an algebra with unit e.
+    Returns (span of e·B, e as a sparse dict, the algebra)."""
     f = B.field
     e_d = dict_of_vec(e)
     if B.mul_dict(e_d, e_d) != e_d:
         raise ValueError("e is not idempotent")
-    span = Subspace(B.dim, f, (B.mul_dict(e_d, {j: f.one}) for j in range(B.dim)))
-    for r in span.rows:
-        if B.mul_dict(e_d, r) != r:
+    ebs = [B.mul_dict(e_d, {j: f.one}) for j in range(B.dim)]
+    for j, eb in enumerate(ebs):
+        if B.mul_dict(e_d, eb) != eb:
             raise ValueError("e is not a left identity on e·B")
-    unit_a = span.coords(e_d)
-    if unit_a is None:
-        raise ValueError("e does not lie in e·B")
+        if B.mul_dict(eb, e_d) != eb:
+            raise ValueError("e·B is not a unital ideal: e·b·(1−e) ≠ 0 at b = %s"
+                             % B.basis[j])
+    span = Subspace(B.dim, f, ebs)
     A = AlgebraData(f, ["a%d" % i for i in range(span.dim)],
-                    restrict_product(span.coords, span.rows, B.mul_dict), unit_a,
+                    restrict_product(span.coords, span.rows, B.mul_dict), span.coords(e_d),
                     name="e·%s" % B.name)
     return span, e_d, A
 
@@ -88,20 +91,14 @@ def induce_left(glob, e):
     h⇀a = e·(h▷a).  Returns the induced partial action on A's row-reduced
     basis.
 
-    A must be a unital ideal, e·B·(1−e) = 0: the product rule of the
-    induced action reads e·x·e·y = e·x·y for x, y in B.  Otherwise
-    ValueError names a basis element b of B with e·b·(1−e) ≠ 0."""
+    A must be a unital ideal, e·B·(1−e) = 0 (see _left_ideal): the
+    product rule of the induced action reads e·x·e·y = e·x·y for x, y in B."""
     if glob.side != "left":
         raise ValueError("induce_left needs a left action")
     if not is_global(glob):
         raise ValueError("induce_left needs a global action")
     B = glob.alg
     span, e_d, A = _left_ideal(B, e)
-    for j in range(B.dim):
-        eb = B.mul_dict(e_d, {j: B.field.one})
-        if B.mul_dict(eb, e_d) != eb:
-            raise ValueError("e·B is not a unital ideal: e·b·(1−e) ≠ 0 at b = %s"
-                             % B.basis[j])
     act = restrict_ops(lambda a: span.coords(B.mul_dict(e_d, a)),
                        span.rows, glob.map.columns(), "left action")
     p = PartialActionData(glob.hopf, A, "left", act,
@@ -143,7 +140,8 @@ def induce_bimodule(bim, a_span, unit_a):
 def induce_right_coaction(glob, e):
     """Restrict a global right coaction on B to the right ideal e·B generated
     by an idempotent e: the induced map a ↦ (e⊗1_H)ρ(a) is a partial right
-    coaction on the ideal with unit e."""
+    coaction on the ideal with unit e, which must be a unital ideal (see
+    _left_ideal)."""
     if glob.side != "right":
         raise ValueError("induce_right_coaction needs a right coaction")
     if not check_global_unit(glob):
@@ -191,7 +189,7 @@ def induce_bicomodule(bicom, a_basis, unit_a):
     if not (check_global_unit(bicom.left) and check_global_unit(bicom.right)):
         raise ValueError("induce_bicomodule needs a global bicomodule")
     span = a_basis if isinstance(a_basis, Subspace) \
-        else subspace_span(list(a_basis), B.dim, f)
+        else subspace_span(a_basis, B.dim, f)
     rows, u_d, A = _unital_subalgebra(B, span, unit_a)
 
     w = _exchange_witness(bicom, rows, u_d, span)

@@ -46,7 +46,7 @@ def vec_of_dict(d, n, field):
     return v
 
 
-def mat_apply(m, v, field=None):
+def mat_apply(m, v):
     out = []
     for r in m:
         s = r[0] * v[0]
@@ -432,13 +432,8 @@ class Subspace:
         return "Subspace(dim=%d of %d)" % (self.dim, self.ambient_dim)
 
 
-def subspace_span(vectors, ambient_dim=None, field=None):
+def subspace_span(vectors, ambient_dim, field):
     """Span of dense vectors (lists of scalars of length ambient_dim)."""
-    vectors = list(vectors)
-    if ambient_dim is None:
-        if not vectors:
-            raise ValueError("need at least one vector or an explicit ambient dimension")
-        ambient_dim = len(vectors[0])
     return Subspace(ambient_dim, field, map(dict_of_vec, vectors))
 
 

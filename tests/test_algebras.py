@@ -210,11 +210,11 @@ def test_tensor_ambient_shape(h4, a):
     assert rho.dims == (big, big, n)
     assert lam.dims == (big, n, big)
     # the dual families are ρ = I⊗I⊗Δ and λ = Δ⊗I⊗I, read off Δ directly
-    idx = amb.index
-    assert rho.entries == {(idx(i, m, j), idx(i, m, j1), j2): c
+    flat = amb.algebra.mul.flat
+    assert rho.entries == {(flat((i, m, j)), flat((i, m, j1)), j2): c
                            for (j, j1, j2), c in h4.comul.entries.items()
                            for i in range(n) for m in range(da)}
-    assert lam.entries == {(idx(i, m, j), i1, idx(i2, m, j)): c
+    assert lam.entries == {(flat((i, m, j)), i1, flat((i2, m, j))): c
                            for (i, i1, i2), c in h4.comul.entries.items()
                            for m in range(da) for j in range(n)}
 
@@ -360,8 +360,8 @@ def test_sparse_ambient_operators_match_a_dense_reference(case):
     assert [list(op) for op in hom.right_ops] == [col_dicts(op) for op in right]
     amb = tensor_hah(h, a)
     left, right = _dense_tensor_ops(h, a)
-    assert [list(op) for op in amb.dual_left_ops] == [col_dicts(op) for op in left]
-    assert [list(op) for op in amb.dual_right_ops] == [col_dicts(op) for op in right]
+    assert [list(op) for op in amb.left_ops] == [col_dicts(op) for op in left]
+    assert [list(op) for op in amb.right_ops] == [col_dicts(op) for op in right]
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +415,9 @@ def reference_coaction_tables(amb, n):
     Kept here only as the reference for the coactions read through the
     dual families."""
     big = amb.algebra.dim
-    rho = Tensor3((big, big, n), {(x, y, g): c for g, op in enumerate(amb.dual_left_ops)
+    rho = Tensor3((big, big, n), {(x, y, g): c for g, op in enumerate(amb.left_ops)
                                   for x, col in enumerate(op) for y, c in col.items()})
-    lam = Tensor3((big, n, big), {(x, g, y): c for g, op in enumerate(amb.dual_right_ops)
+    lam = Tensor3((big, n, big), {(x, g, y): c for g, op in enumerate(amb.right_ops)
                                   for x, col in enumerate(op) for y, c in col.items()})
     return rho, lam
 

@@ -185,6 +185,21 @@ def test_induce_right_coaction_on_the_averaged_idempotent():
     assert not check_global_unit(ind)
 
 
+def test_induce_right_coaction_needs_a_unital_ideal():
+    # B = T2(Q) under the trivial kZ2 coaction and e = E11: e·B = span{E11,
+    # E12} is a right ideal, but E11·E12·E22 = E12, so e is no unit of it
+    # (the algebra induced on it used to fail its own unit law at (1,))
+    _, table = named_group("Z2")
+    o, z = QQ.one, QQ.zero
+    mul = {(0, 0, 0): o, (0, 1, 1): o, (1, 2, 1): o, (2, 2, 2): o}
+    b = AlgebraData(QQ, ["E11", "E12", "E22"], mul, [o, z, o], name="T2")
+    glob = trivial_coaction(group_algebra(table, QQ), b)
+    assert check_global_unit(glob)
+    with pytest.raises(ValueError, match=r"^e·B is not a unital ideal: "
+                                         r"e·b·\(1−e\) ≠ 0 at b = E12$"):
+        induce_right_coaction(glob, [o, z, z])
+
+
 def test_induce_bicomodule_on_the_index_two_subgroup_of_z4():
     bic, u0, u2, _ = _z4_setup()
     ind = induce_bicomodule(bic, subspace_span([u0, u2], 4, QQ), u0)
@@ -661,8 +676,8 @@ def test_ambient_coactions_restrict_as_the_reference_restriction(field, name,
     def same(a):
         return a
 
-    for ops, t, side, induced in ((amb.dual_left_ops, rho, "right", g.induced_rho),
-                                  (amb.dual_right_ops, lam, "left", g.induced_lam)):
+    for ops, t, side, induced in ((amb.left_ops, rho, "right", g.induced_rho),
+                                  (amb.right_ops, lam, "left", g.induced_lam)):
         got = coactions._restrict_coaction(ops, side, span, same)
         assert got == _ref_restrict_coaction(t, side, span, same) == induced
     # they equal the reference tables applied to θ's columns, term for term

@@ -424,6 +424,41 @@ def test_only_report_records_a_failure_and_only_algebras_keeps_certificates():
     assert certificate_store_faults(_package_sources()) == []
 
 
+RESTRICTIONS = {"restrict_product", "restrict_ops", "transport"}
+
+
+def carrier_faults(sources):
+    """Where globalize.py or candidates.py restricts a structure to a
+    subspace or a quotient (a call of restrict_product, restrict_ops or
+    transport) outside globalize._carrier, the one builder of a carrier."""
+    faults = []
+    for name in ("globalize.py", "candidates.py"):
+        tree = ast.parse(sources[name], filename=name)
+        faults += ["%s:%d in %s" % (name, line, scope or "the module")
+                   for scope, line in _scoped(tree, lambda node: isinstance(node, ast.Call)
+                                              and _named(node.func) in RESTRICTIONS)
+                   if (name, scope) != ("globalize.py", "_carrier")]
+    return faults
+
+
+def test_the_carrier_gate_flags_a_restriction_outside_the_builder():
+    sources = _package_sources()
+    sources["candidates.py"] = sources["candidates.py"].replace(
+        "    alg_q, left_q, right_q, theta_q = _carrier(",
+        "    restrict_product(project, M.rows, Bp.mul_dict)\n"
+        "    alg_q, left_q, right_q, theta_q = _carrier(")
+    assert carrier_faults(sources) == ["candidates.py:%d in minimalize" % next(
+        n for n, line in enumerate(sources["candidates.py"].splitlines(), 1)
+        if "restrict_product(" in line)]
+
+
+def test_both_standard_globalizations_and_minimalize_build_through_the_carrier():
+    # one carrier builder: the standard bimodule and bicomodule carriers
+    # and the minimal quotient each restrict their product, operator
+    # families, unit and embedding through globalize._carrier
+    assert carrier_faults(_package_sources()) == []
+
+
 def unchecked_parameters(sources):
     """Where a function of the package takes a parameter named `unchecked`:
     a bypass of a certificate gate that only tests set is not an option of

@@ -48,7 +48,7 @@ def two_stage_closure(ambient, seed):
     seed under the two dual operator families alone, then close the result
     under the product alone.  The oracle for the combined fixpoint of
     standard_globalize_bicomodule."""
-    stage1 = closure_fixpoint(seed, ambient.dual_left_ops + ambient.dual_right_ops, [])
+    stage1 = closure_fixpoint(seed, ambient.left_ops + ambient.right_ops, [])
     return closure_fixpoint(stage1, [], [ambient.algebra.mul])
 
 
@@ -329,7 +329,7 @@ def test_bicomodule_globalization_carrier_and_embedding():
     th = g.theta[0]
     lam_leg = {0: half, 1: half, 3: QQ.of(7)}
     rho_leg = {0: half, 1: half, 2: QQ.of(3)}
-    expect = {g.ambient.index(i, 0, j): ci * cj
+    expect = {g.ambient.algebra.mul.flat((i, 0, j)): ci * cj
               for i, ci in lam_leg.items() for j, cj in rho_leg.items()}
     assert th == expect
 
@@ -417,7 +417,7 @@ def test_construction_embeds_by_the_composite_coaction(name):
     b = BICOMODULE_FAMILIES[name]()
     g = standard_globalize_bicomodule(b)
     first, _ = _composite_embeddings(b)
-    assert g.theta == [{g.ambient.index(*key): c for key, c in col.items()}
+    assert g.theta == [{g.ambient.algebra.mul.flat(key): c for key, c in col.items()}
                        for col in first]
 
 
@@ -975,8 +975,8 @@ def reference_psi_intertwines(bg, std, perm):
     column: whether the index permutation perm carries each dual operator of
     H⊗A⊗H, column by column, onto the matching translation of Hom(H⊗H, A)."""
     amb_x, amb_k = bg.ambient, std.ambient
-    for xs, ks in ((amb_x.dual_left_ops, amb_k.left_ops),
-                   (amb_x.dual_right_ops, amb_k.right_ops)):
+    for xs, ks in ((amb_x.left_ops, amb_k.left_ops),
+                   (amb_x.right_ops, amb_k.right_ops)):
         if len(xs) != len(ks):
             return False
         for x_op, k_op in zip(xs, ks):

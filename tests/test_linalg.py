@@ -319,6 +319,13 @@ def test_subspace_membership_and_coords():
     assert s.coords({}) == [0, 0] and s.from_coords([0, 0]) == {}
 
 
+def test_subspace_span_needs_its_dimension_and_field():
+    # the field used to default to None, so any nonzero vector crashed with
+    # an AttributeError inside the elimination
+    with pytest.raises(TypeError):
+        subspace_span([[1, 0]], 2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), fields)
 def test_join_dimensions(seed, field):
