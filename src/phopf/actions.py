@@ -13,9 +13,9 @@ phopf.induced, and the dictionary between partial actions of a group
 algebra kG and partial group actions is in phopf.group_actions.
 """
 
-from .algebras import (DUAL, Report, _carried, _pair_stamp, _record_side, _side_stamp,
+from .algebras import (DUAL, Report, _carried, _Pair, _pair_stamp, _record_side, _side_report,
                        algebra_check, coalgebra_check, dict_acc, dual_hopf, hopf_check,
-                       mul_dicts, same_algebra, same_hopf, structure_json, vec_of_dict)
+                       mul_dicts, structure_json, vec_of_dict)
 from .linalg import Tensor3, acts_by_scalars, apply_cols
 
 
@@ -23,7 +23,11 @@ class PartialActionData:
     """One-sided partial action.  `map` entry (i, j, k): coefficient of
     basis a_k in h_i ⇀ a_j (side 'left') or a_j ↼ h_i (side 'right').
     Construction enforces that 1_H acts as the identity map; everything else
-    is certified by check_lpma / check_rpma."""
+    is certified by check_lpma / check_rpma (LAWS, in Report order), which
+    ask for the last, symmetry, when not told and `symmetric` is set."""
+
+    LAWS = ("unit-action", "action-multiplicativity", "action-composition",
+            "action-composition-nonunital", "composition-forms-equivalence", "action-symmetry")
 
     def __init__(self, hopf, alg, side, map_entries, symmetric=False, name=""):
         if side not in ("left", "right"):
@@ -75,40 +79,23 @@ class PartialActionData:
         return "PartialActionData(%s)" % self.name
 
 
-class PartialBimoduleData:
+class PartialBimoduleData(_Pair):
     """A left and a right partial action of the same Hopf algebra on the same
     algebra; compatibility h⇀(a↼g) = (h⇀a)↼g certified by check_bimodule."""
 
-    def __init__(self, left, right):
-        if left.side != "left" or right.side != "right":
-            raise ValueError("need one left and one right action")
-        if not same_hopf(left.hopf, right.hopf):
-            raise ValueError("the two actions use different Hopf algebras")
-        if not same_algebra(left.alg, right.alg):
-            raise ValueError("the two actions act on different algebras")
-        self.left = left
-        self.right = right
-        self.hopf = left.hopf
-        self.alg = left.alg
-        self._certificates = {}
-
-    def to_json(self, hopf_ref=None, algebra_ref=None):
-        return structure_json(self, hopf_ref, algebra_ref,
-                              left=self.left.map_json(), right=self.right.map_json())
-
-    def __repr__(self):
-        return "PartialBimoduleData(%s on %s)" % (self.hopf.name, self.alg.name)
+    kind = "action"
 
 
 # ---------------------------------------------------------------------------
 # axiom suites
 
-def _action_suite(p, symmetric, left):
+def _action_suite(p, symmetric, carried=None):
     """Every law of a partial module algebra, evaluated from tables built
     once per call: col[i][j] = h_i acting on a_j (on_a is its transpose),
     h_i acting on 1_A, and (h·g) acting on each a_j, built the first time
     the pair (h, g) is read.  A zero factor is skipped before any product
-    in A is formed.
+    in A is formed.  Given `carried`, p's Report without the symmetry law,
+    it sweeps that law alone into it.
 
     The right suite is the left one read through A^op, H^op and Δ^cop: the
     mirror is a choice of product order, not a second copy of the loops.
@@ -116,13 +103,12 @@ def _action_suite(p, symmetric, left):
     The two laws with four basis indices are recorded by their proofs
     (below) and swept only when a premise fails, so a failing law keeps its
     witnesses; tests/test_actions.py keeps the full sweep as the reference."""
-    rep = Report(p.name, p.alg.field)
     H, A = p.hopf, p.alg
     n, m = H.dim, A.dim
     f = H.field
     one = f.one
     empty = {}
-    pv_act = p.map.pair_view()
+    left = p.side == "left"
     col = p.map.columns()
     on_a = [[col[i][j] for i in range(n)] for j in range(m)]
     on_unit = [apply_cols(col[i], A.unit_dict()) for i in range(n)]
@@ -137,10 +123,6 @@ def _action_suite(p, symmetric, left):
     def vec(d):
         return vec_of_dict(d, m, f)
 
-    u_h = H.unit_dict()
-    rep.sweep("unit-action",
-              (((j,), mul_dicts(pv_act, u_h, units[j]), units[j]) for j in range(m)), vec)
-
     def multiplicativity():
         """Yield (index, h⇀(ab), (h₁⇀a)(h₂⇀b)) at every basis tuple
         [right: (ab)↼h and (a↼h₁)(b↼h₂)]."""
@@ -153,8 +135,6 @@ def _action_suite(p, symmetric, left):
                             for k, c in mul_dicts(pv_a, col[h1][ja], col[h2][jb]).items():
                                 dict_acc(rhs, k, w * c)
                     yield (i, ja, jb), apply_cols(col[i], pv_a.get((ja, jb), empty)), rhs
-
-    multiplicative = rep.sweep("action-multiplicativity", multiplicativity(), vec)
 
     hg_cols = {}
 
@@ -203,31 +183,39 @@ def _action_suite(p, symmetric, left):
                         and algebra_check(A).passed and coalgebra_check(H).passed)
         return premises
 
-    # composition against the unit:
-    #   left:  h⇀(g⇀b)   = (h₁⇀1_A)(h₂g⇀b)
-    #   right: (b↼g)↼h   = (b↼gh₁)(1_A↼h₂)
-    comp_ok = rep.sweep("action-composition", composition(not left, True), vec)
+    if carried is not None:
+        rep, multiplicative = carried, not carried.failures_for("action-multiplicativity")
+    else:
+        rep = Report(p.name, p.alg.field)
+        u_h = H.unit_dict()
+        rep.sweep("unit-action", (((j,), p.apply(u_h, units[j]), units[j]) for j in range(m)), vec)
+        multiplicative = rep.sweep("action-multiplicativity", multiplicativity(), vec)
 
-    # the same composition law with an extra algebra factor in place of 1_A:
-    #   left:  h⇀[a(g⇀b)] = (h₁⇀a)(h₂g⇀b)
-    #   right: [(b↼g)a]↼h = (b↼gh₁)(a↼h₂)
-    # Under P it follows from the unital form (left side; the right side is
-    # the same proof through A^op, H^op and Δ^cop):
-    #   h⇀[a(g⇀b)] = (h₁⇀a)(h₂⇀(g⇀b))             multiplicativity
-    #              = (h₁⇀a)[(h₂⇀1_A)(h₃g⇀b)]       unital form, coassociativity
-    #              = [(h₁⇀a)(h₂⇀1_A)](h₃g⇀b)       associativity
-    #              = (h₁⇀a)(h₂g⇀b)                  multiplicativity, a·1_A = a
-    # so it is swept only when the unital form or a premise fails.
-    nonunital_ok = rep.sweep("action-composition-nonunital",
-                             () if comp_ok and premises_hold() else composition(not left, False),
-                             vec)
+        # composition against the unit:
+        #   left:  h⇀(g⇀b)   = (h₁⇀1_A)(h₂g⇀b)
+        #   right: (b↼g)↼h   = (b↼gh₁)(1_A↼h₂)
+        comp_ok = rep.sweep("action-composition", composition(not left, True), vec)
 
-    # for unital algebras the two composition forms must agree as predicates
-    unital_ok = comp_ok and multiplicative
-    verdict = {True: "holds", False: "fails"}
-    rep.sweep("composition-forms-equivalence",
-              [((), "unital form " + verdict[unital_ok], "general form " + verdict[nonunital_ok])]
-              if unital_ok != nonunital_ok else ())
+        # the same composition law with an extra algebra factor in place of 1_A:
+        #   left:  h⇀[a(g⇀b)] = (h₁⇀a)(h₂g⇀b)
+        #   right: [(b↼g)a]↼h = (b↼gh₁)(a↼h₂)
+        # Under P it follows from the unital form (left side; the right side
+        # is the same proof through A^op, H^op and Δ^cop):
+        #   h⇀[a(g⇀b)] = (h₁⇀a)(h₂⇀(g⇀b))             multiplicativity
+        #              = (h₁⇀a)[(h₂⇀1_A)(h₃g⇀b)]       unital form, coassociativity
+        #              = [(h₁⇀a)(h₂⇀1_A)](h₃g⇀b)       associativity
+        #              = (h₁⇀a)(h₂g⇀b)                  multiplicativity, a·1_A = a
+        # so it is swept only when the unital form or a premise fails.
+        nonunital_ok = rep.sweep("action-composition-nonunital",
+                                 () if comp_ok and premises_hold()
+                                 else composition(not left, False), vec)
+
+        # for unital algebras the two composition forms must agree as predicates
+        unital_ok = comp_ok and multiplicative
+        verdict = {True: "holds", False: "fails"}
+        rep.sweep("composition-forms-equivalence", [((), "unital form " + verdict[unital_ok],
+                                                     "general form " + verdict[nonunital_ok])]
+                  if unital_ok != nonunital_ok else ())
 
     if symmetric:
         # left:  h⇀[(g⇀b)a] = (h₁g⇀b)(h₂⇀a)
@@ -244,35 +232,29 @@ def _action_suite(p, symmetric, left):
 
 def check_lpma(p, symmetric=None):
     """Left partial module-algebra suite; `symmetric` adds the symmetry law
-    (defaults to the action's own flag)."""
-    return _side_check(p, symmetric, "left")
+    (defaults to the action's own flag), which p's one Report gains the
+    first time it is asked for (see algebras._side_report)."""
+    return _side_report(p, "left", p.symmetric if symmetric is None else symmetric, _action_suite)
 
 
 def check_rpma(p, symmetric=None):
     """Right partial module-algebra suite (mirror of check_lpma)."""
-    return _side_check(p, symmetric, "right")
-
-
-def _side_check(p, symmetric, side):
-    if p.side != side:
-        raise ValueError("check_%spma expects a %s action" % (side[0], side))
-    sym = bool(p.symmetric if symmetric is None else symmetric)
-    return _carried(p, "suite", _side_stamp(p, sym),
-                    lambda p: _action_suite(p, sym, side == "left"))
+    return _side_report(p, "right", p.symmetric if symmetric is None else symmetric, _action_suite)
 
 
 def check_bimodule(b):
-    """Both one-sided suites plus the compatibility law h⇀(a↼g) = (h⇀a)↼g
-    on all basis triples."""
-    return _carried(b, "suite", _pair_stamp(b), _decide_bimodule)
+    """Both one-sided suites, each with the symmetry law when its action's
+    flag is set, plus the compatibility law h⇀(a↼g) = (h⇀a)↼g on all basis
+    triples.  The sides carry their Reports, and b that of its own law."""
+    rep = Report("%s bimodule on %s" % (b.hopf.name, b.alg.name), b.alg.field)
+    rep.merge(check_lpma(b.left), prefix="left/").merge(check_rpma(b.right), prefix="right/")
+    return rep.merge(_carried(b, "suite", _pair_stamp(b), _decide_bimodule))
 
 
 def _decide_bimodule(b, compatible=False):
-    """The Report of check_bimodule from the Reports both sides carry; the
-    compatibility law is swept unless `compatible` (a constructor's proof)."""
+    """The Report of the compatibility law of b, swept unless `compatible`
+    (a constructor's proof)."""
     rep = Report("%s bimodule on %s" % (b.hopf.name, b.alg.name), b.alg.field)
-    rep.merge(check_lpma(b.left), prefix="left/")
-    rep.merge(check_rpma(b.right), prefix="right/")
     n, m = b.hopf.dim, b.alg.dim
     f = b.hopf.field
     one = f.one
@@ -290,26 +272,17 @@ def is_global(p):
 
 
 def _certify_action(p, expect_symmetric=None):
-    """Run the full suite with the symmetry law included; demote the flag if
-    only symmetry fails, raise if anything else does.
-
-    A demoted action carries the decided Report without the symmetry law:
-    that law is swept last and no other law reads the flag, so this is the
-    Report of the suite without it, and the next check decides nothing."""
-    suite = check_lpma if p.side == "left" else check_rpma
-    rep = suite(p, symmetric=True)
-    other = [x for x in rep.failures if x[0] != "action-symmetry"]
-    if other:
-        law, idx, lhs, rhs = other[0]
-        raise AssertionError("constructed action failed %s at %s" % (law, idx))
-    sym = not rep.failures
-    if expect_symmetric and not sym:
+    """Check p with the symmetry law, raise if any other law fails, and set
+    p.symmetric from the verdict of the symmetry law.  p carries that one
+    Report, and a check without the symmetry law reads it with the law left
+    out, so the checks that follow decide nothing."""
+    rep = (check_lpma if p.side == "left" else check_rpma)(p, symmetric=True)
+    for law, idx, _, _ in rep.failures:
+        if law != "action-symmetry":
+            raise AssertionError("constructed action failed %s at %s" % (law, idx))
+    p.symmetric = not rep.failures
+    if expect_symmetric and not p.symmetric:
         raise AssertionError("constructed action unexpectedly non-symmetric")
-    p.symmetric = sym
-    if not sym:
-        rep.laws.remove("action-symmetry")
-        rep.failures = []
-        _carried(p, "suite", _side_stamp(p, False), lambda p: rep)
     return p
 
 
@@ -334,7 +307,7 @@ def trivial_action(hopf, alg, side="left"):
     # ε(h₁)ε(h₂g)ab, by ε multiplicative, the counit law and 1_A·b = b; and
     # 1_H⇀a = a is ε(1_H) = 1.
     if hopf_check(hopf).passed and algebra_check(alg).passed:
-        _record_side(p, True)
+        _record_side(p, p.LAWS)
         return p
     return _certify_action(p, expect_symmetric=True)
 
@@ -346,8 +319,8 @@ def trivialize_right(left):
     proof: against the ε-action it reads h⇀(ε(g)a) = ε(g)(h⇀a), the
     linearity of h⇀."""
     b = PartialBimoduleData(left, trivial_action(left.hopf, left.alg, side="right"))
-    _carried(b, "suite", _pair_stamp(b), lambda b: _decide_bimodule(b, compatible=True)
-             ).require("trivialized bimodule", AssertionError)
+    _carried(b, "suite", _pair_stamp(b), lambda b: _decide_bimodule(b, compatible=True))
+    check_bimodule(b).require("trivialized bimodule", AssertionError)
     return b
 
 
@@ -388,5 +361,5 @@ def dual_regular_action(h):
                           name="%s regular-dual action on %s" % (dual.name, h.name))
     if not is_global(p):
         raise AssertionError("regular dual action must be global")
-    _record_side(p, True)
+    _record_side(p, p.LAWS)
     return p

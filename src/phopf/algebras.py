@@ -377,6 +377,28 @@ def structure_json(s, hopf_ref, algebra_ref, **parts):
                 **parts)
 
 
+class _Pair:
+    """A left and a right side, both of the subclass's `kind` (action or
+    coaction), of one Hopf algebra on one algebra; it carries Reports."""
+
+    def __init__(self, left, right):
+        if left.side != "left" or right.side != "right":
+            raise ValueError("need one left and one right %s" % self.kind)
+        if not same_hopf(left.hopf, right.hopf):
+            raise ValueError("the two %ss use different Hopf algebras" % self.kind)
+        if not same_algebra(left.alg, right.alg):
+            raise ValueError("the two %ss live on different algebras" % self.kind)
+        self.left, self.right, self.hopf, self.alg = left, right, left.hopf, left.alg
+        self._certificates = {}
+
+    def to_json(self, hopf_ref=None, algebra_ref=None):
+        return structure_json(self, hopf_ref, algebra_ref,
+                              left=self.left.map_json(), right=self.right.map_json())
+
+    def __repr__(self):
+        return "%s(%s on %s)" % (type(self).__name__, self.hopf.name, self.alg.name)
+
+
 # ---------------------------------------------------------------------------
 # axiom suites
 #
@@ -384,11 +406,11 @@ def structure_json(s, hopf_ref, algebra_ref, **parts):
 # with a stamp of everything the Report depends on: the field, the name (its
 # subject), the state of each tensor the suite reads (Tensor3.state, renewed
 # by every add) and copies of the vectors it reads; for an action or
-# coaction also its side, the symmetry flag and the stamps of H and A, and
-# for a pair those of both sides.  While the stamp still matches, a check
-# hands out a copy of the stored Report; after any change it decides again.
-# _carried alone writes that store (a Report proved by a constructor is
-# handed to it as the decision), and _carries asks it.
+# coaction also its side and the stamps of H and A, and for a pair those of
+# both sides.  While the stamp still matches, a check hands out a copy of
+# the stored Report; after any change it decides again.  _carried alone
+# writes that store (a Report proved by a constructor is handed to it as
+# the decision, and a side's gains its symmetry law), and _carries asks it.
 
 # law ids in Report order, shared by the sweeps and _record_proved
 _ASSOCIATIVITY, _UNIT_LAW = _ALGEBRA_LAWS = ("associativity", "unit-law")
@@ -396,11 +418,6 @@ _COASSOCIATIVITY, _COUNIT_LAW = _COALGEBRA_LAWS = ("coassociativity", "counit-la
 _DELTA_MULT, _EPS_MULT, _DELTA_UNIT, _EPS_UNIT, _ANTIPODE_LAW = _HOPF_TIES = (
     "comultiplication-multiplicative", "counit-multiplicative",
     "comultiplication-unit", "counit-unit", "antipode-law")
-# and of the action and coaction suites, the symmetry law last (_record_side)
-_ACTION_LAWS = ("unit-action", "action-multiplicativity", "action-composition",
-                "action-composition-nonunital", "composition-forms-equivalence", "action-symmetry")
-_COACTION_LAWS = ("counit-coaction", "coaction-multiplicativity", "coaction-coassociativity",
-                  "coaction-symmetry")
 
 
 def _algebra_stamp(a):
@@ -415,19 +432,23 @@ def _hopf_stamp(h):
     return (_algebra_stamp(h), _coalgebra_stamp(h), tuple(map(tuple, h.antipode)))
 
 
-def _carried(a, suite, stamp, decide):
+def _carried(a, suite, stamp, decide, gain=None):
     """A copy of the Report of `suite` that `a` carries under `stamp`, after
-    deciding it by decide(a) if `a` carries none under that stamp."""
+    deciding it by decide(a) if `a` carries none under that stamp, or else
+    replacing the carried Report rep by gain(a, rep) when `gain` is given."""
     got = a._certificates.get(suite)
     if got is None or got[0] != stamp:
         got = a._certificates[suite] = (stamp, decide(a))
+    elif gain is not None:
+        got = a._certificates[suite] = (stamp, gain(a, got[1]))
     return got[1].copy()
 
 
-def _carries(a, suite, stamp):
-    """Whether `a` carries a passing Report of `suite` under `stamp`."""
+def _carries(a, suite, stamp, laws):
+    """Whether `a` carries a Report of `suite` under `stamp` that passes each of `laws`."""
     got = a._certificates.get(suite)
-    return got is not None and got[0] == stamp and got[1].passed
+    return got is not None and got[0] == stamp and all(
+        law in got[1].laws and not got[1].failures_for(law) for law in laws)
 
 
 def algebra_check(a):
@@ -464,27 +485,42 @@ def _record_proved(h):
         _carried(h, suite, stamp, lambda h: rep)
 
 
-def _side_stamp(p, symmetric, parts=None):
-    return (p.side, p.map.state, symmetric, p.name) + (
+def _side_stamp(p, parts=None):
+    return (p.side, p.map.state, p.name) + (
         parts or (_hopf_stamp(p.hopf), _algebra_stamp(p.alg)))
 
 
 def _pair_stamp(b):
     """H and A stamped once, and handed to each side that shares them."""
     parts = (_hopf_stamp(b.hopf), _algebra_stamp(b.alg))
-    return parts + tuple(
-        _side_stamp(q, getattr(q, "symmetric", False),
-                    parts if q.hopf is b.hopf and q.alg is b.alg else None)
-        for q in (b.left, b.right))
+    return parts + tuple(_side_stamp(q, parts if q.hopf is b.hopf and q.alg is b.alg else None)
+                         for q in (b.left, b.right))
 
 
-def _record_side(p, symmetric):
-    """Store on the action or coaction p a passing Report of its suite, with
-    the symmetry law when `symmetric`, for laws that were proved."""
-    laws = _ACTION_LAWS if hasattr(p, "symmetric") else _COACTION_LAWS
+def _side_report(p, side, symmetric, decide):
+    """The Report of p's suite (p an action or a coaction on `side`, else
+    ValueError), with the symmetry law p.LAWS[-1] when `symmetric`.  p
+    carries one Report: decide(p, symmetric) decides it if there is none,
+    and decide(p, True, rep) sweeps the symmetry law alone into rep, a
+    shallow copy of one without it.  That law is last and no other law
+    reads it, so a check without it drops it and its failures."""
+    if p.side != side:
+        raise ValueError("the %s suite cannot check %r" % (side, p))
+    law = p.LAWS[-1]
+    rep = _carried(p, "suite", _side_stamp(p), lambda p: decide(p, symmetric),
+                   lambda p, r: r if law in r.laws or not symmetric
+                   else decide(p, True, Report(r.subject, r.field).merge(r)))
+    if not symmetric and law in rep.laws:
+        rep.laws.remove(law)
+        rep.failures = [x for x in rep.failures if x[0] != law]
+    return rep
+
+
+def _record_side(p, laws):
+    """Store on the action or coaction p a passing Report of `laws`, which were proved."""
     rep = Report(p.name, p.alg.field)
-    rep.laws = list(laws[:len(laws) - 1 + symmetric])
-    _carried(p, "suite", _side_stamp(p, symmetric), lambda p: rep)
+    rep.laws = list(laws)
+    _carried(p, "suite", _side_stamp(p), lambda p: rep)
 
 
 def _associators(rows, into, sweep, n):

@@ -24,9 +24,9 @@ phopf.actions when they run, and checking a coaction loads no action code.
 Coactions and bicomodules carry their Reports (see algebras._carried).
 """
 
-from .algebras import (DUAL, Report, _carried, _carries, _leg_index, _pair_stamp,
-                       _record_side, _side_stamp, algebra_check, dict_acc, dual_hopf, hopf_check,
-                       same_algebra, same_hopf, structure_json, tensor_mul, vec_of_dict)
+from .algebras import (DUAL, Report, _carried, _carries, _leg_index, _Pair, _pair_stamp,
+                       _record_side, _side_report, _side_stamp, algebra_check, dict_acc,
+                       dual_hopf, hopf_check, structure_json, tensor_mul, vec_of_dict)
 from .linalg import Tensor3, acts_by_scalars, restrict_ops
 
 
@@ -35,7 +35,10 @@ class PartialCoactionData:
     the coefficient of a_j ⊗ h_k in ρ(a_i).  Side 'left' keeps the Hopf leg
     first: entry (i, j, k) is the coefficient of h_j ⊗ a_k in λ(a_i).
     Construction enforces the counit law ((I⊗ε)ρ = id, resp. (ε⊗I)λ = id);
-    the remaining laws are certified by check_rpca / check_lpca."""
+    the remaining laws are certified by check_rpca / check_lpca (LAWS)."""
+
+    LAWS = ("counit-coaction", "coaction-multiplicativity", "coaction-coassociativity",
+            "coaction-symmetry")
 
     def __init__(self, hopf, alg, side, map_entries, name=""):
         if side not in ("left", "right"):
@@ -85,30 +88,12 @@ class PartialCoactionData:
         return "PartialCoactionData(%s)" % self.name
 
 
-class PartialBicomoduleData:
+class PartialBicomoduleData(_Pair):
     """A left and a right partial coaction of the same Hopf algebra on the
     same algebra; compatibility (I_H⊗ρ)λ = (λ⊗I_H)ρ certified by
     check_bicomodule."""
 
-    def __init__(self, left, right):
-        if left.side != "left" or right.side != "right":
-            raise ValueError("need one left and one right coaction")
-        if not same_hopf(left.hopf, right.hopf):
-            raise ValueError("the two coactions use different Hopf algebras")
-        if not same_algebra(left.alg, right.alg):
-            raise ValueError("the two coactions live on different algebras")
-        self.left = left
-        self.right = right
-        self.hopf = left.hopf
-        self.alg = left.alg
-        self._certificates = {}
-
-    def to_json(self, hopf_ref=None, algebra_ref=None):
-        return structure_json(self, hopf_ref, algebra_ref,
-                              left=self.left.map_json(), right=self.right.map_json())
-
-    def __repr__(self):
-        return "PartialBicomoduleData(%s on %s)" % (self.hopf.name, self.alg.name)
+    kind = "coaction"
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +172,10 @@ def _counit_and_multiplicativity(r, rep):
     return rep
 
 
-def _coaction_suite(p, symmetric):
+def _coaction_suite(p, symmetric, carried=None):
     """Every law of a partial comodule algebra, on the right reading of p.
     Witnesses of the tensor-valued laws are sorted items in p's own layout.
+    Given `carried`, p's Report without the symmetry law, it sweeps that law alone into it.
 
     The coassociativity law carries the image of the unit as an extra
     factor: (ρ⊗I)ρ(a) = (ρ(1)⊗1_H)·[(I⊗Δ)ρ(a)], which a left coaction reads
@@ -197,7 +183,8 @@ def _coaction_suite(p, symmetric):
     the factor from the other side."""
     r = _RightReading(p)
     A, H = p.alg, p.hopf
-    rep = _counit_and_multiplicativity(r, Report(p.name, p.alg.field))
+    rep = _counit_and_multiplicativity(r, Report(p.name, p.alg.field)) \
+        if carried is None else carried
     u_h = H.unit_dict()
     unit_factor = _leg_index({(j, k, t): c * d
                               for (j, k), c in r.co_map.apply_in1(A.unit_dict()).items()
@@ -205,7 +192,7 @@ def _coaction_suite(p, symmetric):
     muls = (A.mul, H.mul, H.mul)
     doubles = [r.double(i) for i in range(A.dim)]
     spreads = [_leg_index(r.spread(i)) for i in range(A.dim)]
-    laws = [("coaction-coassociativity", r.unit_first)]
+    laws = [("coaction-coassociativity", r.unit_first)] if carried is None else []
     if symmetric:
         laws.append(("coaction-symmetry", not r.unit_first))
     for law, unit_first in laws:
@@ -217,20 +204,14 @@ def _coaction_suite(p, symmetric):
 
 def check_rpca(p, symmetric=False):
     """Right partial comodule-algebra suite; `symmetric` adds the variant of
-    the coassociativity law with the unit factor on the other side."""
-    return _side_check(p, symmetric, "right")
+    the coassociativity law with the unit factor on the other side, which
+    p's one Report gains the first time it is asked for."""
+    return _side_report(p, "right", symmetric, _coaction_suite)
 
 
 def check_lpca(p, symmetric=False):
     """Left partial comodule-algebra suite (mirror of check_rpca)."""
-    return _side_check(p, symmetric, "left")
-
-
-def _side_check(p, symmetric, side):
-    if p.side != side:
-        raise ValueError("check_%spca expects a %s coaction" % (side[0], side))
-    sym = bool(symmetric)
-    return _carried(p, "suite", _side_stamp(p, sym), lambda p: _coaction_suite(p, sym))
+    return _side_report(p, "left", symmetric, _coaction_suite)
 
 
 def check_bicomodule(b):
@@ -292,11 +273,6 @@ def _certify_coaction(p):
     return p
 
 
-def _certify_bicomodule(b, what):
-    check_bicomodule(b).require(what, AssertionError)
-    return b
-
-
 # ---------------------------------------------------------------------------
 # the finite-dimensional duality bridges
 
@@ -310,36 +286,40 @@ def _dual_action(p, hs):
                              name="dual action of %s" % p.name)
 
 
-def _transposable(s, stamp):
-    """Whether s carries a passing Report under `stamp`, its stamp now, while
-    H passes hopf_check and A algebra_check: then each law of the dual
-    reading of s is the transpose of a law s passes."""
-    return _carries(s, "suite", stamp) \
+def _transposable(s, stamp, laws):
+    """Whether s carries a Report under `stamp`, its stamp now, that passes
+    each of `laws`, while H passes hopf_check and A algebra_check: then each
+    of those laws transposes to a law of the dual reading of s."""
+    return _carries(s, "suite", stamp, laws) \
         and hopf_check(s.hopf).passed and algebra_check(s.alg).passed
 
 
-def _by_duality(p, q, symmetric):
-    """q, the dual reading of p, carrying a passing Report (with the symmetry
-    law when `symmetric`) if p carries one that has that law too."""
+def _by_duality(p, q):
+    """q, the dual reading of p, carrying the transposes of the laws p's
+    carried Report passes: all but symmetry when p passes all of its own but
+    symmetry, and symmetry too when p's Report holds and passes it."""
     # Under the premises of _transposable each law of either suite is the
     # transpose of one of the other: counit ⇄ 1⇀a = a, multiplicativity ⇄
     # multiplicativity, coassociativity and its symmetric variant ⇄ the
     # unital composition and symmetry laws, whose general forms then follow
-    # (see actions._action_suite).  p's Report may hold the symmetry law
-    # when q's need not.
-    if any(_transposable(p, _side_stamp(p, sym)) for sym in {True, symmetric}):
-        _record_side(q, symmetric)
+    # (see actions._action_suite).
+    stamp = _side_stamp(p)
+    if _transposable(p, stamp, p.LAWS[:-1]):
+        _record_side(q, q.LAWS if _carries(p, "suite", stamp, p.LAWS[-1:]) else q.LAWS[:-1])
     return q
 
 
-def coaction_to_dual_action(p):
-    """Reread a partial coaction of H as a partial action of the dual Hopf
-    algebra: a right coaction gives the left action f▷a = Σ a_j·f(h_k), a
-    left coaction gives the right action a◁f = Σ f(h_j)·a_k.  A pure
-    coordinate transpose; partiality, globality and symmetry carry over.
-    Certified by its full action suite, or by p's Report (_by_duality)."""
+def coaction_to_dual_action(p, hs=None):
+    """Reread a partial coaction of H as a partial action of hs, the dual
+    Hopf algebra (built when not given): a right coaction gives the left
+    action f▷a = Σ a_j·f(h_k), a left coaction gives the right action
+    a◁f = Σ f(h_j)·a_k.  A pure coordinate transpose; partiality, globality
+    and symmetry carry over.  p gains its symmetry law first, so that every
+    law of the action is recorded by _by_duality when p passes its own."""
     from .actions import _certify_action
-    return _certify_action(_by_duality(p, _dual_action(p, dual_hopf(p.hopf)), True))
+    hs = dual_hopf(p.hopf) if hs is None else hs
+    (check_rpca if p.side == "right" else check_lpca)(p, symmetric=True)
+    return _certify_action(_by_duality(p, _dual_action(p, hs)))
 
 
 def dual_action_to_coaction(p):
@@ -351,7 +331,7 @@ def dual_action_to_coaction(p):
     side = DUAL[p.side][2]
     co = PartialCoactionData(hs, p.alg, side, p.map.transpose(DUAL[side][1]),
                              name="dual coaction of %s" % p.name)
-    return _certify_coaction(_by_duality(p, co, False))
+    return _certify_coaction(_by_duality(p, co))
 
 
 def bicomodule_to_bimodule(b):
@@ -362,12 +342,11 @@ def bicomodule_to_bimodule(b):
     bimodule compatibility law is the transpose of the bicomodule one: it
     is recorded by that proof when b is _transposable under its pair stamp,
     and swept otherwise."""
-    from .actions import PartialBimoduleData, _certify_action, _decide_bimodule, check_bimodule
+    from .actions import PartialBimoduleData, _decide_bimodule, check_bimodule
     hs = dual_hopf(b.hopf)
-    left, right = (_certify_action(_by_duality(p, _dual_action(p, hs), True))
-                   for p in (b.right, b.left))
-    out = PartialBimoduleData(left, right)
-    if _transposable(b, _pair_stamp(b)):
+    out = PartialBimoduleData(coaction_to_dual_action(b.right, hs),
+                              coaction_to_dual_action(b.left, hs))
+    if _transposable(b, _pair_stamp(b), ("bicomodule-compatibility",)):
         _carried(out, "suite", _pair_stamp(out), lambda o: _decide_bimodule(o, compatible=True))
     check_bimodule(out).require("dual bimodule", AssertionError)
     return out
@@ -379,7 +358,8 @@ def bimodule_to_bicomodule(b):
     rho = dual_action_to_coaction(b.left)
     lam = dual_action_to_coaction(b.right)
     out = PartialBicomoduleData(lam, rho)
-    return _certify_bicomodule(out, "dual bicomodule")
+    check_bicomodule(out).require("dual bicomodule", AssertionError)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def regular_coaction(h, side="right"):
     hopf_check(h).require("constructed coaction", AssertionError)
     if not check_global_unit(p):
         raise AssertionError("regular coaction must be global")
-    _record_side(p, False)
+    _record_side(p, p.LAWS[:-1])
     return p
 
 
@@ -133,7 +133,7 @@ def regular_bicomodule(h):
     if not (check_global_unit(b.left) and check_global_unit(b.right)):
         raise AssertionError("regular coaction must be global")
     for p in (b.left, b.right):
-        _record_side(p, False)
+        _record_side(p, p.LAWS[:-1])
     _carried(b, "suite", _pair_stamp(b), lambda b: _decide_bicomodule(b, compatible=True))
     return b
 
@@ -145,7 +145,7 @@ def sweedler_k_bicomodule(field, t, u):
     Valid for every pair (t, u); the 1/2-pattern makes both sides genuinely
     partial."""
     from fractions import Fraction
-    from .coactions import PartialBicomoduleData, PartialCoactionData, _certify_bicomodule
+    from .coactions import PartialBicomoduleData, PartialCoactionData, check_bicomodule
     H = sweedler_h4(field)
     A = scalar_algebra(field)
     half = field.of(Fraction(1, 2))
@@ -162,7 +162,8 @@ def sweedler_k_bicomodule(field, t, u):
     right = PartialCoactionData(H, A, "right", rho,
                                 name="H4 right coaction (u=%s) on k" % field.show(u))
     b = PartialBicomoduleData(left, right)
-    return _certify_bicomodule(b, "Sweedler (t,u) bicomodule")
+    check_bicomodule(b).require("Sweedler (t,u) bicomodule", AssertionError)
+    return b
 
 
 # ---------------------------------------------------------------------------

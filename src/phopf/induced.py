@@ -7,8 +7,8 @@ rejected with a witness."""
 from .algebras import AlgebraData, algebra_check, dict_of_vec, t2_of_dicts, tensor_mul
 from .actions import (PartialActionData, PartialBimoduleData, _certify_action,
                       check_bimodule, is_global)
-from .coactions import (PartialBicomoduleData, PartialCoactionData, _certify_bicomodule,
-                        _certify_coaction, _exchange_products, _restrict_coaction,
+from .coactions import (PartialBicomoduleData, PartialCoactionData, _certify_coaction,
+                        _exchange_products, _restrict_coaction, check_bicomodule,
                         check_global_unit)
 from .linalg import Subspace, apply_cols, restrict_ops, restrict_product, subspace_span
 
@@ -205,4 +205,5 @@ def induce_bicomodule(bicom, a_basis, unit_a):
     right = PartialCoactionData(H, A, "right", rho,
                                 name="induced right coaction on corner of %s" % B.name)
     out = PartialBicomoduleData(left, right)
-    return _certify_bicomodule(out, "induced bicomodule")
+    check_bicomodule(out).require("induced bicomodule", AssertionError)
+    return out

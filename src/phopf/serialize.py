@@ -94,11 +94,13 @@ def load_hopf(node, base_dir="."):
 
 
 def _action_parts(doc, base, cls, sides=None):
-    """Hopf algebra, algebra and one (side, map entries, symmetry flag) per
+    """Hopf algebra, algebra and one (side, map entries, symmetric flag) per
     side of a `cls` (PartialActionData or PartialCoactionData) document: a
     one-sided document names its side, a two-sided one keeps each side's
     map under the keys `sides`.  The Hopf algebra and the algebra are loaded
-    once and shared by every side."""
+    once and shared by every side.  An action's flag is true or false, and
+    false when absent; a coaction has none (its checks are told whether to
+    ask for the symmetry law), so a coaction's side with the key raises."""
     hopf = load_hopf(doc["hopf"], base)
     alg = load_algebra(doc["algebra"], base)
     if hopf.field != alg.field:
@@ -111,6 +113,8 @@ def _action_parts(doc, base, cls, sides=None):
             raise ValueError("side must be 'left' or 'right', got %r" % (side,))
         entries = dict(json_rows(sub["map"], cls.shape(hopf, alg, side), hopf.field, "map"))
         symmetric = sub.get("symmetric", False)
+        if "symmetric" in sub and cls.__name__ == "PartialCoactionData":
+            raise ValueError("a coaction has no symmetric flag, got %r" % (symmetric,))
         if type(symmetric) is not bool:
             raise ValueError("the symmetric flag must be true or false, got %r" % (symmetric,))
         parts.append((side, entries, symmetric))

@@ -74,6 +74,13 @@ def _suite_runs(monkeypatch):
             _counting(monkeypatch, coactions, "_coaction_suite"))
 
 
+def _decisions(calls):
+    """For each counted suite call: "suite" when it decided the suite in one
+    pass, "symmetry" when it swept the symmetry law alone into a carried
+    Report (the one call that passes that Report in)."""
+    return ["symmetry" if len(args) == 3 else "suite" for args in calls]
+
+
 def _kg(name, field):
     labels, table = named_group(name)
     return group_algebra(table, field, labels, name="k" + name)
@@ -122,7 +129,14 @@ def test_recorded_reports_equal_the_sweeps(field, monkeypatch):
     runs = _suite_runs(monkeypatch)
     carried = 0
     for h in _hopf_inputs(field):
-        for what, s, sym in _recorded(h):
+        for calls in runs:
+            calls.clear()
+        built = _recorded(h)
+        # building them runs no action suite, and the only coaction
+        # decisions are the symmetry laws _recorded asks the regular
+        # coactions for, each decided alone
+        assert runs[0] == [] and _decisions(runs[1]) == ["symmetry"] * 2, h.name
+        for what, s, sym in built:
             for calls in runs:
                 calls.clear()
             got = check(s, sym)
@@ -130,9 +144,9 @@ def test_recorded_reports_equal_the_sweeps(field, monkeypatch):
             assert got.passed, (h.name, what)
             assert as_swept(got, s) == swept(s, sym), (h.name, what)
             assert as_swept(got, s) == as_swept(check(bare(s), sym), s), (h.name, what)
-    # every check above hands out the Report its structure carries: recorded
-    # by proof, except the dual actions of bicomodule_to_bimodule, swept as
-    # they were built (their coactions carry no Report with symmetry)
+    # every check above hands out the Report its structure carries, recorded
+    # by proof: the dual actions of bicomodule_to_bimodule too, whose
+    # coactions gain the symmetry law by transposition
     assert carried == len(_hopf_inputs(field)) * 14
 
 
@@ -156,15 +170,23 @@ def test_a_bridge_from_a_certified_side_runs_no_suite_of_its_kind(h, monkeypatch
 
 
 def test_a_bridge_sweeps_a_side_that_carries_no_report(monkeypatch):
-    # the loaded document of the globalize workload carries nothing, and a
-    # Report without the symmetry law cannot tell a dual action's flag
+    # the loaded document of the globalize workload carries nothing and is
+    # decided by check_bicomodule, one coaction suite per side without the
+    # symmetry law; the bridge then asks each coaction for that law alone,
+    # and records both dual actions by duality
     b = bare(regular_bicomodule(_kg("Z4", QQ)))
     runs, co_runs = _suite_runs(monkeypatch)
+    assert check(b).passed and _decisions(co_runs) == ["suite"] * 2
     out = bicomodule_to_bimodule(b)
-    assert len(runs) == 2 and co_runs == []
-    assert check(b).passed and len(co_runs) == 2
+    assert runs == [] and _decisions(co_runs) == ["suite"] * 2 + ["symmetry"] * 2
+    assert check_bimodule(out).to_json() == sweep_bimodule(out).to_json()
     bicomodule_to_bimodule(b)
-    assert len(runs) == 4 and check_bimodule(out).to_json() == sweep_bimodule(out).to_json()
+    assert runs == [] and len(co_runs) == 4
+    # a coaction that carries nothing is decided in one pass, with the law
+    co_runs.clear()
+    again = bicomodule_to_bimodule(bare(b))
+    assert runs == [] and _decisions(co_runs) == ["suite"] * 2
+    assert check_bimodule(again).to_json() == check_bimodule(out).to_json()
 
 
 def _non_symmetric_action():
@@ -180,28 +202,32 @@ def _non_symmetric_action():
 
 
 def test_a_bridge_records_no_symmetry_law_its_source_lacks(monkeypatch):
-    # the coaction carries a passing Report without the symmetry law, which
-    # cannot tell the dual action's flag: that suite runs and demotes it
+    # p fails action-symmetry alone, so the coaction records the rest of
+    # its suite; asked for its symmetry law, it decides that law alone,
+    # which fails too, and the dual action records the rest of its own
+    # suite and decides its symmetry law alone, which fails
     p = actions._certify_action(_non_symmetric_action())
     assert not p.symmetric and not check(p, True).passed and check(p).passed
     co = dual_action_to_coaction(p)
     assert as_swept(check(co), co) == swept(co)
     runs, co_runs = _suite_runs(monkeypatch)
     back = coaction_to_dual_action(co)
-    assert len(runs) == 1 and not back.symmetric
+    assert _decisions(runs + co_runs) == ["symmetry"] * 2 and not back.symmetric
+    assert as_swept(check(co, True), co) == swept(co, True)
     assert check(back).to_json() == swept(back)
     assert check(back, True).to_json() == swept(back, True)
     assert not check(back, True).passed
 
 
 def test_a_demoted_action_carries_its_suite_without_the_symmetry_law(monkeypatch):
-    # only action-symmetry fails, so the demoted flag's Report is the decided
-    # one without that law: the checks that follow decide nothing
+    # only action-symmetry fails, so _certify_action clears the flag; the
+    # action carries the one Report it decided, and the checks without the
+    # law that follow read it with that law left out and decide nothing
     runs, _ = _suite_runs(monkeypatch)
     p = actions._certify_action(_non_symmetric_action())
     first, second = check_lpma(p), check_lpma(p)
     assert len(runs) == 1 and not p.symmetric
-    fresh = actions._action_suite(p, False, True).to_json()
+    fresh = actions._action_suite(bare(p), False).to_json()
     assert first.passed and first.to_json() == second.to_json() == fresh
     assert "action-symmetry" not in first.laws
 
@@ -268,6 +294,18 @@ BUILT = {
 }
 
 
+def _sweeps(monkeypatch):
+    """The subject and law id of every Report.sweep call, in call order."""
+    laws, sweep = [], algebras.Report.sweep
+
+    def counted(rep, law_id, cases, show=None):
+        laws.append((rep.subject, law_id))
+        return sweep(rep, law_id, cases, show)
+
+    monkeypatch.setattr(algebras.Report, "sweep", counted)
+    return laws
+
+
 # a bicomodule's check reads its sides without the symmetry law, so it has
 # no flag to flip
 @pytest.mark.parametrize("change,built", [
@@ -280,8 +318,15 @@ def test_a_carried_certificate_is_decided_again_after_a_change(change, built,
     before = check(s)
     assert before.passed and not any(runs)
     sym = CHANGES[change](s)
+    laws = _sweeps(monkeypatch)
     after = check(s, sym)
-    assert any(runs)
+    if change == "symmetric flipped":
+        # no stamp holds the flag: a flip decides at most the one law, the
+        # symmetry law a carried Report lacks (the regular coaction records
+        # its suite without it), and only that law
+        assert laws == ([(s.name, "coaction-symmetry")] if built == "coaction" else [])
+    else:
+        assert any(runs)
     # the sweep's Report, hence its first witness
     assert as_swept(after, s) == swept(s, sym)
     assert after.passed == (change not in BREAKING)
@@ -333,7 +378,9 @@ def test_the_globalize_commands_decide_each_structure_once(tmp_path, monkeypatch
     for module, name in ((actions, "_action_suite"), (coactions, "_coaction_suite"),
                          (candidates, "_require_global_bimodule")):
         counts[name] = _counting(monkeypatch, module, name)
-    want = {"bicomodule": (2, 2, 0), "bimodule": (2, 0, 0)}
+    # the bridge asks each coaction for its symmetry law alone, and records
+    # both dual actions by duality
+    want = {"bicomodule": (0, 4, 0), "bimodule": (2, 0, 0)}
     for kind in ("bicomodule", "bimodule"):
         for calls in counts.values():
             calls.clear()
@@ -400,7 +447,7 @@ def test_a_carried_pair_check_stamps_h_and_a_once(monkeypatch):
         got = algebras._pair_stamp(b)
         assert len(stamps) == 1 + changed
         assert got == (algebras._hopf_stamp(b.hopf), algebras._algebra_stamp(b.alg)) + tuple(
-            algebras._side_stamp(q, False) for q in (b.left, b.right))
+            algebras._side_stamp(q) for q in (b.left, b.right))
     assert not check_bicomodule(b).passed
 
 
@@ -478,3 +525,116 @@ def test_an_incompatible_pair_still_fails_the_dual_bimodule(carried, monkeypatch
                        match=r"^dual bimodule fails bimodule-compatibility at \(0, 0, 0\)$"):
         bicomodule_to_bimodule(b)
     assert len(sweeps) == 1
+
+
+# ---------------------------------------------------------------------------
+# the symmetry law is gained, whatever order the requests come in
+
+
+# the oracle reads every GOLDEN_EVERY-th Hopf mutant of the golden corpus (an
+# odd stride, so both steps of each part occur), within about 6 s
+GOLDEN_EVERY = 3
+
+
+def _golden_sides(every):
+    """The coactions and actions read on every `every`-th Hopf mutant of the
+    golden corpus (tests/test_golden_reports): its regular coactions, kept
+    where the counit law fails (see forged_coaction), and their dual actions
+    over its uncertified dual where the action constructor accepts them;
+    then both sides of each incompatible pair of the corpus and their dual
+    actions."""
+    from phopf.algebras import _dual_structure
+    from phopf.coactions import _dual_action
+    from tests.test_golden_reports import _hopf_mutants, _incompatible_bicomodules
+    out = []
+    for h in list(_hopf_mutants())[::every]:
+        for side in ("left", "right"):
+            try:
+                co = forged_coaction(h, h, side, dict(h.comul.entries), "regular of " + h.name)
+            except ValueError:
+                continue  # its unit does not give the trivial coaction forged_coaction builds
+            out.append(co)
+            try:
+                out.append(_dual_action(co, _dual_structure(h)))
+            except ValueError:
+                pass
+    for b in _incompatible_bicomodules():
+        out += [q for co in (b.left, b.right) for q in (co, _dual_action(co, dual_hopf(b.hopf)))]
+    return out
+
+
+def _order_cases():
+    """Every structure of _recorded over H4 (over ℚ and GF(5)), H4*, kS3 and
+    kS3*, each side of its pairs, and a copy of each that carries nothing;
+    the non-symmetric action; the golden sides."""
+    out = []
+    for h in (sweedler_h4(QQ), sweedler_h4(GF(5)), dual_hopf(sweedler_h4(QQ)),
+              _kg("S3", QQ), dual_hopf(_kg("S3", QQ))):
+        for _, s, _ in _recorded(h):
+            out += [s] + (_sides(s) if len(_sides(s)) == 2 else [])
+    out += [unstamped(s) for s in out]
+    return out + [_non_symmetric_action()] + _golden_sides(GOLDEN_EVERY)
+
+
+def _same_carried(s):
+    """A copy of s that shares its tables and carries what s carries; a
+    stored Report is never changed, so the two stores may share it."""
+    out = copy.copy(s)
+    out._certificates = dict(s._certificates)
+    if len(_sides(s)) == 2:
+        out.left, out.right = _same_carried(s.left), _same_carried(s.right)
+    return out
+
+
+# request orders: each request is the symmetric argument of a side's check,
+# or the flag every action of a pair is set to before the pair's check; in
+# "flag flipped" each check reads the flags (None), flipped between the two
+ORDERS = {"without, then with": (False, True), "with, then without": (True, False),
+          "flag flipped": (None, None)}
+
+
+def _request(s, sym, refs, laws):
+    """The Report of one request to s, as swept(s) takes it; the reference
+    sweep for that request, read from refs or swept into it; and the laws
+    of s that the request swept, each with its Report's subject (read from
+    laws, those of every sweep)."""
+    pair = len(_sides(s)) == 2
+    if pair and sym is not None:
+        for q in _sides(s):
+            q.symmetric = sym
+    if isinstance(s, PartialActionData) and sym is None:
+        sym = s.symmetric
+    del laws[:]
+    got = as_swept(check(s) if pair else check(s, sym), s)
+    own = [(subject, law) for subject, law in laws
+           if law in _sides(s)[0].LAWS or law.endswith("-compatibility")]
+    key = tuple(bool(q.symmetric) for q in _sides(s)) if pair else bool(sym)
+    if key not in refs:
+        refs[key] = swept(s, sym)
+    return got, refs[key], own
+
+
+def test_a_report_is_the_same_whatever_order_the_symmetry_law_is_asked_in(monkeypatch):
+    # each order runs on a copy that carries what the structure carries:
+    # every Report equals the one-pass sweep of its request, no law of the
+    # structure is swept twice, and a Report without the symmetry law that
+    # is asked for it sweeps that law alone
+    laws = _sweeps(monkeypatch)
+    gained = 0
+    for s in _order_cases():
+        flagged = isinstance(_sides(s)[0], PartialActionData)
+        refs = {}
+        for order, requests in ORDERS.items():
+            if not flagged and (None in requests or len(_sides(s)) == 2):
+                continue  # a coaction has no flag, and a bicomodule no request
+            q = _same_carried(s)
+            swept_laws = []
+            for i, sym in enumerate(requests):
+                if i and sym is None:
+                    _flip(q)
+                got, want, own = _request(q, sym, refs, laws)
+                assert got == want, (q, order, i)
+                swept_laws += own
+                gained += i and [law for _, law in own] == [_sides(q)[0].LAWS[-1]]
+            assert len(swept_laws) == len(set(swept_laws)), (q, order, swept_laws)
+    assert gained

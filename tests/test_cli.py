@@ -760,6 +760,27 @@ def test_a_symmetric_flag_that_is_not_a_bool_exits_two(tmp_path, capsys, kind, n
     assert "symmetric flag must be true or false" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("flag", [True, False, "yes"], ids=repr)
+@pytest.mark.parametrize("kind", ["coaction", "bicomodule"])
+def test_a_coaction_document_with_a_symmetric_flag_exits_two(tmp_path, capsys, kind, flag):
+    # a coaction has no flag, and the key used to load and be ignored: with
+    # true, `check coaction` on the kZ4 regular right coaction exited 0 over
+    # its three laws, without coaction-symmetry, and a bicomodule side with
+    # "yes" exited 2 naming the flag of an action
+    files = emit(capsys, "regular-bicomodule", tmp_path, "--group", "Z4")
+    path = next(p for p in files if p.endswith("bicomodule.json"))
+    doc = read_document(path)
+    if kind == "coaction":
+        doc = {"hopf": "hopf.json", "algebra": doc["algebra"], "side": "right",
+               "map": doc["right"]["map"], "symmetric": flag}
+        path = str(tmp_path / "coaction.json")
+    else:
+        doc["right"]["symmetric"] = flag
+    write_document(doc, path)
+    assert main(["check", kind, path]) == 2
+    assert "a coaction has no symmetric flag, got %r" % (flag,) in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("side", ["up", 3, None, ["left"]], ids=repr)
 @pytest.mark.parametrize("kind", ["action", "coaction"])
 def test_a_side_that_is_not_left_or_right_exits_two(tmp_path, capsys, kind, side):

@@ -424,6 +424,42 @@ def test_only_report_records_a_failure_and_only_algebras_keeps_certificates():
     assert certificate_store_faults(_package_sources()) == []
 
 
+def stamp_flag_reads(sources):
+    """Where a stamp of algebras.py (a top-level function `_*_stamp`) reads
+    a name or an attribute called `symmetric`, by name or as the string a
+    getattr takes: a stamp holds what a Report depends on, and whether a
+    check asks for the symmetry law is not that (see algebras._side_report)."""
+    tree = ast.parse(sources["algebras.py"], filename="algebras.py")
+    return ["algebras.py:%d in %s" % (node.lineno, fn.name)
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and re.fullmatch(r"_\w+_stamp", fn.name)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id == "symmetric"
+            or isinstance(node, ast.Attribute) and node.attr == "symmetric"
+            or isinstance(node, ast.Constant) and node.value == "symmetric"]
+
+
+def test_the_stamp_gate_flags_a_symmetric_flag_in_a_stamp():
+    sources = _package_sources()
+    sources["algebras.py"] = sources["algebras.py"].replace(
+        "    return (p.side, p.map.state, p.name) + (",
+        "    return (p.side, p.map.state, p.symmetric, p.name) + (").replace(
+        "    parts = (_hopf_stamp(b.hopf), _algebra_stamp(b.alg))",
+        "    parts = (_hopf_stamp(b.hopf), getattr(b.left, 'symmetric', False))")
+    lines = sources["algebras.py"].splitlines()
+    assert stamp_flag_reads(sources) == [
+        "algebras.py:%d in %s" % (lines.index(line) + 1, fn) for fn, line in (
+            ("_side_stamp", "    return (p.side, p.map.state, p.symmetric, p.name) + ("),
+            ("_pair_stamp",
+             "    parts = (_hopf_stamp(b.hopf), getattr(b.left, 'symmetric', False))"))]
+
+
+def test_no_certificate_stamp_holds_a_symmetric_flag():
+    # the symmetry law is one more law of a side's one carried Report,
+    # gained when first asked for, so no stamp tells the two requests apart
+    assert stamp_flag_reads(_package_sources()) == []
+
+
 RESTRICTIONS = {"restrict_product", "restrict_ops", "transport"}
 
 
