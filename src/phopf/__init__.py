@@ -33,10 +33,10 @@ _EXPORTS = {
                   "check_rpca", "coaction_to_dual_action",
                   "dual_action_to_coaction"),
     "induced": ("induce_bimodule", "induce_left"),
-    "globalize": ("BicomoduleGlobalization", "BimoduleGlobalization",
-                  "GlobalizationCandidate", "maximal_degenerate_subbimodule",
-                  "psi_map", "standard_globalize_bicomodule",
-                  "standard_globalize_bimodule", "verify_globalization"),
+    "globalize": ("GlobalizationCandidate", "StandardGlobalization",
+                  "maximal_degenerate_subbimodule", "psi_map",
+                  "standard_globalize_bicomodule", "standard_globalize_bimodule",
+                  "verify_globalization"),
     "candidates": ("comparison_map", "free_candidate_bimodule", "minimalize"),
     "smash": ("CornerAlgebra", "SmashAlgebra", "check_ker_eps_invariance",
               "check_smash_associativity", "find_idempotent", "smash_product",

@@ -240,13 +240,8 @@ def minimalize(candidate, bimodule=None):
         res = M.reduce(v)
         return [res.get(c, f.zero) for c in keep]
 
-    alg_q, left_q, right_q, theta_q = _carrier(project, [{c: f.one} for c in keep], candidate,
-                                               candidate.theta, "q",
-                                               "minimal quotient of %s" % Bp.name)
-    out = GlobalizationCandidate(alg_q, theta_q, left_q.columns(), right_q.columns(),
-                                 candidate.coeff,
-                                 name="minimal quotient of %s" % getattr(
-                                     candidate, "name", Bp.name))
+    out = _carrier(project, [{c: f.one} for c in keep], candidate, candidate.theta,
+                   candidate.coeff, "q", "minimal quotient of %s" % Bp.name)
     if bimodule is not None:
         verify_globalization(out, bimodule).require("quotient candidate", AssertionError)
         if maximal_degenerate_subbimodule(out).dim != 0:

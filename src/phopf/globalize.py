@@ -26,15 +26,22 @@ A candidate globalization is any object carrying `algebra` (an AlgebraData,
 possibly without unit), `theta` (the embedding of A into it, one column per
 basis element of A), `left_ops` / `right_ops` (one operator of dim B columns
 per basis element of the acting Hopf algebra), and `coeff` (the coefficient
-algebra A).  The standard constructions return richer objects that also
-qualify as candidates.
+algebra A); _carrier builds it as a GlobalizationCandidate.  Both standard
+constructions return one record, StandardGlobalization: that candidate on
+the carrier, with `hopf` (the input's Hopf algebra), the `ambient`, the
+embedding `phi` in ambient coordinates, the carrier's echelon basis
+`b_basis` inside the ambient, and the `certificate`.  Of a bicomodule over
+H the families are the restricted dual families ρ̄ (`left_ops`) and λ̄
+(`right_ops`), indexed by the dual basis, so the record is a candidate
+globalization of the partial bimodule over H* that
+coactions.bicomodule_to_bimodule reads off the same data.
 """
 
 import json
 import os
 from itertools import islice, product
 
-from .algebras import (DUAL, AlgebraData, Count, Report, _dual_structure, algebra_check,
+from .algebras import (AlgebraData, Count, Report, _dual_structure, algebra_check,
                        dict_acc, hom_hh_a, hopf_check, mul_dicts, same_algebra, same_hopf,
                        tensor_hah)
 from .actions import check_bimodule
@@ -42,24 +49,26 @@ from .linalg import (Subspace, apply_cols, closure_fixpoint, nullspace, restrict
                      restrict_product, rows_of_cols, rref, transport)
 
 
-def _carrier(coords, sections, source, theta, prefix, name):
+def _carrier(coords, sections, source, theta, coeff, prefix, name):
     """Restrict `source` (anything with `algebra`, `left_ops` and
     `right_ops`: an ambient.Ambient or a candidate) to the span of the
     sparse vectors `sections`, read by `coords` as in linalg.transport.
-    Returns the AlgebraData `name` on the span (basis prefix0, prefix1, …)
-    with the restricted product and the source's unit when it lies in the
-    span; both families, as Tensor3 in operator layout (linalg.restrict_ops);
-    and the embedding `theta` in carrier coordinates, as column maps."""
+    Returns the GlobalizationCandidate `name` over `coeff`: the AlgebraData
+    on the span (basis prefix0, prefix1, …) with the restricted product and
+    the source's unit when it lies in the span, both families restricted
+    (linalg.restrict_ops) and the embedding `theta` in carrier coordinates,
+    all as column maps."""
     alg = source.algebra
     d = len(sections)
     mul = restrict_product(coords, sections, alg.mul_dict)
-    left, right = (restrict_ops(coords, sections, ops, "%s operator family" % side)
+    left, right = (restrict_ops(coords, sections, ops, "%s operator family" % side).columns()
                    for side, ops in (("left", source.left_ops), ("right", source.right_ops)))
-    theta_b = transport(coords, (1, len(theta), d), ((0, m, col) for m, col in enumerate(theta)),
-                        "embedding").columns()[0]
+    theta = transport(coords, (1, len(theta), d), ((0, m, col) for m, col in enumerate(theta)),
+                      "embedding").columns()[0]
     unit = None if alg.unit is None else coords(alg.unit_dict())
-    return (AlgebraData(alg.field, ["%s%d" % (prefix, i) for i in range(d)], mul, unit,
-                        name=name), left, right, theta_b)
+    return GlobalizationCandidate(AlgebraData(alg.field, ["%s%d" % (prefix, i) for i in range(d)],
+                                              mul, unit, name=name),
+                                  theta, left, right, coeff, name)
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +101,25 @@ class GlobalizationCandidate:
         return "GlobalizationCandidate(%s, dim %d)" % (self.name, self.algebra.dim)
 
 
-class _StandardGlobalization:
-    """What the two standard globalizations share: the carrier `algebra` on
-    the rows of `b_basis` inside `ambient`, the ambient embedding `phi`, and
-    the `certificate` Report."""
+class StandardGlobalization(GlobalizationCandidate):
+    """A standard globalization: the candidate `carrier` that _carrier
+    built on the rows of `b_basis` inside `ambient` (an ambient.Ambient),
+    over the input's Hopf algebra `hopf`, with the embedding `phi` of A in
+    ambient coordinates (column maps) and the `certificate` Report.
+
+    Of a bimodule the ambient is Hom(H⊗H, A) and the families are the
+    restricted operator families.  Of a bicomodule it is H⊗A⊗H and the
+    families are the restricted dual families ρ̄ and λ̄, one operator per
+    basis element of H*; the certificate is the exchange condition."""
+
+    def __init__(self, hopf, ambient, phi, b_basis, carrier, certificate=None):
+        super().__init__(carrier.algebra, carrier.theta, carrier.left_ops, carrier.right_ops,
+                         carrier.coeff, carrier.name)
+        self.hopf = hopf
+        self.ambient = ambient
+        self.phi = phi
+        self.b_basis = b_basis
+        self.certificate = certificate
 
     @property
     def dim(self):
@@ -120,66 +144,6 @@ class _StandardGlobalization:
                 % (type(self).__name__, self.hopf.name, self.coeff.name, self.dim))
 
 
-class BimoduleGlobalization(_StandardGlobalization):
-    """Standard globalization of a partial bimodule structure.
-
-    ambient    — Hom(H⊗H, A), an ambient.Ambient
-    phi        — the embedding of A in ambient coordinates, as column maps
-    b_basis    — row-reduced span of the operator translates of the image
-    algebra    — induced product on that span in span coordinates; the unit
-                 is kept when the ambient unit lies in the span
-    left_ops, right_ops — restricted operator families, as column maps
-    theta      — the embedding written in span coordinates, as column maps
-    certificate — the verify_globalization Report
-    """
-
-    def __init__(self, hopf, coeff, ambient, phi, b_basis, algebra,
-                 left_ops, right_ops, theta, certificate=None):
-        self.hopf = hopf
-        self.coeff = coeff
-        self.ambient = ambient
-        self.phi = phi
-        self.b_basis = b_basis
-        self.algebra = algebra
-        self.left_ops = left_ops
-        self.right_ops = right_ops
-        self.theta = theta
-        self.certificate = certificate
-
-
-class BicomoduleGlobalization(_StandardGlobalization):
-    """Standard globalization of a partial bicomodule structure.
-
-    ambient    — H⊗A⊗H, an ambient.Ambient holding the dual operator families
-    theta      — the embedding of A in ambient coordinates, as column maps
-                 (also readable as `phi`, the name the bimodule side uses)
-    b_basis    — the subspace generated from the image by the dual operators
-                 and the product
-    algebra    — induced product in span coordinates
-    induced_rho, induced_lam — restrictions of the outer-leg coactions, the
-                 restricted dual families in coaction layout
-    theta_b    — the embedding written in span coordinates, as column maps
-    certificate — Report of the exchange condition
-    """
-
-    def __init__(self, hopf, coeff, ambient, theta, b_basis, algebra,
-                 induced_rho, induced_lam, theta_b, certificate):
-        self.hopf = hopf
-        self.coeff = coeff
-        self.ambient = ambient
-        self.theta = theta
-        self.b_basis = b_basis
-        self.algebra = algebra
-        self.induced_rho = induced_rho
-        self.induced_lam = induced_lam
-        self.theta_b = theta_b
-        self.certificate = certificate
-
-    @property
-    def phi(self):
-        return self.theta
-
-
 # ---------------------------------------------------------------------------
 # the standard bimodule globalization
 
@@ -188,10 +152,11 @@ def standard_globalize_bimodule(b):
     convolution algebra Hom(H⊗H, A).
 
     The embedding sends a to the functional k⊗k' ↦ k⇀a↼k'; the returned
-    object carries the span of all operator translates of the image with its
-    induced product, both restricted operator families, and a certificate
-    from verify_globalization (construction fails if any check does), which
-    records the carrier's global laws by their proof (below).
+    StandardGlobalization carries the span of all operator translates of
+    the image with its induced product, both restricted operator families,
+    and a certificate from verify_globalization (construction fails if any
+    check does), which records the carrier's global laws by their proof
+    (below).
     """
     check_bimodule(b).require("input bimodule")
     H, A = b.hopf, b.alg
@@ -213,10 +178,8 @@ def standard_globalize_bimodule(b):
         phi.append(col)
 
     span = Subspace(amb.algebra.dim, f, _translates(n, amb.left_ops, amb.right_ops, phi))
-    alg_b, left, right, theta = _carrier(span.coords, span.rows, amb, phi, "b",
-                                         "globalization of %s" % A.name)
-    glob = BimoduleGlobalization(H, A, amb, phi, span, alg_b,
-                                 left.columns(), right.columns(), theta)
+    glob = StandardGlobalization(H, amb, phi, span, _carrier(
+        span.coords, span.rows, amb, phi, A, "b", "globalization of %s" % A.name))
     # When H passes hopf_check, the certified Hom(H⊗H, A) is a global
     # bimodule algebra over H: (h▷F)(k⊗k') = F(kh⊗k') and (F◁h)(k⊗k') =
     # F(k⊗hk') compose by the product of H, move different legs and
@@ -234,7 +197,7 @@ def _require_shape(candidate, hopf, coeff):
     """Raise ValueError naming the first mismatch unless each family has one
     operator per Hopf basis element, θ one column per basis element of A,
     each operator one column per candidate basis element, and every column
-    key is a candidate basis index."""
+    key is a candidate basis index: an int (not a bool) in range."""
     dB = candidate.algebra.dim
     families = (("left", candidate.left_ops), ("right", candidate.right_ops))
     if any(len(ops) != hopf.dim for _, ops in families):
@@ -248,7 +211,7 @@ def _require_shape(candidate, hopf, coeff):
                              % (what, len(cols), per, width))
         for j, col in enumerate(cols):
             for k in col:
-                if k not in range(dB):
+                if type(k) is not int or not 0 <= k < dB:
                     raise ValueError("%s has row %r in column %d, outside a candidate "
                                      "of dimension %d" % (what, k, j, dB))
 
@@ -424,7 +387,8 @@ def standard_globalize_bicomodule(b):
     a staged closure).  The coactions are restricted to the carrier, where
     they form a global two-sided comodule algebra: by its proof (below)
     when H passes hopf_check, and otherwise by a sweep that raises
-    ValueError.  The certificate is a Report of one law, `exchange`: the
+    ValueError.  The returned StandardGlobalization holds them as its dual
+    families, ρ̄ as `left_ops` and λ̄ as `right_ops`.  The certificate is a Report of one law, `exchange`: the
     condition
         (λ(θ(a))⊗1)(1⊗ρ(θ(b))) = (I⊗θ⊗I)[(λ̄(a)⊗1)(1⊗ρ̄(b))]
     on all basis pairs, whose first failure is indexed by the pair of basis
@@ -456,16 +420,16 @@ def standard_globalize_bicomodule(b):
                          % (seed.dim, da))
 
     span = closure_fixpoint(seed, amb.left_ops + amb.right_ops, [amb.algebra.mul])
-    alg_b, dual_rho, dual_lam, theta_b = _carrier(span.coords, span.rows, amb, theta_d, "b",
-                                                  "globalization of %s" % A.name)
+    carrier = _carrier(span.coords, span.rows, amb, theta_d, A, "b",
+                       "globalization of %s" % A.name)
     # When H passes hopf_check, the certified H⊗A⊗H is a global bicomodule
     # algebra under Δ on its outer legs (counit, coassociative, different
     # legs, multiplicative), and the restrictions succeeded.  Otherwise the
     # laws are swept as those of the dual operator families.
     if not hopf_check(H).passed:
         from .candidates import _require_global_bimodule
-        _require_global_bimodule(alg_b, _dual_structure(H), dual_rho.columns(),
-                                 dual_lam.columns())
+        _require_global_bimodule(carrier.algebra, _dual_structure(H), carrier.left_ops,
+                                 carrier.right_ops)
 
     # the exchange condition, in ambient coordinates: compare the five-leg
     # products of the ambient coactions of embedded elements with the image
@@ -500,12 +464,10 @@ def standard_globalize_bicomodule(b):
                             dict_acc(rhs, (p, x, v), cc * ct * cx)
             yield (A.basis[i], A.basis[j]), lhs, rhs
 
-    cert = Report(alg_b.name, f)
+    cert = Report(carrier.algebra.name, f)
     _first_failure(cert, "exchange", exchange())
-    return BicomoduleGlobalization(H, A, amb, theta_d, span, alg_b,
-                                   dual_rho.transpose(DUAL["right"][1]),
-                                   dual_lam.transpose(DUAL["left"][1]), theta_b,
-                                   cert.require("standard globalization", AssertionError))
+    return StandardGlobalization(H, amb, theta_d, span, carrier,
+                                 cert.require("standard globalization", AssertionError))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +536,7 @@ def psi_map(hopf, coeff, bicomodule_glob, bimodule_glob):
     intertwines = (same_legs(amb_x.left_ops, 2, amb_k.left_ops, 0)
                    and same_legs(amb_x.right_ops, 0, amb_k.right_ops, 1))
 
-    for m, (x_col, k_col) in enumerate(zip(bg.theta, std.phi)):
+    for m, (x_col, k_col) in enumerate(zip(bg.phi, std.phi)):
         if push(x_col) != k_col:
             raise AssertionError("the permutation does not match the embeddings "
                                  "at basis %s" % A.basis[m])

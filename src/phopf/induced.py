@@ -21,9 +21,10 @@ def _left_ideal(B, e):
     idempotent and a left identity on e·B, and that e·B is a unital ideal,
     e·B·(1−e) = 0, so that e is its unit (ValueError names a basis element b
     of B with e·b·(1−e) ≠ 0); then build e·B as an algebra with unit e.
-    Returns (span of e·B, e as a sparse dict, the algebra)."""
+    Returns (span of e·B, e as a sparse dict, the algebra).  A dense e of
+    another length than dim B raises ValueError."""
     f = B.field
-    e_d = dict_of_vec(e)
+    e_d = dict_of_vec(e, B.dim, "e")
     if B.mul_dict(e_d, e_d) != e_d:
         raise ValueError("e is not idempotent")
     ebs = [B.mul_dict(e_d, {j: f.one}) for j in range(B.dim)]
@@ -45,9 +46,13 @@ def _unital_subalgebra(B, span, unit_a):
     B: check that unit_a lies in the subspace span, is an idempotent and an
     identity on it, and that span is closed under the product; then build A
     with the restricted product and certify it.  Returns the basis rows of
-    span and unit_a, both as sparse dicts, and A."""
+    span and unit_a, both as sparse dicts, and A.  A span or a dense unit_a
+    of another length than dim B raises ValueError."""
+    if span.ambient_dim != B.dim:
+        raise ValueError("A lies in a space of dimension %d, not %d = dim B"
+                         % (span.ambient_dim, B.dim))
     rows = span.rows
-    u_d = dict_of_vec(unit_a)
+    u_d = dict_of_vec(unit_a, B.dim, "unit_A")
     if not span.contains(u_d):
         raise ValueError("unit_A must lie in A")
     if B.mul_dict(u_d, u_d) != u_d:

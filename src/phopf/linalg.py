@@ -30,20 +30,19 @@ def zeros(field, n):
 
 
 def unit_vec(field, n, i):
-    v = [field.zero] * n
-    v[i] = field.one
-    return v
+    return vec_of_dict({i: field.one}, n, field)
 
 
-def dict_of_vec(v):
+def dict_of_vec(v, n=None, what="a vector"):
+    """The dense vector v as a sparse dict; when n is given, ValueError
+    naming v as `what` unless v has n entries."""
+    if n is not None and len(v) != n:
+        raise ValueError("%s has %d entries, not %d" % (what, len(v), n))
     return {i: c for i, c in enumerate(v) if c}
 
 
 def vec_of_dict(d, n, field):
-    v = zeros(field, n)
-    for i, c in d.items():
-        v[i] = c
-    return v
+    return [d.get(i, field.zero) for i in range(n)]
 
 
 def mat_apply(m, v):
@@ -434,7 +433,8 @@ class Subspace:
 
 def subspace_span(vectors, ambient_dim, field):
     """Span of dense vectors (lists of scalars of length ambient_dim)."""
-    return Subspace(ambient_dim, field, map(dict_of_vec, vectors))
+    return Subspace(ambient_dim, field, (dict_of_vec(v, ambient_dim, "spanning vector %d" % i)
+                                         for i, v in enumerate(vectors)))
 
 
 def closure_fixpoint(seed, linear_ops, bilinear_ops):

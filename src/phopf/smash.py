@@ -47,21 +47,12 @@ class SmashAlgebra:
 
     def pair_vec(self, a_vec, u_vec):
         """The element a ♮ u as a dense vector of the smash algebra."""
-        _sparse(self.left_factor.alg, a_vec, "a")
-        _sparse(self.right_factor.alg, u_vec, "u")
+        dict_of_vec(a_vec, self.left_factor.alg.dim, "a")
+        dict_of_vec(u_vec, self.right_factor.alg.dim, "u")
         return [ca * cu for ca in a_vec for cu in u_vec]
 
     def __repr__(self):
         return "SmashAlgebra(%s, dim=%d)" % (self.alg.name, self.alg.dim)
-
-
-def _sparse(alg, vec, what):
-    """The dense vector `vec` of alg as a sparse dict; ValueError unless it
-    has one entry per basis element."""
-    if len(vec) != alg.dim:
-        raise ValueError("%s has %d entries, but %s has dimension %d"
-                         % (what, len(vec), alg.name, alg.dim))
-    return dict_of_vec(vec)
 
 
 def _two_sided_unit(alg, e):
@@ -171,7 +162,7 @@ def check_ker_eps_invariance(bimodule, a_vec):
     action is ε-trivial on a: h ⇀ a = ε(h)·a for every basis h (resp.
     a ↼ h), which says Ker ε kills a, since H = Ker ε ⊕ k·1_H.  Returns the
     boolean for the left and for the right action."""
-    a = _sparse(bimodule.alg, a_vec, "a")
+    a = dict_of_vec(a_vec, bimodule.alg.dim, "a")
     if not a:
         raise ValueError("need a ≠ 0: the zero vector is invariant only vacuously")
     return tuple(acts_by_scalars(act.map.columns(), bimodule.hopf.counit, a)
@@ -276,7 +267,7 @@ def unital_corner(s, e_vec):
     algebra check.  Rejects e when e² ≠ e or e = 0."""
     f = s.alg.field
     pv = s.alg.mul.pair_view()
-    e = _sparse(s.alg, e_vec, "e")
+    e = dict_of_vec(e_vec, s.alg.dim, "e")
     if not e or mul_dicts(pv, e, e) != e:
         raise ValueError("e must be a nonzero idempotent of the smash product "
                          "(e² ≠ e or e = 0)")

@@ -164,7 +164,7 @@ def test_criterion_07_bicomodule_globalization_and_psi():
     b = sweedler_k_bicomodule(QQ, 7, 3)
     bg = standard_globalize_bicomodule(b)
     N = bg.ambient.algebra.dim
-    ok = two_stage_closure(bg.ambient, Subspace(N, QQ, bg.theta)) == bg.b_basis
+    ok = two_stage_closure(bg.ambient, Subspace(N, QQ, bg.phi)) == bg.b_basis
     cert = bg.certificate
     ok = ok and cert.passed and cert.laws == ["exchange"]
     std = standard_globalize_bimodule(bicomodule_to_bimodule(b))
@@ -174,7 +174,7 @@ def test_criterion_07_bicomodule_globalization_and_psi():
     # re-verify the embedding match and multiplicativity from the raw permutation
     pushed = [QQ.zero] * N
     for x, t in enumerate(perm):
-        pushed[t] = bg.theta[0].get(x, QQ.zero)
+        pushed[t] = bg.phi[0].get(x, QQ.zero)
     ok = ok and pushed == [std.phi[0].get(r, QQ.zero) for r in range(N)]
     pv_x = bg.ambient.algebra.mul.pair_view()
     pv_k = std.ambient.algebra.mul.pair_view()

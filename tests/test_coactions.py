@@ -23,12 +23,13 @@ from phopf.coactions import (PartialCoactionData, bicomodule_to_bimodule,
                              check_lpca, check_rpca, coaction_to_dual_action,
                              dual_action_to_coaction)
 from phopf.group_actions import en_kg_example
-from phopf.induced import _left_ideal, induce_bicomodule, induce_right_coaction
+from phopf.induced import _left_ideal, induce_bicomodule, induce_left, induce_right_coaction
 from phopf.globalize import standard_globalize_bicomodule
-from phopf.linalg import Tensor3, subspace_span, transport
+from phopf.linalg import Subspace, Tensor3, subspace_span, transport
 from tests.conftest import bare, forged_coaction, rand_fraction
 from tests.test_algebras import (_CountingView, reference_coaction_tables, t2_mul,
                                  t3_mul)
+from tests.test_globalize import restricted_coactions
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +210,33 @@ def test_induce_bicomodule_on_the_index_two_subgroup_of_z4():
     assert ind.left.map.entries == {(0, 0, 0): 1, (1, 2, 1): 1}
     assert ind.right.map.entries == {(0, 0, 0): 1, (1, 1, 2): 1}
     assert check_bicomodule(ind).passed
+
+
+def test_a_dense_vector_of_the_wrong_length_is_rejected():
+    # kZ4 over Q with e = (1+g²)/2: each call returned a result, the longer
+    # vectors read past dim B = 4 and the shorter one as padded with zeros
+    bic, u0, u2, e = _z4_setup()
+    act = dual_regular_action(bic.hopf)
+    z = QQ.zero
+    cases = [
+        (lambda: induce_left(act, e + [z]), "e has 5 entries, not 4"),
+        (lambda: induce_left(act, e[:3]), "e has 3 entries, not 4"),
+        (lambda: induce_right_coaction(bic.right, e + [z]), "e has 5 entries, not 4"),
+        (lambda: induce_bicomodule(bic, [u0 + [z], u2 + [z]], u0),
+         "spanning vector 0 has 5 entries, not 4"),
+        (lambda: induce_bicomodule(bic, [u0, u2], u0 + [z]), "unit_A has 5 entries, not 4"),
+        (lambda: induce_bicomodule(bic, Subspace(5, QQ, [{0: QQ.one}, {2: QQ.one}]), u0),
+         "A lies in a space of dimension 5, not 4 = dim B"),
+        (lambda: subspace_span([[1, 0, 0, 0, 5]], 4, QQ),
+         "spanning vector 0 has 5 entries, not 4"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    # the vectors of the right length still induce
+    assert induce_left(act, e).alg.dim == 2
+    assert induce_bicomodule(bic, [u0, u2], u0).alg.dim == 2
 
 
 def test_induce_bicomodule_rejects_the_averaged_idempotent_corner():
@@ -676,14 +704,15 @@ def test_ambient_coactions_restrict_as_the_reference_restriction(field, name,
     def same(a):
         return a
 
-    for ops, t, side, induced in ((amb.left_ops, rho, "right", g.induced_rho),
-                                  (amb.right_ops, lam, "left", g.induced_lam)):
+    # the record's restricted dual families, read back in coaction layout
+    for ops, t, side, induced in zip((amb.left_ops, amb.right_ops), (rho, lam),
+                                     ("right", "left"), restricted_coactions(g)):
         got = coactions._restrict_coaction(ops, side, span, same)
         assert got == _ref_restrict_coaction(t, side, span, same) == induced
     # they equal the reference tables applied to θ's columns, term for term
     # and in the same order, so a witness prints as it did from the tables
     split = amb.algebra.mul.split
-    cols = g.theta
+    cols = g.phi
     assert len(cols) == b.alg.dim and all(
         k in range(amb.algebra.dim) and c for col in cols for k, c in col.items())
     want_lams = [[((p,) + split(x), c) for (p, x), c in lam.apply_in1(col).items()]

@@ -480,9 +480,9 @@ def carrier_faults(sources):
 def test_the_carrier_gate_flags_a_restriction_outside_the_builder():
     sources = _package_sources()
     sources["candidates.py"] = sources["candidates.py"].replace(
-        "    alg_q, left_q, right_q, theta_q = _carrier(",
+        "    out = _carrier(",
         "    restrict_product(project, M.rows, Bp.mul_dict)\n"
-        "    alg_q, left_q, right_q, theta_q = _carrier(")
+        "    out = _carrier(")
     assert carrier_faults(sources) == ["candidates.py:%d in minimalize" % next(
         n for n, line in enumerate(sources["candidates.py"].splitlines(), 1)
         if "restrict_product(" in line)]

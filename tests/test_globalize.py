@@ -30,8 +30,7 @@ from phopf.coactions import (PartialBicomoduleData, bicomodule_to_bimodule,
                              bimodule_to_bicomodule)
 from phopf.group_actions import en_kg_example
 from phopf.induced import induce_bicomodule
-from phopf.globalize import (BicomoduleGlobalization, BimoduleGlobalization,
-                             GlobalizationCandidate, _first_failure,
+from phopf.globalize import (GlobalizationCandidate, StandardGlobalization, _first_failure,
                              maximal_degenerate_subbimodule, psi_map,
                              standard_globalize_bicomodule, standard_globalize_bimodule,
                              verify_globalization)
@@ -53,9 +52,10 @@ def two_stage_closure(ambient, seed):
 
 
 def _staged_carrier(g):
-    """The staged closure oracle, seeded with the span of θ's columns."""
+    """The staged closure oracle, seeded with the span of the embedding's
+    columns in ambient coordinates."""
     N = g.ambient.algebra.dim
-    return two_stage_closure(g.ambient, Subspace(N, g.hopf.field, g.theta))
+    return two_stage_closure(g.ambient, Subspace(N, g.hopf.field, g.phi))
 
 
 def _identity(field, n):
@@ -75,7 +75,7 @@ def _trivial_bimodule(field):
 
 def test_global_input_globalizes_to_the_coefficient_algebra():
     g = standard_globalize_bimodule(_trivial_bimodule(QQ))
-    assert isinstance(g, BimoduleGlobalization) and g.dim == 1
+    assert isinstance(g, StandardGlobalization) and g.dim == 1
     assert g.certificate.passed and not g.certificate.failures
     assert maximal_degenerate_subbimodule(g).dim == 0
     pm, sur, inj = comparison_map(g, g)
@@ -287,31 +287,56 @@ def test_an_operator_one_column_short_is_rejected(read):
                               "basis element of the candidate (4)")
 
 
-def _key_four(cols):
-    """A copy of the column maps with a key of 4 added to column 0: on a
-    four-dimensional candidate, the extra row of a dense matrix."""
+def _with_key(cols, key):
+    """A copy of the column maps with `key` added to column 0 (replacing an
+    equal key): 4 is the extra row of a dense matrix of a four-dimensional
+    candidate, 1.0 and True compare equal to row 1 but are no row index."""
     cols = [dict(col) for col in cols]
-    cols[0][4] = QQ.one
+    cols[0].pop(key, None)
+    cols[0][key] = QQ.one
     return cols
 
 
+@pytest.mark.parametrize("key", [4, 1.0, True], ids=["four", "float", "bool"])
 @pytest.mark.parametrize("part,mutate,what", [
-    ("theta", lambda std: _key_four(std.theta), "the embedding"),
-    ("left_ops", lambda std: [std.left_ops[0], _key_four(std.left_ops[1])]
+    ("theta", lambda std, key: _with_key(std.theta, key), "the embedding"),
+    ("left_ops", lambda std, key: [std.left_ops[0], _with_key(std.left_ops[1], key)]
      + std.left_ops[2:], "the left operator g")], ids=["theta", "operator"])
 @pytest.mark.parametrize("read", SHAPE_READERS.values(), ids=list(SHAPE_READERS))
-def test_a_column_key_outside_the_candidate_is_rejected(read, part, mutate, what):
-    b, cand = _sweedler_candidate(**{part: mutate})
+def test_a_column_key_outside_the_candidate_is_rejected(read, part, mutate, what, key):
+    b, cand = _sweedler_candidate(**{part: lambda std: mutate(std, key)})
+    col = cand.theta[0] if part == "theta" else cand.left_ops[1][0]
+    assert [type(k) for k in col if k == key] == [type(key)]
     with pytest.raises(ValueError) as err:
         read(b, cand)
-    assert str(err.value) == ("%s has row 4 in column 0, outside a candidate of "
-                              "dimension 4" % what)
+    assert str(err.value) == ("%s has row %r in column 0, outside a candidate of "
+                              "dimension 4" % (what, key))
 
 
 def test_minimalize_is_the_identity_on_minimal_candidates():
     b = sweedler_k_bimodule(QQ, 2, 3)
     std = standard_globalize_bimodule(b)
     assert minimalize(std, b) is std
+
+
+def test_both_standard_constructions_and_minimalize_return_candidates():
+    b = sweedler_k_bimodule(QQ, 2, 3)
+    standard = (standard_globalize_bimodule(b),
+                standard_globalize_bicomodule(sweedler_k_bicomodule(QQ, 7, 3)))
+    quotient = minimalize(free_candidate_bimodule(b), b)
+    assert type(quotient) is GlobalizationCandidate and quotient.algebra.dim == 4
+    for g in standard:
+        assert isinstance(g, StandardGlobalization) and isinstance(g, GlobalizationCandidate)
+        # θ in carrier coordinates, φ in ambient ones: φ(a) = Σ θ(a)_i·b_i
+        # over the rows b_i of b_basis
+        assert len(g.theta) == len(g.phi) == g.coeff.dim
+        for theta_col, phi_col in zip(g.theta, g.phi):
+            assert all(k in range(g.dim) for k in theta_col)
+            want = {}
+            for i, c in theta_col.items():
+                for x, d in g.b_basis.rows[i].items():
+                    dict_acc(want, x, c * d)
+            assert want == phi_col
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +351,7 @@ def test_bicomodule_globalization_carrier_and_embedding():
     assert g.certificate.passed and g.certificate.laws == ["exchange"]
     # theta(1) = (1/2 + 1/2 g + 7 xg) (x) 1 (x) (1/2 + 1/2 g + 3 x)
     half = QQ.of(Fraction(1, 2))
-    th = g.theta[0]
+    th = g.phi[0]
     lam_leg = {0: half, 1: half, 3: QQ.of(7)}
     rho_leg = {0: half, 1: half, 2: QQ.of(3)}
     expect = {g.ambient.algebra.mul.flat((i, 0, j)): ci * cj
@@ -336,7 +361,7 @@ def test_bicomodule_globalization_carrier_and_embedding():
 
 def test_regular_bicomodule_globalizes_to_itself_in_dimension(h4):
     g = standard_globalize_bicomodule(regular_bicomodule(h4))
-    assert isinstance(g, BicomoduleGlobalization)
+    assert isinstance(g, StandardGlobalization)
     assert _staged_carrier(g) == g.b_basis
     assert g.dim == 4 and g.certificate.passed
 
@@ -417,7 +442,7 @@ def test_construction_embeds_by_the_composite_coaction(name):
     b = BICOMODULE_FAMILIES[name]()
     g = standard_globalize_bicomodule(b)
     first, _ = _composite_embeddings(b)
-    assert g.theta == [{g.ambient.algebra.mul.flat(key): c for key, c in col.items()}
+    assert g.phi == [{g.ambient.algebra.mul.flat(key): c for key, c in col.items()}
                        for col in first]
 
 
@@ -548,6 +573,19 @@ def _require_global_bicomodule(algebra, hopf, rho, lam):
                              lam.transpose(DUAL["left"][0]).columns())
 
 
+def restricted_coactions(g):
+    """The restricted coactions (ρ, λ) of a bicomodule globalization as
+    Tensor3 in coaction layout: its dual families `left_ops` (ρ̄) and
+    `right_ops` (λ̄), one operator per dual basis element, transposed by
+    algebras.DUAL."""
+    def tensor(ops):
+        return Tensor3((len(ops), g.dim, g.dim),
+                       {(h, j, k): c for h, op in enumerate(ops)
+                        for j, col in enumerate(op) for k, c in col.items()})
+    return (tensor(g.left_ops).transpose(DUAL["right"][1]),
+            tensor(g.right_ops).transpose(DUAL["left"][1]))
+
+
 def _carriers():
     for field in (QQ, GF(5)):
         for b in (regular_bicomodule(sweedler_h4(field)),
@@ -581,7 +619,7 @@ def test_carrier_global_laws_agree_with_the_coaction_reference():
     rng = random.Random(20261018)
     rejected = 0
     for g in _carriers():
-        rho, lam = g.induced_rho, g.induced_lam
+        rho, lam = restricted_coactions(g)
         assert _verdict(_assert_global_bicomodule, g, rho, lam) is None
         assert _verdict(_require_global_bicomodule, g, rho, lam) is None
         for trial in range(40):
@@ -748,6 +786,36 @@ def test_s3_regular_bicomodule_globalizes():
     assert g.ambient.algebra.dim == 216 and g.dim == 6
     assert g.certificate.passed and g.certificate.laws == ["exchange"]
     assert _staged_carrier(g) == g.b_basis
+
+
+# ---------------------------------------------------------------------------
+# the bicomodule record as a candidate over the dual: its families are the
+# restricted dual families, so it is a candidate globalization of the
+# partial bimodule over H* that bicomodule_to_bimodule reads off the same
+# data, checked here without the index permutation of psi_map
+
+DUAL_CANDIDATES = {
+    "regular H4": lambda: regular_bicomodule(sweedler_h4(QQ)),
+    "Sweedler (1,2)": lambda: sweedler_k_bicomodule(QQ, 1, 2),
+    "Sweedler (3,0)/GF5": lambda: sweedler_k_bicomodule(GF(5), 3, 0),
+    "regular kZ4": lambda: regular_bicomodule(_kg("Z4")),
+    "regular kS3": lambda: regular_bicomodule(_kg("S3")),
+    "regular kQ8": lambda: regular_bicomodule(_kg("Q8")),
+    "regular kZ4*/GF7": lambda: regular_bicomodule(dual_hopf(_kg("Z4", GF(7)))),
+    "regular kS3*/GF7": lambda: regular_bicomodule(dual_hopf(_kg("S3", GF(7)))),
+}
+
+
+@pytest.mark.parametrize("name", DUAL_CANDIDATES)
+def test_the_bicomodule_record_is_a_candidate_over_the_dual(name):
+    b = DUAL_CANDIDATES[name]()
+    g = standard_globalize_bicomodule(b)
+    bm = bicomodule_to_bimodule(b)
+    cert = verify_globalization(g, bm)
+    assert cert.passed and cert.laws == list(GLOBALIZATION_LAWS)
+    _, surjective, injective = comparison_map(g, standard_globalize_bimodule(bm))
+    assert surjective and injective
+    assert maximal_degenerate_subbimodule(g).dim == 0
 
 
 # ---------------------------------------------------------------------------
