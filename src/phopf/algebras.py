@@ -77,13 +77,20 @@ def t2_of_dicts(x, y):
     return out
 
 
+def json_list(x, what):
+    """x if it is a JSON array; otherwise ValueError naming `what`."""
+    if type(x) is not list:
+        raise ValueError("%s is not a list but a %s" % (what, type(x).__name__))
+    return x
+
+
 def json_rows(rows, dims, field, what):
     """Yield (index tuple, scalar) from JSON rows [i, ..., "c"] with one index
     per entry of `dims`.  A row of the wrong length, or an index that is not
     an int (bools and floats included) in range of its slot, raises
     ValueError: the axiom suites only visit in-range indices, so such an
     entry would otherwise pass unchecked."""
-    for row in rows:
+    for row in json_list(rows, what):
         if not isinstance(row, (list, tuple)) or len(row) != len(dims) + 1:
             raise ValueError("%s row %r does not have %d entries"
                              % (what, row, len(dims) + 1))
@@ -290,7 +297,7 @@ class AlgebraData:
     @classmethod
     def from_json(cls, doc, name="A"):
         field, basis, mul = _json_algebra(doc)
-        unit = [field.parse(c) for c in doc["unit"]] if "unit" in doc else None
+        unit = [field.parse(c) for c in json_list(doc["unit"], "unit")] if "unit" in doc else None
         return cls(field, basis, mul, unit, name=name)
 
     def __repr__(self):
@@ -350,8 +357,7 @@ class HopfData(AlgebraData):
         field, basis, mul = _json_algebra(doc)
         n = len(basis)
         comul = _json_tensor(doc["comul"], n, field, "comul")
-        unit = [field.parse(c) for c in doc["unit"]]
-        counit = [field.parse(c) for c in doc["counit"]]
+        unit, counit = ([field.parse(c) for c in json_list(doc[k], k)] for k in ("unit", "counit"))
         antipode = [[field.zero] * n for _ in range(n)]
         for (i, j), c in json_rows(doc["antipode"], (n, n), field, "antipode"):
             antipode[i][j] = c

@@ -16,18 +16,18 @@ on the other side carry the same data: transposed by algebras.DUAL, the
 map tensor of a coaction is the map tensor of that action.  The bridges
 between the two are that transpose, and wherever a coaction serves as an
 operator family it is read as its dual family (PartialCoactionData.dual_cols):
-to restrict it to a subalgebra, to test it for ε-triviality, and in the
-exchange condition through the dual actions.  The coactions induced by
-cutting a global one down to an ideal or to a unital subalgebra are built
-in phopf.induced.  Only the duality bridges read actions, so they import
-phopf.actions when they run, and checking a coaction loads no action code.
+to test it for ε-triviality, to restrict it to an ideal or a unital
+subalgebra (phopf.induced), and in the exchange condition, which
+phopf.induced and phopf.globalize decide through the two dual families.
+Only the duality bridges read actions, so they import phopf.actions when
+they run, and checking a coaction loads no action code.
 Coactions and bicomodules carry their Reports (see algebras._carried).
 """
 
 from .algebras import (DUAL, Report, _carried, _carries, _leg_index, _Pair, _pair_stamp,
                        _record_side, _side_report, _side_stamp, algebra_check, dict_acc,
                        dual_hopf, hopf_check, structure_json, tensor_mul, vec_of_dict)
-from .linalg import Tensor3, acts_by_scalars, restrict_ops
+from .linalg import Tensor3, acts_by_scalars
 
 
 class PartialCoactionData:
@@ -361,32 +361,3 @@ def bimodule_to_bicomodule(b):
     check_bicomodule(out).require("dual bicomodule", AssertionError)
     return out
 
-
-# ---------------------------------------------------------------------------
-# restriction to a subalgebra, for the induced coactions
-
-def _restrict_coaction(ops, side, span, cut):
-    """A coaction on `side`, given as its dual operator family `ops` (see
-    PartialCoactionData.dual_cols), restricted to a subspace of its
-    algebra: each image of a basis row passes through cut (a map of sparse
-    dicts) and is written in subspace coordinates.  Returns the map tensor
-    of the restricted coaction."""
-    return restrict_ops(lambda a: span.coords(cut(a)), span.rows,
-                        ops, "%s coaction" % side).transpose(DUAL[side][1])
-
-
-def _exchange_products(hopf, b_legs, lams, rhos):
-    """(λ(x)⊗1_H)(1_H⊗ρ(y)) in H⊗B⊗H for each λ(x) in lams and ρ(y) in rhos,
-    yielded as ((index in lams, index in rhos), product) in row-major order.
-    B, the algebra both coactions act on, is the tensor product of the
-    algebras whose mul tensors are `b_legs` (one leg for a plain algebra),
-    and a basis element of B is a tuple with one index per leg: λ(x) is
-    keyed (p, *b) and ρ(y) keyed (*b, s)."""
-    u_h = hopf.unit_dict()
-    muls = (hopf.mul,) + tuple(b_legs) + (hopf.mul,)
-    rho_ext = [{(r,) + key: d * c for key, c in rho.items() for r, d in u_h.items()}
-               for rho in rhos]
-    for i, lam in enumerate(lams):
-        lam_ext = {key + (r,): c * d for key, c in lam.items() for r, d in u_h.items()}
-        for j, y in enumerate(rho_ext):
-            yield (i, j), tensor_mul(muls, lam_ext, y)

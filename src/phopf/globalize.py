@@ -388,13 +388,14 @@ def standard_globalize_bicomodule(b):
     they form a global two-sided comodule algebra: by its proof (below)
     when H passes hopf_check, and otherwise by a sweep that raises
     ValueError.  The returned StandardGlobalization holds them as its dual
-    families, ρ̄ as `left_ops` and λ̄ as `right_ops`.  The certificate is a Report of one law, `exchange`: the
-    condition
+    families, ρ̄ as `left_ops` and λ̄ as `right_ops`.  The certificate is a
+    Report of one law, `exchange`: the condition
         (λ(θ(a))⊗1)(1⊗ρ(θ(b))) = (I⊗θ⊗I)[(λ̄(a)⊗1)(1⊗ρ̄(b))]
-    on all basis pairs, whose first failure is indexed by the pair of basis
+    on all basis pairs, decided on the carrier through the dual families
+    (see _exchange), whose first failure is indexed by the pair of basis
     labels.  The construction raises if the certificate fails.
     """
-    from .coactions import _exchange_products, check_bicomodule
+    from .coactions import check_bicomodule
     check_bicomodule(b).require("input bicomodule")
     H, A = b.hopf, b.alg
     da = A.dim
@@ -431,43 +432,40 @@ def standard_globalize_bicomodule(b):
         _require_global_bimodule(carrier.algebra, _dual_structure(H), carrier.left_ops,
                                  carrier.right_ops)
 
-    # the exchange condition, in ambient coordinates: compare the five-leg
-    # products of the ambient coactions of embedded elements with the image
-    # of the partial-coaction product.  The products run over the factor
-    # legs (H, H, A, H, H), the ambient's three legs between the outer H's.
-    pv_a = A.mul.pair_view()
-    split = amb.algebra.mul.split
-
-    def coact(ops, col, key):
-        # Σ_g (op_g applied to col) keyed by key(g, y), summed in the order
-        # column index x, then g, then y
-        out = {}
-        for x, c in col.items():
-            for g, op in enumerate(ops):
-                for y, d in op[x].items():
-                    dict_acc(out, key(g, y), c * d)
-        return out
-
-    def exchange():
-        lams = [coact(amb.right_ops, col, lambda g, y: (g,) + split(y))
-                for col in theta_d]
-        rhos = [coact(amb.left_ops, col, lambda g, y: split(y) + (g,))
-                for col in theta_d]
-        for (i, j), prod in _exchange_products(H, amb.algebra.mul.legs, lams, rhos):
-            lhs = {(p, flat(key), q): c for (p, *key, q), c in prod.items()}
-            rhs = {}
-            for (p, q), c1 in lam_of.get(i, empty).items():
-                for (u, v), c2 in rho_of.get(j, empty).items():
-                    cc = c1 * c2
-                    for t, ct in pv_a.get((q, u), empty).items():
-                        for x, cx in theta_d[t].items():
-                            dict_acc(rhs, (p, x, v), cc * ct * cx)
-            yield (A.basis[i], A.basis[j]), lhs, rhs
-
     cert = Report(carrier.algebra.name, f)
-    _first_failure(cert, "exchange", exchange())
+    _first_failure(cert, "exchange", _exchange(b, carrier))
     return StandardGlobalization(H, amb, theta_d, span, carrier,
                                  cert.require("standard globalization", AssertionError))
+
+
+def _exchange(b, carrier):
+    """The cases (pair of basis labels, lhs, rhs) of the exchange condition
+    of the bicomodule b on its carrier, one per basis pair (a_i, a_j) in
+    row-major order.  With λ(x) = Σ_f h_f⊗(x◁p_f) and ρ(y) = Σ_g (p_g▷y)⊗h_g
+    the condition holds at the pair exactly when, at every dual-basis pair
+    (f, g), (θ(a_i)◁p_f)(p_g▷θ(a_j)) = θ[(a_i↼p_f)(p_g⇀a_j)].  lhs and rhs
+    map each (f, g) to the two sides, in carrier coordinates, over the f at
+    which θ(a_i)◁p_f or a_i↼p_f is nonzero and the g at which p_g▷θ(a_j) or
+    p_g⇀a_j is: elsewhere both sides are 0.  ◁ and ▷ are the carrier's
+    families, ↼ and ⇀ the dual families of b's coactions."""
+    A, theta = b.alg, carrier.theta
+    pv_b, pv_a = carrier.algebra.mul.pair_view(), A.mul.pair_view()
+
+    def factors(ops, duals, i):
+        pairs = ((f, apply_cols(op, theta[i]), dual[i])
+                 for f, (op, dual) in enumerate(zip(ops, duals)))
+        return [pair for pair in pairs if pair[1] or pair[2]]
+
+    rights = [factors(carrier.right_ops, b.left.dual_cols(), i) for i in range(A.dim)]
+    lefts = [factors(carrier.left_ops, b.right.dual_cols(), j) for j in range(A.dim)]
+    for i, right in enumerate(rights):
+        for j, left in enumerate(lefts):
+            lhs, rhs = {}, {}
+            for f, x, a in right:
+                for g, y, c in left:
+                    lhs[f, g] = mul_dicts(pv_b, x, y)
+                    rhs[f, g] = apply_cols(theta, mul_dicts(pv_a, a, c))
+            yield (A.basis[i], A.basis[j]), lhs, rhs
 
 
 # ---------------------------------------------------------------------------

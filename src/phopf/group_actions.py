@@ -4,8 +4,8 @@
 group algebra kG; also the averaged-idempotent example e_N·kG.  Each law
 of a partial group action is swept over its basis tuples by Report.sweep."""
 
-from .algebras import (AlgebraData, Report, algebra_check, dict_of_vec, dual_hopf, json_rows,
-                       vec_of_dict)
+from .algebras import (AlgebraData, Report, algebra_check, dict_of_vec, dual_hopf, json_list,
+                       json_rows, vec_of_dict)
 from .actions import PartialActionData, _certify_action, check_lpma
 from .examples import group_algebra
 from .linalg import Tensor3, apply_cols, col_dicts, unit_vec
@@ -82,15 +82,18 @@ def load_group_action(node, base_dir="."):
         alg = load_algebra(doc["algebra"], base)
         f = alg.field
         m = alg.dim
-        idem = [[f.parse(c) for c in v] for v in doc["idempotents"]]
+        idem = [[f.parse(c) for c in json_list(v, "idempotent")]
+                for v in json_list(doc["idempotents"], "idempotents")]
         alphas = []
-        for rows in doc["alphas"]:
+        for rows in json_list(doc["alphas"], "alphas"):
             mat = [[f.zero] * m for _ in range(m)]
             for (i, j), c in json_rows(rows, (m, m), f, "alphas"):
                 mat[i][j] = c
             alphas.append(mat)
-        _check_shapes(len(table), m, idem, alphas, doc.get("labels"))
-        return table, alg, idem, alphas, doc.get("labels")
+        labels = doc.get("labels")
+        _check_shapes(len(table), m, idem, alphas,
+                      labels if labels is None else json_list(labels, "labels"))
+        return table, alg, idem, alphas, labels
 
     table, alg, idem, alphas, labels = _guard(parts, "group action")
     return GroupPartialActionData(table, alg, idem, alphas, labels=labels)

@@ -1,15 +1,18 @@
 """Partial actions and coactions induced by cutting a global one on B down
 to an ideal e·B or to a unital subalgebra A of B (whose unit need not be
-1_B).  A two-sided structure restricts under the corner condition
-(bimodules) or the exchange condition (bicomodules), and a failing input is
+1_B).  Every operator family, a coaction's as its dual family, restricts
+through one step, _restrict.  A two-sided structure restricts under the
+corner condition (bimodules) or the exchange condition (bicomodules), which
+is the corner condition of the dual families, and a failing input is
 rejected with a witness."""
 
-from .algebras import AlgebraData, algebra_check, dict_of_vec, t2_of_dicts, tensor_mul
+from itertools import product
+
+from .algebras import DUAL, AlgebraData, algebra_check, dict_of_vec
 from .actions import (PartialActionData, PartialBimoduleData, _certify_action,
                       check_bimodule, is_global)
 from .coactions import (PartialBicomoduleData, PartialCoactionData, _certify_coaction,
-                        _exchange_products, _restrict_coaction, check_bicomodule,
-                        check_global_unit)
+                        check_bicomodule, check_global_unit)
 from .linalg import Subspace, apply_cols, restrict_ops, restrict_product, subspace_span
 
 
@@ -41,13 +44,16 @@ def _left_ideal(B, e):
     return span, e_d, A
 
 
-def _unital_subalgebra(B, span, unit_a):
+def _unital_subalgebra(B, a_basis, unit_a):
     """Set-up shared by the structures induced on a unital subalgebra A of
-    B: check that unit_a lies in the subspace span, is an idempotent and an
-    identity on it, and that span is closed under the product; then build A
-    with the restricted product and certify it.  Returns the basis rows of
-    span and unit_a, both as sparse dicts, and A.  A span or a dense unit_a
-    of another length than dim B raises ValueError."""
+    B, given as a linalg.Subspace or as dense spanning rows: check that
+    unit_a lies in A, is an idempotent and an identity on it, and that A is
+    closed under the product; then build A with the restricted product and
+    certify it.  Returns the span of A, unit_a as a sparse dict, and A.  A
+    span, a row or a dense unit_a of another length than dim B raises
+    ValueError."""
+    span = a_basis if isinstance(a_basis, Subspace) \
+        else subspace_span(a_basis, B.dim, B.field)
     if span.ambient_dim != B.dim:
         raise ValueError("A lies in a space of dimension %d, not %d = dim B"
                          % (span.ambient_dim, B.dim))
@@ -67,24 +73,35 @@ def _unital_subalgebra(B, span, unit_a):
                     restrict_product(span.coords, rows, B.mul_dict),
                     span.coords(u_d), name="corner of %s" % B.name)
     algebra_check(A).require("induced corner", AssertionError)
-    return rows, u_d, A
+    return span, u_d, A
 
 
-def _corner_witness(B, left, right, rows, u_d, span):
+def _restrict(span, cut, ops, what):
+    """The operator family `ops` (column maps) restricted to `span`: each
+    image of a basis row passes through cut (a map of sparse dicts) and is
+    written in span coordinates (see linalg.restrict_ops).  A coaction,
+    given as its dual family, transposes the result by algebras.DUAL."""
+    return restrict_ops(lambda a: span.coords(cut(a)), span.rows, ops, what)
+
+
+def _corner_witness(B, left, right, span, u_d):
     """First witness (a, h, k, b) — subalgebra basis, Hopf, Hopf, subalgebra
-    basis indices — where (a◁h)(k▷b) ≠ (a◁h)·1_A·(k▷b) or the common value
-    leaves A; None when this corner condition holds.  The two operator
-    families on B are column maps, one operator per Hopf basis element."""
-    for ia, a in enumerate(rows):
-        for h, right_h in enumerate(right):
-            a_h = apply_cols(right_h, a)
-            for k, left_k in enumerate(left):
-                for ib, b in enumerate(rows):
-                    k_b = apply_cols(left_k, b)
-                    lhs = B.mul_dict(a_h, k_b)
-                    rhs = B.mul_dict(a_h, B.mul_dict(u_d, k_b))
-                    if lhs != rhs or not span.contains(lhs):
-                        return (ia, h, k, ib)
+    basis indices, in (a, b, h, k) order — where (a◁h)(k▷b) ≠
+    (a◁h)·1_A·(k▷b) or the common value leaves A; None when this corner
+    condition holds.  The two operator families on B are column maps, one
+    operator per Hopf basis element; a zero factor is skipped, as both
+    sides then vanish."""
+    def factors(ops, v):
+        return [(g, y) for g, y in enumerate(apply_cols(op, v) for op in ops) if y]
+
+    a_h = [factors(right, a) for a in span.rows]
+    k_b = [factors(left, b) for b in span.rows]
+    for ia, xs in enumerate(a_h):
+        for ib, ys in enumerate(k_b):
+            for (h, x), (k, y) in product(xs, ys):
+                lhs = B.mul_dict(x, y)
+                if lhs != B.mul_dict(x, B.mul_dict(u_d, y)) or not span.contains(lhs):
+                    return (ia, h, k, ib)
     return None
 
 
@@ -104,39 +121,35 @@ def induce_left(glob, e):
         raise ValueError("induce_left needs a global action")
     B = glob.alg
     span, e_d, A = _left_ideal(B, e)
-    act = restrict_ops(lambda a: span.coords(B.mul_dict(e_d, a)),
-                       span.rows, glob.map.columns(), "left action")
+    act = _restrict(span, lambda a: B.mul_dict(e_d, a), glob.map.columns(), "left action")
     p = PartialActionData(glob.hopf, A, "left", act,
                           name="%s induced on e·%s" % (glob.hopf.name, B.name))
     return _certify_action(p)
 
 
-def induce_bimodule(bim, a_span, unit_a):
+def induce_bimodule(bim, a_basis, unit_a):
     """Restrict a global bimodule structure on B to a unital subalgebra A
-    (given as a subspace with its own unit) by h⇀a = 1_A(h▷a) and
-    a↼h = (a◁h)1_A.  Requires the corner condition
+    (given as a subspace or by spanning rows, with its own unit) by
+    h⇀a = 1_A(h▷a) and a↼h = (a◁h)1_A.  Requires the corner condition
     (a◁h)(k▷b) = (a◁h)·1_A·(k▷b) with both sides inside A; rejected with a
     witness (a, h, k, b) otherwise."""
     B = bim.alg
     H = bim.hopf
     if not (is_global(bim.left) and is_global(bim.right)):
         raise ValueError("induce_bimodule needs global actions on both sides")
-    rows, u_d, A = _unital_subalgebra(B, a_span, unit_a)
+    span, u_d, A = _unital_subalgebra(B, a_basis, unit_a)
     left_cols, right_cols = bim.left.map.columns(), bim.right.map.columns()
-    w = _corner_witness(B, left_cols, right_cols, rows, u_d, a_span)
+    w = _corner_witness(B, left_cols, right_cols, span, u_d)
     if w is not None:
         raise ValueError("corner condition fails at witness (a=%d, h=%s, k=%s, b=%d)"
                          % (w[0], H.basis[w[1]], H.basis[w[2]], w[3]))
-    lt = restrict_ops(lambda a: a_span.coords(B.mul_dict(u_d, a)), rows, left_cols,
-                      "left action")
-    rt = restrict_ops(lambda a: a_span.coords(B.mul_dict(a, u_d)), rows, right_cols,
-                      "right action")
+    lt = _restrict(span, lambda a: B.mul_dict(u_d, a), left_cols, "left action")
+    rt = _restrict(span, lambda a: B.mul_dict(a, u_d), right_cols, "right action")
     left = PartialActionData(H, A, "left", lt, name="induced left on corner")
     right = PartialActionData(H, A, "right", rt, name="induced right on corner")
     out = PartialBimoduleData(_certify_action(left), _certify_action(right))
     check_bimodule(out).require("induced bimodule", AssertionError)
     return out
-
 
 
 # ---------------------------------------------------------------------------
@@ -153,61 +166,34 @@ def induce_right_coaction(glob, e):
         raise ValueError("induce_right_coaction needs a global coaction")
     B = glob.alg
     span, e_d, A = _left_ideal(B, e)
-    ent = _restrict_coaction(glob.dual_cols(), "right", span, lambda a: B.mul_dict(e_d, a))
-    p = PartialCoactionData(glob.hopf, A, "right", ent,
+    ent = _restrict(span, lambda a: B.mul_dict(e_d, a), glob.dual_cols(), "right coaction")
+    p = PartialCoactionData(glob.hopf, A, "right", ent.transpose(DUAL["right"][1]),
                             name="%s induced on e·%s" % (glob.hopf.name, B.name))
     return _certify_coaction(p)
 
 
-def _exchange_witness(bicom, rows, u_d, span):
-    """First pair (i, j) of subalgebra basis indices where
-    (λ(a_i)⊗1)(1⊗ρ(b_j)) ≠ (λ(a_i)⊗1)(1⊗1_A⊗1)(1⊗ρ(b_j)) or the common
-    value leaves H⊗A⊗H; None when the exchange condition holds."""
-    B, H = bicom.alg, bicom.hopf
-    one_a = t2_of_dicts(u_d, H.unit_dict())     # 1_A ⊗ 1_H
-    lams = [bicom.left.coact_dict(a) for a in rows]
-    rhos = [bicom.right.coact_dict(b) for b in rows]
-    # (1⊗1_A⊗1)(1⊗ρ(b)) = 1⊗[(1_A⊗1_H)ρ(b)], since 1_H·1_H = 1_H
-    cut = [tensor_mul((B.mul, H.mul), one_a, rho) for rho in rhos]
-    for (pair, lhs), (_, rhs) in zip(_exchange_products(H, (B.mul,), lams, rhos),
-                                     _exchange_products(H, (B.mul,), lams, cut)):
-        if lhs != rhs:
-            return pair
-        per_slice = {}
-        for (pq, q, s), c in lhs.items():
-            per_slice.setdefault((pq, s), {})[q] = c
-        for dv in per_slice.values():
-            if not span.contains(dv):
-                return pair
-    return None
-
-
 def induce_bicomodule(bicom, a_basis, unit_a):
-    """Restrict a global bicomodule on B to a unital subalgebra A (its unit
-    need not be 1_B) by ρ̄(a) = (1_A⊗1_H)ρ(a) and λ̄(a) = λ(a)(1_H⊗1_A).
-    Requires the exchange condition
-    (λ(a)⊗1)(1⊗ρ(b)) = (λ(a)⊗1)(1⊗1_A⊗1)(1⊗ρ(b)) with both sides inside
-    H⊗A⊗H; rejected with a witness pair (a, b) otherwise."""
+    """Restrict a global bicomodule on B to a unital subalgebra A (given as
+    a subspace or by spanning rows; its unit need not be 1_B) by
+    ρ̄(a) = (1_A⊗1_H)ρ(a) and λ̄(a) = λ(a)(1_H⊗1_A).  Requires the exchange
+    condition (λ(a)⊗1)(1⊗ρ(b)) = (λ(a)⊗1)(1⊗1_A⊗1)(1⊗ρ(b)) with both sides
+    inside H⊗A⊗H: with λ(a) = Σ_h h⊗(a◁p_h) and ρ(b) = Σ_k (p_k▷b)⊗k, the
+    corner condition of the dual families.  Rejected with a witness pair
+    (a, b) otherwise."""
     B = bicom.alg
     H = bicom.hopf
-    f = B.field
     if not (check_global_unit(bicom.left) and check_global_unit(bicom.right)):
         raise ValueError("induce_bicomodule needs a global bicomodule")
-    span = a_basis if isinstance(a_basis, Subspace) \
-        else subspace_span(a_basis, B.dim, f)
-    rows, u_d, A = _unital_subalgebra(B, span, unit_a)
-
-    w = _exchange_witness(bicom, rows, u_d, span)
+    span, u_d, A = _unital_subalgebra(B, a_basis, unit_a)
+    w = _corner_witness(B, bicom.right.dual_cols(), bicom.left.dual_cols(), span, u_d)
     if w is not None:
-        raise ValueError("exchange condition fails at witness pair (a=%d, b=%d)" % w)
-
-    rho = _restrict_coaction(bicom.right.dual_cols(), "right", span,
-                             lambda a: B.mul_dict(u_d, a))
-    lam = _restrict_coaction(bicom.left.dual_cols(), "left", span,
-                             lambda a: B.mul_dict(a, u_d))
-    left = PartialCoactionData(H, A, "left", lam,
+        raise ValueError("exchange condition fails at witness pair (a=%d, b=%d)"
+                         % (w[0], w[3]))
+    rho = _restrict(span, lambda a: B.mul_dict(u_d, a), bicom.right.dual_cols(), "right coaction")
+    lam = _restrict(span, lambda a: B.mul_dict(a, u_d), bicom.left.dual_cols(), "left coaction")
+    left = PartialCoactionData(H, A, "left", lam.transpose(DUAL["left"][1]),
                                name="induced left coaction on corner of %s" % B.name)
-    right = PartialCoactionData(H, A, "right", rho,
+    right = PartialCoactionData(H, A, "right", rho.transpose(DUAL["right"][1]),
                                 name="induced right coaction on corner of %s" % B.name)
     out = PartialBicomoduleData(left, right)
     check_bicomodule(out).require("induced bicomodule", AssertionError)

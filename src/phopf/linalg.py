@@ -25,10 +25,6 @@ from itertools import count
 _STATES = count()
 
 
-def zeros(field, n):
-    return [field.zero] * n
-
-
 def unit_vec(field, n, i):
     return vec_of_dict({i: field.one}, n, field)
 

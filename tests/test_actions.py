@@ -214,6 +214,20 @@ def test_induce_bimodule_on_the_index_two_subgroup_of_z4():
     assert is_global(ind.left) and is_global(ind.right)
 
 
+def test_induce_bimodule_takes_spanning_rows_as_induce_bicomodule_does():
+    # dense rows used to raise AttributeError ('list' object has no
+    # attribute 'ambient_dim'); they now span A as a Subspace does
+    _, table = named_group("Z4")
+    bim = trivialize_right(dual_regular_action(group_algebra(table, QQ)))
+    rows = [[1, 0, 0, 0], [0, 0, 1, 0]]
+    dense = induce_bimodule(bim, rows, [1, 0, 0, 0])
+    spanned = induce_bimodule(bim, subspace_span(rows, 4, QQ), [1, 0, 0, 0])
+    assert dense.alg.mul.entries == spanned.alg.mul.entries
+    assert dense.alg.unit == spanned.alg.unit == [1, 0]
+    for side in ("left", "right"):
+        assert getattr(dense, side).map.entries == getattr(spanned, side).map.entries
+
+
 # ---------------------------------------------------------------------------
 # partial group actions and the group-algebra bridge
 

@@ -745,6 +745,41 @@ def test_a_basis_label_that_is_not_a_string_exits_two(tmp_path, capsys):
     assert "not a list of string labels" in _one_line_error(capsys)
 
 
+# kZ2's unit is ["1", "0"] and its counit ["1", "1"]: read entry by entry,
+# the strings "10" and "11", or objects keyed by those entries, loaded as
+# those vectors and passed every law (exit 0), and "mul": {} loaded as the
+# zero product and failed the algebra laws (exit 1)
+NOT_A_LIST = {
+    "strings": ({"unit": "10", "counit": "11"}, "unit", ("hopf", "algebra")),
+    "objects": ({"unit": {"1": None, "0": None}, "counit": {"1": None, " 1": None}},
+                "unit", ("hopf", "algebra")),
+    "counit string": ({"counit": "11"}, "counit", ("hopf",)),
+    "mul object": ({"mul": {}}, "mul", ("hopf", "algebra")),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_A_LIST))
+def test_a_vector_or_row_list_that_is_not_a_list_exits_two(tmp_path, capsys, case):
+    change, what, kinds = NOT_A_LIST[case]
+    files = emit(capsys, "regular-bicomodule", tmp_path, "--group", "Z2")
+    hopf = next(p for p in files if p.endswith("hopf.json"))
+    doc = read_document(hopf)
+    assert (doc["unit"], doc["counit"]) == (["1", "0"], ["1", "1"])
+    doc.update(change)
+    write_document(doc, hopf)
+    for kind in kinds:
+        assert main(["check", kind, hopf]) == 2
+        assert "%s is not a list" % what in _one_line_error(capsys)
+    # held inline by a bicomodule, the Hopf part used to globalize
+    bic = read_document(next(p for p in files if p.endswith("bicomodule.json")))
+    bic["hopf"] = doc
+    path, out = str(tmp_path / "inline.json"), tmp_path / "out"
+    write_document(bic, path)
+    assert main(["globalize", "bicomodule", path, "-o", str(out)]) == 2
+    assert "%s is not a list" % what in _one_line_error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["false", 0, 1, [], None], ids=repr)
 @pytest.mark.parametrize("kind,name", [("bimodule", "Sweedler (2,3) bimodule"),
                                        ("action", "kZ4 en-kG action")])

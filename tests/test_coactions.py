@@ -1,6 +1,7 @@
 """Partial comodule algebra layer: coaction families, checkers, duality."""
 
 import functools
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from phopf.fields import GF, QQ
 from phopf._groups import named_group
 from phopf import coactions, examples
-from phopf.algebras import (AlgebraData, HopfData, Report, dict_acc, dict_of_vec, dual_hopf,
-                            vec_of_dict)
+from phopf.algebras import (DUAL, AlgebraData, HopfData, Report, dict_acc, dict_of_vec,
+                            dual_hopf, tensor_mul, vec_of_dict)
 from phopf.examples import (group_algebra, regular_bicomodule, regular_coaction,
                             scalar_algebra, sweedler_h4, sweedler_k_bicomodule,
                             trivial_coaction)
@@ -23,13 +24,15 @@ from phopf.coactions import (PartialCoactionData, bicomodule_to_bimodule,
                              check_lpca, check_rpca, coaction_to_dual_action,
                              dual_action_to_coaction)
 from phopf.group_actions import en_kg_example
-from phopf.induced import _left_ideal, induce_bicomodule, induce_left, induce_right_coaction
+from phopf.induced import (_corner_witness, _left_ideal, _restrict, induce_bicomodule,
+                           induce_bimodule, induce_left, induce_right_coaction)
 from phopf.globalize import standard_globalize_bicomodule
-from phopf.linalg import Subspace, Tensor3, subspace_span, transport
+from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint, subspace_span,
+                          transport)
 from tests.conftest import bare, forged_coaction, rand_fraction
 from tests.test_algebras import (_CountingView, reference_coaction_tables, t2_mul,
                                  t3_mul)
-from tests.test_globalize import restricted_coactions
+from tests.test_globalize import reference_exchange_products, restricted_coactions
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +662,8 @@ def _ref_coacts_trivially(coaction, u):
 
 
 def _restrictions_agree(p, span, cut):
-    got = coactions._restrict_coaction(p.dual_cols(), p.side, span, cut)
+    got = _restrict(span, cut, p.dual_cols(), "%s coaction" % p.side).transpose(
+        DUAL[p.side][1])
     assert got == _ref_restrict_coaction(p.map, p.side, span, cut)
     return got
 
@@ -681,22 +685,10 @@ def test_induced_coactions_match_the_reference_restriction():
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
 @pytest.mark.parametrize("name", ["H4", "kZ4", "Sweedler (t,u)"])
-def test_ambient_coactions_restrict_as_the_reference_restriction(field, name,
-                                                                   monkeypatch):
+def test_ambient_coactions_restrict_as_the_reference_restriction(field, name):
     b = (regular_bicomodule(sweedler_h4(field)) if name == "H4"
          else regular_bicomodule(_kg("Z4", field)) if name == "kZ4"
          else sweedler_k_bicomodule(field, 3, -2))
-    # the coactions of the embedded columns θ(a) that the exchange
-    # condition reads
-    seen = []
-    original = coactions._exchange_products
-
-    def exchange_products(hopf, b_legs, lams, rhos):
-        seen.append((lams, rhos))
-        return original(hopf, b_legs, lams, rhos)
-
-    # standard_globalize_bicomodule imports it from coactions when it runs
-    monkeypatch.setattr(coactions, "_exchange_products", exchange_products)
     g = standard_globalize_bicomodule(b)
     amb, span = g.ambient, g.b_basis
     rho, lam = reference_coaction_tables(amb, b.hopf.dim)
@@ -707,21 +699,203 @@ def test_ambient_coactions_restrict_as_the_reference_restriction(field, name,
     # the record's restricted dual families, read back in coaction layout
     for ops, t, side, induced in zip((amb.left_ops, amb.right_ops), (rho, lam),
                                      ("right", "left"), restricted_coactions(g)):
-        got = coactions._restrict_coaction(ops, side, span, same)
+        got = _restrict(span, same, ops, "%s coaction" % side).transpose(DUAL[side][1])
         assert got == _ref_restrict_coaction(t, side, span, same) == induced
-    # they equal the reference tables applied to θ's columns, term for term
-    # and in the same order, so a witness prints as it did from the tables
-    split = amb.algebra.mul.split
-    cols = g.phi
-    assert len(cols) == b.alg.dim and all(
-        k in range(amb.algebra.dim) and c for col in cols for k, c in col.items())
-    want_lams = [[((p,) + split(x), c) for (p, x), c in lam.apply_in1(col).items()]
-                 for col in cols]
-    want_rhos = [[(split(x) + (q,), c) for (x, q), c in rho.apply_in1(col).items()]
-                 for col in cols]
-    [(lams, rhos)] = seen
-    assert [list(d.items()) for d in lams] == want_lams
-    assert [list(d.items()) for d in rhos] == want_rhos
+
+    def ambient(v):
+        out = {}
+        for k, c in v.items():
+            for x, d in span.rows[k].items():
+                dict_acc(out, x, c * d)
+        return out
+
+    # the exchange condition reads the coactions of the embedded columns
+    # θ(a) on the carrier: read back into the ambient, they are the
+    # reference tables applied to θ's columns
+    assert len(g.phi) == b.alg.dim
+    for m, col in enumerate(g.phi):
+        assert ambient(g.theta[m]) == col
+        assert {(x, q): c for q, op in enumerate(g.left_ops)
+                for x, c in ambient(apply_cols(op, g.theta[m])).items()} \
+            == rho.apply_in1(col)
+        assert {(p, x): c for p, op in enumerate(g.right_ops)
+                for x, c in ambient(apply_cols(op, g.theta[m])).items()} \
+            == lam.apply_in1(col)
+
+
+# ---------------------------------------------------------------------------
+# induction on unital subalgebras: the exchange condition as the corner
+# condition of the dual families, against the witness from the products in
+# H⊗B⊗H it replaced, and induction across the duality bridge
+
+
+def reference_exchange_witness(bicom, rows, u_d, span):
+    """First pair (i, j) of subalgebra basis indices where
+    (λ(a_i)⊗1)(1⊗ρ(b_j)) ≠ (λ(a_i)⊗1)(1⊗1_A⊗1)(1⊗ρ(b_j)) or the common
+    value leaves H⊗A⊗H, from the products in H⊗B⊗H; None when the exchange
+    condition holds."""
+    B, H = bicom.alg, bicom.hopf
+    one_a = {(q, r): c * d for q, c in u_d.items() for r, d in H.unit_dict().items()}
+    lams = [bicom.left.coact_dict(a) for a in rows]
+    rhos = [bicom.right.coact_dict(b) for b in rows]
+    # (1⊗1_A⊗1)(1⊗ρ(b)) = 1⊗[(1_A⊗1_H)ρ(b)], since 1_H·1_H = 1_H
+    cut = [tensor_mul((B.mul, H.mul), one_a, rho) for rho in rhos]
+    for (pair, lhs), (_, rhs) in zip(reference_exchange_products(H, (B.mul,), lams, rhos),
+                                     reference_exchange_products(H, (B.mul,), lams, cut)):
+        if lhs != rhs:
+            return pair
+        per_slice = {}
+        for (pq, q, s), c in lhs.items():
+            per_slice.setdefault((pq, s), {})[q] = c
+        if not all(span.contains(dv) for dv in per_slice.values()):
+            return pair
+    return None
+
+
+def _subgroups(table):
+    """Every subgroup of the group of `table` generated by two elements."""
+    out = set()
+    for g, h in product(range(len(table)), repeat=2):
+        sub = {g, h}
+        while {table[a][b] for a in sub for b in sub} - sub:
+            sub |= {table[a][b] for a in sub for b in sub}
+        out.add(tuple(sorted(sub)))
+    return sorted(out)
+
+
+def _unital_subalgebras(B, subgroups):
+    """(span, unit as a sparse dict) of the distinct unital subalgebras of B
+    generated by an idempotent e and, unless absent, e·x·e for a basis
+    element x: e is e_K = (1/|K|)·Σ_{k∈K} u_k or 1_B − e_K, for K in
+    `subgroups` (lists of basis indices of group-like elements)."""
+    f = B.field
+    idempotents = []
+    for sub in subgroups:
+        e_k = {k: f.of(Fraction(1, len(sub))) for k in sub}
+        rest = dict(B.unit_dict())
+        for k, c in e_k.items():
+            dict_acc(rest, k, -c)
+        idempotents += [e_k, rest] if rest else [e_k]
+    seen, out = set(), []
+    for e in idempotents:
+        for x in [None] + list(range(B.dim)):
+            seed = [e] + ([] if x is None else [B.mul_dict(B.mul_dict(e, {x: f.one}), e)])
+            span = closure_fixpoint(Subspace(B.dim, f, seed), [], [B.mul])
+            key = (tuple(tuple(sorted(r.items())) for r in span.rows), tuple(sorted(e.items())))
+            if key not in seen:
+                seen.add(key)
+                out.append((span, e))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _induction_cases():
+    """(regular bicomodule, its unital subalgebras) for kZ2, kZ4, kV4, kS3
+    and kZ6 over ℚ, GF(5) and GF(7), and for H4 over ℚ."""
+    out = []
+    for name, field in product(("Z2", "Z4", "V4", "S3", "Z6"), (QQ, GF(5), GF(7))):
+        bic = regular_bicomodule(_kg(name, field))
+        out.append((bic, _unital_subalgebras(bic.alg, _subgroups(named_group(name)[1]))))
+    bic = regular_bicomodule(sweedler_h4(QQ))
+    out.append((bic, _unital_subalgebras(bic.alg, [[0], [0, 1]])))     # 1 and g
+    return out
+
+
+def _first_corner_failure(B, left, right, span, u_d):
+    """The least (a, b, h, k) at which the corner condition of the operator
+    families fails, from every tuple, zero factors included; None when it
+    holds."""
+    rows = span.rows
+    for a, b, h, k in product(range(len(rows)), range(len(rows)),
+                              range(len(right)), range(len(left))):
+        x, y = apply_cols(right[h], rows[a]), apply_cols(left[k], rows[b])
+        lhs = B.mul_dict(x, y)
+        if lhs != B.mul_dict(x, B.mul_dict(u_d, y)) or not span.contains(lhs):
+            return a, b, h, k
+    return None
+
+
+def _witness(call, pattern):
+    """None when call() returns; the ints of the message of the ValueError
+    it raises, which must match `pattern`, otherwise."""
+    try:
+        call()
+    except ValueError as exc:
+        m = re.fullmatch(pattern, str(exc))
+        assert m, str(exc)
+        return tuple(int(g) if g.isdigit() else g for g in m.groups())
+    return None
+
+
+EXCHANGE = r"exchange condition fails at witness pair \(a=(\d+), b=(\d+)\)"
+CORNER = r"corner condition fails at witness \(a=(\d+), h=(\S+), k=(\S+), b=(\d+)\)"
+
+
+def test_induce_bicomodule_finds_the_reference_witness_pair():
+    verdicts = []
+    for bic, cases in _induction_cases():
+        B = bic.alg
+        for span, e in cases:
+            got = _witness(lambda: induce_bicomodule(bic, span, vec_of_dict(e, B.dim, B.field)),
+                           EXCHANGE)
+            assert got == reference_exchange_witness(bic, span.rows, e, span), (B.name, span.rows)
+            verdicts.append(got)
+    assert len(verdicts) >= 140
+    assert verdicts.count(None) >= 20 and len(verdicts) - verdicts.count(None) >= 20
+
+
+def test_the_corner_witness_is_the_first_failure_in_a_b_h_k_order():
+    # B = k³ with orthogonal idempotents e0, e1, e2 and A = span{e0, e1}:
+    # the families fail at (a, h, k, b) = (0, 0, 1, 0) and (0, 0, 0, 1), the
+    # first in (a, b, h, k) order and the second in (a, h, k, b) order
+    o = QQ.one
+    B = AlgebraData(QQ, ["e0", "e1", "e2"], {(i, i, i): o for i in range(3)}, [o, o, o])
+    right = [[{0: o, 2: o}, {1: o}, {2: o}]]
+    left = [[{0: o}, {1: o, 2: o}, {2: o}], [{0: o, 2: o}, {1: o}, {2: o}]]
+    span, unit = Subspace(3, QQ, [{0: o}, {1: o}]), {0: o, 1: o}
+    assert _corner_witness(B, left, right, span, unit) == (0, 0, 1, 0)
+
+
+def test_induction_commutes_with_the_duality_bridge():
+    # induced on the dual bimodule or on the bicomodule, the structure is
+    # the same read through algebras.DUAL, or both fail at the same (a, b)
+    seen = set()
+    for bic, cases in _induction_cases():
+        B = bic.alg
+        bim = bicomodule_to_bimodule(bic)
+        for span, e in cases:
+            unit = vec_of_dict(e, B.dim, B.field)
+            try:
+                ind = induce_bicomodule(bic, span, unit)
+            except ValueError:
+                ind = None
+            if ind is None:
+                first = _first_corner_failure(B, bim.left.map.columns(),
+                                              bim.right.map.columns(), span, e)
+                h, k = (bim.hopf.basis[i] for i in first[2:])
+                assert _witness(lambda: induce_bimodule(bim, span, unit), CORNER) \
+                    == (first[0], h, k, first[1])
+                assert _witness(lambda: induce_bicomodule(bic, span, unit), EXCHANGE) \
+                    == first[:2]
+                seen.add("fail")
+                continue
+            out = induce_bimodule(bim, span, unit)
+            assert (out.alg.mul.entries, out.alg.unit) == (ind.alg.mul.entries, ind.alg.unit)
+            assert out.left.map.entries \
+                == ind.right.map.transpose(DUAL["right"][0]).entries
+            assert out.right.map.entries \
+                == ind.left.map.transpose(DUAL["left"][0]).entries
+            seen.add("pass")
+    assert seen == {"pass", "fail"}
+    # the averaged idempotent of kZ4: both report the pair (0, 0)
+    bic, u0, u2, e = _z4_setup()
+    span = subspace_span([e], 4, QQ)
+    with pytest.raises(ValueError, match=r"^exchange condition fails at witness pair "
+                                         r"\(a=0, b=0\)$"):
+        induce_bicomodule(bic, span, e)
+    with pytest.raises(ValueError, match=r"^corner condition fails at witness "
+                                         r"\(a=0, h=g0\*, k=g0\*, b=0\)$"):
+        induce_bimodule(bicomodule_to_bimodule(bic), span, e)
 
 
 def test_coacts_trivially_matches_the_reference_on_families_and_mutations():

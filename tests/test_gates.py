@@ -495,6 +495,48 @@ def test_both_standard_globalizations_and_minimalize_build_through_the_carrier()
     assert carrier_faults(_package_sources()) == []
 
 
+# the five-leg exchange products, the witness induced from them, and the
+# restriction coactions kept apart from the operator families: tests/ keeps
+# them as the references
+SECOND_EXCHANGE = {"_exchange_products", "_exchange_witness", "_restrict_coaction"}
+
+
+def second_exchange_faults(sources):
+    """Where a module of the package defines or calls a name of
+    SECOND_EXCHANGE: the exchange condition is decided through the dual
+    families (globalize._exchange, induced._corner_witness), and a coaction
+    restricts through induced._restrict, as an operator family does."""
+    def defined_or_called(node):
+        return (_named(node.func) if isinstance(node, ast.Call)
+                else node.name if isinstance(node, ast.FunctionDef) else None)
+
+    return ["%s:%d in %s" % (name, line, scope or "the module")
+            for name, text in sorted(sources.items())
+            for scope, line in _scoped(ast.parse(text, filename=name),
+                                       lambda node: defined_or_called(node) in SECOND_EXCHANGE)]
+
+
+def test_the_exchange_gate_flags_a_second_mechanism():
+    sources = _package_sources()
+    sources["coactions.py"] += "\ndef _restrict_coaction(ops, side, span, cut):\n    return ops\n"
+    sources["induced.py"] = sources["induced.py"].replace(
+        "    w = _corner_witness(B, bicom.right.dual_cols()",
+        "    _exchange_witness(bicom, span.rows, u_d, span)\n"
+        "    w = _corner_witness(B, bicom.right.dual_cols()")
+    lines = sources["coactions.py"].splitlines()
+    assert second_exchange_faults(sources) == [
+        "coactions.py:%d in _restrict_coaction" % (len(lines) - 1),
+        "induced.py:%d in induce_bicomodule" % next(
+            n for n, line in enumerate(sources["induced.py"].splitlines(), 1)
+            if "_exchange_witness(" in line)]
+
+
+def test_the_exchange_condition_has_one_mechanism():
+    # the exchange condition is the corner condition of the dual families,
+    # on the carrier (globalize) and on B (induced)
+    assert second_exchange_faults(_package_sources()) == []
+
+
 def unchecked_parameters(sources):
     """Where a function of the package takes a parameter named `unchecked`:
     a bypass of a certificate gate that only tests set is not an option of

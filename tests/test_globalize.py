@@ -20,7 +20,7 @@ from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
                           col_dicts, dict_acc, nullspace, rows_of_cols)
 from phopf._groups import named_group
 from phopf.algebras import (DUAL, AlgebraData, Report, _dual_structure, algebra_check,
-                            dict_of_vec, dual_hopf, mul_dicts)
+                            dict_of_vec, dual_hopf, mul_dicts, tensor_mul)
 from phopf.examples import (group_algebra, regular_bicomodule, scalar_algebra, sweedler_h4,
                             sweedler_k_bicomodule, trivial_coaction)
 from phopf.ambient import LegOperator, TensorProductMul
@@ -30,12 +30,14 @@ from phopf.coactions import (PartialBicomoduleData, bicomodule_to_bimodule,
                              bimodule_to_bicomodule)
 from phopf.group_actions import en_kg_example
 from phopf.induced import induce_bicomodule
-from phopf.globalize import (GlobalizationCandidate, StandardGlobalization, _first_failure,
+from phopf.globalize import (GlobalizationCandidate, StandardGlobalization, _exchange,
+                             _first_failure,
                              maximal_degenerate_subbimodule, psi_map,
                              standard_globalize_bicomodule, standard_globalize_bimodule,
                              verify_globalization)
 from phopf.candidates import (_require_global_bimodule, comparison_map,
                               free_candidate_bimodule, minimalize)
+from tests.conftest import forged_coaction
 
 
 GLOBALIZATION_LAWS = ("condition1", "condition2", "lemaco1", "lemaco2",
@@ -852,8 +854,126 @@ def test_psi_bridge_on_the_one_dimensional_hopf_algebra():
 
 
 # ---------------------------------------------------------------------------
+# the exchange condition on the carrier against the five-leg products in
+# H⊗X⊗H (X = H⊗A⊗H) it replaced
+
+
+def reference_exchange_products(hopf, b_legs, lams, rhos):
+    """(λ(x)⊗1_H)(1_H⊗ρ(y)) in H⊗B⊗H for each λ(x) in lams and ρ(y) in rhos,
+    yielded as ((index in lams, index in rhos), product) in row-major order.
+    B, the algebra both coactions act on, is the tensor product of the
+    algebras whose mul tensors are `b_legs` (one leg for a plain algebra),
+    and a basis element of B is a tuple with one index per leg: λ(x) is
+    keyed (p, *b) and ρ(y) keyed (*b, s)."""
+    u_h = hopf.unit_dict()
+    muls = (hopf.mul,) + tuple(b_legs) + (hopf.mul,)
+    rho_ext = [{(r,) + key: d * c for key, c in rho.items() for r, d in u_h.items()}
+               for rho in rhos]
+    for i, lam in enumerate(lams):
+        lam_ext = {key + (r,): c * d for key, c in lam.items() for r, d in u_h.items()}
+        for j, y in enumerate(rho_ext):
+            yield (i, j), tensor_mul(muls, lam_ext, y)
+
+
+def reference_exchange(b, amb, theta_d):
+    """The cases of the exchange condition of b in the ambient amb = H⊗A⊗H,
+    with θ given by its ambient columns theta_d: the five-leg product of
+    the ambient coactions of θ(a_i) and θ(a_j) over the legs (H, H, A, H, H)
+    against the image of the partial-coaction product, one case per basis
+    pair in row-major order."""
+    A = b.alg
+    flat, split = amb.algebra.mul.flat, amb.algebra.mul.split
+    pv_a = A.mul.pair_view()
+    lam_of, rho_of = b.left.map.in1_view(), b.right.map.in1_view()
+    empty = {}
+
+    def coact(ops, col, key):
+        out = {}
+        for x, c in col.items():
+            for g, op in enumerate(ops):
+                for y, d in op[x].items():
+                    dict_acc(out, key(g, y), c * d)
+        return out
+
+    lams = [coact(amb.right_ops, col, lambda g, y: (g,) + split(y)) for col in theta_d]
+    rhos = [coact(amb.left_ops, col, lambda g, y: split(y) + (g,)) for col in theta_d]
+    for (i, j), prod in reference_exchange_products(b.hopf, amb.algebra.mul.legs, lams, rhos):
+        lhs = {(p, flat(key), q): c for (p, *key, q), c in prod.items()}
+        rhs = {}
+        for (p, q), c1 in lam_of.get(i, empty).items():
+            for (u, v), c2 in rho_of.get(j, empty).items():
+                for t, ct in pv_a.get((q, u), empty).items():
+                    for x, cx in theta_d[t].items():
+                        dict_acc(rhs, (p, x, v), c1 * c2 * ct * cx)
+        yield (A.basis[i], A.basis[j]), lhs, rhs
+
+
+def _first_failing(cases):
+    return next((idx for idx, lhs, rhs in cases if lhs != rhs), None)
+
+
+EXCHANGE_INPUTS = {
+    "H4": lambda f: regular_bicomodule(sweedler_h4(f)),
+    "Sweedler (2,3)": lambda f: sweedler_k_bicomodule(f, 2, 3),
+    "kZ4": lambda f: regular_bicomodule(_kg("Z4", f)),
+    "kZ4*": lambda f: regular_bicomodule(dual_hopf(_kg("Z4", f))),
+    "kS3": lambda f: regular_bicomodule(_kg("S3", f)),
+}
+
+
+def _exchange_mutants(b, g):
+    """(bicomodule, carrier, θ in ambient columns) triples: θ with one
+    entry raised by 1 or 2 in carrier coordinates, with its ambient image,
+    and b with one entry of either coaction table raised by 1 or 2, at up
+    to eight stored and eight free positions per table."""
+    one = b.hopf.field.one
+    out = []
+    for m, k, c in product(range(b.alg.dim), range(0, g.dim, max(1, g.dim // 4)),
+                           (one, one + one)):
+        theta = [dict(col) for col in g.theta]
+        phi = [dict(col) for col in g.phi]
+        dict_acc(theta[m], k, c)
+        for x, d in g.b_basis.rows[k].items():
+            dict_acc(phi[m], x, c * d)
+        out.append((b, GlobalizationCandidate(g.algebra, theta, g.left_ops, g.right_ops,
+                                              g.coeff), phi))
+    for p in (b.left, b.right):
+        stored = sorted(p.map.entries)
+        free = [key for key in product(*map(range, p.map.dims)) if key not in p.map.entries]
+        for key in stored[::max(1, len(stored) // 8)] + free[::max(1, len(free) // 8)]:
+            for c in (one, one + one):
+                entries = dict(p.map.entries)
+                dict_acc(entries, key, c)
+                q = forged_coaction(p.hopf, p.alg, p.side, entries)
+                out.append((PartialBicomoduleData(q, b.right) if p.side == "left"
+                            else PartialBicomoduleData(b.left, q), g, g.phi))
+    return out
+
+
+def test_exchange_on_the_carrier_finds_the_five_leg_first_failure():
+    # each unmutated input passes both; on every mutant both report the
+    # same first failing pair, or both pass
+    verdicts = []
+    for name, field in product(EXCHANGE_INPUTS, (QQ, GF(5))):
+        b = EXCHANGE_INPUTS[name](field)
+        g = standard_globalize_bicomodule(b)
+        assert _first_failing(_exchange(b, g)) is None, name
+        assert _first_failing(reference_exchange(b, g.ambient, g.phi)) is None, name
+        for mb, carrier, phi in _exchange_mutants(b, g):
+            first = _first_failing(_exchange(mb, carrier))
+            assert first == _first_failing(reference_exchange(mb, g.ambient, phi)), \
+                (name, field, first)
+            verdicts.append(first)
+    # every mutant fails (each changes θ or a coaction at a pair the
+    # condition reads), at many different first pairs
+    assert len(verdicts) >= 300 and None not in verdicts
+    assert len(set(verdicts)) >= 10
+
+
+# ---------------------------------------------------------------------------
 # Q8 and D4: ambients of dimension 512.  The bicomodule side is reachable
-# because the exchange products join their terms on nonzero leg products.
+# because the exchange condition is decided on the carrier of dimension 8,
+# over the dual-basis pairs at which a factor is nonzero.
 
 
 @pytest.mark.parametrize("group", ["Q8", "D4"])

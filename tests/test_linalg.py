@@ -12,7 +12,11 @@ from phopf.fields import GF, QQ
 from phopf.linalg import (Subspace, Tensor3, apply_cols, closure_fixpoint,
                           col_dicts, dict_of_vec, mat_apply, nullspace,
                           restrict_product, rref, solve, subspace_span,
-                          transport, unit_vec, vec_of_dict, zeros)
+                          transport, unit_vec, vec_of_dict)
+
+
+def zeros(field, n):
+    return [field.zero] * n
 
 
 def _rand_matrix(rng, rows, cols, field):

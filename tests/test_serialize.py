@@ -327,6 +327,21 @@ def test_a_group_action_of_the_wrong_shape_raises_document_error(change, match):
         load_group_action(doc)
 
 
+@pytest.mark.parametrize("change,what", [
+    ({"labels": "eg"}, "labels"), ({"idempotents": [["1", "1"], "10"]}, "idempotent"),
+    ({"idempotents": {"e": ["1", "1"], "g": ["1", "0"]}}, "idempotents"),
+    ({"alphas": [[[0, 0, "1"], [1, 1, "1"]], {}]}, "alphas")], ids=repr)
+def test_a_group_action_vector_or_row_list_that_is_not_a_list_raises(change, what):
+    # a string was read character by character, so labels "eg" and the
+    # idempotent "10" loaded as ["e", "g"] and ["1", "0"], and an alpha {}
+    # loaded as the zero map
+    doc = z2_partial_group_example(QQ).to_json()
+    assert (doc["labels"], doc["idempotents"][1]) == (["e", "g"], ["1", "0"])
+    doc.update(change)
+    with pytest.raises(DocumentError, match="%s is not a list" % what):
+        load_group_action(doc)
+
+
 @pytest.mark.parametrize("entry", [1.0, "1", True], ids=repr)
 def test_group_table_entries_must_be_json_ints(entry):
     doc = z2_partial_group_example(QQ).to_json()

@@ -161,24 +161,24 @@ UNGLOBAL = ["smash", "induced", "group_actions"] + TABLES + OFF_PATH
 # except `example`, whose budget was not raised: its count plus 2%.  No
 # budget was raised since; the comment on each row is its count now.
 COMMANDS = [
-    (["check", "algebra", "regular-bicomodule/hopf.json"], CHECKS, 1999),  # 1950
-    (["check", "hopf", "regular-bicomodule/hopf.json"], CHECKS, 1999),  # 1950
-    (["check", "action", "dual-group-action/action.json"], CHECKS[1:], 2430),  # 2342
+    (["check", "algebra", "regular-bicomodule/hopf.json"], CHECKS, 1999),  # 1992
+    (["check", "hopf", "regular-bicomodule/hopf.json"], CHECKS, 1999),  # 1992
+    (["check", "action", "dual-group-action/action.json"], CHECKS[1:], 2430),  # 2357
     (["check", "bimodule", "sweedler-bimodule-k/bimodule.json"], CHECKS[1:],
-     2430),  # 2342
+     2430),  # 2357
     (["check", "bicomodule", "regular-bicomodule/bicomodule.json"],
-     NO_ACTIONS + TABLES + OFF_PATH, 2451),  # 2362
+     NO_ACTIONS + TABLES + OFF_PATH, 2451),  # 2355
     (["check", "coaction", "regular-bicomodule/coaction.json"],
-     NO_ACTIONS + TABLES + OFF_PATH, 2451),  # 2362
+     NO_ACTIONS + TABLES + OFF_PATH, 2451),  # 2355
     (["example", "regular-bicomodule", "--group", "Q8", "--field", "gf7",
-      "-o", "q8"], NO_ACTIONS + ["candidates"], 2867),  # 2844
+      "-o", "q8"], NO_ACTIONS + ["candidates"], 2867),  # 2838
     (["smash", "sweedler-bimodule-k/bimodule.json",
       "regular-bicomodule/bicomodule.json"], ["globalize"] + CONCEPTS + TABLES + OFF_PATH,
-     3248),  # 3084
+     3248),  # 3041
     (["globalize", "bimodule", "sweedler-bimodule-k/bimodule.json", "-o", "glob"],
-     UNGLOBAL + ["coactions"], 3361),  # 3202
+     UNGLOBAL + ["coactions"], 3361),  # 3177
     (["globalize", "bicomodule", "regular-bicomodule/bicomodule.json", "-o", "glob2"],
-     UNGLOBAL, 3813),  # 3614
+     UNGLOBAL, 3813),  # 3540
 ]
 IDS = [" ".join(c[0][:2]) for c in COMMANDS]
 
